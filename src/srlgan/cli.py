@@ -45,27 +45,17 @@ def _load_config(args) -> T.TrainConfig:
     values = {}
     if getattr(args, "config", None):
         values.update(_parse_config_file(args.config))
-    flag_map = {
-        "seed": "seed", "beta": "beta", "batch_size": "batch_size",
-        "gan_loss": "gan_loss", "learning_rate": "learning_rate",
-        "max_rounds": "max_rounds", "eval_every": "eval_every",
-        "pretrain_epochs": "pretrain_epochs", "n_e": "n_e",
-        "n_d": "n_d", "n_g": "n_g", "patience": "patience",
-    }
-    for flag, field in flag_map.items():
-        val = getattr(args, flag, None)
+    for field in ("seed", "beta", "batch_size", "gan_loss", "learning_rate",
+                  "max_rounds", "eval_every", "pretrain_epochs", "n_e", "n_d",
+                  "n_g", "patience"):
+        val = getattr(args, field, None)
         if val is not None:
             values[field] = val
     if getattr(args, "sparsity", None) is not None:
         values["sparsity"] = args.sparsity == "on"
-    if getattr(args, "generator_hidden", None):
-        values["generator_hidden"] = [int(s) for s in args.generator_hidden.split(",")]
-    if getattr(args, "discriminator_hidden", None):
-        values["discriminator_hidden"] = [int(s) for s in args.discriminator_hidden.split(",")]
-    known = {f.name: f for f in dataclasses.fields(T.TrainConfig)}
-    unknown = set(values) - set(known)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for field in ("generator_hidden", "discriminator_hidden"):
+        if getattr(args, field, None):
+            values[field] = [int(s) for s in getattr(args, field).split(",")]
     return T.TrainConfig(**values).validate()
 
 
@@ -151,7 +141,7 @@ def _save_trainer_checkpoint(path, trainer: T.Trainer, cache, args, rnd):
         "cold_fraction": args.cold_fraction,
         "split_seed": args.split_seed if args.split_seed is not None else trainer.config.seed,
         "leakage_free_cold": bool(getattr(args, "leakage_free_cold", False)),
-        "config": T.config_to_dict(trainer.config),
+        "config": dataclasses.asdict(trainer.config),
         "round": rnd,
     }
     NN.save_checkpoint(
@@ -222,6 +212,9 @@ def cmd_eval(args) -> int:
     ns = tuple(int(s) for s in args.n.split(","))
 
     if args.baseline == "itempop":
+        # `srlgan train`'s default split, so a rerun draws the same cold users.
+        args.cold_fraction = 0.2 if args.cold_fraction is None else args.cold_fraction
+        args.split_seed = 0 if args.split_seed is None else args.split_seed
         split, _, y_warm, _, y_cold = P.split_matrices(
             cache, args.cold_fraction, args.split_seed)
         report = E.evaluate_itempop(y_warm, y_cold, ns=ns,

@@ -244,9 +244,6 @@ class DatasetCache:
     def schema_hash(self) -> str:
         return hashlib.sha256(self.schema_json.encode()).hexdigest()[:16]
 
-    def row_of(self, user_id: int) -> int:
-        return self.user_ids.index(user_id)
-
 
 def save_cache(cache: DatasetCache, path) -> None:
     """Atomic write (temp file + rename) of the dataset cache."""

@@ -5,6 +5,11 @@ Everything is float64 (the production learning rate of 1e-6 makes float32
 updates vanish into rounding).  Batches are row-major: (batch, features).
 A network instance is single-writer during training; clone parameters for
 concurrent read-only inference.
+
+An MLP stores its parameters in one flat vector `theta` and their gradients
+in one flat `grad`, in `params()` order (layer by layer, weight then bias);
+each Linear's arrays are views into them, so zero_grad, Adam, the parameter
+vector and checkpoint I/O are single array operations.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -131,12 +137,20 @@ class MLP:
         self.sizes = list(sizes)
         self.slope = slope
         self.dropout = dropout
+        self.theta = np.empty(sum((a + 1) * b for a, b in zip(sizes, sizes[1:])))
+        self.grad = np.zeros_like(self.theta)
         self.layers = []
+        offset = 0
         for k in range(len(sizes) - 1):
             last = k == len(sizes) - 2
-            self.layers.append(
-                Linear(sizes[k], sizes[k + 1], rng, init="xavier" if last else "he")
-            )
+            linear = Linear(sizes[k], sizes[k + 1], rng, init="xavier" if last else "he")
+            for name, value, _ in linear.params():
+                end = offset + value.size
+                self.theta[offset:end] = value.ravel()
+                setattr(linear, name, self.theta[offset:end].reshape(value.shape))
+                setattr(linear, f"grad_{name}", self.grad[offset:end].reshape(value.shape))
+                offset = end
+            self.layers.append(linear)
             if last:
                 self.layers.append(Sigmoid())
             else:
@@ -157,9 +171,7 @@ class MLP:
         return grad_out
 
     def zero_grad(self):
-        for layer in self.layers:
-            for _, _, grad in layer.params():
-                grad[...] = 0.0
+        self.grad[...] = 0.0
 
     def params(self):
         out = []
@@ -169,20 +181,17 @@ class MLP:
         return out
 
     def param_vector(self) -> np.ndarray:
-        return np.concatenate([v.ravel() for _, v, _ in self.params()])
+        return self.theta.copy()
 
     def set_param_vector(self, flat) -> None:
         flat = np.asarray(flat, dtype=np.float64)
-        offset = 0
-        for _, value, _ in self.params():
-            value[...] = flat[offset:offset + value.size].reshape(value.shape)
-            offset += value.size
-        if offset != flat.size:
-            raise ValueError("parameter vector size mismatch")
+        if flat.shape != self.theta.shape:
+            raise ValueError(f"parameter vector shape {flat.shape} != {self.theta.shape}")
+        self.theta[...] = flat
 
 
 class Adam:
-    """Bias-corrected adaptive-moment optimizer over a network's params."""
+    """Bias-corrected adaptive-moment optimizer; `m`, `v` match `net.theta`."""
 
     def __init__(self, net: MLP, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -192,45 +201,42 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(v) for name, v, _ in net.params()}
-        self.v = {name: np.zeros_like(v) for name, v, _ in net.params()}
+        self.m = np.zeros_like(net.theta)
+        self.v = np.zeros_like(net.theta)
 
     def step(self):
         self.t += 1
-        for name, value, grad in self.net.params():
-            if not np.all(np.isfinite(grad)):
-                raise TrainingError(
-                    f"non-finite gradient in {name} at step {self.t}"
-                )
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        grad = self.net.grad
+        if not np.isfinite(grad).all():
+            name = next(name for name, _, g in self.net.params()
+                        if not np.isfinite(g).all())
+            raise TrainingError(f"non-finite gradient in {name} at step {self.t}")
+        # The textbook per-element operations, in order, with two scratch
+        # vectors: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+        # theta -= lr*m_hat / (sqrt(v_hat) + eps).
+        a = np.multiply(grad, 1.0 - self.beta1)
+        self.m *= self.beta1
+        self.m += a
+        np.multiply(grad, 1.0 - self.beta2, out=a)
+        a *= grad
+        self.v *= self.beta2
+        self.v += a
+        np.divide(self.m, 1.0 - self.beta1 ** self.t, out=a)
+        a *= self.lr
+        b = np.divide(self.v, 1.0 - self.beta2 ** self.t)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        self.net.theta -= a
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint container: .npz with a json header plus one array per parameter
-# and per optimizer moment; round-trips bit-exactly (float64 arrays, json
-# RNG state).
+# Checkpoint container: .npz with a json header plus, per network role, the
+# float64 vectors `<role>/params`, `<role>/adam_m` and `<role>/adam_v` (in
+# `params()` order); round-trips bit-exactly (json RNG state).
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
-
-
-def network_state(net: MLP, opt: Adam | None = None) -> dict:
-    arrays = {}
-    for name, value, _ in net.params():
-        arrays[f"param.{name}"] = value
-    if opt is not None:
-        for name in opt.m:
-            arrays[f"adam_m.{name}"] = opt.m[name]
-            arrays[f"adam_v.{name}"] = opt.v[name]
-    return arrays
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, nets: dict[str, MLP], opts: dict[str, Adam],
@@ -253,10 +259,9 @@ def save_checkpoint(path, nets: dict[str, MLP], opts: dict[str, Adam],
         "rng_state": rng.bit_generator.state if rng is not None else None,
         "meta": meta,
     }
-    arrays = {}
-    for name, net in nets.items():
-        for key, arr in network_state(net, opts.get(name)).items():
-            arrays[f"{name}/{key}"] = arr
+    arrays = {f"{name}/params": net.theta for name, net in nets.items()}
+    for name, opt in opts.items():
+        arrays.update({f"{name}/adam_m": opt.m, f"{name}/adam_v": opt.v})
     for key, arr in (extra_arrays or {}).items():
         arrays[f"extra/{key}"] = np.asarray(arr)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp.npz")
@@ -270,34 +275,40 @@ def save_checkpoint(path, nets: dict[str, MLP], opts: dict[str, Adam],
 
 
 def load_checkpoint(path):
-    """Returns (nets, opts, rng, meta, extra_arrays) from a checkpoint file."""
-    with np.load(path, allow_pickle=False) as z:
-        header = json.loads(str(z["header"]))
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header['version']}")
-        nets = {}
-        opts = {}
-        for name, sizes in header["nets"].items():
-            net = MLP(sizes, np.random.default_rng(0),
-                      slope=header["slope"][name],
-                      dropout=header["dropout"][name])
-            for pname, value, _ in net.params():
-                value[...] = z[f"{name}/param.{pname}"]
-            if name in header["adam_t"]:
-                lr, b1, b2, eps = header["adam_hparams"][name]
-                opt = Adam(net, lr=lr, beta1=b1, beta2=b2, eps=eps)
-                opt.t = header["adam_t"][name]
-                for pname in opt.m:
-                    key = f"{name}/adam_m.{pname}"
-                    if key in z:
-                        opt.m[pname][...] = z[key]
-                        opt.v[pname][...] = z[f"{name}/adam_v.{pname}"]
-                opts[name] = opt
-            nets[name] = net
-        rng = None
-        if header["rng_state"] is not None:
-            rng = np.random.default_rng(0)
-            rng.bit_generator.state = header["rng_state"]
-        extra = {key[len("extra/"):]: np.asarray(z[key])
-                 for key in z.files if key.startswith("extra/")}
-        return nets, opts, rng, header["meta"], extra
+    """Returns (nets, opts, rng, meta, extra_arrays) from a checkpoint file.
+
+    An unreadable file, another format version, or an array that is missing
+    or not the float64 vector its header implies (which would otherwise
+    broadcast into the network) raises ValueError naming path and problem."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            header = json.loads(str(z["header"]))
+            if header["version"] != CHECKPOINT_VERSION:
+                raise ValueError(f"format version {header['version']} is not the "
+                                 f"supported version {CHECKPOINT_VERSION}; re-run train")
+            nets, opts = {}, {}
+            for name, sizes in header["nets"].items():
+                net = nets[name] = MLP(sizes, np.random.default_rng(0),
+                                       slope=header["slope"][name],
+                                       dropout=header["dropout"][name])
+                targets = {"params": net.theta}
+                if name in header["adam_t"]:
+                    lr, b1, b2, eps = header["adam_hparams"][name]
+                    opt = opts[name] = Adam(net, lr=lr, beta1=b1, beta2=b2, eps=eps)
+                    opt.t = header["adam_t"][name]
+                    targets.update(adam_m=opt.m, adam_v=opt.v)
+                for key, target in targets.items():
+                    arr = z[f"{name}/{key}"]
+                    if arr.dtype != np.float64 or arr.shape != target.shape:
+                        raise ValueError(f"array '{name}/{key}' is {arr.dtype} {arr.shape}, "
+                                         f"expected float64 {target.shape}")
+                    target[...] = arr
+            extra = {key[len("extra/"):]: np.asarray(z[key])
+                     for key in z.files if key.startswith("extra/")}
+    except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from exc
+    rng = None
+    if header["rng_state"] is not None:
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = header["rng_state"]
+    return nets, opts, rng, header["meta"], extra

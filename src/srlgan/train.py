@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import model as M
-from .nn import Adam, MLP, TrainingError
+from .data import split_users
+from .nn import Adam, TrainingError
 from .evaluate import evaluate_predictions
 
 MODE_COLLAPSE_STD_FLOOR = 1e-4
@@ -302,10 +303,8 @@ def fit(x_train, y_train, config: TrainConfig, x_val=None, y_val=None,
 def holdout_split(n: int, fraction: float, seed: int):
     """Seeded (train_idx, held_idx) split of range(n); held size is
     round-half-up of fraction*n."""
-    n_held = int(math.floor(fraction * n + 0.5))
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    return np.sort(perm[n_held:]), np.sort(perm[:n_held])
+    split = split_users(range(n), fraction, seed)
+    return np.array(split.warm_ids, dtype=int), np.array(split.cold_ids, dtype=int)
 
 
 def cross_validate_beta(x_warm, y_warm, beta_grid, config: TrainConfig,
@@ -330,7 +329,3 @@ def cross_validate_beta(x_warm, y_warm, beta_grid, config: TrainConfig,
         scores[float(beta)] = report["P@5"]
     best = max(sorted(scores), key=lambda b: scores[b])
     return best, scores
-
-
-def config_to_dict(config: TrainConfig) -> dict:
-    return asdict(config)

@@ -139,6 +139,64 @@ def test_eval_itempop_baseline(tmp_path, prepared):
     assert (out / "metrics.itempop.csv").exists()
 
 
+def test_eval_itempop_defaults_split_flags(tmp_path, prepared):
+    cache = str(prepared / "ml100k.npz")
+    outs = [tmp_path / name for name in ("a", "b", "explicit")]
+    for out in outs[:2]:
+        assert main(["eval", "--baseline", "itempop", "--cache", cache,
+                     "--out-dir", str(out)]) == 0
+    assert main(["eval", "--baseline", "itempop", "--cache", cache,
+                 "--cold-fraction", "0.2", "--split-seed", "0",
+                 "--out-dir", str(outs[2])]) == 0
+    csvs = [(out / "metrics.itempop.csv").read_bytes() for out in outs]
+    assert csvs[0] == csvs[1] == csvs[2]
+    args = json.loads((outs[0] / "manifest.json").read_text())["args"]
+    assert (args["cold_fraction"], args["split_seed"]) == (0.2, 0)
+
+
+def _bad_checkpoint(problem, good, tmp_path):
+    """A copy of checkpoint `good` with one defect, in a file whose refusal
+    must mention `problem`."""
+    if problem in ("truncated", "corrupt"):
+        raw = bytearray(good.read_bytes())
+        if problem == "truncated":
+            del raw[len(raw) // 2:]
+        else:
+            raw[len(raw) // 2] ^= 0xFF
+        bad = tmp_path / f"{problem}.npz"
+        bad.write_bytes(raw)
+        return bad
+    with np.load(good) as z:
+        contents = {key: z[key] for key in z.files}
+    if problem == "version 1":
+        header = json.loads(str(contents["header"])) | {"version": 1}
+        contents["header"] = json.dumps(header)
+    elif problem == "generator/params":      # would broadcast into every weight
+        contents[problem] = np.zeros(1)
+    elif problem == "generator/adam_m":
+        contents[problem] = contents[problem].astype(np.float32)
+    else:
+        del contents[problem]
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **contents)
+    return bad
+
+
+@pytest.mark.parametrize("problem", ["version 1", "truncated", "corrupt",
+                                     "generator/params", "generator/adam_m",
+                                     "discriminator/adam_v"])
+def test_eval_refuses_bad_checkpoint(problem, tmp_path, prepared, trained, capsys):
+    bad = _bad_checkpoint(problem, trained / "checkpoint.npz", tmp_path)
+    rc = main(["eval", "--checkpoint", str(bad),
+               "--cache", str(prepared / "ml100k.npz"),
+               "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert problem in err and str(bad) in err, err
+    if problem == "version 1":
+        assert "re-run train" in err
+
+
 def test_eval_schema_mismatch_refused(tmp_path, synth1m_dir, trained):
     other = tmp_path / "other"
     assert main(["prepare", "--dataset", "ml1m", "--raw-dir",

@@ -4,7 +4,7 @@ import pytest
 from srlgan import nn as NN
 
 
-def central_diff_grads(net, loss_fn, step=1e-5):
+def central_diff_grads(net, loss_fn, step=1e-4):
     """Finite-difference oracle: perturb every parameter of a cloned
     parameter vector and difference the scalar loss."""
     theta = net.param_vector()
@@ -195,11 +195,57 @@ def test_adam_identical_grads_identical_updates():
 
 
 def test_adam_nonfinite_grad_raises():
-    net = NN.MLP([2, 2], np.random.default_rng(0))
+    net = NN.MLP([3, 4, 4, 2], np.random.default_rng(0))
     opt = NN.Adam(net, lr=0.01)
-    net.layers[0].grad_weight[0, 0] = np.nan
-    with pytest.raises(NN.TrainingError):
+    before = net.param_vector()
+    net.layers[2].grad_weight[1, 3] = np.nan
+    with pytest.raises(NN.TrainingError, match=r"layer2\.weight"):
         opt.step()
+    assert np.array_equal(net.param_vector(), before)
+
+
+def test_layer_arrays_are_views_of_the_flat_store():
+    net = NN.MLP([3, 5, 4, 2], np.random.default_rng(2), dropout=0.3)
+    linears = [layer for layer in net.layers if isinstance(layer, NN.Linear)]
+    assert len(linears) == 3
+    assert net.theta.size == net.grad.size == 3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2
+    for layer in linears:
+        for value, grad in ((layer.weight, layer.grad_weight),
+                            (layer.bias, layer.grad_bias)):
+            assert np.shares_memory(value, net.theta)
+            assert np.shares_memory(grad, net.grad)
+    assert np.array_equal(net.param_vector(),
+                          np.concatenate([v.ravel() for _, v, _ in net.params()]))
+    net.set_param_vector(np.arange(net.theta.size, dtype=np.float64))
+    assert linears[0].weight[0, 1] == 1.0 and linears[0].bias[0] == 15.0
+    with pytest.raises(ValueError):
+        net.set_param_vector(np.zeros(1))
+
+
+def test_adam_matches_textbook_per_tensor_adam_bit_for_bit():
+    rng = np.random.default_rng(21)
+    net = NN.MLP([4, 6, 5, 3], rng)
+    opt = NN.Adam(net, lr=0.003)
+    # Kingma & Ba (2015), Algorithm 1, applied tensor by tensor.
+    params = {name: value.copy() for name, value, _ in net.params()}
+    m = {name: np.zeros_like(v) for name, v in params.items()}
+    v = {name: np.zeros_like(p) for name, p in params.items()}
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.003
+    for t in range(1, 6):
+        net.zero_grad()
+        x = rng.normal(size=(7, 4))
+        net.backward(net.forward(x) - 0.5)
+        for name, _, grad in net.params():
+            m[name] = b1 * m[name] + (1.0 - b1) * grad
+            v[name] = b2 * v[name] + (1.0 - b2) * grad * grad
+            m_hat = m[name] / (1.0 - b1 ** t)
+            v_hat = v[name] / (1.0 - b2 ** t)
+            params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        opt.step()
+        for name, value, _ in net.params():
+            assert np.array_equal(value, params[name]), (t, name)
+    assert np.array_equal(opt.m, np.concatenate([a.ravel() for a in m.values()]))
+    assert np.array_equal(opt.v, np.concatenate([a.ravel() for a in v.values()]))
 
 
 def test_forward_deterministic_given_seed():
@@ -229,9 +275,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     net2, opt2 = nets["net"], opts["net"]
     assert np.array_equal(net.param_vector(), net2.param_vector())
     assert opt2.t == opt.t and opt2.lr == opt.lr
-    for name in opt.m:
-        assert np.array_equal(opt.m[name], opt2.m[name])
-        assert np.array_equal(opt.v[name], opt2.v[name])
+    assert np.array_equal(opt.m, opt2.m)
+    assert np.array_equal(opt.v, opt2.v)
     assert meta == {"step": 3}
     assert np.array_equal(extra["rho"], np.ones(4))
     # restored RNG continues the same stream
