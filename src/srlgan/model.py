@@ -159,8 +159,8 @@ def generator_objective_grad(generator: MLP, discriminator: MLP, x, y, rho,
     Populates generator parameter gradients (caller zeroes them) and
     returns a dict of the scalar loss components.  The adversarial term
     flows through the discriminator to the generated behavior; the
-    discriminator's own gradients are zeroed again afterwards so only the
-    generator is updated.
+    discriminator's parameter gradients are not computed, so its `grad`
+    is left as it was and only the generator is updated.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
@@ -178,9 +178,8 @@ def generator_objective_grad(generator: MLP, discriminator: MLP, x, y, rho,
         _, adv_g, _, _, dd_fake_g = loss_bce_gan(d_fake, d_fake)
     else:
         raise ValueError(f"unknown gan_loss {gan_loss!r}")
-    d_input_grad = discriminator.backward(dd_fake_g)
+    d_input_grad = discriminator.backward(dd_fake_g, param_grads=False)
     d_yhat_adv = d_input_grad[:, x.shape[1]:]
-    discriminator.zero_grad()
 
     grad_yhat = d_recon + d_yhat_adv
     sr = 0.0

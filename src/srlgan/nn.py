@@ -10,6 +10,17 @@ An MLP stores its parameters in one flat vector `theta` and their gradients
 in one flat `grad`, in `params()` order (layer by layer, weight then bias);
 each Linear's arrays are views into them, so zero_grad, Adam, the parameter
 vector and checkpoint I/O are single array operations.
+
+`MLP.backward(grad_out, param_grads=False)` returns only the input gradient:
+each Linear then runs `input_grad` (grad_out @ W.T) and `grad` is left as it
+is.  Use it for a pass whose parameter gradients nobody reads, such as the
+discriminator pass that only feeds the generator.
+
+Adam walks the flat theta/grad/m/v in blocks of ADAM_BLOCK elements, so the
+intermediates of its per-element arithmetic stay in cache instead of
+streaming whole-network temporaries through memory.  Each element sees the
+textbook operations in the textbook order, so the result is bit-identical to
+unblocked, per-tensor Adam.
 """
 
 from __future__ import annotations
@@ -21,6 +32,13 @@ import zipfile
 from pathlib import Path
 
 import numpy as np
+
+# Adam's block length in elements (256 KiB of float64).  A block's four
+# slices and two scratch buffers (1.5 MiB) stay in a 2 MiB L2, and the
+# per-block numpy call overhead stays small: on a 2-core Xeon a step at
+# ML100K discriminator shape took 47-49 ms for 16K-64K blocks, 60 ms at
+# 8K, 52 ms at 128K and 100 ms unblocked.
+ADAM_BLOCK = 32768
 
 
 class TrainingError(RuntimeError):
@@ -57,6 +75,10 @@ class Linear:
             raise RuntimeError("backward called before forward")
         self.grad_weight += self._x.T @ grad_out
         self.grad_bias += grad_out.sum(axis=0)
+        return grad_out @ self.weight.T
+
+    def input_grad(self, grad_out):
+        """The gradient w.r.t. the input alone; parameter gradients are untouched."""
         return grad_out @ self.weight.T
 
     def params(self):
@@ -164,10 +186,16 @@ class MLP:
             x = layer.forward(x, training=training, rng=rng)
         return x
 
-    def backward(self, grad_out):
-        """Backprop a loss gradient; returns the gradient w.r.t. the input."""
+    def backward(self, grad_out, param_grads=True):
+        """Backprop a loss gradient; returns the gradient w.r.t. the input.
+
+        Parameter gradients accumulate into `grad`; with param_grads=False
+        they are not computed and `grad` is left as it is."""
         for layer in reversed(self.layers):
-            grad_out = layer.backward(grad_out)
+            if param_grads or not isinstance(layer, Linear):
+                grad_out = layer.backward(grad_out)
+            else:
+                grad_out = layer.input_grad(grad_out)
         return grad_out
 
     def zero_grad(self):
@@ -205,29 +233,39 @@ class Adam:
         self.v = np.zeros_like(net.theta)
 
     def step(self):
-        self.t += 1
         grad = self.net.grad
+        t = self.t + 1
         if not np.isfinite(grad).all():
             name = next(name for name, _, g in self.net.params()
                         if not np.isfinite(g).all())
-            raise TrainingError(f"non-finite gradient in {name} at step {self.t}")
-        # The textbook per-element operations, in order, with two scratch
-        # vectors: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+            raise TrainingError(f"non-finite gradient in {name} at step {t}")
+        self.t = t
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        n = grad.size
+        scratch_a = np.empty(min(n, ADAM_BLOCK))
+        scratch_b = np.empty_like(scratch_a)
+        # The textbook per-element operations, in order, block by block:
+        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
         # theta -= lr*m_hat / (sqrt(v_hat) + eps).
-        a = np.multiply(grad, 1.0 - self.beta1)
-        self.m *= self.beta1
-        self.m += a
-        np.multiply(grad, 1.0 - self.beta2, out=a)
-        a *= grad
-        self.v *= self.beta2
-        self.v += a
-        np.divide(self.m, 1.0 - self.beta1 ** self.t, out=a)
-        a *= self.lr
-        b = np.divide(self.v, 1.0 - self.beta2 ** self.t)
-        np.sqrt(b, out=b)
-        b += self.eps
-        a /= b
-        self.net.theta -= a
+        for start in range(0, n, ADAM_BLOCK):
+            end = min(start + ADAM_BLOCK, n)
+            g, m, v = grad[start:end], self.m[start:end], self.v[start:end]
+            a, b = scratch_a[:end - start], scratch_b[:end - start]
+            np.multiply(g, 1.0 - b1, out=a)
+            m *= b1
+            m += a
+            np.multiply(g, 1.0 - b2, out=a)
+            a *= g
+            v *= b2
+            v += a
+            np.divide(m, c1, out=a)
+            a *= lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            self.net.theta[start:end] -= a
 
 
 # ---------------------------------------------------------------------------

@@ -207,9 +207,7 @@ class Trainer:
             d_fake2 = self.discriminator.forward(
                 M.discriminator_input(x, y_hat2), training=True, rng=self.rng)
             _, g_loss, _, _, dd_fake_g = self._adv_losses(d_fake2, d_fake2)
-            self.discriminator.zero_grad()
-            input_grad = self.discriminator.backward(dd_fake_g)
-            self.discriminator.zero_grad()
+            input_grad = self.discriminator.backward(dd_fake_g, param_grads=False)
             self.generator.zero_grad()
             self.generator.backward(input_grad[:, x.shape[1]:])
             self._check_finite(g_loss, "adversarial generator loss")

@@ -209,3 +209,16 @@ def test_generator_objective_grad_leaves_discriminator_clean():
     assert np.isfinite(losses["total"])
     assert losses["total"] == pytest.approx(
         losses["recon"] + losses["adv_g"] + 0.1 * losses["sr"])
+
+
+def test_generator_objective_grad_leaves_stale_discriminator_grad_unchanged():
+    gen, dis, x, y, rho = _toy_setup(3)
+    gen.zero_grad()
+    M.generator_objective_grad(gen, dis, x, y, rho, beta=0.1)
+    expected = gen.grad.copy()
+    dis.grad[...] = np.linspace(-1.0, 1.0, dis.grad.size)
+    stale = dis.grad.copy()
+    gen.zero_grad()
+    M.generator_objective_grad(gen, dis, x, y, rho, beta=0.1)
+    assert np.array_equal(dis.grad, stale)
+    assert np.array_equal(gen.grad, expected)

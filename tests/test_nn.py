@@ -248,6 +248,70 @@ def test_adam_matches_textbook_per_tensor_adam_bit_for_bit():
     assert np.array_equal(opt.v, np.concatenate([a.ravel() for a in v.values()]))
 
 
+def test_blocked_adam_matches_textbook_adam_across_blocks():
+    # 104,707 parameters: three full Adam blocks and a ragged fourth.
+    net = NN.MLP([40, 300, 300, 7], np.random.default_rng(22))
+    assert net.theta.size == 104_707
+    assert 3 * NN.ADAM_BLOCK < net.theta.size < 4 * NN.ADAM_BLOCK
+    opt = NN.Adam(net, lr=0.003)
+    theta = net.param_vector()
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.003
+    rng = np.random.default_rng(23)
+    for t in range(1, 4):
+        net.zero_grad()
+        net.backward(net.forward(rng.normal(size=(5, 40))) - 0.5)
+        grad = net.grad.copy()
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * grad * grad
+        theta = theta - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        opt.step()
+        assert np.array_equal(net.theta, theta), t
+    assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+
+    # A NaN in the last block alone is refused before any block is written.
+    before = (net.param_vector(), opt.m.copy(), opt.v.copy())
+    net.grad[-1] = np.nan
+    with pytest.raises(NN.TrainingError, match=r"layer4\.bias at step 4"):
+        opt.step()
+    assert opt.t == 3
+    for after, expected in zip((net.theta, opt.m, opt.v), before):
+        assert np.array_equal(after, expected)
+
+
+def test_adam_refused_step_leaves_optimizer_unchanged():
+    net = NN.MLP([3, 4, 2], np.random.default_rng(6))
+    twin = NN.MLP([3, 4, 2], np.random.default_rng(6))
+    opt, fresh = NN.Adam(net, lr=0.01), NN.Adam(twin, lr=0.01)
+    before = net.param_vector()
+    net.grad[2] = np.inf
+    with pytest.raises(NN.TrainingError, match="at step 1"):
+        opt.step()
+    assert opt.t == 0
+    assert np.array_equal(net.theta, before)
+    assert not opt.m.any() and not opt.v.any()
+    grad = np.random.default_rng(7).normal(size=net.grad.size)
+    net.grad[...] = grad
+    twin.grad[...] = grad
+    opt.step()
+    fresh.step()
+    assert opt.t == fresh.t == 1
+    for a, b in ((net.theta, twin.theta), (opt.m, fresh.m), (opt.v, fresh.v)):
+        assert np.array_equal(a, b)
+
+
+def test_backward_without_param_grads_leaves_grad_untouched():
+    net = NN.MLP([6, 8, 5, 3], np.random.default_rng(8), dropout=0.3)
+    x = np.random.default_rng(9).normal(size=(4, 6))
+    out = net.forward(x, training=True, rng=np.random.default_rng(10))
+    g = out - 0.5
+    net.grad[...] = 0.25
+    input_grad = net.backward(g, param_grads=False)
+    assert np.all(net.grad == 0.25)
+    assert np.array_equal(input_grad, net.backward(g))
+    assert np.any(net.grad != 0.25)
+
+
 def test_forward_deterministic_given_seed():
     a = NN.MLP([3, 4, 2], np.random.default_rng(9), dropout=0.3)
     b = NN.MLP([3, 4, 2], np.random.default_rng(9), dropout=0.3)
