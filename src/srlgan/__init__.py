@@ -2,7 +2,6 @@
 
 from .data import (
     DatasetSplit,
-    RatingTriple,
     build_purchase_matrix,
     parse_ratings,
     sparsity_percent,
@@ -20,8 +19,6 @@ from .evaluate import (
 from .features import (
     AttributeSchema,
     inverse_document_frequency,
-    term_frequency,
-    tfidf_vector,
 )
 from .model import (
     build_discriminator,
@@ -40,7 +37,6 @@ __all__ = [
     "AttributeSchema",
     "DatasetSplit",
     "MetricReport",
-    "RatingTriple",
     "TrainConfig",
     "Trainer",
     "build_discriminator",
@@ -62,7 +58,5 @@ __all__ = [
     "sparsity_percent",
     "sparsity_regularizer",
     "split_users",
-    "term_frequency",
-    "tfidf_vector",
     "total_generator_objective",
 ]

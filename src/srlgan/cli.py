@@ -73,22 +73,28 @@ def _parse_config_file(path) -> dict:
         key, raw = key.strip(), raw.strip()
         if key not in fields:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = _coerce(key, raw)
+        try:
+            out[key] = _coerce(fields[key], raw)
+        except (ValueError, KeyError):
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from None
     return out
 
 
-def _coerce(key: str, raw: str):
-    if key in ("gan_loss",):
-        return raw
-    if key in ("sparsity", "nonsaturating", "d_phase_updates_g"):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if key in ("generator_hidden", "discriminator_hidden"):
-        return [int(s) for s in raw.split(",")] if raw.lower() != "none" else None
-    if key == "n_e":
-        return None if raw.lower() == "none" else int(raw)
-    if key in ("beta", "learning_rate", "validation_fraction", "dropout"):
-        return float(raw)
-    return int(raw)
+_BOOLEANS = {"on": True, "true": True, "yes": True, "1": True,
+             "off": False, "false": False, "no": False, "0": False}
+
+
+def _coerce(field: dataclasses.Field, raw: str):
+    """A config-file value as the type annotated on its TrainConfig field
+    (annotation text such as "int", "bool" or "list[int] | None")."""
+    kind, _, optional = field.type.partition(" | ")
+    if optional == "None" and raw.lower() == "none":
+        return None
+    if kind == "bool":
+        return _BOOLEANS[raw.lower()]
+    if kind == "list[int]":
+        return [int(s) for s in raw.split(",")]
+    return {"int": int, "float": float, "str": str}[kind](raw)
 
 
 def _args_dict(args) -> dict:
@@ -255,24 +261,13 @@ def cmd_sweep_beta(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = [float(s) for s in args.grid.split(",")]
-    if not grid:
-        raise ValueError("empty beta grid")
 
-    split, x_warm, y_warm, _, _ = P.split_matrices(
+    _, x_warm, y_warm, _, _ = P.split_matrices(
         cache, args.cold_fraction, args.split_seed if args.split_seed is not None else config.seed)
-    train_idx, held_idx = T.holdout_split(x_warm.shape[0], 0.1, config.seed)
-
-    scores = {}
     curves = {}
-    for beta in sorted(grid):
-        cfg = dataclasses.replace(config, beta=beta).validate()
-        trainer = T.fit(x_warm[train_idx], y_warm[train_idx], cfg,
-                        x_val=x_warm[held_idx], y_val=y_warm[held_idx])
-        preds = M.generator_forward(trainer.generator, x_warm[held_idx])
-        scores[beta] = E.evaluate_predictions(preds, y_warm[held_idx], ns=(5,))["P@5"]
-        curves[beta] = trainer.curve
-        trainer.curve.write_csv(out_dir / f"curve.beta{beta:g}.csv")
-    best = max(sorted(scores), key=lambda b: scores[b])
+    best, scores = T.cross_validate_beta(x_warm, y_warm, grid, config, curves=curves)
+    for beta, curve in curves.items():
+        curve.write_csv(out_dir / f"curve.beta{beta:g}.csv")
 
     sweep_path = out_dir / "sweep.csv"
     with open(sweep_path, "w", newline="") as fh:

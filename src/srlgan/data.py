@@ -2,9 +2,11 @@
 
 Supports the 100K layout (``u.data`` / ``u.user`` / ``u.item``, tab- and
 pipe-separated) and the 1M layout (``ratings.dat`` / ``users.dat`` /
-``movies.dat``, ``::``-separated).  Ratings are normalized to [0, 1] by
-dividing with the rating ceiling C, so a purchase-behavior row lives in
-{0, 1/C, ..., 1} with 0 meaning "not purchased".
+``movies.dat``, ``::``-separated).  Ratings are one (n, 4) int64 array of
+(user, item, rating, timestamp) rows, checked with whole-array operations.
+They are normalized to [0, 1] by dividing with the rating ceiling C, so a
+purchase-behavior row lives in {0, 1/C, ..., 1} with 0 meaning "not
+purchased".
 """
 
 from __future__ import annotations
@@ -48,14 +50,6 @@ class ParseError(ValueError):
     """A raw MovieLens file failed to parse; message names the line."""
 
 
-@dataclass(frozen=True)
-class RatingTriple:
-    user_id: int
-    item_id: int
-    rating: int
-    timestamp: int
-
-
 @dataclass
 class UserMeta:
     user_id: int
@@ -86,26 +80,44 @@ def _read_lines(path, encoding="utf-8"):
         return fh.read().splitlines()
 
 
-def parse_ratings(path, fmt: str, max_rating: int = 5) -> list[RatingTriple]:
-    """Parse a ratings file into triples; fmt is 'ml100k' or 'ml1m'."""
+def parse_ratings(path, fmt: str, max_rating: int = 5) -> np.ndarray:
+    """Parse a ratings file; fmt is 'ml100k' or 'ml1m'.
+
+    Returns an (n, 4) int64 array of (user, item, rating, timestamp), one
+    row per non-blank line.  The checks run over the whole file in turn
+    (field counts, then integers, then ratings), and a ParseError names
+    the first line that fails one.
+    """
     sep = {"ml100k": "\t", "ml1m": "::"}[fmt]
-    triples = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
-        parts = line.split(sep)
-        if len(parts) != 4:
-            raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            user, item, rating, ts = (int(p) for p in parts)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-integer field ({exc})") from exc
-        if not 1 <= rating <= max_rating:
-            raise ParseError(
-                f"{path}:{lineno}: rating {rating} outside 1..{max_rating}"
-            )
-        triples.append(RatingTriple(user, item, rating, ts))
-    return triples
+    lines = np.array(_read_lines(path), dtype=str)
+    nonblank = (lines != "") & ~np.char.isspace(lines)
+    linenos = np.flatnonzero(nonblank) + 1
+    lines = lines[nonblank]
+    n_fields = np.char.count(lines, sep) + 1
+    wrong = np.flatnonzero(n_fields != 4)
+    if wrong.size:
+        k = wrong[0]
+        raise ParseError(f"{path}:{linenos[k]}: expected 4 fields, got {n_fields[k]}")
+    # Every line has exactly three separators: four fields per line.
+    fields = sep.join(lines.tolist()).split(sep) if len(lines) else []
+    try:
+        ratings = np.array(fields, dtype=np.int64).reshape(-1, 4)
+    except (ValueError, OverflowError) as exc:
+        lo, hi = 0, len(lines)        # bisect: lines lo..hi-1 hold the first bad one
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                np.array(fields[4 * lo:4 * mid], dtype=np.int64)
+                lo = mid
+            except (ValueError, OverflowError):
+                hi = mid
+        raise ParseError(f"{path}:{linenos[lo]}: non-integer field ({exc})") from None
+    outside = np.flatnonzero((ratings[:, 2] < 1) | (ratings[:, 2] > max_rating))
+    if outside.size:
+        k = outside[0]
+        raise ParseError(
+            f"{path}:{linenos[k]}: rating {ratings[k, 2]} outside 1..{max_rating}")
+    return ratings
 
 
 def parse_users(path, fmt: str) -> dict[int, UserMeta]:
@@ -162,28 +174,26 @@ def parse_item_genres(path, fmt: str) -> dict[int, list[str]]:
     return genres
 
 
-def build_purchase_matrix(triples, m: int, max_rating: int = 5):
-    """Normalized purchase-behavior rows, one per user seen in `triples`.
+def build_purchase_matrix(ratings, m: int, max_rating: int = 5):
+    """Normalized purchase-behavior rows, one per user in `ratings`.
 
-    Returns (user_ids, matrix) with matrix[k, i-1] = rating/C for user
-    user_ids[k] and item i, 0 where unrated.  Duplicate (user, item) pairs
-    keep the latest timestamp.
+    `ratings` is parse_ratings' (n, 4) array.  Returns (user_ids, matrix)
+    with matrix[k, i-1] = rating/C for user user_ids[k] and item i, 0 where
+    unrated.  Duplicate (user, item) pairs keep the latest timestamp; on
+    equal timestamps the later row wins.
     """
-    latest: dict[tuple[int, int], RatingTriple] = {}
-    for t in triples:
-        if t.item_id > m or t.item_id < 1:
-            raise IndexError(f"item id {t.item_id} outside 1..{m}")
-        key = (t.user_id, t.item_id)
-        prev = latest.get(key)
-        if prev is None or t.timestamp >= prev.timestamp:
-            latest[key] = t
-
-    user_ids = sorted({u for u, _ in latest})
-    row_of = {u: k for k, u in enumerate(user_ids)}
+    user, item, rating, ts = np.asarray(ratings, dtype=np.int64).reshape(-1, 4).T
+    outside = (item < 1) | (item > m)
+    if outside.any():
+        raise ValueError(f"item id {item[outside][0]} outside 1..{m}")
+    user_ids, row = np.unique(user, return_inverse=True)
+    cell = row * m + (item - 1)
+    # Stable sort by cell, then timestamp: each cell's last row is its latest.
+    order = np.lexsort((ts, cell))
+    latest = order[np.append(cell[order][1:] != cell[order][:-1], True)]
     matrix = np.zeros((len(user_ids), m), dtype=np.float64)
-    for (u, i), t in latest.items():
-        matrix[row_of[u], i - 1] = t.rating / max_rating
-    return user_ids, matrix
+    matrix.flat[cell[latest]] = rating[latest] / max_rating
+    return user_ids.tolist(), matrix
 
 
 def split_users(user_ids, cold_fraction: float, seed: int) -> DatasetSplit:

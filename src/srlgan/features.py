@@ -2,9 +2,10 @@
 
 Each user gets a d-dimensional nonnegative vector: one-hot demographic
 slots (age, gender, occupation) followed by one genre slot per dataset
-genre, counting how many of the user's rated movies carry that genre.
-Counts are weighted by a smoothed inverse document frequency computed
-across all users, then multiplied elementwise (no further normalization).
+genre, counting the user's ratings of movies carrying that genre (one
+`np.bincount` per genre over the ratings array).  Counts are weighted by a
+smoothed inverse document frequency computed across all users, then
+multiplied elementwise (no further normalization).
 
 Target dimensionalities: 103 for ML100K (61 observed ages + 2 genders +
 21 occupations + 19 genres) and 48 for ML1M (7 age codes + 2 genders +
@@ -104,26 +105,45 @@ def ml1m_schema() -> AttributeSchema:
     )
 
 
-def term_frequency(user: UserMeta, rated_item_ids, item_genres,
-                   schema: AttributeSchema) -> np.ndarray:
-    """Per-user attribute counts: one-hot demographics plus genre counts
-    over the user's rated movies (every rating counts, multi-genre movies
-    count once per carried genre)."""
+def attribute_counts(users: dict[int, UserMeta], user_ids, ratings,
+                     item_genres, schema: AttributeSchema) -> np.ndarray:
+    """Raw attribute counts, one row per id in `user_ids` (row order given
+    by the caller so it can line up with the purchase matrix).
+
+    Demographic slots are one-hot.  A genre slot counts the user's rows in
+    the (n, 4) `ratings` array whose movie carries that genre: every rating
+    counts, duplicates included, and a multi-genre movie counts once per
+    carried genre.  Ratings of users not in `user_ids` are ignored.
+    """
     index = schema.slot_index()
-    counts = np.zeros(schema.d, dtype=np.float64)
-
-    for slot in (f"age={user.age}", f"gender={user.gender}",
-                 f"occupation={user.occupation}"):
-        if slot not in index:
-            raise SchemaError(f"user {user.user_id}: no schema slot {slot!r}")
-        counts[index[slot]] = 1.0
-
-    for item_id in rated_item_ids:
-        for genre in item_genres.get(item_id, ()):
-            slot = f"genre={genre}"
+    n = len(user_ids)
+    counts = np.zeros((n, schema.d), dtype=np.float64)
+    for k, uid in enumerate(user_ids):
+        user = users[uid]
+        for slot in (f"age={user.age}", f"gender={user.gender}",
+                     f"occupation={user.occupation}"):
             if slot not in index:
+                raise SchemaError(f"user {uid}: no schema slot {slot!r}")
+            counts[k, index[slot]] = 1.0
+
+    ids = np.asarray(user_ids, dtype=np.int64)
+    rater, item = np.asarray(ratings, dtype=np.int64).reshape(-1, 4)[:, :2].T
+    listed = np.isin(rater, ids)
+    by_id = np.argsort(ids)
+    row = by_id[np.searchsorted(ids, rater[listed], sorter=by_id)]
+    rated, item_row = np.unique(item[listed], return_inverse=True)
+
+    # tags[j, g]: how often rated movie j carries genre g.
+    column = {g: k for k, g in enumerate(schema.genre_values)}
+    tags = np.zeros((len(rated), len(column)), dtype=np.float64)
+    for j, item_id in enumerate(rated.tolist()):
+        for genre in item_genres.get(item_id, ()):
+            if genre not in column:
                 raise SchemaError(f"item {item_id}: unknown genre {genre!r}")
-            counts[index[slot]] += 1.0
+            tags[j, column[genre]] += 1.0
+    for genre, g in column.items():
+        counts[:, index[f"genre={genre}"]] = np.bincount(
+            row, weights=tags[item_row, g], minlength=n)
     return counts
 
 
@@ -136,25 +156,3 @@ def inverse_document_frequency(count_matrix) -> np.ndarray:
     n_users = counts.shape[0]
     df = np.count_nonzero(counts > 0, axis=0)
     return np.log((1.0 + n_users) / (1.0 + df)) + 1.0
-
-
-def tfidf_vector(counts, idf) -> np.ndarray:
-    counts = np.asarray(counts, dtype=np.float64)
-    idf = np.asarray(idf, dtype=np.float64)
-    if counts.shape != idf.shape:
-        raise ValueError(f"shape mismatch: {counts.shape} vs {idf.shape}")
-    return counts * idf
-
-
-def build_feature_matrix(users: dict[int, UserMeta], user_ids,
-                         rated_items_by_user, item_genres,
-                         schema: AttributeSchema) -> np.ndarray:
-    """TF-IDF matrix with one row per id in `user_ids` (row order given by
-    the caller so it can line up with the purchase matrix)."""
-    counts = np.stack([
-        term_frequency(users[uid], rated_items_by_user.get(uid, ()),
-                       item_genres, schema)
-        for uid in user_ids
-    ])
-    idf = inverse_document_frequency(counts)
-    return counts * idf

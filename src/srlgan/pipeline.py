@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +32,10 @@ def prepare_dataset(raw_dir, dataset: str,
     if items is not None:
         info["items"] = items
 
-    triples = D.parse_ratings(raw_dir / names["ratings"], dataset,
-                              max_rating=info["max_rating"])
-    users = D.parse_users(raw_dir / names["users"], dataset)
+    ratings_path = raw_dir / names["ratings"]
+    users_path = raw_dir / names["users"]
+    ratings = D.parse_ratings(ratings_path, dataset, max_rating=info["max_rating"])
+    users = D.parse_users(users_path, dataset)
     item_genres = D.parse_item_genres(raw_dir / names["items"], dataset)
 
     if dataset == "ml100k":
@@ -49,18 +49,17 @@ def prepare_dataset(raw_dir, dataset: str,
     else:
         schema = F.ml1m_schema()
 
-    user_ids, purchase = D.build_purchase_matrix(
-        triples, m=info["items"], max_rating=info["max_rating"])
+    try:
+        user_ids, purchase = D.build_purchase_matrix(
+            ratings, m=info["items"], max_rating=info["max_rating"])
+    except ValueError as exc:
+        raise D.ParseError(f"{ratings_path}: {exc}") from None
+    unknown = sorted(set(user_ids) - users.keys())
+    if unknown:
+        raise ValueError(f"{ratings_path}: user id {unknown[0]} has no entry "
+                         f"in {users_path}")
 
-    rated_by_user = defaultdict(list)
-    for t in triples:
-        rated_by_user[t.user_id].append(t.item_id)
-
-    counts = np.stack([
-        F.term_frequency(users[uid], rated_by_user.get(uid, ()),
-                         item_genres, schema)
-        for uid in user_ids
-    ])
+    counts = F.attribute_counts(users, user_ids, ratings, item_genres, schema)
     idf = F.inverse_document_frequency(counts)
     tfidf = counts * idf
 
@@ -78,7 +77,7 @@ def prepare_dataset(raw_dir, dataset: str,
         "dataset": dataset,
         "users": len(user_ids),
         "items": info["items"],
-        "ratings": len(triples),
+        "ratings": len(ratings),
         "d": schema.d,
         "sparsity_percent": round(D.sparsity_percent(purchase), 2),
     }

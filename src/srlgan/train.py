@@ -306,10 +306,11 @@ def holdout_split(n: int, fraction: float, seed: int):
 
 
 def cross_validate_beta(x_warm, y_warm, beta_grid, config: TrainConfig,
-                        holdout_fraction: float = 0.1):
+                        holdout_fraction: float = 0.1, curves: dict | None = None):
     """Pick beta by held-out P@5 on a seeded slice of warm users.
 
-    Ties go to the smaller beta.  Returns (best_beta, {beta: p5}).
+    Ties go to the smaller beta.  Returns (best_beta, {beta: p5}); a
+    `curves` dict, when given, receives each beta's validation curve.
     """
     if len(beta_grid) == 0:
         raise ValueError("empty beta grid")
@@ -325,5 +326,7 @@ def cross_validate_beta(x_warm, y_warm, beta_grid, config: TrainConfig,
         preds = M.generator_forward(trainer.generator, x_warm[held_idx])
         report = evaluate_predictions(preds, y_warm[held_idx], ns=(5,))
         scores[float(beta)] = report["P@5"]
+        if curves is not None:
+            curves[float(beta)] = trainer.curve
     best = max(sorted(scores), key=lambda b: scores[b])
     return best, scores

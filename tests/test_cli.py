@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from srlgan import data as D
 from srlgan import nn as NN
 from srlgan import pipeline as P
 from srlgan import train as T
-from srlgan.cli import main
+from srlgan.cli import _parse_config_file, main
 
 FAST = [
     "--max-rounds", "2", "--eval-every", "1", "--pretrain-epochs", "1",
@@ -69,6 +70,51 @@ def test_prepare_missing_raw_dir_exit_1(tmp_path):
                "--raw-dir", str(tmp_path / "nope"), "--out-dir",
                str(tmp_path / "out")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("line, names", [
+    ("999\t1\t3\t5\n", ["user id 999", "u.user", "u.data"]),
+    ("1\t99999\t3\t5\n", ["item id 99999 outside 1..1682", "u.data"]),
+], ids=["unknown-user", "item-out-of-range"])
+def test_prepare_bad_rating_ids_exit_1(tmp_path, synth100k_dir, capsys, line, names):
+    raw = tmp_path / "raw"
+    shutil.copytree(synth100k_dir, raw)
+    with open(raw / "u.data", "a") as fh:
+        fh.write(line)
+    rc = main(["prepare", "--dataset", "ml100k", "--raw-dir", str(raw),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for name in names:
+        assert name in err
+    assert not (tmp_path / "out" / "ml100k.npz").exists()
+
+
+def test_config_file_values_typed_by_train_config(tmp_path):
+    cfg = tmp_path / "train.conf"
+    cfg.write_text("sparsity = off\nnonsaturating = YES\nn_e = none\n"
+                   "generator_hidden = 8,16\nlearning_rate = 1e-3\n"
+                   "batch_size = 32\ngan_loss = bce  # S1\n")
+    assert _parse_config_file(cfg) == {
+        "sparsity": False, "nonsaturating": True, "n_e": None,
+        "generator_hidden": [8, 16], "learning_rate": 1e-3,
+        "batch_size": 32, "gan_loss": "bce"}
+
+
+@pytest.mark.parametrize("line, key", [
+    ("sparsity = flase", "sparsity"),
+    ("batch_size = 1.5", "batch_size"),
+    ("generator_hidden = 8,x", "generator_hidden"),
+], ids=["misspelt-bool", "float-for-int", "bad-list-item"])
+def test_train_rejects_bad_config_value(tmp_path, prepared, capsys, line, key):
+    cfg = tmp_path / "train.conf"
+    cfg.write_text(f"beta = 0.1\n{line}\n")
+    rc = main(["train", "--cache", str(prepared / "ml100k.npz"),
+               "--out-dir", str(tmp_path / "run"), "--config", str(cfg)])
+    assert rc == 1
+    assert f"{cfg}:2: bad value for {key}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_outputs(trained):

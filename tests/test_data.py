@@ -1,33 +1,79 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
 from srlgan import data as D
 
 
+def rows(*ratings):
+    """(user, item, rating, timestamp) tuples as a ratings array."""
+    return np.array(ratings, dtype=np.int64).reshape(-1, 4)
+
+
+def latest_rating_oracle(ratings, m, max_rating=5):
+    """Dict-based purchase matrix: one pass in row order, a later row
+    replacing an earlier one when its timestamp is >=."""
+    latest = {}
+    for user, item, rating, ts in ratings.tolist():
+        if not 1 <= item <= m:
+            raise ValueError(f"item id {item} outside 1..{m}")
+        prev = latest.get((user, item))
+        if prev is None or ts >= prev[1]:
+            latest[(user, item)] = (rating, ts)
+    user_ids = sorted({u for u, _ in latest})
+    row_of = {u: k for k, u in enumerate(user_ids)}
+    matrix = np.zeros((len(user_ids), m))
+    for (u, i), (rating, _) in latest.items():
+        matrix[row_of[u], i - 1] = rating / max_rating
+    return user_ids, matrix
+
+
+def random_ratings(seed, n=400, m=30):
+    """Rating rows with gaps in the user ids, many duplicate (user, item)
+    pairs and many equal timestamps."""
+    rng = np.random.default_rng(seed)
+    return np.column_stack([
+        rng.choice([1, 2, 5, 9, 40, 41, 300], size=n),
+        rng.integers(1, m + 1, size=n),
+        rng.integers(1, 6, size=n),
+        rng.integers(0, 6, size=n),
+    ]).astype(np.int64)
+
+
 def test_parse_ml100k_line(tmp_path):
     p = tmp_path / "u.data"
     p.write_text("196\t242\t3\t881250949\n")
-    triples = D.parse_ratings(p, "ml100k")
-    assert triples == [D.RatingTriple(196, 242, 3, 881250949)]
+    ratings = D.parse_ratings(p, "ml100k")
+    assert ratings.dtype == np.int64
+    assert ratings.tolist() == [[196, 242, 3, 881250949]]
 
 
 def test_parse_ml1m_line(tmp_path):
     p = tmp_path / "ratings.dat"
     p.write_text("1::1193::5::978300760\n")
-    triples = D.parse_ratings(p, "ml1m")
-    assert triples == [D.RatingTriple(1, 1193, 5, 978300760)]
+    ratings = D.parse_ratings(p, "ml1m")
+    assert ratings.dtype == np.int64
+    assert ratings.tolist() == [[1, 1193, 5, 978300760]]
 
 
 def test_parse_empty_file(tmp_path):
     p = tmp_path / "u.data"
     p.write_text("")
-    assert D.parse_ratings(p, "ml100k") == []
+    assert D.parse_ratings(p, "ml100k").shape == (0, 4)
+
+
+def test_parse_skips_blank_lines_keeps_file_order(tmp_path):
+    p = tmp_path / "u.data"
+    p.write_text("\n5\t6\t1\t8\n \t \n1\t2\t3\t4\n\n")
+    assert D.parse_ratings(p, "ml100k").tolist() == [[5, 6, 1, 8], [1, 2, 3, 4]]
 
 
 def test_parse_counts_lines(tmp_path, synth100k_dir):
     lines = (synth100k_dir / "u.data").read_text().splitlines()
-    triples = D.parse_ratings(synth100k_dir / "u.data", "ml100k")
-    assert len(triples) == len(lines)
+    ratings = D.parse_ratings(synth100k_dir / "u.data", "ml100k")
+    assert len(ratings) == len(lines)
 
 
 def test_parse_malformed_line_names_lineno(tmp_path):
@@ -35,6 +81,29 @@ def test_parse_malformed_line_names_lineno(tmp_path):
     p.write_text("1\t2\t3\t4\n1\t2\t3\n")
     with pytest.raises(D.ParseError, match=":2:"):
         D.parse_ratings(p, "ml100k")
+
+
+GOOD = "1\t2\t3\t4\n"
+
+
+@pytest.mark.parametrize("fmt, text, lineno, message", [
+    ("ml100k", GOOD + "\n1\t2\t3\n", 3, "expected 4 fields, got 3"),
+    ("ml100k", "\n  \n1\t2\t3\t4\t5\n", 3, "expected 4 fields, got 5"),
+    ("ml100k", GOOD + "\n1\tx\t3\t4\n", 3, "non-integer field .*'x'"),
+    ("ml100k", GOOD * 40 + "\n" + "1\t2\t3\t4.5\n" + GOOD * 9, 42, "non-integer field .*'4.5'"),
+    ("ml100k", "1\t2\t3\t\n", 1, "non-integer field"),
+    ("ml100k", "1\t2\t3\t99999999999999999999\n", 1, "non-integer field"),
+    ("ml100k", " \n" + GOOD + "1\t2\t0\t4\n", 3, "rating 0 outside 1..5"),
+    ("ml1m", "1::2::3\n", 1, "expected 4 fields, got 3"),
+    ("ml1m", "1::2::3::4\n\n1::2::9::4\n", 3, "rating 9 outside 1..5"),
+    ("ml1m", "1::2::3::4\n1:2::3::4\n", 2, "expected 4 fields, got 3"),
+], ids=["few-fields", "many-fields", "letter", "decimal-after-blank", "empty-field",
+        "int64-overflow", "rating-zero", "ml1m-few-fields", "ml1m-rating", "ml1m-single-colon"])
+def test_parse_errors_name_path_and_line(tmp_path, fmt, text, lineno, message):
+    p = tmp_path / "ratings"
+    p.write_text(text)
+    with pytest.raises(D.ParseError, match=f"^{re.escape(str(p))}:{lineno}: {message}"):
+        D.parse_ratings(p, fmt)
 
 
 def test_parse_rating_out_of_range(tmp_path):
@@ -45,12 +114,8 @@ def test_parse_rating_out_of_range(tmp_path):
 
 
 def test_purchase_matrix_normalization():
-    triples = [
-        D.RatingTriple(1, 1, 5, 10),
-        D.RatingTriple(1, 3, 3, 11),
-        D.RatingTriple(2, 2, 1, 12),
-    ]
-    user_ids, matrix = D.build_purchase_matrix(triples, m=4)
+    ratings = rows((1, 1, 5, 10), (1, 3, 3, 11), (2, 2, 1, 12))
+    user_ids, matrix = D.build_purchase_matrix(ratings, m=4)
     assert user_ids == [1, 2]
     assert matrix[0, 0] == 1.0       # rating 5 / C=5
     assert matrix[0, 2] == 0.6       # rating 3 / C=5
@@ -62,47 +127,47 @@ def test_purchase_matrix_normalization():
 
 
 def test_purchase_matrix_duplicate_keeps_latest():
-    triples = [
-        D.RatingTriple(1, 1, 2, 100),
-        D.RatingTriple(1, 1, 5, 200),
-        D.RatingTriple(1, 1, 4, 50),
-    ]
-    _, matrix = D.build_purchase_matrix(triples, m=1)
+    ratings = rows((1, 1, 2, 100), (1, 1, 5, 200), (1, 1, 4, 50))
+    _, matrix = D.build_purchase_matrix(ratings, m=1)
     assert matrix[0, 0] == 1.0
 
 
+def test_purchase_matrix_equal_timestamps_later_row_wins():
+    ratings = rows((1, 1, 2, 200), (1, 1, 4, 100), (1, 1, 3, 200))
+    _, matrix = D.build_purchase_matrix(ratings, m=1)
+    assert matrix[0, 0] == 0.6
+
+
 def test_purchase_matrix_order_insensitive():
-    triples = [
-        D.RatingTriple(1, 1, 2, 100),
-        D.RatingTriple(2, 1, 3, 101),
-        D.RatingTriple(1, 2, 4, 102),
-    ]
-    ids_a, a = D.build_purchase_matrix(triples, m=3)
-    ids_b, b = D.build_purchase_matrix(list(reversed(triples)), m=3)
+    ratings = rows((1, 1, 2, 100), (2, 1, 3, 101), (1, 2, 4, 102))
+    ids_a, a = D.build_purchase_matrix(ratings, m=3)
+    ids_b, b = D.build_purchase_matrix(ratings[::-1], m=3)
     assert ids_a == ids_b
     assert np.array_equal(a, b)
 
 
 def test_purchase_matrix_item_out_of_range():
-    with pytest.raises(IndexError):
-        D.build_purchase_matrix([D.RatingTriple(1, 7, 3, 0)], m=4)
+    with pytest.raises(ValueError, match="item id 7 outside 1..4"):
+        D.build_purchase_matrix(rows((1, 7, 3, 0)), m=4)
+    with pytest.raises(ValueError, match="item id 0 outside 1..4"):
+        D.build_purchase_matrix(rows((1, 2, 3, 0), (1, 0, 3, 0)), m=4)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_purchase_matrix_matches_dict_oracle(seed):
+    ratings = random_ratings(seed)
+    user_ids, matrix = D.build_purchase_matrix(ratings, m=30)
+    want_ids, want = latest_rating_oracle(ratings, m=30)
+    assert user_ids == want_ids
+    assert np.array_equal(matrix, want)
 
 
 def test_nonzero_count_matches_distinct_items():
-    rng = np.random.default_rng(0)
-    triples = []
-    ts = 0
-    for uid in range(1, 11):
-        items = rng.choice(20, size=rng.integers(1, 10), replace=False) + 1
-        for i in items:
-            ts += 1
-            triples.append(D.RatingTriple(uid, int(i), int(rng.integers(1, 6)), ts))
-    user_ids, matrix = D.build_purchase_matrix(triples, m=20)
-    by_user = {u: set() for u in user_ids}
-    for t in triples:
-        by_user[t.user_id].add(t.item_id)
+    ratings = random_ratings(0)
+    user_ids, matrix = D.build_purchase_matrix(ratings, m=30)
     for k, uid in enumerate(user_ids):
-        assert np.count_nonzero(matrix[k]) == len(by_user[uid])
+        distinct = np.unique(ratings[ratings[:, 0] == uid, 1])
+        assert np.count_nonzero(matrix[k]) == len(distinct)
 
 
 def test_split_sizes_round_half_up():
@@ -154,3 +219,20 @@ def test_cache_round_trip(tmp_path, synth_cache):
     # sparsity identical after the disk round trip
     assert D.sparsity_percent(loaded.purchase) == D.sparsity_percent(synth_cache.purchase)
     assert D.cache_content_hash(loaded) == D.cache_content_hash(synth_cache)
+
+
+@pytest.mark.parametrize("fixture, dataset, digest", [
+    ("synth100k_dir", "ml100k", "31f13806bcbdb944"),
+    ("synth1m_dir", "ml1m", "427648e29a43c9a9"),
+])
+def test_prepared_arrays_pinned(request, fixture, dataset, digest):
+    """user_ids, purchase and raw counts of the fixtures, bit for bit (tfidf
+    is left out: np.log may differ by an ulp across numpy builds)."""
+    from srlgan.pipeline import prepare_dataset
+
+    cache, _ = prepare_dataset(request.getfixturevalue(fixture), dataset)
+    h = hashlib.sha256()
+    h.update(np.asarray(cache.user_ids, dtype=np.int64).tobytes())
+    h.update(cache.purchase.tobytes())
+    h.update(cache.counts.tobytes())
+    assert h.hexdigest()[:16] == digest

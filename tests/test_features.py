@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -35,9 +36,63 @@ def test_schema_slot_names_unique(schema):
     assert len(names) == len(set(names)) == schema.d
 
 
+def term_frequency_oracle(user, rated_item_ids, item_genres, schema):
+    """One user's counts, slot by slot and rating by rating."""
+    index = schema.slot_index()
+    counts = np.zeros(schema.d)
+    for slot in (f"age={user.age}", f"gender={user.gender}",
+                 f"occupation={user.occupation}"):
+        if slot not in index:
+            raise F.SchemaError(f"user {user.user_id}: no schema slot {slot!r}")
+        counts[index[slot]] = 1.0
+    for item_id in rated_item_ids:
+        for genre in item_genres.get(item_id, ()):
+            slot = f"genre={genre}"
+            if slot not in index:
+                raise F.SchemaError(f"item {item_id}: unknown genre {genre!r}")
+            counts[index[slot]] += 1.0
+    return counts
+
+
+def ratings_of(user_id, item_ids):
+    return np.array([(user_id, i, 3, 0) for i in item_ids],
+                    dtype=np.int64).reshape(-1, 4)
+
+
+def counts_of(user, rated_item_ids, item_genres, schema):
+    """attribute_counts for a single user."""
+    return F.attribute_counts({user.user_id: user}, [user.user_id],
+                              ratings_of(user.user_id, rated_item_ids),
+                              item_genres, schema)[0]
+
+
+def random_tables(schema, seed, n_users=25, n_items=40, n_ratings=300):
+    """Users, rating rows and item genres with duplicate ratings, unrated
+    items, items without a genre entry and multi-genre items."""
+    rng = np.random.default_rng(seed)
+    users = {
+        uid: UserMeta(uid, int(rng.choice(schema.age_values)),
+                      str(rng.choice(schema.gender_values)),
+                      str(rng.choice(schema.occupation_values)))
+        for uid in rng.choice(1000, size=n_users, replace=False).tolist()
+    }
+    item_genres = {
+        i: [str(g) for g in rng.choice(schema.genre_values,
+                                       size=rng.integers(0, 4), replace=False)]
+        for i in range(1, n_items + 1) if i % 7
+    }
+    ratings = np.column_stack([
+        rng.choice(list(users), size=n_ratings),
+        rng.integers(1, n_items - 5, size=n_ratings),     # the last items stay unrated
+        rng.integers(1, 6, size=n_ratings),
+        rng.integers(0, 3, size=n_ratings),
+    ]).astype(np.int64)
+    return users, ratings, item_genres
+
+
 def test_term_frequency_demographics_one_hot(schema):
     user = UserMeta(1, 20, "F", "doctor")
-    counts = F.term_frequency(user, [], {}, schema)
+    counts = counts_of(user, [], {}, schema)
     idx = schema.slot_index()
     assert counts[idx["age=20"]] == 1
     assert counts[idx["gender=F"]] == 1
@@ -50,22 +105,74 @@ def test_term_frequency_demographics_one_hot(schema):
 def test_term_frequency_counts_genres(schema):
     user = UserMeta(1, 30, "M", "artist")
     genres = {10: ["Comedy"], 11: ["Comedy"], 12: ["Comedy"]}
-    counts = F.term_frequency(user, [10, 11, 12], genres, schema)
+    counts = counts_of(user, [10, 11, 12], genres, schema)
+    assert counts[schema.slot_index()["genre=Comedy"]] == 3
+
+
+def test_term_frequency_counts_duplicate_ratings(schema):
+    user = UserMeta(1, 30, "M", "artist")
+    counts = counts_of(user, [10, 10, 10], {10: ["Comedy"]}, schema)
     assert counts[schema.slot_index()["genre=Comedy"]] == 3
 
 
 def test_term_frequency_multi_genre(schema):
     user = UserMeta(1, 30, "M", "artist")
     genres = {5: ["Action", "Thriller"]}
-    counts = F.term_frequency(user, [5], genres, schema)
+    counts = counts_of(user, [5], genres, schema)
     idx = schema.slot_index()
     assert counts[idx["genre=Action"]] == 1
     assert counts[idx["genre=Thriller"]] == 1
 
 
 def test_term_frequency_unknown_demographic(schema):
-    with pytest.raises(F.SchemaError):
-        F.term_frequency(UserMeta(1, 99, "M", "artist"), [], {}, schema)
+    with pytest.raises(F.SchemaError, match="user 1: no schema slot 'age=99'"):
+        counts_of(UserMeta(1, 99, "M", "artist"), [], {}, schema)
+
+
+def test_unknown_genre_raises_only_when_rated(schema):
+    user = UserMeta(1, 30, "M", "artist")
+    genres = {5: ["Action"], 6: ["Western"]}
+    assert counts_of(user, [5], genres, schema).sum() == 4
+    with pytest.raises(F.SchemaError, match="item 6: unknown genre 'Western'"):
+        counts_of(user, [5, 6], genres, schema)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_attribute_counts_match_per_user_oracle(schema, seed):
+    users, ratings, item_genres = random_tables(schema, seed)
+    ids = np.random.default_rng(seed).permutation(list(users)).tolist()
+    counts = F.attribute_counts(users, ids, ratings, item_genres, schema)
+    want = np.stack([
+        term_frequency_oracle(users[uid], ratings[ratings[:, 0] == uid, 1].tolist(),
+                              item_genres, schema)
+        for uid in ids
+    ])
+    assert np.array_equal(counts, want)
+
+
+def test_attribute_counts_ignore_unlisted_users(schema):
+    users, ratings, item_genres = random_tables(schema, 0)
+    ids = sorted(users)[:10]
+    counts = F.attribute_counts(users, ids, ratings, item_genres, schema)
+    listed = np.isin(ratings[:, 0], ids)
+    assert np.array_equal(
+        counts, F.attribute_counts(users, ids, ratings[listed], item_genres, schema))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("age", 99, "no schema slot 'age=99'"),
+    ("occupation", "pilot", "no schema slot 'occupation=pilot'"),
+    ("genre", "Western", "unknown genre 'Western'"),
+])
+def test_attribute_counts_unknown_value_raises(schema, field, value, message):
+    users, ratings, item_genres = random_tables(schema, 1)
+    if field == "genre":
+        item_genres[int(ratings[0, 1])] = ["Action", value]
+    else:
+        uid = int(ratings[0, 0])
+        users[uid] = dataclasses.replace(users[uid], **{field: value})
+    with pytest.raises(F.SchemaError, match=message):
+        F.attribute_counts(users, sorted(users), ratings, item_genres, schema)
 
 
 def test_idf_universal_slot_is_one():
@@ -89,44 +196,25 @@ def test_idf_scalar_value():
     assert idf[0] == pytest.approx(3.3125, abs=1e-3)
 
 
-def test_tfidf_elementwise_product():
-    counts = np.array([0.0, 2.0, 3.0])
-    idf = np.array([5.0, 1.5, 2.0])
-    out = F.tfidf_vector(counts, idf)
-    assert out.tolist() == [0.0, 3.0, 6.0]
-
-
-def test_tfidf_shape_mismatch():
-    with pytest.raises(ValueError):
-        F.tfidf_vector(np.ones(3), np.ones(4))
-
-
-def test_tfidf_linear_in_counts(schema):
-    rng = np.random.default_rng(0)
-    idf = rng.uniform(1, 3, schema.d)
-    a = rng.integers(0, 5, schema.d).astype(float)
-    b = rng.integers(0, 5, schema.d).astype(float)
-    assert np.allclose(F.tfidf_vector(a + b, idf),
-                       F.tfidf_vector(a, idf) + F.tfidf_vector(b, idf))
+def test_tfidf_elementwise_product(synth_cache):
+    assert np.array_equal(synth_cache.idf,
+                          F.inverse_document_frequency(synth_cache.counts))
+    assert np.array_equal(synth_cache.tfidf, synth_cache.counts * synth_cache.idf)
 
 
 def test_user_permutation_invariance(schema):
-    rng = np.random.default_rng(1)
-    users = {
-        uid: UserMeta(uid, int(rng.choice([20, 30])),
-                      str(rng.choice(["M", "F"])),
-                      str(rng.choice(["artist", "doctor"])))
-        for uid in range(1, 9)
-    }
-    genres = {i: [str(rng.choice(schema.genre_values))] for i in range(1, 20)}
-    rated = {uid: list(rng.choice(19, size=4, replace=False) + 1)
-             for uid in users}
+    users, ratings, item_genres = random_tables(schema, 1)
     ids = list(users)
-    mat1 = F.build_feature_matrix(users, ids, rated, genres, schema)
     shuffled = ids[::-1]
-    mat2 = F.build_feature_matrix(users, shuffled, rated, genres, schema)
+
+    def tfidf(user_ids, rating_rows):
+        counts = F.attribute_counts(users, user_ids, rating_rows, item_genres, schema)
+        return counts * F.inverse_document_frequency(counts)
+
+    mat1 = tfidf(ids, ratings)
+    mat2 = tfidf(shuffled, ratings[::-1])
     for k, uid in enumerate(ids):
-        assert np.allclose(mat1[k], mat2[shuffled.index(uid)])
+        assert np.array_equal(mat1[k], mat2[shuffled.index(uid)])
 
 
 def test_feature_matrix_nonnegative(synth_cache):
