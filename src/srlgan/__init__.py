@@ -10,10 +10,7 @@ from .data import (
 from .evaluate import (
     MetricReport,
     evaluate_report,
-    item_pop_ranking,
-    mrr_at,
-    ndcg_at,
-    precision_at,
+    item_popularity,
     rank_items,
 )
 from .features import (
@@ -46,14 +43,11 @@ __all__ = [
     "evaluate_report",
     "fit",
     "inverse_document_frequency",
-    "item_pop_ranking",
+    "item_popularity",
     "loss_lsgan",
     "loss_reconstruction",
     "mean_purchase",
-    "mrr_at",
-    "ndcg_at",
     "parse_ratings",
-    "precision_at",
     "rank_items",
     "sparsity_percent",
     "sparsity_regularizer",

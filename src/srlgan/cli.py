@@ -55,8 +55,19 @@ def _load_config(args) -> T.TrainConfig:
         values["sparsity"] = args.sparsity == "on"
     for field in ("generator_hidden", "discriminator_hidden"):
         if getattr(args, field, None):
-            values[field] = [int(s) for s in getattr(args, field).split(",")]
+            values[field] = _int_list(getattr(args, field),
+                                      "--" + field.replace("_", "-"))
     return T.TrainConfig(**values).validate()
+
+
+def _int_list(raw: str, name: str) -> list[int]:
+    """A comma-separated list of integers; `name` is the flag or config key
+    reported when an item is not an integer."""
+    try:
+        return [int(s) for s in raw.split(",")]
+    except ValueError:
+        raise ValueError(f"{name}: expected comma-separated integers, "
+                         f"got {raw!r}") from None
 
 
 def _parse_config_file(path) -> dict:
@@ -93,7 +104,7 @@ def _coerce(field: dataclasses.Field, raw: str):
     if kind == "bool":
         return _BOOLEANS[raw.lower()]
     if kind == "list[int]":
-        return [int(s) for s in raw.split(",")]
+        return _int_list(raw, field.name)
     return {"int": int, "float": float, "str": str}[kind](raw)
 
 
@@ -215,7 +226,7 @@ def cmd_eval(args) -> int:
     cache = D.load_cache(_cache_path(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ns = tuple(int(s) for s in args.n.split(","))
+    ns = _int_list(args.n, "--n")
 
     if args.baseline == "itempop":
         # `srlgan train`'s default split, so a rerun draws the same cold users.
@@ -223,8 +234,8 @@ def cmd_eval(args) -> int:
         args.split_seed = 0 if args.split_seed is None else args.split_seed
         split, _, y_warm, _, y_cold = P.split_matrices(
             cache, args.cold_fraction, args.split_seed)
-        report = E.evaluate_itempop(y_warm, y_cold, ns=ns,
-                                    user_keys=split.cold_ids)
+        report = E.evaluate_report(E.item_popularity(y_warm), y_cold, ns=ns,
+                                   user_keys=split.cold_ids)
         label = "itempop"
     else:
         nets, _, _, meta, extra = NN.load_checkpoint(args.checkpoint)
@@ -300,7 +311,7 @@ def cmd_ablate(args) -> int:
     cache = D.load_cache(_cache_path(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ns = tuple(int(s) for s in args.n.split(","))
+    ns = _int_list(args.n, "--n")
 
     split, x_warm, y_warm, x_cold, y_cold = P.split_matrices(
         cache, args.cold_fraction,

@@ -120,6 +120,13 @@ def parse_ratings(path, fmt: str, max_rating: int = 5) -> np.ndarray:
     return ratings
 
 
+def _int_field(raw: str, name: str, path, lineno: int) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"{path}:{lineno}: non-integer {name} {raw!r}") from None
+
+
 def parse_users(path, fmt: str) -> dict[int, UserMeta]:
     """Parse user metadata (u.user or users.dat) keyed by user id."""
     users = {}
@@ -131,7 +138,9 @@ def parse_users(path, fmt: str) -> dict[int, UserMeta]:
             if len(parts) != 5:
                 raise ParseError(f"{path}:{lineno}: expected 5 fields")
             uid, age, gender, occupation, _zip = parts
-            users[int(uid)] = UserMeta(int(uid), int(age), gender, occupation)
+            uid = _int_field(uid, "user id", path, lineno)
+            users[uid] = UserMeta(uid, _int_field(age, "age", path, lineno),
+                                  gender, occupation)
     elif fmt == "ml1m":
         for lineno, line in enumerate(_read_lines(path), start=1):
             if not line.strip():
@@ -140,7 +149,9 @@ def parse_users(path, fmt: str) -> dict[int, UserMeta]:
             if len(parts) != 5:
                 raise ParseError(f"{path}:{lineno}: expected 5 fields")
             uid, gender, age, occupation, _zip = parts
-            users[int(uid)] = UserMeta(int(uid), int(age), gender, occupation)
+            uid = _int_field(uid, "user id", path, lineno)
+            users[uid] = UserMeta(uid, _int_field(age, "age", path, lineno),
+                                  gender, occupation)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     return users
@@ -157,7 +168,7 @@ def parse_item_genres(path, fmt: str) -> dict[int, list[str]]:
             parts = line.split("|")
             if len(parts) != 5 + len(ML100K_GENRES):
                 raise ParseError(f"{path}:{lineno}: expected {5 + len(ML100K_GENRES)} fields")
-            item_id = int(parts[0])
+            item_id = _int_field(parts[0], "item id", path, lineno)
             flags = parts[5:]
             genres[item_id] = [g for g, f in zip(ML100K_GENRES, flags) if f == "1"]
     elif fmt == "ml1m":
@@ -167,7 +178,7 @@ def parse_item_genres(path, fmt: str) -> dict[int, list[str]]:
             parts = line.split("::")
             if len(parts) != 3:
                 raise ParseError(f"{path}:{lineno}: expected 3 fields")
-            item_id = int(parts[0])
+            item_id = _int_field(parts[0], "item id", path, lineno)
             genres[item_id] = [g for g in parts[2].split("|") if g]
     else:
         raise ValueError(f"unknown format {fmt!r}")

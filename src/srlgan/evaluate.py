@@ -3,94 +3,60 @@ the S1/S2/S3 ablation harness.
 
 An item is relevant for a cold user iff its held-out normalized rating is
 nonzero.  NDCG uses binary gains by default (graded 2^(C*r)-1 gains behind
-a flag); users with no held-out purchases are excluded from the means.
-Ranking covers all m items, tie-broken by ascending item id, so metrics
-depend only on the argsort of the scores.
+a flag, with the ideal DCG built from the user's own sorted gains); users
+with no held-out purchases are excluded from the means.  Ranking covers
+all m items, tie-broken by ascending item id, so metrics depend only on
+the stable argsort of the negated scores.
+
+One scorer serves every caller: `evaluate_report` takes one score row per
+user, or one row shared by all users (ItemPop's popularity counts), ranks
+each row it is given once, and computes every metric for all users with
+whole-array operations.  DCG sums run left to right over rank positions
+(`np.cumsum`), in the order of a per-user loop, so every value has the
+bits that loop gives.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 DEFAULT_NS = (5, 20)
 
 
-def rank_items(prediction) -> np.ndarray:
-    """1-based item ids sorted by descending score, ascending id on ties."""
-    scores = np.asarray(prediction, dtype=np.float64).ravel()
-    order = np.lexsort((np.arange(scores.size), -scores))
-    return order + 1
-
-
-def precision_at(ranked, relevant, n: int) -> float:
-    """Fraction of the top n that is relevant."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    relevant = set(relevant)
-    hits = sum(1 for item in ranked[:n] if item in relevant)
-    return hits / n
-
-
-def ndcg_at(ranked, relevant, n: int, gains=None) -> float:
-    """Binary-gain NDCG@n; `gains` maps item id -> gain for graded mode."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    relevant = set(relevant)
-    if not relevant:
-        raise ValueError("NDCG undefined with no relevant items")
-    gain_of = (lambda item: 1.0) if gains is None else (lambda item: gains[item])
-    dcg = sum(gain_of(item) / np.log2(rank + 1)
-              for rank, item in enumerate(ranked[:n], start=1)
-              if item in relevant)
-    ideal_gains = sorted((gain_of(i) for i in relevant), reverse=True)[:n]
-    idcg = sum(g / np.log2(rank + 1)
-               for rank, g in enumerate(ideal_gains, start=1))
-    return dcg / idcg
-
-
-def mrr_at(ranked, relevant, n: int) -> float:
-    """Reciprocal rank of the first relevant item within the top n, else 0."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    relevant = set(relevant)
-    for rank, item in enumerate(ranked[:n], start=1):
-        if item in relevant:
-            return 1.0 / rank
-    return 0.0
-
-
-def relevant_items(held_out_row) -> list[int]:
-    """1-based ids of items with a nonzero held-out purchase."""
-    row = np.asarray(held_out_row, dtype=np.float64).ravel()
-    return [int(i) + 1 for i in np.flatnonzero(row)]
+def rank_items(scores) -> np.ndarray:
+    """1-based item ids by descending score along the last axis, lower id
+    first on ties: a 1-D row gives one ranking, a 2-D batch one per row."""
+    scores = np.asarray(scores, dtype=np.float64)
+    ranking = np.argsort(-scores, axis=-1, kind="stable")
+    ranking += 1
+    return ranking
 
 
 @dataclass
 class MetricReport:
     ns: tuple
-    per_user: dict = field(default_factory=dict)  # user key -> {metric: value}
-    n_users: int = 0
-    n_skipped: int = 0                            # users with no relevant items
+    users: np.ndarray    # keys of the users scored, in input order
+    values: dict         # "P@5", ... -> float64 array, one value per user
+    n_skipped: int = 0   # users with no relevant items
+
+    @property
+    def n_users(self) -> int:
+        return len(self.users)
 
     def aggregate(self) -> dict:
-        agg = {}
-        for n in self.ns:
-            for prefix in ("P", "N", "M"):
-                key = f"{prefix}@{n}"
-                vals = [u[key] for u in self.per_user.values()]
-                agg[key] = float(np.mean(vals)) if vals else float("nan")
-        return agg
+        return {key: float(np.mean(vals)) if vals.size else float("nan")
+                for key, vals in self.values.items()}
 
     def write_csv(self, path):
         keys = [f"{p}@{n}" for n in self.ns for p in ("P", "N", "M")]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["user", *keys])
-            for user in sorted(self.per_user):
-                w.writerow([user] + [f"{self.per_user[user][k]:.10g}" for k in keys])
+            for i in np.argsort(self.users, kind="stable"):
+                w.writerow([self.users[i]] + [f"{self.values[k][i]:.10g}" for k in keys])
             agg = self.aggregate()
             w.writerow(["mean"] + [f"{agg[k]:.10g}" for k in keys])
 
@@ -106,15 +72,6 @@ class MetricReport:
         return "\n".join(lines)
 
 
-def _score_user(ranked, relevant, ns, gains=None) -> dict:
-    out = {}
-    for n in ns:
-        out[f"P@{n}"] = precision_at(ranked, relevant, n)
-        out[f"N@{n}"] = ndcg_at(ranked, relevant, n, gains=gains)
-        out[f"M@{n}"] = mrr_at(ranked, relevant, n)
-    return out
-
-
 def evaluate_predictions(predictions, held_out, ns=DEFAULT_NS,
                          user_keys=None, graded: bool = False) -> dict:
     """Aggregate metrics for a batch of per-user prediction rows.
@@ -125,56 +82,71 @@ def evaluate_predictions(predictions, held_out, ns=DEFAULT_NS,
                            graded=graded).aggregate()
 
 
-def evaluate_report(predictions, held_out, ns=DEFAULT_NS, user_keys=None,
+def _at_top(values, top, k: int) -> np.ndarray:
+    """values[u, top[u, j]] for the first k rank positions; columns past
+    the last item (k > m) are zero."""
+    out = np.zeros((values.shape[0], k), dtype=values.dtype)
+    out[:, :top.shape[1]] = np.take_along_axis(values, top, axis=1)
+    return out
+
+
+def evaluate_report(scores, held_out, ns=DEFAULT_NS, user_keys=None,
                     graded: bool = False) -> MetricReport:
-    predictions = np.atleast_2d(np.asarray(predictions, dtype=np.float64))
+    """P@n, NDCG@n and MRR@n for every user with a held-out purchase.
+
+    `scores` is either one row per user (the shape of `held_out`) or one
+    row of m item scores shared by every user.  P@n divides by n even when
+    n exceeds the number of items.
+    """
+    ns = tuple(ns)
+    if not ns or min(ns) < 1:
+        raise ValueError(f"n must be >= 1, got {list(ns)}")
+    scores = np.asarray(scores, dtype=np.float64)
     held_out = np.atleast_2d(np.asarray(held_out, dtype=np.float64))
-    if predictions.shape != held_out.shape:
-        raise ValueError(
-            f"shape mismatch: {predictions.shape} vs {held_out.shape}")
-    if user_keys is None:
-        user_keys = list(range(predictions.shape[0]))
-    report = MetricReport(ns=tuple(ns))
-    for key, pred, truth in zip(user_keys, predictions, held_out):
-        rel = relevant_items(truth)
-        if not rel:
-            report.n_skipped += 1
-            continue
-        gains = None
-        if graded:
-            gains = {i: 2.0 ** float(truth[i - 1] * 5.0) - 1.0 for i in rel}
-        ranked = rank_items(pred)
-        report.per_user[key] = _score_user(ranked, rel, ns, gains=gains)
-        report.n_users += 1
-    return report
+    if scores.shape not in (held_out.shape, held_out.shape[1:]):
+        raise ValueError(f"shape mismatch: {scores.shape} vs {held_out.shape}")
+    users = np.asarray(range(len(held_out)) if user_keys is None else user_keys)
+    if users.shape != held_out.shape[:1]:
+        raise ValueError(f"{users.size} user keys for {len(held_out)} rows")
+
+    k = max(ns)
+    top = rank_items(scores)[..., :k] - 1
+    relevant = held_out != 0
+    keep = relevant.any(axis=1)
+    relevant, users = relevant[keep], users[keep]
+    top = top[keep] if top.ndim == 2 else top[None]
+    hit = _at_top(relevant, top, k)
+    if graded:
+        # 2^0 - 1 = 0: unrated items carry no gain.  The ideal DCG is the
+        # DCG of the user's items ranked by their own gains.
+        gain = 2.0 ** (held_out[keep] * 5.0) - 1.0
+        ranked_gain = _at_top(gain, top, k)
+        ideal = _at_top(gain, rank_items(gain)[:, :k] - 1, k)
+    else:
+        ranked_gain = hit
+        ideal = np.arange(k) < np.count_nonzero(relevant, axis=1)[:, None]
+    discount = np.log2(np.arange(2, k + 2))
+    hits = np.cumsum(hit, axis=1)
+    dcg = np.cumsum(ranked_gain / discount, axis=1)
+    idcg = np.cumsum(ideal / discount, axis=1)
+    first = np.argmax(hit, axis=1) + 1
+
+    values = {}
+    for n in ns:
+        values[f"P@{n}"] = hits[:, n - 1] / n
+        values[f"N@{n}"] = dcg[:, n - 1] / idcg[:, n - 1]
+        values[f"M@{n}"] = np.where(hits[:, n - 1] > 0, 1.0 / first, 0.0)
+    return MetricReport(ns=ns, users=users, values=values,
+                        n_skipped=int(np.count_nonzero(~keep)))
 
 
-def item_pop_ranking(warm_purchase_matrix) -> np.ndarray:
-    """Global 1-based item ranking by descending purchase count (nonzero
-    entries), lower id first on ties."""
+def item_popularity(warm_purchase_matrix) -> np.ndarray:
+    """ItemPop's score row: each item's purchase count (nonzero entries)
+    over the warm users."""
     matrix = np.atleast_2d(np.asarray(warm_purchase_matrix))
     if matrix.shape[0] < 1 or matrix.size == 0:
         raise ValueError("empty warm purchase matrix")
-    counts = np.count_nonzero(matrix, axis=0)
-    return rank_items(counts)
-
-
-def evaluate_itempop(warm_purchase_matrix, held_out, ns=DEFAULT_NS,
-                     user_keys=None) -> MetricReport:
-    """Score the non-personalized popularity ranking against held-out rows."""
-    ranked = item_pop_ranking(warm_purchase_matrix)
-    held_out = np.atleast_2d(np.asarray(held_out, dtype=np.float64))
-    if user_keys is None:
-        user_keys = list(range(held_out.shape[0]))
-    report = MetricReport(ns=tuple(ns))
-    for key, truth in zip(user_keys, held_out):
-        rel = relevant_items(truth)
-        if not rel:
-            report.n_skipped += 1
-            continue
-        report.per_user[key] = _score_user(ranked, rel, ns)
-        report.n_users += 1
-    return report
+    return np.count_nonzero(matrix, axis=0)
 
 
 ABLATION_MODES = {

@@ -21,7 +21,7 @@ from srlgan import train as T
 from srlgan.features import AttributeSchema, ml1m_schema
 
 from conftest import require_ml100k, require_ml1m
-from test_evaluate import brute_mrr, brute_ndcg, brute_precision
+from test_evaluate import brute_mrr, brute_ndcg, brute_precision, held_row
 from test_nn import central_diff_grads, rel_err
 
 # Desk-scale training configuration for the quantitative criteria (the
@@ -160,11 +160,12 @@ def test_criterion_5_metric_oracles():
                                   replace=False) + 1)
         n = int(rng.integers(1, m + 1))
         ranked = E.rank_items(scores)
-        assert E.precision_at(ranked, relevant, n) == brute_precision(ranked, relevant, n)
-        assert math.isclose(E.ndcg_at(ranked, relevant, n),
+        values = E.evaluate_report(scores, held_row(relevant, m), ns=(n,)).values
+        assert values[f"P@{n}"][0] == brute_precision(ranked, relevant, n)
+        assert math.isclose(values[f"N@{n}"][0],
                             brute_ndcg(ranked, relevant, n),
                             rel_tol=0, abs_tol=1e-12)
-        assert E.mrr_at(ranked, relevant, n) == brute_mrr(ranked, relevant, n)
+        assert values[f"M@{n}"][0] == brute_mrr(ranked, relevant, n)
     _passed("5 (P/N/M match brute-force oracle on 1000 instances)")
 
 
@@ -178,7 +179,7 @@ def _ml100k_split(raw):
 def test_criterion_6_itempop_p5():
     raw = require_ml100k()
     _, _, y_warm, _, y_cold = _ml100k_split(raw)
-    report = E.evaluate_itempop(y_warm, y_cold, ns=(5,))
+    report = E.evaluate_report(E.item_popularity(y_warm), y_cold, ns=(5,))
     p5 = report.aggregate()["P@5"]
     assert abs(p5 - 0.181) <= 0.05, f"ItemPop P@5 = {p5:.3f}"
     _passed(f"6 (ItemPop P@5 = {p5:.3f}, within 0.05 of 0.181)")
@@ -203,7 +204,7 @@ def test_criterion_7_headline_metrics():
         for k in agg:
             agg[k].append(scores[k])
     means = {k: float(np.mean(v)) for k, v in agg.items()}
-    pop = E.evaluate_itempop(y_warm, y_cold).aggregate()
+    pop = E.evaluate_report(E.item_popularity(y_warm), y_cold).aggregate()
     assert means["P@5"] >= 0.40, means
     assert means["N@5"] >= 0.40, means
     assert means["M@5"] >= 0.55, means

@@ -91,6 +91,18 @@ def test_prepare_bad_rating_ids_exit_1(tmp_path, synth100k_dir, capsys, line, na
     assert not (tmp_path / "out" / "ml100k.npz").exists()
 
 
+def test_prepare_bad_user_metadata_exit_1(tmp_path, synth100k_dir, capsys):
+    raw = tmp_path / "raw"
+    shutil.copytree(synth100k_dir, raw)
+    lines = (raw / "u.user").read_text().splitlines()
+    lines[0] = "x" + lines[0][lines[0].index("|"):]
+    (raw / "u.user").write_text("\n".join(lines) + "\n")
+    rc = main(["prepare", "--dataset", "ml100k", "--raw-dir", str(raw),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"{raw / 'u.user'}:1: non-integer user id 'x'" in capsys.readouterr().err
+
+
 def test_config_file_values_typed_by_train_config(tmp_path):
     cfg = tmp_path / "train.conf"
     cfg.write_text("sparsity = off\nnonsaturating = YES\nn_e = none\n"
@@ -261,6 +273,38 @@ def test_eval_custom_n(tmp_path, prepared, trained):
     assert rc == 0
     header = (out / "metrics.model.csv").read_text().splitlines()[0]
     assert header == "user,P@3,N@3,M@3"
+
+
+def test_eval_graded_changes_only_ndcg(tmp_path, prepared, trained):
+    tables = {}
+    for name, flags in (("binary", []), ("graded", ["--graded"])):
+        rc = main(["eval", "--checkpoint", str(trained / "checkpoint.npz"),
+                   "--cache", str(prepared / "ml100k.npz"),
+                   "--out-dir", str(tmp_path / name), *flags])
+        assert rc == 0
+        text = (tmp_path / name / "metrics.model.csv").read_text()
+        tables[name] = np.array([line.split(",") for line in text.splitlines()])
+    binary, graded = tables["binary"], tables["graded"]
+    ndcg = np.char.startswith(binary[0], "N@")
+    assert binary.shape == graded.shape
+    assert (binary[:, ~ndcg] == graded[:, ~ndcg]).all()
+    assert (binary[1:, ndcg] != graded[1:, ndcg]).any()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--generator-hidden", "8,x"], "--generator-hidden: expected comma-separated integers, got '8,x'"),
+    (["train", "--discriminator-hidden", "8.5"], "--discriminator-hidden: expected comma-separated integers"),
+    (["eval", "--baseline", "itempop", "--n", "5,x"], "--n: expected comma-separated integers, got '5,x'"),
+    (["eval", "--baseline", "itempop", "--n", "0"], "n must be >= 1, got [0]"),
+    (["ablate", "--n", "5,"], "--n: expected comma-separated integers"),
+], ids=["generator-hidden", "discriminator-hidden", "eval-n-letter", "eval-n-zero", "ablate-n-empty"])
+def test_bad_integer_list_flags_exit_1(tmp_path, prepared, capsys, argv, message):
+    rc = main([*argv, "--cache", str(prepared / "ml100k.npz"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not list((tmp_path / "out").glob("metrics.*"))
 
 
 def test_sweep_beta_outputs_and_cv_consistency(tmp_path, prepared):

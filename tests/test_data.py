@@ -106,6 +106,26 @@ def test_parse_errors_name_path_and_line(tmp_path, fmt, text, lineno, message):
         D.parse_ratings(p, fmt)
 
 
+U_ITEM_FLAGS = "|".join(["0"] * len(D.ML100K_GENRES))
+
+
+@pytest.mark.parametrize("parse, fmt, text, lineno, message", [
+    (D.parse_users, "ml100k", "1|24|M|writer|00000\n\n2|x|F|other|00000\n",
+     3, "non-integer age 'x'"),
+    (D.parse_users, "ml1m", "x::F::1::10::48067\n", 1, "non-integer user id 'x'"),
+    (D.parse_item_genres, "ml100k", f"1|A (1995)|||u|{U_ITEM_FLAGS}\n"
+     f"x|B (1995)|||u|{U_ITEM_FLAGS}\n", 2, "non-integer item id 'x'"),
+    (D.parse_item_genres, "ml1m", "1::A (1995)::Drama\n \n1.5::B (1995)::Drama\n",
+     3, "non-integer item id '1.5'"),
+], ids=["u.user-age", "users.dat-id", "u.item-id", "movies.dat-id"])
+def test_metadata_parse_errors_name_path_line_and_field(tmp_path, parse, fmt, text,
+                                                         lineno, message):
+    p = tmp_path / "meta"
+    p.write_text(text, encoding="latin-1")
+    with pytest.raises(D.ParseError, match=f"^{re.escape(str(p))}:{lineno}: {message}$"):
+        parse(p, fmt)
+
+
 def test_parse_rating_out_of_range(tmp_path):
     p = tmp_path / "u.data"
     p.write_text("1\t2\t9\t4\n")

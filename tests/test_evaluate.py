@@ -46,35 +46,61 @@ def test_rank_items_descending_input_identity():
     assert E.rank_items([0.9, 0.7, 0.3, 0.1]).tolist() == [1, 2, 3, 4]
 
 
+def held_row(relevant, m):
+    """A held-out row with rating 1 at each relevant 1-based item id."""
+    row = np.zeros(m)
+    row[np.array(sorted(relevant)) - 1] = 1.0
+    return row
+
+
+def scored(ranked, relevant, n):
+    """P/N/M@n from the batched scorer for one user ranked as `ranked`
+    (items not in `ranked` come after it, lower id first)."""
+    ranked = np.asarray(ranked)
+    m = max(ranked.max(), max(relevant))
+    scores = np.zeros(m)
+    scores[ranked - 1] = np.arange(len(ranked), 0, -1)
+    report = E.evaluate_report(scores, held_row(relevant, m), ns=(n,))
+    return tuple(float(report.values[f"{p}@{n}"][0]) for p in ("P", "N", "M"))
+
+
+def test_rank_items_batch_ties_go_to_lower_id():
+    scores = np.random.default_rng(3).integers(0, 3, size=(4, 300)) / 2.0
+    oracle = [sorted(range(1, 301), key=lambda i: (-row[i - 1], i)) for row in scores]
+    assert E.rank_items(scores).tolist() == oracle
+    assert [E.rank_items(row).tolist() for row in scores] == oracle
+
+
 def test_precision_values():
     ranked = [1, 2, 3, 4, 5, 6]
-    assert E.precision_at(ranked, {1, 2, 3, 4, 5}, 5) == 1.0
-    assert E.precision_at(ranked, {9}, 5) == 0.0
-    assert E.precision_at(ranked, {2, 4}, 5) == pytest.approx(0.4)
+    assert scored(ranked, {1, 2, 3, 4, 5}, 5)[0] == 1.0
+    assert scored(ranked, {9}, 5)[0] == 0.0
+    assert scored(ranked, {2, 4}, 5)[0] == pytest.approx(0.4)
 
 
 def test_ndcg_values():
     ranked = [1, 2, 3, 4, 5]
-    assert E.ndcg_at(ranked, {1, 2, 3, 4, 5}, 5) == pytest.approx(1.0)
-    assert E.ndcg_at(ranked, {1}, 5) == pytest.approx(1.0)
-    assert E.ndcg_at(ranked, {2}, 5) == pytest.approx(1 / np.log2(3))
-    assert E.ndcg_at(ranked, {2}, 5) == pytest.approx(0.6309, abs=1e-4)
+    assert scored(ranked, {1, 2, 3, 4, 5}, 5)[1] == pytest.approx(1.0)
+    assert scored(ranked, {1}, 5)[1] == pytest.approx(1.0)
+    assert scored(ranked, {2}, 5)[1] == pytest.approx(1 / np.log2(3))
+    assert scored(ranked, {2}, 5)[1] == pytest.approx(0.6309, abs=1e-4)
 
 
 def test_mrr_values():
     ranked = [1, 2, 3, 4, 5]
-    assert E.mrr_at(ranked, {1}, 5) == 1.0
-    assert E.mrr_at(ranked, {4}, 5) == 0.25
-    assert E.mrr_at(ranked, {9}, 5) == 0.0
+    assert scored(ranked, {1}, 5)[2] == 1.0
+    assert scored(ranked, {4}, 5)[2] == 0.25
+    assert scored(ranked, {9}, 5)[2] == 0.0
 
 
 def test_perfect_prefix_all_ones():
     # relevant >= n items ranked first: every metric is 1
     ranked = [3, 1, 4, 2, 5, 6, 7]
     relevant = {1, 2, 3, 4, 5}
-    assert E.precision_at(ranked, relevant, 5) == 1.0
-    assert E.ndcg_at(ranked, relevant, 5) == pytest.approx(1.0)
-    assert E.mrr_at(ranked, relevant, 5) == 1.0
+    p, ndcg, mrr = scored(ranked, relevant, 5)
+    assert p == 1.0
+    assert ndcg == pytest.approx(1.0)
+    assert mrr == 1.0
 
 
 def test_metrics_match_brute_force_oracle():
@@ -86,10 +112,10 @@ def test_metrics_match_brute_force_oracle():
         relevant = set(rng.choice(m, size=n_rel, replace=False) + 1)
         n = int(rng.integers(1, m + 1))
         ranked = E.rank_items(scores)
-        assert E.precision_at(ranked, relevant, n) == brute_precision(ranked, relevant, n)
-        assert E.ndcg_at(ranked, relevant, n) == pytest.approx(
-            brute_ndcg(ranked, relevant, n), abs=1e-12)
-        assert E.mrr_at(ranked, relevant, n) == brute_mrr(ranked, relevant, n)
+        p, ndcg, mrr = E.evaluate_report(scores, held_row(relevant, m), ns=(n,)).values.values()
+        assert p[0] == brute_precision(ranked, relevant, n)
+        assert ndcg[0] == pytest.approx(brute_ndcg(ranked, relevant, n), abs=1e-12)
+        assert mrr[0] == brute_mrr(ranked, relevant, n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -101,25 +127,118 @@ def test_argrank_invariance(scores, data):
     of the scores leaves them unchanged.  Scores are quantized so the
     affine transform stays strictly monotone in float arithmetic."""
     m = len(scores)
-    relevant = {data.draw(st.integers(1, m))}
+    held = held_row({data.draw(st.integers(1, m))}, m)
     n = data.draw(st.integers(1, m))
     base = E.rank_items(scores)
-    transformed = E.rank_items([3.0 * s + 1.0 for s in scores])
-    assert base.tolist() == transformed.tolist()
-    for fn in (E.precision_at, E.ndcg_at, E.mrr_at):
-        assert fn(base, relevant, n) == fn(transformed, relevant, n)
+    transformed = [3.0 * s + 1.0 for s in scores]
+    assert base.tolist() == E.rank_items(transformed).tolist()
+    a = E.evaluate_report(scores, held, ns=(n,)).values
+    b = E.evaluate_report(transformed, held, ns=(n,)).values
+    for key in a:
+        assert a[key].tolist() == b[key].tolist()
 
 
 def test_metrics_in_unit_interval():
     rng = np.random.default_rng(5)
     for _ in range(200):
         m = int(rng.integers(2, 15))
-        ranked = E.rank_items(rng.uniform(size=m))
+        scores = rng.uniform(size=m)
         relevant = set(rng.choice(m, size=int(rng.integers(1, m)), replace=False) + 1)
         n = int(rng.integers(1, m))
-        for fn in (E.precision_at, E.ndcg_at, E.mrr_at):
-            v = fn(ranked, relevant, n)
-            assert 0.0 <= v <= 1.0
+        for v in E.evaluate_report(scores, held_row(relevant, m), ns=(n,)).values.values():
+            assert 0.0 <= v[0] <= 1.0
+
+
+def brute_graded_ndcg(ranked, gains, n):
+    """Graded NDCG@n: `gains` maps item id -> 2^(5r)-1 for the relevant
+    items; the ideal DCG orders the user's own gains, largest first."""
+    dcg = 0.0
+    for pos, item in enumerate(list(ranked)[:n]):
+        if item in gains:
+            dcg += gains[item] / np.log2(pos + 2)
+    ideal = 0.0
+    for pos, gain in enumerate(sorted(gains.values(), reverse=True)[:n]):
+        ideal += gain / np.log2(pos + 2)
+    return dcg / ideal
+
+
+def random_batch(rng, u, m, empty_rows=0):
+    """Quantized scores (many ties) and held-out ratings r in {0.2, ..., 1}
+    for u users, the first `empty_rows` of them with no relevant item."""
+    scores = rng.integers(0, 4, size=(u, m)) / 4.0
+    held = rng.integers(1, 6, size=(u, m)) / 5.0 * (rng.uniform(size=(u, m)) < 0.3)
+    held[:empty_rows] = 0.0
+    return scores, held
+
+
+def test_batch_matches_per_row_oracles_bit_for_bit():
+    """The whole batch at once, with tied scores, users without a relevant
+    item and cutoffs past m, against the per-user oracles."""
+    rng = np.random.default_rng(31)
+    for m in (1, 3, 9, 25):
+        scores, held = random_batch(rng, 40, m, empty_rows=4)
+        ns = (1, 2, 5, 30)
+        keys = [1000 - u for u in range(40)]
+        for graded in (False, True):
+            report = E.evaluate_report(scores, held, ns=ns, user_keys=keys, graded=graded)
+            kept = [u for u in range(40) if held[u].any()]
+            assert report.users.tolist() == [keys[u] for u in kept]
+            assert report.n_skipped == 40 - len(kept)
+            for row, u in enumerate(kept):
+                ranked = E.rank_items(scores[u])
+                relevant = set(np.flatnonzero(held[u]) + 1)
+                gains = {i: 2.0 ** float(held[u, i - 1] * 5.0) - 1.0 for i in relevant}
+                for n in ns:
+                    ndcg = (brute_graded_ndcg(ranked, gains, n) if graded
+                            else brute_ndcg(ranked, relevant, n))
+                    assert report.values[f"P@{n}"][row] == brute_precision(ranked, relevant, n)
+                    assert report.values[f"N@{n}"][row] == ndcg
+                    assert report.values[f"M@{n}"][row] == brute_mrr(ranked, relevant, n)
+            assert report.values["P@30"].max() <= m / 30
+
+
+def test_graded_ndcg_matches_brute_force_oracle():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        m = int(rng.integers(1, 21))
+        scores = rng.uniform(size=m)
+        held = np.zeros(m)
+        rel = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
+        held[rel] = rng.integers(1, 6, size=rel.size) / 5.0
+        n = int(rng.integers(1, m + 1))
+        gains = {int(i) + 1: 2.0 ** float(held[i] * 5.0) - 1.0 for i in rel}
+        ndcg = E.evaluate_report(scores, held, ns=(n,), graded=True).values[f"N@{n}"]
+        assert ndcg[0] == pytest.approx(
+            brute_graded_ndcg(E.rank_items(scores), gains, n), abs=1e-12)
+        if len(set(gains.values())) == 1:   # one rating level: binary NDCG
+            binary = E.evaluate_report(scores, held, ns=(n,)).values[f"N@{n}"]
+            assert ndcg[0] == pytest.approx(binary[0], abs=1e-12)
+
+
+def test_shared_row_scores_like_its_broadcast():
+    rng = np.random.default_rng(41)
+    scores, held = random_batch(rng, 30, 12, empty_rows=3)
+    row = scores[5]
+    for graded in (False, True):
+        shared = E.evaluate_report(row, held, ns=(3, 15), graded=graded)
+        batch = E.evaluate_report(np.broadcast_to(row, held.shape), held,
+                                  ns=(3, 15), graded=graded)
+        assert shared.users.tolist() == batch.users.tolist()
+        assert shared.n_skipped == batch.n_skipped == 3
+        for key in batch.values:
+            assert np.array_equal(shared.values[key], batch.values[key])
+
+
+@pytest.mark.parametrize("scores, held, kwargs, message", [
+    (np.ones(4), np.ones((2, 4)), {"ns": (5, 0)}, "n must be >= 1"),
+    (np.ones(4), np.zeros((2, 4)), {"ns": ()}, "n must be >= 1"),
+    (np.ones((1, 4)), np.ones((2, 4)), {}, "shape mismatch"),
+    (np.ones(3), np.ones((2, 4)), {}, "shape mismatch"),
+    (np.ones(4), np.ones((2, 4)), {"user_keys": [7]}, "1 user keys for 2 rows"),
+], ids=["zero-cutoff", "no-cutoffs", "one-row-batch", "short-row", "few-keys"])
+def test_evaluate_report_refuses_bad_input(scores, held, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        E.evaluate_report(scores, held, **kwargs)
 
 
 def test_item_pop_ranking():
@@ -128,19 +247,20 @@ def test_item_pop_ranking():
         [0.6, 0.0, 0.0, 0.4],
         [0.2, 0.0, 0.0, 0.0],
     ])
-    ranked = E.item_pop_ranking(warm)
+    assert E.item_popularity(warm).tolist() == [3, 1, 0, 2]
+    ranked = E.rank_items(E.item_popularity(warm))
     assert ranked[0] == 1          # purchased by everyone
     assert ranked.tolist() == [1, 4, 2, 3]
 
 
 def test_item_pop_tie_lower_id_first():
     warm = np.array([[0.5, 0.5, 0.0]])
-    assert E.item_pop_ranking(warm).tolist() == [1, 2, 3]
+    assert E.rank_items(E.item_popularity(warm)).tolist() == [1, 2, 3]
 
 
 def test_item_pop_empty_raises():
     with pytest.raises(ValueError):
-        E.item_pop_ranking(np.zeros((0, 3)))
+        E.item_popularity(np.zeros((0, 3)))
 
 
 def test_evaluate_report_excludes_empty_users():
@@ -159,7 +279,7 @@ def test_evaluate_report_mean_is_arithmetic_mean():
     report = E.evaluate_report(preds, held, ns=(5,))
     agg = report.aggregate()
     for key in ("P@5", "N@5", "M@5"):
-        vals = [u[key] for u in report.per_user.values()]
+        vals = report.values[key].tolist()
         assert agg[key] == pytest.approx(np.mean(vals))
 
 
