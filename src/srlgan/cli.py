@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -68,6 +69,25 @@ def _int_list(raw: str, name: str) -> list[int]:
     except ValueError:
         raise ValueError(f"{name}: expected comma-separated integers, "
                          f"got {raw!r}") from None
+
+
+def _cutoffs(raw: str) -> list[int]:
+    """The `--n` cutoffs of eval and ablate, each an integer >= 1."""
+    ns = _int_list(raw, "--n")
+    if min(ns) < 1:
+        raise ValueError(f"--n: each cutoff n must be >= 1, got {ns}")
+    return ns
+
+
+def _beta_grid(raw: str) -> list[float]:
+    """The `--grid` of sweep-beta: comma-separated betas, each finite and >= 0."""
+    try:
+        grid = [float(s) for s in raw.split(",")]
+    except ValueError:
+        raise ValueError(f"--grid: expected comma-separated numbers, got {raw!r}") from None
+    if not all(math.isfinite(beta) and beta >= 0 for beta in grid):
+        raise ValueError(f"--grid: each beta must be finite and >= 0, got {raw!r}")
+    return grid
 
 
 def _parse_config_file(path) -> dict:
@@ -223,10 +243,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    ns = _cutoffs(args.n)
     cache = D.load_cache(_cache_path(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ns = _int_list(args.n, "--n")
 
     if args.baseline == "itempop":
         # `srlgan train`'s default split, so a rerun draws the same cold users.
@@ -268,10 +288,10 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep_beta(args) -> int:
     config = _load_config(args)
+    grid = _beta_grid(args.grid)
     cache = D.load_cache(_cache_path(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = [float(s) for s in args.grid.split(",")]
 
     _, x_warm, y_warm, _, _ = P.split_matrices(
         cache, args.cold_fraction, args.split_seed if args.split_seed is not None else config.seed)
@@ -308,10 +328,10 @@ def cmd_sweep_beta(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _load_config(args)
+    ns = _cutoffs(args.n)
     cache = D.load_cache(_cache_path(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ns = _int_list(args.n, "--n")
 
     split, x_warm, y_warm, x_cold, y_cold = P.split_matrices(
         cache, args.cold_fraction,

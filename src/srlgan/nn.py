@@ -11,6 +11,16 @@ in one flat `grad`, in `params()` order (layer by layer, weight then bias);
 each Linear's arrays are views into them, so zero_grad, Adam, the parameter
 vector and checkpoint I/O are single array operations.
 
+`MLP.zero_grad()` clears `grad` and marks every Linear, so that the next
+`backward` of each layer writes its parameter gradients into the flat store
+(`np.matmul(..., out=)`, `np.sum(..., out=)`) instead of allocating them and
+adding them to the zeros.  0 + a is a (a -0.0 stays -0.0 where the sum gave
+0.0, which Adam cannot tell apart), so theta and the moments get the bits of
+accumulation.
+Every later backward accumulates (the discriminator's real and fake passes
+sum into one gradient), and so does a backward into a `grad` that was never
+zeroed through `zero_grad`.
+
 `MLP.backward(grad_out, param_grads=False)` returns only the input gradient:
 each Linear then runs `input_grad` (grad_out @ W.T) and `grad` is left as it
 is.  Use it for a pass whose parameter gradients nobody reads, such as the
@@ -20,7 +30,11 @@ Adam walks the flat theta/grad/m/v in blocks of ADAM_BLOCK elements, so the
 intermediates of its per-element arithmetic stay in cache instead of
 streaming whole-network temporaries through memory.  Each element sees the
 textbook operations in the textbook order, so the result is bit-identical to
-unblocked, per-tensor Adam.
+unblocked, per-tensor Adam.  Before any write it checks the gradient in one
+BLAS read: a sum of squares cannot cancel, so a finite `grad @ grad` proves
+every element finite.  Only a non-finite sum (a NaN or an inf, or finite
+values whose squares overflow) pays for the per-element check, which decides
+and names the offending tensor.
 """
 
 from __future__ import annotations
@@ -61,6 +75,7 @@ class Linear:
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
         self._x = None
+        self._overwrite = False     # set by MLP.zero_grad: next backward writes
 
     def forward(self, x, training=False, rng=None):
         if x.shape[1] != self.weight.shape[0]:
@@ -73,8 +88,13 @@ class Linear:
     def backward(self, grad_out):
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        self.grad_weight += self._x.T @ grad_out
-        self.grad_bias += grad_out.sum(axis=0)
+        if self._overwrite:
+            np.matmul(self._x.T, grad_out, out=self.grad_weight)
+            np.sum(grad_out, axis=0, out=self.grad_bias)
+            self._overwrite = False
+        else:
+            self.grad_weight += self._x.T @ grad_out
+            self.grad_bias += grad_out.sum(axis=0)
         return grad_out @ self.weight.T
 
     def input_grad(self, grad_out):
@@ -189,8 +209,9 @@ class MLP:
     def backward(self, grad_out, param_grads=True):
         """Backprop a loss gradient; returns the gradient w.r.t. the input.
 
-        Parameter gradients accumulate into `grad`; with param_grads=False
-        they are not computed and `grad` is left as it is."""
+        Parameter gradients accumulate into `grad` (the first backward after
+        zero_grad writes them); with param_grads=False they are not computed
+        and `grad` is left as it is."""
         for layer in reversed(self.layers):
             if param_grads or not isinstance(layer, Linear):
                 grad_out = layer.backward(grad_out)
@@ -200,6 +221,9 @@ class MLP:
 
     def zero_grad(self):
         self.grad[...] = 0.0
+        for layer in self.layers:
+            if isinstance(layer, Linear):
+                layer._overwrite = True
 
     def params(self):
         out = []
@@ -235,7 +259,9 @@ class Adam:
     def step(self):
         grad = self.net.grad
         t = self.t + 1
-        if not np.isfinite(grad).all():
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(grad @ grad) or np.isfinite(grad).all()
+        if not finite:
             name = next(name for name, _, g in self.net.params()
                         if not np.isfinite(g).all())
             raise TrainingError(f"non-finite gradient in {name} at step {t}")

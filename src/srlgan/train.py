@@ -53,6 +53,9 @@ class TrainConfig:
 
     def validate(self):
         problems = []
+        for name in ("beta", "learning_rate"):
+            if not math.isfinite(getattr(self, name)):
+                problems.append(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.beta < 0:
             problems.append("beta must be >= 0")
         if self.gan_loss not in ("lsq", "bce"):
@@ -203,9 +206,11 @@ class Trainer:
 
         if self.config.d_phase_updates_g:
             # Fresh fake pass so the generator gradient uses the updated D.
-            y_hat2 = self.generator.forward(x, training=True, rng=self.rng)
-            d_fake2 = self.discriminator.forward(
-                M.discriminator_input(x, y_hat2), training=True, rng=self.rng)
+            # G has no dropout and is not updated before this pass, so a
+            # second G forward would return y_hat again and draw nothing
+            # from the RNG: D scores the same fake_in, and G's cached
+            # activations still belong to it.
+            d_fake2 = self.discriminator.forward(fake_in, training=True, rng=self.rng)
             _, g_loss, _, _, dd_fake_g = self._adv_losses(d_fake2, d_fake2)
             input_grad = self.discriminator.backward(dd_fake_g, param_grads=False)
             self.generator.zero_grad()

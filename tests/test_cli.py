@@ -307,6 +307,46 @@ def test_bad_integer_list_flags_exit_1(tmp_path, prepared, capsys, argv, message
     assert not list((tmp_path / "out").glob("metrics.*"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--checkpoint", "unused.npz", "--n", "5,0"],
+    ["ablate", "--n", "0", *FAST],
+], ids=["eval", "ablate"])
+def test_bad_cutoffs_refused_before_any_work(tmp_path, prepared, capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        pytest.fail("work started")
+
+    for owner, name in ((D, "load_cache"), (NN, "load_checkpoint"),
+                        (T.Trainer, "pretrain_generator")):
+        monkeypatch.setattr(owner, name, no_work)
+    rc = main([*argv, "--cache", str(prepared / "ml100k.npz"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error: --n: each cutoff n must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--learning-rate", "nan"], "learning_rate must be finite, got nan"),
+    (["train", "--learning-rate", "inf"], "learning_rate must be finite, got inf"),
+    (["train", "--beta=-inf"], "beta must be finite, got -inf"),
+    (["sweep-beta", "--beta", "nan"], "beta must be finite, got nan"),
+    (["sweep-beta", "--grid", "0.1,x"], "--grid: expected comma-separated numbers, got '0.1,x'"),
+    (["sweep-beta", "--grid", "0.1,-1"], "--grid: each beta must be finite and >= 0, got '0.1,-1'"),
+    (["sweep-beta", "--grid", "nan"], "--grid: each beta must be finite and >= 0, got 'nan'"),
+    (["sweep-beta", "--grid", "0,inf"], "--grid: each beta must be finite and >= 0, got '0,inf'"),
+], ids=["lr-nan", "lr-inf", "beta-minus-inf", "sweep-beta-nan", "grid-letter",
+        "grid-negative", "grid-nan", "grid-inf"])
+def test_bad_hyperparameters_exit_1_before_any_work(tmp_path, prepared, capsys, monkeypatch,
+                                                    argv, message):
+    monkeypatch.setattr(D, "load_cache", lambda *a, **k: pytest.fail("cache loaded"))
+    rc = main([*argv, "--cache", str(prepared / "ml100k.npz"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_beta_outputs_and_cv_consistency(tmp_path, prepared):
     out = tmp_path / "sweep"
     rc = main(["sweep-beta", "--cache", str(prepared / "ml100k.npz"),

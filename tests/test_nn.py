@@ -345,3 +345,94 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert np.array_equal(extra["rho"], np.ones(4))
     # restored RNG continues the same stream
     assert rng.random() == rng2.random()
+
+
+def _twin_nets(seed=31):
+    sizes = [5, 7, 6, 3]
+    return NN.MLP(sizes, np.random.default_rng(seed)), NN.MLP(sizes, np.random.default_rng(seed))
+
+
+def test_backwards_after_zero_grad_equal_zero_plus_a_plus_b_bit_for_bit():
+    # After zero_grad the first backward writes its gradient a and the second
+    # adds b; the twin adds both to zeros set without zero_grad: (0 + a) + b.
+    net, twin = _twin_nets()
+    rng = np.random.default_rng(32)
+    net.grad[...] = rng.normal(size=net.grad.size)    # stale values to clear
+    net.zero_grad()
+    twin.grad[...] = 0.0
+    for _ in range(2):
+        x = rng.normal(size=(4, 5))
+        grads_in = [m.backward(m.forward(x) - 0.5) for m in (net, twin)]
+        assert np.array_equal(net.grad, twin.grad)
+        assert np.array_equal(*grads_in)
+
+
+def test_backward_into_a_grad_not_cleared_by_zero_grad_accumulates():
+    net, twin = _twin_nets()
+    rng = np.random.default_rng(33)
+    x1, x2 = rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
+
+    def alone(x):
+        twin.zero_grad()
+        twin.backward(twin.forward(x) - 0.5)
+        return twin.grad.copy()
+
+    a, b = alone(x1), alone(x2)
+    # A net never zeroed through zero_grad adds to what `grad` holds.
+    net.grad[...] = 0.25
+    net.backward(net.forward(x1) - 0.5)
+    assert np.array_equal(net.grad, 0.25 + a)
+    # So does every backward after the one that consumed zero_grad's mark.
+    net.zero_grad()
+    net.backward(net.forward(x1) - 0.5)
+    assert np.array_equal(net.grad, a)
+    net.grad[...] += 1.5
+    net.backward(net.forward(x2) - 0.5)
+    assert np.array_equal(net.grad, (a + 1.5) + b)
+
+
+def _textbook_adam(theta, m, v, grad, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    with np.errstate(over="ignore"):
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * grad * grad
+        theta = theta - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+    return theta, m, v
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e200])
+def test_adam_takes_finite_grads_whose_squares_overflow(scale):
+    # grad @ grad overflows to inf although every element is finite; the
+    # exact check must let the step through, and the step is textbook Adam.
+    net = NN.MLP([40, 300, 300, 7], np.random.default_rng(24))
+    opt = NN.Adam(net, lr=0.003)
+    theta, m, v = net.param_vector(), opt.m.copy(), opt.v.copy()
+    grad = np.random.default_rng(25).normal(size=net.grad.size)
+    grad[-3:] = [scale, -scale, scale]
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(grad @ grad)
+    for t in (1, 2):
+        net.grad[...] = grad
+        with np.errstate(over="ignore"):
+            opt.step()
+        theta, m, v = _textbook_adam(theta, m, v, grad, t, lr=0.003)
+        assert opt.t == t
+        for got, want in ((net.theta, theta), (opt.m, m), (opt.v, v)):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_adam_refuses_non_finite_grad_in_last_block(bad):
+    net = NN.MLP([40, 300, 300, 7], np.random.default_rng(26))
+    assert net.theta.size > 3 * NN.ADAM_BLOCK
+    opt = NN.Adam(net, lr=0.003)
+    rng = np.random.default_rng(27)
+    net.grad[...] = rng.normal(size=net.grad.size)
+    opt.step()
+    before = (net.param_vector(), opt.m.copy(), opt.v.copy())
+    net.grad[...] = rng.normal(size=net.grad.size)
+    net.grad[-2] = bad
+    with pytest.raises(NN.TrainingError, match=r"layer4\.bias at step 2"):
+        opt.step()
+    assert opt.t == 1
+    for after, expected in zip((net.theta, opt.m, opt.v), before):
+        assert np.array_equal(after, expected)

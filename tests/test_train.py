@@ -40,6 +40,13 @@ def test_config_validation_collects_problems():
         T.TrainConfig(batch_size=0).validate()
 
 
+@pytest.mark.parametrize("field", ["beta", "learning_rate"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_refuses_non_finite_hyperparameters(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        T.TrainConfig(**{field: value}).validate()
+
+
 def test_pretrain_reduces_reconstruction_loss():
     x, y = toy_data()
     cfg = small_config(pretrain_epochs=30)
@@ -181,3 +188,81 @@ def test_curve_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("round,loss_g,loss_d,loss_sr,p5,n5,m5")
     assert len(lines) == 1 + len(trainer.curve.points)
+
+
+# -- the production round against a plain one --------------------------------
+
+def _plain_adam_step(opt):
+    """Textbook Adam on the whole vector, after the element-wise check."""
+    net, t = opt.net, opt.t + 1
+    assert np.isfinite(net.grad).all()
+    b1, b2 = opt.beta1, opt.beta2
+    opt.m[...] = b1 * opt.m + (1.0 - b1) * net.grad
+    opt.v[...] = b2 * opt.v + (1.0 - b2) * net.grad * net.grad
+    net.theta[...] -= opt.lr * (opt.m / (1.0 - b1 ** t)) / (
+        np.sqrt(opt.v / (1.0 - b2 ** t)) + opt.eps)
+    opt.t = t
+
+
+def _plain_round(tr):
+    """One round as written before the round was trimmed: gradients cleared
+    by assignment (so every backward accumulates), a second G forward for
+    the generator's pass through the updated D, and the element-wise check."""
+    gen, disc = tr.generator, tr.discriminator
+    x, y = tr._batch()
+    y_hat = gen.forward(x, training=True, rng=tr.rng)
+    d_real = disc.forward(M.discriminator_input(x, y), training=True, rng=tr.rng)
+    _, _, dd_real, _, _ = tr._adv_losses(d_real, d_real)
+    disc.grad[...] = 0.0
+    disc.backward(dd_real)
+    d_fake = disc.forward(M.discriminator_input(x, y_hat), training=True, rng=tr.rng)
+    d_loss, _, _, dd_fake_d, _ = tr._adv_losses(d_real, d_fake)
+    disc.backward(dd_fake_d)
+    _plain_adam_step(tr.opt_d)
+    y_hat2 = gen.forward(x, training=True, rng=tr.rng)
+    d_fake2 = disc.forward(M.discriminator_input(x, y_hat2), training=True, rng=tr.rng)
+    _, _, _, _, dd_fake_g = tr._adv_losses(d_fake2, d_fake2)
+    input_grad = disc.backward(dd_fake_g, param_grads=False)
+    gen.grad[...] = 0.0
+    gen.backward(input_grad[:, x.shape[1]:])
+    _plain_adam_step(tr.opt_g)
+
+    cfg = tr.config
+    x, y = tr._batch()
+    gen.grad[...] = 0.0
+    losses = M.generator_objective_grad(
+        gen, disc, x, y, tr.rho, beta=cfg.beta, gan_loss=cfg.gan_loss,
+        sparsity=cfg.sparsity, nonsaturating=cfg.nonsaturating,
+        training=True, rng=tr.rng)
+    _plain_adam_step(tr.opt_g)
+    return d_loss, losses["total"]
+
+
+def test_round_matches_plain_round_bit_for_bit():
+    x, y = toy_data()
+    cfg = small_config(generator_hidden=[16, 12], discriminator_hidden=[20, 10])
+    fast, plain = T.Trainer(x, y, cfg), T.Trainer(x, y, cfg)
+    for _ in range(3):
+        losses = (fast.discriminator_phase_step(), fast.generator_phase_step()["total"])
+        assert losses == _plain_round(plain)
+        for a, b in ((fast.opt_d, plain.opt_d), (fast.opt_g, plain.opt_g)):
+            assert a.t == b.t
+            for got, want in ((a.net.theta, b.net.theta), (a.m, b.m), (a.v, b.v)):
+                assert np.array_equal(got, want)
+        assert fast.rng.bit_generator.state == plain.rng.bit_generator.state
+    assert fast.opt_g.t == 6 and fast.opt_d.t == 3
+
+
+def test_discriminator_phase_runs_the_generator_once():
+    x, y = toy_data()
+    trainer = T.Trainer(x, y, small_config())
+    calls = []
+    forward = trainer.generator.forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+
+    trainer.generator.forward = counted
+    trainer.discriminator_phase_step()
+    assert len(calls) == 1
