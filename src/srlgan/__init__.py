@@ -20,7 +20,8 @@ from .features import (
 from .model import (
     build_discriminator,
     build_generator,
-    loss_lsgan,
+    loss_bce,
+    loss_lsq,
     loss_reconstruction,
     mean_purchase,
     sparsity_regularizer,
@@ -44,7 +45,8 @@ __all__ = [
     "fit",
     "inverse_document_frequency",
     "item_popularity",
-    "loss_lsgan",
+    "loss_bce",
+    "loss_lsq",
     "loss_reconstruction",
     "mean_purchase",
     "parse_ratings",

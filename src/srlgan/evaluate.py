@@ -150,18 +150,18 @@ def item_popularity(warm_purchase_matrix) -> np.ndarray:
 
 
 ABLATION_MODES = {
-    # mode -> (gan_loss, sparsity on)
-    "S1": ("bce", False),
-    "S2": ("lsq", False),
-    "S3": ("lsq", True),
+    # mode -> TrainConfig overrides; S1 is the non-saturating BCE GAN
+    "S1": {"gan_loss": "bce", "sparsity": False, "nonsaturating": True},
+    "S2": {"gan_loss": "lsq", "sparsity": False},
+    "S3": {"gan_loss": "lsq", "sparsity": True},
 }
 
 
 def ablation_config(base_config, mode: str):
     """Derive the S1/S2/S3 trainer config from a base (S3) config."""
-    gan_loss, sparsity = ABLATION_MODES[mode]
-    return replace(base_config, gan_loss=gan_loss, sparsity=sparsity,
-                   beta=base_config.beta if sparsity else 0.0).validate()
+    overrides = ABLATION_MODES[mode]
+    beta = base_config.beta if overrides["sparsity"] else 0.0
+    return replace(base_config, beta=beta, **overrides).validate()
 
 
 def run_ablation(x_warm, y_warm, x_cold, y_cold, base_config,

@@ -7,14 +7,18 @@ discriminator scores a concatenated (attributes, behavior) pair; widths
 
 Loss terms (all reduced to scalars):
   * reconstruction - per-user summed squared error, averaged over the batch
-  * adversarial    - least-squares GAN by default, BCE for the ablation
-                     baseline
+  * adversarial    - least-squares GAN by default (Mao et al. 2017), BCE
+                     for the ablation baseline; both score D's output
+                     against a target label
   * sparsity       - sum over items of the Bernoulli KL between the warm-set
                      mean purchase behavior and the batch mean of generated
                      behavior
 
 Each loss helper also returns the gradient w.r.t. the quantity the caller
 backpropagates through, so the training loop stays a thin orchestration.
+The adversarial losses are called as `loss(D(.), label)` and return
+(loss, dloss/dD(.)); `generator_adversarial_grad` carries G's term through
+D to the generated behavior for both training phases.
 """
 
 from __future__ import annotations
@@ -70,49 +74,29 @@ def loss_reconstruction(y, y_hat):
     return loss, 2.0 * diff / b
 
 
-def loss_lsgan(d_real, d_fake, nonsaturating: bool = True):
-    """Least-squares adversarial losses.
-
-    Discriminator side: 0.5*mean((d_real-1)^2) + 0.5*mean(d_fake^2).
-    Generator side: 0.5*mean((d_fake-1)^2) by default (non-saturating
-    target); nonsaturating=False uses the literal minimization of
-    0.5*mean(d_fake^2) instead.
-
-    Returns (d_loss, g_loss, dd_real, dd_fake_for_d, dd_fake_for_g).
-    """
-    d_real = np.asarray(d_real, dtype=np.float64).reshape(-1, 1)
-    d_fake = np.asarray(d_fake, dtype=np.float64).reshape(-1, 1)
-    nr, nf = d_real.shape[0], d_fake.shape[0]
-    d_loss = 0.5 * float(np.mean((d_real - 1.0) ** 2)) \
-        + 0.5 * float(np.mean(d_fake ** 2))
-    dd_real = (d_real - 1.0) / nr
-    dd_fake_for_d = d_fake / nf
-    if nonsaturating:
-        g_loss = 0.5 * float(np.mean((d_fake - 1.0) ** 2))
-        dd_fake_for_g = (d_fake - 1.0) / nf
-    else:
-        g_loss = 0.5 * float(np.mean(d_fake ** 2))
-        dd_fake_for_g = d_fake / nf
-    return d_loss, g_loss, dd_real, dd_fake_for_d, dd_fake_for_g
+def loss_lsq(d_out, label: float):
+    """Least-squares adversarial loss 0.5*mean((d_out - label)^2).
+    Returns (loss, dloss/dd_out)."""
+    d_out = np.asarray(d_out, dtype=np.float64).reshape(-1, 1)
+    diff = d_out - label
+    return 0.5 * float(np.mean(diff ** 2)), diff / d_out.shape[0]
 
 
-def loss_bce_gan(d_real, d_fake, eps: float = 1e-12):
-    """Standard BCE GAN losses (ablation mode S1), non-saturating generator.
+def loss_bce(d_out, label: float, eps: float = 1e-12):
+    """Cross-entropy adversarial loss for a label of 1 or 0, d_out clipped
+    into [eps, 1-eps] (ablation mode S1).  Returns (loss, dloss/dd_out)."""
+    d_out = np.clip(np.asarray(d_out, dtype=np.float64).reshape(-1, 1),
+                    eps, 1.0 - eps)
+    n = d_out.shape[0]
+    if label == 1.0:
+        return -float(np.mean(np.log(d_out))), -1.0 / (d_out * n)
+    if label == 0.0:
+        return -float(np.mean(np.log(1.0 - d_out))), 1.0 / ((1.0 - d_out) * n)
+    raise ValueError(f"BCE label must be 1 or 0, got {label!r}")
 
-    Returns (d_loss, g_loss, dd_real, dd_fake_for_d, dd_fake_for_g).
-    """
-    d_real = np.clip(np.asarray(d_real, dtype=np.float64).reshape(-1, 1),
-                     eps, 1.0 - eps)
-    d_fake = np.clip(np.asarray(d_fake, dtype=np.float64).reshape(-1, 1),
-                     eps, 1.0 - eps)
-    nr, nf = d_real.shape[0], d_fake.shape[0]
-    d_loss = -float(np.mean(np.log(d_real))) \
-        - float(np.mean(np.log(1.0 - d_fake)))
-    g_loss = -float(np.mean(np.log(d_fake)))
-    dd_real = -1.0 / (d_real * nr)
-    dd_fake_for_d = 1.0 / ((1.0 - d_fake) * nf)
-    dd_fake_for_g = -1.0 / (d_fake * nf)
-    return d_loss, g_loss, dd_real, dd_fake_for_d, dd_fake_for_g
+
+# TrainConfig.gan_loss -> adversarial loss
+ADVERSARIAL_LOSSES = {"lsq": loss_lsq, "bce": loss_bce}
 
 
 def mean_purchase(rows) -> np.ndarray:
@@ -150,17 +134,26 @@ def total_generator_objective(loss_recon: float, loss_adv_g: float,
     return loss_recon + loss_adv_g + beta * loss_sr
 
 
+def generator_adversarial_grad(discriminator: MLP, x, y_hat, adv_loss,
+                               label: float, training: bool = False, rng=None):
+    """G's adversarial term adv_loss(D(x || y_hat), label), returned with
+    its gradient w.r.t. y_hat.  D's parameter gradients are not computed,
+    so its `grad` is left as it was."""
+    d_out = discriminator.forward(discriminator_input(x, y_hat),
+                                  training=training, rng=rng)
+    loss, dd_out = adv_loss(d_out, label)
+    d_input_grad = discriminator.backward(dd_out, param_grads=False)
+    return loss, d_input_grad[:, x.shape[1]:]
+
+
 def generator_objective_grad(generator: MLP, discriminator: MLP, x, y, rho,
-                             beta: float, gan_loss: str = "lsq",
-                             sparsity: bool = True, nonsaturating: bool = True,
+                             beta: float, adv_loss=loss_lsq, label: float = 1.0,
                              training: bool = False, rng=None):
     """One forward/backward pass of the full generator objective.
 
     Populates generator parameter gradients (caller zeroes them) and
-    returns a dict of the scalar loss components.  The adversarial term
-    flows through the discriminator to the generated behavior; the
-    discriminator's parameter gradients are not computed, so its `grad`
-    is left as it was and only the generator is updated.
+    returns a dict of the scalar loss components.  beta=0 drops the
+    sparsity term.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
@@ -168,27 +161,17 @@ def generator_objective_grad(generator: MLP, discriminator: MLP, x, y, rho,
 
     y_hat = generator.forward(x, training=True, rng=rng)
     recon, d_recon = loss_reconstruction(y, y_hat)
-
-    d_fake = discriminator.forward(discriminator_input(x, y_hat),
-                                   training=training, rng=rng)
-    if gan_loss == "lsq":
-        _, adv_g, _, _, dd_fake_g = loss_lsgan(d_fake, d_fake,
-                                               nonsaturating=nonsaturating)
-    elif gan_loss == "bce":
-        _, adv_g, _, _, dd_fake_g = loss_bce_gan(d_fake, d_fake)
-    else:
-        raise ValueError(f"unknown gan_loss {gan_loss!r}")
-    d_input_grad = discriminator.backward(dd_fake_g, param_grads=False)
-    d_yhat_adv = d_input_grad[:, x.shape[1]:]
+    adv_g, d_yhat_adv = generator_adversarial_grad(
+        discriminator, x, y_hat, adv_loss, label, training=training, rng=rng)
 
     grad_yhat = d_recon + d_yhat_adv
     sr = 0.0
-    if sparsity and beta > 0.0:
+    if beta > 0.0:
         rho_hat = y_hat.mean(axis=0)
         sr, d_rho_hat = sparsity_regularizer(rho, rho_hat)
         grad_yhat = grad_yhat + beta * d_rho_hat[None, :] / b
 
     generator.backward(grad_yhat)
-    total = total_generator_objective(recon, adv_g, sr, beta if sparsity else 0.0)
+    total = total_generator_objective(recon, adv_g, sr, beta)
     return {"recon": recon, "adv_g": adv_g, "sr": sr, "total": total,
             "y_hat": y_hat}

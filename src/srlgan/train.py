@@ -9,6 +9,10 @@ the full objective.  Validation metrics come from a held-out slice of warm
 users; training stops when validation P@5 has not improved for `patience`
 consecutive evaluations, or at `max_rounds`.
 
+The adversarial loss is picked once from `gan_loss`: D learns
+loss(D(real), 1) + loss(D(fake), 0), and G learns loss(D(fake), 1), or
+label 0 when `nonsaturating` is off (least squares only).
+
 Everything is driven by a single seeded Generator, so a run is
 reproducible bit-for-bit from (data, config, seed).
 """
@@ -58,10 +62,12 @@ class TrainConfig:
                 problems.append(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.beta < 0:
             problems.append("beta must be >= 0")
-        if self.gan_loss not in ("lsq", "bce"):
+        if self.gan_loss not in M.ADVERSARIAL_LOSSES:
             problems.append(f"gan_loss must be lsq or bce, got {self.gan_loss!r}")
         if self.gan_loss == "bce" and self.sparsity and self.beta > 0:
             problems.append("the BCE ablation mode (S1) requires beta=0 or sparsity off")
+        if self.gan_loss == "bce" and not self.nonsaturating:
+            problems.append("gan_loss = bce requires nonsaturating on (S1 is non-saturating)")
         for name in ("batch_size", "n_d", "n_g", "eval_every", "patience"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1")
@@ -151,6 +157,8 @@ class Trainer:
             d, m, self.rng, hidden=config.discriminator_hidden,
             dropout=config.dropout)
         self.opt_g = Adam(self.generator, lr=config.learning_rate)
+        self.adv_loss = M.ADVERSARIAL_LOSSES[config.gan_loss]
+        self.g_label = 1.0 if config.nonsaturating else 0.0
         self.opt_d = Adam(self.discriminator, lr=config.learning_rate)
         self.rho = M.mean_purchase(self.y_train)
         self.sampler = _BatchSampler(self.x_train.shape[0],
@@ -180,44 +188,36 @@ class Trainer:
             self.generator.backward(grad)
             self.opt_g.step()
 
-    def _adv_losses(self, d_real, d_fake):
-        if self.config.gan_loss == "lsq":
-            return M.loss_lsgan(d_real, d_fake,
-                                nonsaturating=self.config.nonsaturating)
-        return M.loss_bce_gan(d_real, d_fake)
-
     def discriminator_phase_step(self) -> float:
         """One adversarial update of D (and, by default, G) on a fresh batch."""
         x, y = self._batch()
         y_hat = self.generator.forward(x, training=True, rng=self.rng)
 
-        real_in = M.discriminator_input(x, y)
-        fake_in = M.discriminator_input(x, y_hat)
-        d_real = self.discriminator.forward(real_in, training=True, rng=self.rng)
-        d_loss_r, _, dd_real, _, _ = self._adv_losses(d_real, d_real)
-        self.discriminator.zero_grad()
-        self.discriminator.backward(dd_real)
+        disc = self.discriminator
+        d_real = disc.forward(M.discriminator_input(x, y), training=True, rng=self.rng)
+        loss_real, dd_real = self.adv_loss(d_real, 1.0)
+        disc.zero_grad()
+        disc.backward(dd_real)
 
-        d_fake = self.discriminator.forward(fake_in, training=True, rng=self.rng)
-        d_loss_full, g_loss, _, dd_fake_d, dd_fake_g = self._adv_losses(d_real, d_fake)
-        self.discriminator.backward(dd_fake_d)
-        self._check_finite(d_loss_full, "discriminator loss")
+        d_fake = disc.forward(M.discriminator_input(x, y_hat), training=True, rng=self.rng)
+        loss_fake, dd_fake = self.adv_loss(d_fake, 0.0)
+        disc.backward(dd_fake)
+        d_loss = loss_real + loss_fake
+        self._check_finite(d_loss, "discriminator loss")
         self.opt_d.step()
 
         if self.config.d_phase_updates_g:
             # Fresh fake pass so the generator gradient uses the updated D.
             # G has no dropout and is not updated before this pass, so a
             # second G forward would return y_hat again and draw nothing
-            # from the RNG: D scores the same fake_in, and G's cached
-            # activations still belong to it.
-            d_fake2 = self.discriminator.forward(fake_in, training=True, rng=self.rng)
-            _, g_loss, _, _, dd_fake_g = self._adv_losses(d_fake2, d_fake2)
-            input_grad = self.discriminator.backward(dd_fake_g, param_grads=False)
+            # from the RNG, and G's cached activations still belong to it.
+            g_loss, grad_yhat = M.generator_adversarial_grad(
+                disc, x, y_hat, self.adv_loss, self.g_label, training=True, rng=self.rng)
             self.generator.zero_grad()
-            self.generator.backward(input_grad[:, x.shape[1]:])
+            self.generator.backward(grad_yhat)
             self._check_finite(g_loss, "adversarial generator loss")
             self.opt_g.step()
-        return d_loss_full
+        return d_loss
 
     def generator_phase_step(self) -> dict:
         """One update of G with the full objective (recon + adv + beta*SR)."""
@@ -226,8 +226,8 @@ class Trainer:
         self.generator.zero_grad()
         losses = M.generator_objective_grad(
             self.generator, self.discriminator, x, y, self.rho,
-            beta=cfg.beta, gan_loss=cfg.gan_loss, sparsity=cfg.sparsity,
-            nonsaturating=cfg.nonsaturating, training=True, rng=self.rng)
+            beta=cfg.beta if cfg.sparsity else 0.0, adv_loss=self.adv_loss,
+            label=self.g_label, training=True, rng=self.rng)
         self._check_finite(losses["total"], "generator objective")
         self.opt_g.step()
         return losses

@@ -174,6 +174,17 @@ def test_train_rejects_bad_config_before_work(tmp_path, prepared):
     assert rc == 1
 
 
+def test_train_refuses_bce_with_literal_generator_loss(tmp_path, prepared, capsys):
+    cfg = tmp_path / "train.conf"
+    cfg.write_text("gan_loss = bce\nsparsity = off\nnonsaturating = off\n")
+    rc = main(["train", "--cache", str(prepared / "ml100k.npz"),
+               "--out-dir", str(tmp_path / "run"), "--config", str(cfg), *FAST])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "gan_loss = bce requires nonsaturating on" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_model_and_rerun_byte_identical(tmp_path, prepared, trained):
     out1, out2 = tmp_path / "e1", tmp_path / "e2"
     for out in (out1, out2):
@@ -381,6 +392,17 @@ def test_ablate_outputs(tmp_path, prepared):
     assert rc == 0
     for mode in ("S1", "S2", "S3"):
         assert (out / f"ablation.{mode}.csv").exists()
+    summary = json.loads((out / "ablation.summary.json").read_text())
+    assert set(summary) == {"S1", "S2", "S3"}
+
+
+def test_ablate_with_literal_generator_loss_base_config(tmp_path, prepared):
+    cfg = tmp_path / "train.conf"
+    cfg.write_text("nonsaturating = off\n")
+    out = tmp_path / "abl"
+    rc = main(["ablate", "--cache", str(prepared / "ml100k.npz"),
+               "--out-dir", str(out), "--config", str(cfg), *FAST])
+    assert rc == 0
     summary = json.loads((out / "ablation.summary.json").read_text())
     assert set(summary) == {"S1", "S2", "S3"}
 

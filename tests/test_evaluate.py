@@ -308,6 +308,15 @@ def test_ablation_config_modes():
     assert s3.gan_loss == "lsq" and s3.sparsity and s3.beta == 0.1
 
 
+def test_ablation_s1_is_non_saturating():
+    from srlgan.train import TrainConfig
+
+    base = TrainConfig(beta=0.1, nonsaturating=False)
+    assert E.ablation_config(base, "S1").nonsaturating
+    assert not E.ablation_config(base, "S2").nonsaturating
+    assert not E.ablation_config(base, "S3").nonsaturating
+
+
 def test_s1_with_beta_rejected():
     from srlgan.train import TrainConfig
 

@@ -57,25 +57,93 @@ def test_loss_reconstruction_shape_mismatch():
         M.loss_reconstruction(np.ones((2, 3)), np.ones((2, 4)))
 
 
+def _d_loss(loss, d_real, d_fake):
+    return loss(d_real, 1.0)[0] + loss(d_fake, 0.0)[0]
+
+
 def test_loss_lsgan_optima():
-    d_loss, g_loss, *_ = M.loss_lsgan([1.0], [0.0])
+    d_loss = _d_loss(M.loss_lsq, [1.0], [0.0])
     assert d_loss == pytest.approx(0.0)
-    d_loss, _, *_ = M.loss_lsgan([0.5], [0.5])
+    d_loss = _d_loss(M.loss_lsq, [0.5], [0.5])
     assert d_loss == pytest.approx(0.25)
-    _, g_loss, *_ = M.loss_lsgan([0.5], [1.0])
+    g_loss, _ = M.loss_lsq([1.0], 1.0)
     assert g_loss == pytest.approx(0.0)
 
 
 def test_loss_lsgan_literal_generator_form():
-    _, g_loss, *_ = M.loss_lsgan([0.5], [1.0], nonsaturating=False)
+    g_loss, _ = M.loss_lsq([1.0], 0.0)
     assert g_loss == pytest.approx(0.5)
-    _, g_loss, *_ = M.loss_lsgan([0.5], [0.0], nonsaturating=False)
+    g_loss, _ = M.loss_lsq([0.0], 0.0)
     assert g_loss == pytest.approx(0.0)
 
 
 def test_loss_bce_gan_finite_at_extremes():
-    d_loss, g_loss, *_ = M.loss_bce_gan([1.0], [0.0])
+    d_loss = _d_loss(M.loss_bce, [1.0], [0.0])
+    g_loss, _ = M.loss_bce([0.0], 1.0)
     assert np.isfinite(d_loss) and np.isfinite(g_loss)
+
+
+def test_loss_bce_refuses_soft_labels():
+    with pytest.raises(ValueError, match="label must be 1 or 0"):
+        M.loss_bce([0.5], 0.9)
+
+
+# The five-tuple adversarial losses the (d_out, label) interface replaced,
+# kept here as the oracle: (d_loss, g_loss, dd_real, dd_fake_for_d,
+# dd_fake_for_g).
+def _tuple_lsgan(d_real, d_fake, nonsaturating=True):
+    d_real = np.asarray(d_real, dtype=np.float64).reshape(-1, 1)
+    d_fake = np.asarray(d_fake, dtype=np.float64).reshape(-1, 1)
+    nr, nf = d_real.shape[0], d_fake.shape[0]
+    d_loss = 0.5 * float(np.mean((d_real - 1.0) ** 2)) \
+        + 0.5 * float(np.mean(d_fake ** 2))
+    dd_real = (d_real - 1.0) / nr
+    dd_fake_for_d = d_fake / nf
+    if nonsaturating:
+        g_loss = 0.5 * float(np.mean((d_fake - 1.0) ** 2))
+        dd_fake_for_g = (d_fake - 1.0) / nf
+    else:
+        g_loss = 0.5 * float(np.mean(d_fake ** 2))
+        dd_fake_for_g = d_fake / nf
+    return d_loss, g_loss, dd_real, dd_fake_for_d, dd_fake_for_g
+
+
+def _tuple_bce_gan(d_real, d_fake, eps=1e-12):
+    d_real = np.clip(np.asarray(d_real, dtype=np.float64).reshape(-1, 1),
+                     eps, 1.0 - eps)
+    d_fake = np.clip(np.asarray(d_fake, dtype=np.float64).reshape(-1, 1),
+                     eps, 1.0 - eps)
+    nr, nf = d_real.shape[0], d_fake.shape[0]
+    d_loss = -float(np.mean(np.log(d_real))) \
+        - float(np.mean(np.log(1.0 - d_fake)))
+    g_loss = -float(np.mean(np.log(d_fake)))
+    dd_real = -1.0 / (d_real * nr)
+    dd_fake_for_d = 1.0 / ((1.0 - d_fake) * nf)
+    dd_fake_for_g = -1.0 / (d_fake * nf)
+    return d_loss, g_loss, dd_real, dd_fake_for_d, dd_fake_for_g
+
+
+@pytest.mark.parametrize("loss,oracle,g_label", [
+    (M.loss_lsq, _tuple_lsgan, 1.0),
+    (M.loss_lsq, lambda r, f: _tuple_lsgan(r, f, nonsaturating=False), 0.0),
+    (M.loss_bce, _tuple_bce_gan, 1.0),
+], ids=["lsq", "lsq-literal", "bce"])
+def test_label_losses_reproduce_five_tuple_losses_bit_for_bit(loss, oracle, g_label):
+    rng = np.random.default_rng(12)
+    for seed_row in range(20):
+        d_real = rng.uniform(0, 1, 7)
+        d_fake = rng.uniform(0, 1, 5)
+        if seed_row % 2:  # the clip extremes
+            d_real[:2], d_fake[:2] = (0.0, 1.0), (1.0, 0.0)
+        loss_real, dd_real = loss(d_real, 1.0)
+        loss_fake, dd_fake_d = loss(d_fake, 0.0)
+        g_loss, dd_fake_g = loss(d_fake, g_label)
+        want = oracle(d_real, d_fake)
+        assert loss_real + loss_fake == want[0]
+        assert g_loss == want[1]
+        for got, expected in zip((dd_real, dd_fake_d, dd_fake_g), want[2:]):
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
 
 
 def test_mean_purchase():
@@ -158,8 +226,9 @@ def test_batch_permutation_invariance():
         M.loss_reconstruction(y[perm], y_hat[perm])[0])
     d_real = rng.uniform(0, 1, 6)
     d_fake = rng.uniform(0, 1, 6)
-    a = M.loss_lsgan(d_real, d_fake)
-    b = M.loss_lsgan(d_real[perm], d_fake[perm])
+    a = (_d_loss(M.loss_lsq, d_real, d_fake), M.loss_lsq(d_fake, 1.0)[0])
+    b = (_d_loss(M.loss_lsq, d_real[perm], d_fake[perm]),
+         M.loss_lsq(d_fake[perm], 1.0)[0])
     assert a[0] == pytest.approx(b[0]) and a[1] == pytest.approx(b[1])
 
 
@@ -184,9 +253,9 @@ def test_full_generator_objective_gradcheck(gan_loss, beta):
         recon, _ = M.loss_reconstruction(y, y_hat)
         d_fake = dis.forward(M.discriminator_input(x, y_hat))
         if gan_loss == "lsq":
-            _, adv_g, *_ = M.loss_lsgan(d_fake, d_fake)
+            adv_g = 0.5 * float(np.mean((d_fake - 1.0) ** 2))
         else:
-            _, adv_g, *_ = M.loss_bce_gan(d_fake, d_fake)
+            adv_g = -float(np.mean(np.log(d_fake)))
         sr = 0.0
         if beta > 0:
             sr, _ = M.sparsity_regularizer(rho, y_hat.mean(axis=0))
@@ -194,7 +263,7 @@ def test_full_generator_objective_gradcheck(gan_loss, beta):
 
     gen.zero_grad()
     M.generator_objective_grad(gen, dis, x, y, rho, beta=beta,
-                               gan_loss=gan_loss, sparsity=beta > 0)
+                               adv_loss=M.ADVERSARIAL_LOSSES[gan_loss])
     analytic = np.concatenate([g.ravel() for _, _, g in gen.params()])
     numeric = central_diff_grads(gen, loss_fn)
     assert rel_err(analytic, numeric) < 1e-4

@@ -40,6 +40,12 @@ def test_config_validation_collects_problems():
         T.TrainConfig(batch_size=0).validate()
 
 
+def test_config_refuses_bce_with_literal_generator_loss():
+    with pytest.raises(ValueError, match="gan_loss = bce requires nonsaturating on"):
+        T.TrainConfig(gan_loss="bce", sparsity=False, nonsaturating=False).validate()
+    T.TrainConfig(gan_loss="lsq", nonsaturating=False).validate()
+
+
 @pytest.mark.parametrize("field", ["beta", "learning_rate"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_config_refuses_non_finite_hyperparameters(field, value):
@@ -204,53 +210,111 @@ def _plain_adam_step(opt):
     opt.t = t
 
 
+EPS = 1e-12  # BCE clip
+
+
+def _plain_d_loss(cfg, d_real, d_fake):
+    """D's adversarial loss and its gradients w.r.t. d_real and d_fake."""
+    nr, nf = d_real.shape[0], d_fake.shape[0]
+    if cfg.gan_loss == "lsq":
+        loss = 0.5 * float(np.mean((d_real - 1.0) ** 2)) \
+            + 0.5 * float(np.mean(d_fake ** 2))
+        return loss, (d_real - 1.0) / nr, d_fake / nf
+    d_real, d_fake = np.clip(d_real, EPS, 1.0 - EPS), np.clip(d_fake, EPS, 1.0 - EPS)
+    loss = -float(np.mean(np.log(d_real))) - float(np.mean(np.log(1.0 - d_fake)))
+    return loss, -1.0 / (d_real * nr), 1.0 / ((1.0 - d_fake) * nf)
+
+
+def _plain_g_loss(cfg, d_fake):
+    """G's adversarial loss and its gradient w.r.t. d_fake: non-saturating
+    least squares or BCE, or the literal least-squares minimax form."""
+    nf = d_fake.shape[0]
+    if cfg.gan_loss == "bce":
+        d_fake = np.clip(d_fake, EPS, 1.0 - EPS)
+        return -float(np.mean(np.log(d_fake))), -1.0 / (d_fake * nf)
+    if cfg.nonsaturating:
+        return 0.5 * float(np.mean((d_fake - 1.0) ** 2)), (d_fake - 1.0) / nf
+    return 0.5 * float(np.mean(d_fake ** 2)), d_fake / nf
+
+
+def _plain_g_through_d(tr, x, y_hat):
+    """G's adversarial loss and its gradient w.r.t. y_hat through D."""
+    d_fake = tr.discriminator.forward(M.discriminator_input(x, y_hat),
+                                      training=True, rng=tr.rng)
+    loss, dd_fake = _plain_g_loss(tr.config, d_fake)
+    input_grad = tr.discriminator.backward(dd_fake, param_grads=False)
+    return loss, input_grad[:, x.shape[1]:]
+
+
 def _plain_round(tr):
     """One round as written before the round was trimmed: gradients cleared
     by assignment (so every backward accumulates), a second G forward for
-    the generator's pass through the updated D, and the element-wise check."""
-    gen, disc = tr.generator, tr.discriminator
+    the generator's pass through the updated D, the element-wise check, and
+    the adversarial losses and the full G objective written out here."""
+    cfg, gen, disc = tr.config, tr.generator, tr.discriminator
     x, y = tr._batch()
     y_hat = gen.forward(x, training=True, rng=tr.rng)
     d_real = disc.forward(M.discriminator_input(x, y), training=True, rng=tr.rng)
-    _, _, dd_real, _, _ = tr._adv_losses(d_real, d_real)
+    dd_real = _plain_d_loss(cfg, d_real, d_real)[1]
     disc.grad[...] = 0.0
     disc.backward(dd_real)
     d_fake = disc.forward(M.discriminator_input(x, y_hat), training=True, rng=tr.rng)
-    d_loss, _, _, dd_fake_d, _ = tr._adv_losses(d_real, d_fake)
-    disc.backward(dd_fake_d)
+    d_loss, _, dd_fake = _plain_d_loss(cfg, d_real, d_fake)
+    disc.backward(dd_fake)
     _plain_adam_step(tr.opt_d)
-    y_hat2 = gen.forward(x, training=True, rng=tr.rng)
-    d_fake2 = disc.forward(M.discriminator_input(x, y_hat2), training=True, rng=tr.rng)
-    _, _, _, _, dd_fake_g = tr._adv_losses(d_fake2, d_fake2)
-    input_grad = disc.backward(dd_fake_g, param_grads=False)
-    gen.grad[...] = 0.0
-    gen.backward(input_grad[:, x.shape[1]:])
-    _plain_adam_step(tr.opt_g)
+    if cfg.d_phase_updates_g:
+        y_hat2 = gen.forward(x, training=True, rng=tr.rng)
+        _, grad_yhat = _plain_g_through_d(tr, x, y_hat2)
+        gen.grad[...] = 0.0
+        gen.backward(grad_yhat)
+        _plain_adam_step(tr.opt_g)
 
-    cfg = tr.config
+    # G phase: recon + adv + beta * KL(rho || rho_hat), KL clamped to [1e-6, 1-1e-6]
     x, y = tr._batch()
+    b = x.shape[0]
     gen.grad[...] = 0.0
-    losses = M.generator_objective_grad(
-        gen, disc, x, y, tr.rho, beta=cfg.beta, gan_loss=cfg.gan_loss,
-        sparsity=cfg.sparsity, nonsaturating=cfg.nonsaturating,
-        training=True, rng=tr.rng)
+    y_hat = gen.forward(x, training=True, rng=tr.rng)
+    diff = y_hat - y
+    recon = float(np.sum(diff * diff)) / b
+    adv, grad_adv = _plain_g_through_d(tr, x, y_hat)
+    grad_yhat = 2.0 * diff / b + grad_adv
+    beta = cfg.beta if cfg.sparsity else 0.0
+    sr = 0.0
+    if beta > 0.0:
+        rho_hat = y_hat.mean(axis=0)
+        p = np.clip(tr.rho, 1e-6, 1.0 - 1e-6)
+        q = np.clip(rho_hat, 1e-6, 1.0 - 1e-6)
+        sr = float(np.sum(p * np.log(p / q) + (1.0 - p) * np.log((1.0 - p) / (1.0 - q))))
+        d_rho_hat = -p / q + (1.0 - p) / (1.0 - q)
+        d_rho_hat[(rho_hat < 1e-6) | (rho_hat > 1.0 - 1e-6)] = 0.0
+        grad_yhat = grad_yhat + beta * d_rho_hat[None, :] / b
+    gen.backward(grad_yhat)
     _plain_adam_step(tr.opt_g)
-    return d_loss, losses["total"]
+    return d_loss, recon + adv + beta * sr, sr
 
 
-def test_round_matches_plain_round_bit_for_bit():
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"nonsaturating": False},
+    {"gan_loss": "bce", "sparsity": False, "beta": 0.0},
+    {"d_phase_updates_g": False},
+    {"sparsity": False},
+], ids=["default", "literal", "bce", "d-only", "no-sparsity"])
+def test_round_matches_plain_round_bit_for_bit(overrides):
     x, y = toy_data()
-    cfg = small_config(generator_hidden=[16, 12], discriminator_hidden=[20, 10])
+    cfg = small_config(generator_hidden=[16, 12], discriminator_hidden=[20, 10],
+                       **overrides)
     fast, plain = T.Trainer(x, y, cfg), T.Trainer(x, y, cfg)
     for _ in range(3):
-        losses = (fast.discriminator_phase_step(), fast.generator_phase_step()["total"])
-        assert losses == _plain_round(plain)
+        d_loss, g_losses = fast.discriminator_phase_step(), fast.generator_phase_step()
+        assert (d_loss, g_losses["total"], g_losses["sr"]) == _plain_round(plain)
         for a, b in ((fast.opt_d, plain.opt_d), (fast.opt_g, plain.opt_g)):
             assert a.t == b.t
             for got, want in ((a.net.theta, b.net.theta), (a.m, b.m), (a.v, b.v)):
                 assert np.array_equal(got, want)
         assert fast.rng.bit_generator.state == plain.rng.bit_generator.state
-    assert fast.opt_g.t == 6 and fast.opt_d.t == 3
+    assert fast.opt_g.t == (6 if cfg.d_phase_updates_g else 3)
+    assert fast.opt_d.t == 3
 
 
 def test_discriminator_phase_runs_the_generator_once():
