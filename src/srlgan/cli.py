@@ -181,15 +181,8 @@ def _save_trainer_checkpoint(path, trainer: T.Trainer, cache, args, rnd):
         "config": dataclasses.asdict(trainer.config),
         "round": rnd,
     }
-    NN.save_checkpoint(
-        path,
-        nets={"generator": trainer.generator,
-              "discriminator": trainer.discriminator},
-        opts={"generator": trainer.opt_g, "discriminator": trainer.opt_d},
-        rng=trainer.rng,
-        meta=meta,
-        extra_arrays={"rho": trainer.rho},
-    )
+    NN.save_checkpoint(path, {"generator": trainer.generator}, meta,
+                       extra_arrays={"rho": trainer.rho})
 
 
 def cmd_train(args) -> int:
@@ -244,6 +237,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ns = _cutoffs(args.n)
+    if (args.checkpoint is None) == (args.baseline is None):
+        raise ValueError("eval needs exactly one of --checkpoint and --baseline")
     cache = D.load_cache(_cache_path(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -258,7 +253,7 @@ def cmd_eval(args) -> int:
                                    user_keys=split.cold_ids)
         label = "itempop"
     else:
-        nets, _, _, meta, extra = NN.load_checkpoint(args.checkpoint)
+        nets, meta, _ = NN.load_checkpoint(args.checkpoint)
         if meta["schema_hash"] != cache.schema_hash():
             raise ValueError(
                 "checkpoint/cache schema mismatch: "

@@ -295,37 +295,29 @@ class Adam:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint container: .npz with a json header plus, per network role, the
-# float64 vectors `<role>/params`, `<role>/adam_m` and `<role>/adam_v` (in
-# `params()` order); round-trips bit-exactly (json RNG state).
+# Checkpoint container: .npz with a json header (per network role: sizes,
+# slope, dropout; plus the run metadata) and, per role, the float64 vector
+# `<role>/params` in `params()` order.  It is an eval artifact: no optimizer
+# moments or RNG state, so training cannot resume from it.
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
-def save_checkpoint(path, nets: dict[str, MLP], opts: dict[str, Adam],
-                    rng: np.random.Generator | None, meta: dict,
+def save_checkpoint(path, nets: dict[str, MLP], meta: dict,
                     extra_arrays: dict | None = None) -> None:
-    """Atomic checkpoint write.  `nets` and `opts` are keyed by role
-    (e.g. 'generator', 'discriminator'); `meta` must be json-serializable;
-    `extra_arrays` holds auxiliary vectors such as the sparsity target."""
+    """Atomic checkpoint write.  `nets` is keyed by role (e.g. 'generator');
+    `meta` must be json-serializable; `extra_arrays` holds auxiliary vectors
+    such as the sparsity target."""
     path = Path(path)
     header = {
         "version": CHECKPOINT_VERSION,
         "nets": {name: net.sizes for name, net in nets.items()},
         "dropout": {name: net.dropout for name, net in nets.items()},
         "slope": {name: net.slope for name, net in nets.items()},
-        "adam_t": {name: opt.t for name, opt in opts.items()},
-        "adam_hparams": {
-            name: [opt.lr, opt.beta1, opt.beta2, opt.eps]
-            for name, opt in opts.items()
-        },
-        "rng_state": rng.bit_generator.state if rng is not None else None,
         "meta": meta,
     }
     arrays = {f"{name}/params": net.theta for name, net in nets.items()}
-    for name, opt in opts.items():
-        arrays.update({f"{name}/adam_m": opt.m, f"{name}/adam_v": opt.v})
     for key, arr in (extra_arrays or {}).items():
         arrays[f"extra/{key}"] = np.asarray(arr)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp.npz")
@@ -339,40 +331,33 @@ def save_checkpoint(path, nets: dict[str, MLP], opts: dict[str, Adam],
 
 
 def load_checkpoint(path):
-    """Returns (nets, opts, rng, meta, extra_arrays) from a checkpoint file.
+    """Returns (nets, meta, extra_arrays) from a checkpoint file, building
+    only the networks its header names.
 
-    An unreadable file, another format version, or an array that is missing
-    or not the float64 vector its header implies (which would otherwise
-    broadcast into the network) raises ValueError naming path and problem."""
+    An unreadable file (a directory, say), another format version, or an
+    array that is missing or not the float64 vector its header implies (which
+    would otherwise broadcast into the network) raises ValueError naming path
+    and problem; a missing file raises FileNotFoundError."""
     try:
         with np.load(path, allow_pickle=False) as z:
             header = json.loads(str(z["header"]))
             if header["version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"format version {header['version']} is not the "
                                  f"supported version {CHECKPOINT_VERSION}; re-run train")
-            nets, opts = {}, {}
+            nets = {}
             for name, sizes in header["nets"].items():
                 net = nets[name] = MLP(sizes, np.random.default_rng(0),
                                        slope=header["slope"][name],
                                        dropout=header["dropout"][name])
-                targets = {"params": net.theta}
-                if name in header["adam_t"]:
-                    lr, b1, b2, eps = header["adam_hparams"][name]
-                    opt = opts[name] = Adam(net, lr=lr, beta1=b1, beta2=b2, eps=eps)
-                    opt.t = header["adam_t"][name]
-                    targets.update(adam_m=opt.m, adam_v=opt.v)
-                for key, target in targets.items():
-                    arr = z[f"{name}/{key}"]
-                    if arr.dtype != np.float64 or arr.shape != target.shape:
-                        raise ValueError(f"array '{name}/{key}' is {arr.dtype} {arr.shape}, "
-                                         f"expected float64 {target.shape}")
-                    target[...] = arr
+                arr = z[f"{name}/params"]
+                if arr.dtype != np.float64 or arr.shape != net.theta.shape:
+                    raise ValueError(f"array '{name}/params' is {arr.dtype} {arr.shape}, "
+                                     f"expected float64 {net.theta.shape}")
+                net.theta[...] = arr
             extra = {key[len("extra/"):]: np.asarray(z[key])
                      for key in z.files if key.startswith("extra/")}
-    except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+    except FileNotFoundError:
+        raise
+    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from exc
-    rng = None
-    if header["rng_state"] is not None:
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = header["rng_state"]
-    return nets, opts, rng, header["meta"], extra
+    return nets, header["meta"], extra

@@ -135,13 +135,30 @@ def test_train_outputs(trained):
         assert (trained / name).exists()
 
 
+def test_train_checkpoints_hold_only_the_generator(trained):
+    for name in ("checkpoint.npz", "checkpoint.best.npz"):
+        with np.load(trained / name) as z:
+            assert sorted(z.files) == ["extra/rho", "generator/params", "header"]
+        nets, _, extra = NN.load_checkpoint(trained / name)
+        assert list(nets) == ["generator"] and list(extra) == ["rho"]
+
+
+def test_train_rerun_checkpoints_byte_identical(tmp_path, prepared, trained):
+    out = tmp_path / "again"
+    rc = main(["train", "--cache", str(prepared / "ml100k.npz"),
+               "--out-dir", str(out), *FAST])
+    assert rc == 0
+    for name in ("checkpoint.npz", "checkpoint.best.npz", "curve.csv"):
+        assert (out / name).read_bytes() == (trained / name).read_bytes(), name
+
+
 def test_train_max_rounds_zero_equals_pretrained(tmp_path, prepared):
     out = tmp_path / "mr0"
     args = [a if a != "2" else "0" for a in FAST]  # max-rounds 0
     rc = main(["train", "--cache", str(prepared / "ml100k.npz"),
                "--out-dir", str(out), *args])
     assert rc == 0
-    nets, _, _, meta, _ = NN.load_checkpoint(out / "checkpoint.npz")
+    nets, meta, _ = NN.load_checkpoint(out / "checkpoint.npz")
 
     # replicate the pipeline: same split, holdout, config, seed
     cache = D.load_cache(prepared / "ml100k.npz")
@@ -162,7 +179,7 @@ def test_train_s1_flags(tmp_path, prepared):
                "--out-dir", str(out), "--gan-loss", "bce", "--beta", "0",
                *FAST])
     assert rc == 0
-    _, _, _, meta, _ = NN.load_checkpoint(out / "checkpoint.npz")
+    _, meta, _ = NN.load_checkpoint(out / "checkpoint.npz")
     assert meta["config"]["gan_loss"] == "bce"
     assert meta["config"]["beta"] == 0.0
 
@@ -224,8 +241,11 @@ def test_eval_itempop_defaults_split_flags(tmp_path, prepared):
 
 
 def _bad_checkpoint(problem, good, tmp_path):
-    """A copy of checkpoint `good` with one defect, in a file whose refusal
-    must mention `problem`."""
+    """A copy of checkpoint `good` with one defect `problem`."""
+    if problem == "directory":
+        bad = tmp_path / "checkpoint.npz"
+        bad.mkdir()
+        return bad
     if problem in ("truncated", "corrupt"):
         raw = bytearray(good.read_bytes())
         if problem == "truncated":
@@ -237,23 +257,33 @@ def _bad_checkpoint(problem, good, tmp_path):
         return bad
     with np.load(good) as z:
         contents = {key: z[key] for key in z.files}
-    if problem == "version 1":
-        header = json.loads(str(contents["header"])) | {"version": 1}
+    if problem == "version 2":
+        header = json.loads(str(contents["header"])) | {"version": 2}
         contents["header"] = json.dumps(header)
     elif problem == "generator/params":      # would broadcast into every weight
         contents[problem] = np.zeros(1)
-    elif problem == "generator/adam_m":
-        contents[problem] = contents[problem].astype(np.float32)
+    elif problem == "float32":
+        contents["generator/params"] = contents["generator/params"].astype(np.float32)
     else:
-        del contents[problem]
+        del contents["generator/params"]
     bad = tmp_path / "bad.npz"
     np.savez(bad, **contents)
     return bad
 
 
-@pytest.mark.parametrize("problem", ["version 1", "truncated", "corrupt",
-                                     "generator/params", "generator/adam_m",
-                                     "discriminator/adam_v"])
+# Each defect of _bad_checkpoint and a part of the message that refuses it.
+BAD_CHECKPOINT_MESSAGES = {
+    "version 2": "format version 2 is not the supported version 3; re-run train",
+    "truncated": "File is not a zip file",
+    "corrupt": "Bad CRC-32 for file 'generator/params.npy'",
+    "directory": "Is a directory",
+    "generator/params": "array 'generator/params' is float64 (1,)",
+    "float32": "array 'generator/params' is float32",
+    "missing": "generator/params is not a file",
+}
+
+
+@pytest.mark.parametrize("problem", list(BAD_CHECKPOINT_MESSAGES))
 def test_eval_refuses_bad_checkpoint(problem, tmp_path, prepared, trained, capsys):
     bad = _bad_checkpoint(problem, trained / "checkpoint.npz", tmp_path)
     rc = main(["eval", "--checkpoint", str(bad),
@@ -261,9 +291,8 @@ def test_eval_refuses_bad_checkpoint(problem, tmp_path, prepared, trained, capsy
                "--out-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 1, err
-    assert problem in err and str(bad) in err, err
-    if problem == "version 1":
-        assert "re-run train" in err
+    assert err.startswith(f"error: checkpoint {bad}: ")
+    assert BAD_CHECKPOINT_MESSAGES[problem] in err, err
 
 
 def test_eval_schema_mismatch_refused(tmp_path, synth1m_dir, trained):
@@ -333,6 +362,25 @@ def test_bad_cutoffs_refused_before_any_work(tmp_path, prepared, capsys, monkeyp
                "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     assert "error: --n: each cutoff n must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--checkpoint", "unused.npz", "--baseline", "itempop"],
+], ids=["neither", "both"])
+def test_eval_needs_exactly_one_of_checkpoint_and_baseline(tmp_path, prepared, capsys,
+                                                           monkeypatch, flags):
+    def no_work(*args, **kwargs):
+        pytest.fail("work started")
+
+    monkeypatch.setattr(D, "load_cache", no_work)
+    monkeypatch.setattr(NN, "load_checkpoint", no_work)
+    rc = main(["eval", *flags, "--cache", str(prepared / "ml100k.npz"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: eval needs exactly one of --checkpoint and --baseline" in err
     assert not (tmp_path / "out").exists()
 
 
