@@ -1,11 +1,10 @@
 """Sparse-regularized conditional GAN for user cold-start recommendation."""
 
 from .data import (
-    DatasetSplit,
     build_purchase_matrix,
     parse_ratings,
     sparsity_percent,
-    split_users,
+    split_rows,
 )
 from .evaluate import (
     MetricReport,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttributeSchema",
-    "DatasetSplit",
     "MetricReport",
     "TrainConfig",
     "Trainer",
@@ -53,6 +51,6 @@ __all__ = [
     "rank_items",
     "sparsity_percent",
     "sparsity_regularizer",
-    "split_users",
+    "split_rows",
     "total_generator_objective",
 ]

@@ -1,9 +1,12 @@
 """Command-line pipeline: prepare, train, eval, sweep-beta, ablate, plot.
 
-Exit codes: 0 success, 1 validation/configuration error, 2 runtime or
-numeric error.  Commands never mutate their inputs; outputs land under the
-given --out-dir.  When --cache is omitted, the cache root is taken from
-$SRLGAN_CACHE_ROOT.
+Exit codes: 0 success, 1 usage, validation or configuration error (a bad
+flag or value, an unreadable cache or checkpoint), 2 runtime or numeric
+error.  Commands never mutate their inputs; outputs land under the given
+--out-dir.  When --cache is omitted, the cache is
+$SRLGAN_CACHE_ROOT/<dataset>.npz.  train, eval, sweep-beta and ablate cut
+the cache users by one seeded warm/cold split (`_split`), and their
+manifests record its cold fraction and seed.
 """
 
 from __future__ import annotations
@@ -30,15 +33,26 @@ from . import train as T
 
 
 def _cache_path(args) -> Path:
-    if getattr(args, "cache", None):
+    if args.cache:
         return Path(args.cache)
     root = os.environ.get("SRLGAN_CACHE_ROOT")
     if not root:
         raise ValueError("no --cache given and SRLGAN_CACHE_ROOT is unset")
-    dataset = getattr(args, "dataset", None)
-    if dataset:
-        return Path(root) / f"{dataset}.npz"
-    return Path(root)
+    if not args.dataset:
+        raise ValueError("no --cache given: --dataset names the cache under "
+                         "SRLGAN_CACHE_ROOT")
+    return Path(root) / f"{args.dataset}.npz"
+
+
+def _split(args, cache, split_seed: int, cold_fraction: float = 0.2):
+    """`split_matrices` of the command's split.  A split flag left unset
+    takes the given fallback, written back into args for the manifest."""
+    if args.cold_fraction is None:
+        args.cold_fraction = cold_fraction
+    if args.split_seed is None:
+        args.split_seed = split_seed
+    return P.split_matrices(cache, args.cold_fraction, args.split_seed,
+                            getattr(args, "leakage_free_cold", False))
 
 
 def _load_config(args) -> T.TrainConfig:
@@ -176,8 +190,8 @@ def _save_trainer_checkpoint(path, trainer: T.Trainer, cache, args, rnd):
         "dataset": cache.dataset,
         "schema_hash": cache.schema_hash(),
         "cold_fraction": args.cold_fraction,
-        "split_seed": args.split_seed if args.split_seed is not None else trainer.config.seed,
-        "leakage_free_cold": bool(getattr(args, "leakage_free_cold", False)),
+        "split_seed": args.split_seed,
+        "leakage_free_cold": args.leakage_free_cold,
         "config": dataclasses.asdict(trainer.config),
         "round": rnd,
     }
@@ -188,16 +202,11 @@ def _save_trainer_checkpoint(path, trainer: T.Trainer, cache, args, rnd):
 def cmd_train(args) -> int:
     config = _load_config(args)
     cache = D.load_cache(_cache_path(args))
+    _, x_warm, y_warm, _, _ = _split(args, cache, config.seed)
+    train_idx, val_idx = D.split_rows(
+        x_warm.shape[0], config.validation_fraction, config.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    split_seed = args.split_seed if args.split_seed is not None else config.seed
-    args.split_seed = split_seed
-    split, x_warm, y_warm, _, _ = P.split_matrices(
-        cache, args.cold_fraction, split_seed,
-        leakage_free_cold=args.leakage_free_cold)
-    train_idx, val_idx = T.holdout_split(
-        x_warm.shape[0], config.validation_fraction, config.seed)
 
     trainer = T.Trainer(x_warm[train_idx], y_warm[train_idx], config,
                         x_val=x_warm[val_idx], y_val=y_warm[val_idx])
@@ -240,17 +249,11 @@ def cmd_eval(args) -> int:
     if (args.checkpoint is None) == (args.baseline is None):
         raise ValueError("eval needs exactly one of --checkpoint and --baseline")
     cache = D.load_cache(_cache_path(args))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.baseline == "itempop":
         # `srlgan train`'s default split, so a rerun draws the same cold users.
-        args.cold_fraction = 0.2 if args.cold_fraction is None else args.cold_fraction
-        args.split_seed = 0 if args.split_seed is None else args.split_seed
-        split, _, y_warm, _, y_cold = P.split_matrices(
-            cache, args.cold_fraction, args.split_seed)
+        cold_ids, _, y_warm, _, y_cold = _split(args, cache, 0)
         report = E.evaluate_report(E.item_popularity(y_warm), y_cold, ns=ns,
-                                   user_keys=split.cold_ids)
+                                   user_keys=cold_ids)
         label = "itempop"
     else:
         nets, meta, _ = NN.load_checkpoint(args.checkpoint)
@@ -258,17 +261,16 @@ def cmd_eval(args) -> int:
             raise ValueError(
                 "checkpoint/cache schema mismatch: "
                 f"{meta['schema_hash']} vs {cache.schema_hash()}")
-        split_seed = args.split_seed if args.split_seed is not None else meta["split_seed"]
-        cold_fraction = args.cold_fraction if args.cold_fraction is not None else meta["cold_fraction"]
-        leakage_free = args.leakage_free_cold or meta.get("leakage_free_cold", False)
-        split, _, _, x_cold, y_cold = P.split_matrices(
-            cache, cold_fraction, split_seed, leakage_free_cold=leakage_free)
+        args.leakage_free_cold = args.leakage_free_cold or meta["leakage_free_cold"]
+        cold_ids, _, _, x_cold, y_cold = _split(args, cache, meta["split_seed"],
+                                                meta["cold_fraction"])
         preds = M.generator_forward(nets["generator"], x_cold)
-        report = E.evaluate_report(preds, y_cold, ns=ns,
-                                   user_keys=split.cold_ids,
+        report = E.evaluate_report(preds, y_cold, ns=ns, user_keys=cold_ids,
                                    graded=args.graded)
         label = "model"
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"metrics.{label}.csv"
     report.write_csv(csv_path)
     table = report.format_table()
@@ -285,11 +287,9 @@ def cmd_sweep_beta(args) -> int:
     config = _load_config(args)
     grid = _beta_grid(args.grid)
     cache = D.load_cache(_cache_path(args))
+    _, x_warm, y_warm, _, _ = _split(args, cache, config.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    _, x_warm, y_warm, _, _ = P.split_matrices(
-        cache, args.cold_fraction, args.split_seed if args.split_seed is not None else config.seed)
     curves = {}
     best, scores = T.cross_validate_beta(x_warm, y_warm, grid, config, curves=curves)
     for beta, curve in curves.items():
@@ -325,13 +325,9 @@ def cmd_ablate(args) -> int:
     config = _load_config(args)
     ns = _cutoffs(args.n)
     cache = D.load_cache(_cache_path(args))
+    _, x_warm, y_warm, x_cold, y_cold = _split(args, cache, config.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    split, x_warm, y_warm, x_cold, y_cold = P.split_matrices(
-        cache, args.cold_fraction,
-        args.split_seed if args.split_seed is not None else config.seed,
-        leakage_free_cold=args.leakage_free_cold)
     reports = E.run_ablation(x_warm, y_warm, x_cold, y_cold, config, ns=ns)
     summary = {}
     for mode, report in reports.items():
@@ -393,17 +389,27 @@ def _add_train_flags(p: argparse.ArgumentParser):
                    help="comma-separated hidden sizes (default 2048,512,128)")
 
 
-def _add_split_flags(p: argparse.ArgumentParser, fraction_default=0.2):
-    p.add_argument("--cold-fraction", dest="cold_fraction", type=float,
-                   default=fraction_default)
+def _add_split_flags(p: argparse.ArgumentParser, leakage_free_cold: bool = True):
+    """The warm/cold split flags, filled by `_split` when unset (sweep-beta
+    scores only warm users, so it goes without --leakage-free-cold)."""
+    p.add_argument("--cold-fraction", dest="cold_fraction", type=float)
     p.add_argument("--split-seed", dest="split_seed", type=int)
-    p.add_argument("--leakage-free-cold", dest="leakage_free_cold",
-                   action="store_true",
-                   help="zero cold users' genre counts before TF-IDF")
+    if leakage_free_cold:
+        p.add_argument("--leakage-free-cold", dest="leakage_free_cold",
+                       action="store_true",
+                       help="zero cold users' genre counts before TF-IDF")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as validation errors do (argparse uses 2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="srlgan",
         description="Sparse-regularized GAN cold-start recommender pipeline")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -431,18 +437,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", choices=["itempop"])
     p.add_argument("--graded", action="store_true",
                    help="graded NDCG gains (2^rating - 1)")
-    p.add_argument("--cold-fraction", dest="cold_fraction", type=float)
-    p.add_argument("--split-seed", dest="split_seed", type=int)
-    p.add_argument("--leakage-free-cold", dest="leakage_free_cold",
-                   action="store_true")
+    _add_split_flags(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep-beta", help="beta grid sweep on the 90/10 warm split")
+    p = sub.add_parser("sweep-beta",
+                       help="beta grid sweep on the validation slice of warm users")
     p.add_argument("--cache")
     p.add_argument("--dataset", choices=["ml100k", "ml1m"])
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--grid", default="0.01,0.1,1")
-    _add_split_flags(p)
+    _add_split_flags(p, leakage_free_cold=False)
     _add_train_flags(p)
     p.set_defaults(func=cmd_sweep_beta)
 

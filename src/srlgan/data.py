@@ -1,4 +1,4 @@
-"""MovieLens ingestion: rating parsers, purchase matrices, warm/cold splits.
+"""MovieLens ingestion: rating parsers, purchase matrices, seeded row splits.
 
 Supports the 100K layout (``u.data`` / ``u.user`` / ``u.item``, tab- and
 pipe-separated) and the 1M layout (``ratings.dat`` / ``users.dat`` /
@@ -7,6 +7,8 @@ pipe-separated) and the 1M layout (``ratings.dat`` / ``users.dat`` /
 They are normalized to [0, 1] by dividing with the rating ceiling C, so a
 purchase-behavior row lives in {0, 1/C, ..., 1} with 0 meaning "not
 purchased".
+`split_rows` draws every seeded split (warm/cold users, the validation
+slice); cache rows are users in strictly increasing id order.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import hashlib
 import json
 import math
 import os
-import tempfile
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,20 +58,6 @@ class UserMeta:
     age: int            # raw age (100K) or age code (1M)
     gender: str         # "M" or "F"
     occupation: str     # occupation name (100K) or stringified code (1M)
-
-
-@dataclass
-class DatasetSplit:
-    """Warm/cold partition of user ids, reproducible from the seed."""
-
-    warm_ids: list[int]
-    cold_ids: list[int]
-    seed: int
-
-    def __post_init__(self):
-        overlap = set(self.warm_ids) & set(self.cold_ids)
-        if overlap:
-            raise ValueError(f"warm/cold sets overlap: {sorted(overlap)[:5]}")
 
 
 def _read_lines(path, encoding="utf-8"):
@@ -207,17 +195,14 @@ def build_purchase_matrix(ratings, m: int, max_rating: int = 5):
     return user_ids.tolist(), matrix
 
 
-def split_users(user_ids, cold_fraction: float, seed: int) -> DatasetSplit:
-    """Seeded warm/cold partition; cold count is round-half-up of fraction*N."""
-    if not 0 <= cold_fraction < 1:
-        raise ValueError(f"cold_fraction {cold_fraction} outside [0, 1)")
-    ids = sorted(user_ids)
-    n_cold = int(math.floor(cold_fraction * len(ids) + 0.5))
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(ids))
-    cold = sorted(ids[k] for k in perm[:n_cold])
-    warm = sorted(ids[k] for k in perm[n_cold:])
-    return DatasetSplit(warm_ids=warm, cold_ids=cold, seed=seed)
+def split_rows(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded (kept_rows, held_rows) partition of range(n), each sorted
+    int64; the held count is round-half-up of fraction*n."""
+    if not 0 <= fraction < 1:
+        raise ValueError(f"split fraction {fraction} outside [0, 1)")
+    n_held = int(math.floor(fraction * n + 0.5))
+    perm = np.random.default_rng(seed).permutation(n)
+    return np.sort(perm[n_held:]), np.sort(perm[:n_held])
 
 
 def sparsity_percent(matrix) -> float:
@@ -266,9 +251,20 @@ class DatasetCache:
         return hashlib.sha256(self.schema_json.encode()).hexdigest()[:16]
 
 
-def save_cache(cache: DatasetCache, path) -> None:
-    """Atomic write (temp file + rename) of the dataset cache."""
+def _atomic_savez(path, savez, **arrays) -> None:
+    """`savez(tmp, **arrays)` into a temp file beside `path`, renamed over it,
+    so no reader sees a partial file; the file gets the umask's mode."""
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp.npz")
+    try:
+        savez(tmp, **arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def save_cache(cache: DatasetCache, path) -> None:
+    """Atomic write of the dataset cache."""
     header = {
         "version": cache.version,
         "dataset": cache.dataset,
@@ -278,8 +274,6 @@ def save_cache(cache: DatasetCache, path) -> None:
         "schema_hash": cache.schema_hash(),
         **cache.extra,
     }
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp.npz")
-    os.close(fd)
     arrays = {
         "header": json.dumps(header, sort_keys=True),
         "user_ids": np.asarray(cache.user_ids, dtype=np.int64),
@@ -291,31 +285,36 @@ def save_cache(cache: DatasetCache, path) -> None:
         arrays["counts"] = cache.counts
     if cache.idf is not None:
         arrays["idf"] = cache.idf
-    try:
-        np.savez_compressed(tmp, **arrays)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    _atomic_savez(path, np.savez_compressed, **arrays)
 
 
 def load_cache(path) -> DatasetCache:
-    with np.load(path, allow_pickle=False) as z:
-        header = json.loads(str(z["header"]))
-        if header["version"] != CACHE_VERSION:
-            raise ValueError(
-                f"cache version {header['version']} != supported {CACHE_VERSION}"
+    """The cache at `path`.  An unreadable or truncated file, a missing array,
+    another format version or user ids that are not strictly increasing raise
+    ValueError naming path and problem; a missing file, FileNotFoundError."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            header = json.loads(str(z["header"]))
+            if header["version"] != CACHE_VERSION:
+                raise ValueError(f"format version {header['version']} is not the "
+                                 f"supported version {CACHE_VERSION}; re-run prepare")
+            user_ids = z["user_ids"]
+            if np.any(np.diff(user_ids) <= 0):
+                raise ValueError("user_ids are not strictly increasing")
+            return DatasetCache(
+                dataset=header["dataset"],
+                max_rating=header["max_rating"],
+                user_ids=[int(u) for u in user_ids],
+                purchase=np.asarray(z["purchase"], dtype=np.float64),
+                tfidf=np.asarray(z["tfidf"], dtype=np.float64),
+                schema_json=str(z["schema"]),
+                counts=np.asarray(z["counts"], dtype=np.float64) if "counts" in z.files else None,
+                idf=np.asarray(z["idf"], dtype=np.float64) if "idf" in z.files else None,
             )
-        return DatasetCache(
-            dataset=header["dataset"],
-            max_rating=header["max_rating"],
-            user_ids=[int(u) for u in z["user_ids"]],
-            purchase=np.asarray(z["purchase"], dtype=np.float64),
-            tfidf=np.asarray(z["tfidf"], dtype=np.float64),
-            schema_json=str(z["schema"]),
-            counts=np.asarray(z["counts"], dtype=np.float64) if "counts" in z.files else None,
-            idf=np.asarray(z["idf"], dtype=np.float64) if "idf" in z.files else None,
-        )
+    except FileNotFoundError:
+        raise
+    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"cache {path}: {exc}") from exc
 
 
 def cache_content_hash(cache: DatasetCache) -> str:

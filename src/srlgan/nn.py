@@ -40,12 +40,11 @@ and names the offending tensor.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import zipfile
-from pathlib import Path
 
 import numpy as np
+
+from .data import _atomic_savez
 
 # Adam's block length in elements (256 KiB of float64).  A block's four
 # slices and two scratch buffers (1.5 MiB) stay in a 2 MiB L2, and the
@@ -309,7 +308,6 @@ def save_checkpoint(path, nets: dict[str, MLP], meta: dict,
     """Atomic checkpoint write.  `nets` is keyed by role (e.g. 'generator');
     `meta` must be json-serializable; `extra_arrays` holds auxiliary vectors
     such as the sparsity target."""
-    path = Path(path)
     header = {
         "version": CHECKPOINT_VERSION,
         "nets": {name: net.sizes for name, net in nets.items()},
@@ -320,14 +318,7 @@ def save_checkpoint(path, nets: dict[str, MLP], meta: dict,
     arrays = {f"{name}/params": net.theta for name, net in nets.items()}
     for key, arr in (extra_arrays or {}).items():
         arrays[f"extra/{key}"] = np.asarray(arr)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp.npz")
-    os.close(fd)
-    try:
-        np.savez(tmp, header=json.dumps(header, sort_keys=True), **arrays)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    _atomic_savez(path, np.savez, header=json.dumps(header, sort_keys=True), **arrays)
 
 
 def load_checkpoint(path):

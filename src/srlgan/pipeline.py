@@ -104,15 +104,12 @@ def leakage_free_features(cache: D.DatasetCache, rows) -> np.ndarray:
 
 def split_matrices(cache: D.DatasetCache, cold_fraction: float, seed: int,
                    leakage_free_cold: bool = False):
-    """Warm/cold matrices aligned with a seeded user split.
+    """Warm/cold matrices of the seeded `data.split_rows` cut of the cache rows.
 
-    Returns (split, x_warm, y_warm, x_cold, y_cold); cold behaviors are the
+    Returns (cold_ids, x_warm, y_warm, x_cold, y_cold); cold behaviors are the
     held-out ground truth for evaluation.
     """
-    split = D.split_users(cache.user_ids, cold_fraction, seed)
-    row_of = {u: k for k, u in enumerate(cache.user_ids)}
-    warm_rows = np.asarray([row_of[u] for u in split.warm_ids], dtype=int)
-    cold_rows = np.asarray([row_of[u] for u in split.cold_ids], dtype=int)
+    warm_rows, cold_rows = D.split_rows(len(cache.user_ids), cold_fraction, seed)
     x_warm = cache.tfidf[warm_rows]
     y_warm = cache.purchase[warm_rows]
     if leakage_free_cold and len(cold_rows):
@@ -120,4 +117,5 @@ def split_matrices(cache: D.DatasetCache, cold_fraction: float, seed: int,
     else:
         x_cold = cache.tfidf[cold_rows]
     y_cold = cache.purchase[cold_rows]
-    return split, x_warm, y_warm, x_cold, y_cold
+    cold_ids = np.asarray(cache.user_ids, dtype=np.int64)[cold_rows]
+    return cold_ids, x_warm, y_warm, x_cold, y_cold

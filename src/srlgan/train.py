@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import model as M
-from .data import split_users
+from .data import split_rows
 from .nn import Adam, TrainingError
 from .evaluate import evaluate_predictions
 
@@ -303,16 +303,10 @@ def fit(x_train, y_train, config: TrainConfig, x_val=None, y_val=None,
     return trainer
 
 
-def holdout_split(n: int, fraction: float, seed: int):
-    """Seeded (train_idx, held_idx) split of range(n); held size is
-    round-half-up of fraction*n."""
-    split = split_users(range(n), fraction, seed)
-    return np.array(split.warm_ids, dtype=int), np.array(split.cold_ids, dtype=int)
-
-
 def cross_validate_beta(x_warm, y_warm, beta_grid, config: TrainConfig,
-                        holdout_fraction: float = 0.1, curves: dict | None = None):
-    """Pick beta by held-out P@5 on a seeded slice of warm users.
+                        curves: dict | None = None):
+    """Pick beta by held-out P@5 on the seeded `validation_fraction` slice of
+    warm users.
 
     Ties go to the smaller beta.  Returns (best_beta, {beta: p5}); a
     `curves` dict, when given, receives each beta's validation curve.
@@ -321,8 +315,11 @@ def cross_validate_beta(x_warm, y_warm, beta_grid, config: TrainConfig,
         raise ValueError("empty beta grid")
     x_warm = np.asarray(x_warm, dtype=np.float64)
     y_warm = np.asarray(y_warm, dtype=np.float64)
-    train_idx, held_idx = holdout_split(x_warm.shape[0], holdout_fraction,
-                                        config.seed)
+    train_idx, held_idx = split_rows(x_warm.shape[0], config.validation_fraction,
+                                     config.seed)
+    if len(held_idx) == 0:
+        raise ValueError(f"validation_fraction {config.validation_fraction} holds out "
+                         f"none of {x_warm.shape[0]} warm users, so no beta can be scored")
     scores = {}
     for beta in sorted(beta_grid):
         cfg = replace(config, beta=float(beta)).validate()

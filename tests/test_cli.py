@@ -1,5 +1,7 @@
 import json
+import os
 import shutil
+import stat
 
 import numpy as np
 import pytest
@@ -166,7 +168,7 @@ def test_train_max_rounds_zero_equals_pretrained(tmp_path, prepared):
                         learning_rate=1e-3, max_rounds=0, eval_every=1,
                         generator_hidden=[8], discriminator_hidden=[8])
     _, x_warm, y_warm, _, _ = P.split_matrices(cache, 0.2, 3)
-    train_idx, _ = T.holdout_split(x_warm.shape[0], cfg.validation_fraction, 3)
+    train_idx, _ = D.split_rows(x_warm.shape[0], cfg.validation_fraction, 3)
     trainer = T.Trainer(x_warm[train_idx], y_warm[train_idx], cfg)
     trainer.pretrain_generator()
     assert np.array_equal(nets["generator"].param_vector(),
@@ -213,6 +215,9 @@ def test_eval_model_and_rerun_byte_identical(tmp_path, prepared, trained):
         (out2 / "metrics.model.csv").read_bytes()
     header = (out1 / "metrics.model.csv").read_text().splitlines()[0]
     assert header == "user,P@5,N@5,M@5,P@20,N@20,M@20"
+    args = json.loads((out1 / "manifest.json").read_text())["args"]
+    assert (args["cold_fraction"], args["split_seed"], args["leakage_free_cold"]) == \
+        (0.2, 3, False)
 
 
 def test_eval_itempop_baseline(tmp_path, prepared):
@@ -293,6 +298,74 @@ def test_eval_refuses_bad_checkpoint(problem, tmp_path, prepared, trained, capsy
     assert rc == 1, err
     assert err.startswith(f"error: checkpoint {bad}: ")
     assert BAD_CHECKPOINT_MESSAGES[problem] in err, err
+
+
+def _bad_cache(problem, good, tmp_path):
+    """A copy of cache `good` with one defect `problem`."""
+    bad = tmp_path / "bad.npz"
+    if problem == "directory":
+        bad.mkdir()
+        return bad
+    if problem == "truncated":
+        bad.write_bytes(good.read_bytes()[:good.stat().st_size // 2])
+        return bad
+    with np.load(good) as z:
+        contents = {key: z[key] for key in z.files}
+    if problem == "version 2":
+        header = json.loads(str(contents["header"])) | {"version": 2}
+        contents["header"] = json.dumps(header)
+    elif problem == "missing":
+        del contents["purchase"]
+    elif problem == "unsorted":
+        contents["user_ids"] = contents["user_ids"][::-1]
+    else:                                     # a repeated user id
+        contents["user_ids"][1] = contents["user_ids"][0]
+    np.savez(bad, **contents)
+    return bad
+
+
+# Each defect of _bad_cache and a part of the message that refuses it.
+BAD_CACHE_MESSAGES = {
+    "directory": "Is a directory",
+    "truncated": "File is not a zip file",
+    "version 2": "format version 2 is not the supported version 1; re-run prepare",
+    "missing": "purchase is not a file",
+    "unsorted": "user_ids are not strictly increasing",
+    "duplicate": "user_ids are not strictly increasing",
+}
+
+
+@pytest.mark.parametrize("command", [["eval", "--baseline", "itempop"], ["train", *FAST]],
+                         ids=["eval", "train"])
+@pytest.mark.parametrize("problem", list(BAD_CACHE_MESSAGES))
+def test_refuses_bad_cache(problem, command, tmp_path, prepared, capsys):
+    bad = _bad_cache(problem, prepared / "ml100k.npz", tmp_path)
+    rc = main([*command, "--cache", str(bad), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err.startswith(f"error: cache {bad}: ")
+    assert BAD_CACHE_MESSAGES[problem] in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train", *FAST], ["eval", "--baseline", "itempop"], ["sweep-beta", *FAST], ["ablate", *FAST],
+], ids=["train", "eval", "sweep-beta", "ablate"])
+def test_bad_cold_fraction_exit_1_before_out_dir(command, tmp_path, prepared, capsys):
+    rc = main([*command, "--cold-fraction", "1", "--cache", str(prepared / "ml100k.npz"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error: split fraction 1.0 outside [0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cache_root_needs_dataset(tmp_path, prepared, capsys, monkeypatch):
+    monkeypatch.setenv("SRLGAN_CACHE_ROOT", str(prepared))
+    rc = main(["eval", "--baseline", "itempop", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error: no --cache given: --dataset names the cache under SRLGAN_CACHE_ROOT" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_schema_mismatch_refused(tmp_path, synth1m_dir, trained):
@@ -432,6 +505,29 @@ def test_sweep_beta_outputs_and_cv_consistency(tmp_path, prepared):
     best, _ = T.cross_validate_beta(x_warm, y_warm, [0.1, 1], cfg)
     assert recommended[0] == best
 
+    args = json.loads((out / "manifest.json").read_text())["args"]
+    assert (args["cold_fraction"], args["split_seed"]) == (0.2, 3)
+    assert "leakage_free_cold" not in args
+
+
+def test_sweep_beta_honours_validation_fraction(tmp_path, prepared, monkeypatch):
+    held = []
+    fit = T.fit
+
+    def spy(x_train, y_train, config, x_val=None, y_val=None, **kwargs):
+        held.append((len(x_train), len(x_val), config.validation_fraction))
+        return fit(x_train, y_train, config, x_val=x_val, y_val=y_val, **kwargs)
+
+    monkeypatch.setattr(T, "fit", spy)
+    cfg = tmp_path / "train.conf"
+    cfg.write_text("validation_fraction = 0.3\n")
+    rc = main(["sweep-beta", "--cache", str(prepared / "ml100k.npz"),
+               "--out-dir", str(tmp_path / "sweep"), "--grid", "0.1,1",
+               "--config", str(cfg), *FAST])
+    assert rc == 0
+    # 48 warm users of 60; round(0.3 * 48) = 14 of them are held out
+    assert held == [(34, 14, 0.3)] * 2
+
 
 def test_ablate_outputs(tmp_path, prepared):
     out = tmp_path / "abl"
@@ -442,6 +538,8 @@ def test_ablate_outputs(tmp_path, prepared):
         assert (out / f"ablation.{mode}.csv").exists()
     summary = json.loads((out / "ablation.summary.json").read_text())
     assert set(summary) == {"S1", "S2", "S3"}
+    args = json.loads((out / "manifest.json").read_text())["args"]
+    assert (args["cold_fraction"], args["split_seed"]) == (0.2, 3)
 
 
 def test_ablate_with_literal_generator_loss_base_config(tmp_path, prepared):
@@ -485,3 +583,42 @@ def test_env_var_cache_root(tmp_path, prepared, monkeypatch):
                "--cold-fraction", "0.2", "--split-seed", "3",
                "--out-dir", str(out)])
     assert rc == 0
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_outputs_take_the_umask_mode(tmp_path, synth100k_dir, umask):
+    old = os.umask(umask)
+    try:
+        assert main(["prepare", "--dataset", "ml100k", "--raw-dir", str(synth100k_dir),
+                     "--out-dir", str(tmp_path / "cache")]) == 0
+        assert main(["train", "--cache", str(tmp_path / "cache" / "ml100k.npz"),
+                     "--out-dir", str(tmp_path / "train"), *FAST]) == 0
+    finally:
+        os.umask(old)
+    outputs = [tmp_path / "cache" / "ml100k.npz", tmp_path / "train" / "curve.csv",
+               tmp_path / "train" / "checkpoint.npz", tmp_path / "train" / "checkpoint.best.npz"]
+    for path in outputs:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
+    assert sorted(p.name for p in (tmp_path / "train").iterdir()) == [
+        "checkpoint.best.npz", "checkpoint.npz", "curve.csv", "manifest.json"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["train", "--seed", "x", "--out-dir", "unused"], 1),
+    (["eval", "--cold-fraction", "abc", "--out-dir", "unused"], 1),
+    (["train", "--bogus", "--out-dir", "unused"], 1),
+    (["train", "--cache", "unused.npz"], 1),
+    (["sweep-beta", "--leakage-free-cold", "--out-dir", "unused"], 1),
+    ([], 1),
+    (["--help"], 0),
+    (["eval", "--help"], 0),
+], ids=["bad-int", "bad-float", "unknown-flag", "missing-out-dir", "sweep-leakage-free-cold",
+        "no-command", "help", "eval-help"])
+def test_usage_exit_codes(tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == code
+    if code:
+        assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "unused").exists()

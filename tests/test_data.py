@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 
 import numpy as np
@@ -190,32 +191,69 @@ def test_nonzero_count_matches_distinct_items():
         assert np.count_nonzero(matrix[k]) == len(distinct)
 
 
+def split_users_oracle(user_ids, cold_fraction, seed):
+    """The id-based warm/cold split: (warm_ids, cold_ids), each sorted, with
+    the cold ids at the sorted positions that lead the seeded permutation."""
+    if not 0 <= cold_fraction < 1:
+        raise ValueError(f"cold_fraction {cold_fraction} outside [0, 1)")
+    ids = sorted(user_ids)
+    n_cold = int(math.floor(cold_fraction * len(ids) + 0.5))
+    perm = np.random.default_rng(seed).permutation(len(ids))
+    return sorted(ids[k] for k in perm[n_cold:]), sorted(ids[k] for k in perm[:n_cold])
+
+
+@pytest.mark.parametrize("n, fraction, seed", [
+    (0, 0.2, 0), (1, 0.0, 0), (1, 0.2, 5), (1, 0.5, 1), (3, 0.0, 1), (5, 0.5, 2),
+    (100, 0.1, 4), (100, 0.2, 42), (943, 0.2, 3), (6040, 0.2, 7), (754, 0.1, 0),
+])
+def test_split_rows_matches_id_split_bit_for_bit(n, fraction, seed):
+    ids = np.sort(np.random.default_rng(n).choice(10 * n + 1, size=n, replace=False)) + 1
+    warm_ids, cold_ids = split_users_oracle(ids.tolist(), fraction, seed)
+    kept, held = D.split_rows(n, fraction, seed)
+    assert kept.dtype == held.dtype == np.int64
+    assert ids[kept].tolist() == warm_ids
+    assert ids[held].tolist() == cold_ids
+
+
+def test_split_matrices_rows_follow_user_ids(synth_cache):
+    from srlgan.pipeline import split_matrices
+
+    warm_ids, cold_ids = split_users_oracle(synth_cache.user_ids, 0.2, 3)
+    row_of = {u: k for k, u in enumerate(synth_cache.user_ids)}
+    warm_rows = [row_of[u] for u in warm_ids]
+    cold_rows = [row_of[u] for u in cold_ids]
+    got_ids, x_warm, y_warm, x_cold, y_cold = split_matrices(synth_cache, 0.2, 3)
+    assert got_ids.tolist() == cold_ids
+    assert np.array_equal(x_warm, synth_cache.tfidf[warm_rows])
+    assert np.array_equal(y_warm, synth_cache.purchase[warm_rows])
+    assert np.array_equal(x_cold, synth_cache.tfidf[cold_rows])
+    assert np.array_equal(y_cold, synth_cache.purchase[cold_rows])
+
+
 def test_split_sizes_round_half_up():
-    ids = list(range(1, 944))
-    split = D.split_users(ids, 0.2, seed=3)
-    assert len(split.cold_ids) == 189   # round(0.2 * 943)
-    assert len(split.warm_ids) == 754
-    assert not set(split.cold_ids) & set(split.warm_ids)
+    kept, held = D.split_rows(943, 0.2, seed=3)
+    assert len(held) == 189   # round(0.2 * 943)
+    assert len(kept) == 754
+    assert not set(held) & set(kept)
 
 
 def test_split_zero_fraction_all_warm():
-    split = D.split_users([1, 2, 3], 0.0, seed=1)
-    assert split.cold_ids == []
-    assert split.warm_ids == [1, 2, 3]
+    kept, held = D.split_rows(3, 0.0, seed=1)
+    assert held.tolist() == []
+    assert kept.tolist() == [0, 1, 2]
 
 
 def test_split_deterministic():
-    ids = list(range(1, 101))
-    a = D.split_users(ids, 0.2, seed=42)
-    b = D.split_users(ids, 0.2, seed=42)
-    c = D.split_users(ids, 0.2, seed=43)
-    assert a.cold_ids == b.cold_ids and a.warm_ids == b.warm_ids
-    assert a.cold_ids != c.cold_ids
+    a = D.split_rows(100, 0.2, seed=42)
+    b = D.split_rows(100, 0.2, seed=42)
+    c = D.split_rows(100, 0.2, seed=43)
+    assert np.array_equal(a[1], b[1]) and np.array_equal(a[0], b[0])
+    assert not np.array_equal(a[1], c[1])
 
 
 def test_split_bad_fraction():
-    with pytest.raises(ValueError):
-        D.split_users([1, 2], 1.0, seed=0)
+    with pytest.raises(ValueError, match=r"split fraction 1.0 outside \[0, 1\)"):
+        D.split_rows(2, 1.0, seed=0)
 
 
 def test_sparsity_percent():

@@ -3,6 +3,7 @@ import pytest
 
 from srlgan import model as M
 from srlgan import train as T
+from srlgan.data import split_rows
 
 
 def toy_data(n=40, d=6, m=12, seed=0):
@@ -152,8 +153,8 @@ def test_d_phase_d_only_flag():
 
 
 def test_holdout_split_sizes_and_determinism():
-    tr1, held1 = T.holdout_split(100, 0.1, seed=4)
-    tr2, held2 = T.holdout_split(100, 0.1, seed=4)
+    tr1, held1 = split_rows(100, 0.1, seed=4)
+    tr2, held2 = split_rows(100, 0.1, seed=4)
     assert len(held1) == 10 and len(tr1) == 90
     assert np.array_equal(held1, held2) and np.array_equal(tr1, tr2)
     assert not set(tr1) & set(held1)
@@ -174,6 +175,14 @@ def test_cross_validate_beta_tie_prefers_smaller():
     best, scores = T.cross_validate_beta(x, y, [1.0, 0.1], cfg)
     assert len(set(scores.values())) == 1
     assert best == 0.1
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.01])
+def test_cross_validate_beta_refuses_empty_validation_slice(fraction):
+    x, y = toy_data(n=30)
+    cfg = small_config(validation_fraction=fraction)
+    with pytest.raises(ValueError, match=f"validation_fraction {fraction} holds out none of 30"):
+        T.cross_validate_beta(x, y, [0.1], cfg)
 
 
 def test_early_stopping_on_stale_validation():
