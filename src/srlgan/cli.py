@@ -21,8 +21,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import data as D
 from . import evaluate as E
 from . import model as M
@@ -203,24 +201,15 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     cache = D.load_cache(_cache_path(args))
     _, x_warm, y_warm, _, _ = _split(args, cache, config.seed)
-    train_idx, val_idx = D.split_rows(
-        x_warm.shape[0], config.validation_fraction, config.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    trainer = T.Trainer(x_warm[train_idx], y_warm[train_idx], config,
-                        x_val=x_warm[val_idx], y_val=y_warm[val_idx])
-    trainer.pretrain_generator()
-
     best_path = out_dir / "checkpoint.best.npz"
-    best = {"p5": -1.0}
 
-    def on_checkpoint(tr, point):
-        if np.isfinite(point.p5) and point.p5 > best["p5"]:
-            best["p5"] = point.p5
-            _save_trainer_checkpoint(best_path, tr, cache, args, point.round)
+    def on_best(tr, point):
+        _save_trainer_checkpoint(best_path, tr, cache, args, point.round)
 
-    trainer.train(on_checkpoint=on_checkpoint)
+    trainer = T.fit(x_warm, y_warm, config, on_best=on_best)
 
     final_path = out_dir / "checkpoint.npz"
     _save_trainer_checkpoint(final_path, trainer, cache, args,
@@ -288,10 +277,10 @@ def cmd_sweep_beta(args) -> int:
     grid = _beta_grid(args.grid)
     cache = D.load_cache(_cache_path(args))
     _, x_warm, y_warm, _, _ = _split(args, cache, config.seed)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     curves = {}
     best, scores = T.cross_validate_beta(x_warm, y_warm, grid, config, curves=curves)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for beta, curve in curves.items():
         curve.write_csv(out_dir / f"curve.beta{beta:g}.csv")
 
@@ -328,7 +317,7 @@ def cmd_ablate(args) -> int:
     _, x_warm, y_warm, x_cold, y_cold = _split(args, cache, config.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = E.run_ablation(x_warm, y_warm, x_cold, y_cold, config, ns=ns)
+    reports = T.run_ablation(x_warm, y_warm, x_cold, y_cold, config, ns=ns)
     summary = {}
     for mode, report in reports.items():
         report.write_csv(out_dir / f"ablation.{mode}.csv")

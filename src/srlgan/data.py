@@ -18,7 +18,7 @@ import json
 import math
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -195,12 +195,18 @@ def build_purchase_matrix(ratings, m: int, max_rating: int = 5):
     return user_ids.tolist(), matrix
 
 
-def split_rows(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded (kept_rows, held_rows) partition of range(n), each sorted
-    int64; the held count is round-half-up of fraction*n."""
+def held_count(n: int, fraction: float) -> int:
+    """The number of rows `split_rows` holds out of n: round-half-up of
+    fraction*n."""
     if not 0 <= fraction < 1:
         raise ValueError(f"split fraction {fraction} outside [0, 1)")
-    n_held = int(math.floor(fraction * n + 0.5))
+    return int(math.floor(fraction * n + 0.5))
+
+
+def split_rows(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded (kept_rows, held_rows) partition of range(n), each sorted
+    int64, with `held_count(n, fraction)` held rows."""
+    n_held = held_count(n, fraction)
     perm = np.random.default_rng(seed).permutation(n)
     return np.sort(perm[n_held:]), np.sort(perm[:n_held])
 
@@ -234,10 +240,8 @@ class DatasetCache:
     purchase: np.ndarray
     tfidf: np.ndarray
     schema_json: str
-    counts: np.ndarray | None = None
-    idf: np.ndarray | None = None
-    version: int = CACHE_VERSION
-    extra: dict = field(default_factory=dict)
+    counts: np.ndarray
+    idf: np.ndarray
 
     @property
     def m(self) -> int:
@@ -266,32 +270,26 @@ def _atomic_savez(path, savez, **arrays) -> None:
 def save_cache(cache: DatasetCache, path) -> None:
     """Atomic write of the dataset cache."""
     header = {
-        "version": cache.version,
+        "version": CACHE_VERSION,
         "dataset": cache.dataset,
         "m": cache.m,
         "d": cache.d,
         "max_rating": cache.max_rating,
         "schema_hash": cache.schema_hash(),
-        **cache.extra,
     }
-    arrays = {
-        "header": json.dumps(header, sort_keys=True),
-        "user_ids": np.asarray(cache.user_ids, dtype=np.int64),
-        "purchase": cache.purchase,
-        "tfidf": cache.tfidf,
-        "schema": cache.schema_json,
-    }
-    if cache.counts is not None:
-        arrays["counts"] = cache.counts
-    if cache.idf is not None:
-        arrays["idf"] = cache.idf
-    _atomic_savez(path, np.savez_compressed, **arrays)
+    _atomic_savez(path, np.savez_compressed,
+                  header=json.dumps(header, sort_keys=True),
+                  user_ids=np.asarray(cache.user_ids, dtype=np.int64),
+                  purchase=cache.purchase, tfidf=cache.tfidf,
+                  schema=cache.schema_json, counts=cache.counts, idf=cache.idf)
 
 
 def load_cache(path) -> DatasetCache:
     """The cache at `path`.  An unreadable or truncated file, a missing array,
-    another format version or user ids that are not strictly increasing raise
-    ValueError naming path and problem; a missing file, FileNotFoundError."""
+    another format version, user ids that are not strictly increasing or an
+    array whose shape disagrees with the user count and the header's m and d
+    raise ValueError naming path and problem; a missing file,
+    FileNotFoundError."""
     try:
         with np.load(path, allow_pickle=False) as z:
             header = json.loads(str(z["header"]))
@@ -301,15 +299,20 @@ def load_cache(path) -> DatasetCache:
             user_ids = z["user_ids"]
             if np.any(np.diff(user_ids) <= 0):
                 raise ValueError("user_ids are not strictly increasing")
+            n, m, d = len(user_ids), header["m"], header["d"]
+            arrays = {}
+            for name, shape in (("purchase", (n, m)), ("tfidf", (n, d)),
+                                ("counts", (n, d)), ("idf", (d,))):
+                arrays[name] = np.asarray(z[name], dtype=np.float64)
+                if arrays[name].shape != shape:
+                    raise ValueError(f"{name} has shape {arrays[name].shape}, expected "
+                                     f"{shape} for {n} users, m={m}, d={d}")
             return DatasetCache(
                 dataset=header["dataset"],
                 max_rating=header["max_rating"],
                 user_ids=[int(u) for u in user_ids],
-                purchase=np.asarray(z["purchase"], dtype=np.float64),
-                tfidf=np.asarray(z["tfidf"], dtype=np.float64),
                 schema_json=str(z["schema"]),
-                counts=np.asarray(z["counts"], dtype=np.float64) if "counts" in z.files else None,
-                idf=np.asarray(z["idf"], dtype=np.float64) if "idf" in z.files else None,
+                **arrays,
             )
     except FileNotFoundError:
         raise
@@ -325,7 +328,7 @@ def cache_content_hash(cache: DatasetCache) -> str:
     h.update(np.asarray(cache.user_ids, dtype=np.int64).tobytes())
     h.update(np.ascontiguousarray(cache.purchase).tobytes())
     h.update(np.ascontiguousarray(cache.tfidf).tobytes())
-    h.update(f"{cache.dataset}|{cache.max_rating}|{cache.version}".encode())
+    h.update(f"{cache.dataset}|{cache.max_rating}|{CACHE_VERSION}".encode())
     return h.hexdigest()
 
 

@@ -1,5 +1,4 @@
-"""Top-n ranking metrics (P@n, NDCG@n, MRR@n), the ItemPop baseline, and
-the S1/S2/S3 ablation harness.
+"""Top-n ranking metrics (P@n, NDCG@n, MRR@n) and the ItemPop baseline.
 
 An item is relevant for a cold user iff its held-out normalized rating is
 nonzero.  NDCG uses binary gains by default (graded 2^(C*r)-1 gains behind
@@ -19,7 +18,7 @@ bits that loop gives.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,32 +147,3 @@ def item_popularity(warm_purchase_matrix) -> np.ndarray:
         raise ValueError("empty warm purchase matrix")
     return np.count_nonzero(matrix, axis=0)
 
-
-ABLATION_MODES = {
-    # mode -> TrainConfig overrides; S1 is the non-saturating BCE GAN
-    "S1": {"gan_loss": "bce", "sparsity": False, "nonsaturating": True},
-    "S2": {"gan_loss": "lsq", "sparsity": False},
-    "S3": {"gan_loss": "lsq", "sparsity": True},
-}
-
-
-def ablation_config(base_config, mode: str):
-    """Derive the S1/S2/S3 trainer config from a base (S3) config."""
-    overrides = ABLATION_MODES[mode]
-    beta = base_config.beta if overrides["sparsity"] else 0.0
-    return replace(base_config, beta=beta, **overrides).validate()
-
-
-def run_ablation(x_warm, y_warm, x_cold, y_cold, base_config,
-                 ns=DEFAULT_NS) -> dict[str, MetricReport]:
-    """Train S1, S2, S3 under identical seeds/configs and score cold users."""
-    from . import train as T
-    from . import model as M
-
-    reports = {}
-    for mode in ("S1", "S2", "S3"):
-        cfg = ablation_config(base_config, mode)
-        trainer = T.fit(x_warm, y_warm, cfg)
-        preds = M.generator_forward(trainer.generator, x_cold)
-        reports[mode] = evaluate_report(preds, y_cold, ns=ns)
-    return reports

@@ -173,5 +173,4 @@ def generator_objective_grad(generator: MLP, discriminator: MLP, x, y, rho,
 
     generator.backward(grad_yhat)
     total = total_generator_objective(recon, adv_g, sr, beta)
-    return {"recon": recon, "adv_g": adv_g, "sr": sr, "total": total,
-            "y_hat": y_hat}
+    return {"recon": recon, "adv_g": adv_g, "sr": sr, "total": total}

@@ -94,8 +94,6 @@ def genre_slot_mask(schema: F.AttributeSchema) -> np.ndarray:
 def leakage_free_features(cache: D.DatasetCache, rows) -> np.ndarray:
     """Attribute vectors for the given cache rows with genre counts zeroed,
     mimicking cold users whose viewing history is truly unknown."""
-    if cache.counts is None or cache.idf is None:
-        raise ValueError("cache lacks raw counts; re-run prepare")
     schema = F.AttributeSchema.from_json(cache.schema_json)
     counts = cache.counts[rows].copy()
     counts[:, genre_slot_mask(schema)] = 0.0

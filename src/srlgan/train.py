@@ -1,13 +1,21 @@
 """Training schedule: generator pretraining, then alternating
-discriminator/generator phases with the sparsity-regularized objective.
+discriminator/generator phases with the sparsity-regularized objective;
+the beta sweep and the S1/S2/S3 ablation built on it.
+
+`fit` is the one place a run is put together: it holds out the seeded
+`validation_fraction` slice of the warm users, builds the Trainer,
+pretrains G and runs the adversarial loop.  `train`, `sweep-beta` and
+`ablate` all train through it.
 
 One "round" of the main loop is n_D discriminator-phase iterations (the
 discriminator phase also updates the generator through the adversarial
 loss, matching the schedule's joint update; `d_phase_updates_g=False`
 restores a D-only phase) followed by n_G generator-phase iterations using
-the full objective.  Validation metrics come from a held-out slice of warm
-users; training stops when validation P@5 has not improved for `patience`
-consecutive evaluations, or at `max_rounds`.
+the full objective.  Validation metrics come from the validation slice.
+An evaluation improves when its P@5 beats the best so far by more than
+1e-12; training stops when `patience` consecutive evaluations do not
+improve, or at `max_rounds`.  Without a validation row it runs to
+`max_rounds`.
 
 The adversarial loss is picked once from `gan_loss`: D learns
 loss(D(real), 1) + loss(D(fake), 0), and G learns loss(D(fake), 1), or
@@ -26,9 +34,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import model as M
-from .data import split_rows
+from .data import held_count, split_rows
 from .nn import Adam, TrainingError
-from .evaluate import evaluate_predictions
+from .evaluate import DEFAULT_NS, MetricReport, evaluate_predictions, evaluate_report
 
 MODE_COLLAPSE_STD_FLOOR = 1e-4
 
@@ -133,7 +141,8 @@ class _BatchSampler:
 
 
 class Trainer:
-    """Owns the two networks, their optimizers, and the run RNG."""
+    """Owns the two networks, their optimizers, and the run RNG.  Without
+    `x_val`/`y_val` the validation slice is empty."""
 
     def __init__(self, x_train, y_train, config: TrainConfig,
                  x_val=None, y_val=None):
@@ -141,8 +150,10 @@ class Trainer:
         self.config = config
         self.x_train = np.asarray(x_train, dtype=np.float64)
         self.y_train = np.asarray(y_train, dtype=np.float64)
-        self.x_val = None if x_val is None else np.asarray(x_val, dtype=np.float64)
-        self.y_val = None if y_val is None else np.asarray(y_val, dtype=np.float64)
+        self.x_val = np.asarray(self.x_train[:0] if x_val is None else x_val,
+                                dtype=np.float64)
+        self.y_val = np.asarray(self.y_train[:0] if y_val is None else y_val,
+                                dtype=np.float64)
         if self.x_train.shape[0] != self.y_train.shape[0]:
             raise ValueError("attribute/behavior row counts differ")
         if self.x_train.shape[0] < 1:
@@ -234,20 +245,17 @@ class Trainer:
 
     # -- main loop ----------------------------------------------------------
 
-    def train(self, on_checkpoint=None) -> TrainingCurve:
-        """Run pretraining (if not already done) plus the adversarial loop.
-
-        `on_checkpoint(trainer, point)` is invoked at every logged
-        evaluation, e.g. to save best-validation checkpoints.
-        """
+    def train(self, on_best=None) -> TrainingCurve:
+        """The adversarial loop, logging a curve point every `eval_every`
+        rounds and at the last.  `on_best(trainer, point)` is called at each
+        evaluation that improves validation P@5, the same ones that reset
+        early stopping."""
         cfg = self.config
         best_p5 = -1.0
         stale = 0
         while self.rounds_done < cfg.max_rounds:
-            d_loss = 0.0
             for _ in range(cfg.n_d):
                 d_loss = self.discriminator_phase_step()
-            g_losses = {"total": float("nan"), "sr": 0.0}
             for _ in range(cfg.n_g):
                 g_losses = self.generator_phase_step()
             self.rounds_done += 1
@@ -255,30 +263,28 @@ class Trainer:
             if self.rounds_done % cfg.eval_every == 0 or self.rounds_done == cfg.max_rounds:
                 point = self._evaluate_checkpoint(self.rounds_done, d_loss, g_losses)
                 self.curve.append(point)
-                if on_checkpoint is not None:
-                    on_checkpoint(self, point)
-                # Early stopping needs validation metrics; without a
-                # validation slice the loop runs to max_rounds.
-                if self.x_val is not None and np.isfinite(point.p5):
-                    if point.p5 > best_p5 + 1e-12:
-                        best_p5 = point.p5
-                        stale = 0
-                    else:
-                        stale += 1
+                if not np.isfinite(point.p5):
+                    continue    # no validation row, or none with a purchase
+                if point.p5 > best_p5 + 1e-12:
+                    best_p5 = point.p5
+                    stale = 0
+                    if on_best is not None:
+                        on_best(self, point)
+                else:
+                    stale += 1
                     if stale >= cfg.patience:
                         break
         return self.curve
 
     def _evaluate_checkpoint(self, rnd, d_loss, g_losses) -> CurvePoint:
-        if self.x_val is not None and self.x_val.shape[0] > 0:
+        if len(self.x_val):
             preds = M.generator_forward(self.generator, self.x_val)
             report = evaluate_predictions(preds, self.y_val, ns=(5,))
             p5, n5, m5 = report["P@5"], report["N@5"], report["M@5"]
-            std = float(preds.std(axis=0).mean())
         else:
             preds = M.generator_forward(self.generator, self.x_train)
             p5 = n5 = m5 = float("nan")
-            std = float(preds.std(axis=0).mean())
+        std = float(preds.std(axis=0).mean())
         return CurvePoint(
             round=rnd,
             loss_g=float(g_losses["total"]),
@@ -294,41 +300,70 @@ class Trainer:
             raise TrainingError(f"non-finite {what}")
 
 
-def fit(x_train, y_train, config: TrainConfig, x_val=None, y_val=None,
-        on_checkpoint=None) -> Trainer:
-    """Pretrain then adversarially train; returns the finished Trainer."""
-    trainer = Trainer(x_train, y_train, config, x_val=x_val, y_val=y_val)
+def fit(x_warm, y_warm, config: TrainConfig, on_best=None) -> Trainer:
+    """Train on the warm users, holding out the seeded `validation_fraction`
+    slice of them for validation and early stopping; returns the finished
+    Trainer.  `on_best` is passed to `Trainer.train`."""
+    x_warm = np.asarray(x_warm, dtype=np.float64)
+    y_warm = np.asarray(y_warm, dtype=np.float64)
+    if x_warm.shape[0] != y_warm.shape[0]:
+        raise ValueError("attribute/behavior row counts differ")
+    train_rows, val_rows = split_rows(x_warm.shape[0], config.validation_fraction,
+                                      config.seed)
+    trainer = Trainer(x_warm[train_rows], y_warm[train_rows], config,
+                      x_val=x_warm[val_rows], y_val=y_warm[val_rows])
     trainer.pretrain_generator()
-    trainer.train(on_checkpoint=on_checkpoint)
+    trainer.train(on_best=on_best)
     return trainer
 
 
 def cross_validate_beta(x_warm, y_warm, beta_grid, config: TrainConfig,
                         curves: dict | None = None):
-    """Pick beta by held-out P@5 on the seeded `validation_fraction` slice of
-    warm users.
+    """Pick beta by P@5 on the validation slice `fit` holds out.
 
     Ties go to the smaller beta.  Returns (best_beta, {beta: p5}); a
     `curves` dict, when given, receives each beta's validation curve.
     """
     if len(beta_grid) == 0:
         raise ValueError("empty beta grid")
-    x_warm = np.asarray(x_warm, dtype=np.float64)
-    y_warm = np.asarray(y_warm, dtype=np.float64)
-    train_idx, held_idx = split_rows(x_warm.shape[0], config.validation_fraction,
-                                     config.seed)
-    if len(held_idx) == 0:
+    if held_count(len(x_warm), config.validation_fraction) == 0:
         raise ValueError(f"validation_fraction {config.validation_fraction} holds out "
-                         f"none of {x_warm.shape[0]} warm users, so no beta can be scored")
+                         f"none of {len(x_warm)} warm users, so no beta can be scored")
     scores = {}
     for beta in sorted(beta_grid):
-        cfg = replace(config, beta=float(beta)).validate()
-        trainer = fit(x_warm[train_idx], y_warm[train_idx], cfg,
-                      x_val=x_warm[held_idx], y_val=y_warm[held_idx])
-        preds = M.generator_forward(trainer.generator, x_warm[held_idx])
-        report = evaluate_predictions(preds, y_warm[held_idx], ns=(5,))
+        trainer = fit(x_warm, y_warm, replace(config, beta=float(beta)))
+        preds = M.generator_forward(trainer.generator, trainer.x_val)
+        report = evaluate_predictions(preds, trainer.y_val, ns=(5,))
         scores[float(beta)] = report["P@5"]
         if curves is not None:
             curves[float(beta)] = trainer.curve
     best = max(sorted(scores), key=lambda b: scores[b])
     return best, scores
+
+
+ABLATION_MODES = {
+    # mode -> TrainConfig overrides; S1 is the non-saturating BCE GAN
+    "S1": {"gan_loss": "bce", "sparsity": False, "nonsaturating": True},
+    "S2": {"gan_loss": "lsq", "sparsity": False},
+    "S3": {"gan_loss": "lsq", "sparsity": True},
+}
+
+
+def ablation_config(base_config: TrainConfig, mode: str) -> TrainConfig:
+    """The S1/S2/S3 config derived from a base (S3) config.  Each mode
+    trains on all warm users: no validation slice, so no early stopping."""
+    overrides = ABLATION_MODES[mode]
+    beta = base_config.beta if overrides["sparsity"] else 0.0
+    return replace(base_config, beta=beta, validation_fraction=0.0,
+                   **overrides).validate()
+
+
+def run_ablation(x_warm, y_warm, x_cold, y_cold, base_config: TrainConfig,
+                 ns=DEFAULT_NS) -> dict[str, MetricReport]:
+    """Train S1, S2, S3 under identical seeds and score the cold users."""
+    reports = {}
+    for mode in ABLATION_MODES:
+        trainer = fit(x_warm, y_warm, ablation_config(base_config, mode))
+        preds = M.generator_forward(trainer.generator, x_cold)
+        reports[mode] = evaluate_report(preds, y_cold, ns=ns)
+    return reports

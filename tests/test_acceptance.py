@@ -23,6 +23,7 @@ from srlgan.features import AttributeSchema, ml1m_schema
 from conftest import require_ml100k, require_ml1m
 from test_evaluate import brute_mrr, brute_ndcg, brute_precision, held_row
 from test_nn import central_diff_grads, rel_err
+from test_train import train_with_slice
 
 # Desk-scale training configuration for the quantitative criteria (the
 # published experiments fix only beta=0.1 and the layer widths; batch
@@ -188,7 +189,7 @@ def test_criterion_6_itempop_p5():
 # -- criteria 7/8/9/10: training runs on real ML100K ---------------------------
 
 def _train_and_score(x_warm, y_warm, x_cold, y_cold, config):
-    trainer = T.fit(x_warm, y_warm, config)
+    trainer = T.fit(x_warm, y_warm, dataclasses.replace(config, validation_fraction=0.0))
     preds = M.generator_forward(trainer.generator, x_cold)
     return trainer, E.evaluate_report(preds, y_cold).aggregate()
 
@@ -221,7 +222,7 @@ def test_criterion_8_ablation_ordering():
              for mode in ("S1", "S2", "S3")}
     for seed in RUN_SEEDS:
         cfg = dataclasses.replace(ACCEPT_CONFIG, seed=seed).validate()
-        reports = E.run_ablation(x_warm, y_warm, x_cold, y_cold, cfg, ns=(5,))
+        reports = T.run_ablation(x_warm, y_warm, x_cold, y_cold, cfg, ns=(5,))
         for mode, report in reports.items():
             agg = report.aggregate()
             for k in means[mode]:
@@ -264,7 +265,7 @@ def test_criterion_10_stability():
                         learning_rate=1e-3, max_rounds=80, eval_every=5,
                         patience=100, seed=5, generator_hidden=[16],
                         discriminator_hidden=[16]).validate()
-    trainer = T.fit(x_warm, y_warm, cfg, x_val=x_warm[:10], y_val=y_warm[:10])
+    trainer = train_with_slice(x_warm, y_warm, cfg, x_warm[:10], y_warm[:10])
     points = trainer.curve.points
     assert points, "no checkpoints logged"
     for p in points:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -152,6 +153,21 @@ def test_train_rerun_checkpoints_byte_identical(tmp_path, prepared, trained):
     assert rc == 0
     for name in ("checkpoint.npz", "checkpoint.best.npz", "curve.csv"):
         assert (out / name).read_bytes() == (trained / name).read_bytes(), name
+
+
+def test_best_checkpoint_is_the_first_best_round_of_the_curve(tmp_path, prepared):
+    out = tmp_path / "long"
+    rc = main(["train", "--cache", str(prepared / "ml100k.npz"), "--out-dir", str(out),
+               "--max-rounds", "32", "--eval-every", "2", "--pretrain-epochs", "2",
+               "--batch-size", "16", "--learning-rate", "1e-2", "--seed", "4",
+               "--generator-hidden", "16", "--discriminator-hidden", "16",
+               "--patience", "100"])
+    assert rc == 0
+    with open(out / "curve.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    p5 = [float(row["p5"]) for row in rows]
+    _, meta, _ = NN.load_checkpoint(out / "checkpoint.best.npz")
+    assert meta["round"] == int(rows[p5.index(max(p5))]["round"])
 
 
 def test_train_max_rounds_zero_equals_pretrained(tmp_path, prepared):
@@ -316,6 +332,16 @@ def _bad_cache(problem, good, tmp_path):
         contents["header"] = json.dumps(header)
     elif problem == "missing":
         del contents["purchase"]
+    elif problem == "missing idf":
+        del contents["idf"]
+    elif problem == "short purchase":
+        contents["purchase"] = contents["purchase"][:-5]
+    elif problem == "short tfidf":
+        contents["tfidf"] = contents["tfidf"][:-1]
+    elif problem == "narrow counts":
+        contents["counts"] = contents["counts"][:, :-1]
+    elif problem == "short idf":
+        contents["idf"] = contents["idf"][:-1]
     elif problem == "unsorted":
         contents["user_ids"] = contents["user_ids"][::-1]
     else:                                     # a repeated user id
@@ -324,12 +350,19 @@ def _bad_cache(problem, good, tmp_path):
     return bad
 
 
-# Each defect of _bad_cache and a part of the message that refuses it.
+# Each defect of _bad_cache and a part of the message that refuses it; the
+# fixture cache has 60 users, m = 1682 and d = D_100K.
+D_100K = 60
 BAD_CACHE_MESSAGES = {
     "directory": "Is a directory",
     "truncated": "File is not a zip file",
     "version 2": "format version 2 is not the supported version 1; re-run prepare",
     "missing": "purchase is not a file",
+    "missing idf": "idf is not a file",
+    "short purchase": "purchase has shape (55, 1682), expected (60, 1682) for 60 users",
+    "short tfidf": f"tfidf has shape (59, {D_100K}), expected (60, {D_100K})",
+    "narrow counts": f"counts has shape (60, {D_100K - 1}), expected (60, {D_100K})",
+    "short idf": f"idf has shape ({D_100K - 1},), expected ({D_100K},)",
     "unsorted": "user_ids are not strictly increasing",
     "duplicate": "user_ids are not strictly increasing",
 }
@@ -512,13 +545,13 @@ def test_sweep_beta_outputs_and_cv_consistency(tmp_path, prepared):
 
 def test_sweep_beta_honours_validation_fraction(tmp_path, prepared, monkeypatch):
     held = []
-    fit = T.fit
 
-    def spy(x_train, y_train, config, x_val=None, y_val=None, **kwargs):
-        held.append((len(x_train), len(x_val), config.validation_fraction))
-        return fit(x_train, y_train, config, x_val=x_val, y_val=y_val, **kwargs)
+    class Spy(T.Trainer):
+        def __init__(self, x_train, y_train, config, **kwargs):
+            super().__init__(x_train, y_train, config, **kwargs)
+            held.append((len(self.x_train), len(self.x_val), config.validation_fraction))
 
-    monkeypatch.setattr(T, "fit", spy)
+    monkeypatch.setattr(T, "Trainer", Spy)
     cfg = tmp_path / "train.conf"
     cfg.write_text("validation_fraction = 0.3\n")
     rc = main(["sweep-beta", "--cache", str(prepared / "ml100k.npz"),
@@ -527,6 +560,16 @@ def test_sweep_beta_honours_validation_fraction(tmp_path, prepared, monkeypatch)
     assert rc == 0
     # 48 warm users of 60; round(0.3 * 48) = 14 of them are held out
     assert held == [(34, 14, 0.3)] * 2
+
+
+def test_sweep_beta_refuses_empty_validation_slice_before_out_dir(tmp_path, prepared, capsys):
+    cfg = tmp_path / "train.conf"
+    cfg.write_text("validation_fraction = 0\n")
+    rc = main(["sweep-beta", "--cache", str(prepared / "ml100k.npz"),
+               "--out-dir", str(tmp_path / "sweep"), "--config", str(cfg), *FAST])
+    assert rc == 1
+    assert "validation_fraction 0.0 holds out none of 48 warm users" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_ablate_outputs(tmp_path, prepared):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srlgan import evaluate as E
+from srlgan import train as T
 
 
 # -- brute-force oracles: walk the ranked prefix item by item ---------------
@@ -297,24 +298,20 @@ def test_evaluate_twice_identical(tmp_path):
 
 
 def test_ablation_config_modes():
-    from srlgan.train import TrainConfig
-
-    base = TrainConfig(beta=0.1)
-    s1 = E.ablation_config(base, "S1")
+    base = T.TrainConfig(beta=0.1)
+    s1 = T.ablation_config(base, "S1")
     assert s1.gan_loss == "bce" and not s1.sparsity and s1.beta == 0.0
-    s2 = E.ablation_config(base, "S2")
+    s2 = T.ablation_config(base, "S2")
     assert s2.gan_loss == "lsq" and not s2.sparsity
-    s3 = E.ablation_config(base, "S3")
+    s3 = T.ablation_config(base, "S3")
     assert s3.gan_loss == "lsq" and s3.sparsity and s3.beta == 0.1
 
 
 def test_ablation_s1_is_non_saturating():
-    from srlgan.train import TrainConfig
-
-    base = TrainConfig(beta=0.1, nonsaturating=False)
-    assert E.ablation_config(base, "S1").nonsaturating
-    assert not E.ablation_config(base, "S2").nonsaturating
-    assert not E.ablation_config(base, "S3").nonsaturating
+    base = T.TrainConfig(beta=0.1, nonsaturating=False)
+    assert T.ablation_config(base, "S1").nonsaturating
+    assert not T.ablation_config(base, "S2").nonsaturating
+    assert not T.ablation_config(base, "S3").nonsaturating
 
 
 def test_s1_with_beta_rejected():

@@ -4,6 +4,7 @@ import pytest
 from srlgan import model as M
 from srlgan import train as T
 from srlgan.data import split_rows
+from srlgan.evaluate import evaluate_report
 
 
 def toy_data(n=40, d=6, m=12, seed=0):
@@ -20,6 +21,14 @@ def toy_data(n=40, d=6, m=12, seed=0):
             if rng.random() < 0.7:
                 y[k, i] = rng.choice([0.4, 0.6, 0.8, 1.0])
     return x, y
+
+
+def train_with_slice(x, y, config, x_val, y_val):
+    """Pretrain and train on all of x, y, validating on the given slice."""
+    trainer = T.Trainer(x, y, config, x_val=x_val, y_val=y_val)
+    trainer.pretrain_generator()
+    trainer.train()
+    return trainer
 
 
 def small_config(**overrides):
@@ -79,7 +88,7 @@ def test_training_deterministic_bit_for_bit():
     params = []
     for _ in range(2):
         cfg = small_config()
-        trainer = T.fit(x, y, cfg, x_val=x[:8], y_val=y[:8])
+        trainer = train_with_slice(x, y, cfg, x[:8], y[:8])
         params.append((trainer.generator.param_vector(),
                        trainer.discriminator.param_vector()))
     assert np.array_equal(params[0][0], params[1][0])
@@ -88,8 +97,8 @@ def test_training_deterministic_bit_for_bit():
 
 def test_different_seed_different_params():
     x, y = toy_data()
-    a = T.fit(x, y, small_config(seed=1))
-    b = T.fit(x, y, small_config(seed=2))
+    a = T.fit(x, y, small_config(seed=1, validation_fraction=0.0))
+    b = T.fit(x, y, small_config(seed=2, validation_fraction=0.0))
     assert not np.array_equal(a.generator.param_vector(),
                               b.generator.param_vector())
 
@@ -108,7 +117,7 @@ def test_max_rounds_zero_keeps_pretrained_generator():
 def test_curve_rounds_strictly_increasing_and_finite():
     x, y = toy_data()
     cfg = small_config(max_rounds=8, eval_every=2)
-    trainer = T.fit(x, y, cfg, x_val=x[:8], y_val=y[:8])
+    trainer = train_with_slice(x, y, cfg, x[:8], y[:8])
     rounds = [p.round for p in trainer.curve.points]
     assert rounds == sorted(rounds) and len(set(rounds)) == len(rounds)
     for p in trainer.curve.points:
@@ -119,7 +128,7 @@ def test_curve_rounds_strictly_increasing_and_finite():
 
 def test_discriminator_scores_stay_in_unit_interval():
     x, y = toy_data()
-    cfg = small_config(max_rounds=6)
+    cfg = small_config(max_rounds=6, validation_fraction=0.0)
     trainer = T.fit(x, y, cfg)
     scores = trainer.discriminator.forward(
         M.discriminator_input(x, y), training=False)
@@ -137,7 +146,8 @@ def test_mode_collapse_flag_mechanics():
 
 def test_bce_mode_trains():
     x, y = toy_data()
-    cfg = small_config(gan_loss="bce", sparsity=False, beta=0.0, max_rounds=4)
+    cfg = small_config(gan_loss="bce", sparsity=False, beta=0.0, max_rounds=4,
+                       validation_fraction=0.0)
     trainer = T.fit(x, y, cfg)
     assert trainer.rounds_done == 4
 
@@ -189,15 +199,48 @@ def test_early_stopping_on_stale_validation():
     x, y = toy_data()
     cfg = small_config(max_rounds=100, eval_every=1, patience=3,
                        learning_rate=1e-9)
-    trainer = T.fit(x, y, cfg, x_val=x[:8], y_val=y[:8])
+    trainer = train_with_slice(x, y, cfg, x[:8], y[:8])
     # tiny lr: validation P@5 cannot improve, so the loop stops early
     assert trainer.rounds_done < 100
+
+
+def test_on_best_fires_exactly_when_early_stopping_resets():
+    x, y = toy_data()
+    trainer = T.Trainer(x, y, small_config(max_rounds=10, eval_every=1, patience=2),
+                        x_val=x[:8], y_val=y[:8])
+    # A NaN (no validation metric) neither improves nor counts as stale,
+    # and a rise of 1e-15 is no improvement.
+    p5s = iter([0.1, float("nan"), 0.1 + 1e-15, 0.2, 0.2 + 1e-15, 0.2, 0.9])
+    trainer.discriminator_phase_step = lambda: 0.0
+    trainer.generator_phase_step = lambda: {"total": 0.0, "sr": 0.0}
+    trainer._evaluate_checkpoint = lambda rnd, d_loss, g_losses: T.CurvePoint(
+        rnd, 0.0, 0.0, 0.0, next(p5s), 0.0, 0.0)
+    fired = []
+    trainer.train(on_best=lambda tr, point: fired.append((tr, point.round, point.p5)))
+    assert fired == [(trainer, 1, 0.1), (trainer, 4, 0.2)]
+    # rounds 5 and 6 are the two stale evaluations that stop the loop
+    assert trainer.rounds_done == 6
+
+
+def test_run_ablation_matches_trainer_on_all_warm_users_bit_for_bit():
+    x, y = toy_data()
+    x_cold, y_cold = toy_data(n=12, seed=1)
+    base = small_config(max_rounds=4, validation_fraction=0.25)
+    reports = T.run_ablation(x, y, x_cold, y_cold, base, ns=(5, 10))
+    assert list(reports) == ["S1", "S2", "S3"]
+    for mode, report in reports.items():
+        trainer = train_with_slice(x, y, T.ablation_config(base, mode), x[:0], y[:0])
+        want = evaluate_report(M.generator_forward(trainer.generator, x_cold), y_cold,
+                               ns=(5, 10))
+        assert np.array_equal(report.users, want.users)
+        for key, values in want.values.items():
+            assert np.array_equal(report.values[key], values), (mode, key)
 
 
 def test_curve_csv_round_trip(tmp_path):
     x, y = toy_data()
     cfg = small_config(max_rounds=4, eval_every=2)
-    trainer = T.fit(x, y, cfg, x_val=x[:8], y_val=y[:8])
+    trainer = train_with_slice(x, y, cfg, x[:8], y[:8])
     path = tmp_path / "curve.csv"
     trainer.curve.write_csv(path)
     lines = path.read_text().splitlines()
