@@ -42,15 +42,21 @@ def _cache_path(args) -> Path:
     return Path(root) / f"{args.dataset}.npz"
 
 
-def _split(args, cache, split_seed: int, cold_fraction: float = 0.2):
+def _split(args, cache, split_seed: int, cold_fraction: float = 0.2,
+           need_cold: bool = False):
     """`split_matrices` of the command's split.  A split flag left unset
-    takes the given fallback, written back into args for the manifest."""
+    takes the given fallback, written back into args for the manifest.
+    With `need_cold`, a split that draws no cold user is refused."""
     if args.cold_fraction is None:
         args.cold_fraction = cold_fraction
     if args.split_seed is None:
         args.split_seed = split_seed
-    return P.split_matrices(cache, args.cold_fraction, args.split_seed,
-                            getattr(args, "leakage_free_cold", False))
+    split = P.split_matrices(cache, args.cold_fraction, args.split_seed,
+                             getattr(args, "leakage_free_cold", False))
+    if need_cold and len(split[0]) == 0:
+        raise ValueError(f"--cold-fraction {args.cold_fraction:g} draws no cold users "
+                         f"of {len(cache.user_ids)}, so there is nothing to evaluate")
+    return split
 
 
 def _load_config(args) -> T.TrainConfig:
@@ -184,6 +190,8 @@ def cmd_prepare(args) -> int:
 
 
 def _save_trainer_checkpoint(path, trainer: T.Trainer, cache, args, rnd):
+    """Save G into `path`, making its directory: `train` makes its out-dir
+    only here, once the run has passed every refusal."""
     meta = {
         "dataset": cache.dataset,
         "schema_hash": cache.schema_hash(),
@@ -193,6 +201,7 @@ def _save_trainer_checkpoint(path, trainer: T.Trainer, cache, args, rnd):
         "config": dataclasses.asdict(trainer.config),
         "round": rnd,
     }
+    path.parent.mkdir(parents=True, exist_ok=True)
     NN.save_checkpoint(path, {"generator": trainer.generator}, meta,
                        extra_arrays={"rho": trainer.rho})
 
@@ -202,11 +211,11 @@ def cmd_train(args) -> int:
     cache = D.load_cache(_cache_path(args))
     _, x_warm, y_warm, _, _ = _split(args, cache, config.seed)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     best_path = out_dir / "checkpoint.best.npz"
+    best_rounds = []
 
     def on_best(tr, point):
+        best_rounds.append(point.round)
         _save_trainer_checkpoint(best_path, tr, cache, args, point.round)
 
     trainer = T.fit(x_warm, y_warm, config, on_best=on_best)
@@ -214,7 +223,7 @@ def cmd_train(args) -> int:
     final_path = out_dir / "checkpoint.npz"
     _save_trainer_checkpoint(final_path, trainer, cache, args,
                              trainer.rounds_done)
-    if not best_path.exists():
+    if not best_rounds:     # no improvement this run: the final model is the best
         _save_trainer_checkpoint(best_path, trainer, cache, args,
                                  trainer.rounds_done)
     curve_path = out_dir / "curve.csv"
@@ -240,7 +249,7 @@ def cmd_eval(args) -> int:
     cache = D.load_cache(_cache_path(args))
     if args.baseline == "itempop":
         # `srlgan train`'s default split, so a rerun draws the same cold users.
-        cold_ids, _, y_warm, _, y_cold = _split(args, cache, 0)
+        cold_ids, _, y_warm, _, y_cold = _split(args, cache, 0, need_cold=True)
         report = E.evaluate_report(E.item_popularity(y_warm), y_cold, ns=ns,
                                    user_keys=cold_ids)
         label = "itempop"
@@ -252,7 +261,7 @@ def cmd_eval(args) -> int:
                 f"{meta['schema_hash']} vs {cache.schema_hash()}")
         args.leakage_free_cold = args.leakage_free_cold or meta["leakage_free_cold"]
         cold_ids, _, _, x_cold, y_cold = _split(args, cache, meta["split_seed"],
-                                                meta["cold_fraction"])
+                                                meta["cold_fraction"], need_cold=True)
         preds = M.generator_forward(nets["generator"], x_cold)
         report = E.evaluate_report(preds, y_cold, ns=ns, user_keys=cold_ids,
                                    graded=args.graded)
@@ -314,10 +323,10 @@ def cmd_ablate(args) -> int:
     config = _load_config(args)
     ns = _cutoffs(args.n)
     cache = D.load_cache(_cache_path(args))
-    _, x_warm, y_warm, x_cold, y_cold = _split(args, cache, config.seed)
+    _, x_warm, y_warm, x_cold, y_cold = _split(args, cache, config.seed, need_cold=True)
+    reports = T.run_ablation(x_warm, y_warm, x_cold, y_cold, config, ns=ns)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = T.run_ablation(x_warm, y_warm, x_cold, y_cold, config, ns=ns)
     summary = {}
     for mode, report in reports.items():
         report.write_csv(out_dir / f"ablation.{mode}.csv")
@@ -334,20 +343,24 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    plots = (("P@5", "p5"), ("N@5", "n5"), ("loss_sr", "loss_sr"))
+    columns = ("round", *(column for _, column in plots))
+    curves = {}
+    for path in map(Path, args.curves):
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        missing = [c for c in columns if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ValueError(f"curve {path}: no {', '.join(missing)} column")
+        try:
+            curves[path.stem] = {c: [float(r[c]) for r in rows] for c in columns}
+        except (TypeError, ValueError):
+            raise ValueError(f"curve {path}: a row is short or not numeric") from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    curves = {}
-    for path in args.curves:
-        path = Path(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        curves[path.stem] = rows
-    for metric, column in (("P@5", "p5"), ("N@5", "n5"), ("loss_sr", "loss_sr")):
-        series = {
-            name: ([float(r["round"]) for r in rows],
-                   [float(r[column]) for r in rows])
-            for name, rows in curves.items()
-        }
+    for metric, column in plots:
+        series = {name: (curve["round"], curve[column]) for name, curve in curves.items()}
         svg = svgplot.line_chart(series, f"{metric} vs round", "round", metric)
         (out_dir / f"plot.{column}.svg").write_text(svg)
     print(f"plots written to {out_dir}")

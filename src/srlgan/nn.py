@@ -6,10 +6,14 @@ updates vanish into rounding).  Batches are row-major: (batch, features).
 A network instance is single-writer during training; clone parameters for
 concurrent read-only inference.
 
-An MLP stores its parameters in one flat vector `theta` and their gradients
-in one flat `grad`, in `params()` order (layer by layer, weight then bias);
-each Linear's arrays are views into them, so zero_grad, Adam, the parameter
-vector and checkpoint I/O are single array operations.
+An MLP owns its parameters: one flat vector `theta` and one flat `grad`, in
+`params()` order (layer by layer, weight then bias), each allocated once with
+`np.zeros`.  Each Linear holds views into them, so zero_grad, Adam and
+checkpoint I/O are single array operations.  The MLP draws each layer's
+initial weights straight into its weight view (He uniform for the hidden
+layers, Xavier uniform for the output layer, zero biases); built with no rng,
+it leaves `theta` at zero, which is how `load_checkpoint` fills a network
+from the stored vector without drawing an init it would overwrite.
 
 `MLP.zero_grad()` clears `grad` and marks every Linear, so that the next
 `backward` of each layer writes its parameter gradients into the flat store
@@ -59,20 +63,12 @@ class TrainingError(RuntimeError):
 
 
 class Linear:
-    """y = x @ W + b with W shaped (in, out)."""
+    """y = x @ W + b with W shaped (in, out).  `weight`, `bias` and their
+    gradients are views into the owning MLP's `theta` and `grad`."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 init: str = "he"):
-        if init == "he":
-            bound = np.sqrt(6.0 / in_dim)
-        elif init == "xavier":
-            bound = np.sqrt(6.0 / (in_dim + out_dim))
-        else:
-            raise ValueError(f"unknown init {init!r}")
-        self.weight = rng.uniform(-bound, bound, size=(in_dim, out_dim))
-        self.bias = np.zeros(out_dim)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
+    def __init__(self, weight, bias, grad_weight, grad_bias):
+        self.weight, self.bias = weight, bias
+        self.grad_weight, self.grad_bias = grad_weight, grad_bias
         self._x = None
         self._overwrite = False     # set by MLP.zero_grad: next backward writes
 
@@ -100,10 +96,6 @@ class Linear:
         """The gradient w.r.t. the input alone; parameter gradients are untouched."""
         return grad_out @ self.weight.T
 
-    def params(self):
-        return [("weight", self.weight, self.grad_weight),
-                ("bias", self.bias, self.grad_bias)]
-
 
 class LeakyReLU:
     def __init__(self, slope: float = 0.01):
@@ -119,9 +111,6 @@ class LeakyReLU:
     def backward(self, grad_out):
         return np.where(self._mask, grad_out, self.slope * grad_out)
 
-    def params(self):
-        return []
-
 
 class Sigmoid:
     def __init__(self):
@@ -133,9 +122,6 @@ class Sigmoid:
 
     def backward(self, grad_out):
         return grad_out * self._y * (1.0 - self._y)
-
-    def params(self):
-        return []
 
 
 class Dropout:
@@ -163,34 +149,36 @@ class Dropout:
             return grad_out
         return grad_out * self._scale
 
-    def params(self):
-        return []
-
 
 class MLP:
     """Sequential dense net: LeakyReLU hiddens (optional dropout), sigmoid
-    output.  forward() caches activations for one backward() pass."""
+    output.  forward() caches activations for one backward() pass.  `rng`
+    draws the initial weights; with None, `theta` stays zero."""
 
-    def __init__(self, sizes, rng: np.random.Generator, slope: float = 0.01,
+    def __init__(self, sizes, rng: np.random.Generator | None, slope: float = 0.01,
                  dropout: float = 0.0):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
-        self.sizes = list(sizes)
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in sizes):
+            raise ValueError(f"layer widths must be integers >= 1, got {list(sizes)}")
+        self.sizes = [int(n) for n in sizes]
         self.slope = slope
         self.dropout = dropout
-        self.theta = np.empty(sum((a + 1) * b for a, b in zip(sizes, sizes[1:])))
-        self.grad = np.zeros_like(self.theta)
+        pairs = list(zip(self.sizes, self.sizes[1:]))
+        self.theta = np.zeros(sum((a + 1) * b for a, b in pairs))
+        self.grad = np.zeros(self.theta.size)
         self.layers = []
         offset = 0
-        for k in range(len(sizes) - 1):
-            last = k == len(sizes) - 2
-            linear = Linear(sizes[k], sizes[k + 1], rng, init="xavier" if last else "he")
-            for name, value, _ in linear.params():
-                end = offset + value.size
-                self.theta[offset:end] = value.ravel()
-                setattr(linear, name, self.theta[offset:end].reshape(value.shape))
-                setattr(linear, f"grad_{name}", self.grad[offset:end].reshape(value.shape))
-                offset = end
+        for k, (a, b) in enumerate(pairs):
+            last = k == len(pairs) - 1
+            mid, end = offset + a * b, offset + (a + 1) * b
+            linear = Linear(self.theta[offset:mid].reshape(a, b), self.theta[mid:end],
+                            self.grad[offset:mid].reshape(a, b), self.grad[mid:end])
+            offset = end
+            if rng is not None:
+                # He uniform for hidden layers, Xavier uniform for the output.
+                bound = np.sqrt(6.0 / (a + b if last else a))
+                linear.weight[...] = rng.uniform(-bound, bound, size=(a, b))
             self.layers.append(linear)
             if last:
                 self.layers.append(Sigmoid())
@@ -225,20 +213,13 @@ class MLP:
                 layer._overwrite = True
 
     def params(self):
+        """(name, value, grad) of every weight and bias, in `theta` order."""
         out = []
         for k, layer in enumerate(self.layers):
-            for name, value, grad in layer.params():
-                out.append((f"layer{k}.{name}", value, grad))
+            if isinstance(layer, Linear):
+                out += [(f"layer{k}.weight", layer.weight, layer.grad_weight),
+                        (f"layer{k}.bias", layer.bias, layer.grad_bias)]
         return out
-
-    def param_vector(self) -> np.ndarray:
-        return self.theta.copy()
-
-    def set_param_vector(self, flat) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != self.theta.shape:
-            raise ValueError(f"parameter vector shape {flat.shape} != {self.theta.shape}")
-        self.theta[...] = flat
 
 
 class Adam:
@@ -252,8 +233,8 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = np.zeros_like(net.theta)
-        self.v = np.zeros_like(net.theta)
+        self.m = np.zeros(net.theta.size)
+        self.v = np.zeros(net.theta.size)
 
     def step(self):
         grad = self.net.grad
@@ -337,8 +318,7 @@ def load_checkpoint(path):
                                  f"supported version {CHECKPOINT_VERSION}; re-run train")
             nets = {}
             for name, sizes in header["nets"].items():
-                net = nets[name] = MLP(sizes, np.random.default_rng(0),
-                                       slope=header["slope"][name],
+                net = nets[name] = MLP(sizes, None, slope=header["slope"][name],
                                        dropout=header["dropout"][name])
                 arr = z[f"{name}/params"]
                 if arr.dtype != np.float64 or arr.shape != net.theta.shape:

@@ -85,6 +85,12 @@ class TrainConfig:
             problems.append("max_rounds must be >= 0")
         if not 0 <= self.validation_fraction < 1:
             problems.append("validation_fraction must be in [0, 1)")
+        if not 0 <= self.dropout < 1:
+            problems.append(f"dropout must be in [0, 1), got {self.dropout!r}")
+        for name in ("generator_hidden", "discriminator_hidden"):
+            widths = getattr(self, name)
+            if widths is not None and not all(w >= 1 for w in widths):
+                problems.append(f"{name}: each hidden width must be >= 1, got {widths}")
         if problems:
             raise ValueError("; ".join(problems))
         return self

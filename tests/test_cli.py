@@ -170,6 +170,23 @@ def test_best_checkpoint_is_the_first_best_round_of_the_curve(tmp_path, prepared
     assert meta["round"] == int(rows[p5.index(max(p5))]["round"])
 
 
+def test_train_rerun_that_never_improves_replaces_the_best_checkpoint(tmp_path, prepared):
+    out = tmp_path / "rerun"
+    cache = str(prepared / "ml100k.npz")
+    assert main(["train", "--cache", cache, "--out-dir", str(out), *FAST]) == 0
+    _, meta, _ = NN.load_checkpoint(out / "checkpoint.best.npz")
+    assert meta["config"]["seed"] == 3
+    cfg = tmp_path / "train.conf"
+    cfg.write_text("validation_fraction = 0\n")
+    assert main(["train", "--cache", cache, "--out-dir", str(out), "--config", str(cfg),
+                 *FAST, "--seed", "9"]) == 0
+    final, best = (NN.load_checkpoint(out / name) for name in
+                   ("checkpoint.npz", "checkpoint.best.npz"))
+    assert best[1]["config"]["seed"] == final[1]["config"]["seed"] == 9
+    assert best[1]["round"] == final[1]["round"] == 2
+    assert np.array_equal(best[0]["generator"].theta, final[0]["generator"].theta)
+
+
 def test_train_max_rounds_zero_equals_pretrained(tmp_path, prepared):
     out = tmp_path / "mr0"
     args = [a if a != "2" else "0" for a in FAST]  # max-rounds 0
@@ -187,8 +204,7 @@ def test_train_max_rounds_zero_equals_pretrained(tmp_path, prepared):
     train_idx, _ = D.split_rows(x_warm.shape[0], cfg.validation_fraction, 3)
     trainer = T.Trainer(x_warm[train_idx], y_warm[train_idx], cfg)
     trainer.pretrain_generator()
-    assert np.array_equal(nets["generator"].param_vector(),
-                          trainer.generator.param_vector())
+    assert np.array_equal(nets["generator"].theta, trainer.generator.theta)
 
 
 def test_train_s1_flags(tmp_path, prepared):
@@ -390,6 +406,52 @@ def test_bad_cold_fraction_exit_1_before_out_dir(command, tmp_path, prepared, ca
     assert rc == 1
     assert "error: split fraction 1.0 outside [0, 1)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["train", "--generator-hidden", "8,0,8"], "",
+     "generator_hidden: each hidden width must be >= 1, got [8, 0, 8]"),
+    (["train", "--generator-hidden", "8,-3"], "",
+     "generator_hidden: each hidden width must be >= 1, got [8, -3]"),
+    (["ablate", "--discriminator-hidden", "0"], "",
+     "discriminator_hidden: each hidden width must be >= 1, got [0]"),
+    (["train"], "dropout = 1.5\n", "dropout must be in [0, 1), got 1.5"),
+    (["train", "--cold-fraction", "0.999"], "", "empty warm training set"),
+], ids=["zero-width", "negative-width", "ablate-zero-width", "dropout", "no-warm-user"])
+def test_train_refusals_leave_no_out_dir(argv, config, message, tmp_path, prepared, capsys):
+    cfg = tmp_path / "train.conf"
+    cfg.write_text(config)
+    rc = main([argv[0], *FAST, *argv[1:], "--config", str(cfg),
+               "--cache", str(prepared / "ml100k.npz"), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval-itempop", "eval-model", "ablate"])
+def test_empty_cold_set_refused_before_any_work(command, tmp_path, prepared, trained, capsys,
+                                                monkeypatch):
+    monkeypatch.setattr(T.Trainer, "pretrain_generator",
+                        lambda *a, **k: pytest.fail("training started"))
+    argv = {"eval-itempop": ["eval", "--baseline", "itempop"],
+            "eval-model": ["eval", "--checkpoint", str(trained / "checkpoint.npz")],
+            "ablate": ["ablate", *FAST]}[command]
+    rc = main([*argv, "--cold-fraction", "0", "--cache", str(prepared / "ml100k.npz"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error: --cold-fraction 0 draws no cold users of 60" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["train", *FAST], ["sweep-beta", *FAST, "--grid", "0.1"]],
+                         ids=["train", "sweep-beta"])
+def test_train_and_sweep_beta_accept_no_cold_users(command, tmp_path, prepared):
+    rc = main([*command, "--cold-fraction", "0", "--cache", str(prepared / "ml100k.npz"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    args = json.loads((tmp_path / "out" / "manifest.json").read_text())["args"]
+    assert args["cold_fraction"] == 0.0
 
 
 def test_cache_root_needs_dataset(tmp_path, prepared, capsys, monkeypatch):
@@ -602,6 +664,32 @@ def test_plot_from_curves(tmp_path, trained):
     assert rc == 0
     for name in ("plot.p5.svg", "plot.n5.svg", "plot.loss_sr.svg"):
         assert (out / name).read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("column", ["round", "p5", "n5", "loss_sr"])
+def test_plot_refuses_curve_without_a_needed_column(column, tmp_path, trained, capsys):
+    with open(trained / "curve.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    curve = tmp_path / "cut.csv"
+    with open(curve, "w", newline="") as fh:
+        w = csv.DictWriter(fh, [name for name in rows[0] if name != column])
+        w.writeheader()
+        w.writerows({k: v for k, v in row.items() if k != column} for row in rows)
+    rc = main(["plot", "--out-dir", str(tmp_path / "plots"), str(trained / "curve.csv"),
+               str(curve)])
+    assert rc == 1
+    assert f"error: curve {curve}: no {column} column" in capsys.readouterr().err
+    assert not (tmp_path / "plots").exists()
+
+
+def test_plot_refuses_a_short_row(tmp_path, trained, capsys):
+    curve = tmp_path / "short.csv"
+    text = (trained / "curve.csv").read_text()
+    curve.write_text(text + "3,0.5\n")
+    rc = main(["plot", "--out-dir", str(tmp_path / "plots"), str(curve)])
+    assert rc == 1
+    assert f"error: curve {curve}: a row is short or not numeric" in capsys.readouterr().err
+    assert not (tmp_path / "plots").exists()
 
 
 def test_leakage_free_cold_changes_features(prepared):

@@ -7,19 +7,19 @@ from srlgan import nn as NN
 def central_diff_grads(net, loss_fn, step=1e-4):
     """Finite-difference oracle: perturb every parameter of a cloned
     parameter vector and difference the scalar loss."""
-    theta = net.param_vector()
+    theta = net.theta.copy()
     grads = np.zeros_like(theta)
     for k in range(theta.size):
         for sign, slot in ((+1, 0), (-1, 1)):
             bumped = theta.copy()
             bumped[k] += sign * step
-            net.set_param_vector(bumped)
+            net.theta[...] = bumped
             if slot == 0:
                 up = loss_fn()
             else:
                 down = loss_fn()
         grads[k] = (up - down) / (2 * step)
-    net.set_param_vector(theta)
+    net.theta[...] = theta
     return grads
 
 
@@ -28,36 +28,35 @@ def rel_err(a, b):
     return np.max(np.abs(a - b) / denom)
 
 
+def _linear(in_dim, out_dim):
+    """A Linear whose arrays are views into a zeroed MLP's flat store."""
+    return NN.MLP([in_dim, out_dim], None).layers[0]
+
+
 def test_linear_identity():
-    rng = np.random.default_rng(0)
-    layer = NN.Linear(3, 3, rng)
-    layer.weight = np.eye(3)
-    layer.bias = np.zeros(3)
-    x = rng.normal(size=(4, 3))
+    layer = _linear(3, 3)
+    layer.weight[...] = np.eye(3)
+    x = np.random.default_rng(0).normal(size=(4, 3))
     assert np.allclose(layer.forward(x), x)
 
 
 def test_linear_zero_weight_constant():
-    rng = np.random.default_rng(0)
-    layer = NN.Linear(2, 3, rng)
-    layer.weight = np.zeros((2, 3))
-    layer.bias = np.array([1.0, 2.0, 3.0])
+    layer = _linear(2, 3)
+    layer.bias[...] = [1.0, 2.0, 3.0]
     out = layer.forward(np.ones((5, 2)))
     assert np.allclose(out, np.tile([1.0, 2.0, 3.0], (5, 1)))
 
 
 def test_linear_hand_arithmetic():
-    rng = np.random.default_rng(0)
-    layer = NN.Linear(2, 2, rng)
+    layer = _linear(2, 2)
     # out = W^T x for W stored (in, out): columns are output units
-    layer.weight = np.array([[1.0, 3.0], [2.0, 4.0]])
-    layer.bias = np.zeros(2)
+    layer.weight[...] = [[1.0, 3.0], [2.0, 4.0]]
     out = layer.forward(np.array([[1.0, 1.0]]))
     assert np.allclose(out, [[3.0, 7.0]])
 
 
 def test_linear_shape_mismatch():
-    layer = NN.Linear(3, 2, np.random.default_rng(0))
+    layer = _linear(3, 2)
     with pytest.raises(ValueError):
         layer.forward(np.ones((1, 4)))
 
@@ -89,7 +88,7 @@ def test_dropout_train_scales_survivors():
 
 
 def test_backward_before_forward_raises():
-    layer = NN.Linear(2, 2, np.random.default_rng(0))
+    layer = _linear(2, 2)
     with pytest.raises(RuntimeError):
         layer.backward(np.ones((1, 2)))
 
@@ -162,23 +161,23 @@ def test_input_gradient_matches_finite_differences():
 
 def test_adam_zero_grad_no_update():
     net = NN.MLP([2, 3], np.random.default_rng(0))
-    before = net.param_vector()
+    before = net.theta.copy()
     opt = NN.Adam(net, lr=0.1)
     net.zero_grad()
     opt.step()
-    assert np.array_equal(net.param_vector(), before)
+    assert np.array_equal(net.theta, before)
 
 
 def test_adam_first_step_magnitude():
     # Constant gradient: the bias-corrected first step has magnitude ~lr.
     net = NN.MLP([1, 1], np.random.default_rng(0))
     net.layers = net.layers[:1]
-    before = net.param_vector()
+    before = net.theta.copy()
     opt = NN.Adam(net, lr=0.01)
     net.layers[0].grad_weight[...] = 3.0
     net.layers[0].grad_bias[...] = 3.0
     opt.step()
-    delta = net.param_vector() - before
+    delta = net.theta - before
     assert np.allclose(np.abs(delta), 0.01, rtol=1e-4)
 
 
@@ -197,11 +196,11 @@ def test_adam_identical_grads_identical_updates():
 def test_adam_nonfinite_grad_raises():
     net = NN.MLP([3, 4, 4, 2], np.random.default_rng(0))
     opt = NN.Adam(net, lr=0.01)
-    before = net.param_vector()
+    before = net.theta.copy()
     net.layers[2].grad_weight[1, 3] = np.nan
     with pytest.raises(NN.TrainingError, match=r"layer2\.weight"):
         opt.step()
-    assert np.array_equal(net.param_vector(), before)
+    assert np.array_equal(net.theta, before)
 
 
 def test_layer_arrays_are_views_of_the_flat_store():
@@ -214,12 +213,49 @@ def test_layer_arrays_are_views_of_the_flat_store():
                             (layer.bias, layer.grad_bias)):
             assert np.shares_memory(value, net.theta)
             assert np.shares_memory(grad, net.grad)
-    assert np.array_equal(net.param_vector(),
+    assert np.array_equal(net.theta,
                           np.concatenate([v.ravel() for _, v, _ in net.params()]))
-    net.set_param_vector(np.arange(net.theta.size, dtype=np.float64))
+    net.theta[...] = np.arange(net.theta.size, dtype=np.float64)
     assert linears[0].weight[0, 1] == 1.0 and linears[0].bias[0] == 15.0
-    with pytest.raises(ValueError):
-        net.set_param_vector(np.zeros(1))
+
+
+def _reference_theta(sizes, rng):
+    """An independent init draw: per layer in order, He uniform weights for
+    the hidden layers and Xavier uniform for the output layer, zero biases."""
+    parts = []
+    for k, (a, b) in enumerate(zip(sizes, sizes[1:])):
+        bound = np.sqrt(6.0 / (a + b)) if k == len(sizes) - 2 else np.sqrt(6.0 / a)
+        parts += [rng.uniform(-bound, bound, size=(a, b)).ravel(), np.zeros(b)]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("sizes, dropout", [
+    ([3, 2], 0.0),
+    ([5, 7, 6, 3], 0.0),
+    ([5, 7, 6, 3], 0.3),
+    ([9, 16, 32, 32, 40], 0.0),     # the generator's depth, at small widths
+    ([49, 64, 16, 4, 1], 0.4),      # the discriminator's depth and dropout
+], ids=["one-layer", "three-layer", "three-layer-dropout", "generator", "discriminator"])
+def test_construction_draws_each_layer_in_place_bit_for_bit(seed, sizes, dropout):
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    net = NN.MLP(sizes, rng, dropout=dropout)
+    assert np.array_equal(net.theta, _reference_theta(sizes, reference))
+    assert not net.grad.any()
+    assert np.array_equal(rng.random(8), reference.random(8))
+
+
+def test_mlp_without_rng_starts_at_zero():
+    net = NN.MLP([4, 6, 3], None, dropout=0.2)
+    assert net.theta.size == 4 * 6 + 6 + 6 * 3 + 3
+    assert not net.theta.any() and not net.grad.any()
+
+
+@pytest.mark.parametrize("sizes", [[3, 0, 2], [3, -1, 2], [3, 2.0, 2], [0, 2]],
+                         ids=["zero", "negative", "float", "zero-input"])
+def test_mlp_refuses_bad_widths(sizes):
+    with pytest.raises(ValueError, match=r"layer widths must be integers >= 1, got \["):
+        NN.MLP(sizes, np.random.default_rng(0))
 
 
 def test_adam_matches_textbook_per_tensor_adam_bit_for_bit():
@@ -254,7 +290,7 @@ def test_blocked_adam_matches_textbook_adam_across_blocks():
     assert net.theta.size == 104_707
     assert 3 * NN.ADAM_BLOCK < net.theta.size < 4 * NN.ADAM_BLOCK
     opt = NN.Adam(net, lr=0.003)
-    theta = net.param_vector()
+    theta = net.theta.copy()
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.003
     rng = np.random.default_rng(23)
@@ -270,7 +306,7 @@ def test_blocked_adam_matches_textbook_adam_across_blocks():
     assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
 
     # A NaN in the last block alone is refused before any block is written.
-    before = (net.param_vector(), opt.m.copy(), opt.v.copy())
+    before = (net.theta.copy(), opt.m.copy(), opt.v.copy())
     net.grad[-1] = np.nan
     with pytest.raises(NN.TrainingError, match=r"layer4\.bias at step 4"):
         opt.step()
@@ -283,7 +319,7 @@ def test_adam_refused_step_leaves_optimizer_unchanged():
     net = NN.MLP([3, 4, 2], np.random.default_rng(6))
     twin = NN.MLP([3, 4, 2], np.random.default_rng(6))
     opt, fresh = NN.Adam(net, lr=0.01), NN.Adam(twin, lr=0.01)
-    before = net.param_vector()
+    before = net.theta.copy()
     net.grad[2] = np.inf
     with pytest.raises(NN.TrainingError, match="at step 1"):
         opt.step()
@@ -338,11 +374,25 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     nets, meta, extra = NN.load_checkpoint(path)
     assert list(nets) == ["net"]
     net2 = nets["net"]
-    assert np.array_equal(net.param_vector(), net2.param_vector())
+    assert np.array_equal(net.theta, net2.theta)
     assert (net2.sizes, net2.slope, net2.dropout) == (net.sizes, net.slope, net.dropout)
     assert np.array_equal(net.forward(x), net2.forward(x))
     assert meta == {"step": 3}
     assert np.array_equal(extra["rho"], np.ones(4))
+
+
+def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
+    net = NN.MLP([5, 7, 6, 3], np.random.default_rng(12), dropout=0.3)
+    path = tmp_path / "ckpt.npz"
+    NN.save_checkpoint(path, {"net": net}, meta={})
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew an init")
+
+    monkeypatch.setattr(NN.np.random, "default_rng", no_rng)
+    loaded = NN.load_checkpoint(path)[0]["net"]
+    assert loaded.theta.tobytes() == net.theta.tobytes()
+    assert not loaded.grad.any()
 
 
 def _twin_nets(seed=31):
@@ -403,7 +453,7 @@ def test_adam_takes_finite_grads_whose_squares_overflow(scale):
     # exact check must let the step through, and the step is textbook Adam.
     net = NN.MLP([40, 300, 300, 7], np.random.default_rng(24))
     opt = NN.Adam(net, lr=0.003)
-    theta, m, v = net.param_vector(), opt.m.copy(), opt.v.copy()
+    theta, m, v = net.theta.copy(), opt.m.copy(), opt.v.copy()
     grad = np.random.default_rng(25).normal(size=net.grad.size)
     grad[-3:] = [scale, -scale, scale]
     with np.errstate(over="ignore"):
@@ -426,7 +476,7 @@ def test_adam_refuses_non_finite_grad_in_last_block(bad):
     rng = np.random.default_rng(27)
     net.grad[...] = rng.normal(size=net.grad.size)
     opt.step()
-    before = (net.param_vector(), opt.m.copy(), opt.v.copy())
+    before = (net.theta.copy(), opt.m.copy(), opt.v.copy())
     net.grad[...] = rng.normal(size=net.grad.size)
     net.grad[-2] = bad
     with pytest.raises(NN.TrainingError, match=r"layer4\.bias at step 2"):

@@ -78,9 +78,9 @@ def test_pretrain_reduces_reconstruction_loss():
 def test_pretrain_zero_iterations_leaves_params():
     x, y = toy_data()
     trainer = T.Trainer(x, y, small_config(n_e=0))
-    before = trainer.generator.param_vector()
+    before = trainer.generator.theta.copy()
     trainer.pretrain_generator()
-    assert np.array_equal(trainer.generator.param_vector(), before)
+    assert np.array_equal(trainer.generator.theta, before)
 
 
 def test_training_deterministic_bit_for_bit():
@@ -89,8 +89,8 @@ def test_training_deterministic_bit_for_bit():
     for _ in range(2):
         cfg = small_config()
         trainer = train_with_slice(x, y, cfg, x[:8], y[:8])
-        params.append((trainer.generator.param_vector(),
-                       trainer.discriminator.param_vector()))
+        params.append((trainer.generator.theta.copy(),
+                       trainer.discriminator.theta.copy()))
     assert np.array_equal(params[0][0], params[1][0])
     assert np.array_equal(params[0][1], params[1][1])
 
@@ -99,8 +99,7 @@ def test_different_seed_different_params():
     x, y = toy_data()
     a = T.fit(x, y, small_config(seed=1, validation_fraction=0.0))
     b = T.fit(x, y, small_config(seed=2, validation_fraction=0.0))
-    assert not np.array_equal(a.generator.param_vector(),
-                              b.generator.param_vector())
+    assert not np.array_equal(a.generator.theta, b.generator.theta)
 
 
 def test_max_rounds_zero_keeps_pretrained_generator():
@@ -108,9 +107,9 @@ def test_max_rounds_zero_keeps_pretrained_generator():
     cfg = small_config(max_rounds=0)
     trainer = T.Trainer(x, y, cfg)
     trainer.pretrain_generator()
-    before = trainer.generator.param_vector()
+    before = trainer.generator.theta.copy()
     trainer.train()
-    assert np.array_equal(trainer.generator.param_vector(), before)
+    assert np.array_equal(trainer.generator.theta, before)
     assert trainer.curve.points == []
 
 
@@ -157,9 +156,9 @@ def test_d_phase_d_only_flag():
     cfg = small_config(d_phase_updates_g=False, max_rounds=2, n_g=1)
     trainer = T.Trainer(x, y, cfg)
     trainer.pretrain_generator()
-    g_before = trainer.generator.param_vector()
+    g_before = trainer.generator.theta.copy()
     trainer.discriminator_phase_step()
-    assert np.array_equal(trainer.generator.param_vector(), g_before)
+    assert np.array_equal(trainer.generator.theta, g_before)
 
 
 def test_holdout_split_sizes_and_determinism():
