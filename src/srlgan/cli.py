@@ -51,6 +51,8 @@ def _split(args, cache, split_seed: int, cold_fraction: float = 0.2,
         args.cold_fraction = cold_fraction
     if args.split_seed is None:
         args.split_seed = split_seed
+    elif args.split_seed < 0:
+        raise ValueError(f"--split-seed must be >= 0, got {args.split_seed}")
     split = P.split_matrices(cache, args.cold_fraction, args.split_seed,
                              getattr(args, "leakage_free_cold", False))
     if need_cold and len(split[0]) == 0:
@@ -290,6 +292,8 @@ def cmd_sweep_beta(args) -> int:
     best, scores = T.cross_validate_beta(x_warm, y_warm, grid, config, curves=curves)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in out_dir.glob("curve.beta*.csv"):      # an earlier grid's curves
+        stale.unlink()
     for beta, curve in curves.items():
         curve.write_csv(out_dir / f"curve.beta{beta:g}.csv")
 
@@ -345,8 +349,8 @@ def cmd_ablate(args) -> int:
 def cmd_plot(args) -> int:
     plots = (("P@5", "p5"), ("N@5", "n5"), ("loss_sr", "loss_sr"))
     columns = ("round", *(column for _, column in plots))
-    curves = {}
-    for path in map(Path, args.curves):
+    curves = {}     # keyed and labelled by the path as given
+    for path in args.curves:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             rows = list(reader)
@@ -354,7 +358,7 @@ def cmd_plot(args) -> int:
         if missing:
             raise ValueError(f"curve {path}: no {', '.join(missing)} column")
         try:
-            curves[path.stem] = {c: [float(r[c]) for r in rows] for c in columns}
+            curves[path] = {c: [float(r[c]) for r in rows] for c in columns}
         except (TypeError, ValueError):
             raise ValueError(f"curve {path}: a row is short or not numeric") from None
     out_dir = Path(args.out_dir)
@@ -399,7 +403,7 @@ def _add_split_flags(p: argparse.ArgumentParser, leakage_free_cold: bool = True)
     if leakage_free_cold:
         p.add_argument("--leakage-free-cold", dest="leakage_free_cold",
                        action="store_true",
-                       help="zero cold users' genre counts before TF-IDF")
+                       help="zero the genre slots of cold users' TF-IDF vectors")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -8,7 +8,9 @@ They are normalized to [0, 1] by dividing with the rating ceiling C, so a
 purchase-behavior row lives in {0, 1/C, ..., 1} with 0 meaning "not
 purchased".
 `split_rows` draws every seeded split (warm/cold users, the validation
-slice); cache rows are users in strictly increasing id order.
+slice); cache rows are users in strictly increasing id order.  The dataset
+cache, and `nn`'s checkpoints, are .npz archives written by one writer,
+`_write_archive`, and read by one reader, `_read_archive`.
 """
 
 from __future__ import annotations
@@ -18,12 +20,15 @@ import json
 import math
 import os
 import zipfile
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 # Declared dataset-wide constants (item counts include never-rated items).
 DATASET_INFO = {
@@ -220,16 +225,68 @@ def sparsity_percent(matrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# On-disk cache.  Layout: a .npz archive with a json header entry plus dense
-# arrays.  Keys:
-#   header   : json string {version, dataset, m, max_rating, d, schema_hash}
-#   user_ids : int64 vector (sorted)
+# Archives (caches and checkpoints): .npz files with a json `header` member
+# that holds the format version.  The cache (CACHE_VERSION 2) holds:
+#   header   : json {version, dataset, m, d, max_rating}
+#   user_ids : int64 (users,), strictly increasing
 #   purchase : float64 (users x m)
 #   tfidf    : float64 (users x d)
-#   counts   : float64 (users x d) raw attribute counts (pre-idf weighting)
-#   idf      : float64 (d,) smoothed inverse document frequencies
 #   schema   : json string (attribute slot list, see features.AttributeSchema)
 # ---------------------------------------------------------------------------
+
+
+def _write_archive(path, header: dict, savez, **arrays) -> None:
+    """`savez` of the json `header` and `arrays` into a temp file beside
+    `path`, renamed over it, so no reader sees a partial file; the file gets
+    the umask's mode."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp.npz")
+    try:
+        savez(tmp, header=json.dumps(header, sort_keys=True), **arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+@contextmanager
+def _read_archive(path, what: str, version: int, writer: str):
+    """Yields (header, archive) of the archive at `path`.  Another format
+    version, and every failure to read it, here or in the caller's block,
+    raise ValueError("<what> <path>: ..."); a missing file raises
+    FileNotFoundError."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            header = json.loads(str(_archive_array(z, "header", np.str_, ())))
+            if not isinstance(header, dict):
+                raise ValueError("header is not a json object")
+            if header["version"] != version:
+                raise ValueError(f"format version {header['version']!r} is not the "
+                                 f"supported version {version}; re-run {writer}")
+            yield header, z
+    except FileNotFoundError:
+        raise
+    # A damaged byte fails in zipfile (BadZipFile; NotImplementedError for an
+    # unknown compression method, RuntimeError for an encryption flag), in
+    # zlib or bz2, or in numpy's .npy header parser (SyntaxError, TokenError).
+    except (OSError, EOFError, KeyError, ValueError, NotImplementedError, RuntimeError,
+            SyntaxError, TokenError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ValueError(f"{what} {path}: {exc}") from exc
+
+
+def _archive_array(z, name: str, dtype, shape: tuple) -> np.ndarray:
+    """Member `name` of archive `z`, refused unless it is a `dtype` array of
+    `shape` (a None length matches any).  The member is read to its end,
+    where zipfile checks its CRC: numpy stops after the array's bytes."""
+    if name not in z.files:
+        raise ValueError(f"{name} is not a file in the archive")
+    with z.zip.open(f"{name}.npy") as member:
+        arr = np.lib.format.read_array(member, allow_pickle=False)
+        member.read()
+    if not (np.issubdtype(arr.dtype, dtype) and len(arr.shape) == len(shape) and all(
+            want in (None, got) for got, want in zip(arr.shape, shape))):
+        raise ValueError(f"array '{name}' is {arr.dtype} {arr.shape}, "
+                         f"expected {np.dtype(dtype).name} {shape}")
+    return arr
 
 
 @dataclass
@@ -240,8 +297,6 @@ class DatasetCache:
     purchase: np.ndarray
     tfidf: np.ndarray
     schema_json: str
-    counts: np.ndarray
-    idf: np.ndarray
 
     @property
     def m(self) -> int:
@@ -255,80 +310,47 @@ class DatasetCache:
         return hashlib.sha256(self.schema_json.encode()).hexdigest()[:16]
 
 
-def _atomic_savez(path, savez, **arrays) -> None:
-    """`savez(tmp, **arrays)` into a temp file beside `path`, renamed over it,
-    so no reader sees a partial file; the file gets the umask's mode."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp.npz")
-    try:
-        savez(tmp, **arrays)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def save_cache(cache: DatasetCache, path) -> None:
     """Atomic write of the dataset cache."""
-    header = {
-        "version": CACHE_VERSION,
-        "dataset": cache.dataset,
-        "m": cache.m,
-        "d": cache.d,
-        "max_rating": cache.max_rating,
-        "schema_hash": cache.schema_hash(),
-    }
-    _atomic_savez(path, np.savez_compressed,
-                  header=json.dumps(header, sort_keys=True),
-                  user_ids=np.asarray(cache.user_ids, dtype=np.int64),
-                  purchase=cache.purchase, tfidf=cache.tfidf,
-                  schema=cache.schema_json, counts=cache.counts, idf=cache.idf)
+    header = {"version": CACHE_VERSION, "dataset": cache.dataset, "m": cache.m,
+              "d": cache.d, "max_rating": cache.max_rating}
+    _write_archive(path, header, np.savez_compressed,
+                   user_ids=np.asarray(cache.user_ids, dtype=np.int64),
+                   purchase=cache.purchase, tfidf=cache.tfidf, schema=cache.schema_json)
 
 
 def load_cache(path) -> DatasetCache:
-    """The cache at `path`.  An unreadable or truncated file, a missing array,
-    another format version, user ids that are not strictly increasing or an
-    array whose shape disagrees with the user count and the header's m and d
-    raise ValueError naming path and problem; a missing file,
-    FileNotFoundError."""
-    try:
-        with np.load(path, allow_pickle=False) as z:
-            header = json.loads(str(z["header"]))
-            if header["version"] != CACHE_VERSION:
-                raise ValueError(f"format version {header['version']} is not the "
-                                 f"supported version {CACHE_VERSION}; re-run prepare")
-            user_ids = z["user_ids"]
-            if np.any(np.diff(user_ids) <= 0):
-                raise ValueError("user_ids are not strictly increasing")
-            n, m, d = len(user_ids), header["m"], header["d"]
-            arrays = {}
-            for name, shape in (("purchase", (n, m)), ("tfidf", (n, d)),
-                                ("counts", (n, d)), ("idf", (d,))):
-                arrays[name] = np.asarray(z[name], dtype=np.float64)
-                if arrays[name].shape != shape:
-                    raise ValueError(f"{name} has shape {arrays[name].shape}, expected "
-                                     f"{shape} for {n} users, m={m}, d={d}")
-            return DatasetCache(
-                dataset=header["dataset"],
-                max_rating=header["max_rating"],
-                user_ids=[int(u) for u in user_ids],
-                schema_json=str(z["schema"]),
-                **arrays,
-            )
-    except FileNotFoundError:
-        raise
-    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"cache {path}: {exc}") from exc
+    """The cache at `path`.  An unreadable, damaged or truncated file, another
+    format version, a missing array, user ids that are not a strictly
+    increasing int64 vector, or an array of another dtype or of a shape that
+    disagrees with the user count and the header's m and d raise ValueError
+    naming path and problem; a missing file, FileNotFoundError."""
+    with _read_archive(path, "cache", CACHE_VERSION, "prepare") as (header, z):
+        user_ids = _archive_array(z, "user_ids", np.int64, (None,))
+        if np.any(np.diff(user_ids) <= 0):
+            raise ValueError("user_ids are not strictly increasing")
+        n = len(user_ids)
+        return DatasetCache(
+            dataset=header["dataset"],
+            max_rating=header["max_rating"],
+            user_ids=user_ids.tolist(),
+            purchase=_archive_array(z, "purchase", np.float64, (n, header["m"])),
+            tfidf=_archive_array(z, "tfidf", np.float64, (n, header["d"])),
+            schema_json=str(_archive_array(z, "schema", np.str_, ())),
+        )
 
 
 def cache_content_hash(cache: DatasetCache) -> str:
-    """Hash of the cache payload (zip containers embed timestamps, so the
-    file bytes are not rerun-stable; the content is)."""
+    """Hash of the cache payload.  The file bytes are not a content key: the
+    zip members carry a fixed 1980 date, but the compressed bytes depend on
+    the zlib build.  The trailing 1 is the content layout, not CACHE_VERSION,
+    so a file-format change keeps every recorded hash."""
     h = hashlib.sha256()
     h.update(cache.schema_json.encode())
     h.update(np.asarray(cache.user_ids, dtype=np.int64).tobytes())
     h.update(np.ascontiguousarray(cache.purchase).tobytes())
     h.update(np.ascontiguousarray(cache.tfidf).tobytes())
-    h.update(f"{cache.dataset}|{cache.max_rating}|{CACHE_VERSION}".encode())
+    h.update(f"{cache.dataset}|{cache.max_rating}|1".encode())
     return h.hexdigest()
 
 

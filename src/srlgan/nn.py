@@ -43,12 +43,9 @@ and names the offending tensor.
 
 from __future__ import annotations
 
-import json
-import zipfile
-
 import numpy as np
 
-from .data import _atomic_savez
+from .data import _archive_array, _read_archive, _write_archive
 
 # Adam's block length in elements (256 KiB of float64).  A block's four
 # slices and two scratch buffers (1.5 MiB) stay in a 2 MiB L2, and the
@@ -287,8 +284,8 @@ CHECKPOINT_VERSION = 3
 def save_checkpoint(path, nets: dict[str, MLP], meta: dict,
                     extra_arrays: dict | None = None) -> None:
     """Atomic checkpoint write.  `nets` is keyed by role (e.g. 'generator');
-    `meta` must be json-serializable; `extra_arrays` holds auxiliary vectors
-    such as the sparsity target."""
+    `meta` must be json-serializable; `extra_arrays` holds auxiliary float64
+    vectors such as the sparsity target."""
     header = {
         "version": CHECKPOINT_VERSION,
         "nets": {name: net.sizes for name, net in nets.items()},
@@ -298,37 +295,25 @@ def save_checkpoint(path, nets: dict[str, MLP], meta: dict,
     }
     arrays = {f"{name}/params": net.theta for name, net in nets.items()}
     for key, arr in (extra_arrays or {}).items():
-        arrays[f"extra/{key}"] = np.asarray(arr)
-    _atomic_savez(path, np.savez, header=json.dumps(header, sort_keys=True), **arrays)
+        arrays[f"extra/{key}"] = np.asarray(arr, dtype=np.float64)
+    _write_archive(path, header, np.savez, **arrays)
 
 
 def load_checkpoint(path):
     """Returns (nets, meta, extra_arrays) from a checkpoint file, building
     only the networks its header names.
 
-    An unreadable file (a directory, say), another format version, or an
-    array that is missing or not the float64 vector its header implies (which
-    would otherwise broadcast into the network) raises ValueError naming path
-    and problem; a missing file raises FileNotFoundError."""
-    try:
-        with np.load(path, allow_pickle=False) as z:
-            header = json.loads(str(z["header"]))
-            if header["version"] != CHECKPOINT_VERSION:
-                raise ValueError(f"format version {header['version']} is not the "
-                                 f"supported version {CHECKPOINT_VERSION}; re-run train")
-            nets = {}
-            for name, sizes in header["nets"].items():
-                net = nets[name] = MLP(sizes, None, slope=header["slope"][name],
-                                       dropout=header["dropout"][name])
-                arr = z[f"{name}/params"]
-                if arr.dtype != np.float64 or arr.shape != net.theta.shape:
-                    raise ValueError(f"array '{name}/params' is {arr.dtype} {arr.shape}, "
-                                     f"expected float64 {net.theta.shape}")
-                net.theta[...] = arr
-            extra = {key[len("extra/"):]: np.asarray(z[key])
-                     for key in z.files if key.startswith("extra/")}
-    except FileNotFoundError:
-        raise
-    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"checkpoint {path}: {exc}") from exc
+    An unreadable or damaged file, another format version, or an array that
+    is missing or not the float64 vector its header implies (which would
+    otherwise broadcast into the network) raises ValueError naming path and
+    problem; a missing file raises FileNotFoundError."""
+    with _read_archive(path, "checkpoint", CHECKPOINT_VERSION, "train") as (header, z):
+        nets = {}
+        for name, sizes in header["nets"].items():
+            net = nets[name] = MLP(sizes, None, slope=header["slope"][name],
+                                   dropout=header["dropout"][name])
+            net.theta[...] = _archive_array(z, f"{name}/params", np.float64,
+                                            net.theta.shape)
+        extra = {key[len("extra/"):]: _archive_array(z, key, np.float64, (None,))
+                 for key in z.files if key.startswith("extra/")}
     return nets, header["meta"], extra

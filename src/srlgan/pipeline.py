@@ -60,18 +60,13 @@ def prepare_dataset(raw_dir, dataset: str,
                          f"in {users_path}")
 
     counts = F.attribute_counts(users, user_ids, ratings, item_genres, schema)
-    idf = F.inverse_document_frequency(counts)
-    tfidf = counts * idf
-
     cache = D.DatasetCache(
         dataset=dataset,
         max_rating=info["max_rating"],
         user_ids=user_ids,
         purchase=purchase,
-        tfidf=tfidf,
+        tfidf=counts * F.inverse_document_frequency(counts),
         schema_json=schema.to_json(),
-        counts=counts,
-        idf=idf,
     )
     stats = {
         "dataset": dataset,
@@ -84,36 +79,21 @@ def prepare_dataset(raw_dir, dataset: str,
     return cache, stats
 
 
-def genre_slot_mask(schema: F.AttributeSchema) -> np.ndarray:
-    """Boolean mask over schema slots, True on the genre slots."""
-    mask = np.zeros(schema.d, dtype=bool)
-    mask[schema.d - len(schema.genre_values):] = True
-    return mask
-
-
-def leakage_free_features(cache: D.DatasetCache, rows) -> np.ndarray:
-    """Attribute vectors for the given cache rows with genre counts zeroed,
-    mimicking cold users whose viewing history is truly unknown."""
-    schema = F.AttributeSchema.from_json(cache.schema_json)
-    counts = cache.counts[rows].copy()
-    counts[:, genre_slot_mask(schema)] = 0.0
-    return counts * cache.idf
-
-
 def split_matrices(cache: D.DatasetCache, cold_fraction: float, seed: int,
                    leakage_free_cold: bool = False):
     """Warm/cold matrices of the seeded `data.split_rows` cut of the cache rows.
 
     Returns (cold_ids, x_warm, y_warm, x_cold, y_cold); cold behaviors are the
-    held-out ground truth for evaluation.
+    held-out ground truth for evaluation.  `leakage_free_cold` zeroes the cold
+    users' genre slots, as if their genre counts were unknown (0 * idf = 0).
     """
     warm_rows, cold_rows = D.split_rows(len(cache.user_ids), cold_fraction, seed)
     x_warm = cache.tfidf[warm_rows]
     y_warm = cache.purchase[warm_rows]
-    if leakage_free_cold and len(cold_rows):
-        x_cold = leakage_free_features(cache, cold_rows)
-    else:
-        x_cold = cache.tfidf[cold_rows]
+    x_cold = cache.tfidf[cold_rows]
+    if leakage_free_cold:
+        schema = F.AttributeSchema.from_json(cache.schema_json)
+        x_cold[:, schema.d - len(schema.genre_values):] = 0.0
     y_cold = cache.purchase[cold_rows]
     cold_ids = np.asarray(cache.user_ids, dtype=np.int64)[cold_rows]
     return cold_ids, x_warm, y_warm, x_cold, y_cold

@@ -51,7 +51,8 @@ def line_chart(series: dict[str, tuple[list, list]], title: str,
         points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{points}"/>')
+        label = name.replace("&", "&amp;").replace("<", "&lt;")    # names can be paths
         parts.append(f'<text x="{width - pad_r - 4}" y="{pad_t + 14 + 14 * k}" '
-                     f'text-anchor="end" fill="{color}">{name}</text>')
+                     f'text-anchor="end" fill="{color}">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts)

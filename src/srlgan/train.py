@@ -81,8 +81,10 @@ class TrainConfig:
                 problems.append(f"{name} must be >= 1")
         if self.learning_rate <= 0:
             problems.append("learning_rate must be > 0")
-        if self.max_rounds < 0:
-            problems.append("max_rounds must be >= 0")
+        for name in ("max_rounds", "pretrain_epochs", "n_e", "seed"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                problems.append(f"{name} must be >= 0, got {value}")
         if not 0 <= self.validation_fraction < 1:
             problems.append("validation_fraction must be in [0, 1)")
         if not 0 <= self.dropout < 1:

@@ -43,3 +43,21 @@ def synth_cache(synth100k_dir):
 
     cache, _ = prepare_dataset(synth100k_dir, "ml100k", items=50)
     return cache
+
+
+@pytest.fixture(scope="session")
+def raw_counts():
+    """counts(raw_dir, cache): `features.attribute_counts` over the parsed raw
+    files of `raw_dir`, one row per cache user (the cache keeps only tfidf)."""
+    from srlgan import data as D
+    from srlgan import features as F
+    from srlgan.pipeline import RAW_FILES
+
+    def counts(raw_dir, cache):
+        names = RAW_FILES[cache.dataset]
+        ratings = D.parse_ratings(raw_dir / names["ratings"], cache.dataset)
+        users = D.parse_users(raw_dir / names["users"], cache.dataset)
+        item_genres = D.parse_item_genres(raw_dir / names["items"], cache.dataset)
+        schema = F.AttributeSchema.from_json(cache.schema_json)
+        return F.attribute_counts(users, cache.user_ids, ratings, item_genres, schema)
+    return counts

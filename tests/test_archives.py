@@ -1,0 +1,159 @@
+"""Damaged caches and checkpoints.
+
+Every damage to an archive is either refused, with exit 1, a message naming
+the file and no out-dir, or read back to the very arrays that were written,
+so the command's metrics are those of the undamaged run.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+import zipfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from srlgan.cli import main
+
+DESK = ["--max-rounds", "2", "--eval-every", "1", "--pretrain-epochs", "1",
+        "--batch-size", "16", "--learning-rate", "1e-3", "--seed", "3",
+        "--generator-hidden", "8", "--discriminator-hidden", "8"]
+VERSIONS = {"cache": 2, "checkpoint": 3}
+
+
+def run(argv):
+    """(exit code, stderr) of the CLI, stdout swallowed."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main([str(a) for a in argv])
+    return rc, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def good(tmp_path_factory, synth100k_dir):
+    """The fixture cache and a desk-width checkpoint trained on it, and the
+    metrics CSV of `eval` on the two."""
+    root = tmp_path_factory.mktemp("archives")
+    assert run(["prepare", "--dataset", "ml100k", "--raw-dir", synth100k_dir,
+                "--out-dir", root])[0] == 0
+    assert run(["train", "--cache", root / "ml100k.npz", "--out-dir", root / "train",
+                *DESK])[0] == 0
+    archives = {"cache": root / "ml100k.npz", "checkpoint": root / "train" / "checkpoint.npz"}
+    assert eval_(archives, root / "eval")[0] == 0
+    return archives, (root / "eval" / "metrics.model.csv").read_bytes()
+
+
+def eval_(archives, out):
+    return run(["eval", "--checkpoint", archives["checkpoint"], "--cache", archives["cache"],
+                "--out-dir", out])
+
+
+def members(path):
+    with np.load(path, allow_pickle=False) as z:
+        return {key: z[key] for key in z.files}
+
+
+def save(path, contents, kind):
+    (np.savez_compressed if kind == "cache" else np.savez)(path, **contents)
+
+
+def retyped(arr):
+    """`arr` as another dtype: float32 for floats, int32 for ints, bytes for text."""
+    return arr.astype({"f": np.float32, "i": np.int32, "U": np.bytes_}[arr.dtype.kind])
+
+
+def mutate(data, kind, good_path, bad):
+    """Write a damaged copy of `good_path` to `bad`, drawn from `data`."""
+    raw = good_path.read_bytes()
+    how = data.draw(st.sampled_from(["drop", "truncate", "flip", "swap", "version"]))
+    if how == "truncate":
+        bad.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        return
+    if how == "flip":
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        bad.write_bytes(flipped)
+        return
+    contents = members(good_path)
+    if how == "version":
+        header = json.loads(str(contents["header"]))
+        header["version"] = data.draw(st.sampled_from(
+            [v for v in (0, 1, 2, 3, 4) if v != VERSIONS[kind]] + [str(VERSIONS[kind])]))
+        contents["header"] = json.dumps(header)
+    else:
+        name = data.draw(st.sampled_from(sorted(contents)))
+        if how == "drop":
+            del contents[name]
+        else:
+            arr = contents[name]
+            contents[name] = data.draw(st.sampled_from(
+                [retyped(arr), arr[None], arr.reshape(-1)[:-1]]))
+    save(bad, contents, kind)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(["cache", "checkpoint"]), data=st.data())
+def test_damaged_archive_is_refused_or_read_whole(good, kind, data):
+    archives, metrics = good
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, out = Path(tmp) / "bad.npz", Path(tmp) / "out"
+        mutate(data, kind, archives[kind], bad)
+        rc, err = eval_(archives | {kind: bad}, out)
+        assert rc in (0, 1), err
+        if rc == 1:
+            assert err.startswith(f"error: {kind} {bad}: "), err
+            assert not out.exists()
+        else:
+            assert (out / "metrics.model.csv").read_bytes() == metrics
+
+
+def member_offset(path, member):
+    """File offset of the stored or compressed bytes of `member` in the zip
+    at `path`."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(member)
+    local = path.read_bytes()[info.header_offset:info.header_offset + 30]
+    name_len, extra_len = (int.from_bytes(local[k:k + 2], "little") for k in (26, 28))
+    return info.header_offset + 30 + name_len + extra_len
+
+
+def test_flipped_bit_in_a_deflate_stream_exits_1(good, tmp_path):
+    archives, _ = good
+    raw = bytearray(archives["cache"].read_bytes())
+    # Bits 1-2 of a deflate stream's first byte are the block type: a Huffman
+    # block's 01 or 10 is one flip away from the reserved 11.
+    start = member_offset(archives["cache"], "purchase.npy")
+    before = raw[start]
+    raw[start] |= 0b110
+    assert bin(before ^ raw[start]).count("1") == 1
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(raw)
+    rc, err = eval_(archives | {"cache": bad}, tmp_path / "out")
+    assert rc == 1
+    assert err.startswith(f"error: cache {bad}: Error -3 while decompressing data"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_shortened_npy_header_is_refused(good, tmp_path):
+    """A flip that shortens a .npy header by 2 bytes shifts the array 2 bytes
+    early: numpy reads its full count of values without reaching the
+    member's end, where zipfile checks the CRC, so the reader reads on."""
+    archives, _ = good
+    raw = bytearray(archives["checkpoint"].read_bytes())
+    # The uint16 header length follows the 6-byte magic and the 2-byte
+    # version; it is 64k - 10, so its bit 1 is set.
+    start = member_offset(archives["checkpoint"], "generator/params.npy") + 8
+    assert raw[start] & 0b10
+    raw[start] ^= 0b10
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(raw)
+    rc, err = eval_(archives | {"checkpoint": bad}, tmp_path / "out")
+    assert rc == 1
+    assert err == f"error: checkpoint {bad}: Bad CRC-32 for file 'generator/params.npy'\n"
+    assert not (tmp_path / "out").exists()

@@ -343,21 +343,19 @@ def _bad_cache(problem, good, tmp_path):
         return bad
     with np.load(good) as z:
         contents = {key: z[key] for key in z.files}
-    if problem == "version 2":
-        header = json.loads(str(contents["header"])) | {"version": 2}
+    if problem == "version 1":
+        header = json.loads(str(contents["header"])) | {"version": 1}
         contents["header"] = json.dumps(header)
     elif problem == "missing":
         del contents["purchase"]
-    elif problem == "missing idf":
-        del contents["idf"]
     elif problem == "short purchase":
         contents["purchase"] = contents["purchase"][:-5]
+    elif problem == "float32 purchase":
+        contents["purchase"] = contents["purchase"].astype(np.float32)
     elif problem == "short tfidf":
         contents["tfidf"] = contents["tfidf"][:-1]
-    elif problem == "narrow counts":
-        contents["counts"] = contents["counts"][:, :-1]
-    elif problem == "short idf":
-        contents["idf"] = contents["idf"][:-1]
+    elif problem == "2-D user_ids":
+        contents["user_ids"] = contents["user_ids"][None, :]
     elif problem == "unsorted":
         contents["user_ids"] = contents["user_ids"][::-1]
     else:                                     # a repeated user id
@@ -372,13 +370,12 @@ D_100K = 60
 BAD_CACHE_MESSAGES = {
     "directory": "Is a directory",
     "truncated": "File is not a zip file",
-    "version 2": "format version 2 is not the supported version 1; re-run prepare",
+    "version 1": "format version 1 is not the supported version 2; re-run prepare",
     "missing": "purchase is not a file",
-    "missing idf": "idf is not a file",
-    "short purchase": "purchase has shape (55, 1682), expected (60, 1682) for 60 users",
-    "short tfidf": f"tfidf has shape (59, {D_100K}), expected (60, {D_100K})",
-    "narrow counts": f"counts has shape (60, {D_100K - 1}), expected (60, {D_100K})",
-    "short idf": f"idf has shape ({D_100K - 1},), expected ({D_100K},)",
+    "short purchase": "array 'purchase' is float64 (55, 1682), expected float64 (60, 1682)",
+    "float32 purchase": "array 'purchase' is float32 (60, 1682), expected float64 (60, 1682)",
+    "short tfidf": f"array 'tfidf' is float64 (59, {D_100K}), expected float64 (60, {D_100K})",
+    "2-D user_ids": "array 'user_ids' is int64 (1, 60), expected int64 (None,)",
     "unsorted": "user_ids are not strictly increasing",
     "duplicate": "user_ids are not strictly increasing",
 }
@@ -417,7 +414,14 @@ def test_bad_cold_fraction_exit_1_before_out_dir(command, tmp_path, prepared, ca
      "discriminator_hidden: each hidden width must be >= 1, got [0]"),
     (["train"], "dropout = 1.5\n", "dropout must be in [0, 1), got 1.5"),
     (["train", "--cold-fraction", "0.999"], "", "empty warm training set"),
-], ids=["zero-width", "negative-width", "ablate-zero-width", "dropout", "no-warm-user"])
+    (["train", "--n-e", "-3"], "", "n_e must be >= 0, got -3"),
+    (["train", "--pretrain-epochs", "-2"], "", "pretrain_epochs must be >= 0, got -2"),
+    (["train", "--seed", "-1"], "", "seed must be >= 0, got -1"),
+    (["sweep-beta"], "n_e = -1\n", "n_e must be >= 0, got -1"),
+    (["train", "--split-seed", "-1"], "", "--split-seed must be >= 0, got -1"),
+], ids=["zero-width", "negative-width", "ablate-zero-width", "dropout", "no-warm-user",
+        "negative-n-e", "negative-pretrain-epochs", "negative-seed", "sweep-beta-negative-n-e",
+        "negative-split-seed"])
 def test_train_refusals_leave_no_out_dir(argv, config, message, tmp_path, prepared, capsys):
     cfg = tmp_path / "train.conf"
     cfg.write_text(config)
@@ -426,6 +430,14 @@ def test_train_refusals_leave_no_out_dir(argv, config, message, tmp_path, prepar
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_refuses_negative_split_seed_before_out_dir(tmp_path, prepared, capsys):
+    rc = main(["eval", "--baseline", "itempop", "--split-seed", "-1",
+               "--cache", str(prepared / "ml100k.npz"), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --split-seed must be >= 0, got -1\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -605,6 +617,14 @@ def test_sweep_beta_outputs_and_cv_consistency(tmp_path, prepared):
     assert "leakage_free_cold" not in args
 
 
+def test_sweep_beta_replaces_an_earlier_grids_curves(tmp_path, prepared):
+    out = tmp_path / "sweep"
+    for grid in ("0.1,1", "0.5"):
+        assert main(["sweep-beta", "--cache", str(prepared / "ml100k.npz"),
+                     "--out-dir", str(out), "--grid", grid, *FAST]) == 0
+    assert sorted(p.name for p in out.glob("curve.*")) == ["curve.beta0.5.csv"]
+
+
 def test_sweep_beta_honours_validation_fraction(tmp_path, prepared, monkeypatch):
     held = []
 
@@ -664,6 +684,19 @@ def test_plot_from_curves(tmp_path, trained):
     assert rc == 0
     for name in ("plot.p5.svg", "plot.n5.svg", "plot.loss_sr.svg"):
         assert (out / name).read_text().startswith("<svg")
+
+
+def test_plot_draws_same_named_curves_apart(tmp_path, trained):
+    curves = [tmp_path / "a" / "curve.csv", tmp_path / "b&c" / "curve.csv"]
+    for curve in curves:
+        curve.parent.mkdir()
+        shutil.copy(trained / "curve.csv", curve)
+    out = tmp_path / "plots"
+    assert main(["plot", "--out-dir", str(out), *map(str, curves)]) == 0
+    svg = (out / "plot.p5.svg").read_text()
+    assert svg.count("<polyline") == 2
+    assert f">{curves[0]}</text>" in svg
+    assert f">{tmp_path}/b&amp;c/curve.csv</text>" in svg
 
 
 @pytest.mark.parametrize("column", ["round", "p5", "n5", "loss_sr"])

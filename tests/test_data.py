@@ -279,18 +279,47 @@ def test_cache_round_trip(tmp_path, synth_cache):
     assert D.cache_content_hash(loaded) == D.cache_content_hash(synth_cache)
 
 
+def test_cache_content_hash_ignores_the_file_format(synth_cache, monkeypatch):
+    """The hash names the content: a new file-format version keeps it."""
+    before = D.cache_content_hash(synth_cache)
+    monkeypatch.setattr(D, "CACHE_VERSION", D.CACHE_VERSION + 1)
+    assert D.cache_content_hash(synth_cache) == before
+
+
 @pytest.mark.parametrize("fixture, dataset, digest", [
     ("synth100k_dir", "ml100k", "31f13806bcbdb944"),
     ("synth1m_dir", "ml1m", "427648e29a43c9a9"),
 ])
-def test_prepared_arrays_pinned(request, fixture, dataset, digest):
+def test_prepared_arrays_pinned(request, raw_counts, fixture, dataset, digest):
     """user_ids, purchase and raw counts of the fixtures, bit for bit (tfidf
     is left out: np.log may differ by an ulp across numpy builds)."""
     from srlgan.pipeline import prepare_dataset
 
-    cache, _ = prepare_dataset(request.getfixturevalue(fixture), dataset)
+    raw_dir = request.getfixturevalue(fixture)
+    cache, _ = prepare_dataset(raw_dir, dataset)
     h = hashlib.sha256()
     h.update(np.asarray(cache.user_ids, dtype=np.int64).tobytes())
     h.update(cache.purchase.tobytes())
-    h.update(cache.counts.tobytes())
+    h.update(raw_counts(raw_dir, cache).tobytes())
     assert h.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("fixture, dataset", [("synth100k_dir", "ml100k"),
+                                              ("synth1m_dir", "ml1m")])
+def test_leakage_free_cold_features_bit_for_bit(request, raw_counts, fixture, dataset, seed):
+    """Leakage-free cold rows are the raw counts with the genre slots zeroed,
+    times idf: zeroing the genre slots of tfidf gives the same bits."""
+    from srlgan.features import AttributeSchema, inverse_document_frequency
+    from srlgan.pipeline import prepare_dataset, split_matrices
+
+    raw_dir = request.getfixturevalue(fixture)
+    cache, _ = prepare_dataset(raw_dir, dataset)
+    counts = raw_counts(raw_dir, cache)
+    _, cold_rows = D.split_rows(len(cache.user_ids), 0.2, seed)
+    want = counts[cold_rows]
+    want[:, -len(AttributeSchema.from_json(cache.schema_json).genre_values):] = 0.0
+    want = want * inverse_document_frequency(counts)
+    x_cold = split_matrices(cache, 0.2, seed, leakage_free_cold=True)[3]
+    assert x_cold.dtype == want.dtype and x_cold.shape == want.shape
+    assert x_cold.tobytes() == want.tobytes()

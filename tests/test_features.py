@@ -196,10 +196,9 @@ def test_idf_scalar_value():
     assert idf[0] == pytest.approx(3.3125, abs=1e-3)
 
 
-def test_tfidf_elementwise_product(synth_cache):
-    assert np.array_equal(synth_cache.idf,
-                          F.inverse_document_frequency(synth_cache.counts))
-    assert np.array_equal(synth_cache.tfidf, synth_cache.counts * synth_cache.idf)
+def test_tfidf_elementwise_product(synth_cache, synth100k_dir, raw_counts):
+    counts = raw_counts(synth100k_dir, synth_cache)
+    assert np.array_equal(synth_cache.tfidf, counts * F.inverse_document_frequency(counts))
 
 
 def test_user_permutation_invariance(schema):
