@@ -100,13 +100,17 @@ def _cutoffs(raw: str) -> list[int]:
 
 
 def _beta_grid(raw: str) -> list[float]:
-    """The `--grid` of sweep-beta: comma-separated betas, each finite and >= 0."""
+    """The `--grid` of sweep-beta: comma-separated distinct betas, each
+    finite and >= 0."""
     try:
         grid = [float(s) for s in raw.split(",")]
     except ValueError:
         raise ValueError(f"--grid: expected comma-separated numbers, got {raw!r}") from None
     if not all(math.isfinite(beta) and beta >= 0 for beta in grid):
         raise ValueError(f"--grid: each beta must be finite and >= 0, got {raw!r}")
+    repeated = [beta for k, beta in enumerate(grid) if beta in grid[:k]]
+    if repeated:
+        raise ValueError(f"--grid: beta {repeated[0]:g} is given more than once in {raw!r}")
     return grid
 
 
@@ -252,7 +256,7 @@ def cmd_eval(args) -> int:
     if args.baseline == "itempop":
         # `srlgan train`'s default split, so a rerun draws the same cold users.
         cold_ids, _, y_warm, _, y_cold = _split(args, cache, 0, need_cold=True)
-        report = E.evaluate_report(E.item_popularity(y_warm), y_cold, ns=ns,
+        report = E.evaluate_report(E.item_popularity(y_warm), y_cold.toarray(), ns=ns,
                                    user_keys=cold_ids)
         label = "itempop"
     else:
@@ -261,11 +265,16 @@ def cmd_eval(args) -> int:
             raise ValueError(
                 "checkpoint/cache schema mismatch: "
                 f"{meta['schema_hash']} vs {cache.schema_hash()}")
+        # Another split would put users the model trained on among the cold.
+        for flag, key in (("--split-seed", "split_seed"), ("--cold-fraction", "cold_fraction")):
+            if getattr(args, key) not in (None, meta[key]):
+                raise ValueError(f"{flag} {getattr(args, key)} differs from the checkpoint's "
+                                 f"{meta[key]}: the cold set would hold training users")
         args.leakage_free_cold = args.leakage_free_cold or meta["leakage_free_cold"]
         cold_ids, _, _, x_cold, y_cold = _split(args, cache, meta["split_seed"],
                                                 meta["cold_fraction"], need_cold=True)
         preds = M.generator_forward(nets["generator"], x_cold)
-        report = E.evaluate_report(preds, y_cold, ns=ns, user_keys=cold_ids,
+        report = E.evaluate_report(preds, y_cold.toarray(), ns=ns, user_keys=cold_ids,
                                    graded=args.graded)
         label = "model"
 
@@ -328,7 +337,7 @@ def cmd_ablate(args) -> int:
     ns = _cutoffs(args.n)
     cache = D.load_cache(_cache_path(args))
     _, x_warm, y_warm, x_cold, y_cold = _split(args, cache, config.seed, need_cold=True)
-    reports = T.run_ablation(x_warm, y_warm, x_cold, y_cold, config, ns=ns)
+    reports = T.run_ablation(x_warm, y_warm, x_cold, y_cold.toarray(), config, ns=ns)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {}

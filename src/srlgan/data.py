@@ -6,7 +6,9 @@ pipe-separated) and the 1M layout (``ratings.dat`` / ``users.dat`` /
 (user, item, rating, timestamp) rows, checked with whole-array operations.
 They are normalized to [0, 1] by dividing with the rating ceiling C, so a
 purchase-behavior row lives in {0, 1/C, ..., 1} with 0 meaning "not
-purchased".
+purchased".  Purchase rows are 96% zeros, so they stay in CSR form
+(`PurchaseRows`) from `build_purchase_matrix` to the minibatch: only the
+rows a training step or a scorer reads are made dense.
 `split_rows` draws every seeded split (warm/cold users, the validation
 slice); cache rows are users in strictly increasing id order.  The dataset
 cache, and `nn`'s checkpoints, are .npz archives written by one writer,
@@ -28,7 +30,7 @@ from tokenize import TokenError
 
 import numpy as np
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 # Declared dataset-wide constants (item counts include never-rated items).
 DATASET_INFO = {
@@ -178,13 +180,62 @@ def parse_item_genres(path, fmt: str) -> dict[int, list[str]]:
     return genres
 
 
+class PurchaseRows:
+    """Purchase-behavior rows in CSR form.  Row k holds values[j] = rating/C
+    at 0-based item items[j] for j in indptr[k]:indptr[k+1], items
+    increasing within the row; every other entry of the row is 0."""
+
+    def __init__(self, indptr, items, values, m: int):
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.items = np.asarray(items, dtype=np.int32)
+        self.values = np.asarray(values, dtype=np.float64)
+        self.m = int(m)
+
+    @classmethod
+    def from_dense(cls, matrix) -> PurchaseRows:
+        """The nonzero entries of a dense (users x m) array."""
+        matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+        row, item = np.nonzero(matrix)
+        return cls(np.searchsorted(row, np.arange(len(matrix) + 1)), item,
+                   matrix[row, item], matrix.shape[1])
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def nnz(self) -> int:
+        return len(self.items)
+
+    def take(self, rows) -> PurchaseRows:
+        """The given rows, in the order given."""
+        rows = np.asarray(rows, dtype=np.int64)
+        start = self.indptr[rows]
+        count = self.indptr[rows + 1] - start
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(count, out=indptr[1:])
+        at = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], count)
+        return PurchaseRows(indptr, self.items[at], self.values[at], self.m)
+
+    def toarray(self, rows=None) -> np.ndarray:
+        """Dense float64 rows: every row, or the given rows in their order."""
+        part = self if rows is None else self.take(rows)
+        out = np.zeros((len(part), self.m))
+        out[np.repeat(np.arange(len(part)), np.diff(part.indptr)), part.items] = part.values
+        return out
+
+
+def as_purchase_rows(rows) -> PurchaseRows:
+    """`rows` itself if it is PurchaseRows, else the CSR of the dense array."""
+    return rows if isinstance(rows, PurchaseRows) else PurchaseRows.from_dense(rows)
+
+
 def build_purchase_matrix(ratings, m: int, max_rating: int = 5):
     """Normalized purchase-behavior rows, one per user in `ratings`.
 
-    `ratings` is parse_ratings' (n, 4) array.  Returns (user_ids, matrix)
-    with matrix[k, i-1] = rating/C for user user_ids[k] and item i, 0 where
-    unrated.  Duplicate (user, item) pairs keep the latest timestamp; on
-    equal timestamps the later row wins.
+    `ratings` is parse_ratings' (n, 4) array.  Returns (user_ids, rows):
+    PurchaseRows whose dense row k has rating/C at column i-1 for user
+    user_ids[k] and item i, 0 where unrated.  Duplicate (user, item) pairs
+    keep the latest timestamp; on equal timestamps the later row wins.
     """
     user, item, rating, ts = np.asarray(ratings, dtype=np.int64).reshape(-1, 4).T
     outside = (item < 1) | (item > m)
@@ -195,9 +246,9 @@ def build_purchase_matrix(ratings, m: int, max_rating: int = 5):
     # Stable sort by cell, then timestamp: each cell's last row is its latest.
     order = np.lexsort((ts, cell))
     latest = order[np.append(cell[order][1:] != cell[order][:-1], True)]
-    matrix = np.zeros((len(user_ids), m), dtype=np.float64)
-    matrix.flat[cell[latest]] = rating[latest] / max_rating
-    return user_ids.tolist(), matrix
+    cells = cell[latest]            # increasing: row-major order
+    indptr = np.searchsorted(cells, np.arange(len(user_ids) + 1) * m)
+    return user_ids.tolist(), PurchaseRows(indptr, cells % m, rating[latest] / max_rating, m)
 
 
 def held_count(n: int, fraction: float) -> int:
@@ -216,33 +267,37 @@ def split_rows(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarr
     return np.sort(perm[n_held:]), np.sort(perm[:n_held])
 
 
-def sparsity_percent(matrix) -> float:
-    """Percentage of zero entries in a users x items purchase matrix."""
-    matrix = np.asarray(matrix)
-    if matrix.size == 0:
+def sparsity_percent(rows: PurchaseRows) -> float:
+    """Percentage of zero entries in the users x items purchase rows."""
+    size = len(rows) * rows.m
+    if size == 0:
         raise ValueError("empty purchase matrix")
-    return 100.0 * float(np.count_nonzero(matrix == 0.0)) / matrix.size
+    return 100.0 * float(size - rows.nnz) / size
 
 
 # ---------------------------------------------------------------------------
 # Archives (caches and checkpoints): .npz files with a json `header` member
-# that holds the format version.  The cache (CACHE_VERSION 2) holds:
+# that holds the format version, written stored (uncompressed); the reader
+# also takes deflated members.  The cache (CACHE_VERSION 3) holds the
+# purchase rows in CSR form:
 #   header   : json {version, dataset, m, d, max_rating}
 #   user_ids : int64 (users,), strictly increasing
-#   purchase : float64 (users x m)
+#   indptr   : int64 (users + 1,), from 0, never decreasing, ending at nnz
+#   items    : int32 (nnz,), 0-based ids in 0..m-1, increasing within a row
+#   ratings  : uint8 (nnz,), in 1..max_rating (the purchase value times C)
 #   tfidf    : float64 (users x d)
 #   schema   : json string (attribute slot list, see features.AttributeSchema)
 # ---------------------------------------------------------------------------
 
 
-def _write_archive(path, header: dict, savez, **arrays) -> None:
-    """`savez` of the json `header` and `arrays` into a temp file beside
+def _write_archive(path, header: dict, **arrays) -> None:
+    """`np.savez` of the json `header` and `arrays` into a temp file beside
     `path`, renamed over it, so no reader sees a partial file; the file gets
     the umask's mode."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp.npz")
     try:
-        savez(tmp, header=json.dumps(header, sort_keys=True), **arrays)
+        np.savez(tmp, header=json.dumps(header, sort_keys=True), **arrays)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -294,13 +349,13 @@ class DatasetCache:
     dataset: str
     max_rating: int
     user_ids: list[int]
-    purchase: np.ndarray
+    purchase: PurchaseRows
     tfidf: np.ndarray
     schema_json: str
 
     @property
     def m(self) -> int:
-        return self.purchase.shape[1]
+        return self.purchase.m
 
     @property
     def d(self) -> int:
@@ -311,46 +366,72 @@ class DatasetCache:
 
 
 def save_cache(cache: DatasetCache, path) -> None:
-    """Atomic write of the dataset cache."""
+    """Atomic write of the dataset cache; purchase values that are not a
+    rating 1..C divided by C raise ValueError."""
+    rows = cache.purchase
+    ratings = np.rint(rows.values * cache.max_rating).astype(np.uint8)
+    if np.any(ratings == 0) or not np.array_equal(ratings / cache.max_rating, rows.values):
+        raise ValueError(f"purchase values are not ratings 1..{cache.max_rating} "
+                         f"divided by {cache.max_rating}")
     header = {"version": CACHE_VERSION, "dataset": cache.dataset, "m": cache.m,
               "d": cache.d, "max_rating": cache.max_rating}
-    _write_archive(path, header, np.savez_compressed,
-                   user_ids=np.asarray(cache.user_ids, dtype=np.int64),
-                   purchase=cache.purchase, tfidf=cache.tfidf, schema=cache.schema_json)
+    _write_archive(path, header, user_ids=np.asarray(cache.user_ids, dtype=np.int64),
+                   indptr=rows.indptr, items=rows.items, ratings=ratings,
+                   tfidf=cache.tfidf, schema=cache.schema_json)
 
 
 def load_cache(path) -> DatasetCache:
     """The cache at `path`.  An unreadable, damaged or truncated file, another
-    format version, a missing array, user ids that are not a strictly
-    increasing int64 vector, or an array of another dtype or of a shape that
-    disagrees with the user count and the header's m and d raise ValueError
-    naming path and problem; a missing file, FileNotFoundError."""
+    format version, a missing array, an array of another dtype or of a shape
+    that disagrees with the user count and the header's d, user ids that do
+    not strictly increase, or purchase rows that break a CSR rule of the
+    layout above raise ValueError naming path and problem; a missing file,
+    FileNotFoundError."""
     with _read_archive(path, "cache", CACHE_VERSION, "prepare") as (header, z):
         user_ids = _archive_array(z, "user_ids", np.int64, (None,))
         if np.any(np.diff(user_ids) <= 0):
             raise ValueError("user_ids are not strictly increasing")
-        n = len(user_ids)
+        n, m, c = len(user_ids), header["m"], header["max_rating"]
+        indptr = _archive_array(z, "indptr", np.int64, (n + 1,))
+        items = _archive_array(z, "items", np.int32, (None,))
+        ratings = _archive_array(z, "ratings", np.uint8, items.shape)
+        if indptr[0] != 0:
+            raise ValueError(f"indptr starts at {indptr[0]}, not 0")
+        if np.any(np.diff(indptr) < 0):
+            raise ValueError("indptr decreases")
+        if indptr[-1] != len(items):
+            raise ValueError(f"indptr ends at {indptr[-1]}, not at the {len(items)} items")
+        if np.any((items < 0) | (items >= m)):
+            raise ValueError(f"item ids outside 0..{m - 1}")
+        # With every id in 0..m-1, row*m + item increases along the whole
+        # array exactly when the ids strictly increase within each row.
+        row = np.repeat(np.arange(n), np.diff(indptr))
+        if np.any(np.diff(row * m + items) <= 0):
+            raise ValueError("item ids do not strictly increase within a row")
+        if np.any((ratings < 1) | (ratings > c)):
+            raise ValueError(f"ratings outside 1..{c}")
         return DatasetCache(
             dataset=header["dataset"],
-            max_rating=header["max_rating"],
+            max_rating=c,
             user_ids=user_ids.tolist(),
-            purchase=_archive_array(z, "purchase", np.float64, (n, header["m"])),
+            purchase=PurchaseRows(indptr, items, ratings / c, m),
             tfidf=_archive_array(z, "tfidf", np.float64, (n, header["d"])),
             schema_json=str(_archive_array(z, "schema", np.str_, ())),
         )
 
 
 def cache_content_hash(cache: DatasetCache) -> str:
-    """Hash of the cache payload.  The file bytes are not a content key: the
-    zip members carry a fixed 1980 date, but the compressed bytes depend on
-    the zlib build.  The trailing 1 is the content layout, not CACHE_VERSION,
-    so a file-format change keeps every recorded hash."""
+    """Hash of the cache payload, the purchase rows in their CSR arrays.
+    The file bytes are not a content key: a deflated member's bytes depend
+    on the zlib build.  The trailing 2 is the content layout, not
+    CACHE_VERSION, so a file-format change keeps every recorded hash."""
+    rows = cache.purchase
     h = hashlib.sha256()
     h.update(cache.schema_json.encode())
     h.update(np.asarray(cache.user_ids, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(cache.purchase).tobytes())
-    h.update(np.ascontiguousarray(cache.tfidf).tobytes())
-    h.update(f"{cache.dataset}|{cache.max_rating}|1".encode())
+    for arr in (rows.indptr, rows.items, rows.values, cache.tfidf):
+        h.update(arr.tobytes())
+    h.update(f"{cache.dataset}|{cache.max_rating}|{rows.m}|2".encode())
     return h.hexdigest()
 
 

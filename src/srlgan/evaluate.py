@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import as_purchase_rows
+
 DEFAULT_NS = (5, 20)
 
 
@@ -139,11 +141,11 @@ def evaluate_report(scores, held_out, ns=DEFAULT_NS, user_keys=None,
                         n_skipped=int(np.count_nonzero(~keep)))
 
 
-def item_popularity(warm_purchase_matrix) -> np.ndarray:
+def item_popularity(warm_rows) -> np.ndarray:
     """ItemPop's score row: each item's purchase count (nonzero entries)
-    over the warm users."""
-    matrix = np.atleast_2d(np.asarray(warm_purchase_matrix))
-    if matrix.shape[0] < 1 or matrix.size == 0:
+    over the warm users, from `data.PurchaseRows` or a dense array."""
+    rows = as_purchase_rows(warm_rows)
+    if len(rows) < 1 or rows.m == 0:
         raise ValueError("empty warm purchase matrix")
-    return np.count_nonzero(matrix, axis=0)
+    return np.bincount(rows.items, minlength=rows.m)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import as_purchase_rows
 from .nn import MLP
 
 GENERATOR_HIDDEN = [512, 1024, 1024]
@@ -100,11 +101,13 @@ ADVERSARIAL_LOSSES = {"lsq": loss_lsq, "bce": loss_bce}
 
 
 def mean_purchase(rows) -> np.ndarray:
-    """Per-item mean of warm purchase-behavior rows (the sparsity target)."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    if rows.shape[0] < 1 or rows.size == 0:
+    """Per-item mean of warm purchase-behavior rows (the sparsity target),
+    from `data.PurchaseRows` or a dense array.  Each item's sum runs over
+    the rows in order, as a dense column mean of two or more columns does."""
+    rows = as_purchase_rows(rows)
+    if len(rows) < 1 or rows.m == 0:
         raise ValueError("need at least one purchase-behavior row")
-    return rows.mean(axis=0)
+    return np.bincount(rows.items, weights=rows.values, minlength=rows.m) / len(rows)
 
 
 def sparsity_regularizer(rho, rho_hat, eps: float = KL_EPS):

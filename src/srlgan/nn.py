@@ -296,7 +296,7 @@ def save_checkpoint(path, nets: dict[str, MLP], meta: dict,
     arrays = {f"{name}/params": net.theta for name, net in nets.items()}
     for key, arr in (extra_arrays or {}).items():
         arrays[f"extra/{key}"] = np.asarray(arr, dtype=np.float64)
-    _write_archive(path, header, np.savez, **arrays)
+    _write_archive(path, header, **arrays)
 
 
 def load_checkpoint(path):

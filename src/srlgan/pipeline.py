@@ -81,19 +81,21 @@ def prepare_dataset(raw_dir, dataset: str,
 
 def split_matrices(cache: D.DatasetCache, cold_fraction: float, seed: int,
                    leakage_free_cold: bool = False):
-    """Warm/cold matrices of the seeded `data.split_rows` cut of the cache rows.
+    """Warm/cold rows of the seeded `data.split_rows` cut of the cache rows.
 
-    Returns (cold_ids, x_warm, y_warm, x_cold, y_cold); cold behaviors are the
-    held-out ground truth for evaluation.  `leakage_free_cold` zeroes the cold
-    users' genre slots, as if their genre counts were unknown (0 * idf = 0).
+    Returns (cold_ids, x_warm, y_warm, x_cold, y_cold): the attributes as
+    dense arrays, the behaviors as `data.PurchaseRows`; cold behaviors are
+    the held-out ground truth for evaluation.  `leakage_free_cold` zeroes
+    the cold users' genre slots, as if their genre counts were unknown
+    (0 * idf = 0).
     """
     warm_rows, cold_rows = D.split_rows(len(cache.user_ids), cold_fraction, seed)
     x_warm = cache.tfidf[warm_rows]
-    y_warm = cache.purchase[warm_rows]
+    y_warm = cache.purchase.take(warm_rows)
     x_cold = cache.tfidf[cold_rows]
     if leakage_free_cold:
         schema = F.AttributeSchema.from_json(cache.schema_json)
         x_cold[:, schema.d - len(schema.genre_values):] = 0.0
-    y_cold = cache.purchase[cold_rows]
+    y_cold = cache.purchase.take(cold_rows)
     cold_ids = np.asarray(cache.user_ids, dtype=np.int64)[cold_rows]
     return cold_ids, x_warm, y_warm, x_cold, y_cold

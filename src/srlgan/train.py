@@ -5,7 +5,9 @@ the beta sweep and the S1/S2/S3 ablation built on it.
 `fit` is the one place a run is put together: it holds out the seeded
 `validation_fraction` slice of the warm users, builds the Trainer,
 pretrains G and runs the adversarial loop.  `train`, `sweep-beta` and
-`ablate` all train through it.
+`ablate` all train through it.  Training behaviors stay `data.PurchaseRows`;
+a step makes only its minibatch dense, and the validation slice is made
+dense once.
 
 One "round" of the main loop is n_D discriminator-phase iterations (the
 discriminator phase also updates the generator through the adversarial
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import model as M
-from .data import held_count, split_rows
+from .data import as_purchase_rows, held_count, split_rows
 from .nn import Adam, TrainingError
 from .evaluate import DEFAULT_NS, MetricReport, evaluate_predictions, evaluate_report
 
@@ -149,26 +151,27 @@ class _BatchSampler:
 
 
 class Trainer:
-    """Owns the two networks, their optimizers, and the run RNG.  Without
-    `x_val`/`y_val` the validation slice is empty."""
+    """Owns the two networks, their optimizers, and the run RNG.  `y_train`
+    is `data.PurchaseRows` or a dense array, `x_val`/`y_val` dense; without
+    them the validation slice is empty."""
 
     def __init__(self, x_train, y_train, config: TrainConfig,
                  x_val=None, y_val=None):
         config.validate()
         self.config = config
         self.x_train = np.asarray(x_train, dtype=np.float64)
-        self.y_train = np.asarray(y_train, dtype=np.float64)
+        self.y_train = as_purchase_rows(y_train)
         self.x_val = np.asarray(self.x_train[:0] if x_val is None else x_val,
                                 dtype=np.float64)
-        self.y_val = np.asarray(self.y_train[:0] if y_val is None else y_val,
+        self.y_val = np.asarray(np.zeros((0, self.y_train.m)) if y_val is None else y_val,
                                 dtype=np.float64)
-        if self.x_train.shape[0] != self.y_train.shape[0]:
+        if self.x_train.shape[0] != len(self.y_train):
             raise ValueError("attribute/behavior row counts differ")
         if self.x_train.shape[0] < 1:
             raise ValueError("empty warm training set")
 
         d = self.x_train.shape[1]
-        m = self.y_train.shape[1]
+        m = self.y_train.m
         self.rng = np.random.default_rng(config.seed)
         self.generator = M.build_generator(d, m, self.rng,
                                            hidden=config.generator_hidden)
@@ -189,7 +192,7 @@ class Trainer:
 
     def _batch(self):
         idx = self.sampler.next()
-        return self.x_train[idx], self.y_train[idx]
+        return self.x_train[idx], self.y_train.toarray(idx)
 
     def pretrain_generator(self) -> None:
         """Reconstruction-only generator warm-up (n_e minibatch steps)."""
@@ -311,15 +314,16 @@ class Trainer:
 def fit(x_warm, y_warm, config: TrainConfig, on_best=None) -> Trainer:
     """Train on the warm users, holding out the seeded `validation_fraction`
     slice of them for validation and early stopping; returns the finished
-    Trainer.  `on_best` is passed to `Trainer.train`."""
+    Trainer.  `y_warm` is `data.PurchaseRows` or a dense array.  `on_best`
+    is passed to `Trainer.train`."""
     x_warm = np.asarray(x_warm, dtype=np.float64)
-    y_warm = np.asarray(y_warm, dtype=np.float64)
-    if x_warm.shape[0] != y_warm.shape[0]:
+    y_warm = as_purchase_rows(y_warm)
+    if x_warm.shape[0] != len(y_warm):
         raise ValueError("attribute/behavior row counts differ")
     train_rows, val_rows = split_rows(x_warm.shape[0], config.validation_fraction,
                                       config.seed)
-    trainer = Trainer(x_warm[train_rows], y_warm[train_rows], config,
-                      x_val=x_warm[val_rows], y_val=y_warm[val_rows])
+    trainer = Trainer(x_warm[train_rows], y_warm.take(train_rows), config,
+                      x_val=x_warm[val_rows], y_val=y_warm.toarray(val_rows))
     trainer.pretrain_generator()
     trainer.train(on_best=on_best)
     return trainer
@@ -337,14 +341,15 @@ def cross_validate_beta(x_warm, y_warm, beta_grid, config: TrainConfig,
     if held_count(len(x_warm), config.validation_fraction) == 0:
         raise ValueError(f"validation_fraction {config.validation_fraction} holds out "
                          f"none of {len(x_warm)} warm users, so no beta can be scored")
+    y_warm = as_purchase_rows(y_warm)
     scores = {}
-    for beta in sorted(beta_grid):
-        trainer = fit(x_warm, y_warm, replace(config, beta=float(beta)))
+    for beta in sorted(set(map(float, beta_grid))):
+        trainer = fit(x_warm, y_warm, replace(config, beta=beta))
         preds = M.generator_forward(trainer.generator, trainer.x_val)
         report = evaluate_predictions(preds, trainer.y_val, ns=(5,))
-        scores[float(beta)] = report["P@5"]
+        scores[beta] = report["P@5"]
         if curves is not None:
-            curves[float(beta)] = trainer.curve
+            curves[beta] = trainer.curve
     best = max(sorted(scores), key=lambda b: scores[b])
     return best, scores
 
@@ -368,7 +373,9 @@ def ablation_config(base_config: TrainConfig, mode: str) -> TrainConfig:
 
 def run_ablation(x_warm, y_warm, x_cold, y_cold, base_config: TrainConfig,
                  ns=DEFAULT_NS) -> dict[str, MetricReport]:
-    """Train S1, S2, S3 under identical seeds and score the cold users."""
+    """Train S1, S2, S3 under identical seeds and score the cold users
+    (`y_cold` dense)."""
+    y_warm = as_purchase_rows(y_warm)
     reports = {}
     for mode in ABLATION_MODES:
         trainer = fit(x_warm, y_warm, ablation_config(base_config, mode))

@@ -173,8 +173,10 @@ def test_criterion_5_metric_oracles():
 # -- criterion 6: ItemPop reproduction -----------------------------------------
 
 def _ml100k_split(raw):
+    """split_matrices' cut, with the cold behaviors made dense for scoring."""
     cache, _ = P.prepare_dataset(raw, "ml100k")
-    return P.split_matrices(cache, 0.2, SPLIT_SEED)
+    cold_ids, x_warm, y_warm, x_cold, y_cold = P.split_matrices(cache, 0.2, SPLIT_SEED)
+    return cold_ids, x_warm, y_warm, x_cold, y_cold.toarray()
 
 
 def test_criterion_6_itempop_p5():
@@ -265,7 +267,7 @@ def test_criterion_10_stability():
                         learning_rate=1e-3, max_rounds=80, eval_every=5,
                         patience=100, seed=5, generator_hidden=[16],
                         discriminator_hidden=[16]).validate()
-    trainer = train_with_slice(x_warm, y_warm, cfg, x_warm[:10], y_warm[:10])
+    trainer = train_with_slice(x_warm, y_warm, cfg, x_warm[:10], y_warm.toarray(range(10)))
     points = trainer.curve.points
     assert points, "no checkpoints logged"
     for p in points:

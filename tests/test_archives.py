@@ -22,7 +22,7 @@ from srlgan.cli import main
 DESK = ["--max-rounds", "2", "--eval-every", "1", "--pretrain-epochs", "1",
         "--batch-size", "16", "--learning-rate", "1e-3", "--seed", "3",
         "--generator-hidden", "8", "--discriminator-hidden", "8"]
-VERSIONS = {"cache": 2, "checkpoint": 3}
+VERSIONS = {"cache": 3, "checkpoint": 3}
 
 
 def run(argv):
@@ -57,13 +57,13 @@ def members(path):
         return {key: z[key] for key in z.files}
 
 
-def save(path, contents, kind):
-    (np.savez_compressed if kind == "cache" else np.savez)(path, **contents)
-
-
 def retyped(arr):
-    """`arr` as another dtype: float32 for floats, int32 for ints, bytes for text."""
-    return arr.astype({"f": np.float32, "i": np.int32, "U": np.bytes_}[arr.dtype.kind])
+    """`arr` as another dtype: float64 as float32, int64 as int32, int32 as
+    int64, uint8 as uint16, text as bytes."""
+    if arr.dtype.kind == "U":
+        return arr.astype(np.bytes_)
+    return arr.astype({"float64": np.float32, "int64": np.int32, "int32": np.int64,
+                       "uint8": np.uint16}[arr.dtype.name])
 
 
 def mutate(data, kind, good_path, bad):
@@ -93,7 +93,7 @@ def mutate(data, kind, good_path, bad):
             arr = contents[name]
             contents[name] = data.draw(st.sampled_from(
                 [retyped(arr), arr[None], arr.reshape(-1)[:-1]]))
-    save(bad, contents, kind)
+    np.savez(bad, **contents)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -124,11 +124,17 @@ def member_offset(path, member):
 
 
 def test_flipped_bit_in_a_deflate_stream_exits_1(good, tmp_path):
-    archives, _ = good
-    raw = bytearray(archives["cache"].read_bytes())
+    """`prepare` writes stored members, but a cache from elsewhere may be
+    deflated: it reads whole, and a damaged deflate stream exits 1."""
+    archives, metrics = good
+    deflated = tmp_path / "deflated.npz"
+    np.savez_compressed(deflated, **members(archives["cache"]))
+    assert eval_(archives | {"cache": deflated}, tmp_path / "whole")[0] == 0
+    assert (tmp_path / "whole" / "metrics.model.csv").read_bytes() == metrics
+    raw = bytearray(deflated.read_bytes())
     # Bits 1-2 of a deflate stream's first byte are the block type: a Huffman
     # block's 01 or 10 is one flip away from the reserved 11.
-    start = member_offset(archives["cache"], "purchase.npy")
+    start = member_offset(deflated, "items.npy")
     before = raw[start]
     raw[start] |= 0b110
     assert bin(before ^ raw[start]).count("1") == 1

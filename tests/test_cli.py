@@ -202,9 +202,42 @@ def test_train_max_rounds_zero_equals_pretrained(tmp_path, prepared):
                         generator_hidden=[8], discriminator_hidden=[8])
     _, x_warm, y_warm, _, _ = P.split_matrices(cache, 0.2, 3)
     train_idx, _ = D.split_rows(x_warm.shape[0], cfg.validation_fraction, 3)
-    trainer = T.Trainer(x_warm[train_idx], y_warm[train_idx], cfg)
+    trainer = T.Trainer(x_warm[train_idx], y_warm.take(train_idx), cfg)
     trainer.pretrain_generator()
     assert np.array_equal(nets["generator"].theta, trainer.generator.theta)
+
+
+def test_commands_densify_only_batches_validation_and_cold_rows(tmp_path, synth100k_dir,
+                                                               prepared, monkeypatch):
+    """Purchase rows stay CSR: each command makes dense only the rows a step
+    or a scorer reads, and none starts from a dense matrix."""
+    densified, toarray = [], D.PurchaseRows.toarray
+
+    def spy(self, rows=None):
+        out = toarray(self, rows)
+        densified[-1][1].append(len(out))
+        return out
+
+    monkeypatch.setattr(D.PurchaseRows, "toarray", spy)
+    monkeypatch.setattr(D.PurchaseRows, "from_dense",
+                        lambda *a: pytest.fail("a dense purchase matrix was made"))
+    cache = prepared / "ml100k.npz"
+    commands = {
+        "prepare": ["prepare", "--dataset", "ml100k", "--raw-dir", synth100k_dir,
+                    "--out-dir", tmp_path / "prep"],
+        "train": ["train", "--cache", cache, "--out-dir", tmp_path / "train", *FAST],
+        "eval": ["eval", "--checkpoint", tmp_path / "train" / "checkpoint.npz",
+                 "--cache", cache, "--out-dir", tmp_path / "eval"],
+        "itempop": ["eval", "--baseline", "itempop", "--cache", cache,
+                    "--out-dir", tmp_path / "pop"],
+    }
+    for name, argv in commands.items():
+        densified.append((name, []))
+        assert main([str(a) for a in argv]) == 0
+    # 60 users: 12 cold and 48 warm, of which 5 validate; the 43 training
+    # rows make 3 pretraining batches of 16, then 2 rounds of 2 batches.
+    assert densified == [("prepare", []), ("train", [5] + [16] * 7),
+                         ("eval", [12]), ("itempop", [12])]
 
 
 def test_train_s1_flags(tmp_path, prepared):
@@ -250,6 +283,32 @@ def test_eval_model_and_rerun_byte_identical(tmp_path, prepared, trained):
     args = json.loads((out1 / "manifest.json").read_text())["args"]
     assert (args["cold_fraction"], args["split_seed"], args["leakage_free_cold"]) == \
         (0.2, 3, False)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--split-seed", "5", "--split-seed 5 differs from the checkpoint's 3"),
+    ("--split-seed", "-1", "--split-seed -1 differs from the checkpoint's 3"),
+    ("--cold-fraction", "0.5", "--cold-fraction 0.5 differs from the checkpoint's 0.2"),
+], ids=["split-seed", "negative-split-seed", "cold-fraction"])
+def test_eval_checkpoint_refuses_another_split(flag, value, message, tmp_path, prepared,
+                                               trained, capsys):
+    """Another split would score users the model trained on as cold users."""
+    rc = main(["eval", "--checkpoint", str(trained / "checkpoint.npz"), flag, value,
+               "--cache", str(prepared / "ml100k.npz"), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}: the cold set would hold training users\n", err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_checkpoint_accepts_its_own_split(tmp_path, prepared, trained):
+    runs = {"implicit": [], "explicit": ["--split-seed", "3", "--cold-fraction", "0.2"]}
+    for name, flags in runs.items():
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.npz"), *flags,
+                     "--cache", str(prepared / "ml100k.npz"),
+                     "--out-dir", str(tmp_path / name)]) == 0
+    assert (tmp_path / "implicit" / "metrics.model.csv").read_bytes() == \
+        (tmp_path / "explicit" / "metrics.model.csv").read_bytes()
 
 
 def test_eval_itempop_baseline(tmp_path, prepared):
@@ -343,15 +402,40 @@ def _bad_cache(problem, good, tmp_path):
         return bad
     with np.load(good) as z:
         contents = {key: z[key] for key in z.files}
+    indptr, items, ratings = (contents[key] for key in ("indptr", "items", "ratings"))
     if problem == "version 1":
         header = json.loads(str(contents["header"])) | {"version": 1}
         contents["header"] = json.dumps(header)
+    elif problem == "version 2":              # the dense layout before CSR
+        header = json.loads(str(contents["header"])) | {"version": 2}
+        purchase = D.PurchaseRows(indptr, items, ratings / 5, header["m"]).toarray()
+        contents = {"header": json.dumps(header), "user_ids": contents["user_ids"],
+                    "purchase": purchase, "tfidf": contents["tfidf"],
+                    "schema": contents["schema"]}
     elif problem == "missing":
-        del contents["purchase"]
+        del contents["items"]
     elif problem == "short purchase":
-        contents["purchase"] = contents["purchase"][:-5]
+        contents["indptr"] = indptr[:-5]
     elif problem == "float32 purchase":
-        contents["purchase"] = contents["purchase"].astype(np.float32)
+        contents["ratings"] = ratings.astype(np.float32)
+    elif problem == "indptr start":
+        indptr[0] = 1
+    elif problem == "indptr decreases":
+        indptr[1], indptr[2] = indptr[2], indptr[1]
+    elif problem == "indptr end":
+        indptr[-1] -= 1
+    elif problem == "item id m":
+        items[0] = 1682
+    elif problem == "negative item id":
+        items[0] = -1
+    elif problem == "items unsorted":
+        items[0], items[1] = items[1], items[0]
+    elif problem == "repeated item":
+        items[1] = items[0]
+    elif problem == "rating 0":
+        ratings[0] = 0
+    elif problem == "rating 6":
+        ratings[0] = 6
     elif problem == "short tfidf":
         contents["tfidf"] = contents["tfidf"][:-1]
     elif problem == "2-D user_ids":
@@ -365,15 +449,25 @@ def _bad_cache(problem, good, tmp_path):
 
 
 # Each defect of _bad_cache and a part of the message that refuses it; the
-# fixture cache has 60 users, m = 1682 and d = D_100K.
+# fixture cache has 60 users, 732 ratings, m = 1682 and d = D_100K.
 D_100K = 60
 BAD_CACHE_MESSAGES = {
     "directory": "Is a directory",
     "truncated": "File is not a zip file",
-    "version 1": "format version 1 is not the supported version 2; re-run prepare",
-    "missing": "purchase is not a file",
-    "short purchase": "array 'purchase' is float64 (55, 1682), expected float64 (60, 1682)",
-    "float32 purchase": "array 'purchase' is float32 (60, 1682), expected float64 (60, 1682)",
+    "version 1": "format version 1 is not the supported version 3; re-run prepare",
+    "version 2": "format version 2 is not the supported version 3; re-run prepare",
+    "missing": "items is not a file",
+    "short purchase": "array 'indptr' is int64 (56,), expected int64 (61,)",
+    "float32 purchase": "array 'ratings' is float32 (732,), expected uint8 (732,)",
+    "indptr start": "indptr starts at 1, not 0",
+    "indptr decreases": "indptr decreases",
+    "indptr end": "indptr ends at 731, not at the 732 items",
+    "item id m": "item ids outside 0..1681",
+    "negative item id": "item ids outside 0..1681",
+    "items unsorted": "item ids do not strictly increase within a row",
+    "repeated item": "item ids do not strictly increase within a row",
+    "rating 0": "ratings outside 1..5",
+    "rating 6": "ratings outside 1..5",
     "short tfidf": f"array 'tfidf' is float64 (59, {D_100K}), expected float64 (60, {D_100K})",
     "2-D user_ids": "array 'user_ids' is int64 (1, 60), expected int64 (None,)",
     "unsorted": "user_ids are not strictly increasing",
@@ -446,8 +540,12 @@ def test_empty_cold_set_refused_before_any_work(command, tmp_path, prepared, tra
                                                 monkeypatch):
     monkeypatch.setattr(T.Trainer, "pretrain_generator",
                         lambda *a, **k: pytest.fail("training started"))
+    # A checkpoint refuses another cold fraction, so eval-model scores one
+    # trained with the fraction it is given.
+    nets, meta, extra = NN.load_checkpoint(trained / "checkpoint.npz")
+    NN.save_checkpoint(tmp_path / "cold0.npz", nets, meta | {"cold_fraction": 0.0}, extra)
     argv = {"eval-itempop": ["eval", "--baseline", "itempop"],
-            "eval-model": ["eval", "--checkpoint", str(trained / "checkpoint.npz")],
+            "eval-model": ["eval", "--checkpoint", str(tmp_path / "cold0.npz")],
             "ablate": ["ablate", *FAST]}[command]
     rc = main([*argv, "--cold-fraction", "0", "--cache", str(prepared / "ml100k.npz"),
                "--out-dir", str(tmp_path / "out")])
@@ -573,8 +671,10 @@ def test_eval_needs_exactly_one_of_checkpoint_and_baseline(tmp_path, prepared, c
     (["sweep-beta", "--grid", "0.1,-1"], "--grid: each beta must be finite and >= 0, got '0.1,-1'"),
     (["sweep-beta", "--grid", "nan"], "--grid: each beta must be finite and >= 0, got 'nan'"),
     (["sweep-beta", "--grid", "0,inf"], "--grid: each beta must be finite and >= 0, got '0,inf'"),
+    (["sweep-beta", "--grid", "0.1,0.10"], "--grid: beta 0.1 is given more than once in '0.1,0.10'"),
+    (["sweep-beta", "--grid", "1,0,0e0,1"], "--grid: beta 0 is given more than once in '1,0,0e0,1'"),
 ], ids=["lr-nan", "lr-inf", "beta-minus-inf", "sweep-beta-nan", "grid-letter",
-        "grid-negative", "grid-nan", "grid-inf"])
+        "grid-negative", "grid-nan", "grid-inf", "grid-repeated", "grid-repeated-twice"])
 def test_bad_hyperparameters_exit_1_before_any_work(tmp_path, prepared, capsys, monkeypatch,
                                                     argv, message):
     monkeypatch.setattr(D, "load_cache", lambda *a, **k: pytest.fail("cache loaded"))

@@ -4,8 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srlgan import data as D
+from srlgan.evaluate import item_popularity
+from srlgan.model import mean_purchase
 
 
 def rows(*ratings):
@@ -134,9 +138,15 @@ def test_parse_rating_out_of_range(tmp_path):
         D.parse_ratings(p, "ml100k")
 
 
+def dense(ratings, m):
+    """build_purchase_matrix's (user_ids, dense float64 rows)."""
+    user_ids, purchase = D.build_purchase_matrix(ratings, m=m)
+    return user_ids, purchase.toarray()
+
+
 def test_purchase_matrix_normalization():
     ratings = rows((1, 1, 5, 10), (1, 3, 3, 11), (2, 2, 1, 12))
-    user_ids, matrix = D.build_purchase_matrix(ratings, m=4)
+    user_ids, matrix = dense(ratings, m=4)
     assert user_ids == [1, 2]
     assert matrix[0, 0] == 1.0       # rating 5 / C=5
     assert matrix[0, 2] == 0.6       # rating 3 / C=5
@@ -149,20 +159,20 @@ def test_purchase_matrix_normalization():
 
 def test_purchase_matrix_duplicate_keeps_latest():
     ratings = rows((1, 1, 2, 100), (1, 1, 5, 200), (1, 1, 4, 50))
-    _, matrix = D.build_purchase_matrix(ratings, m=1)
+    _, matrix = dense(ratings, m=1)
     assert matrix[0, 0] == 1.0
 
 
 def test_purchase_matrix_equal_timestamps_later_row_wins():
     ratings = rows((1, 1, 2, 200), (1, 1, 4, 100), (1, 1, 3, 200))
-    _, matrix = D.build_purchase_matrix(ratings, m=1)
+    _, matrix = dense(ratings, m=1)
     assert matrix[0, 0] == 0.6
 
 
 def test_purchase_matrix_order_insensitive():
     ratings = rows((1, 1, 2, 100), (2, 1, 3, 101), (1, 2, 4, 102))
-    ids_a, a = D.build_purchase_matrix(ratings, m=3)
-    ids_b, b = D.build_purchase_matrix(ratings[::-1], m=3)
+    ids_a, a = dense(ratings, m=3)
+    ids_b, b = dense(ratings[::-1], m=3)
     assert ids_a == ids_b
     assert np.array_equal(a, b)
 
@@ -177,18 +187,60 @@ def test_purchase_matrix_item_out_of_range():
 @pytest.mark.parametrize("seed", range(5))
 def test_purchase_matrix_matches_dict_oracle(seed):
     ratings = random_ratings(seed)
-    user_ids, matrix = D.build_purchase_matrix(ratings, m=30)
+    user_ids, purchase = D.build_purchase_matrix(ratings, m=30)
     want_ids, want = latest_rating_oracle(ratings, m=30)
     assert user_ids == want_ids
-    assert np.array_equal(matrix, want)
+    assert np.array_equal(purchase.toarray(), want)
+    # The CSR holds exactly the nonzero entries, row-major.
+    assert purchase.toarray().tobytes() == want.tobytes()
+    assert purchase.nnz == np.count_nonzero(want)
 
 
 def test_nonzero_count_matches_distinct_items():
     ratings = random_ratings(0)
-    user_ids, matrix = D.build_purchase_matrix(ratings, m=30)
+    user_ids, matrix = dense(ratings, m=30)
     for k, uid in enumerate(user_ids):
         distinct = np.unique(ratings[ratings[:, 0] == uid, 1])
         assert np.count_nonzero(matrix[k]) == len(distinct)
+
+
+@st.composite
+def purchase_and_rows(draw):
+    """A dense purchase matrix of ratings k/5 (some rows empty) and a list of
+    its row indices, in any order and with repeats."""
+    n, m = draw(st.integers(0, 12)), draw(st.integers(1, 9))
+    ratings = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 3, 4, 5]),
+                            min_size=n * m, max_size=n * m))
+    matrix = np.array(ratings, dtype=np.int64).reshape(n, m) / 5
+    rows = draw(st.lists(st.integers(0, n - 1), max_size=15)) if n else []
+    return matrix, rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(purchase_and_rows())
+def test_purchase_rows_match_dense_operations_bit_for_bit(case):
+    matrix, rows = case
+    csr = D.PurchaseRows.from_dense(matrix)
+    assert (len(csr), csr.m, csr.nnz) == (*matrix.shape, np.count_nonzero(matrix))
+    assert csr.toarray().tobytes() == matrix.tobytes()
+    assert csr.toarray(rows).tobytes() == matrix[rows].tobytes()
+    assert csr.take(rows).toarray().tobytes() == matrix[rows].tobytes()
+    assert len(csr.take(rows)) == len(rows)
+    if not len(matrix):
+        return
+    assert D.sparsity_percent(csr) == 100.0 * np.count_nonzero(matrix == 0) / matrix.size
+    popularity = item_popularity(csr)
+    want = np.count_nonzero(matrix, axis=0)
+    assert popularity.dtype == want.dtype and popularity.tobytes() == want.tobytes()
+    # rho sums each column over the rows in order.  numpy sums a one-column
+    # matrix pairwise instead, so the dense mean is compared from m = 2 up.
+    in_order = np.zeros(matrix.shape[1])
+    for row in matrix:
+        in_order = in_order + row
+    rho = mean_purchase(csr)
+    assert rho.tobytes() == (in_order / len(matrix)).tobytes()
+    if matrix.shape[1] > 1:
+        assert rho.tobytes() == matrix.mean(axis=0).tobytes()
 
 
 def split_users_oracle(user_ids, cold_fraction, seed):
@@ -225,9 +277,10 @@ def test_split_matrices_rows_follow_user_ids(synth_cache):
     got_ids, x_warm, y_warm, x_cold, y_cold = split_matrices(synth_cache, 0.2, 3)
     assert got_ids.tolist() == cold_ids
     assert np.array_equal(x_warm, synth_cache.tfidf[warm_rows])
-    assert np.array_equal(y_warm, synth_cache.purchase[warm_rows])
+    purchase = synth_cache.purchase.toarray()
+    assert np.array_equal(y_warm.toarray(), purchase[warm_rows])
     assert np.array_equal(x_cold, synth_cache.tfidf[cold_rows])
-    assert np.array_equal(y_cold, synth_cache.purchase[cold_rows])
+    assert np.array_equal(y_cold.toarray(), purchase[cold_rows])
 
 
 def test_split_sizes_round_half_up():
@@ -257,12 +310,13 @@ def test_split_bad_fraction():
 
 
 def test_sparsity_percent():
-    assert D.sparsity_percent(np.zeros((3, 4))) == 100.0
+    csr = D.PurchaseRows.from_dense
+    assert D.sparsity_percent(csr(np.zeros((3, 4)))) == 100.0
     m = np.zeros((2, 2))
     m[0, 0] = 1.0
-    assert D.sparsity_percent(m) == 75.0
+    assert D.sparsity_percent(csr(m)) == 75.0
     with pytest.raises(ValueError):
-        D.sparsity_percent(np.zeros((0, 4)))
+        D.sparsity_percent(csr(np.zeros((0, 4))))
 
 
 def test_cache_round_trip(tmp_path, synth_cache):
@@ -271,7 +325,10 @@ def test_cache_round_trip(tmp_path, synth_cache):
     loaded = D.load_cache(path)
     assert loaded.dataset == synth_cache.dataset
     assert loaded.user_ids == synth_cache.user_ids
-    assert np.array_equal(loaded.purchase, synth_cache.purchase)
+    for name in ("indptr", "items", "values"):
+        got, want = getattr(loaded.purchase, name), getattr(synth_cache.purchase, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert loaded.m == synth_cache.m
     assert np.array_equal(loaded.tfidf, synth_cache.tfidf)
     assert loaded.schema_json == synth_cache.schema_json
     # sparsity identical after the disk round trip
@@ -284,6 +341,32 @@ def test_cache_content_hash_ignores_the_file_format(synth_cache, monkeypatch):
     before = D.cache_content_hash(synth_cache)
     monkeypatch.setattr(D, "CACHE_VERSION", D.CACHE_VERSION + 1)
     assert D.cache_content_hash(synth_cache) == before
+
+
+def test_cache_content_hash_covers_every_part(synth_cache):
+    """A change to any stored fact changes the hash, the CSR arrays and m
+    included."""
+    from dataclasses import replace
+
+    rows = synth_cache.purchase
+    moved, item, value = rows.indptr.copy(), rows.items.copy(), rows.values.copy()
+    moved[1] += 1                     # one entry of user 1 becomes user 0's
+    item[0] += 1
+    value[0] = 0.4 if value[0] == 0.2 else 0.2
+    variants = [
+        D.PurchaseRows(moved, rows.items, rows.values, rows.m),
+        D.PurchaseRows(rows.indptr, item, rows.values, rows.m),
+        D.PurchaseRows(rows.indptr, rows.items, value, rows.m),
+        D.PurchaseRows(rows.indptr, rows.items, rows.values, rows.m + 1),
+    ]
+    caches = [replace(synth_cache, purchase=v) for v in variants] + [
+        replace(synth_cache, tfidf=2 * synth_cache.tfidf),
+        replace(synth_cache, user_ids=[u + 1 for u in synth_cache.user_ids]),
+        replace(synth_cache, max_rating=10),
+        replace(synth_cache, schema_json=synth_cache.schema_json + " "),
+    ]
+    hashes = {D.cache_content_hash(c) for c in [synth_cache, *caches]}
+    assert len(hashes) == 1 + len(caches)
 
 
 @pytest.mark.parametrize("fixture, dataset, digest", [
@@ -299,7 +382,7 @@ def test_prepared_arrays_pinned(request, raw_counts, fixture, dataset, digest):
     cache, _ = prepare_dataset(raw_dir, dataset)
     h = hashlib.sha256()
     h.update(np.asarray(cache.user_ids, dtype=np.int64).tobytes())
-    h.update(cache.purchase.tobytes())
+    h.update(cache.purchase.toarray().tobytes())
     h.update(raw_counts(raw_dir, cache).tobytes())
     assert h.hexdigest()[:16] == digest
 
