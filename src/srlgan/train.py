@@ -341,7 +341,6 @@ def cross_validate_beta(x_warm, y_warm, beta_grid, config: TrainConfig,
     if held_count(len(x_warm), config.validation_fraction) == 0:
         raise ValueError(f"validation_fraction {config.validation_fraction} holds out "
                          f"none of {len(x_warm)} warm users, so no beta can be scored")
-    y_warm = as_purchase_rows(y_warm)
     scores = {}
     for beta in sorted(set(map(float, beta_grid))):
         trainer = fit(x_warm, y_warm, replace(config, beta=beta))
@@ -375,7 +374,6 @@ def run_ablation(x_warm, y_warm, x_cold, y_cold, base_config: TrainConfig,
                  ns=DEFAULT_NS) -> dict[str, MetricReport]:
     """Train S1, S2, S3 under identical seeds and score the cold users
     (`y_cold` dense)."""
-    y_warm = as_purchase_rows(y_warm)
     reports = {}
     for mode in ABLATION_MODES:
         trainer = fit(x_warm, y_warm, ablation_config(base_config, mode))
