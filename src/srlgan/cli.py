@@ -176,8 +176,8 @@ def _write_manifest(out_dir: Path, command: str, args_dict: dict,
 def cmd_prepare(args) -> int:
     raw_dir = Path(args.raw_dir)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cache, stats = P.prepare_dataset(raw_dir, args.dataset)
+    out_dir.mkdir(parents=True, exist_ok=True)
     cache_path = out_dir / f"{args.dataset}.npz"
     D.save_cache(cache, cache_path)
     (out_dir / f"{args.dataset}.schema.json").write_text(cache.schema_json + "\n")
@@ -257,7 +257,7 @@ def cmd_eval(args) -> int:
         # `srlgan train`'s default split, so a rerun draws the same cold users.
         cold_ids, _, y_warm, _, y_cold = _split(args, cache, 0, need_cold=True)
         report = E.evaluate_report(E.item_popularity(y_warm), y_cold.toarray(), ns=ns,
-                                   user_keys=cold_ids)
+                                   user_keys=cold_ids, graded=args.graded)
         label = "itempop"
     else:
         nets, meta, _ = NN.load_checkpoint(args.checkpoint)

@@ -3,9 +3,10 @@
 An item is relevant for a cold user iff its held-out normalized rating is
 nonzero.  NDCG uses binary gains by default (graded 2^(C*r)-1 gains behind
 a flag, with the ideal DCG built from the user's own sorted gains); users
-with no held-out purchases are excluded from the means.  Ranking covers
-all m items, tie-broken by ascending item id, so metrics depend only on
-the stable argsort of the negated scores.
+with no held-out purchases are excluded from the means.  Ranking is by
+descending score, tie-broken by ascending item id, so metrics depend only
+on the stable argsort of the negated scores; only its first max(ns)
+positions are computed (`rank_items`' top-k rule).
 
 One scorer serves every caller: `evaluate_report` takes one score row per
 user, or one row shared by all users (ItemPop's popularity counts), ranks
@@ -27,13 +28,42 @@ from .data import as_purchase_rows
 DEFAULT_NS = (5, 20)
 
 
-def rank_items(scores) -> np.ndarray:
+def rank_items(scores, k=None) -> np.ndarray:
     """1-based item ids by descending score along the last axis, lower id
-    first on ties: a 1-D row gives one ranking, a 2-D batch one per row."""
-    scores = np.asarray(scores, dtype=np.float64)
-    ranking = np.argsort(-scores, axis=-1, kind="stable")
+    first on ties: a 1-D row gives one ranking, a 2-D batch one per row.
+    Only the first k positions are returned, all of them when k is None.
+
+    For a 2-D batch with 0 < k < m the rows are not sorted whole: each is
+    partitioned to its k-th score, and only the entries at or above it are
+    ordered.  Ties at the k-th score keep the lowest ids that fit.  A NaN
+    among the first k, and every other input, takes the full stable sort.
+    Either way the result is np.argsort(-scores, kind="stable")[..., :k] + 1.
+    """
+    neg = -np.asarray(scores, dtype=np.float64)
+    ranking = None
+    if neg.ndim == 2 and len(neg) and k is not None and 0 < k < neg.shape[1]:
+        ranking = _top_k(neg, k)
+    if ranking is None:
+        ranking = np.argsort(neg, axis=-1, kind="stable")[..., :k]
     ranking += 1
     return ranking
+
+
+def _top_k(neg, k: int):
+    """The first k columns of each row's stable argsort of `neg`, or None
+    when a row's k-th value is NaN (NaN sorts last)."""
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+    if np.isnan(kth).any():
+        return None
+    keep = neg <= kth
+    count = np.count_nonzero(keep, axis=1)
+    for row in np.flatnonzero(count > k):
+        # Ties at the k-th value overflow the row: the lowest ids rank first.
+        tied = np.flatnonzero(neg[row] == kth[row, 0])
+        keep[row, tied[k - count[row] + len(tied):]] = False
+    items = np.nonzero(keep)[1].reshape(-1, k)      # ascending ids per row
+    order = np.argsort(np.take_along_axis(neg, items, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(items, order, axis=1)
 
 
 @dataclass
@@ -111,7 +141,7 @@ def evaluate_report(scores, held_out, ns=DEFAULT_NS, user_keys=None,
         raise ValueError(f"{users.size} user keys for {len(held_out)} rows")
 
     k = max(ns)
-    top = rank_items(scores)[..., :k] - 1
+    top = rank_items(scores, k) - 1
     relevant = held_out != 0
     keep = relevant.any(axis=1)
     relevant, users = relevant[keep], users[keep]
@@ -122,7 +152,7 @@ def evaluate_report(scores, held_out, ns=DEFAULT_NS, user_keys=None,
         # DCG of the user's items ranked by their own gains.
         gain = 2.0 ** (held_out[keep] * 5.0) - 1.0
         ranked_gain = _at_top(gain, top, k)
-        ideal = _at_top(gain, rank_items(gain)[:, :k] - 1, k)
+        ideal = _at_top(gain, rank_items(gain, k) - 1, k)
     else:
         ranked_gain = hit
         ideal = np.arange(k) < np.count_nonzero(relevant, axis=1)[:, None]

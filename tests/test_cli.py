@@ -75,6 +75,27 @@ def test_prepare_missing_raw_dir_exit_1(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("damage, message", [
+    ("missing", "raw file not found: "),
+    ("malformed", ":61: non-integer field"),
+], ids=["missing-raw-file", "malformed-rating-line"])
+def test_prepare_refusal_leaves_no_out_dir(tmp_path, synth100k_dir, capsys, damage, message):
+    raw = tmp_path / "raw"
+    shutil.copytree(synth100k_dir, raw)
+    if damage == "missing":
+        (raw / "u.data").unlink()
+    else:
+        lines = (raw / "u.data").read_text().splitlines()
+        lines[60] = lines[60].replace("\t", "\tx", 1)
+        (raw / "u.data").write_text("\n".join(lines) + "\n")
+    rc = main(["prepare", "--dataset", "ml100k", "--raw-dir", str(raw),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(raw / "u.data") in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("line, names", [
     ("999\t1\t3\t5\n", ["user id 999", "u.user", "u.data"]),
     ("1\t99999\t3\t5\n", ["item id 99999 outside 1..1682", "u.data"]),
@@ -601,6 +622,21 @@ def test_eval_graded_changes_only_ndcg(tmp_path, prepared, trained):
                    "--out-dir", str(tmp_path / name), *flags])
         assert rc == 0
         text = (tmp_path / name / "metrics.model.csv").read_text()
+        tables[name] = np.array([line.split(",") for line in text.splitlines()])
+    binary, graded = tables["binary"], tables["graded"]
+    ndcg = np.char.startswith(binary[0], "N@")
+    assert binary.shape == graded.shape
+    assert (binary[:, ~ndcg] == graded[:, ~ndcg]).all()
+    assert (binary[1:, ndcg] != graded[1:, ndcg]).any()
+
+
+def test_eval_itempop_graded_changes_only_ndcg(tmp_path, prepared):
+    tables = {}
+    for name, flags in (("binary", []), ("graded", ["--graded"])):
+        rc = main(["eval", "--baseline", "itempop", "--cache", str(prepared / "ml100k.npz"),
+                   "--out-dir", str(tmp_path / name), *flags])
+        assert rc == 0
+        text = (tmp_path / name / "metrics.itempop.csv").read_text()
         tables[name] = np.array([line.split(",") for line in text.splitlines()])
     binary, graded = tables["binary"], tables["graded"]
     ndcg = np.char.startswith(binary[0], "N@")

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +137,123 @@ def test_parse_rating_out_of_range(tmp_path):
     p.write_text("1\t2\t9\t4\n")
     with pytest.raises(D.ParseError, match="outside"):
         D.parse_ratings(p, "ml100k")
+
+
+def line_oracle_parse_ratings(path, fmt, max_rating=5):
+    """The line-by-line `parse_ratings` from before its loadtxt fast path,
+    kept verbatim as the differential oracle."""
+    sep = {"ml100k": "\t", "ml1m": "::"}[fmt]
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"raw file not found: {path}")
+    with open(path, encoding="utf-8", errors="strict") as fh:
+        lines = np.array(fh.read().splitlines(), dtype=str)
+    nonblank = (lines != "") & ~np.char.isspace(lines)
+    linenos = np.flatnonzero(nonblank) + 1
+    lines = lines[nonblank]
+    n_fields = np.char.count(lines, sep) + 1
+    wrong = np.flatnonzero(n_fields != 4)
+    if wrong.size:
+        k = wrong[0]
+        raise D.ParseError(f"{path}:{linenos[k]}: expected 4 fields, got {n_fields[k]}")
+    fields = sep.join(lines.tolist()).split(sep) if len(lines) else []
+    try:
+        ratings = np.array(fields, dtype=np.int64).reshape(-1, 4)
+    except (ValueError, OverflowError) as exc:
+        lo, hi = 0, len(lines)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                np.array(fields[4 * lo:4 * mid], dtype=np.int64)
+                lo = mid
+            except (ValueError, OverflowError):
+                hi = mid
+        raise D.ParseError(f"{path}:{linenos[lo]}: non-integer field ({exc})") from None
+    outside = np.flatnonzero((ratings[:, 2] < 1) | (ratings[:, 2] > max_rating))
+    if outside.size:
+        k = outside[0]
+        raise D.ParseError(
+            f"{path}:{linenos[k]}: rating {ratings[k, 2]} outside 1..{max_rating}")
+    return ratings
+
+
+RAW_ALPHABET = "0123456789\t:\n\r +-_.\x0cx\u0665"
+
+
+@st.composite
+def ratings_files(draw):
+    """(fmt, text) of a ratings file: free text over the alphabet, a clean
+    file the fast path must take, or a noisy one: lines of three to five
+    fields joined by a separator, most often the format's, whose fields
+    are ids, ratings, int64-sized or past int64, or junk."""
+    fmt = draw(st.sampled_from(["ml100k", "ml1m"]))
+    kind = draw(st.sampled_from(["free", "clean", "noisy", "noisy"]))
+    if kind == "free":
+        return fmt, draw(st.text(RAW_ALPHABET, max_size=40))
+    sep = {"ml100k": "\t", "ml1m": "::"}[fmt]
+    number = st.one_of(st.integers(0, 99999).map(str),
+                       st.text("0123456789", min_size=1, max_size=18))
+    if kind == "clean":
+        line = st.one_of(st.tuples(number, number, st.integers(1, 5).map(str), number)
+                         .map(sep.join), st.just(""))
+        eol = "\n"
+    else:
+        sep = draw(st.sampled_from([sep, sep, "\t", "::", ":", ":::", " "]))
+        field = st.one_of(number, st.integers(0, 7).map(str), st.integers(0, 2**64).map(str),
+                          st.text("0123456789", min_size=19, max_size=22),
+                          st.text(RAW_ALPHABET, max_size=3))
+        line = st.one_of(st.tuples(number, number, field, field).map(sep.join),
+                         st.lists(field, min_size=3, max_size=5).map(sep.join),
+                         st.sampled_from(["", " ", "\t", "\t\t\t", "\x0c"]))
+        eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    lines = draw(st.lists(line, max_size=6))
+    return fmt, eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def parse_outcome(parse, path, fmt):
+    try:
+        ratings = parse(path, fmt)
+    except D.ParseError as exc:
+        return "ParseError", str(exc)
+    return ratings.dtype.str, ratings.shape, ratings.tobytes()
+
+
+@pytest.fixture(scope="module")
+def ratings_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential") / "ratings"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(ratings_files())
+def test_parse_ratings_matches_line_oracle(ratings_path, case):
+    """The fast path gives the oracle's array, and every file it refuses
+    the oracle's array or ParseError text, in both formats."""
+    fmt, text = case
+    ratings_path.write_bytes(text.encode())
+    assert (parse_outcome(D.parse_ratings, ratings_path, fmt)
+            == parse_outcome(line_oracle_parse_ratings, ratings_path, fmt))
+
+
+@pytest.mark.parametrize("fmt, text, fast", [
+    ("ml100k", "\n196\t242\t3\t881250949\n\n1\t2\t5\t4", True),
+    ("ml1m", "1::1193::5::978300760\n", True),
+    ("ml100k", "196\t242\t3\t881250949\r\n", False),
+    ("ml100k", "196\t242\t3\t+881250949\n", False),
+    ("ml1m", "1::1193:::5::978300760\n", False),
+    ("ml1m", "1\t1193::5::978300760\n", False),
+    ("ml100k", "", False),
+    ("ml100k", "1\t2\t6\t4\n", False),
+    ("ml100k", "1\t2\t3\t99999999999999999999\n", False),
+], ids=["ml100k-blank-lines", "ml1m", "crlf", "sign", "lone-colon", "ml1m-tab", "empty",
+        "rating-6", "int64-overflow"])
+def test_parse_fast_path_takes_only_plain_digit_files(tmp_path, fmt, text, fast):
+    p = tmp_path / "ratings"
+    p.write_bytes(text.encode())
+    sep = {"ml100k": "\t", "ml1m": "::"}[fmt]
+    ratings = D._parse_digit_rows(p, sep, 5)
+    assert (ratings is not None) == fast
+    if fast:
+        assert ratings.tobytes() == line_oracle_parse_ratings(p, fmt).tobytes()
 
 
 def dense(ratings, m):

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from srlgan import evaluate as E
 from srlgan import train as T
@@ -70,6 +73,51 @@ def test_rank_items_batch_ties_go_to_lower_id():
     oracle = [sorted(range(1, 301), key=lambda i: (-row[i - 1], i)) for row in scores]
     assert E.rank_items(scores).tolist() == oracle
     assert [E.rank_items(row).tolist() for row in scores] == oracle
+
+
+def full_ranking(scores, k=None):
+    """The reference `rank_items`: the full stable argsort, cut to k."""
+    return np.argsort(-np.asarray(scores, dtype=np.float64), axis=-1, kind="stable")[..., :k] + 1
+
+
+@st.composite
+def tied_scores(draw):
+    """A (rows x m) batch, 0 rows included, of quantized scores with heavy
+    ties, mixed with NaN, +-inf and +-0.0."""
+    rows, m = draw(st.integers(0, 6)), draw(st.integers(1, 30))
+    value = st.one_of(st.integers(-2, 2).map(lambda v: v / 2),
+                      st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+                      st.floats(-1, 1))
+    pool = draw(st.lists(value, min_size=1, max_size=6))
+    return draw(arrays(np.float64, (rows, m), elements=st.sampled_from(pool)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tied_scores())
+def test_rank_items_top_k_is_the_head_of_the_full_ranking(scores):
+    m = scores.shape[1]
+    for k in (1, m - 1, m, m + 3, None):
+        want = full_ranking(scores, k)
+        got = E.rank_items(scores, k)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        for row in scores:
+            assert np.array_equal(E.rank_items(row, k), full_ranking(row, k))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(tied_scores(), st.data())
+def test_evaluate_report_top_k_same_bits_as_full_ranking(scores, data):
+    rows, m = scores.shape
+    held = data.draw(arrays(np.float64, (rows, m), elements=st.sampled_from([0.0, 0.2, 0.6, 1.0])))
+    ns = (1, data.draw(st.integers(1, m + 3)))
+    for graded in (False, True):
+        got = E.evaluate_report(scores, held, ns=ns, graded=graded)
+        with mock.patch.object(E, "rank_items", full_ranking):
+            want = E.evaluate_report(scores, held, ns=ns, graded=graded)
+        assert got.users.tolist() == want.users.tolist()
+        for key in want.values:
+            assert got.values[key].tobytes() == want.values[key].tobytes()
 
 
 def test_precision_values():
