@@ -614,35 +614,31 @@ def test_eval_custom_n(tmp_path, prepared, trained):
     assert header == "user,P@3,N@3,M@3"
 
 
-def test_eval_graded_changes_only_ndcg(tmp_path, prepared, trained):
+def assert_graded_changes_only_ndcg(tmp_path, argv, label):
+    """`eval` with and without --graded: every column of metrics.<label>.csv
+    but the NDCG ones is equal, and some NDCG value differs."""
     tables = {}
     for name, flags in (("binary", []), ("graded", ["--graded"])):
-        rc = main(["eval", "--checkpoint", str(trained / "checkpoint.npz"),
-                   "--cache", str(prepared / "ml100k.npz"),
-                   "--out-dir", str(tmp_path / name), *flags])
+        rc = main([*argv, "--out-dir", str(tmp_path / name), *flags])
         assert rc == 0
-        text = (tmp_path / name / "metrics.model.csv").read_text()
+        text = (tmp_path / name / f"metrics.{label}.csv").read_text()
         tables[name] = np.array([line.split(",") for line in text.splitlines()])
     binary, graded = tables["binary"], tables["graded"]
     ndcg = np.char.startswith(binary[0], "N@")
     assert binary.shape == graded.shape
     assert (binary[:, ~ndcg] == graded[:, ~ndcg]).all()
     assert (binary[1:, ndcg] != graded[1:, ndcg]).any()
+
+
+def test_eval_graded_changes_only_ndcg(tmp_path, prepared, trained):
+    argv = ["eval", "--checkpoint", str(trained / "checkpoint.npz"),
+            "--cache", str(prepared / "ml100k.npz")]
+    assert_graded_changes_only_ndcg(tmp_path, argv, "model")
 
 
 def test_eval_itempop_graded_changes_only_ndcg(tmp_path, prepared):
-    tables = {}
-    for name, flags in (("binary", []), ("graded", ["--graded"])):
-        rc = main(["eval", "--baseline", "itempop", "--cache", str(prepared / "ml100k.npz"),
-                   "--out-dir", str(tmp_path / name), *flags])
-        assert rc == 0
-        text = (tmp_path / name / "metrics.itempop.csv").read_text()
-        tables[name] = np.array([line.split(",") for line in text.splitlines()])
-    binary, graded = tables["binary"], tables["graded"]
-    ndcg = np.char.startswith(binary[0], "N@")
-    assert binary.shape == graded.shape
-    assert (binary[:, ~ndcg] == graded[:, ~ndcg]).all()
-    assert (binary[1:, ndcg] != graded[1:, ndcg]).any()
+    argv = ["eval", "--baseline", "itempop", "--cache", str(prepared / "ml100k.npz")]
+    assert_graded_changes_only_ndcg(tmp_path, argv, "itempop")
 
 
 @pytest.mark.parametrize("argv, message", [
