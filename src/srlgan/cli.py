@@ -184,7 +184,7 @@ def cmd_prepare(args) -> int:
     stats_path = out_dir / f"{args.dataset}.stats.json"
     stats_path.write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
     inputs = {name: D.file_sha256(raw_dir / fname)
-              for name, fname in P.RAW_FILES[args.dataset].items()
+              for name, fname in D.LAYOUTS[args.dataset]["files"].items()
               if (raw_dir / fname).exists()}
     _write_manifest(out_dir, "prepare", _args_dict(args) | {"raw_dir": str(raw_dir)},
                     inputs, {"cache_content": D.cache_content_hash(cache)})
@@ -404,6 +404,14 @@ def _add_train_flags(p: argparse.ArgumentParser):
                    help="comma-separated hidden sizes (default 2048,512,128)")
 
 
+def _add_cache_flags(p: argparse.ArgumentParser):
+    """The cache flags (see `_cache_path`) and the out-dir of train, eval,
+    sweep-beta and ablate."""
+    p.add_argument("--cache", help="cache .npz (default $SRLGAN_CACHE_ROOT/<dataset>.npz)")
+    p.add_argument("--dataset", choices=sorted(D.LAYOUTS))
+    p.add_argument("--out-dir", dest="out_dir", required=True)
+
+
 def _add_split_flags(p: argparse.ArgumentParser, leakage_free_cold: bool = True):
     """The warm/cold split flags, filled by `_split` when unset (sweep-beta
     scores only warm users, so it goes without --leakage-free-cold)."""
@@ -430,24 +438,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("prepare", help="parse raw MovieLens files into a cache")
-    p.add_argument("--dataset", choices=["ml100k", "ml1m"], required=True)
+    p.add_argument("--dataset", choices=sorted(D.LAYOUTS), required=True)
     p.add_argument("--raw-dir", dest="raw_dir", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train on a prepared cache")
-    p.add_argument("--cache", help="cache .npz (default from SRLGAN_CACHE_ROOT)")
-    p.add_argument("--dataset", choices=["ml100k", "ml1m"])
-    p.add_argument("--out-dir", dest="out_dir", required=True)
+    _add_cache_flags(p)
     _add_split_flags(p)
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint (or ItemPop) on cold users")
     p.add_argument("--checkpoint")
-    p.add_argument("--cache")
-    p.add_argument("--dataset", choices=["ml100k", "ml1m"])
-    p.add_argument("--out-dir", dest="out_dir", required=True)
+    _add_cache_flags(p)
     p.add_argument("--n", default="5,20", help="comma-separated cutoffs")
     p.add_argument("--baseline", choices=["itempop"])
     p.add_argument("--graded", action="store_true",
@@ -457,18 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-beta",
                        help="beta grid sweep on the validation slice of warm users")
-    p.add_argument("--cache")
-    p.add_argument("--dataset", choices=["ml100k", "ml1m"])
-    p.add_argument("--out-dir", dest="out_dir", required=True)
+    _add_cache_flags(p)
     p.add_argument("--grid", default="0.01,0.1,1")
     _add_split_flags(p, leakage_free_cold=False)
     _add_train_flags(p)
     p.set_defaults(func=cmd_sweep_beta)
 
     p = sub.add_parser("ablate", help="run the S1/S2/S3 ablation")
-    p.add_argument("--cache")
-    p.add_argument("--dataset", choices=["ml100k", "ml1m"])
-    p.add_argument("--out-dir", dest="out_dir", required=True)
+    _add_cache_flags(p)
     p.add_argument("--n", default="5,20")
     _add_split_flags(p)
     _add_train_flags(p)

@@ -2,8 +2,11 @@
 
 Supports the 100K layout (``u.data`` / ``u.user`` / ``u.item``, tab- and
 pipe-separated) and the 1M layout (``ratings.dat`` / ``users.dat`` /
-``movies.dat``, ``::``-separated).  Ratings are one (n, 4) int64 array of
-(user, item, rating, timestamp) rows, checked with whole-array operations.
+``movies.dat``, ``::``-separated).  `LAYOUTS` is the one place that knows
+each layout: its file names, separators, user columns, item count m and
+rating ceiling C; the parsers, `pipeline` and the CLI read it.  Ratings
+are one (n, 4) int64 array of (user, item, rating, timestamp) rows,
+checked with whole-array operations.
 They are normalized to [0, 1] by dividing with the rating ceiling C, so a
 purchase-behavior row lives in {0, 1/C, ..., 1} with 0 meaning "not
 purchased".  Purchase rows are 96% zeros, so they stay in CSR form
@@ -34,12 +37,6 @@ import numpy as np
 
 CACHE_VERSION = 3
 
-# Declared dataset-wide constants (item counts include never-rated items).
-DATASET_INFO = {
-    "ml100k": {"users": 943, "items": 1682, "max_rating": 5},
-    "ml1m": {"users": 6040, "items": 3952, "max_rating": 5},
-}
-
 ML100K_GENRES = [
     "unknown", "Action", "Adventure", "Animation", "Children's", "Comedy",
     "Crime", "Documentary", "Drama", "Fantasy", "Film-Noir", "Horror",
@@ -55,6 +52,22 @@ ML1M_GENRES = [
 # ML1M code books (see the dataset README).
 ML1M_AGE_CODES = [1, 18, 25, 35, 45, 50, 56]
 ML1M_OCCUPATION_CODES = list(range(21))
+
+
+# Each raw layout: its files by role, the ratings and the metadata (users,
+# items) separators, the columns of age, gender and occupation in a user
+# line, the genres of an item line's 0/1 flags after its first five fields
+# (none: a |-list as the third field), the declared item count m (never-rated
+# items included) and the rating ceiling C.
+LAYOUTS = {
+    "ml100k": {"files": {"ratings": "u.data", "users": "u.user", "items": "u.item",
+                         "occupations": "u.occupation"},
+               "sep": "\t", "meta_sep": "|", "user_columns": (1, 2, 3),
+               "genre_flags": tuple(ML100K_GENRES), "m": 1682, "max_rating": 5},
+    "ml1m": {"files": {"ratings": "ratings.dat", "users": "users.dat", "items": "movies.dat"},
+             "sep": "::", "meta_sep": "::", "user_columns": (2, 1, 3),
+             "genre_flags": (), "m": 3952, "max_rating": 5},
+}
 
 
 class ParseError(ValueError):
@@ -78,7 +91,7 @@ def _read_lines(path, encoding="utf-8"):
 
 
 def parse_ratings(path, fmt: str, max_rating: int = 5) -> np.ndarray:
-    """Parse a ratings file; fmt is 'ml100k' or 'ml1m'.
+    """Parse a ratings file; fmt is a `LAYOUTS` key.
 
     Returns an (n, 4) int64 array of (user, item, rating, timestamp), one
     row per non-blank line.  The checks run over the whole file in turn
@@ -92,7 +105,7 @@ def parse_ratings(path, fmt: str, max_rating: int = 5) -> np.ndarray:
     read line by line.  Both paths give the same array for a file, and
     only the second raises ParseError.
     """
-    sep = {"ml100k": "\t", "ml1m": "::"}[fmt]
+    sep = LAYOUTS[fmt]["sep"]
     ratings = _parse_digit_rows(path, sep, max_rating)
     return _parse_lines(path, sep, max_rating) if ratings is None else ratings
 
@@ -166,62 +179,44 @@ def _int_field(raw: str, name: str, path, lineno: int) -> int:
         raise ParseError(f"{path}:{lineno}: non-integer {name} {raw!r}") from None
 
 
+def _metadata_rows(path, sep: str, n_fields: int, what: str, encoding: str):
+    """Yields (line number, id, fields) for each non-blank line of a
+    metadata file: `n_fields` `sep`-separated fields, the first an integer
+    `what` ("user id" or "item id").  A wrong field count, a non-integer id
+    and an id that repeats an earlier line raise ParseError."""
+    first_line = {}
+    for lineno, line in enumerate(_read_lines(path, encoding), start=1):
+        if not line.strip():
+            continue
+        parts = line.split(sep)
+        if len(parts) != n_fields:
+            raise ParseError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+        key = _int_field(parts[0], what, path, lineno)
+        if key in first_line:
+            raise ParseError(f"{path}:{lineno}: {what} {key} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        yield lineno, key, parts
+
+
 def parse_users(path, fmt: str) -> dict[int, UserMeta]:
     """Parse user metadata (u.user or users.dat) keyed by user id."""
-    users = {}
-    if fmt == "ml100k":
-        for lineno, line in enumerate(_read_lines(path), start=1):
-            if not line.strip():
-                continue
-            parts = line.split("|")
-            if len(parts) != 5:
-                raise ParseError(f"{path}:{lineno}: expected 5 fields")
-            uid, age, gender, occupation, _zip = parts
-            uid = _int_field(uid, "user id", path, lineno)
-            users[uid] = UserMeta(uid, _int_field(age, "age", path, lineno),
-                                  gender, occupation)
-    elif fmt == "ml1m":
-        for lineno, line in enumerate(_read_lines(path), start=1):
-            if not line.strip():
-                continue
-            parts = line.split("::")
-            if len(parts) != 5:
-                raise ParseError(f"{path}:{lineno}: expected 5 fields")
-            uid, gender, age, occupation, _zip = parts
-            uid = _int_field(uid, "user id", path, lineno)
-            users[uid] = UserMeta(uid, _int_field(age, "age", path, lineno),
-                                  gender, occupation)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return users
+    age, gender, occupation = LAYOUTS[fmt]["user_columns"]
+    rows = _metadata_rows(path, LAYOUTS[fmt]["meta_sep"], 5, "user id", "utf-8")
+    return {uid: UserMeta(uid, _int_field(parts[age], "age", path, lineno),
+                          parts[gender], parts[occupation])
+            for lineno, uid, parts in rows}
 
 
 def parse_item_genres(path, fmt: str) -> dict[int, list[str]]:
-    """Parse item genre tags (u.item or movies.dat) keyed by item id."""
-    genres = {}
-    if fmt == "ml100k":
-        # u.item: id|title|release|video-release|url|19 genre flags
-        for lineno, line in enumerate(_read_lines(path, encoding="latin-1"), start=1):
-            if not line.strip():
-                continue
-            parts = line.split("|")
-            if len(parts) != 5 + len(ML100K_GENRES):
-                raise ParseError(f"{path}:{lineno}: expected {5 + len(ML100K_GENRES)} fields")
-            item_id = _int_field(parts[0], "item id", path, lineno)
-            flags = parts[5:]
-            genres[item_id] = [g for g, f in zip(ML100K_GENRES, flags) if f == "1"]
-    elif fmt == "ml1m":
-        for lineno, line in enumerate(_read_lines(path, encoding="latin-1"), start=1):
-            if not line.strip():
-                continue
-            parts = line.split("::")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields")
-            item_id = _int_field(parts[0], "item id", path, lineno)
-            genres[item_id] = [g for g in parts[2].split("|") if g]
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return genres
+    """Parse item genre tags (u.item: id|title|release|video-release|url|
+    19 genre flags, or movies.dat: id::title::Genre|Genre) keyed by item id."""
+    flags = LAYOUTS[fmt]["genre_flags"]
+    rows = _metadata_rows(path, LAYOUTS[fmt]["meta_sep"], 5 + len(flags) if flags else 3,
+                          "item id", "latin-1")
+    if flags:
+        return {item: [g for g, f in zip(flags, parts[5:]) if f == "1"]
+                for _, item, parts in rows}
+    return {item: [g for g in parts[2].split("|") if g] for _, item, parts in rows}
 
 
 class PurchaseRows:

@@ -149,10 +149,11 @@ def evaluate_report(scores, held_out, ns=DEFAULT_NS, user_keys=None,
     hit = _at_top(relevant, top, k)
     if graded:
         # 2^0 - 1 = 0: unrated items carry no gain.  The ideal DCG is the
-        # DCG of the user's items ranked by their own gains.
+        # DCG of the user's own k largest gains, in descending order.
         gain = 2.0 ** (held_out[keep] * 5.0) - 1.0
         ranked_gain = _at_top(gain, top, k)
-        ideal = _at_top(gain, rank_items(gain, k) - 1, k)
+        ideal = np.zeros((len(gain), k))
+        ideal[:, :gain.shape[1]] = np.sort(gain, axis=1)[:, ::-1][:, :k]
     else:
         ranked_gain = hit
         ideal = np.arange(k) < np.count_nonzero(relevant, axis=1)[:, None]

@@ -9,13 +9,6 @@ import numpy as np
 from . import data as D
 from . import features as F
 
-RAW_FILES = {
-    "ml100k": {"ratings": "u.data", "users": "u.user", "items": "u.item",
-               "occupations": "u.occupation"},
-    "ml1m": {"ratings": "ratings.dat", "users": "users.dat",
-             "items": "movies.dat"},
-}
-
 
 def prepare_dataset(raw_dir, dataset: str,
                     items: int | None = None) -> tuple[D.DatasetCache, dict]:
@@ -24,24 +17,20 @@ def prepare_dataset(raw_dir, dataset: str,
     `items` overrides the declared dataset item count (the default keeps
     never-rated items so m matches the published dimensionality).
     """
-    if dataset not in RAW_FILES:
+    if dataset not in D.LAYOUTS:
         raise ValueError(f"unknown dataset {dataset!r}")
-    raw_dir = Path(raw_dir)
-    names = RAW_FILES[dataset]
-    info = dict(D.DATASET_INFO[dataset])
-    if items is not None:
-        info["items"] = items
+    layout = D.LAYOUTS[dataset]
+    files = {role: Path(raw_dir) / name for role, name in layout["files"].items()}
+    m = layout["m"] if items is None else items
+    max_rating = layout["max_rating"]
 
-    ratings_path = raw_dir / names["ratings"]
-    users_path = raw_dir / names["users"]
-    ratings = D.parse_ratings(ratings_path, dataset, max_rating=info["max_rating"])
-    users = D.parse_users(users_path, dataset)
-    item_genres = D.parse_item_genres(raw_dir / names["items"], dataset)
+    ratings = D.parse_ratings(files["ratings"], dataset, max_rating=max_rating)
+    users = D.parse_users(files["users"], dataset)
+    item_genres = D.parse_item_genres(files["items"], dataset)
 
-    if dataset == "ml100k":
-        occ_path = raw_dir / names["occupations"]
-        if occ_path.exists():
-            occupations = [ln.strip() for ln in occ_path.read_text().splitlines()
+    if "occupations" in files:      # 100K; 1M's slots are code books
+        if files["occupations"].exists():
+            occupations = [ln.strip() for ln in files["occupations"].read_text().splitlines()
                            if ln.strip()]
         else:
             occupations = sorted({u.occupation for u in users.values()})
@@ -50,19 +39,18 @@ def prepare_dataset(raw_dir, dataset: str,
         schema = F.ml1m_schema()
 
     try:
-        user_ids, purchase = D.build_purchase_matrix(
-            ratings, m=info["items"], max_rating=info["max_rating"])
+        user_ids, purchase = D.build_purchase_matrix(ratings, m=m, max_rating=max_rating)
     except ValueError as exc:
-        raise D.ParseError(f"{ratings_path}: {exc}") from None
+        raise D.ParseError(f"{files['ratings']}: {exc}") from None
     unknown = sorted(set(user_ids) - users.keys())
     if unknown:
-        raise ValueError(f"{ratings_path}: user id {unknown[0]} has no entry "
-                         f"in {users_path}")
+        raise ValueError(f"{files['ratings']}: user id {unknown[0]} has no entry "
+                         f"in {files['users']}")
 
     counts = F.attribute_counts(users, user_ids, ratings, item_genres, schema)
     cache = D.DatasetCache(
         dataset=dataset,
-        max_rating=info["max_rating"],
+        max_rating=max_rating,
         user_ids=user_ids,
         purchase=purchase,
         tfidf=counts * F.inverse_document_frequency(counts),
@@ -71,7 +59,7 @@ def prepare_dataset(raw_dir, dataset: str,
     stats = {
         "dataset": dataset,
         "users": len(user_ids),
-        "items": info["items"],
+        "items": m,
         "ratings": len(ratings),
         "d": schema.d,
         "sparsity_percent": round(D.sparsity_percent(purchase), 2),

@@ -51,10 +51,9 @@ def raw_counts():
     files of `raw_dir`, one row per cache user (the cache keeps only tfidf)."""
     from srlgan import data as D
     from srlgan import features as F
-    from srlgan.pipeline import RAW_FILES
 
     def counts(raw_dir, cache):
-        names = RAW_FILES[cache.dataset]
+        names = D.LAYOUTS[cache.dataset]["files"]
         ratings = D.parse_ratings(raw_dir / names["ratings"], cache.dataset)
         users = D.parse_users(raw_dir / names["users"], cache.dataset)
         item_genres = D.parse_item_genres(raw_dir / names["items"], cache.dataset)

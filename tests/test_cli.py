@@ -46,6 +46,8 @@ def test_prepare_outputs(prepared):
     assert stats["users"] == 60
     assert stats["items"] == 1682
     assert 0 <= stats["sparsity_percent"] <= 100
+    inputs = json.loads((prepared / "manifest.json").read_text())["inputs"]
+    assert sorted(inputs) == ["items", "occupations", "ratings", "users"]
 
 
 def test_prepare_rerun_identical_cache_hash(tmp_path, synth100k_dir, prepared):
@@ -66,6 +68,10 @@ def test_prepare_ml1m_format(tmp_path, synth1m_dir):
     assert rc == 0
     stats = json.loads((out / "ml1m.stats.json").read_text())
     assert stats["d"] == 48
+    assert stats["items"] == 3952
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert inputs["users"] == D.file_sha256(synth1m_dir / "users.dat")
+    assert sorted(inputs) == ["items", "ratings", "users"]
 
 
 def test_prepare_missing_raw_dir_exit_1(tmp_path):
@@ -115,16 +121,23 @@ def test_prepare_bad_rating_ids_exit_1(tmp_path, synth100k_dir, capsys, line, na
     assert not (tmp_path / "out" / "ml100k.npz").exists()
 
 
-def test_prepare_bad_user_metadata_exit_1(tmp_path, synth100k_dir, capsys):
+@pytest.mark.parametrize("case", ["non-integer-id", "repeated-id"])
+def test_prepare_bad_user_metadata_exit_1(tmp_path, synth100k_dir, capsys, case):
     raw = tmp_path / "raw"
     shutil.copytree(synth100k_dir, raw)
     lines = (raw / "u.user").read_text().splitlines()
-    lines[0] = "x" + lines[0][lines[0].index("|"):]
+    if case == "non-integer-id":
+        lines[0] = "x" + lines[0][lines[0].index("|"):]
+        message = ":1: non-integer user id 'x'"
+    else:       # user 1 again, as a 77-year-old doctor
+        lines.append("1|77|F|doctor|00000")
+        message = f":{len(lines)}: user id 1 repeats line 1"
     (raw / "u.user").write_text("\n".join(lines) + "\n")
     rc = main(["prepare", "--dataset", "ml100k", "--raw-dir", str(raw),
                "--out-dir", str(tmp_path / "out")])
     assert rc == 1
-    assert f"{raw / 'u.user'}:1: non-integer user id 'x'" in capsys.readouterr().err
+    assert f"{raw / 'u.user'}{message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_values_typed_by_train_config(tmp_path):

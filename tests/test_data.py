@@ -123,7 +123,21 @@ U_ITEM_FLAGS = "|".join(["0"] * len(D.ML100K_GENRES))
      f"x|B (1995)|||u|{U_ITEM_FLAGS}\n", 2, "non-integer item id 'x'"),
     (D.parse_item_genres, "ml1m", "1::A (1995)::Drama\n \n1.5::B (1995)::Drama\n",
      3, "non-integer item id '1.5'"),
-], ids=["u.user-age", "users.dat-id", "u.item-id", "movies.dat-id"])
+    (D.parse_users, "ml100k", "1|24|M|writer|00000\n\n1|77|F|doctor|00000\n",
+     3, "user id 1 repeats line 1"),
+    (D.parse_users, "ml1m", "1::F::1::10::48067\n2::M::56::16::70072\n\n02::M::25::15::55117\n",
+     4, "user id 2 repeats line 2"),
+    (D.parse_item_genres, "ml100k", f"7|A (1995)|||u|{U_ITEM_FLAGS}\n"
+     f"7|B (1995)|||u|{U_ITEM_FLAGS}\n", 2, "item id 7 repeats line 1"),
+    (D.parse_item_genres, "ml1m", "\n3::A (1995)::Drama\n4::B (1995)::\n3::C (1995)::Drama\n",
+     4, "item id 3 repeats line 2"),
+    (D.parse_users, "ml100k", "1|24|M|writer|00000\n2|53|F|other\n",
+     2, "expected 5 fields, got 4"),
+    (D.parse_item_genres, "ml1m", "1::A (1995)::Drama\n2::B::C (1995)::Drama\n",
+     2, "expected 3 fields, got 4"),
+], ids=["u.user-age", "users.dat-id", "u.item-id", "movies.dat-id", "u.user-repeated-id",
+        "users.dat-repeated-id", "u.item-repeated-id", "movies.dat-repeated-id",
+        "u.user-few-fields", "movies.dat-many-fields"])
 def test_metadata_parse_errors_name_path_line_and_field(tmp_path, parse, fmt, text,
                                                          lineno, message):
     p = tmp_path / "meta"
