@@ -148,9 +148,11 @@ def evaluate_report(scores, held_out, ns=DEFAULT_NS, user_keys=None,
     top = top[keep] if top.ndim == 2 else top[None]
     hit = _at_top(relevant, top, k)
     if graded:
-        # 2^0 - 1 = 0: unrated items carry no gain.  The ideal DCG is the
-        # DCG of the user's own k largest gains, in descending order.
-        gain = 2.0 ** (held_out[keep] * 5.0) - 1.0
+        # Unrated items carry no gain (2^0 - 1 = 0), so only the rated cells
+        # are raised.  The ideal DCG is the DCG of the user's own k largest
+        # gains, in descending order.
+        gain = np.zeros(relevant.shape)
+        gain[relevant] = 2.0 ** (held_out[keep][relevant] * 5.0) - 1.0
         ranked_gain = _at_top(gain, top, k)
         ideal = np.zeros((len(gain), k))
         ideal[:, :gain.shape[1]] = np.sort(gain, axis=1)[:, ::-1][:, :k]

@@ -140,13 +140,12 @@ def total_generator_objective(loss_recon: float, loss_adv_g: float,
 def generator_adversarial_grad(discriminator: MLP, x, y_hat, adv_loss,
                                label: float, training: bool = False, rng=None):
     """G's adversarial term adv_loss(D(x || y_hat), label), returned with
-    its gradient w.r.t. y_hat.  D's parameter gradients are not computed,
-    so its `grad` is left as it was."""
+    its gradient w.r.t. y_hat, from `MLP.input_grad`: D's parameter
+    gradients are not computed, so its `grad` is left as it was."""
     d_out = discriminator.forward(discriminator_input(x, y_hat),
                                   training=training, rng=rng)
     loss, dd_out = adv_loss(d_out, label)
-    d_input_grad = discriminator.backward(dd_out, param_grads=False)
-    return loss, d_input_grad[:, x.shape[1]:]
+    return loss, discriminator.input_grad(dd_out)[:, x.shape[1]:]
 
 
 def generator_objective_grad(generator: MLP, discriminator: MLP, x, y, rho,

@@ -23,12 +23,28 @@ adding them to the zeros.  0 + a is a (a -0.0 stays -0.0 where the sum gave
 accumulation.
 Every later backward accumulates (the discriminator's real and fake passes
 sum into one gradient), and so does a backward into a `grad` that was never
-zeroed through `zero_grad`.
+zeroed through `zero_grad`.  An accumulating backward adds x.T @ grad_out
+into `grad` in row blocks of about WEIGHT_GRAD_BLOCK elements, so no
+weight-sized product is allocated (the discriminator's fake pass at ML1M
+shape used to allocate a 65 MB one).  Each element of a row block is the
+same dot product over the batch as in the whole-matrix product.  Measured
+with OpenBLAS 0.3.31, the blocks give the whole product's bits at every
+output width that is a multiple of 16, such as the discriminator's (the
+bit-for-bit tests check this at width 2048), but not at other widths.  The
+written gradient therefore stays one whole-matrix product: it needs no
+temporary, and in blocks the generator's 1682-wide output layer would not
+keep its bits.
 
-`MLP.backward(grad_out, param_grads=False)` returns only the input gradient:
-each Linear then runs `input_grad` (grad_out @ W.T) and `grad` is left as it
-is.  Use it for a pass whose parameter gradients nobody reads, such as the
-discriminator pass that only feeds the generator.
+`MLP.backward(grad_out)` only accumulates parameter gradients and returns
+nothing: the input layer (told so at construction) skips the input gradient
+grad_out @ W.T, which nobody reads.  `MLP.input_grad(grad_out)` returns the
+gradient w.r.t. the input alone: each Linear runs `input_grad` and `grad` is
+left as it is.  Use it for a pass whose parameter gradients nobody reads,
+such as the discriminator pass that only feeds the generator.
+
+LeakyReLU is branch-free: forward is max(x, slope*x), and backward multiplies
+by a factor of exactly 1.0 or slope, which gives the bits of the two-branch
+`np.where` form, signed zeros, infinities and NaN included.
 
 Adam walks the flat theta/grad/m/v in blocks of ADAM_BLOCK elements, so the
 intermediates of its per-element arithmetic stay in cache instead of
@@ -54,6 +70,11 @@ from .data import _archive_array, _read_archive, _write_archive
 # 8K, 52 ms at 128K and 100 ms unblocked.
 ADAM_BLOCK = 32768
 
+# The accumulated weight gradient's block length in elements (4 MiB of
+# float64): at the paper's ML1M discriminator widths, layer 0's 4000x2048
+# gradient (65 MB) is added in 15 row blocks of 256 rows and one of 160.
+WEIGHT_GRAD_BLOCK = 524288
+
 
 class TrainingError(RuntimeError):
     """Non-finite value encountered during training."""
@@ -61,11 +82,13 @@ class TrainingError(RuntimeError):
 
 class Linear:
     """y = x @ W + b with W shaped (in, out).  `weight`, `bias` and their
-    gradients are views into the owning MLP's `theta` and `grad`."""
+    gradients are views into the owning MLP's `theta` and `grad`.  The input
+    layer (`input_layer=True`) returns no input gradient from `backward`."""
 
-    def __init__(self, weight, bias, grad_weight, grad_bias):
+    def __init__(self, weight, bias, grad_weight, grad_bias, input_layer=False):
         self.weight, self.bias = weight, bias
         self.grad_weight, self.grad_bias = grad_weight, grad_bias
+        self.input_layer = input_layer
         self._x = None
         self._overwrite = False     # set by MLP.zero_grad: next backward writes
 
@@ -78,6 +101,8 @@ class Linear:
         return x @ self.weight + self.bias
 
     def backward(self, grad_out):
+        """Writes (after zero_grad) or adds the parameter gradients; returns
+        the input gradient, or None for the input layer."""
         if self._x is None:
             raise RuntimeError("backward called before forward")
         if self._overwrite:
@@ -85,13 +110,23 @@ class Linear:
             np.sum(grad_out, axis=0, out=self.grad_bias)
             self._overwrite = False
         else:
-            self.grad_weight += self._x.T @ grad_out
+            for rows in _row_blocks(*self.grad_weight.shape):
+                self.grad_weight[rows] += self._x[:, rows].T @ grad_out
             self.grad_bias += grad_out.sum(axis=0)
-        return grad_out @ self.weight.T
+        return None if self.input_layer else grad_out @ self.weight.T
 
     def input_grad(self, grad_out):
         """The gradient w.r.t. the input alone; parameter gradients are untouched."""
         return grad_out @ self.weight.T
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """Row slices of about WEIGHT_GRAD_BLOCK elements each.  The last block
+    is never a lone row unless the matrix is one: numpy sends a one-row
+    product to BLAS gemv, whose sums need not match gemm's."""
+    step = max(2, WEIGHT_GRAD_BLOCK // n_cols)
+    bounds = [*range(0, max(n_rows - 1, 1), step), n_rows]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 class LeakyReLU:
@@ -103,10 +138,11 @@ class LeakyReLU:
 
     def forward(self, x, training=False, rng=None):
         self._mask = x >= 0
-        return np.where(self._mask, x, self.slope * x)
+        return np.maximum(x, self.slope * x)
 
     def backward(self, grad_out):
-        return np.where(self._mask, grad_out, self.slope * grad_out)
+        # The factor is exactly 1.0 where x >= 0 and slope elsewhere.
+        return grad_out * np.maximum(self._mask, self.slope)
 
 
 class Sigmoid:
@@ -170,7 +206,8 @@ class MLP:
             last = k == len(pairs) - 1
             mid, end = offset + a * b, offset + (a + 1) * b
             linear = Linear(self.theta[offset:mid].reshape(a, b), self.theta[mid:end],
-                            self.grad[offset:mid].reshape(a, b), self.grad[mid:end])
+                            self.grad[offset:mid].reshape(a, b), self.grad[mid:end],
+                            input_layer=k == 0)
             offset = end
             if rng is not None:
                 # He uniform for hidden layers, Xavier uniform for the output.
@@ -190,17 +227,21 @@ class MLP:
             x = layer.forward(x, training=training, rng=rng)
         return x
 
-    def backward(self, grad_out, param_grads=True):
-        """Backprop a loss gradient; returns the gradient w.r.t. the input.
-
-        Parameter gradients accumulate into `grad` (the first backward after
-        zero_grad writes them); with param_grads=False they are not computed
-        and `grad` is left as it is."""
+    def backward(self, grad_out):
+        """Backprop a loss gradient into the parameter gradients, which
+        accumulate into `grad` (the first backward after zero_grad writes
+        them).  Returns nothing: the input layer skips its input gradient."""
         for layer in reversed(self.layers):
-            if param_grads or not isinstance(layer, Linear):
-                grad_out = layer.backward(grad_out)
-            else:
+            grad_out = layer.backward(grad_out)
+
+    def input_grad(self, grad_out):
+        """Backprop a loss gradient to the input alone and return it; no
+        parameter gradient is computed and `grad` is left as it is."""
+        for layer in reversed(self.layers):
+            if isinstance(layer, Linear):
                 grad_out = layer.input_grad(grad_out)
+            else:
+                grad_out = layer.backward(grad_out)
         return grad_out
 
     def zero_grad(self):

@@ -246,6 +246,33 @@ def test_batch_matches_per_row_oracles_bit_for_bit():
             assert report.values["P@30"].max() <= m / 30
 
 
+def dense_gain_ndcg(scores, held, ns):
+    """Graded NDCG@n with 2^(5r)-1 raised on every held-out cell, rated or
+    not, and the rest of evaluate_report's arithmetic written out."""
+    keep = (held != 0).any(axis=1)
+    k = max(ns)
+    top = E.rank_items(scores, k)[keep] - 1
+    gain = 2.0 ** (held[keep] * 5.0) - 1.0
+    ranked = np.zeros((len(gain), k))
+    ranked[:, :top.shape[1]] = np.take_along_axis(gain, top, axis=1)
+    ideal = np.zeros((len(gain), k))
+    ideal[:, :gain.shape[1]] = np.sort(gain, axis=1)[:, ::-1][:, :k]
+    discount = np.log2(np.arange(2, k + 2))
+    dcg = np.cumsum(ranked / discount, axis=1)
+    idcg = np.cumsum(ideal / discount, axis=1)
+    return {f"N@{n}": dcg[:, n - 1] / idcg[:, n - 1] for n in ns}
+
+
+def test_graded_gains_of_rated_cells_only_match_dense_gains_bit_for_bit():
+    rng = np.random.default_rng(37)
+    ns = (1, 5, 20, 30)
+    for m in (1, 3, 9, 25, 400):
+        scores, held = random_batch(rng, 60, m, empty_rows=3)
+        report = E.evaluate_report(scores, held, ns=ns, graded=True)
+        for key, expected in dense_gain_ndcg(scores, held, ns).items():
+            assert report.values[key].tobytes() == expected.tobytes(), (m, key)
+
+
 def test_graded_ndcg_matches_brute_force_oracle():
     rng = np.random.default_rng(23)
     for _ in range(300):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from srlgan import nn as NN
 
@@ -87,6 +90,34 @@ def test_dropout_train_scales_survivors():
     assert abs((y != 0).mean() - 0.6) < 0.02
 
 
+def _same_bits(a, b):
+    """Equal bit patterns, except that any NaN matches any NaN (its sign
+    and payload are not compared)."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+           2.2250738585072014e-308, -1e-310, 1e-310, 1.7976931348623157e308]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 9)),
+                elements=st.one_of(st.floats(width=64), st.sampled_from(SPECIAL))),
+       slope=st.one_of(st.just(0.01), st.floats(1e-300, 1.0, exclude_max=True)),
+       data=st.data())
+def test_leaky_relu_matches_two_branch_where_bit_for_bit(x, slope, data):
+    grad_out = data.draw(arrays(np.float64, x.shape, elements=st.one_of(
+        st.floats(width=64), st.sampled_from(SPECIAL))))
+    layer = NN.LeakyReLU(slope)
+    with np.errstate(all="ignore"):
+        y = layer.forward(x)
+        grad_in = layer.backward(grad_out)
+        assert _same_bits(y, np.where(x >= 0, x, slope * x))
+        assert _same_bits(grad_in, np.where(x >= 0, grad_out, slope * grad_out))
+
+
 def test_backward_before_forward_raises():
     layer = _linear(2, 2)
     with pytest.raises(RuntimeError):
@@ -140,9 +171,8 @@ def test_input_gradient_matches_finite_differences():
     net = NN.MLP([4, 6, 3], rng)
     x = rng.normal(size=(2, 4))
     target = rng.uniform(0.2, 0.8, size=(2, 3))
-    net.zero_grad()
     out = net.forward(x)
-    input_grad = net.backward(2.0 * (out - target))
+    input_grad = net.input_grad(2.0 * (out - target))
 
     step = 1e-6
     numeric = np.zeros_like(x)
@@ -336,16 +366,31 @@ def test_adam_refused_step_leaves_optimizer_unchanged():
         assert np.array_equal(a, b)
 
 
-def test_backward_without_param_grads_leaves_grad_untouched():
+def test_input_grad_leaves_grad_untouched():
     net = NN.MLP([6, 8, 5, 3], np.random.default_rng(8), dropout=0.3)
     x = np.random.default_rng(9).normal(size=(4, 6))
     out = net.forward(x, training=True, rng=np.random.default_rng(10))
     g = out - 0.5
     net.grad[...] = 0.25
-    input_grad = net.backward(g, param_grads=False)
+    input_grad = net.input_grad(g)
     assert np.all(net.grad == 0.25)
-    assert np.array_equal(input_grad, net.backward(g))
+    # Each layer's own backward down to the input layer, which returns no
+    # input gradient, so the last product is written out here.
+    assert net.backward(g) is None
+    expected = g
+    for layer in reversed(net.layers[1:]):
+        expected = layer.backward(expected)
+    assert np.array_equal(input_grad, expected @ net.layers[0].weight.T)
     assert np.any(net.grad != 0.25)
+
+
+def test_input_layer_backward_returns_no_input_gradient():
+    net = NN.MLP([4, 5, 2], np.random.default_rng(13))
+    first, hidden = net.layers[0], net.layers[2]
+    assert first.input_layer and not hidden.input_layer
+    net.forward(np.ones((3, 4)))
+    assert first.backward(np.ones((3, 5))) is None
+    assert hidden.backward(np.ones((3, 2))).shape == (3, 5)
 
 
 def test_forward_deterministic_given_seed():
@@ -395,24 +440,45 @@ def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
     assert not loaded.grad.any()
 
 
-def _twin_nets(seed=31):
-    sizes = [5, 7, 6, 3]
+def _twin_nets(seed=31, sizes=(5, 7, 6, 3)):
     return NN.MLP(sizes, np.random.default_rng(seed)), NN.MLP(sizes, np.random.default_rng(seed))
+
+
+def _grad_into_input_layer(net, grad_out):
+    """The gradient that reaches the input layer's backward; no parameter
+    gradient is touched."""
+    for layer in reversed(net.layers[1:]):
+        if isinstance(layer, NN.Linear):
+            grad_out = layer.input_grad(grad_out)
+        else:
+            grad_out = layer.backward(grad_out)
+    return grad_out
 
 
 def test_backwards_after_zero_grad_equal_zero_plus_a_plus_b_bit_for_bit():
     # After zero_grad the first backward writes its gradient a and the second
     # adds b; the twin adds both to zeros set without zero_grad: (0 + a) + b.
-    net, twin = _twin_nets()
-    rng = np.random.default_rng(32)
-    net.grad[...] = rng.normal(size=net.grad.size)    # stale values to clear
-    net.zero_grad()
-    twin.grad[...] = 0.0
-    for _ in range(2):
-        x = rng.normal(size=(4, 5))
-        grads_in = [m.backward(m.forward(x) - 0.5) for m in (net, twin)]
-        assert np.array_equal(net.grad, twin.grad)
-        assert np.array_equal(*grads_in)
+    # The written a is one whole-matrix product and the added ones are formed
+    # in row blocks, so at the wide layer 0 (1100 x 2048, five blocks) this
+    # also checks the blocks against whole-matrix np.matmul products.
+    for sizes, blocks in (((5, 7, 6, 3), 1), ((1100, 2048, 16, 1), 5)):
+        net, twin = _twin_nets(sizes=sizes)
+        first = net.layers[0]
+        assert len(NN._row_blocks(*first.weight.shape)) == blocks
+        rng = np.random.default_rng(32)
+        net.grad[...] = rng.normal(size=net.grad.size)    # stale values to clear
+        net.zero_grad()
+        twin.grad[...] = 0.0
+        whole = np.zeros_like(first.grad_weight)
+        for _ in range(2):
+            x = rng.normal(size=(4, sizes[0]))
+            g = net.forward(x) - 0.5
+            twin.forward(x)
+            whole += np.matmul(x.T, _grad_into_input_layer(net, g))
+            for m in (net, twin):
+                m.backward(g)
+            assert np.array_equal(net.grad, twin.grad)
+            assert np.array_equal(first.grad_weight, whole)
 
 
 def test_backward_into_a_grad_not_cleared_by_zero_grad_accumulates():

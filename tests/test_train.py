@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,25 @@ def test_training_deterministic_bit_for_bit():
                        trainer.discriminator.theta.copy()))
     assert np.array_equal(params[0][0], params[1][0])
     assert np.array_equal(params[0][1], params[1][1])
+
+
+def test_discriminator_step_allocates_less_than_one_layer0_weight():
+    # m + d = 1100 by 2048: D's layer-0 weight gradient is 18 MB and the
+    # fake pass adds it in five row blocks of about 4 MiB, so the step's
+    # peak stays under half a weight; a whole-matrix `+=` allocates a whole
+    # weight-sized product.
+    x, y = toy_data(d=6, m=1094)
+    tr = T.Trainer(x, y, small_config(discriminator_hidden=[2048, 16]))
+    weight_bytes = tr.discriminator.layers[0].weight.nbytes
+    tr.discriminator_phase_step()                 # warm-up: lazy allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tr.discriminator_phase_step()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < weight_bytes / 2, (peak, weight_bytes)
 
 
 def test_different_seed_different_params():
@@ -293,8 +314,7 @@ def _plain_g_through_d(tr, x, y_hat):
     d_fake = tr.discriminator.forward(M.discriminator_input(x, y_hat),
                                       training=True, rng=tr.rng)
     loss, dd_fake = _plain_g_loss(tr.config, d_fake)
-    input_grad = tr.discriminator.backward(dd_fake, param_grads=False)
-    return loss, input_grad[:, x.shape[1]:]
+    return loss, tr.discriminator.input_grad(dd_fake)[:, x.shape[1]:]
 
 
 def _plain_round(tr):
