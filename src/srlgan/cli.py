@@ -256,7 +256,7 @@ def cmd_eval(args) -> int:
     if args.baseline == "itempop":
         # `srlgan train`'s default split, so a rerun draws the same cold users.
         cold_ids, _, y_warm, _, y_cold = _split(args, cache, 0, need_cold=True)
-        report = E.evaluate_report(E.item_popularity(y_warm), y_cold.toarray(), ns=ns,
+        report = E.evaluate_report(E.item_popularity(y_warm), y_cold, ns=ns,
                                    user_keys=cold_ids, graded=args.graded)
         label = "itempop"
     else:
@@ -274,8 +274,7 @@ def cmd_eval(args) -> int:
         cold_ids, _, _, x_cold, y_cold = _split(args, cache, meta["split_seed"],
                                                 meta["cold_fraction"], need_cold=True)
         preds = M.generator_forward(nets["generator"], x_cold)
-        report = E.evaluate_report(preds, y_cold.toarray(), ns=ns, user_keys=cold_ids,
-                                   graded=args.graded)
+        report = E.evaluate_report(preds, y_cold, ns=ns, user_keys=cold_ids, graded=args.graded)
         label = "model"
 
     out_dir = Path(args.out_dir)
@@ -337,7 +336,7 @@ def cmd_ablate(args) -> int:
     ns = _cutoffs(args.n)
     cache = D.load_cache(_cache_path(args))
     _, x_warm, y_warm, x_cold, y_cold = _split(args, cache, config.seed, need_cold=True)
-    reports = T.run_ablation(x_warm, y_warm, x_cold, y_cold.toarray(), config, ns=ns)
+    reports = T.run_ablation(x_warm, y_warm, x_cold, y_cold, config, ns=ns)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {}

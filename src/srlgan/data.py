@@ -10,8 +10,8 @@ checked with whole-array operations.
 They are normalized to [0, 1] by dividing with the rating ceiling C, so a
 purchase-behavior row lives in {0, 1/C, ..., 1} with 0 meaning "not
 purchased".  Purchase rows are 96% zeros, so they stay in CSR form
-(`PurchaseRows`) from `build_purchase_matrix` to the minibatch: only the
-rows a training step or a scorer reads are made dense.
+(`PurchaseRows`) from `build_purchase_matrix` to the minibatch: only a
+training step's minibatch is made dense, and the scorer reads CSR rows.
 `split_rows` draws every seeded split (warm/cold users, the validation
 slice); cache rows are users in strictly increasing id order.  The dataset
 cache, and `nn`'s checkpoints, are .npz archives written by one writer,
@@ -222,7 +222,8 @@ def parse_item_genres(path, fmt: str) -> dict[int, list[str]]:
 class PurchaseRows:
     """Purchase-behavior rows in CSR form.  Row k holds values[j] = rating/C
     at 0-based item items[j] for j in indptr[k]:indptr[k+1], items
-    increasing within the row; every other entry of the row is 0."""
+    increasing within the row; every other entry of the row is 0.  Each
+    stored entry is a purchase (nonzero), which the scorer relies on."""
 
     def __init__(self, indptr, items, values, m: int):
         self.indptr = np.asarray(indptr, dtype=np.int64)

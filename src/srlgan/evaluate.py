@@ -1,19 +1,20 @@
 """Top-n ranking metrics (P@n, NDCG@n, MRR@n) and the ItemPop baseline.
 
-An item is relevant for a cold user iff its held-out normalized rating is
-nonzero.  NDCG uses binary gains by default (graded 2^(C*r)-1 gains behind
-a flag, with the ideal DCG built from the user's own sorted gains); users
-with no held-out purchases are excluded from the means.  Ranking is by
-descending score, tie-broken by ascending item id, so metrics depend only
-on the stable argsort of the negated scores; only its first max(ns)
+Held-out behavior is `data.PurchaseRows`, never made dense: an item is
+relevant for a cold user iff the user's row stores it (every stored entry
+is a purchase).  NDCG uses binary gains by default (graded 2^(C*r)-1 gains
+behind a flag, with the ideal DCG built from the user's own sorted gains);
+users with no held-out purchases are excluded from the means.  Ranking is
+by descending score, tie-broken by ascending item id, so metrics depend
+only on the stable argsort of the negated scores; only its first max(ns)
 positions are computed (`rank_items`' top-k rule).
 
 One scorer serves every caller: `evaluate_report` takes one score row per
 user, or one row shared by all users (ItemPop's popularity counts), ranks
-each row it is given once, and computes every metric for all users with
-whole-array operations.  DCG sums run left to right over rank positions
-(`np.cumsum`), in the order of a per-user loop, so every value has the
-bits that loop gives.
+each row it is given once, and finds which ranked items each user stored
+with one `np.searchsorted` over the CSR entries.  DCG sums run left to
+right over rank positions (`np.cumsum`), in the order of a per-user loop,
+so every value has the bits that loop gives.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import as_purchase_rows
+from .data import PurchaseRows
 
 DEFAULT_NS = (5, 20)
 
@@ -105,60 +106,57 @@ class MetricReport:
 
 def evaluate_predictions(predictions, held_out, ns=DEFAULT_NS,
                          user_keys=None, graded: bool = False) -> dict:
-    """Aggregate metrics for a batch of per-user prediction rows.
-
-    Convenience wrapper over `evaluate_report` returning just the means.
-    """
+    """The means of `evaluate_report`: a name of its own because the
+    benchmark's tracer self-test patches `train.evaluate_predictions`."""
     return evaluate_report(predictions, held_out, ns=ns, user_keys=user_keys,
                            graded=graded).aggregate()
 
 
-def _at_top(values, top, k: int) -> np.ndarray:
-    """values[u, top[u, j]] for the first k rank positions; columns past
-    the last item (k > m) are zero."""
-    out = np.zeros((values.shape[0], k), dtype=values.dtype)
-    out[:, :top.shape[1]] = np.take_along_axis(values, top, axis=1)
-    return out
-
-
-def evaluate_report(scores, held_out, ns=DEFAULT_NS, user_keys=None,
+def evaluate_report(scores, held_out: PurchaseRows, ns=DEFAULT_NS, user_keys=None,
                     graded: bool = False) -> MetricReport:
     """P@n, NDCG@n and MRR@n for every user with a held-out purchase.
 
-    `scores` is either one row per user (the shape of `held_out`) or one
-    row of m item scores shared by every user.  P@n divides by n even when
-    n exceeds the number of items.
+    `scores` is either one row per `held_out` row (n x m) or one row of m
+    item scores shared by every user.  P@n divides by n even when n
+    exceeds the number of items.
     """
     ns = tuple(ns)
     if not ns or min(ns) < 1:
         raise ValueError(f"n must be >= 1, got {list(ns)}")
     scores = np.asarray(scores, dtype=np.float64)
-    held_out = np.atleast_2d(np.asarray(held_out, dtype=np.float64))
-    if scores.shape not in (held_out.shape, held_out.shape[1:]):
-        raise ValueError(f"shape mismatch: {scores.shape} vs {held_out.shape}")
-    users = np.asarray(range(len(held_out)) if user_keys is None else user_keys)
-    if users.shape != held_out.shape[:1]:
-        raise ValueError(f"{users.size} user keys for {len(held_out)} rows")
+    n_rows, m = len(held_out), held_out.m
+    if scores.shape not in ((n_rows, m), (m,)):
+        raise ValueError(f"shape mismatch: {scores.shape} vs {(n_rows, m)}")
+    users = np.asarray(range(n_rows) if user_keys is None else user_keys)
+    if users.shape != (n_rows,):
+        raise ValueError(f"{users.size} user keys for {n_rows} rows")
 
     k = max(ns)
     top = rank_items(scores, k) - 1
-    relevant = held_out != 0
-    keep = relevant.any(axis=1)
-    relevant, users = relevant[keep], users[keep]
-    top = top[keep] if top.ndim == 2 else top[None]
-    hit = _at_top(relevant, top, k)
+    count = np.diff(held_out.indptr)
+    keep = count > 0
+    rows = np.flatnonzero(keep)
+    top = top[keep] if top.ndim == 2 else top
+    # Keys row*m + item increase along the CSR arrays, and the sentinel n*m
+    # lies past every query.  Positions past the last item query -1: no hit.
+    entry_row = np.repeat(np.arange(n_rows), count)
+    keys = np.append(entry_row * m + held_out.items, n_rows * m)
+    query = np.full((len(rows), k), -1)
+    query[:, :top.shape[-1]] = rows[:, None] * m + top
+    at = np.searchsorted(keys, query)
+    hit = keys[at] == query
+    ideal = np.arange(k) < count[keep][:, None]
     if graded:
-        # Unrated items carry no gain (2^0 - 1 = 0), so only the rated cells
-        # are raised.  The ideal DCG is the DCG of the user's own k largest
-        # gains, in descending order.
-        gain = np.zeros(relevant.shape)
-        gain[relevant] = 2.0 ** (held_out[keep][relevant] * 5.0) - 1.0
-        ranked_gain = _at_top(gain, top, k)
-        ideal = np.zeros((len(gain), k))
-        ideal[:, :gain.shape[1]] = np.sort(gain, axis=1)[:, ::-1][:, :k]
+        # Only stored entries carry a gain (2^0 - 1 = 0 elsewhere).  The
+        # ideal DCG is the DCG of the user's own k largest gains, in
+        # descending order.
+        gain = 2.0 ** (held_out.values * 5.0) - 1.0
+        ranked_gain = np.append(gain, 0.0)[np.where(hit, at, held_out.nnz)]
+        descending = np.append(gain[np.lexsort((-gain, entry_row))], 0.0)
+        start = held_out.indptr[rows][:, None]
+        ideal = descending[np.where(ideal, start + np.arange(k), held_out.nnz)]
     else:
         ranked_gain = hit
-        ideal = np.arange(k) < np.count_nonzero(relevant, axis=1)[:, None]
     discount = np.log2(np.arange(2, k + 2))
     hits = np.cumsum(hit, axis=1)
     dcg = np.cumsum(ranked_gain / discount, axis=1)
@@ -170,15 +168,14 @@ def evaluate_report(scores, held_out, ns=DEFAULT_NS, user_keys=None,
         values[f"P@{n}"] = hits[:, n - 1] / n
         values[f"N@{n}"] = dcg[:, n - 1] / idcg[:, n - 1]
         values[f"M@{n}"] = np.where(hits[:, n - 1] > 0, 1.0 / first, 0.0)
-    return MetricReport(ns=ns, users=users, values=values,
+    return MetricReport(ns=ns, users=users[keep], values=values,
                         n_skipped=int(np.count_nonzero(~keep)))
 
 
-def item_popularity(warm_rows) -> np.ndarray:
-    """ItemPop's score row: each item's purchase count (nonzero entries)
-    over the warm users, from `data.PurchaseRows` or a dense array."""
-    rows = as_purchase_rows(warm_rows)
-    if len(rows) < 1 or rows.m == 0:
+def item_popularity(warm_rows: PurchaseRows) -> np.ndarray:
+    """ItemPop's score row: each item's purchase count (stored entries)
+    over the warm users."""
+    if len(warm_rows) < 1 or warm_rows.m == 0:
         raise ValueError("empty warm purchase matrix")
-    return np.bincount(rows.items, minlength=rows.m)
+    return np.bincount(warm_rows.items, minlength=warm_rows.m)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import as_purchase_rows
+from .data import PurchaseRows
 from .nn import MLP
 
 GENERATOR_HIDDEN = [512, 1024, 1024]
@@ -100,11 +100,10 @@ def loss_bce(d_out, label: float, eps: float = 1e-12):
 ADVERSARIAL_LOSSES = {"lsq": loss_lsq, "bce": loss_bce}
 
 
-def mean_purchase(rows) -> np.ndarray:
-    """Per-item mean of warm purchase-behavior rows (the sparsity target),
-    from `data.PurchaseRows` or a dense array.  Each item's sum runs over
-    the rows in order, as a dense column mean of two or more columns does."""
-    rows = as_purchase_rows(rows)
+def mean_purchase(rows: PurchaseRows) -> np.ndarray:
+    """Per-item mean of warm purchase-behavior rows (the sparsity target).
+    Each item's sum runs over the rows in order, as a dense column mean of
+    two or more columns does."""
     if len(rows) < 1 or rows.m == 0:
         raise ValueError("need at least one purchase-behavior row")
     return np.bincount(rows.items, weights=rows.values, minlength=rows.m) / len(rows)

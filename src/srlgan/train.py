@@ -5,9 +5,8 @@ the beta sweep and the S1/S2/S3 ablation built on it.
 `fit` is the one place a run is put together: it holds out the seeded
 `validation_fraction` slice of the warm users, builds the Trainer,
 pretrains G and runs the adversarial loop.  `train`, `sweep-beta` and
-`ablate` all train through it.  Training behaviors stay `data.PurchaseRows`;
-a step makes only its minibatch dense, and the validation slice is made
-dense once.
+`ablate` all train through it.  Behaviors stay `data.PurchaseRows`: a step
+makes only its minibatch dense, and validation scores the CSR slice.
 
 One "round" of the main loop is n_D discriminator-phase iterations (the
 discriminator phase also updates the generator through the adversarial
@@ -36,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import model as M
-from .data import as_purchase_rows, held_count, split_rows
+from .data import PurchaseRows, as_purchase_rows, held_count, split_rows
 from .nn import Adam, TrainingError
 from .evaluate import DEFAULT_NS, MetricReport, evaluate_predictions, evaluate_report
 
@@ -152,8 +151,8 @@ class _BatchSampler:
 
 class Trainer:
     """Owns the two networks, their optimizers, and the run RNG.  `y_train`
-    is `data.PurchaseRows` or a dense array, `x_val`/`y_val` dense; without
-    them the validation slice is empty."""
+    is `data.PurchaseRows` or a dense array, `y_val` is `data.PurchaseRows`;
+    without `x_val`/`y_val` the validation slice is empty."""
 
     def __init__(self, x_train, y_train, config: TrainConfig,
                  x_val=None, y_val=None):
@@ -163,12 +162,18 @@ class Trainer:
         self.y_train = as_purchase_rows(y_train)
         self.x_val = np.asarray(self.x_train[:0] if x_val is None else x_val,
                                 dtype=np.float64)
-        self.y_val = np.asarray(np.zeros((0, self.y_train.m)) if y_val is None else y_val,
-                                dtype=np.float64)
+        self.y_val = self.y_train.take([]) if y_val is None else y_val
         if self.x_train.shape[0] != len(self.y_train):
             raise ValueError("attribute/behavior row counts differ")
         if self.x_train.shape[0] < 1:
             raise ValueError("empty warm training set")
+        if len(self.x_val) != len(self.y_val):
+            raise ValueError(f"validation slice has {len(self.x_val)} attribute rows "
+                             f"but {len(self.y_val)} behavior rows")
+        if (self.x_val.shape[1:], self.y_val.m) != (self.x_train.shape[1:], self.y_train.m):
+            raise ValueError(f"validation rows have attribute shape {self.x_val.shape[1:]} and "
+                             f"{self.y_val.m} items, training rows {self.x_train.shape[1:]} and "
+                             f"{self.y_train.m}")
 
         d = self.x_train.shape[1]
         m = self.y_train.m
@@ -311,19 +316,17 @@ class Trainer:
             raise TrainingError(f"non-finite {what}")
 
 
-def fit(x_warm, y_warm, config: TrainConfig, on_best=None) -> Trainer:
+def fit(x_warm, y_warm: PurchaseRows, config: TrainConfig, on_best=None) -> Trainer:
     """Train on the warm users, holding out the seeded `validation_fraction`
     slice of them for validation and early stopping; returns the finished
-    Trainer.  `y_warm` is `data.PurchaseRows` or a dense array.  `on_best`
-    is passed to `Trainer.train`."""
+    Trainer.  `on_best` is passed to `Trainer.train`."""
     x_warm = np.asarray(x_warm, dtype=np.float64)
-    y_warm = as_purchase_rows(y_warm)
     if x_warm.shape[0] != len(y_warm):
         raise ValueError("attribute/behavior row counts differ")
     train_rows, val_rows = split_rows(x_warm.shape[0], config.validation_fraction,
                                       config.seed)
     trainer = Trainer(x_warm[train_rows], y_warm.take(train_rows), config,
-                      x_val=x_warm[val_rows], y_val=y_warm.toarray(val_rows))
+                      x_val=x_warm[val_rows], y_val=y_warm.take(val_rows))
     trainer.pretrain_generator()
     trainer.train(on_best=on_best)
     return trainer
@@ -373,7 +376,7 @@ def ablation_config(base_config: TrainConfig, mode: str) -> TrainConfig:
 def run_ablation(x_warm, y_warm, x_cold, y_cold, base_config: TrainConfig,
                  ns=DEFAULT_NS) -> dict[str, MetricReport]:
     """Train S1, S2, S3 under identical seeds and score the cold users
-    (`y_cold` dense)."""
+    (`y_warm`, `y_cold`: `data.PurchaseRows`)."""
     reports = {}
     for mode in ABLATION_MODES:
         trainer = fit(x_warm, y_warm, ablation_config(base_config, mode))

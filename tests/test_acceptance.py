@@ -113,7 +113,7 @@ def test_criterion_3_full_objective_gradcheck():
     dis = M.build_discriminator(d, m, rng, hidden=[5], dropout=0.0)
     x = rng.normal(size=(b, d))
     y = (rng.uniform(size=(b, m)) < 0.4) * rng.choice([0.2, 0.6, 1.0], size=(b, m))
-    rho = M.mean_purchase(y)
+    rho = M.mean_purchase(D.PurchaseRows.from_dense(y))
 
     def loss_fn():
         y_hat = gen.forward(x)
@@ -173,10 +173,9 @@ def test_criterion_5_metric_oracles():
 # -- criterion 6: ItemPop reproduction -----------------------------------------
 
 def _ml100k_split(raw):
-    """split_matrices' cut, with the cold behaviors made dense for scoring."""
+    """split_matrices' cut of the real ML100K."""
     cache, _ = P.prepare_dataset(raw, "ml100k")
-    cold_ids, x_warm, y_warm, x_cold, y_cold = P.split_matrices(cache, 0.2, SPLIT_SEED)
-    return cold_ids, x_warm, y_warm, x_cold, y_cold.toarray()
+    return P.split_matrices(cache, 0.2, SPLIT_SEED)
 
 
 def test_criterion_6_itempop_p5():
@@ -267,7 +266,7 @@ def test_criterion_10_stability():
                         learning_rate=1e-3, max_rounds=80, eval_every=5,
                         patience=100, seed=5, generator_hidden=[16],
                         discriminator_hidden=[16]).validate()
-    trainer = train_with_slice(x_warm, y_warm, cfg, x_warm[:10], y_warm.toarray(range(10)))
+    trainer = train_with_slice(x_warm, y_warm, cfg, x_warm[:10], y_warm.take(range(10)))
     points = trainer.curve.points
     assert points, "no checkpoints logged"
     for p in points:

@@ -241,10 +241,9 @@ def test_train_max_rounds_zero_equals_pretrained(tmp_path, prepared):
     assert np.array_equal(nets["generator"].theta, trainer.generator.theta)
 
 
-def test_commands_densify_only_batches_validation_and_cold_rows(tmp_path, synth100k_dir,
-                                                               prepared, monkeypatch):
-    """Purchase rows stay CSR: each command makes dense only the rows a step
-    or a scorer reads, and none starts from a dense matrix."""
+def test_commands_densify_only_minibatches(tmp_path, synth100k_dir, prepared, monkeypatch):
+    """Purchase rows stay CSR: a training step makes its minibatch dense,
+    the scorer reads CSR rows, and no command starts from a dense matrix."""
     densified, toarray = [], D.PurchaseRows.toarray
 
     def spy(self, rows=None):
@@ -270,8 +269,8 @@ def test_commands_densify_only_batches_validation_and_cold_rows(tmp_path, synth1
         assert main([str(a) for a in argv]) == 0
     # 60 users: 12 cold and 48 warm, of which 5 validate; the 43 training
     # rows make 3 pretraining batches of 16, then 2 rounds of 2 batches.
-    assert densified == [("prepare", []), ("train", [5] + [16] * 7),
-                         ("eval", [12]), ("itempop", [12])]
+    assert densified == [("prepare", []), ("train", [16] * 7),
+                         ("eval", []), ("itempop", [])]
 
 
 def test_train_s1_flags(tmp_path, prepared):

@@ -8,6 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from srlgan import evaluate as E
 from srlgan import train as T
+from srlgan.data import PurchaseRows
+
+csr = PurchaseRows.from_dense
 
 
 # -- brute-force oracles: walk the ranked prefix item by item ---------------
@@ -51,10 +54,11 @@ def test_rank_items_descending_input_identity():
 
 
 def held_row(relevant, m):
-    """A held-out row with rating 1 at each relevant 1-based item id."""
+    """A one-row held-out PurchaseRows with rating 1 at each relevant
+    1-based item id."""
     row = np.zeros(m)
     row[np.array(sorted(relevant)) - 1] = 1.0
-    return row
+    return csr(row)
 
 
 def scored(ranked, relevant, n):
@@ -105,19 +109,101 @@ def test_rank_items_top_k_is_the_head_of_the_full_ranking(scores):
             assert np.array_equal(E.rank_items(row, k), full_ranking(row, k))
 
 
+RATINGS = st.sampled_from([0.0, 0.2, 0.6, 1.0])
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(tied_scores(), st.data())
 def test_evaluate_report_top_k_same_bits_as_full_ranking(scores, data):
     rows, m = scores.shape
-    held = data.draw(arrays(np.float64, (rows, m), elements=st.sampled_from([0.0, 0.2, 0.6, 1.0])))
+    held = csr(data.draw(arrays(np.float64, (rows, m), elements=RATINGS)))
     ns = (1, data.draw(st.integers(1, m + 3)))
     for graded in (False, True):
         got = E.evaluate_report(scores, held, ns=ns, graded=graded)
         with mock.patch.object(E, "rank_items", full_ranking):
             want = E.evaluate_report(scores, held, ns=ns, graded=graded)
         assert got.users.tolist() == want.users.tolist()
+        assert got.n_skipped == want.n_skipped
         for key in want.values:
             assert got.values[key].tobytes() == want.values[key].tobytes()
+
+
+def dense_at_top(values, top, k: int) -> np.ndarray:
+    out = np.zeros((values.shape[0], k), dtype=values.dtype)
+    out[:, :top.shape[1]] = np.take_along_axis(values, top, axis=1)
+    return out
+
+
+def dense_oracle_evaluate_report(scores, held_out, ns=E.DEFAULT_NS, user_keys=None,
+                                 graded: bool = False) -> E.MetricReport:
+    """The `evaluate_report` that read dense held-out rows, from before
+    the scorer took `PurchaseRows`, kept verbatim (with its `_at_top`
+    helper) as the differential oracle."""
+    ns = tuple(ns)
+    if not ns or min(ns) < 1:
+        raise ValueError(f"n must be >= 1, got {list(ns)}")
+    scores = np.asarray(scores, dtype=np.float64)
+    held_out = np.atleast_2d(np.asarray(held_out, dtype=np.float64))
+    if scores.shape not in (held_out.shape, held_out.shape[1:]):
+        raise ValueError(f"shape mismatch: {scores.shape} vs {held_out.shape}")
+    users = np.asarray(range(len(held_out)) if user_keys is None else user_keys)
+    if users.shape != held_out.shape[:1]:
+        raise ValueError(f"{users.size} user keys for {len(held_out)} rows")
+
+    k = max(ns)
+    top = E.rank_items(scores, k) - 1
+    relevant = held_out != 0
+    keep = relevant.any(axis=1)
+    relevant, users = relevant[keep], users[keep]
+    top = top[keep] if top.ndim == 2 else top[None]
+    hit = dense_at_top(relevant, top, k)
+    if graded:
+        gain = np.zeros(relevant.shape)
+        gain[relevant] = 2.0 ** (held_out[keep][relevant] * 5.0) - 1.0
+        ranked_gain = dense_at_top(gain, top, k)
+        ideal = np.zeros((len(gain), k))
+        ideal[:, :gain.shape[1]] = np.sort(gain, axis=1)[:, ::-1][:, :k]
+    else:
+        ranked_gain = hit
+        ideal = np.arange(k) < np.count_nonzero(relevant, axis=1)[:, None]
+    discount = np.log2(np.arange(2, k + 2))
+    hits = np.cumsum(hit, axis=1)
+    dcg = np.cumsum(ranked_gain / discount, axis=1)
+    idcg = np.cumsum(ideal / discount, axis=1)
+    first = np.argmax(hit, axis=1) + 1
+
+    values = {}
+    for n in ns:
+        values[f"P@{n}"] = hits[:, n - 1] / n
+        values[f"N@{n}"] = dcg[:, n - 1] / idcg[:, n - 1]
+        values[f"M@{n}"] = np.where(hits[:, n - 1] > 0, 1.0 / first, 0.0)
+    return E.MetricReport(ns=ns, users=users, values=values,
+                          n_skipped=int(np.count_nonzero(~keep)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tied_scores(), st.data())
+def test_csr_scorer_matches_dense_oracle_bit_for_bit(scores, data):
+    """Tied, NaN and +-inf scores, rows without a purchase, empty batches,
+    cutoffs past m, a shared score row and user keys, binary and graded."""
+    rows, m = scores.shape
+    held = data.draw(arrays(np.float64, (rows, m), elements=RATINGS))
+    held[data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))] = 0.0
+    if data.draw(st.booleans()):
+        scores = data.draw(arrays(np.float64, m, elements=st.sampled_from(
+            [0.5, 0.0, -0.0, 1.0, np.nan, np.inf, -np.inf])))
+    ns = tuple(data.draw(st.lists(st.integers(1, m + 3), min_size=1, max_size=3)))
+    keys = data.draw(st.none() | st.lists(st.integers(-50, 50), min_size=rows,
+                                          max_size=rows, unique=True))
+    for graded in (False, True):
+        got = E.evaluate_report(scores, csr(held), ns=ns, user_keys=keys, graded=graded)
+        want = dense_oracle_evaluate_report(scores, held, ns=ns, user_keys=keys, graded=graded)
+        assert got.users.dtype == want.users.dtype
+        assert got.users.tobytes() == want.users.tobytes()
+        assert got.n_skipped == want.n_skipped
+        assert list(got.values) == list(want.values)
+        for key in want.values:
+            assert got.values[key].tobytes() == want.values[key].tobytes(), key
 
 
 def test_precision_values():
@@ -229,7 +315,7 @@ def test_batch_matches_per_row_oracles_bit_for_bit():
         ns = (1, 2, 5, 30)
         keys = [1000 - u for u in range(40)]
         for graded in (False, True):
-            report = E.evaluate_report(scores, held, ns=ns, user_keys=keys, graded=graded)
+            report = E.evaluate_report(scores, csr(held), ns=ns, user_keys=keys, graded=graded)
             kept = [u for u in range(40) if held[u].any()]
             assert report.users.tolist() == [keys[u] for u in kept]
             assert report.n_skipped == 40 - len(kept)
@@ -268,7 +354,7 @@ def test_graded_gains_of_rated_cells_only_match_dense_gains_bit_for_bit():
     ns = (1, 5, 20, 30)
     for m in (1, 3, 9, 25, 400):
         scores, held = random_batch(rng, 60, m, empty_rows=3)
-        report = E.evaluate_report(scores, held, ns=ns, graded=True)
+        report = E.evaluate_report(scores, csr(held), ns=ns, graded=True)
         for key, expected in dense_gain_ndcg(scores, held, ns).items():
             assert report.values[key].tobytes() == expected.tobytes(), (m, key)
 
@@ -283,21 +369,21 @@ def test_graded_ndcg_matches_brute_force_oracle():
         held[rel] = rng.integers(1, 6, size=rel.size) / 5.0
         n = int(rng.integers(1, m + 1))
         gains = {int(i) + 1: 2.0 ** float(held[i] * 5.0) - 1.0 for i in rel}
-        ndcg = E.evaluate_report(scores, held, ns=(n,), graded=True).values[f"N@{n}"]
+        ndcg = E.evaluate_report(scores, csr(held), ns=(n,), graded=True).values[f"N@{n}"]
         assert ndcg[0] == pytest.approx(
             brute_graded_ndcg(E.rank_items(scores), gains, n), abs=1e-12)
         if len(set(gains.values())) == 1:   # one rating level: binary NDCG
-            binary = E.evaluate_report(scores, held, ns=(n,)).values[f"N@{n}"]
+            binary = E.evaluate_report(scores, csr(held), ns=(n,)).values[f"N@{n}"]
             assert ndcg[0] == pytest.approx(binary[0], abs=1e-12)
 
 
 def test_shared_row_scores_like_its_broadcast():
     rng = np.random.default_rng(41)
     scores, held = random_batch(rng, 30, 12, empty_rows=3)
-    row = scores[5]
+    held, row = csr(held), scores[5]
     for graded in (False, True):
         shared = E.evaluate_report(row, held, ns=(3, 15), graded=graded)
-        batch = E.evaluate_report(np.broadcast_to(row, held.shape), held,
+        batch = E.evaluate_report(np.broadcast_to(row, (len(held), held.m)), held,
                                   ns=(3, 15), graded=graded)
         assert shared.users.tolist() == batch.users.tolist()
         assert shared.n_skipped == batch.n_skipped == 3
@@ -314,11 +400,11 @@ def test_shared_row_scores_like_its_broadcast():
 ], ids=["zero-cutoff", "no-cutoffs", "one-row-batch", "short-row", "few-keys"])
 def test_evaluate_report_refuses_bad_input(scores, held, kwargs, message):
     with pytest.raises(ValueError, match=message):
-        E.evaluate_report(scores, held, **kwargs)
+        E.evaluate_report(scores, csr(held), **kwargs)
 
 
 def test_item_pop_ranking():
-    warm = np.array([
+    warm = csr([
         [1.0, 0.2, 0.0, 0.4],
         [0.6, 0.0, 0.0, 0.4],
         [0.2, 0.0, 0.0, 0.0],
@@ -330,18 +416,18 @@ def test_item_pop_ranking():
 
 
 def test_item_pop_tie_lower_id_first():
-    warm = np.array([[0.5, 0.5, 0.0]])
+    warm = csr([[0.5, 0.5, 0.0]])
     assert E.rank_items(E.item_popularity(warm)).tolist() == [1, 2, 3]
 
 
 def test_item_pop_empty_raises():
     with pytest.raises(ValueError):
-        E.item_popularity(np.zeros((0, 3)))
+        E.item_popularity(csr(np.zeros((0, 3))))
 
 
 def test_evaluate_report_excludes_empty_users():
     preds = np.array([[0.9, 0.1], [0.2, 0.8]])
-    held = np.array([[1.0, 0.0], [0.0, 0.0]])
+    held = csr([[1.0, 0.0], [0.0, 0.0]])
     report = E.evaluate_report(preds, held, ns=(1,))
     assert report.n_users == 1
     assert report.n_skipped == 1
@@ -351,7 +437,7 @@ def test_evaluate_report_excludes_empty_users():
 def test_evaluate_report_mean_is_arithmetic_mean():
     rng = np.random.default_rng(8)
     preds = rng.uniform(size=(6, 10))
-    held = (rng.uniform(size=(6, 10)) < 0.4) * 0.6
+    held = csr((rng.uniform(size=(6, 10)) < 0.4) * 0.6)
     report = E.evaluate_report(preds, held, ns=(5,))
     agg = report.aggregate()
     for key in ("P@5", "N@5", "M@5"):
@@ -362,7 +448,7 @@ def test_evaluate_report_mean_is_arithmetic_mean():
 def test_evaluate_twice_identical(tmp_path):
     rng = np.random.default_rng(9)
     preds = rng.uniform(size=(5, 8))
-    held = (rng.uniform(size=(5, 8)) < 0.5) * 0.4
+    held = csr((rng.uniform(size=(5, 8)) < 0.5) * 0.4)
     a = E.evaluate_report(preds, held)
     b = E.evaluate_report(preds, held)
     assert a.aggregate() == b.aggregate()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from srlgan import model as M
 from srlgan import nn as NN
+from srlgan.data import PurchaseRows
 
 from test_nn import central_diff_grads, rel_err
 
@@ -147,12 +148,13 @@ def test_label_losses_reproduce_five_tuple_losses_bit_for_bit(loss, oracle, g_la
 
 
 def test_mean_purchase():
-    rho = M.mean_purchase([[1.0, 0.0], [0.0, 1.0]])
+    csr = PurchaseRows.from_dense
+    rho = M.mean_purchase(csr([[1.0, 0.0], [0.0, 1.0]]))
     assert np.allclose(rho, [0.5, 0.5])
-    assert np.allclose(M.mean_purchase([[0.2, 0.4]]), [0.2, 0.4])
-    assert np.allclose(M.mean_purchase(np.zeros((3, 2))), 0.0)
+    assert np.allclose(M.mean_purchase(csr([[0.2, 0.4]])), [0.2, 0.4])
+    assert np.allclose(M.mean_purchase(csr(np.zeros((3, 2)))), 0.0)
     with pytest.raises(ValueError):
-        M.mean_purchase(np.zeros((0, 2)))
+        M.mean_purchase(csr(np.zeros((0, 2))))
 
 
 def test_sparsity_regularizer_hand_value():
@@ -239,7 +241,7 @@ def _toy_setup(seed=0):
     dis = M.build_discriminator(d, m, rng, hidden=[5], dropout=0.0)
     x = rng.normal(size=(b, d))
     y = (rng.uniform(size=(b, m)) < 0.3) * rng.choice([0.2, 0.6, 1.0], size=(b, m))
-    rho = M.mean_purchase(y)
+    rho = M.mean_purchase(PurchaseRows.from_dense(y))
     return gen, dis, x, y, rho
 
 

@@ -5,13 +5,13 @@ import pytest
 
 from srlgan import model as M
 from srlgan import train as T
-from srlgan.data import split_rows
+from srlgan.data import PurchaseRows, split_rows
 from srlgan.evaluate import evaluate_report
 
 
 def toy_data(n=40, d=6, m=12, seed=0):
-    """Attribute rows with planted structure: users in group g buy items
-    congruent to g, so reconstruction is learnable."""
+    """Attribute rows and PurchaseRows with planted structure: users in
+    group g buy items congruent to g, so reconstruction is learnable."""
     rng = np.random.default_rng(seed)
     x = np.zeros((n, d))
     y = np.zeros((n, m))
@@ -22,7 +22,7 @@ def toy_data(n=40, d=6, m=12, seed=0):
         for i in range(g, m, 3):
             if rng.random() < 0.7:
                 y[k, i] = rng.choice([0.4, 0.6, 0.8, 1.0])
-    return x, y
+    return x, PurchaseRows.from_dense(y)
 
 
 def train_with_slice(x, y, config, x_val, y_val):
@@ -70,10 +70,10 @@ def test_pretrain_reduces_reconstruction_loss():
     cfg = small_config(pretrain_epochs=30)
     trainer = T.Trainer(x, y, cfg)
     y0 = M.generator_forward(trainer.generator, x)
-    loss0, _ = M.loss_reconstruction(y, y0)
+    loss0, _ = M.loss_reconstruction(y.toarray(), y0)
     trainer.pretrain_generator()
     y1 = M.generator_forward(trainer.generator, x)
-    loss1, _ = M.loss_reconstruction(y, y1)
+    loss1, _ = M.loss_reconstruction(y.toarray(), y1)
     assert loss1 <= loss0
 
 
@@ -90,7 +90,7 @@ def test_training_deterministic_bit_for_bit():
     params = []
     for _ in range(2):
         cfg = small_config()
-        trainer = train_with_slice(x, y, cfg, x[:8], y[:8])
+        trainer = train_with_slice(x, y, cfg, x[:8], y.take(range(8)))
         params.append((trainer.generator.theta.copy(),
                        trainer.discriminator.theta.copy()))
     assert np.array_equal(params[0][0], params[1][0])
@@ -137,7 +137,7 @@ def test_max_rounds_zero_keeps_pretrained_generator():
 def test_curve_rounds_strictly_increasing_and_finite():
     x, y = toy_data()
     cfg = small_config(max_rounds=8, eval_every=2)
-    trainer = train_with_slice(x, y, cfg, x[:8], y[:8])
+    trainer = train_with_slice(x, y, cfg, x[:8], y.take(range(8)))
     rounds = [p.round for p in trainer.curve.points]
     assert rounds == sorted(rounds) and len(set(rounds)) == len(rounds)
     for p in trainer.curve.points:
@@ -151,7 +151,7 @@ def test_discriminator_scores_stay_in_unit_interval():
     cfg = small_config(max_rounds=6, validation_fraction=0.0)
     trainer = T.fit(x, y, cfg)
     scores = trainer.discriminator.forward(
-        M.discriminator_input(x, y), training=False)
+        M.discriminator_input(x, y.toarray()), training=False)
     assert np.all((scores > 0) & (scores < 1))
     assert np.isfinite(scores.mean())
 
@@ -219,7 +219,7 @@ def test_early_stopping_on_stale_validation():
     x, y = toy_data()
     cfg = small_config(max_rounds=100, eval_every=1, patience=3,
                        learning_rate=1e-9)
-    trainer = train_with_slice(x, y, cfg, x[:8], y[:8])
+    trainer = train_with_slice(x, y, cfg, x[:8], y.take(range(8)))
     # tiny lr: validation P@5 cannot improve, so the loop stops early
     assert trainer.rounds_done < 100
 
@@ -227,7 +227,7 @@ def test_early_stopping_on_stale_validation():
 def test_on_best_fires_exactly_when_early_stopping_resets():
     x, y = toy_data()
     trainer = T.Trainer(x, y, small_config(max_rounds=10, eval_every=1, patience=2),
-                        x_val=x[:8], y_val=y[:8])
+                        x_val=x[:8], y_val=y.take(range(8)))
     # A NaN (no validation metric) neither improves nor counts as stale,
     # and a rise of 1e-15 is no improvement.
     p5s = iter([0.1, float("nan"), 0.1 + 1e-15, 0.2, 0.2 + 1e-15, 0.2, 0.9])
@@ -242,6 +242,22 @@ def test_on_best_fires_exactly_when_early_stopping_resets():
     assert trainer.rounds_done == 6
 
 
+@pytest.mark.parametrize("case", ["rows", "width", "items"])
+def test_trainer_refuses_mismatched_validation_slice(case, monkeypatch):
+    x, y = toy_data()
+    x_val, y_val, message = {
+        "rows": (x[:8], y.take(range(5)),
+                 "validation slice has 8 attribute rows but 5 behavior rows"),
+        "width": (x[:8, :5], y.take(range(8)),
+                  r"attribute shape \(5,\) and 12 items, training rows \(6,\) and 12"),
+        "items": (x[:8], PurchaseRows.from_dense(y.toarray(range(8))[:, :10]),
+                  r"attribute shape \(6,\) and 10 items, training rows \(6,\) and 12"),
+    }[case]
+    monkeypatch.setattr(M, "build_generator", lambda *a, **k: pytest.fail("network built"))
+    with pytest.raises(ValueError, match=message):
+        T.Trainer(x, y, small_config(), x_val=x_val, y_val=y_val)
+
+
 def test_run_ablation_matches_trainer_on_all_warm_users_bit_for_bit():
     x, y = toy_data()
     x_cold, y_cold = toy_data(n=12, seed=1)
@@ -249,7 +265,7 @@ def test_run_ablation_matches_trainer_on_all_warm_users_bit_for_bit():
     reports = T.run_ablation(x, y, x_cold, y_cold, base, ns=(5, 10))
     assert list(reports) == ["S1", "S2", "S3"]
     for mode, report in reports.items():
-        trainer = train_with_slice(x, y, T.ablation_config(base, mode), x[:0], y[:0])
+        trainer = train_with_slice(x, y, T.ablation_config(base, mode), x[:0], y.take([]))
         want = evaluate_report(M.generator_forward(trainer.generator, x_cold), y_cold,
                                ns=(5, 10))
         assert np.array_equal(report.users, want.users)
@@ -260,7 +276,7 @@ def test_run_ablation_matches_trainer_on_all_warm_users_bit_for_bit():
 def test_curve_csv_round_trip(tmp_path):
     x, y = toy_data()
     cfg = small_config(max_rounds=4, eval_every=2)
-    trainer = train_with_slice(x, y, cfg, x[:8], y[:8])
+    trainer = train_with_slice(x, y, cfg, x[:8], y.take(range(8)))
     path = tmp_path / "curve.csv"
     trainer.curve.write_csv(path)
     lines = path.read_text().splitlines()
