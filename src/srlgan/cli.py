@@ -6,7 +6,12 @@ error.  Commands never mutate their inputs; outputs land under the given
 --out-dir.  When --cache is omitted, the cache is
 $SRLGAN_CACHE_ROOT/<dataset>.npz.  train, eval, sweep-beta and ablate cut
 the cache users by one seeded warm/cold split (`_split`), and their
-manifests record its cold fraction and seed.
+manifests record its cold fraction and seed.  train, sweep-beta and ablate
+read their training settings one way: argparse keeps each TRAIN_FLAGS
+flag as the string given, and `_load_config` reads it with the same
+`_coerce` as the `--config` key of that name, which types it by its
+TrainConfig field.  Their manifests record the resolved settings under
+`train_config`.
 """
 
 from __future__ import annotations
@@ -61,23 +66,22 @@ def _split(args, cache, split_seed: int, cold_fraction: float = 0.2,
     return split
 
 
+# The TrainConfig fields that train, sweep-beta and ablate also take as
+# --<name with dashes> flags; every other field is a config-file key only.
+TRAIN_FLAGS = ("seed", "beta", "batch_size", "gan_loss", "sparsity", "learning_rate",
+               "max_rounds", "eval_every", "pretrain_epochs", "n_e", "n_d", "n_g",
+               "patience", "generator_hidden", "discriminator_hidden")
+_FIELDS = {f.name: f for f in dataclasses.fields(T.TrainConfig)}
+
+
 def _load_config(args) -> T.TrainConfig:
-    """Config precedence: dataclass defaults < config file < CLI flags."""
-    values = {}
-    if getattr(args, "config", None):
-        values.update(_parse_config_file(args.config))
-    for field in ("seed", "beta", "batch_size", "gan_loss", "learning_rate",
-                  "max_rounds", "eval_every", "pretrain_epochs", "n_e", "n_d",
-                  "n_g", "patience"):
-        val = getattr(args, field, None)
-        if val is not None:
-            values[field] = val
-    if getattr(args, "sparsity", None) is not None:
-        values["sparsity"] = args.sparsity == "on"
-    for field in ("generator_hidden", "discriminator_hidden"):
-        if getattr(args, field, None):
-            values[field] = _int_list(getattr(args, field),
-                                      "--" + field.replace("_", "-"))
+    """Config precedence: dataclass defaults < config file < CLI flags.  A
+    flag's string is read by the same `_coerce` as a file value."""
+    values = _parse_config_file(args.config) if args.config else {}
+    for name in TRAIN_FLAGS:
+        raw = getattr(args, name)
+        if raw is not None:
+            values[name] = _coerce(_FIELDS[name], raw, "--" + name.replace("_", "-"))
     return T.TrainConfig(**values).validate()
 
 
@@ -92,10 +96,13 @@ def _int_list(raw: str, name: str) -> list[int]:
 
 
 def _cutoffs(raw: str) -> list[int]:
-    """The `--n` cutoffs of eval and ablate, each an integer >= 1."""
+    """The `--n` cutoffs of eval and ablate, distinct integers >= 1."""
     ns = _int_list(raw, "--n")
     if min(ns) < 1:
         raise ValueError(f"--n: each cutoff n must be >= 1, got {ns}")
+    repeated = [n for k, n in enumerate(ns) if n in ns[:k]]
+    if repeated:
+        raise ValueError(f"--n: cutoff {repeated[0]} is given more than once in {raw!r}")
     return ns
 
 
@@ -116,7 +123,6 @@ def _beta_grid(raw: str) -> list[float]:
 
 def _parse_config_file(path) -> dict:
     """Parse a `key = value` config document into TrainConfig field values."""
-    fields = {f.name: f for f in dataclasses.fields(T.TrainConfig)}
     out = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -126,30 +132,36 @@ def _parse_config_file(path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in fields:
+        if key not in _FIELDS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            out[key] = _coerce(fields[key], raw)
-        except (ValueError, KeyError):
+            out[key] = _coerce(_FIELDS[key], raw, key)
+        except ValueError:
             raise ValueError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from None
     return out
 
 
-_BOOLEANS = {"on": True, "true": True, "yes": True, "1": True,
-             "off": False, "false": False, "no": False, "0": False}
+_BOOLEANS = {"on": True, "off": False, "true": True, "false": False,
+             "yes": True, "no": False, "1": True, "0": False}
 
 
-def _coerce(field: dataclasses.Field, raw: str):
-    """A config-file value as the type annotated on its TrainConfig field
-    (annotation text such as "int", "bool" or "list[int] | None")."""
+def _coerce(field: dataclasses.Field, raw: str, name: str):
+    """A flag or config-file value as the type annotated on its TrainConfig
+    field (annotation text such as "int", "bool" or "list[int] | None");
+    `name` is the flag or key a bad value is reported under."""
     kind, _, optional = field.type.partition(" | ")
     if optional == "None" and raw.lower() == "none":
         return None
-    if kind == "bool":
-        return _BOOLEANS[raw.lower()]
     if kind == "list[int]":
-        return _int_list(raw, field.name)
-    return {"int": int, "float": float, "str": str}[kind](raw)
+        return _int_list(raw, name)
+    if kind == "bool":
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(f"{name}: expected one of {'/'.join(_BOOLEANS)}, got {raw!r}")
+        return _BOOLEANS[raw.lower()]
+    try:
+        return {"int": int, "float": float, "str": str}[kind](raw)
+    except ValueError:
+        raise ValueError(f"{name}: expected {kind}, got {raw!r}") from None
 
 
 def _args_dict(args) -> dict:
@@ -157,7 +169,9 @@ def _args_dict(args) -> dict:
 
 
 def _write_manifest(out_dir: Path, command: str, args_dict: dict,
-                    inputs: dict, outputs: dict) -> Path:
+                    inputs: dict, outputs: dict, config: T.TrainConfig | None = None) -> Path:
+    """manifest.json; `args` holds the flags as given, and a training
+    command's resolved settings go under `train_config`."""
     manifest = {
         "command": command,
         "args": args_dict,
@@ -165,6 +179,8 @@ def _write_manifest(out_dir: Path, command: str, args_dict: dict,
         "outputs": outputs,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
+    if config is not None:
+        manifest["train_config"] = dataclasses.asdict(config)
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
@@ -240,6 +256,7 @@ def cmd_train(args) -> int:
         {"cache_content": D.cache_content_hash(cache)},
         {"checkpoint": str(final_path), "checkpoint_best": str(best_path),
          "curve": str(curve_path)},
+        config,
     )
     flagged = sum(p.collapse_flag for p in trainer.curve.points)
     print(f"trained {trainer.rounds_done} rounds "
@@ -325,7 +342,7 @@ def cmd_sweep_beta(args) -> int:
     _write_manifest(out_dir, "sweep-beta",
                     _args_dict(args),
                     {"cache_content": D.cache_content_hash(cache)},
-                    {"sweep": str(sweep_path)})
+                    {"sweep": str(sweep_path)}, config)
     print(f"recommended beta: {best:g} "
           f"(held-out P@5 {scores[best]:.4f}); outputs in {out_dir}")
     return 0
@@ -350,7 +367,7 @@ def cmd_ablate(args) -> int:
     _write_manifest(out_dir, "ablate",
                     _args_dict(args),
                     {"cache_content": D.cache_content_hash(cache)},
-                    {"summary": str(out_dir / "ablation.summary.json")})
+                    {"summary": str(out_dir / "ablation.summary.json")}, config)
     return 0
 
 
@@ -383,24 +400,12 @@ def cmd_plot(args) -> int:
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
+    """--config and the TRAIN_FLAGS, each kept as the string given for
+    `_load_config` to read."""
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--gan-loss", dest="gan_loss", choices=["bce", "lsq"])
-    p.add_argument("--sparsity", choices=["on", "off"])
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--max-rounds", dest="max_rounds", type=int)
-    p.add_argument("--eval-every", dest="eval_every", type=int)
-    p.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int)
-    p.add_argument("--n-e", dest="n_e", type=int)
-    p.add_argument("--n-d", dest="n_d", type=int)
-    p.add_argument("--n-g", dest="n_g", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--generator-hidden", dest="generator_hidden",
-                   help="comma-separated hidden sizes (default 512,1024,1024)")
-    p.add_argument("--discriminator-hidden", dest="discriminator_hidden",
-                   help="comma-separated hidden sizes (default 2048,512,128)")
+    for name in TRAIN_FLAGS:
+        p.add_argument("--" + name.replace("_", "-"),
+                       help=f"config key {name} ({_FIELDS[name].type})")
 
 
 def _add_cache_flags(p: argparse.ArgumentParser):

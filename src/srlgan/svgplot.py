@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
@@ -15,10 +17,14 @@ def _scale(values, lo, hi, out_lo, out_hi):
 def line_chart(series: dict[str, tuple[list, list]], title: str,
                x_label: str, y_label: str, width: int = 640,
                height: int = 400) -> str:
-    """Render named (xs, ys) series as an SVG string."""
+    """Render named (xs, ys) series as an SVG string.  A point with a
+    non-finite coordinate (a curve logs NaN metrics when it has no
+    validation row) is left out of the axes and of its series' line."""
     pad_l, pad_r, pad_t, pad_b = 60, 20, 40, 45
-    all_x = [x for xs, _ in series.values() for x in xs]
-    all_y = [y for _, ys in series.values() for y in ys]
+    series = {name: [(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
+              for name, (xs, ys) in series.items()}
+    all_x = [x for finite in series.values() for x, _ in finite]
+    all_y = [y for finite in series.values() for _, y in finite]
     if not all_x:
         all_x, all_y = [0, 1], [0, 1]
     x_lo, x_hi = min(all_x), max(all_x)
@@ -42,10 +48,11 @@ def line_chart(series: dict[str, tuple[list, list]], title: str,
         f'<text x="{pad_l}" y="{height - pad_b + 16}" text-anchor="middle">{x_lo:.3g}</text>',
         f'<text x="{width - pad_r}" y="{height - pad_b + 16}" text-anchor="middle">{x_hi:.3g}</text>',
     ]
-    for k, (name, (xs, ys)) in enumerate(sorted(series.items(), key=lambda kv: kv[0])):
-        if not xs:
+    for k, (name, finite) in enumerate(sorted(series.items(), key=lambda kv: kv[0])):
+        if not finite:
             continue
         color = PALETTE[k % len(PALETTE)]
+        xs, ys = zip(*finite)
         px = _scale(xs, x_lo, x_hi, pad_l, width - pad_r)
         py = _scale(ys, y_lo, y_hi, height - pad_b, pad_t)
         points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))

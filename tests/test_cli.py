@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -10,6 +11,7 @@ import pytest
 from srlgan import data as D
 from srlgan import nn as NN
 from srlgan import pipeline as P
+from srlgan import svgplot
 from srlgan import train as T
 from srlgan.cli import _parse_config_file, main
 
@@ -18,6 +20,10 @@ FAST = [
     "--batch-size", "16", "--learning-rate", "1e-3", "--seed", "3",
     "--generator-hidden", "8", "--discriminator-hidden", "8",
 ]
+# FAST as the TrainConfig it resolves to.
+FAST_CONFIG = T.TrainConfig(seed=3, batch_size=16, pretrain_epochs=1, learning_rate=1e-3,
+                            max_rounds=2, eval_every=1, generator_hidden=[8],
+                            discriminator_hidden=[8])
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +176,26 @@ def test_train_outputs(trained):
     for name in ("checkpoint.npz", "checkpoint.best.npz", "curve.csv",
                  "manifest.json"):
         assert (trained / name).exists()
+    manifest = json.loads((trained / "manifest.json").read_text())
+    assert manifest["train_config"] == dataclasses.asdict(FAST_CONFIG)
+
+
+@pytest.mark.parametrize("extra", [[], ["--sparsity", "yes", "--n-e", "none"]],
+                         ids=["fast", "spelt-values"])
+def test_flags_and_config_keys_train_alike(tmp_path, prepared, trained, extra):
+    """The same settings given as flags or as config keys give the same run
+    (`sparsity = yes` and `n_e = none` are the defaults, so also `trained`'s)."""
+    flags = [*FAST, *extra]
+    cfg = tmp_path / "train.conf"
+    cfg.write_text("".join(f"{flag[2:].replace('-', '_')} = {value}\n"
+                           for flag, value in zip(flags[::2], flags[1::2])))
+    runs = {"flags": flags, "config": ["--config", str(cfg)]}
+    for name, argv in runs.items():
+        assert main(["train", "--cache", str(prepared / "ml100k.npz"),
+                     "--out-dir", str(tmp_path / name), *argv]) == 0
+    for name in runs:
+        for output in ("curve.csv", "checkpoint.npz"):
+            assert (tmp_path / name / output).read_bytes() == (trained / output).read_bytes()
 
 
 def test_train_checkpoints_hold_only_the_generator(trained):
@@ -546,9 +572,18 @@ def test_bad_cold_fraction_exit_1_before_out_dir(command, tmp_path, prepared, ca
     (["train", "--seed", "-1"], "", "seed must be >= 0, got -1"),
     (["sweep-beta"], "n_e = -1\n", "n_e must be >= 0, got -1"),
     (["train", "--split-seed", "-1"], "", "--split-seed must be >= 0, got -1"),
+    (["train", "--generator-hidden", ""], "",
+     "--generator-hidden: expected comma-separated integers, got ''"),
+    (["train", "--seed", "x"], "", "--seed: expected int, got 'x'"),
+    (["train", "--batch-size", "1.5"], "", "--batch-size: expected int, got '1.5'"),
+    (["train", "--sparsity", "flase"], "", "--sparsity: expected one of on/off/true/false/"
+     "yes/no/1/0, got 'flase'"),
+    (["train", "--gan-loss", "x"], "", "gan_loss must be lsq or bce, got 'x'"),
+    (["sweep-beta"], "gan_loss = x\n", "gan_loss must be lsq or bce, got 'x'"),
 ], ids=["zero-width", "negative-width", "ablate-zero-width", "dropout", "no-warm-user",
         "negative-n-e", "negative-pretrain-epochs", "negative-seed", "sweep-beta-negative-n-e",
-        "negative-split-seed"])
+        "negative-split-seed", "empty-width-list", "seed-letter", "batch-size-float",
+        "sparsity-misspelt", "gan-loss-flag", "gan-loss-key"])
 def test_train_refusals_leave_no_out_dir(argv, config, message, tmp_path, prepared, capsys):
     cfg = tmp_path / "train.conf"
     cfg.write_text(config)
@@ -659,7 +694,10 @@ def test_eval_itempop_graded_changes_only_ndcg(tmp_path, prepared):
     (["eval", "--baseline", "itempop", "--n", "5,x"], "--n: expected comma-separated integers, got '5,x'"),
     (["eval", "--baseline", "itempop", "--n", "0"], "n must be >= 1, got [0]"),
     (["ablate", "--n", "5,"], "--n: expected comma-separated integers"),
-], ids=["generator-hidden", "discriminator-hidden", "eval-n-letter", "eval-n-zero", "ablate-n-empty"])
+    (["ablate", *FAST, "--discriminator-hidden", ""],
+     "--discriminator-hidden: expected comma-separated integers, got ''"),
+], ids=["generator-hidden", "discriminator-hidden", "eval-n-letter", "eval-n-zero", "ablate-n-empty",
+        "ablate-discriminator-hidden-empty"])
 def test_bad_integer_list_flags_exit_1(tmp_path, prepared, capsys, argv, message):
     rc = main([*argv, "--cache", str(prepared / "ml100k.npz"),
                "--out-dir", str(tmp_path / "out")])
@@ -669,11 +707,15 @@ def test_bad_integer_list_flags_exit_1(tmp_path, prepared, capsys, argv, message
     assert not list((tmp_path / "out").glob("metrics.*"))
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", "--checkpoint", "unused.npz", "--n", "5,0"],
-    ["ablate", "--n", "0", *FAST],
-], ids=["eval", "ablate"])
-def test_bad_cutoffs_refused_before_any_work(tmp_path, prepared, capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--checkpoint", "unused.npz", "--n", "5,0"], "--n: each cutoff n must be >= 1"),
+    (["ablate", "--n", "0", *FAST], "--n: each cutoff n must be >= 1"),
+    (["eval", "--baseline", "itempop", "--n", "5,20,05"],
+     "--n: cutoff 5 is given more than once in '5,20,05'"),
+    (["ablate", "--n", "5,5", *FAST], "--n: cutoff 5 is given more than once in '5,5'"),
+], ids=["eval", "ablate", "eval-repeated", "ablate-repeated"])
+def test_bad_cutoffs_refused_before_any_work(tmp_path, prepared, capsys, monkeypatch, argv,
+                                             message):
     def no_work(*args, **kwargs):
         pytest.fail("work started")
 
@@ -683,7 +725,7 @@ def test_bad_cutoffs_refused_before_any_work(tmp_path, prepared, capsys, monkeyp
     rc = main([*argv, "--cache", str(prepared / "ml100k.npz"),
                "--out-dir", str(tmp_path / "out")])
     assert rc == 1
-    assert "error: --n: each cutoff n must be >= 1" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -749,16 +791,15 @@ def test_sweep_beta_outputs_and_cv_consistency(tmp_path, prepared):
 
     # matches the library cross-validation routine run on the same warm set
     cache = D.load_cache(prepared / "ml100k.npz")
-    cfg = T.TrainConfig(seed=3, batch_size=16, pretrain_epochs=1,
-                        learning_rate=1e-3, max_rounds=2, eval_every=1,
-                        generator_hidden=[8], discriminator_hidden=[8])
     _, x_warm, y_warm, _, _ = P.split_matrices(cache, 0.2, 3)
-    best, _ = T.cross_validate_beta(x_warm, y_warm, [0.1, 1], cfg)
+    best, _ = T.cross_validate_beta(x_warm, y_warm, [0.1, 1], FAST_CONFIG)
     assert recommended[0] == best
 
-    args = json.loads((out / "manifest.json").read_text())["args"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    args = manifest["args"]
     assert (args["cold_fraction"], args["split_seed"]) == (0.2, 3)
     assert "leakage_free_cold" not in args
+    assert manifest["train_config"] == dataclasses.asdict(FAST_CONFIG)
 
 
 def test_sweep_beta_replaces_an_earlier_grids_curves(tmp_path, prepared):
@@ -807,8 +848,9 @@ def test_ablate_outputs(tmp_path, prepared):
         assert (out / f"ablation.{mode}.csv").exists()
     summary = json.loads((out / "ablation.summary.json").read_text())
     assert set(summary) == {"S1", "S2", "S3"}
-    args = json.loads((out / "manifest.json").read_text())["args"]
-    assert (args["cold_fraction"], args["split_seed"]) == (0.2, 3)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["args"]["cold_fraction"], manifest["args"]["split_seed"]) == (0.2, 3)
+    assert manifest["train_config"] == dataclasses.asdict(FAST_CONFIG)
 
 
 def test_ablate_with_literal_generator_loss_base_config(tmp_path, prepared):
@@ -841,6 +883,31 @@ def test_plot_draws_same_named_curves_apart(tmp_path, trained):
     assert svg.count("<polyline") == 2
     assert f">{curves[0]}</text>" in svg
     assert f">{tmp_path}/b&amp;c/curve.csv</text>" in svg
+
+
+def test_plot_of_a_run_without_validation_writes_no_nan(tmp_path, prepared):
+    # With no validation row, every p5 and n5 of the curve is NaN.
+    cfg = tmp_path / "train.conf"
+    cfg.write_text("validation_fraction = 0\n")
+    assert main(["train", "--cache", str(prepared / "ml100k.npz"), "--out-dir",
+                 str(tmp_path / "run"), "--config", str(cfg), *FAST]) == 0
+    assert "nan" in (tmp_path / "run" / "curve.csv").read_text()
+    out = tmp_path / "plots"
+    assert main(["plot", "--out-dir", str(out), str(tmp_path / "run" / "curve.csv")]) == 0
+    for column, lines in (("p5", 0), ("n5", 0), ("loss_sr", 1)):
+        svg = (out / f"plot.{column}.svg").read_text()
+        assert "nan" not in svg and svg.count("<polyline") == lines, column
+
+
+def test_line_chart_leaves_non_finite_points_out():
+    nan, inf = float("nan"), float("inf")
+    charts = [svgplot.line_chart({"a": (xs, ys), "b": ([0, 10], [nan, inf])}, "t", "x", "y")
+              for xs, ys in (([0, 10, 20], [nan, 0.2, 0.4]), ([10, 20, 0], [0.2, 0.4, nan]))]
+    assert charts[0] == charts[1]
+    assert "nan" not in charts[0] and "inf" not in charts[0]
+    assert charts[0].count("<polyline") == 1
+    for label in (">0.2<", ">0.4<", ">10<", ">20<"):     # the finite points' range
+        assert label in charts[0]
 
 
 @pytest.mark.parametrize("column", ["round", "p5", "n5", "loss_sr"])
@@ -912,7 +979,7 @@ def test_outputs_take_the_umask_mode(tmp_path, synth100k_dir, umask):
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["train", "--seed", "x", "--out-dir", "unused"], 1),
+    (["train", "--split-seed", "x", "--out-dir", "unused"], 1),
     (["eval", "--cold-fraction", "abc", "--out-dir", "unused"], 1),
     (["train", "--bogus", "--out-dir", "unused"], 1),
     (["train", "--cache", "unused.npz"], 1),
