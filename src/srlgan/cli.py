@@ -10,8 +10,11 @@ manifests record its cold fraction and seed.  train, sweep-beta and ablate
 read their training settings one way: argparse keeps each TRAIN_FLAGS
 flag as the string given, and `_load_config` reads it with the same
 `_coerce` as the `--config` key of that name, which types it by its
-TrainConfig field.  Their manifests record the resolved settings under
-`train_config`.
+TrainConfig field: an int, float, str, optional int or int list.  No
+setting is a switch; `gan_loss` and `beta` alone set the adversarial
+game.  A flag value may start with `-` (`--beta -1e-3`), and is then
+refused by the check that names the setting.  Their manifests record the
+resolved settings under `train_config`.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -68,7 +72,7 @@ def _split(args, cache, split_seed: int, cold_fraction: float = 0.2,
 
 # The TrainConfig fields that train, sweep-beta and ablate also take as
 # --<name with dashes> flags; every other field is a config-file key only.
-TRAIN_FLAGS = ("seed", "beta", "batch_size", "gan_loss", "sparsity", "learning_rate",
+TRAIN_FLAGS = ("seed", "beta", "batch_size", "gan_loss", "learning_rate",
                "max_rounds", "eval_every", "pretrain_epochs", "n_e", "n_d", "n_g",
                "patience", "generator_hidden", "discriminator_hidden")
 _FIELDS = {f.name: f for f in dataclasses.fields(T.TrainConfig)}
@@ -141,23 +145,15 @@ def _parse_config_file(path) -> dict:
     return out
 
 
-_BOOLEANS = {"on": True, "off": False, "true": True, "false": False,
-             "yes": True, "no": False, "1": True, "0": False}
-
-
 def _coerce(field: dataclasses.Field, raw: str, name: str):
     """A flag or config-file value as the type annotated on its TrainConfig
-    field (annotation text such as "int", "bool" or "list[int] | None");
+    field (annotation text such as "int", "str" or "list[int] | None");
     `name` is the flag or key a bad value is reported under."""
     kind, _, optional = field.type.partition(" | ")
     if optional == "None" and raw.lower() == "none":
         return None
     if kind == "list[int]":
         return _int_list(raw, name)
-    if kind == "bool":
-        if raw.lower() not in _BOOLEANS:
-            raise ValueError(f"{name}: expected one of {'/'.join(_BOOLEANS)}, got {raw!r}")
-        return _BOOLEANS[raw.lower()]
     try:
         return {"int": int, "float": float, "str": str}[kind](raw)
     except ValueError:
@@ -428,7 +424,15 @@ def _add_split_flags(p: argparse.ArgumentParser, leakage_free_cold: bool = True)
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, as validation errors do (argparse uses 2)."""
+    """Usage errors exit 1, as validation errors do (argparse uses 2), and a
+    flag value may start with `-` (`--beta -1e-3`, `--beta -x`)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a `-` token that names no option as a value only
+        # when this matches it (by default, only `-1` and `-0.5` forms).  Set
+        # after `-h` is added: a short option added later would turn it off.
+        self._negative_number_matcher = re.compile(r"-[^-]")
 
     def error(self, message):
         self.print_usage(sys.stderr)

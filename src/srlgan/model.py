@@ -17,8 +17,8 @@ Loss terms (all reduced to scalars):
 Each loss helper also returns the gradient w.r.t. the quantity the caller
 backpropagates through, so the training loop stays a thin orchestration.
 The adversarial losses are called as `loss(D(.), label)` and return
-(loss, dloss/dD(.)); `generator_adversarial_grad` carries G's term through
-D to the generated behavior for both training phases.
+(loss, dloss/dD(.)); `generator_adversarial_grad` carries G's term,
+loss(D(fake), 1), through D to the generated behavior in both phases.
 """
 
 from __future__ import annotations
@@ -137,18 +137,18 @@ def total_generator_objective(loss_recon: float, loss_adv_g: float,
 
 
 def generator_adversarial_grad(discriminator: MLP, x, y_hat, adv_loss,
-                               label: float, training: bool = False, rng=None):
-    """G's adversarial term adv_loss(D(x || y_hat), label), returned with
+                               training: bool = False, rng=None):
+    """G's adversarial term adv_loss(D(x || y_hat), 1), returned with
     its gradient w.r.t. y_hat, from `MLP.input_grad`: D's parameter
     gradients are not computed, so its `grad` is left as it was."""
     d_out = discriminator.forward(discriminator_input(x, y_hat),
                                   training=training, rng=rng)
-    loss, dd_out = adv_loss(d_out, label)
+    loss, dd_out = adv_loss(d_out, 1.0)
     return loss, discriminator.input_grad(dd_out)[:, x.shape[1]:]
 
 
 def generator_objective_grad(generator: MLP, discriminator: MLP, x, y, rho,
-                             beta: float, adv_loss=loss_lsq, label: float = 1.0,
+                             beta: float, adv_loss=loss_lsq,
                              training: bool = False, rng=None):
     """One forward/backward pass of the full generator objective.
 
@@ -163,7 +163,7 @@ def generator_objective_grad(generator: MLP, discriminator: MLP, x, y, rho,
     y_hat = generator.forward(x, training=True, rng=rng)
     recon, d_recon = loss_reconstruction(y, y_hat)
     adv_g, d_yhat_adv = generator_adversarial_grad(
-        discriminator, x, y_hat, adv_loss, label, training=training, rng=rng)
+        discriminator, x, y_hat, adv_loss, training=training, rng=rng)
 
     grad_yhat = d_recon + d_yhat_adv
     sr = 0.0

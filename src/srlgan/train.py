@@ -10,17 +10,18 @@ makes only its minibatch dense, and validation scores the CSR slice.
 
 One "round" of the main loop is n_D discriminator-phase iterations (the
 discriminator phase also updates the generator through the adversarial
-loss, matching the schedule's joint update; `d_phase_updates_g=False`
-restores a D-only phase) followed by n_G generator-phase iterations using
-the full objective.  Validation metrics come from the validation slice.
-An evaluation improves when its P@5 beats the best so far by more than
-1e-12; training stops when `patience` consecutive evaluations do not
-improve, or at `max_rounds`.  Without a validation row it runs to
-`max_rounds`.
+loss, matching the schedule's joint update) followed by n_G
+generator-phase iterations using the full objective.  Validation metrics
+come from the validation slice.  An evaluation improves when its P@5
+beats the best so far by more than 1e-12; training stops when `patience`
+consecutive evaluations do not improve, or at `max_rounds`.  Without a
+validation row it runs to `max_rounds`.
 
-The adversarial loss is picked once from `gan_loss`: D learns
-loss(D(real), 1) + loss(D(fake), 0), and G learns loss(D(fake), 1), or
-label 0 when `nonsaturating` is off (least squares only).
+`gan_loss` and `beta` alone set the adversarial game.  The adversarial
+loss is picked once from `gan_loss`: D learns
+loss(D(real), 1) + loss(D(fake), 0), and G learns loss(D(fake), 1).
+`beta` weighs the sparsity term, and 0 drops it; `gan_loss = bce` (S1)
+requires beta 0.
 
 Everything is driven by a single seeded Generator, so a run is
 reproducible bit-for-bit from (data, config, seed).
@@ -56,9 +57,6 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
     gan_loss: str = "lsq"           # "lsq" or "bce"
-    sparsity: bool = True
-    nonsaturating: bool = True
-    d_phase_updates_g: bool = True
     validation_fraction: float = 0.1
     generator_hidden: list[int] | None = None
     discriminator_hidden: list[int] | None = None
@@ -73,10 +71,8 @@ class TrainConfig:
             problems.append("beta must be >= 0")
         if self.gan_loss not in M.ADVERSARIAL_LOSSES:
             problems.append(f"gan_loss must be lsq or bce, got {self.gan_loss!r}")
-        if self.gan_loss == "bce" and self.sparsity and self.beta > 0:
-            problems.append("the BCE ablation mode (S1) requires beta=0 or sparsity off")
-        if self.gan_loss == "bce" and not self.nonsaturating:
-            problems.append("gan_loss = bce requires nonsaturating on (S1 is non-saturating)")
+        if self.gan_loss == "bce" and self.beta > 0:
+            problems.append("the BCE ablation mode (S1) requires beta=0")
         for name in ("batch_size", "n_d", "n_g", "eval_every", "patience"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1")
@@ -185,7 +181,6 @@ class Trainer:
             dropout=config.dropout)
         self.opt_g = Adam(self.generator, lr=config.learning_rate)
         self.adv_loss = M.ADVERSARIAL_LOSSES[config.gan_loss]
-        self.g_label = 1.0 if config.nonsaturating else 0.0
         self.opt_d = Adam(self.discriminator, lr=config.learning_rate)
         self.rho = M.mean_purchase(self.y_train)
         self.sampler = _BatchSampler(self.x_train.shape[0],
@@ -216,7 +211,8 @@ class Trainer:
             self.opt_g.step()
 
     def discriminator_phase_step(self) -> float:
-        """One adversarial update of D (and, by default, G) on a fresh batch."""
+        """One adversarial update of D, then of G through the updated D, on a
+        fresh batch."""
         x, y = self._batch()
         y_hat = self.generator.forward(x, training=True, rng=self.rng)
 
@@ -233,17 +229,16 @@ class Trainer:
         self._check_finite(d_loss, "discriminator loss")
         self.opt_d.step()
 
-        if self.config.d_phase_updates_g:
-            # Fresh fake pass so the generator gradient uses the updated D.
-            # G has no dropout and is not updated before this pass, so a
-            # second G forward would return y_hat again and draw nothing
-            # from the RNG, and G's cached activations still belong to it.
-            g_loss, grad_yhat = M.generator_adversarial_grad(
-                disc, x, y_hat, self.adv_loss, self.g_label, training=True, rng=self.rng)
-            self.generator.zero_grad()
-            self.generator.backward(grad_yhat)
-            self._check_finite(g_loss, "adversarial generator loss")
-            self.opt_g.step()
+        # Fresh fake pass so the generator gradient uses the updated D.
+        # G has no dropout and is not updated before this pass, so a
+        # second G forward would return y_hat again and draw nothing
+        # from the RNG, and G's cached activations still belong to it.
+        g_loss, grad_yhat = M.generator_adversarial_grad(
+            disc, x, y_hat, self.adv_loss, training=True, rng=self.rng)
+        self.generator.zero_grad()
+        self.generator.backward(grad_yhat)
+        self._check_finite(g_loss, "adversarial generator loss")
+        self.opt_g.step()
         return d_loss
 
     def generator_phase_step(self) -> dict:
@@ -253,8 +248,7 @@ class Trainer:
         self.generator.zero_grad()
         losses = M.generator_objective_grad(
             self.generator, self.discriminator, x, y, self.rho,
-            beta=cfg.beta if cfg.sparsity else 0.0, adv_loss=self.adv_loss,
-            label=self.g_label, training=True, rng=self.rng)
+            beta=cfg.beta, adv_loss=self.adv_loss, training=True, rng=self.rng)
         self._check_finite(losses["total"], "generator objective")
         self.opt_g.step()
         return losses
@@ -357,20 +351,18 @@ def cross_validate_beta(x_warm, y_warm, beta_grid, config: TrainConfig,
 
 
 ABLATION_MODES = {
-    # mode -> TrainConfig overrides; S1 is the non-saturating BCE GAN
-    "S1": {"gan_loss": "bce", "sparsity": False, "nonsaturating": True},
-    "S2": {"gan_loss": "lsq", "sparsity": False},
-    "S3": {"gan_loss": "lsq", "sparsity": True},
+    # mode -> TrainConfig overrides; S3 keeps the base config's beta
+    "S1": {"gan_loss": "bce", "beta": 0.0},
+    "S2": {"gan_loss": "lsq", "beta": 0.0},
+    "S3": {"gan_loss": "lsq"},
 }
 
 
 def ablation_config(base_config: TrainConfig, mode: str) -> TrainConfig:
     """The S1/S2/S3 config derived from a base (S3) config.  Each mode
     trains on all warm users: no validation slice, so no early stopping."""
-    overrides = ABLATION_MODES[mode]
-    beta = base_config.beta if overrides["sparsity"] else 0.0
-    return replace(base_config, beta=beta, validation_fraction=0.0,
-                   **overrides).validate()
+    return replace(base_config, validation_fraction=0.0,
+                   **ABLATION_MODES[mode]).validate()
 
 
 def run_ablation(x_warm, y_warm, x_cold, y_cold, base_config: TrainConfig,

@@ -148,20 +148,17 @@ def test_prepare_bad_user_metadata_exit_1(tmp_path, synth100k_dir, capsys, case)
 
 def test_config_file_values_typed_by_train_config(tmp_path):
     cfg = tmp_path / "train.conf"
-    cfg.write_text("sparsity = off\nnonsaturating = YES\nn_e = none\n"
-                   "generator_hidden = 8,16\nlearning_rate = 1e-3\n"
+    cfg.write_text("n_e = None\ngenerator_hidden = 8,16\nlearning_rate = 1e-3\n"
                    "batch_size = 32\ngan_loss = bce  # S1\n")
     assert _parse_config_file(cfg) == {
-        "sparsity": False, "nonsaturating": True, "n_e": None,
-        "generator_hidden": [8, 16], "learning_rate": 1e-3,
+        "n_e": None, "generator_hidden": [8, 16], "learning_rate": 1e-3,
         "batch_size": 32, "gan_loss": "bce"}
 
 
 @pytest.mark.parametrize("line, key", [
-    ("sparsity = flase", "sparsity"),
     ("batch_size = 1.5", "batch_size"),
     ("generator_hidden = 8,x", "generator_hidden"),
-], ids=["misspelt-bool", "float-for-int", "bad-list-item"])
+], ids=["float-for-int", "bad-list-item"])
 def test_train_rejects_bad_config_value(tmp_path, prepared, capsys, line, key):
     cfg = tmp_path / "train.conf"
     cfg.write_text(f"beta = 0.1\n{line}\n")
@@ -180,11 +177,11 @@ def test_train_outputs(trained):
     assert manifest["train_config"] == dataclasses.asdict(FAST_CONFIG)
 
 
-@pytest.mark.parametrize("extra", [[], ["--sparsity", "yes", "--n-e", "none"]],
+@pytest.mark.parametrize("extra", [[], ["--n-e", "none"]],
                          ids=["fast", "spelt-values"])
 def test_flags_and_config_keys_train_alike(tmp_path, prepared, trained, extra):
     """The same settings given as flags or as config keys give the same run
-    (`sparsity = yes` and `n_e = none` are the defaults, so also `trained`'s)."""
+    (`n_e = none` is the default, so also `trained`'s)."""
     flags = [*FAST, *extra]
     cfg = tmp_path / "train.conf"
     cfg.write_text("".join(f"{flag[2:].replace('-', '_')} = {value}\n"
@@ -315,17 +312,6 @@ def test_train_rejects_bad_config_before_work(tmp_path, prepared):
                "--out-dir", str(tmp_path / "bad"),
                "--gan-loss", "bce", "--beta", "0.5", *FAST])
     assert rc == 1
-
-
-def test_train_refuses_bce_with_literal_generator_loss(tmp_path, prepared, capsys):
-    cfg = tmp_path / "train.conf"
-    cfg.write_text("gan_loss = bce\nsparsity = off\nnonsaturating = off\n")
-    rc = main(["train", "--cache", str(prepared / "ml100k.npz"),
-               "--out-dir", str(tmp_path / "run"), "--config", str(cfg), *FAST])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "gan_loss = bce requires nonsaturating on" in err
-    assert not (tmp_path / "run").exists()
 
 
 def test_eval_model_and_rerun_byte_identical(tmp_path, prepared, trained):
@@ -576,14 +562,17 @@ def test_bad_cold_fraction_exit_1_before_out_dir(command, tmp_path, prepared, ca
      "--generator-hidden: expected comma-separated integers, got ''"),
     (["train", "--seed", "x"], "", "--seed: expected int, got 'x'"),
     (["train", "--batch-size", "1.5"], "", "--batch-size: expected int, got '1.5'"),
-    (["train", "--sparsity", "flase"], "", "--sparsity: expected one of on/off/true/false/"
-     "yes/no/1/0, got 'flase'"),
+    (["train"], "sparsity = off\n", ":1: unknown config key 'sparsity'"),
+    (["train"], "nonsaturating = on\n", ":1: unknown config key 'nonsaturating'"),
+    (["ablate"], "d_phase_updates_g = off\n", ":1: unknown config key 'd_phase_updates_g'"),
+    (["train", "--cold-fraction", "-1e-3"], "", "split fraction -0.001 outside [0, 1)"),
     (["train", "--gan-loss", "x"], "", "gan_loss must be lsq or bce, got 'x'"),
     (["sweep-beta"], "gan_loss = x\n", "gan_loss must be lsq or bce, got 'x'"),
 ], ids=["zero-width", "negative-width", "ablate-zero-width", "dropout", "no-warm-user",
         "negative-n-e", "negative-pretrain-epochs", "negative-seed", "sweep-beta-negative-n-e",
         "negative-split-seed", "empty-width-list", "seed-letter", "batch-size-float",
-        "sparsity-misspelt", "gan-loss-flag", "gan-loss-key"])
+        "sparsity-key", "nonsaturating-key", "d-phase-updates-g-key", "cold-fraction-exponent",
+        "gan-loss-flag", "gan-loss-key"])
 def test_train_refusals_leave_no_out_dir(argv, config, message, tmp_path, prepared, capsys):
     cfg = tmp_path / "train.conf"
     cfg.write_text(config)
@@ -752,6 +741,10 @@ def test_eval_needs_exactly_one_of_checkpoint_and_baseline(tmp_path, prepared, c
     (["train", "--learning-rate", "nan"], "learning_rate must be finite, got nan"),
     (["train", "--learning-rate", "inf"], "learning_rate must be finite, got inf"),
     (["train", "--beta=-inf"], "beta must be finite, got -inf"),
+    (["train", "--beta", "-inf"], "beta must be finite, got -inf"),
+    (["train", "--beta", "-1e-3"], "beta must be >= 0"),
+    (["ablate", "--learning-rate", "-inf"], "learning_rate must be finite, got -inf"),
+    (["train", "--beta", "-x"], "--beta: expected float, got '-x'"),
     (["sweep-beta", "--beta", "nan"], "beta must be finite, got nan"),
     (["sweep-beta", "--grid", "0.1,x"], "--grid: expected comma-separated numbers, got '0.1,x'"),
     (["sweep-beta", "--grid", "0.1,-1"], "--grid: each beta must be finite and >= 0, got '0.1,-1'"),
@@ -759,7 +752,8 @@ def test_eval_needs_exactly_one_of_checkpoint_and_baseline(tmp_path, prepared, c
     (["sweep-beta", "--grid", "0,inf"], "--grid: each beta must be finite and >= 0, got '0,inf'"),
     (["sweep-beta", "--grid", "0.1,0.10"], "--grid: beta 0.1 is given more than once in '0.1,0.10'"),
     (["sweep-beta", "--grid", "1,0,0e0,1"], "--grid: beta 0 is given more than once in '1,0,0e0,1'"),
-], ids=["lr-nan", "lr-inf", "beta-minus-inf", "sweep-beta-nan", "grid-letter",
+], ids=["lr-nan", "lr-inf", "beta-minus-inf", "beta-spaced-minus-inf", "beta-exponent",
+        "ablate-lr-minus-inf", "beta-dash-letter", "sweep-beta-nan", "grid-letter",
         "grid-negative", "grid-nan", "grid-inf", "grid-repeated", "grid-repeated-twice"])
 def test_bad_hyperparameters_exit_1_before_any_work(tmp_path, prepared, capsys, monkeypatch,
                                                     argv, message):
@@ -853,15 +847,26 @@ def test_ablate_outputs(tmp_path, prepared):
     assert manifest["train_config"] == dataclasses.asdict(FAST_CONFIG)
 
 
-def test_ablate_with_literal_generator_loss_base_config(tmp_path, prepared):
+def test_readme_mode_flags_train_what_ablate_runs(tmp_path, prepared):
+    """README's flags for S1, S2 and S3, trained without a validation slice
+    as `ablate` trains each mode, score the cold users as `ablate` does:
+    the same bytes after the user column, which `eval` fills with user ids
+    and `ablate` with row numbers."""
+    cache = str(prepared / "ml100k.npz")
+    assert main(["ablate", "--cache", cache, "--out-dir", str(tmp_path / "abl"), *FAST]) == 0
     cfg = tmp_path / "train.conf"
-    cfg.write_text("nonsaturating = off\n")
-    out = tmp_path / "abl"
-    rc = main(["ablate", "--cache", str(prepared / "ml100k.npz"),
-               "--out-dir", str(out), "--config", str(cfg), *FAST])
-    assert rc == 0
-    summary = json.loads((out / "ablation.summary.json").read_text())
-    assert set(summary) == {"S1", "S2", "S3"}
+    cfg.write_text("validation_fraction = 0\n")
+    modes = {"S1": ["--gan-loss", "bce", "--beta", "0"], "S2": ["--beta", "0"], "S3": []}
+    for mode, flags in modes.items():
+        run = tmp_path / mode
+        assert main(["train", "--cache", cache, "--out-dir", str(run), "--config", str(cfg),
+                     *FAST, *flags]) == 0
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.npz"), "--cache", cache,
+                     "--out-dir", str(run / "eval")]) == 0
+        got, want = ([line.split(",", 1)[1] for line in path.read_text().splitlines()]
+                     for path in (run / "eval" / "metrics.model.csv",
+                                  tmp_path / "abl" / f"ablation.{mode}.csv"))
+        assert got == want, mode
 
 
 def test_plot_from_curves(tmp_path, trained):
@@ -982,13 +987,15 @@ def test_outputs_take_the_umask_mode(tmp_path, synth100k_dir, umask):
     (["train", "--split-seed", "x", "--out-dir", "unused"], 1),
     (["eval", "--cold-fraction", "abc", "--out-dir", "unused"], 1),
     (["train", "--bogus", "--out-dir", "unused"], 1),
+    (["train", "--sparsity", "off", "--out-dir", "unused"], 1),
+    (["train", "--beta", "--seed", "3", "--out-dir", "unused"], 1),
     (["train", "--cache", "unused.npz"], 1),
     (["sweep-beta", "--leakage-free-cold", "--out-dir", "unused"], 1),
     ([], 1),
     (["--help"], 0),
     (["eval", "--help"], 0),
-], ids=["bad-int", "bad-float", "unknown-flag", "missing-out-dir", "sweep-leakage-free-cold",
-        "no-command", "help", "eval-help"])
+], ids=["bad-int", "bad-float", "unknown-flag", "removed-sparsity-flag", "option-for-value",
+        "missing-out-dir", "sweep-leakage-free-cold", "no-command", "help", "eval-help"])
 def test_usage_exit_codes(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exit_:

@@ -461,22 +461,15 @@ def test_evaluate_twice_identical(tmp_path):
 def test_ablation_config_modes():
     base = T.TrainConfig(beta=0.1)
     s1 = T.ablation_config(base, "S1")
-    assert s1.gan_loss == "bce" and not s1.sparsity and s1.beta == 0.0
+    assert s1.gan_loss == "bce" and s1.beta == 0.0
     s2 = T.ablation_config(base, "S2")
-    assert s2.gan_loss == "lsq" and not s2.sparsity
+    assert s2.gan_loss == "lsq" and s2.beta == 0.0
     s3 = T.ablation_config(base, "S3")
-    assert s3.gan_loss == "lsq" and s3.sparsity and s3.beta == 0.1
-
-
-def test_ablation_s1_is_non_saturating():
-    base = T.TrainConfig(beta=0.1, nonsaturating=False)
-    assert T.ablation_config(base, "S1").nonsaturating
-    assert not T.ablation_config(base, "S2").nonsaturating
-    assert not T.ablation_config(base, "S3").nonsaturating
+    assert s3.gan_loss == "lsq" and s3.beta == 0.1
 
 
 def test_s1_with_beta_rejected():
     from srlgan.train import TrainConfig
 
     with pytest.raises(ValueError):
-        TrainConfig(gan_loss="bce", sparsity=True, beta=0.1).validate()
+        TrainConfig(gan_loss="bce", beta=0.1).validate()

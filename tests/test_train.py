@@ -52,12 +52,6 @@ def test_config_validation_collects_problems():
         T.TrainConfig(batch_size=0).validate()
 
 
-def test_config_refuses_bce_with_literal_generator_loss():
-    with pytest.raises(ValueError, match="gan_loss = bce requires nonsaturating on"):
-        T.TrainConfig(gan_loss="bce", sparsity=False, nonsaturating=False).validate()
-    T.TrainConfig(gan_loss="lsq", nonsaturating=False).validate()
-
-
 @pytest.mark.parametrize("field", ["beta", "learning_rate"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_config_refuses_non_finite_hyperparameters(field, value):
@@ -166,20 +160,10 @@ def test_mode_collapse_flag_mechanics():
 
 def test_bce_mode_trains():
     x, y = toy_data()
-    cfg = small_config(gan_loss="bce", sparsity=False, beta=0.0, max_rounds=4,
+    cfg = small_config(gan_loss="bce", beta=0.0, max_rounds=4,
                        validation_fraction=0.0)
     trainer = T.fit(x, y, cfg)
     assert trainer.rounds_done == 4
-
-
-def test_d_phase_d_only_flag():
-    x, y = toy_data()
-    cfg = small_config(d_phase_updates_g=False, max_rounds=2, n_g=1)
-    trainer = T.Trainer(x, y, cfg)
-    trainer.pretrain_generator()
-    g_before = trainer.generator.theta.copy()
-    trainer.discriminator_phase_step()
-    assert np.array_equal(trainer.generator.theta, g_before)
 
 
 def test_holdout_split_sizes_and_determinism():
@@ -315,14 +299,12 @@ def _plain_d_loss(cfg, d_real, d_fake):
 
 def _plain_g_loss(cfg, d_fake):
     """G's adversarial loss and its gradient w.r.t. d_fake: non-saturating
-    least squares or BCE, or the literal least-squares minimax form."""
+    least squares or BCE."""
     nf = d_fake.shape[0]
     if cfg.gan_loss == "bce":
         d_fake = np.clip(d_fake, EPS, 1.0 - EPS)
         return -float(np.mean(np.log(d_fake))), -1.0 / (d_fake * nf)
-    if cfg.nonsaturating:
-        return 0.5 * float(np.mean((d_fake - 1.0) ** 2)), (d_fake - 1.0) / nf
-    return 0.5 * float(np.mean(d_fake ** 2)), d_fake / nf
+    return 0.5 * float(np.mean((d_fake - 1.0) ** 2)), (d_fake - 1.0) / nf
 
 
 def _plain_g_through_d(tr, x, y_hat):
@@ -349,12 +331,11 @@ def _plain_round(tr):
     d_loss, _, dd_fake = _plain_d_loss(cfg, d_real, d_fake)
     disc.backward(dd_fake)
     _plain_adam_step(tr.opt_d)
-    if cfg.d_phase_updates_g:
-        y_hat2 = gen.forward(x, training=True, rng=tr.rng)
-        _, grad_yhat = _plain_g_through_d(tr, x, y_hat2)
-        gen.grad[...] = 0.0
-        gen.backward(grad_yhat)
-        _plain_adam_step(tr.opt_g)
+    y_hat2 = gen.forward(x, training=True, rng=tr.rng)
+    _, grad_yhat = _plain_g_through_d(tr, x, y_hat2)
+    gen.grad[...] = 0.0
+    gen.backward(grad_yhat)
+    _plain_adam_step(tr.opt_g)
 
     # G phase: recon + adv + beta * KL(rho || rho_hat), KL clamped to [1e-6, 1-1e-6]
     x, y = tr._batch()
@@ -365,7 +346,7 @@ def _plain_round(tr):
     recon = float(np.sum(diff * diff)) / b
     adv, grad_adv = _plain_g_through_d(tr, x, y_hat)
     grad_yhat = 2.0 * diff / b + grad_adv
-    beta = cfg.beta if cfg.sparsity else 0.0
+    beta = cfg.beta
     sr = 0.0
     if beta > 0.0:
         rho_hat = y_hat.mean(axis=0)
@@ -382,11 +363,9 @@ def _plain_round(tr):
 
 @pytest.mark.parametrize("overrides", [
     {},
-    {"nonsaturating": False},
-    {"gan_loss": "bce", "sparsity": False, "beta": 0.0},
-    {"d_phase_updates_g": False},
-    {"sparsity": False},
-], ids=["default", "literal", "bce", "d-only", "no-sparsity"])
+    {"gan_loss": "bce", "beta": 0.0},
+    {"beta": 0.0},
+], ids=["default", "bce", "no-sparsity"])
 def test_round_matches_plain_round_bit_for_bit(overrides):
     x, y = toy_data()
     cfg = small_config(generator_hidden=[16, 12], discriminator_hidden=[20, 10],
@@ -400,7 +379,7 @@ def test_round_matches_plain_round_bit_for_bit(overrides):
             for got, want in ((a.net.theta, b.net.theta), (a.m, b.m), (a.v, b.v)):
                 assert np.array_equal(got, want)
         assert fast.rng.bit_generator.state == plain.rng.bit_generator.state
-    assert fast.opt_g.t == (6 if cfg.d_phase_updates_g else 3)
+    assert fast.opt_g.t == 6
     assert fast.opt_d.t == 3
 
 
