@@ -160,24 +160,21 @@ def _coerce(field: dataclasses.Field, raw: str, name: str):
         raise ValueError(f"{name}: expected {kind}, got {raw!r}") from None
 
 
-def _args_dict(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
-
-
-def _write_manifest(out_dir: Path, command: str, args_dict: dict,
-                    inputs: dict, outputs: dict, config: T.TrainConfig | None = None) -> Path:
-    """manifest.json; `args` holds the flags as given, and a training
-    command's resolved settings go under `train_config`."""
+def _write_manifest(args, inputs: dict, outputs: dict,
+                    config: T.TrainConfig | None = None) -> Path:
+    """manifest.json in the command's out-dir; `args` holds the flags as
+    given, and a training command's resolved settings go under
+    `train_config`."""
     manifest = {
-        "command": command,
-        "args": args_dict,
+        "command": args.subcommand,
+        "args": {k: v for k, v in vars(args).items() if k != "func"},
         "inputs": inputs,
         "outputs": outputs,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
     if config is not None:
         manifest["train_config"] = dataclasses.asdict(config)
-    path = out_dir / "manifest.json"
+    path = Path(args.out_dir) / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -198,8 +195,7 @@ def cmd_prepare(args) -> int:
     inputs = {name: D.file_sha256(raw_dir / fname)
               for name, fname in D.LAYOUTS[args.dataset]["files"].items()
               if (raw_dir / fname).exists()}
-    _write_manifest(out_dir, "prepare", _args_dict(args) | {"raw_dir": str(raw_dir)},
-                    inputs, {"cache_content": D.cache_content_hash(cache)})
+    _write_manifest(args, inputs, {"cache_content": D.cache_content_hash(cache)})
     print(f"dataset={stats['dataset']} users={stats['users']} "
           f"items={stats['items']} ratings={stats['ratings']} d={stats['d']} "
           f"sparsity={stats['sparsity_percent']:.2f}%")
@@ -246,14 +242,9 @@ def cmd_train(args) -> int:
                                  trainer.rounds_done)
     curve_path = out_dir / "curve.csv"
     trainer.curve.write_csv(curve_path)
-    _write_manifest(
-        out_dir, "train",
-        _args_dict(args),
-        {"cache_content": D.cache_content_hash(cache)},
-        {"checkpoint": str(final_path), "checkpoint_best": str(best_path),
-         "curve": str(curve_path)},
-        config,
-    )
+    _write_manifest(args, {"cache_content": D.cache_content_hash(cache)},
+                    {"checkpoint": str(final_path), "checkpoint_best": str(best_path),
+                     "curve": str(curve_path)}, config)
     flagged = sum(p.collapse_flag for p in trainer.curve.points)
     print(f"trained {trainer.rounds_done} rounds "
           f"({len(trainer.curve.points)} checkpoints, "
@@ -268,7 +259,8 @@ def cmd_eval(args) -> int:
     cache = D.load_cache(_cache_path(args))
     if args.baseline == "itempop":
         # `srlgan train`'s default split, so a rerun draws the same cold users.
-        cold_ids, _, y_warm, _, y_cold = _split(args, cache, 0, need_cold=True)
+        cold_ids, _, y_warm, _, y_cold = _split(args, cache, T.TrainConfig.seed,
+                                                need_cold=True)
         report = E.evaluate_report(E.item_popularity(y_warm), y_cold, ns=ns,
                                    user_keys=cold_ids, graded=args.graded)
         label = "itempop"
@@ -297,9 +289,7 @@ def cmd_eval(args) -> int:
     table = report.format_table()
     (out_dir / f"metrics.{label}.txt").write_text(table + "\n")
     print(table)
-    _write_manifest(out_dir, "eval",
-                    _args_dict(args),
-                    {"cache_content": D.cache_content_hash(cache)},
+    _write_manifest(args, {"cache_content": D.cache_content_hash(cache)},
                     {"metrics_csv": str(csv_path)})
     return 0
 
@@ -335,9 +325,7 @@ def cmd_sweep_beta(args) -> int:
                                  "round", metric)
         (out_dir / f"sweep.{attr}.svg").write_text(svg)
 
-    _write_manifest(out_dir, "sweep-beta",
-                    _args_dict(args),
-                    {"cache_content": D.cache_content_hash(cache)},
+    _write_manifest(args, {"cache_content": D.cache_content_hash(cache)},
                     {"sweep": str(sweep_path)}, config)
     print(f"recommended beta: {best:g} "
           f"(held-out P@5 {scores[best]:.4f}); outputs in {out_dir}")
@@ -348,8 +336,10 @@ def cmd_ablate(args) -> int:
     config = _load_config(args)
     ns = _cutoffs(args.n)
     cache = D.load_cache(_cache_path(args))
-    _, x_warm, y_warm, x_cold, y_cold = _split(args, cache, config.seed, need_cold=True)
-    reports = T.run_ablation(x_warm, y_warm, x_cold, y_cold, config, ns=ns)
+    cold_ids, x_warm, y_warm, x_cold, y_cold = _split(args, cache, config.seed,
+                                                      need_cold=True)
+    reports = T.run_ablation(x_warm, y_warm, x_cold, y_cold, config, ns=ns,
+                             user_keys=cold_ids)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
@@ -360,9 +350,7 @@ def cmd_ablate(args) -> int:
         print(report.format_table())
     (out_dir / "ablation.summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out_dir, "ablate",
-                    _args_dict(args),
-                    {"cache_content": D.cache_content_hash(cache)},
+    _write_manifest(args, {"cache_content": D.cache_content_hash(cache)},
                     {"summary": str(out_dir / "ablation.summary.json")}, config)
     return 0
 
@@ -444,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="srlgan",
         description="Sparse-regularized GAN cold-start recommender pipeline")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    default_ns = ",".join(map(str, E.DEFAULT_NS))
 
     p = sub.add_parser("prepare", help="parse raw MovieLens files into a cache")
     p.add_argument("--dataset", choices=sorted(D.LAYOUTS), required=True)
@@ -460,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a checkpoint (or ItemPop) on cold users")
     p.add_argument("--checkpoint")
     _add_cache_flags(p)
-    p.add_argument("--n", default="5,20", help="comma-separated cutoffs")
+    p.add_argument("--n", default=default_ns, help="comma-separated cutoffs")
     p.add_argument("--baseline", choices=["itempop"])
     p.add_argument("--graded", action="store_true",
                    help="graded NDCG gains (2^rating - 1)")
@@ -477,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="run the S1/S2/S3 ablation")
     _add_cache_flags(p)
-    p.add_argument("--n", default="5,20")
+    p.add_argument("--n", default=default_ns)
     _add_split_flags(p)
     _add_train_flags(p)
     p.set_defaults(func=cmd_ablate)

@@ -3,8 +3,10 @@
 Supports the 100K layout (``u.data`` / ``u.user`` / ``u.item``, tab- and
 pipe-separated) and the 1M layout (``ratings.dat`` / ``users.dat`` /
 ``movies.dat``, ``::``-separated).  `LAYOUTS` is the one place that knows
-each layout: its file names, separators, user columns, item count m and
-rating ceiling C; the parsers, `pipeline` and the CLI read it.  Ratings
+each layout: its file names, separators, user columns, item count m,
+rating ceiling C and attribute slots (age and occupation code books,
+genres); the parsers, `features.layout_schema`, `pipeline` and the CLI
+read it.  Ratings
 are one (n, 4) int64 array of (user, item, rating, timestamp) rows,
 checked with whole-array operations.
 They are normalized to [0, 1] by dividing with the rating ceiling C, so a
@@ -49,24 +51,28 @@ ML1M_GENRES = [
     "Mystery", "Romance", "Sci-Fi", "Thriller", "War", "Western",
 ]
 
-# ML1M code books (see the dataset README).
+# ML1M's age code book (see the dataset README).
 ML1M_AGE_CODES = [1, 18, 25, 35, 45, 50, 56]
-ML1M_OCCUPATION_CODES = list(range(21))
 
 
 # Each raw layout: its files by role, the ratings and the metadata (users,
 # items) separators, the columns of age, gender and occupation in a user
-# line, the genres of an item line's 0/1 flags after its first five fields
-# (none: a |-list as the third field), the declared item count m (never-rated
-# items included) and the rating ceiling C.
+# line, the declared item count m (never-rated items included), the rating
+# ceiling C and its attribute slots: the age and occupation code books
+# (None: the distinct ages of the users file, and the lines of
+# u.occupation), the genres, and whether an item line flags them 0/1 in
+# that order after its first five fields (else a |-list as the third field).
 LAYOUTS = {
     "ml100k": {"files": {"ratings": "u.data", "users": "u.user", "items": "u.item",
                          "occupations": "u.occupation"},
                "sep": "\t", "meta_sep": "|", "user_columns": (1, 2, 3),
-               "genre_flags": tuple(ML100K_GENRES), "m": 1682, "max_rating": 5},
+               "m": 1682, "max_rating": 5, "ages": None, "occupations": None,
+               "genres": tuple(ML100K_GENRES), "genre_flags": True},
     "ml1m": {"files": {"ratings": "ratings.dat", "users": "users.dat", "items": "movies.dat"},
              "sep": "::", "meta_sep": "::", "user_columns": (2, 1, 3),
-             "genre_flags": (), "m": 3952, "max_rating": 5},
+             "m": 3952, "max_rating": 5, "ages": tuple(ML1M_AGE_CODES),
+             "occupations": tuple(str(code) for code in range(21)),
+             "genres": tuple(ML1M_GENRES), "genre_flags": False},
 }
 
 
@@ -210,8 +216,9 @@ def parse_users(path, fmt: str) -> dict[int, UserMeta]:
 def parse_item_genres(path, fmt: str) -> dict[int, list[str]]:
     """Parse item genre tags (u.item: id|title|release|video-release|url|
     19 genre flags, or movies.dat: id::title::Genre|Genre) keyed by item id."""
-    flags = LAYOUTS[fmt]["genre_flags"]
-    rows = _metadata_rows(path, LAYOUTS[fmt]["meta_sep"], 5 + len(flags) if flags else 3,
+    layout = LAYOUTS[fmt]
+    flags = layout["genres"] if layout["genre_flags"] else ()
+    rows = _metadata_rows(path, layout["meta_sep"], 5 + len(flags) if flags else 3,
                           "item id", "latin-1")
     if flags:
         return {item: [g for g, f in zip(flags, parts[5:]) if f == "1"]

@@ -7,9 +7,10 @@ genre, counting the user's ratings of movies carrying that genre (one
 smoothed inverse document frequency computed across all users, then
 multiplied elementwise (no further normalization).
 
-Target dimensionalities: 103 for ML100K (61 observed ages + 2 genders +
-21 occupations + 19 genres) and 48 for ML1M (7 age codes + 2 genders +
-21 occupation codes + 18 genres).
+`layout_schema` takes the slots from the layout's entry in `data.LAYOUTS`:
+103 for ML100K (61 observed ages + 2 genders + 21 occupations from
+u.occupation + 19 genres) and 48 for ML1M (7 age codes + 2 genders + 21
+occupation codes + 18 genres).
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    ML100K_GENRES,
-    ML1M_AGE_CODES,
-    ML1M_GENRES,
-    ML1M_OCCUPATION_CODES,
-    UserMeta,
-)
+from .data import LAYOUTS, UserMeta
 
 
 class SchemaError(ValueError):
@@ -80,29 +75,22 @@ class AttributeSchema:
         )
 
 
-def ml100k_schema(users: dict[int, UserMeta],
-                  occupations: list[str]) -> AttributeSchema:
-    """ML100K schema; age slots are the distinct ages observed in u.user
-    (61 on the real data, giving d = 61 + 2 + 21 + 19 = 103)."""
-    ages = tuple(sorted({u.age for u in users.values()}))
-    return AttributeSchema(
-        dataset="ml100k",
-        age_values=ages,
-        gender_values=("M", "F"),
-        occupation_values=tuple(occupations),
-        genre_values=tuple(ML100K_GENRES),
-    )
-
-
-def ml1m_schema() -> AttributeSchema:
-    """ML1M schema from the dataset code books; d = 7 + 2 + 21 + 18 = 48."""
-    return AttributeSchema(
-        dataset="ml1m",
-        age_values=tuple(ML1M_AGE_CODES),
-        gender_values=("M", "F"),
-        occupation_values=tuple(str(c) for c in ML1M_OCCUPATION_CODES),
-        genre_values=tuple(ML1M_GENRES),
-    )
+def layout_schema(dataset: str, users: dict[int, UserMeta],
+                  occupations: list[str] | None = None) -> AttributeSchema:
+    """The schema of the `data.LAYOUTS` layout `dataset`.  Where the layout
+    has no code book, the ages are the distinct ages in `users`, and the
+    occupations are `occupations` (u.occupation's lines) or, when that is
+    None, the distinct occupations in `users`."""
+    layout = LAYOUTS[dataset]
+    ages = layout["ages"]
+    if ages is None:
+        ages = sorted({u.age for u in users.values()})
+    if layout["occupations"] is not None:
+        occupations = layout["occupations"]
+    elif occupations is None:
+        occupations = sorted({u.occupation for u in users.values()})
+    return AttributeSchema(dataset, tuple(ages), ("M", "F"), tuple(occupations),
+                           layout["genres"])
 
 
 def attribute_counts(users: dict[int, UserMeta], user_ids, ratings,

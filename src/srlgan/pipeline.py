@@ -28,15 +28,10 @@ def prepare_dataset(raw_dir, dataset: str,
     users = D.parse_users(files["users"], dataset)
     item_genres = D.parse_item_genres(files["items"], dataset)
 
-    if "occupations" in files:      # 100K; 1M's slots are code books
-        if files["occupations"].exists():
-            occupations = [ln.strip() for ln in files["occupations"].read_text().splitlines()
-                           if ln.strip()]
-        else:
-            occupations = sorted({u.occupation for u in users.values()})
-        schema = F.ml100k_schema(users, occupations)
-    else:
-        schema = F.ml1m_schema()
+    listed = files.get("occupations")
+    occupations = ([ln.strip() for ln in listed.read_text().splitlines() if ln.strip()]
+                   if listed is not None and listed.exists() else None)
+    schema = F.layout_schema(dataset, users, occupations)
 
     try:
         user_ids, purchase = D.build_purchase_matrix(ratings, m=m, max_rating=max_rating)

@@ -366,12 +366,13 @@ def ablation_config(base_config: TrainConfig, mode: str) -> TrainConfig:
 
 
 def run_ablation(x_warm, y_warm, x_cold, y_cold, base_config: TrainConfig,
-                 ns=DEFAULT_NS) -> dict[str, MetricReport]:
+                 ns=DEFAULT_NS, user_keys=None) -> dict[str, MetricReport]:
     """Train S1, S2, S3 under identical seeds and score the cold users
-    (`y_warm`, `y_cold`: `data.PurchaseRows`)."""
+    (`y_warm`, `y_cold`: `data.PurchaseRows`), each report's users labelled
+    by `user_keys` (default: row numbers)."""
     reports = {}
     for mode in ABLATION_MODES:
         trainer = fit(x_warm, y_warm, ablation_config(base_config, mode))
         preds = M.generator_forward(trainer.generator, x_cold)
-        reports[mode] = evaluate_report(preds, y_cold, ns=ns)
+        reports[mode] = evaluate_report(preds, y_cold, ns=ns, user_keys=user_keys)
     return reports

@@ -18,7 +18,7 @@ from srlgan import model as M
 from srlgan import nn as NN
 from srlgan import pipeline as P
 from srlgan import train as T
-from srlgan.features import AttributeSchema, ml1m_schema
+from srlgan.features import AttributeSchema, layout_schema
 
 from conftest import require_ml100k, require_ml1m
 from test_evaluate import brute_mrr, brute_ndcg, brute_precision, held_row
@@ -70,7 +70,7 @@ def test_criterion_1_ml1m_statistics():
 # -- criterion 2: featurizer dimensionality ----------------------------------
 
 def test_criterion_2_ml1m_dimension_48():
-    assert ml1m_schema().d == 48
+    assert layout_schema("ml1m", {}).d == 48
     _passed("2 (ML1M d=48)")
 
 

@@ -850,8 +850,8 @@ def test_ablate_outputs(tmp_path, prepared):
 def test_readme_mode_flags_train_what_ablate_runs(tmp_path, prepared):
     """README's flags for S1, S2 and S3, trained without a validation slice
     as `ablate` trains each mode, score the cold users as `ablate` does:
-    the same bytes after the user column, which `eval` fills with user ids
-    and `ablate` with row numbers."""
+    `eval`'s metrics CSV is `ablate`'s CSV of the mode, line for line, the
+    user column holding the same cold user ids."""
     cache = str(prepared / "ml100k.npz")
     assert main(["ablate", "--cache", cache, "--out-dir", str(tmp_path / "abl"), *FAST]) == 0
     cfg = tmp_path / "train.conf"
@@ -863,7 +863,7 @@ def test_readme_mode_flags_train_what_ablate_runs(tmp_path, prepared):
                      *FAST, *flags]) == 0
         assert main(["eval", "--checkpoint", str(run / "checkpoint.npz"), "--cache", cache,
                      "--out-dir", str(run / "eval")]) == 0
-        got, want = ([line.split(",", 1)[1] for line in path.read_text().splitlines()]
+        got, want = (path.read_text().splitlines()
                      for path in (run / "eval" / "metrics.model.csv",
                                   tmp_path / "abl" / f"ablation.{mode}.csv"))
         assert got == want, mode

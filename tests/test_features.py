@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -20,11 +21,24 @@ def schema():
 
 
 def test_schema_dims():
-    assert F.ml1m_schema().d == 48
+    assert F.layout_schema("ml1m", {}).d == 48
     users = {1: UserMeta(1, 25, "M", "artist")}
-    s = F.ml100k_schema(users, [f"occ{k}" for k in range(21)])
+    s = F.layout_schema("ml100k", users, [f"occ{k}" for k in range(21)])
     # 1 observed age + 2 genders + 21 occupations + 19 genres
     assert s.d == 1 + 2 + 21 + 19
+
+
+@pytest.mark.parametrize("fixture, dataset, digest", [
+    ("synth100k_dir", "ml100k", "cb459de1fda8e3a9"),
+    ("synth1m_dir", "ml1m", "40a264c1ce23963d"),
+])
+def test_prepared_schema_json_pinned(request, fixture, dataset, digest):
+    """The schema text of each prepared fixture, byte for byte: its slot
+    order is the column order of every tfidf row and checkpoint input."""
+    from srlgan.pipeline import prepare_dataset
+
+    cache, _ = prepare_dataset(request.getfixturevalue(fixture), dataset)
+    assert hashlib.sha256(cache.schema_json.encode()).hexdigest()[:16] == digest
 
 
 def test_schema_json_round_trip(schema):
