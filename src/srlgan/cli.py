@@ -216,8 +216,7 @@ def _save_trainer_checkpoint(path, trainer: T.Trainer, cache, args, rnd):
         "round": rnd,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    NN.save_checkpoint(path, {"generator": trainer.generator}, meta,
-                       extra_arrays={"rho": trainer.rho})
+    NN.save_checkpoint(path, {"generator": trainer.generator}, meta)
 
 
 def cmd_train(args) -> int:
@@ -265,7 +264,7 @@ def cmd_eval(args) -> int:
                                    user_keys=cold_ids, graded=args.graded)
         label = "itempop"
     else:
-        nets, meta, _ = NN.load_checkpoint(args.checkpoint)
+        nets, meta = NN.load_checkpoint(args.checkpoint)
         if meta["schema_hash"] != cache.schema_hash():
             raise ValueError(
                 "checkpoint/cache schema mismatch: "

@@ -14,11 +14,11 @@ Loss terms (all reduced to scalars):
                      mean purchase behavior and the batch mean of generated
                      behavior
 
-Each loss helper also returns the gradient w.r.t. the quantity the caller
-backpropagates through, so the training loop stays a thin orchestration.
-The adversarial losses are called as `loss(D(.), label)` and return
-(loss, dloss/dD(.)); `generator_adversarial_grad` carries G's term,
-loss(D(fake), 1), through D to the generated behavior in both phases.
+Each loss helper also returns the gradient w.r.t. its input; the
+adversarial losses are called as `loss(D(.), label)` and return
+(loss, dloss/dD(.)).  `generator_adversarial_grad` carries G's term,
+loss(D(fake), 1), through D to y_hat in both phases.  This module computes
+losses and gradients w.r.t. y_hat; `train.Trainer` does every update.
 """
 
 from __future__ import annotations
@@ -128,14 +128,6 @@ def sparsity_regularizer(rho, rho_hat, eps: float = KL_EPS):
     return loss, grad
 
 
-def total_generator_objective(loss_recon: float, loss_adv_g: float,
-                              loss_sr: float, beta: float) -> float:
-    """Full generator objective: reconstruction + adversarial + beta * KL."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    return loss_recon + loss_adv_g + beta * loss_sr
-
-
 def generator_adversarial_grad(discriminator: MLP, x, y_hat, adv_loss,
                                training: bool = False, rng=None):
     """G's adversarial term adv_loss(D(x || y_hat), 1), returned with
@@ -147,20 +139,15 @@ def generator_adversarial_grad(discriminator: MLP, x, y_hat, adv_loss,
     return loss, discriminator.input_grad(dd_out)[:, x.shape[1]:]
 
 
-def generator_objective_grad(generator: MLP, discriminator: MLP, x, y, rho,
-                             beta: float, adv_loss=loss_lsq,
-                             training: bool = False, rng=None):
-    """One forward/backward pass of the full generator objective.
+def generator_objective_grad(discriminator: MLP, x, y, y_hat, rho, beta: float,
+                             adv_loss=loss_lsq, training: bool = False, rng=None):
+    """The full generator objective recon + adv + beta * KL at G's output
+    `y_hat` for attributes `x` and behavior `y`.
 
-    Populates generator parameter gradients (caller zeroes them) and
-    returns a dict of the scalar loss components.  beta=0 drops the
-    sparsity term.
+    Returns (dict of the scalar loss components, dloss/dy_hat); no
+    network's `grad` is touched.  beta=0 drops the sparsity term.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    b = x.shape[0]
-
-    y_hat = generator.forward(x, training=True, rng=rng)
     recon, d_recon = loss_reconstruction(y, y_hat)
     adv_g, d_yhat_adv = generator_adversarial_grad(
         discriminator, x, y_hat, adv_loss, training=training, rng=rng)
@@ -168,10 +155,7 @@ def generator_objective_grad(generator: MLP, discriminator: MLP, x, y, rho,
     grad_yhat = d_recon + d_yhat_adv
     sr = 0.0
     if beta > 0.0:
-        rho_hat = y_hat.mean(axis=0)
-        sr, d_rho_hat = sparsity_regularizer(rho, rho_hat)
-        grad_yhat = grad_yhat + beta * d_rho_hat[None, :] / b
-
-    generator.backward(grad_yhat)
-    total = total_generator_objective(recon, adv_g, sr, beta)
-    return {"recon": recon, "adv_g": adv_g, "sr": sr, "total": total}
+        sr, d_rho_hat = sparsity_regularizer(rho, y_hat.mean(axis=0))
+        grad_yhat = grad_yhat + beta * d_rho_hat[None, :] / x.shape[0]
+    losses = {"recon": recon, "adv_g": adv_g, "sr": sr, "total": recon + adv_g + beta * sr}
+    return losses, grad_yhat

@@ -75,6 +75,9 @@ ADAM_BLOCK = 32768
 # gradient (65 MB) is added in 15 row blocks of 256 rows and one of 160.
 WEIGHT_GRAD_BLOCK = 524288
 
+# The LeakyReLU slope of every MLP hidden layer.
+LEAKY_SLOPE = 0.01
+
 
 class TrainingError(RuntimeError):
     """Non-finite value encountered during training."""
@@ -130,7 +133,7 @@ def _row_blocks(n_rows: int, n_cols: int):
 
 
 class LeakyReLU:
-    def __init__(self, slope: float = 0.01):
+    def __init__(self, slope: float):
         if not 0.0 < slope < 1.0:
             raise ValueError("slope must be in (0, 1)")
         self.slope = slope
@@ -188,15 +191,12 @@ class MLP:
     output.  forward() caches activations for one backward() pass.  `rng`
     draws the initial weights; with None, `theta` stays zero."""
 
-    def __init__(self, sizes, rng: np.random.Generator | None, slope: float = 0.01,
-                 dropout: float = 0.0):
+    def __init__(self, sizes, rng: np.random.Generator | None, dropout: float = 0.0):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in sizes):
             raise ValueError(f"layer widths must be integers >= 1, got {list(sizes)}")
         self.sizes = [int(n) for n in sizes]
-        self.slope = slope
-        self.dropout = dropout
         pairs = list(zip(self.sizes, self.sizes[1:]))
         self.theta = np.zeros(sum((a + 1) * b for a, b in pairs))
         self.grad = np.zeros(self.theta.size)
@@ -217,7 +217,7 @@ class MLP:
             if last:
                 self.layers.append(Sigmoid())
             else:
-                self.layers.append(LeakyReLU(slope))
+                self.layers.append(LeakyReLU(LEAKY_SLOPE))
                 if dropout > 0.0:
                     self.layers.append(Dropout(dropout))
 
@@ -313,36 +313,30 @@ class Adam:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint container: .npz with a json header (per network role: sizes,
-# slope, dropout; plus the run metadata) and, per role, the float64 vector
-# `<role>/params` in `params()` order.  It is an eval artifact: no optimizer
-# moments or RNG state, so training cannot resume from it.
+# Checkpoint container: .npz with a json header (the format version, each
+# network role's layer sizes, and the run metadata) and, per role, the
+# float64 vector `<role>/params` in `params()` order.  It is an eval
+# artifact: no optimizer moments or RNG state, so training cannot resume
+# from it, and no dropout rate, which eval-mode inference does not use.
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
-def save_checkpoint(path, nets: dict[str, MLP], meta: dict,
-                    extra_arrays: dict | None = None) -> None:
+def save_checkpoint(path, nets: dict[str, MLP], meta: dict) -> None:
     """Atomic checkpoint write.  `nets` is keyed by role (e.g. 'generator');
-    `meta` must be json-serializable; `extra_arrays` holds auxiliary float64
-    vectors such as the sparsity target."""
+    `meta` must be json-serializable."""
     header = {
         "version": CHECKPOINT_VERSION,
         "nets": {name: net.sizes for name, net in nets.items()},
-        "dropout": {name: net.dropout for name, net in nets.items()},
-        "slope": {name: net.slope for name, net in nets.items()},
         "meta": meta,
     }
-    arrays = {f"{name}/params": net.theta for name, net in nets.items()}
-    for key, arr in (extra_arrays or {}).items():
-        arrays[f"extra/{key}"] = np.asarray(arr, dtype=np.float64)
-    _write_archive(path, header, **arrays)
+    _write_archive(path, header, **{f"{name}/params": net.theta for name, net in nets.items()})
 
 
 def load_checkpoint(path):
-    """Returns (nets, meta, extra_arrays) from a checkpoint file, building
-    only the networks its header names.
+    """Returns (nets, meta) from a checkpoint file, building only the
+    networks its header names.
 
     An unreadable or damaged file, another format version, or an array that
     is missing or not the float64 vector its header implies (which would
@@ -351,10 +345,7 @@ def load_checkpoint(path):
     with _read_archive(path, "checkpoint", CHECKPOINT_VERSION, "train") as (header, z):
         nets = {}
         for name, sizes in header["nets"].items():
-            net = nets[name] = MLP(sizes, None, slope=header["slope"][name],
-                                   dropout=header["dropout"][name])
+            net = nets[name] = MLP(sizes, None)
             net.theta[...] = _archive_array(z, f"{name}/params", np.float64,
                                             net.theta.shape)
-        extra = {key[len("extra/"):]: _archive_array(z, key, np.float64, (None,))
-                 for key in z.files if key.startswith("extra/")}
-    return nets, header["meta"], extra
+    return nets, header["meta"]

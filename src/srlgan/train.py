@@ -23,6 +23,9 @@ loss(D(real), 1) + loss(D(fake), 0), and G learns loss(D(fake), 1).
 `beta` weighs the sparsity term, and 0 drops it; `gan_loss = bce` (S1)
 requires beta 0.
 
+`model` returns losses and their gradients w.r.t. G's output; every G
+update, in pretraining and in both phases, is one `Trainer._step_generator`.
+
 Everything is driven by a single seeded Generator, so a run is
 reproducible bit-for-bit from (data, config, seed).
 """
@@ -204,11 +207,8 @@ class Trainer:
         for _ in range(n_e):
             x, y = self._batch()
             y_hat = self.generator.forward(x, training=True, rng=self.rng)
-            loss, grad = M.loss_reconstruction(y, y_hat)
-            self._check_finite(loss, "pretraining reconstruction loss")
-            self.generator.zero_grad()
-            self.generator.backward(grad)
-            self.opt_g.step()
+            self._step_generator(*M.loss_reconstruction(y, y_hat),
+                                 "pretraining reconstruction loss")
 
     def discriminator_phase_step(self) -> float:
         """One adversarial update of D, then of G through the updated D, on a
@@ -235,23 +235,27 @@ class Trainer:
         # from the RNG, and G's cached activations still belong to it.
         g_loss, grad_yhat = M.generator_adversarial_grad(
             disc, x, y_hat, self.adv_loss, training=True, rng=self.rng)
-        self.generator.zero_grad()
-        self.generator.backward(grad_yhat)
-        self._check_finite(g_loss, "adversarial generator loss")
-        self.opt_g.step()
+        self._step_generator(g_loss, grad_yhat, "adversarial generator loss")
         return d_loss
 
     def generator_phase_step(self) -> dict:
         """One update of G with the full objective (recon + adv + beta*SR)."""
         cfg = self.config
         x, y = self._batch()
-        self.generator.zero_grad()
-        losses = M.generator_objective_grad(
-            self.generator, self.discriminator, x, y, self.rho,
+        y_hat = self.generator.forward(x, training=True, rng=self.rng)
+        losses, grad_yhat = M.generator_objective_grad(
+            self.discriminator, x, y, y_hat, self.rho,
             beta=cfg.beta, adv_loss=self.adv_loss, training=True, rng=self.rng)
-        self._check_finite(losses["total"], "generator objective")
-        self.opt_g.step()
+        self._step_generator(losses["total"], grad_yhat, "generator objective")
         return losses
+
+    def _step_generator(self, loss, grad_yhat, what: str) -> None:
+        """Refuse a non-finite `loss` (named `what`), else backprop its
+        gradient w.r.t. G's last output into G's zeroed `grad` and step."""
+        self._check_finite(loss, what)
+        self.generator.zero_grad()
+        self.generator.backward(grad_yhat)
+        self.opt_g.step()
 
     # -- main loop ----------------------------------------------------------
 

@@ -198,9 +198,9 @@ def test_flags_and_config_keys_train_alike(tmp_path, prepared, trained, extra):
 def test_train_checkpoints_hold_only_the_generator(trained):
     for name in ("checkpoint.npz", "checkpoint.best.npz"):
         with np.load(trained / name) as z:
-            assert sorted(z.files) == ["extra/rho", "generator/params", "header"]
-        nets, _, extra = NN.load_checkpoint(trained / name)
-        assert list(nets) == ["generator"] and list(extra) == ["rho"]
+            assert sorted(z.files) == ["generator/params", "header"]
+        nets, _ = NN.load_checkpoint(trained / name)
+        assert list(nets) == ["generator"]
 
 
 def test_train_rerun_checkpoints_byte_identical(tmp_path, prepared, trained):
@@ -223,7 +223,7 @@ def test_best_checkpoint_is_the_first_best_round_of_the_curve(tmp_path, prepared
     with open(out / "curve.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     p5 = [float(row["p5"]) for row in rows]
-    _, meta, _ = NN.load_checkpoint(out / "checkpoint.best.npz")
+    _, meta = NN.load_checkpoint(out / "checkpoint.best.npz")
     assert meta["round"] == int(rows[p5.index(max(p5))]["round"])
 
 
@@ -231,7 +231,7 @@ def test_train_rerun_that_never_improves_replaces_the_best_checkpoint(tmp_path, 
     out = tmp_path / "rerun"
     cache = str(prepared / "ml100k.npz")
     assert main(["train", "--cache", cache, "--out-dir", str(out), *FAST]) == 0
-    _, meta, _ = NN.load_checkpoint(out / "checkpoint.best.npz")
+    _, meta = NN.load_checkpoint(out / "checkpoint.best.npz")
     assert meta["config"]["seed"] == 3
     cfg = tmp_path / "train.conf"
     cfg.write_text("validation_fraction = 0\n")
@@ -250,7 +250,7 @@ def test_train_max_rounds_zero_equals_pretrained(tmp_path, prepared):
     rc = main(["train", "--cache", str(prepared / "ml100k.npz"),
                "--out-dir", str(out), *args])
     assert rc == 0
-    nets, meta, _ = NN.load_checkpoint(out / "checkpoint.npz")
+    nets, meta = NN.load_checkpoint(out / "checkpoint.npz")
 
     # replicate the pipeline: same split, holdout, config, seed
     cache = D.load_cache(prepared / "ml100k.npz")
@@ -302,7 +302,7 @@ def test_train_s1_flags(tmp_path, prepared):
                "--out-dir", str(out), "--gan-loss", "bce", "--beta", "0",
                *FAST])
     assert rc == 0
-    _, meta, _ = NN.load_checkpoint(out / "checkpoint.npz")
+    _, meta = NN.load_checkpoint(out / "checkpoint.npz")
     assert meta["config"]["gan_loss"] == "bce"
     assert meta["config"]["beta"] == 0.0
 
@@ -401,6 +401,11 @@ def _bad_checkpoint(problem, good, tmp_path):
     if problem == "version 2":
         header = json.loads(str(contents["header"])) | {"version": 2}
         contents["header"] = json.dumps(header)
+    elif problem == "version 3":             # the layout with slope, dropout and rho
+        header = json.loads(str(contents["header"]))
+        header |= {"version": 3, "slope": {"generator": 0.01}, "dropout": {"generator": 0.0}}
+        contents["header"] = json.dumps(header)
+        contents["extra/rho"] = np.full(1682, 0.05)
     elif problem == "generator/params":      # would broadcast into every weight
         contents[problem] = np.zeros(1)
     elif problem == "float32":
@@ -414,7 +419,8 @@ def _bad_checkpoint(problem, good, tmp_path):
 
 # Each defect of _bad_checkpoint and a part of the message that refuses it.
 BAD_CHECKPOINT_MESSAGES = {
-    "version 2": "format version 2 is not the supported version 3; re-run train",
+    "version 2": "format version 2 is not the supported version 4; re-run train",
+    "version 3": "format version 3 is not the supported version 4; re-run train",
     "truncated": "File is not a zip file",
     "corrupt": "Bad CRC-32 for file 'generator/params.npy'",
     "directory": "Is a directory",
@@ -599,8 +605,8 @@ def test_empty_cold_set_refused_before_any_work(command, tmp_path, prepared, tra
                         lambda *a, **k: pytest.fail("training started"))
     # A checkpoint refuses another cold fraction, so eval-model scores one
     # trained with the fraction it is given.
-    nets, meta, extra = NN.load_checkpoint(trained / "checkpoint.npz")
-    NN.save_checkpoint(tmp_path / "cold0.npz", nets, meta | {"cold_fraction": 0.0}, extra)
+    nets, meta = NN.load_checkpoint(trained / "checkpoint.npz")
+    NN.save_checkpoint(tmp_path / "cold0.npz", nets, meta | {"cold_fraction": 0.0})
     argv = {"eval-itempop": ["eval", "--baseline", "itempop"],
             "eval-model": ["eval", "--checkpoint", str(tmp_path / "cold0.npz")],
             "ablate": ["ablate", *FAST]}[command]

@@ -41,7 +41,7 @@ def test_default_layer_widths():
     assert gen.sizes == [103, 512, 1024, 1024, 1682]
     dis = M.build_discriminator(103, 1682, rng)
     assert dis.sizes == [1682 + 103, 2048, 512, 128, 1]
-    assert dis.dropout == 0.4
+    assert [layer.rate for layer in dis.layers if isinstance(layer, NN.Dropout)] == [0.4] * 3
 
 
 def test_loss_reconstruction_values():
@@ -207,14 +207,6 @@ def test_sparsity_regularizer_gradient_matches_finite_diff():
         assert grad[k] == pytest.approx(num, rel=1e-5)
 
 
-def test_total_generator_objective():
-    assert M.total_generator_objective(1.0, 2.0, 3.0, 0.0) == 3.0
-    assert M.total_generator_objective(1.0, 2.0, 3.0, 0.1) == pytest.approx(3.3)
-    assert M.total_generator_objective(0.0, 0.0, 0.0, 0.1) == 0.0
-    with pytest.raises(ValueError):
-        M.total_generator_objective(1.0, 1.0, 1.0, -0.5)
-
-
 def test_batch_permutation_invariance():
     rng = np.random.default_rng(4)
     y = rng.uniform(0, 1, size=(6, 5))
@@ -257,11 +249,12 @@ def test_full_generator_objective_gradcheck(gan_loss, beta):
         sr = 0.0
         if beta > 0:
             sr, _ = M.sparsity_regularizer(rho, y_hat.mean(axis=0))
-        return M.total_generator_objective(recon, adv_g, sr, beta)
+        return recon + adv_g + beta * sr
 
+    _, grad = M.generator_objective_grad(dis, x, y, gen.forward(x), rho, beta=beta,
+                                         adv_loss=M.ADVERSARIAL_LOSSES[gan_loss])
     gen.zero_grad()
-    M.generator_objective_grad(gen, dis, x, y, rho, beta=beta,
-                               adv_loss=M.ADVERSARIAL_LOSSES[gan_loss])
+    gen.backward(grad)
     analytic = np.concatenate([g.ravel() for _, _, g in gen.params()])
     numeric = central_diff_grads(gen, loss_fn)
     assert rel_err(analytic, numeric) < 1e-4
@@ -269,10 +262,10 @@ def test_full_generator_objective_gradcheck(gan_loss, beta):
 
 def test_generator_objective_grad_leaves_discriminator_clean():
     gen, dis, x, y, rho = _toy_setup(3)
-    gen.zero_grad()
-    losses = M.generator_objective_grad(gen, dis, x, y, rho, beta=0.1)
+    losses, _ = M.generator_objective_grad(dis, x, y, gen.forward(x), rho, beta=0.1)
     for _, _, grad in dis.params():
         assert np.all(grad == 0)
+    assert not gen.grad.any()
     assert np.isfinite(losses["total"])
     assert losses["total"] == pytest.approx(
         losses["recon"] + losses["adv_g"] + 0.1 * losses["sr"])
@@ -280,12 +273,12 @@ def test_generator_objective_grad_leaves_discriminator_clean():
 
 def test_generator_objective_grad_leaves_stale_discriminator_grad_unchanged():
     gen, dis, x, y, rho = _toy_setup(3)
-    gen.zero_grad()
-    M.generator_objective_grad(gen, dis, x, y, rho, beta=0.1)
-    expected = gen.grad.copy()
+    y_hat = gen.forward(x)
+    _, expected = M.generator_objective_grad(dis, x, y, y_hat, rho, beta=0.1)
     dis.grad[...] = np.linspace(-1.0, 1.0, dis.grad.size)
-    stale = dis.grad.copy()
-    gen.zero_grad()
-    M.generator_objective_grad(gen, dis, x, y, rho, beta=0.1)
-    assert np.array_equal(dis.grad, stale)
-    assert np.array_equal(gen.grad, expected)
+    gen.grad[...] = np.linspace(1.0, 2.0, gen.grad.size)
+    stale_d, stale_g = dis.grad.copy(), gen.grad.copy()
+    _, grad = M.generator_objective_grad(dis, x, y, y_hat, rho, beta=0.1)
+    assert np.array_equal(dis.grad, stale_d)
+    assert np.array_equal(gen.grad, stale_g)
+    assert np.array_equal(grad, expected)

@@ -7,6 +7,7 @@ from srlgan import model as M
 from srlgan import train as T
 from srlgan.data import PurchaseRows, split_rows
 from srlgan.evaluate import evaluate_report
+from srlgan.nn import TrainingError
 
 
 def toy_data(n=40, d=6, m=12, seed=0):
@@ -396,3 +397,30 @@ def test_discriminator_phase_runs_the_generator_once():
     trainer.generator.forward = counted
     trainer.discriminator_phase_step()
     assert len(calls) == 1
+
+
+def _nan_loss(fn):
+    """`fn` with its loss replaced by NaN and its gradient kept."""
+    def patched(*args, **kwargs):
+        return float("nan"), fn(*args, **kwargs)[1]
+    return patched
+
+
+@pytest.mark.parametrize("step,loss_fn,what,net", [
+    ("pretrain_generator", "loss_reconstruction", "pretraining reconstruction loss",
+     "generator"),
+    ("discriminator_phase_step", "adv_loss", "discriminator loss", "discriminator"),
+    ("discriminator_phase_step", "generator_adversarial_grad", "adversarial generator loss",
+     "generator"),
+    ("generator_phase_step", "loss_reconstruction", "generator objective", "generator"),
+], ids=["pretrain", "discriminator", "adversarial-generator", "generator-objective"])
+def test_non_finite_loss_refused_before_the_update(step, loss_fn, what, net, monkeypatch):
+    trainer = T.Trainer(*toy_data(), small_config())
+    if loss_fn == "adv_loss":
+        trainer.adv_loss = _nan_loss(trainer.adv_loss)
+    else:
+        monkeypatch.setattr(M, loss_fn, _nan_loss(getattr(M, loss_fn)))
+    theta = getattr(trainer, net).theta.copy()
+    with pytest.raises(TrainingError, match=f"^non-finite {what}$"):
+        getattr(trainer, step)()
+    assert np.array_equal(getattr(trainer, net).theta, theta)
