@@ -6,14 +6,21 @@ updates vanish into rounding).  Batches are row-major: (batch, features).
 A network instance is single-writer during training; clone parameters for
 concurrent read-only inference.
 
-An MLP owns its parameters: one flat vector `theta` and one flat `grad`, in
-`params()` order (layer by layer, weight then bias), each allocated once with
-`np.zeros`.  Each Linear holds views into them, so zero_grad, Adam and
-checkpoint I/O are single array operations.  The MLP draws each layer's
-initial weights straight into its weight view (He uniform for the hidden
-layers, Xavier uniform for the output layer, zero biases); built with no rng,
-it leaves `theta` at zero, which is how `load_checkpoint` fills a network
-from the stored vector without drawing an init it would overwrite.
+An MLP owns its parameters: one flat vector `theta`, in `params()` order
+(layer by layer, weight then bias), allocated once with `np.zeros`.  Its
+flat `grad` has the same layout and is its own `np.zeros` vector until
+`use_grad(buffer)` makes it the first `theta.size` elements of a given
+float64 vector.  That vector is a gradient workspace that networks whose
+gradients are never live at the same time can share (the Trainer's G and D
+do, in the larger network's `grad`): a network's `grad` is meaningful only
+from its `zero_grad` to its optimizer step, and outside that span it may
+hold another network's gradient.  Each Linear holds views into `theta` and
+`grad`, so zero_grad, Adam and checkpoint I/O are single array operations.  The MLP draws each layer's initial weights straight into its
+weight view (`rng.random(out=...)`, then scaled and shifted in place, which
+gives `rng.uniform`'s bits without a weight-sized temporary: He uniform for
+the hidden layers, Xavier uniform for the output layer, zero biases); built
+with no rng, it leaves `theta` at zero, which is how `load_checkpoint` fills
+a network from the stored vector without drawing an init it would overwrite.
 
 `MLP.zero_grad()` clears `grad` and marks every Linear, so that the next
 `backward` of each layer writes its parameter gradients into the flat store
@@ -88,9 +95,9 @@ class Linear:
     gradients are views into the owning MLP's `theta` and `grad`.  The input
     layer (`input_layer=True`) returns no input gradient from `backward`."""
 
-    def __init__(self, weight, bias, grad_weight, grad_bias, input_layer=False):
+    def __init__(self, weight, bias, input_layer=False):
         self.weight, self.bias = weight, bias
-        self.grad_weight, self.grad_bias = grad_weight, grad_bias
+        self.grad_weight = self.grad_bias = None    # set by MLP.use_grad
         self.input_layer = input_layer
         self._x = None
         self._overwrite = False     # set by MLP.zero_grad: next backward writes
@@ -197,29 +204,51 @@ class MLP:
         if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in sizes):
             raise ValueError(f"layer widths must be integers >= 1, got {list(sizes)}")
         self.sizes = [int(n) for n in sizes]
-        pairs = list(zip(self.sizes, self.sizes[1:]))
-        self.theta = np.zeros(sum((a + 1) * b for a, b in pairs))
-        self.grad = np.zeros(self.theta.size)
+        self.theta = np.zeros(sum((a + 1) * b for a, b in zip(self.sizes, self.sizes[1:])))
+        views = self._layer_views(self.theta)
         self.layers = []
-        offset = 0
-        for k, (a, b) in enumerate(pairs):
-            last = k == len(pairs) - 1
-            mid, end = offset + a * b, offset + (a + 1) * b
-            linear = Linear(self.theta[offset:mid].reshape(a, b), self.theta[mid:end],
-                            self.grad[offset:mid].reshape(a, b), self.grad[mid:end],
-                            input_layer=k == 0)
-            offset = end
+        for k, (weight, bias) in enumerate(views):
+            last = k == len(views) - 1
             if rng is not None:
-                # He uniform for hidden layers, Xavier uniform for the output.
+                # He uniform for hidden layers, Xavier uniform for the output,
+                # as rng.uniform computes it: low + (high - low) * next_double.
+                a, b = weight.shape
                 bound = np.sqrt(6.0 / (a + b if last else a))
-                linear.weight[...] = rng.uniform(-bound, bound, size=(a, b))
-            self.layers.append(linear)
+                rng.random(out=weight)
+                weight *= bound - (-bound)
+                weight += -bound
+            self.layers.append(Linear(weight, bias, input_layer=k == 0))
             if last:
                 self.layers.append(Sigmoid())
             else:
                 self.layers.append(LeakyReLU(LEAKY_SLOPE))
                 if dropout > 0.0:
                     self.layers.append(Dropout(dropout))
+        self.use_grad(np.zeros(self.theta.size))
+
+    def _layer_views(self, flat):
+        """(weight, bias) views of each layer in a vector laid out like `theta`."""
+        views, offset = [], 0
+        for a, b in zip(self.sizes, self.sizes[1:]):
+            mid, end = offset + a * b, offset + (a + 1) * b
+            views.append((flat[offset:mid].reshape(a, b), flat[mid:end]))
+            offset = end
+        return views
+
+    def use_grad(self, buffer):
+        """Make the first `theta.size` elements of `buffer`, a flat float64
+        array, this network's `grad`, and point every Linear's gradient views
+        into it.  Networks whose gradients are never live at the same time
+        can share one buffer: its contents are this network's gradient only
+        from `zero_grad` to the optimizer step."""
+        if (buffer.dtype != np.float64 or buffer.ndim != 1
+                or not buffer.flags.c_contiguous or buffer.size < self.theta.size):
+            raise ValueError(f"a gradient buffer must be a contiguous float64 vector of "
+                             f"at least {self.theta.size} elements")
+        self.grad = buffer[:self.theta.size]
+        linears = [layer for layer in self.layers if isinstance(layer, Linear)]
+        for linear, (weight, bias) in zip(linears, self._layer_views(self.grad)):
+            linear.grad_weight, linear.grad_bias = weight, bias
 
     def forward(self, x, training=False, rng=None):
         x = np.asarray(x, dtype=np.float64)

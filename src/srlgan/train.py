@@ -26,6 +26,13 @@ requires beta 0.
 `model` returns losses and their gradients w.r.t. G's output; every G
 update, in pretraining and in both phases, is one `Trainer._step_generator`.
 
+G and D alternate, so their gradients are never live at the same time, and
+they share one gradient workspace: the larger network's `grad`, of which the
+smaller network's `grad` is a prefix (`nn.MLP.use_grad`).  A network's `grad`
+is meaningful only from its `zero_grad` to its optimizer step; outside that
+span it may hold the other network's gradient.  The sweep and the ablation
+release each finished Trainer before the next `fit` builds one.
+
 Everything is driven by a single seeded Generator, so a run is
 reproducible bit-for-bit from (data, config, seed).
 """
@@ -149,9 +156,10 @@ class _BatchSampler:
 
 
 class Trainer:
-    """Owns the two networks, their optimizers, and the run RNG.  `y_train`
-    is `data.PurchaseRows` or a dense array, `y_val` is `data.PurchaseRows`;
-    without `x_val`/`y_val` the validation slice is empty."""
+    """Owns the two networks, their one gradient workspace, their optimizers,
+    and the run RNG.  `y_train` is `data.PurchaseRows` or a dense array,
+    `y_val` is `data.PurchaseRows`; without `x_val`/`y_val` the validation
+    slice is empty."""
 
     def __init__(self, x_train, y_train, config: TrainConfig,
                  x_val=None, y_val=None):
@@ -182,6 +190,10 @@ class Trainer:
         self.discriminator = M.build_discriminator(
             d, m, self.rng, hidden=config.discriminator_hidden,
             dropout=config.dropout)
+        # One gradient workspace for G and D (see the module docstring).
+        small, large = sorted((self.generator, self.discriminator),
+                              key=lambda net: net.theta.size)
+        small.use_grad(large.grad)
         self.opt_g = Adam(self.generator, lr=config.learning_rate)
         self.adv_loss = M.ADVERSARIAL_LOSSES[config.gan_loss]
         self.opt_d = Adam(self.discriminator, lr=config.learning_rate)
@@ -350,6 +362,7 @@ def cross_validate_beta(x_warm, y_warm, beta_grid, config: TrainConfig,
         scores[beta] = report["P@5"]
         if curves is not None:
             curves[beta] = trainer.curve
+        del trainer, preds      # free this run's networks before the next fit
     best = max(sorted(scores), key=lambda b: scores[b])
     return best, scores
 
@@ -379,4 +392,5 @@ def run_ablation(x_warm, y_warm, x_cold, y_cold, base_config: TrainConfig,
         trainer = fit(x_warm, y_warm, ablation_config(base_config, mode))
         preds = M.generator_forward(trainer.generator, x_cold)
         reports[mode] = evaluate_report(preds, y_cold, ns=ns, user_keys=user_keys)
+        del trainer, preds      # free this run's networks before the next fit
     return reports

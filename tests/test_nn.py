@@ -249,6 +249,31 @@ def test_layer_arrays_are_views_of_the_flat_store():
     assert linears[0].weight[0, 1] == 1.0 and linears[0].bias[0] == 15.0
 
 
+def test_use_grad_points_every_gradient_view_into_the_given_buffer():
+    net = NN.MLP([3, 5, 4, 2], np.random.default_rng(2), dropout=0.3)
+    n = net.theta.size
+    buffer = np.full(n + 7, np.nan)
+    net.use_grad(buffer)
+    assert np.shares_memory(net.grad, buffer) and net.grad.size == n
+    for _, _, grad in net.params():
+        assert np.shares_memory(grad, buffer[:n])
+    net.zero_grad()
+    net.forward(np.random.default_rng(3).normal(size=(4, 3)), training=True,
+                rng=np.random.default_rng(4))
+    net.backward(np.ones((4, 2)))
+    assert np.isfinite(buffer[:n]).all() and np.isnan(buffer[n:]).all()
+    assert np.array_equal(buffer[:n], np.concatenate([g.ravel() for _, _, g in net.params()]))
+
+
+@pytest.mark.parametrize("buffer", [np.zeros(53), np.zeros(54, np.float32),
+                                    np.zeros(108)[::2], np.zeros((2, 54))],
+                         ids=["short", "float32", "strided", "two-d"])
+def test_use_grad_refuses_a_buffer_it_cannot_view(buffer):
+    net = NN.MLP([3, 5, 4, 2], None)
+    with pytest.raises(ValueError, match="contiguous float64 vector of at least 54 elements"):
+        net.use_grad(buffer)
+
+
 def _reference_theta(sizes, rng):
     """An independent init draw: per layer in order, He uniform weights for
     the hidden layers and Xavier uniform for the output layer, zero biases."""

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -424,3 +426,144 @@ def test_non_finite_loss_refused_before_the_update(step, loss_fn, what, net, mon
     with pytest.raises(TrainingError, match=f"^non-finite {what}$"):
         getattr(trainer, step)()
     assert np.array_equal(getattr(trainer, net).theta, theta)
+
+
+# -- one gradient workspace for G and D ----------------------------------------
+
+# (generator_hidden, discriminator_hidden) at toy shape (d = 6, m = 12): the
+# first pair makes D the larger network, the second G.
+WORKSPACE_WIDTHS = {"larger-discriminator": ([16, 12], [20, 10]),
+                    "larger-generator": ([32, 32], [8])}
+
+
+def _workspace(trainer):
+    """The gradient buffer G and D share: the larger network's `grad`."""
+    return max(trainer.generator.grad, trainer.discriminator.grad, key=len)
+
+
+@pytest.mark.parametrize("m, generator_hidden, discriminator_hidden, larger", [
+    (600, None, None, "discriminator"),        # paper widths, m + d > ~440
+    (12, None, None, "generator"),             # paper widths, few items
+    (12, [32, 32], [8], "generator"),
+], ids=["paper-larger-discriminator", "paper-larger-generator", "custom-larger-generator"])
+def test_generator_and_discriminator_share_one_gradient(m, generator_hidden,
+                                                        discriminator_hidden, larger):
+    x, y = toy_data(m=m)
+    trainer = T.Trainer(x, y, small_config(generator_hidden=generator_hidden,
+                                           discriminator_hidden=discriminator_hidden))
+    gen, disc = trainer.generator, trainer.discriminator
+    assert np.shares_memory(gen.grad, disc.grad)
+    assert _workspace(trainer) is getattr(trainer, larger).grad
+    smaller = disc if larger == "generator" else gen
+    assert smaller.grad.size == smaller.theta.size < _workspace(trainer).size
+
+
+def _float64_buffers(trainer):
+    """The distinct buffers behind every array the networks, their layers and
+    the optimizers hold."""
+    objects = [trainer.generator, trainer.discriminator, trainer.opt_g, trainer.opt_d,
+               *trainer.generator.layers, *trainer.discriminator.layers]
+    buffers = {}
+    for obj in objects:
+        for value in vars(obj).values():
+            if isinstance(value, np.ndarray):
+                while value.base is not None:
+                    value = value.base
+                buffers[id(value)] = value
+    return list(buffers.values())
+
+
+@pytest.mark.parametrize("widths", WORKSPACE_WIDTHS.values(), ids=WORKSPACE_WIDTHS.keys())
+def test_trainer_holds_parameters_moments_and_one_gradient(widths):
+    trainer = T.Trainer(*toy_data(), small_config(generator_hidden=widths[0],
+                                                  discriminator_hidden=widths[1]))
+    n_g, n_d = trainer.generator.theta.size, trainer.discriminator.theta.size
+    buffers = _float64_buffers(trainer)
+    assert all(b.dtype == np.float64 for b in buffers)
+    # theta, m and v of each network, and one gradient of the larger size
+    assert sum(b.size for b in buffers) == 3 * (n_g + n_d) + max(n_g, n_d)
+
+
+@pytest.mark.parametrize("widths", WORKSPACE_WIDTHS.values(), ids=WORKSPACE_WIDTHS.keys())
+def test_nan_filled_workspace_matches_plain_round_bit_for_bit(widths):
+    # NaN in the shared workspace before pretraining and before each phase:
+    # no step may read the other network's stale gradient, so the rounds
+    # still match a plain round whose networks have gradients of their own.
+    x, y = toy_data()
+    cfg = small_config(generator_hidden=widths[0], discriminator_hidden=widths[1], n_e=3)
+    fast, plain = T.Trainer(x, y, cfg), T.Trainer(x, y, cfg)
+    for net in (plain.generator, plain.discriminator):
+        net.use_grad(np.zeros(net.theta.size))
+    assert not np.shares_memory(plain.generator.grad, plain.discriminator.grad)
+    workspace = _workspace(fast)
+    workspace[...] = np.nan
+    fast.pretrain_generator()
+    plain.pretrain_generator()
+    for _ in range(3):
+        workspace[...] = np.nan
+        d_loss = fast.discriminator_phase_step()
+        workspace[...] = np.nan
+        g_losses = fast.generator_phase_step()
+        assert (d_loss, g_losses["total"], g_losses["sr"]) == _plain_round(plain)
+        for a, b in ((fast.opt_d, plain.opt_d), (fast.opt_g, plain.opt_g)):
+            assert a.t == b.t
+            for got, want in ((a.net.theta, b.net.theta), (a.m, b.m), (a.v, b.v)):
+                assert np.array_equal(got, want)
+        assert fast.rng.bit_generator.state == plain.rng.bit_generator.state
+    assert fast.opt_g.t == 9
+
+
+@pytest.mark.parametrize("step, grad_fn", [
+    ("discriminator_phase_step", "generator_adversarial_grad"),
+    ("generator_phase_step", "generator_objective_grad"),
+], ids=["discriminator-phase", "generator-phase"])
+def test_non_finite_generator_gradient_stops_at_its_step_and_spares_d(step, grad_fn,
+                                                                      monkeypatch):
+    x, y = toy_data()
+    cfg = small_config(generator_hidden=[16, 12], discriminator_hidden=[20, 10], n_e=2)
+    poisoned, clean = T.Trainer(x, y, cfg), T.Trainer(x, y, cfg)
+    for trainer in (poisoned, clean):
+        trainer.pretrain_generator()
+    getattr(clean, step)()
+    gen_before = [a.copy() for a in (poisoned.generator.theta, poisoned.opt_g.m,
+                                     poisoned.opt_g.v)]
+    fn = getattr(M, grad_fn)
+
+    def nan_grad(*args, **kwargs):
+        loss, grad = fn(*args, **kwargs)
+        grad = grad.copy()
+        grad[0, -1] = np.nan
+        return loss, grad
+
+    monkeypatch.setattr(M, grad_fn, nan_grad)
+    # G's third step (two were pretraining); D has taken at most one.
+    with pytest.raises(TrainingError, match=r"^non-finite gradient in layer0\.weight at step 3$"):
+        getattr(poisoned, step)()
+    for got, want in zip((poisoned.generator.theta, poisoned.opt_g.m, poisoned.opt_g.v),
+                         gen_before):
+        assert np.array_equal(got, want)
+    assert poisoned.opt_d.t == clean.opt_d.t
+    for got, want in ((poisoned.discriminator.theta, clean.discriminator.theta),
+                      (poisoned.opt_d.m, clean.opt_d.m), (poisoned.opt_d.v, clean.opt_d.v)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("run", ["sweep-beta", "ablate"])
+def test_each_trainer_is_released_before_the_next_fit(run, monkeypatch):
+    built = []
+
+    class Tracked(T.Trainer):
+        def __init__(self, *args, **kwargs):
+            gc.collect()
+            assert not [ref for ref in built if ref() is not None], "an earlier Trainer is alive"
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(T, "Trainer", Tracked)
+    x, y = toy_data()
+    cfg = small_config(max_rounds=1, eval_every=1, pretrain_epochs=1)
+    if run == "sweep-beta":
+        T.cross_validate_beta(x, y, [0.0, 0.1, 1.0], cfg)
+    else:
+        T.run_ablation(x, y, x[:6], y.take(range(6)), cfg)
+    assert len(built) == 3
