@@ -73,8 +73,8 @@ def _split(args, cache, split_seed: int, cold_fraction: float = 0.2,
 # The TrainConfig fields that train, sweep-beta and ablate also take as
 # --<name with dashes> flags; every other field is a config-file key only.
 TRAIN_FLAGS = ("seed", "beta", "batch_size", "gan_loss", "learning_rate",
-               "max_rounds", "eval_every", "pretrain_epochs", "n_e", "n_d", "n_g",
-               "patience", "generator_hidden", "discriminator_hidden")
+               "max_rounds", "eval_every", "pretrain_epochs", "n_e", "patience",
+               "generator_hidden", "discriminator_hidden")
 _FIELDS = {f.name: f for f in dataclasses.fields(T.TrainConfig)}
 
 
@@ -128,7 +128,7 @@ def _beta_grid(raw: str) -> list[float]:
 def _parse_config_file(path) -> dict:
     """Parse a `key = value` config document into TrainConfig field values."""
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(D.read_text(path).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -359,9 +359,8 @@ def cmd_plot(args) -> int:
     columns = ("round", *(column for _, column in plots))
     curves = {}     # keyed and labelled by the path as given
     for path in args.curves:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = list(reader)
+        reader = csv.DictReader(D.read_text(path).splitlines())
+        rows = list(reader)
         missing = [c for c in columns if c not in (reader.fieldnames or [])]
         if missing:
             raise ValueError(f"curve {path}: no {', '.join(missing)} column")

@@ -88,12 +88,23 @@ class UserMeta:
     occupation: str     # occupation name (100K) or stringified code (1M)
 
 
+def read_text(path, encoding="utf-8") -> str:
+    """The text of an input file.  A missing file raises FileNotFoundError;
+    a path that is no readable file (a directory, say) and text that does
+    not decode raise ValueError naming the path."""
+    try:
+        return Path(path).read_text(encoding)
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValueError(f"{path}: cannot read: {reason}") from None
+
+
 def _read_lines(path, encoding="utf-8"):
-    path = Path(path)
-    if not path.exists():
+    if not Path(path).exists():
         raise FileNotFoundError(f"raw file not found: {path}")
-    with open(path, encoding=encoding, errors="strict") as fh:
-        return fh.read().splitlines()
+    return read_text(path, encoding).splitlines()
 
 
 def parse_ratings(path, fmt: str, max_rating: int = 5) -> np.ndarray:

@@ -104,12 +104,10 @@ class MetricReport:
         return "\n".join(lines)
 
 
-def evaluate_predictions(predictions, held_out, ns=DEFAULT_NS,
-                         user_keys=None, graded: bool = False) -> dict:
-    """The means of `evaluate_report`: a name of its own because the
+def evaluate_predictions(predictions, held_out, ns=DEFAULT_NS) -> dict:
+    """The binary means of `evaluate_report`: a name of its own because the
     benchmark's tracer self-test patches `train.evaluate_predictions`."""
-    return evaluate_report(predictions, held_out, ns=ns, user_keys=user_keys,
-                           graded=graded).aggregate()
+    return evaluate_report(predictions, held_out, ns=ns).aggregate()
 
 
 def evaluate_report(scores, held_out: PurchaseRows, ns=DEFAULT_NS, user_keys=None,

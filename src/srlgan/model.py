@@ -31,7 +31,8 @@ from .nn import MLP
 GENERATOR_HIDDEN = [512, 1024, 1024]
 DISCRIMINATOR_HIDDEN = [2048, 512, 128]
 DISCRIMINATOR_DROPOUT = 0.4
-KL_EPS = 1e-6
+KL_EPS = 1e-6       # the sparsity KL's clamp
+BCE_EPS = 1e-12     # the BCE loss's clip
 
 
 def build_generator(d: int, m: int, rng, hidden=None) -> MLP:
@@ -47,12 +48,7 @@ def build_discriminator(d: int, m: int, rng, hidden=None,
 
 def generator_forward(generator: MLP, x) -> np.ndarray:
     """Predicted purchase behavior for a batch of attribute vectors."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != generator.sizes[0]:
-        raise ValueError(
-            f"attribute width {x.shape[1]} != generator input {generator.sizes[0]}"
-        )
-    return generator.forward(x, training=False)
+    return generator.forward(np.atleast_2d(np.asarray(x, dtype=np.float64)))
 
 
 def discriminator_input(x, y) -> np.ndarray:
@@ -83,11 +79,11 @@ def loss_lsq(d_out, label: float):
     return 0.5 * float(np.mean(diff ** 2)), diff / d_out.shape[0]
 
 
-def loss_bce(d_out, label: float, eps: float = 1e-12):
+def loss_bce(d_out, label: float):
     """Cross-entropy adversarial loss for a label of 1 or 0, d_out clipped
-    into [eps, 1-eps] (ablation mode S1).  Returns (loss, dloss/dd_out)."""
+    into [BCE_EPS, 1-BCE_EPS] (ablation mode S1).  Returns (loss, dloss/dd_out)."""
     d_out = np.clip(np.asarray(d_out, dtype=np.float64).reshape(-1, 1),
-                    eps, 1.0 - eps)
+                    BCE_EPS, 1.0 - BCE_EPS)
     n = d_out.shape[0]
     if label == 1.0:
         return -float(np.mean(np.log(d_out))), -1.0 / (d_out * n)
@@ -109,10 +105,10 @@ def mean_purchase(rows: PurchaseRows) -> np.ndarray:
     return np.bincount(rows.items, weights=rows.values, minlength=rows.m) / len(rows)
 
 
-def sparsity_regularizer(rho, rho_hat, eps: float = KL_EPS):
+def sparsity_regularizer(rho, rho_hat):
     """Sum over items of KL(Bernoulli(rho_i) || Bernoulli(rho_hat_i)).
 
-    Both arguments are clamped into [eps, 1-eps] before the logs; the
+    Both arguments are clamped into [KL_EPS, 1-KL_EPS] before the logs; the
     gradient is w.r.t. the unclamped rho_hat (zero where clamping is
     active).  Returns (loss, dloss/drho_hat).
     """
@@ -120,27 +116,25 @@ def sparsity_regularizer(rho, rho_hat, eps: float = KL_EPS):
     rho_hat = np.asarray(rho_hat, dtype=np.float64).ravel()
     if rho.shape != rho_hat.shape:
         raise ValueError(f"length mismatch: {rho.shape} vs {rho_hat.shape}")
-    p = np.clip(rho, eps, 1.0 - eps)
-    q = np.clip(rho_hat, eps, 1.0 - eps)
+    p = np.clip(rho, KL_EPS, 1.0 - KL_EPS)
+    q = np.clip(rho_hat, KL_EPS, 1.0 - KL_EPS)
     loss = float(np.sum(p * np.log(p / q) + (1.0 - p) * np.log((1.0 - p) / (1.0 - q))))
     grad = -p / q + (1.0 - p) / (1.0 - q)
-    grad[(rho_hat < eps) | (rho_hat > 1.0 - eps)] = 0.0
+    grad[(rho_hat < KL_EPS) | (rho_hat > 1.0 - KL_EPS)] = 0.0
     return loss, grad
 
 
-def generator_adversarial_grad(discriminator: MLP, x, y_hat, adv_loss,
-                               training: bool = False, rng=None):
+def generator_adversarial_grad(discriminator: MLP, x, y_hat, adv_loss, rng=None):
     """G's adversarial term adv_loss(D(x || y_hat), 1), returned with
     its gradient w.r.t. y_hat, from `MLP.input_grad`: D's parameter
     gradients are not computed, so its `grad` is left as it was."""
-    d_out = discriminator.forward(discriminator_input(x, y_hat),
-                                  training=training, rng=rng)
+    d_out = discriminator.forward(discriminator_input(x, y_hat), rng)
     loss, dd_out = adv_loss(d_out, 1.0)
     return loss, discriminator.input_grad(dd_out)[:, x.shape[1]:]
 
 
 def generator_objective_grad(discriminator: MLP, x, y, y_hat, rho, beta: float,
-                             adv_loss=loss_lsq, training: bool = False, rng=None):
+                             adv_loss=loss_lsq, rng=None):
     """The full generator objective recon + adv + beta * KL at G's output
     `y_hat` for attributes `x` and behavior `y`.
 
@@ -150,7 +144,7 @@ def generator_objective_grad(discriminator: MLP, x, y, y_hat, rho, beta: float,
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     recon, d_recon = loss_reconstruction(y, y_hat)
     adv_g, d_yhat_adv = generator_adversarial_grad(
-        discriminator, x, y_hat, adv_loss, training=training, rng=rng)
+        discriminator, x, y_hat, adv_loss, rng)
 
     grad_yhat = d_recon + d_yhat_adv
     sr = 0.0

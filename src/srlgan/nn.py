@@ -3,6 +3,8 @@ dropout, hand-written reverse-mode gradients, and Adam.
 
 Everything is float64 (the production learning rate of 1e-6 makes float32
 updates vanish into rounding).  Batches are row-major: (batch, features).
+Every `forward(x, rng=None)` is in training mode exactly when an rng is
+given, from which dropout draws its masks; with none it draws nothing.
 A network instance is single-writer during training; clone parameters for
 concurrent read-only inference.
 
@@ -85,6 +87,9 @@ WEIGHT_GRAD_BLOCK = 524288
 # The LeakyReLU slope of every MLP hidden layer.
 LEAKY_SLOPE = 0.01
 
+# Adam's beta1, beta2 and eps: Kingma & Ba's (2015) defaults.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class TrainingError(RuntimeError):
     """Non-finite value encountered during training."""
@@ -102,7 +107,7 @@ class Linear:
         self._x = None
         self._overwrite = False     # set by MLP.zero_grad: next backward writes
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
         if x.shape[1] != self.weight.shape[0]:
             raise ValueError(
                 f"input width {x.shape[1]} != layer in-dim {self.weight.shape[0]}"
@@ -146,7 +151,7 @@ class LeakyReLU:
         self.slope = slope
         self._mask = None
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
         self._mask = x >= 0
         return np.maximum(x, self.slope * x)
 
@@ -159,7 +164,7 @@ class Sigmoid:
     def __init__(self):
         self._y = None
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
         self._y = 1.0 / (1.0 + np.exp(-x))
         return self._y
 
@@ -168,8 +173,8 @@ class Sigmoid:
 
 
 class Dropout:
-    """Inverted dropout: survivors scaled by 1/(1-rate) at train time,
-    identity at eval time."""
+    """Inverted dropout: survivors scaled by 1/(1-rate) in training mode
+    (given an rng, which draws the mask), identity without one."""
 
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
@@ -177,12 +182,10 @@ class Dropout:
         self.rate = rate
         self._scale = None
 
-    def forward(self, x, training=False, rng=None):
-        if not training or self.rate == 0.0:
+    def forward(self, x, rng=None):
+        if rng is None or self.rate == 0.0:
             self._scale = None
             return x
-        if rng is None:
-            raise ValueError("training-mode dropout needs an rng")
         keep = rng.random(x.shape) >= self.rate
         self._scale = keep / (1.0 - self.rate)
         return x * self._scale
@@ -250,10 +253,10 @@ class MLP:
         for linear, (weight, bias) in zip(linears, self._layer_views(self.grad)):
             linear.grad_weight, linear.grad_bias = weight, bias
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
         x = np.asarray(x, dtype=np.float64)
         for layer in self.layers:
-            x = layer.forward(x, training=training, rng=rng)
+            x = layer.forward(x, rng)
         return x
 
     def backward(self, grad_out):
@@ -292,13 +295,9 @@ class MLP:
 class Adam:
     """Bias-corrected adaptive-moment optimizer; `m`, `v` match `net.theta`."""
 
-    def __init__(self, net: MLP, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, net: MLP, lr: float):
         self.net = net
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(net.theta.size)
         self.v = np.zeros(net.theta.size)
@@ -313,7 +312,7 @@ class Adam:
                         if not np.isfinite(g).all())
             raise TrainingError(f"non-finite gradient in {name} at step {t}")
         self.t = t
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, self.lr, ADAM_EPS
         c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
         n = grad.size
         scratch_a = np.empty(min(n, ADAM_BLOCK))

@@ -8,11 +8,11 @@ pretrains G and runs the adversarial loop.  `train`, `sweep-beta` and
 `ablate` all train through it.  Behaviors stay `data.PurchaseRows`: a step
 makes only its minibatch dense, and validation scores the CSR slice.
 
-One "round" of the main loop is n_D discriminator-phase iterations (the
-discriminator phase also updates the generator through the adversarial
-loss, matching the schedule's joint update) followed by n_G
-generator-phase iterations using the full objective.  Validation metrics
-come from the validation slice.  An evaluation improves when its P@5
+One "round" of the main loop is one discriminator-phase step, which also
+updates the generator through the adversarial loss (the schedule's joint
+update), then one generator-phase step with the full objective.  Every
+training forward is given the run RNG, which puts it in training mode
+(`nn`).  An evaluation of the validation slice improves when its P@5
 beats the best so far by more than 1e-12; training stops when `patience`
 consecutive evaluations do not improve, or at `max_rounds`.  Without a
 validation row it runs to `max_rounds`.
@@ -59,8 +59,6 @@ class TrainConfig:
     batch_size: int = 64
     pretrain_epochs: int = 50       # used when n_e is None
     n_e: int | None = None          # pretraining minibatch iterations
-    n_d: int = 1
-    n_g: int = 1
     learning_rate: float = 1e-6
     max_rounds: int = 1000
     eval_every: int = 10
@@ -83,7 +81,7 @@ class TrainConfig:
             problems.append(f"gan_loss must be lsq or bce, got {self.gan_loss!r}")
         if self.gan_loss == "bce" and self.beta > 0:
             problems.append("the BCE ablation mode (S1) requires beta=0")
-        for name in ("batch_size", "n_d", "n_g", "eval_every", "patience"):
+        for name in ("batch_size", "eval_every", "patience"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1")
         if self.learning_rate <= 0:
@@ -218,7 +216,7 @@ class Trainer:
             n_e = cfg.pretrain_epochs * steps_per_epoch
         for _ in range(n_e):
             x, y = self._batch()
-            y_hat = self.generator.forward(x, training=True, rng=self.rng)
+            y_hat = self.generator.forward(x, self.rng)
             self._step_generator(*M.loss_reconstruction(y, y_hat),
                                  "pretraining reconstruction loss")
 
@@ -226,15 +224,15 @@ class Trainer:
         """One adversarial update of D, then of G through the updated D, on a
         fresh batch."""
         x, y = self._batch()
-        y_hat = self.generator.forward(x, training=True, rng=self.rng)
+        y_hat = self.generator.forward(x, self.rng)
 
         disc = self.discriminator
-        d_real = disc.forward(M.discriminator_input(x, y), training=True, rng=self.rng)
+        d_real = disc.forward(M.discriminator_input(x, y), self.rng)
         loss_real, dd_real = self.adv_loss(d_real, 1.0)
         disc.zero_grad()
         disc.backward(dd_real)
 
-        d_fake = disc.forward(M.discriminator_input(x, y_hat), training=True, rng=self.rng)
+        d_fake = disc.forward(M.discriminator_input(x, y_hat), self.rng)
         loss_fake, dd_fake = self.adv_loss(d_fake, 0.0)
         disc.backward(dd_fake)
         d_loss = loss_real + loss_fake
@@ -246,7 +244,7 @@ class Trainer:
         # second G forward would return y_hat again and draw nothing
         # from the RNG, and G's cached activations still belong to it.
         g_loss, grad_yhat = M.generator_adversarial_grad(
-            disc, x, y_hat, self.adv_loss, training=True, rng=self.rng)
+            disc, x, y_hat, self.adv_loss, self.rng)
         self._step_generator(g_loss, grad_yhat, "adversarial generator loss")
         return d_loss
 
@@ -254,10 +252,10 @@ class Trainer:
         """One update of G with the full objective (recon + adv + beta*SR)."""
         cfg = self.config
         x, y = self._batch()
-        y_hat = self.generator.forward(x, training=True, rng=self.rng)
+        y_hat = self.generator.forward(x, self.rng)
         losses, grad_yhat = M.generator_objective_grad(
             self.discriminator, x, y, y_hat, self.rho,
-            beta=cfg.beta, adv_loss=self.adv_loss, training=True, rng=self.rng)
+            beta=cfg.beta, adv_loss=self.adv_loss, rng=self.rng)
         self._step_generator(losses["total"], grad_yhat, "generator objective")
         return losses
 
@@ -280,10 +278,8 @@ class Trainer:
         best_p5 = -1.0
         stale = 0
         while self.rounds_done < cfg.max_rounds:
-            for _ in range(cfg.n_d):
-                d_loss = self.discriminator_phase_step()
-            for _ in range(cfg.n_g):
-                g_losses = self.generator_phase_step()
+            d_loss = self.discriminator_phase_step()
+            g_losses = self.generator_phase_step()
             self.rounds_done += 1
 
             if self.rounds_done % cfg.eval_every == 0 or self.rounds_done == cfg.max_rounds:

@@ -314,6 +314,24 @@ def test_train_rejects_bad_config_before_work(tmp_path, prepared):
     assert rc == 1
 
 
+def test_eval_reads_a_checkpoint_whose_config_lists_n_d_and_n_g(tmp_path, prepared, trained):
+    # Checkpoints of format 4 written before n_d/n_g were removed from
+    # TrainConfig list them in meta.config; eval reads only the schema hash
+    # and the split keys of the header.
+    nets, meta = NN.load_checkpoint(trained / "checkpoint.npz")
+    assert "n_d" not in meta["config"] and NN.CHECKPOINT_VERSION == 4
+    old = tmp_path / "old.npz"
+    NN.save_checkpoint(old, nets, meta | {"config": meta["config"] | {"n_d": 1, "n_g": 1}})
+    csvs = []
+    for name, checkpoint in (("new", trained / "checkpoint.npz"), ("old", old)):
+        assert main(["eval", "--checkpoint", str(checkpoint), "--n", "5,1682", "--cache",
+                     str(prepared / "ml100k.npz"), "--out-dir", str(tmp_path / name)]) == 0
+        csvs.append((tmp_path / name / "metrics.model.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    mean = csvs[0].decode().splitlines()[-1].split(",")
+    assert mean[0] == "mean" and float(mean[4]) > 0      # P@1682
+
+
 def test_eval_model_and_rerun_byte_identical(tmp_path, prepared, trained):
     out1, out2 = tmp_path / "e1", tmp_path / "e2"
     for out in (out1, out2):
@@ -571,13 +589,16 @@ def test_bad_cold_fraction_exit_1_before_out_dir(command, tmp_path, prepared, ca
     (["train"], "sparsity = off\n", ":1: unknown config key 'sparsity'"),
     (["train"], "nonsaturating = on\n", ":1: unknown config key 'nonsaturating'"),
     (["ablate"], "d_phase_updates_g = off\n", ":1: unknown config key 'd_phase_updates_g'"),
+    (["train"], "n_d = 2\n", ":1: unknown config key 'n_d'"),
+    (["train"], "n_g = 2\n", ":1: unknown config key 'n_g'"),
     (["train", "--cold-fraction", "-1e-3"], "", "split fraction -0.001 outside [0, 1)"),
     (["train", "--gan-loss", "x"], "", "gan_loss must be lsq or bce, got 'x'"),
     (["sweep-beta"], "gan_loss = x\n", "gan_loss must be lsq or bce, got 'x'"),
 ], ids=["zero-width", "negative-width", "ablate-zero-width", "dropout", "no-warm-user",
         "negative-n-e", "negative-pretrain-epochs", "negative-seed", "sweep-beta-negative-n-e",
         "negative-split-seed", "empty-width-list", "seed-letter", "batch-size-float",
-        "sparsity-key", "nonsaturating-key", "d-phase-updates-g-key", "cold-fraction-exponent",
+        "sparsity-key", "nonsaturating-key", "d-phase-updates-g-key", "n-d-key", "n-g-key",
+        "cold-fraction-exponent",
         "gan-loss-flag", "gan-loss-key"])
 def test_train_refusals_leave_no_out_dir(argv, config, message, tmp_path, prepared, capsys):
     cfg = tmp_path / "train.conf"
@@ -994,13 +1015,16 @@ def test_outputs_take_the_umask_mode(tmp_path, synth100k_dir, umask):
     (["eval", "--cold-fraction", "abc", "--out-dir", "unused"], 1),
     (["train", "--bogus", "--out-dir", "unused"], 1),
     (["train", "--sparsity", "off", "--out-dir", "unused"], 1),
+    (["train", "--n-d", "2", "--out-dir", "unused"], 1),
+    (["sweep-beta", "--n-g", "2", "--out-dir", "unused"], 1),
     (["train", "--beta", "--seed", "3", "--out-dir", "unused"], 1),
     (["train", "--cache", "unused.npz"], 1),
     (["sweep-beta", "--leakage-free-cold", "--out-dir", "unused"], 1),
     ([], 1),
     (["--help"], 0),
     (["eval", "--help"], 0),
-], ids=["bad-int", "bad-float", "unknown-flag", "removed-sparsity-flag", "option-for-value",
+], ids=["bad-int", "bad-float", "unknown-flag", "removed-sparsity-flag", "removed-n-d-flag",
+        "removed-n-g-flag", "option-for-value",
         "missing-out-dir", "sweep-leakage-free-cold", "no-command", "help", "eval-help"])
 def test_usage_exit_codes(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)
@@ -1010,3 +1034,39 @@ def test_usage_exit_codes(tmp_path, monkeypatch, capsys, argv, code):
     if code:
         assert "error: " in capsys.readouterr().err
     assert not (tmp_path / "unused").exists()
+
+
+@pytest.mark.parametrize("case", ["train-config", "plot-curve", "prepare-u-item",
+                                  "prepare-u-occupation"])
+def test_input_that_is_a_directory_exits_1_naming_it(case, tmp_path, prepared, synth100k_dir,
+                                                     capsys):
+    raw = tmp_path / "raw"
+    shutil.copytree(synth100k_dir, raw)
+    out = tmp_path / "out"
+    if case.startswith("prepare"):
+        bad = raw / case.removeprefix("prepare-").replace("-", ".")
+        bad.unlink()
+        bad.mkdir()
+        argv = ["prepare", "--dataset", "ml100k", "--raw-dir", str(raw)]
+    else:
+        bad = tmp_path / "a-directory"
+        bad.mkdir()
+        argv = {"train-config": ["train", *FAST, "--config", str(bad),
+                                 "--cache", str(prepared / "ml100k.npz")],
+                "plot-curve": ["plot", str(bad)]}[case]
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: cannot read: Is a directory\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "plot"])
+def test_non_utf8_config_or_curve_exits_1_naming_it(command, tmp_path, prepared, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("seed = 3  # caf\u00e9\n".encode("latin-1"))
+    argv = {"train": ["train", *FAST, "--config", str(bad),
+                      "--cache", str(prepared / "ml100k.npz")],
+            "plot": ["plot", str(bad)]}[command]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: cannot read: 'utf-8' codec can't decode"), err
+    assert not (tmp_path / "out").exists()

@@ -76,14 +76,14 @@ def test_activations():
 def test_dropout_eval_identity():
     d = NN.Dropout(0.4)
     x = np.random.default_rng(0).normal(size=(3, 5))
-    assert np.array_equal(d.forward(x, training=False), x)
+    assert np.array_equal(d.forward(x), x)
 
 
 def test_dropout_train_scales_survivors():
     d = NN.Dropout(0.4)
     rng = np.random.default_rng(0)
     x = np.ones((200, 50))
-    y = d.forward(x, training=True, rng=rng)
+    y = d.forward(x, rng=rng)
     kept = y[y != 0]
     assert np.allclose(kept, 1.0 / 0.6)
     # survival rate near 1 - rate
@@ -258,8 +258,7 @@ def test_use_grad_points_every_gradient_view_into_the_given_buffer():
     for _, _, grad in net.params():
         assert np.shares_memory(grad, buffer[:n])
     net.zero_grad()
-    net.forward(np.random.default_rng(3).normal(size=(4, 3)), training=True,
-                rng=np.random.default_rng(4))
+    net.forward(np.random.default_rng(3).normal(size=(4, 3)), rng=np.random.default_rng(4))
     net.backward(np.ones((4, 2)))
     assert np.isfinite(buffer[:n]).all() and np.isnan(buffer[n:]).all()
     assert np.array_equal(buffer[:n], np.concatenate([g.ravel() for _, _, g in net.params()]))
@@ -394,7 +393,7 @@ def test_adam_refused_step_leaves_optimizer_unchanged():
 def test_input_grad_leaves_grad_untouched():
     net = NN.MLP([6, 8, 5, 3], np.random.default_rng(8), dropout=0.3)
     x = np.random.default_rng(9).normal(size=(4, 6))
-    out = net.forward(x, training=True, rng=np.random.default_rng(10))
+    out = net.forward(x, rng=np.random.default_rng(10))
     g = out - 0.5
     net.grad[...] = 0.25
     input_grad = net.input_grad(g)
@@ -423,8 +422,7 @@ def test_forward_deterministic_given_seed():
     b = NN.MLP([3, 4, 2], np.random.default_rng(9), dropout=0.3)
     x = np.random.default_rng(1).normal(size=(5, 3))
     r1, r2 = np.random.default_rng(4), np.random.default_rng(4)
-    assert np.array_equal(a.forward(x, training=True, rng=r1),
-                          b.forward(x, training=True, rng=r2))
+    assert np.array_equal(a.forward(x, rng=r1), b.forward(x, rng=r2))
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
@@ -434,7 +432,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     x = rng.normal(size=(4, 3))
     for _ in range(3):
         net.zero_grad()
-        out = net.forward(x, training=True, rng=rng)
+        out = net.forward(x, rng=rng)
         net.backward(out - 0.5)
         opt.step()
 

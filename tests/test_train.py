@@ -148,7 +148,7 @@ def test_discriminator_scores_stay_in_unit_interval():
     cfg = small_config(max_rounds=6, validation_fraction=0.0)
     trainer = T.fit(x, y, cfg)
     scores = trainer.discriminator.forward(
-        M.discriminator_input(x, y.toarray()), training=False)
+        M.discriminator_input(x, y.toarray()))
     assert np.all((scores > 0) & (scores < 1))
     assert np.isfinite(scores.mean())
 
@@ -277,11 +277,11 @@ def _plain_adam_step(opt):
     """Textbook Adam on the whole vector, after the element-wise check."""
     net, t = opt.net, opt.t + 1
     assert np.isfinite(net.grad).all()
-    b1, b2 = opt.beta1, opt.beta2
+    b1, b2 = 0.9, 0.999
     opt.m[...] = b1 * opt.m + (1.0 - b1) * net.grad
     opt.v[...] = b2 * opt.v + (1.0 - b2) * net.grad * net.grad
     net.theta[...] -= opt.lr * (opt.m / (1.0 - b1 ** t)) / (
-        np.sqrt(opt.v / (1.0 - b2 ** t)) + opt.eps)
+        np.sqrt(opt.v / (1.0 - b2 ** t)) + 1e-8)
     opt.t = t
 
 
@@ -313,7 +313,7 @@ def _plain_g_loss(cfg, d_fake):
 def _plain_g_through_d(tr, x, y_hat):
     """G's adversarial loss and its gradient w.r.t. y_hat through D."""
     d_fake = tr.discriminator.forward(M.discriminator_input(x, y_hat),
-                                      training=True, rng=tr.rng)
+                                      rng=tr.rng)
     loss, dd_fake = _plain_g_loss(tr.config, d_fake)
     return loss, tr.discriminator.input_grad(dd_fake)[:, x.shape[1]:]
 
@@ -325,16 +325,16 @@ def _plain_round(tr):
     the adversarial losses and the full G objective written out here."""
     cfg, gen, disc = tr.config, tr.generator, tr.discriminator
     x, y = tr._batch()
-    y_hat = gen.forward(x, training=True, rng=tr.rng)
-    d_real = disc.forward(M.discriminator_input(x, y), training=True, rng=tr.rng)
+    y_hat = gen.forward(x, rng=tr.rng)
+    d_real = disc.forward(M.discriminator_input(x, y), rng=tr.rng)
     dd_real = _plain_d_loss(cfg, d_real, d_real)[1]
     disc.grad[...] = 0.0
     disc.backward(dd_real)
-    d_fake = disc.forward(M.discriminator_input(x, y_hat), training=True, rng=tr.rng)
+    d_fake = disc.forward(M.discriminator_input(x, y_hat), rng=tr.rng)
     d_loss, _, dd_fake = _plain_d_loss(cfg, d_real, d_fake)
     disc.backward(dd_fake)
     _plain_adam_step(tr.opt_d)
-    y_hat2 = gen.forward(x, training=True, rng=tr.rng)
+    y_hat2 = gen.forward(x, rng=tr.rng)
     _, grad_yhat = _plain_g_through_d(tr, x, y_hat2)
     gen.grad[...] = 0.0
     gen.backward(grad_yhat)
@@ -344,7 +344,7 @@ def _plain_round(tr):
     x, y = tr._batch()
     b = x.shape[0]
     gen.grad[...] = 0.0
-    y_hat = gen.forward(x, training=True, rng=tr.rng)
+    y_hat = gen.forward(x, rng=tr.rng)
     diff = y_hat - y
     recon = float(np.sum(diff * diff)) / b
     adv, grad_adv = _plain_g_through_d(tr, x, y_hat)
