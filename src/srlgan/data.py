@@ -6,10 +6,12 @@ pipe-separated) and the 1M layout (``ratings.dat`` / ``users.dat`` /
 each layout: its file names, separators, user columns, item count m,
 rating ceiling C and attribute slots (age and occupation code books,
 genres); the parsers, `features.layout_schema`, `pipeline` and the CLI
-read it.  Ratings
-are one (n, 4) int64 array of (user, item, rating, timestamp) rows,
-checked with whole-array operations.
-They are normalized to [0, 1] by dividing with the rating ceiling C, so a
+read it.  A ratings file has one grammar, lines of four ASCII digit runs
+(`parse_ratings`): a file in it is read by one `np.loadtxt` into an
+(n, 4) int64 array of (user, item, rating, timestamp) rows, and any other
+file is refused at its first line outside it.  Every integer field of a
+raw file is a run of ASCII digits that fits in int64.  Ratings are
+normalized to [0, 1] by dividing with the rating ceiling C, so a
 purchase-behavior row lives in {0, 1/C, ..., 1} with 0 meaning "not
 purchased".  Purchase rows are 96% zeros, so they stay in CSR form
 (`PurchaseRows`) from `build_purchase_matrix` to the minibatch: only a
@@ -88,127 +90,98 @@ class UserMeta:
     occupation: str     # occupation name (100K) or stringified code (1M)
 
 
-def read_text(path, encoding="utf-8") -> str:
-    """The text of an input file.  A missing file raises FileNotFoundError;
-    a path that is no readable file (a directory, say) and text that does
-    not decode raise ValueError naming the path."""
+def read_bytes(path) -> bytes:
+    """The bytes of an input file.  A missing file raises FileNotFoundError;
+    a path that is no readable file (a directory, say) raises ValueError
+    naming the path."""
     try:
-        return Path(path).read_text(encoding)
+        return Path(path).read_bytes()
     except FileNotFoundError:
         raise
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise ValueError(f"{path}: cannot read: {reason}") from None
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
-def _read_lines(path, encoding="utf-8"):
+def read_text(path, encoding="utf-8") -> str:
+    """`read_bytes` decoded; text that does not decode raises ValueError
+    naming the path."""
+    try:
+        return read_bytes(path).decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: cannot read: {exc}") from None
+
+
+def _raw_file(path):
+    """`path`, which names a raw file that must exist."""
     if not Path(path).exists():
         raise FileNotFoundError(f"raw file not found: {path}")
-    return read_text(path, encoding).splitlines()
+    return path
 
 
 def parse_ratings(path, fmt: str, max_rating: int = 5) -> np.ndarray:
-    """Parse a ratings file; fmt is a `LAYOUTS` key.
-
-    Returns an (n, 4) int64 array of (user, item, rating, timestamp), one
-    row per non-blank line.  The checks run over the whole file in turn
-    (field counts, then integers, then ratings), and a ParseError names
-    the first line that fails one.
-
-    Fast path: a file whose bytes are only ASCII digits, the format's
-    separator and "\n" (an ml1m file: no ':' outside a '::') is read by
-    one `np.loadtxt`, kept if it gives four columns with every rating in
-    1..max_rating.  Every other file, and every file loadtxt refuses, is
-    read line by line.  Both paths give the same array for a file, and
-    only the second raises ParseError.
-    """
+    """The (n, 4) int64 (user, item, rating, timestamp) rows of a ratings
+    file, one per non-empty line; fmt is a `LAYOUTS` key.  The grammar:
+    lines end in "\n" (the last may lack it), and each is empty or four
+    ASCII digit runs joined by the layout's separator, each in int64, the
+    rating in 1..max_rating.  A file in it is read by one `np.loadtxt`;
+    any other raises ParseError at its first line outside it."""
     sep = LAYOUTS[fmt]["sep"]
-    ratings = _parse_digit_rows(path, sep, max_rating)
-    return _parse_lines(path, sep, max_rating) if ratings is None else ratings
-
-
-def _parse_digit_rows(path, sep: str, max_rating: int):
-    """`parse_ratings`' fast path: the ratings of a file that holds nothing
-    but digits, `sep` and "\n", or None for any other file.  With no sign,
-    space, underscore or dot in a field, numpy's integer parser and
-    Python's `int` agree, in every numpy version."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError:
-        return None
-    if raw.translate(None, b"0123456789\n" + sep.encode()):
-        return None
-    if sep == "::":
-        raw = raw.replace(b"::", b"\t")
-        if b":" in raw:                 # a ':' outside a '::'
-            return None
-    try:
-        with warnings.catch_warnings():
-            # numpy < 2 retries an integer field that fails as a float, with
-            # a DeprecationWarning; a file with no rows warns too.
-            warnings.simplefilter("error")
-            ratings = np.loadtxt(io.StringIO(raw.decode("utf-8")), delimiter="\t",
-                                 dtype=np.int64, comments=None, ndmin=2)
-    except (ValueError, OverflowError, Warning):
-        return None
-    if ratings.shape[1] != 4 or np.any((ratings[:, 2] < 1) | (ratings[:, 2] > max_rating)):
-        return None
-    return ratings
-
-
-def _parse_lines(path, sep: str, max_rating: int) -> np.ndarray:
-    """`parse_ratings` for any file: its checks, line numbers and errors."""
-    lines = np.array(_read_lines(path), dtype=str)
-    nonblank = (lines != "") & ~np.char.isspace(lines)
-    linenos = np.flatnonzero(nonblank) + 1
-    lines = lines[nonblank]
-    n_fields = np.char.count(lines, sep) + 1
-    wrong = np.flatnonzero(n_fields != 4)
-    if wrong.size:
-        k = wrong[0]
-        raise ParseError(f"{path}:{linenos[k]}: expected 4 fields, got {n_fields[k]}")
-    # Every line has exactly three separators: four fields per line.
-    fields = sep.join(lines.tolist()).split(sep) if len(lines) else []
-    try:
-        ratings = np.array(fields, dtype=np.int64).reshape(-1, 4)
-    except (ValueError, OverflowError) as exc:
-        lo, hi = 0, len(lines)        # bisect: lines lo..hi-1 hold the first bad one
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                np.array(fields[4 * lo:4 * mid], dtype=np.int64)
-                lo = mid
-            except (ValueError, OverflowError):
-                hi = mid
-        raise ParseError(f"{path}:{linenos[lo]}: non-integer field ({exc})") from None
-    outside = np.flatnonzero((ratings[:, 2] < 1) | (ratings[:, 2] > max_rating))
-    if outside.size:
-        k = outside[0]
-        raise ParseError(
-            f"{path}:{linenos[k]}: rating {ratings[k, 2]} outside 1..{max_rating}")
-    return ratings
+    raw = read_bytes(_raw_file(path))
+    if not raw.strip(b"\n"):
+        return np.zeros((0, 4), dtype=np.int64)
+    # With no sign, space, underscore or dot in a field, numpy's integer
+    # parser is the grammar's in every numpy version; a ':' outside a '::'
+    # stays in a field, which loadtxt refuses.
+    if not raw.translate(None, b"0123456789\n" + sep.encode()):
+        try:
+            with warnings.catch_warnings():
+                # numpy < 2 retries an integer field that fails as a float,
+                # with a DeprecationWarning.
+                warnings.simplefilter("error")
+                ratings = np.loadtxt(io.StringIO(raw.decode().replace(sep, "\t")),
+                                     delimiter="\t", dtype=np.int64, comments=None, ndmin=2)
+        except (ValueError, OverflowError, Warning):
+            pass
+        else:
+            if ratings.shape[1] == 4 and np.all((ratings[:, 2] >= 1)
+                                                & (ratings[:, 2] <= max_rating)):
+                return ratings
+    # Any other file: find its first line outside the grammar.
+    for lineno, line in enumerate(raw.decode("utf-8", "backslashreplace").split("\n"), 1):
+        if not line:
+            continue
+        fields = line.split(sep)
+        if len(fields) != 4:
+            raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
+        rating = [_int_field(field, "field", path, lineno) for field in fields][2]
+        if not 1 <= rating <= max_rating:
+            raise ParseError(f"{path}:{lineno}: rating {rating} outside 1..{max_rating}")
+    raise ParseError(f"{path}: np.loadtxt refused the file, yet no line breaks the grammar")
 
 
 def _int_field(raw: str, name: str, path, lineno: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"{path}:{lineno}: non-integer {name} {raw!r}") from None
+    """A raw file's integer field: a run of ASCII digits that fits in int64."""
+    digits = raw.lstrip("0") or "0"
+    if raw.isascii() and raw.isdigit() and len(digits) <= 19 and int(digits) < 2**63:
+        return int(digits)
+    raise ParseError(f"{path}:{lineno}: non-integer {name} {raw!r}")
 
 
-def _metadata_rows(path, sep: str, n_fields: int, what: str, encoding: str):
+def _metadata_rows(path, sep: str, n_fields: int, what: str, encoding: str,
+                   parse_id=_int_field):
     """Yields (line number, id, fields) for each non-blank line of a
-    metadata file: `n_fields` `sep`-separated fields, the first an integer
-    `what` ("user id" or "item id").  A wrong field count, a non-integer id
-    and an id that repeats an earlier line raise ParseError."""
+    metadata file: `n_fields` `sep`-separated fields, the first the id
+    `parse_id(field, what, path, lineno)`, by default an integer `what`
+    ("user id" or "item id").  A wrong field count, a bad id and an id
+    that repeats an earlier line raise ParseError."""
     first_line = {}
-    for lineno, line in enumerate(_read_lines(path, encoding), start=1):
+    for lineno, line in enumerate(read_text(_raw_file(path), encoding).splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split(sep)
         if len(parts) != n_fields:
             raise ParseError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
-        key = _int_field(parts[0], what, path, lineno)
+        key = parse_id(parts[0], what, path, lineno)
         if key in first_line:
             raise ParseError(f"{path}:{lineno}: {what} {key} repeats line {first_line[key]}")
         first_line[key] = lineno
@@ -231,10 +204,24 @@ def parse_item_genres(path, fmt: str) -> dict[int, list[str]]:
     flags = layout["genres"] if layout["genre_flags"] else ()
     rows = _metadata_rows(path, layout["meta_sep"], 5 + len(flags) if flags else 3,
                           "item id", "latin-1")
-    if flags:
-        return {item: [g for g, f in zip(flags, parts[5:]) if f == "1"]
-                for _, item, parts in rows}
-    return {item: [g for g in parts[2].split("|") if g] for _, item, parts in rows}
+    if not flags:
+        return {item: [g for g in parts[2].split("|") if g] for _, item, parts in rows}
+    return {item: [g for g, f in zip(flags, parts[5:]) if _genre_flag(f, path, lineno)]
+            for lineno, item, parts in rows}
+
+
+def _genre_flag(raw: str, path, lineno: int) -> bool:
+    if raw not in ("0", "1"):
+        raise ParseError(f"{path}:{lineno}: genre flag {raw!r} is not 0 or 1")
+    return raw == "1"
+
+
+def parse_occupations(path) -> list[str]:
+    """The occupation names of u.occupation, one a non-blank line, in file
+    order; a name that an earlier line lists raises ParseError."""
+    rows = _metadata_rows(path, LAYOUTS["ml100k"]["meta_sep"], 1, "occupation", "utf-8",
+                          parse_id=lambda raw, *_: raw.strip())
+    return [name for _, name, _ in rows]
 
 
 class PurchaseRows:

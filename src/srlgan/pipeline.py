@@ -29,7 +29,7 @@ def prepare_dataset(raw_dir, dataset: str,
     item_genres = D.parse_item_genres(files["items"], dataset)
 
     listed = files.get("occupations")
-    occupations = ([ln.strip() for ln in D.read_text(listed).splitlines() if ln.strip()]
+    occupations = (D.parse_occupations(listed)
                    if listed is not None and listed.exists() else None)
     schema = F.layout_schema(dataset, users, occupations)
 

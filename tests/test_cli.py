@@ -1,12 +1,19 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
+import re
 import shutil
 import stat
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from srlgan import data as D
 from srlgan import nn as NN
@@ -144,6 +151,105 @@ def test_prepare_bad_user_metadata_exit_1(tmp_path, synth100k_dir, capsys, case)
     assert rc == 1
     assert f"{raw / 'u.user'}{message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def on_line(lineno, edit):
+    """A text transform that replaces line `lineno` by `edit(line)`."""
+    def apply(text):
+        lines = text.split("\n")
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        return "\n".join(lines)
+    return apply
+
+
+def set_field(k, value):
+    """A u.data line edit that sets field k to `value`."""
+    return lambda line: "\t".join(value if j == k else f for j, f in enumerate(line.split("\t")))
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("u.data", on_line(61, set_field(2, "+3")), ":61: non-integer field '+3'"),
+    ("u.data", on_line(61, set_field(1, "-7")), ":61: non-integer field '-7'"),
+    ("u.data", on_line(61, set_field(0, " 5")), ":61: non-integer field ' 5'"),
+    ("u.data", on_line(61, set_field(0, "1_0")), ":61: non-integer field '1_0'"),
+    ("u.data", on_line(61, set_field(2, "\u0665")), ":61: non-integer field '\u0665'"),
+    ("u.data", lambda text: text.replace("\n", "\r\n"), ":1: non-integer field '"),
+    ("u.data", lambda text: text.replace("\n", "\r"), ":1: expected 4 fields, got "),
+    ("u.data", on_line(61, lambda line: "\x0c\n" + line), ":61: expected 4 fields, got 1"),
+    ("u.data", on_line(61, lambda line: " \n" + line), ":61: expected 4 fields, got 1"),
+    ("u.data", on_line(61, lambda line: "\t\t\t\n" + line), ":61: non-integer field ''"),
+    ("u.user", on_line(2, lambda line: line.replace("|", "|+", 1)), ":2: non-integer age '+"),
+    ("u.item", on_line(5, lambda line: line[:-1] + "x"), ":5: genre flag 'x' is not 0 or 1"),
+    ("u.occupation", lambda text: text + "artist\n", ":9: occupation artist repeats line 1"),
+], ids=["plus", "minus", "space", "underscore", "arabic-indic-digit", "crlf", "cr",
+        "form-feed-line", "space-line", "tabs-line", "u.user-signed-age", "u.item-flag-x",
+        "u.occupation-repeat"])
+def test_prepare_refuses_raw_files_outside_their_grammar(tmp_path, synth100k_dir, capsys,
+                                                         name, edit, message):
+    raw = tmp_path / "raw"
+    shutil.copytree(synth100k_dir, raw)
+    (raw / name).write_bytes(edit((raw / name).read_text(encoding="latin-1")).encode())
+    rc = main(["prepare", "--dataset", "ml100k", "--raw-dir", str(raw),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {raw / name}{message}"), err
+    assert not (tmp_path / "out").exists()
+
+
+def run_cli(argv):
+    """(exit code, stderr) of the CLI, stdout swallowed."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main([str(a) for a in argv])
+    return rc, err.getvalue()
+
+
+RAW_JUNK = "0123456789\t\r +-_.\x0cx\u0665"
+
+
+@st.composite
+def edited_u_data(draw, lines):
+    """The u.data `lines` with up to three lines replaced or inserted, each
+    most often a rating line of the fixture's users with a rating in 1..5,
+    else such a line with a rating of 0 or 6, one field junk or a "\r" at
+    its end, or an empty or a whitespace line."""
+    lines = list(lines)
+    rating = st.tuples(st.integers(1, 60), st.integers(1, 1682),
+                       st.sampled_from([1, 2, 3, 4, 5, 1, 2, 3, 4, 5, 0, 6]),
+                       st.integers(0, 2**63 - 1)).map(lambda row: "\t".join(map(str, row)))
+    junk = st.tuples(st.integers(0, 3), st.text(RAW_JUNK, max_size=3), rating).map(
+        lambda t: set_field(t[0], t[1])(t[2]))
+    line = st.one_of(rating, rating, junk, rating.map(lambda line: line + "\r"),
+                     st.sampled_from(["", " ", "\t\t\t", "\x0c"]))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at + draw(st.integers(0, 1))] = [draw(line)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_prepare_of_edited_u_data_exits_0_or_1(synth100k_dir, data):
+    """`prepare` of a damaged u.data exits 1 naming the file and line, with
+    no out-dir; an accepted one gives the same cache content twice."""
+    text = data.draw(edited_u_data((synth100k_dir / "u.data").read_text().splitlines()))
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, outs = Path(tmp) / "raw", [Path(tmp) / "out1", Path(tmp) / "out2"]
+        shutil.copytree(synth100k_dir, raw)
+        (raw / "u.data").write_bytes(text.encode())
+        argv = ["prepare", "--dataset", "ml100k", "--raw-dir", raw, "--out-dir"]
+        rc, err = run_cli([*argv, outs[0]])
+        assert rc in (0, 1), err
+        if rc == 1:
+            assert re.match(rf"error: {re.escape(str(raw / 'u.data'))}:\d+: ", err), err
+            assert not outs[0].exists()
+            return
+        assert run_cli([*argv, outs[1]])[0] == 0
+        hashes = [json.loads((out / "manifest.json").read_text())["outputs"]["cache_content"]
+                  for out in outs]
+        assert hashes[0] == hashes[1]
 
 
 def test_config_file_values_typed_by_train_config(tmp_path):

@@ -72,7 +72,7 @@ def test_parse_empty_file(tmp_path):
 
 def test_parse_skips_blank_lines_keeps_file_order(tmp_path):
     p = tmp_path / "u.data"
-    p.write_text("\n5\t6\t1\t8\n \t \n1\t2\t3\t4\n\n")
+    p.write_text("\n5\t6\t1\t8\n\n1\t2\t3\t4\n\n")
     assert D.parse_ratings(p, "ml100k").tolist() == [[5, 6, 1, 8], [1, 2, 3, 4]]
 
 
@@ -94,12 +94,13 @@ GOOD = "1\t2\t3\t4\n"
 
 @pytest.mark.parametrize("fmt, text, lineno, message", [
     ("ml100k", GOOD + "\n1\t2\t3\n", 3, "expected 4 fields, got 3"),
-    ("ml100k", "\n  \n1\t2\t3\t4\t5\n", 3, "expected 4 fields, got 5"),
-    ("ml100k", GOOD + "\n1\tx\t3\t4\n", 3, "non-integer field .*'x'"),
-    ("ml100k", GOOD * 40 + "\n" + "1\t2\t3\t4.5\n" + GOOD * 9, 42, "non-integer field .*'4.5'"),
-    ("ml100k", "1\t2\t3\t\n", 1, "non-integer field"),
-    ("ml100k", "1\t2\t3\t99999999999999999999\n", 1, "non-integer field"),
-    ("ml100k", " \n" + GOOD + "1\t2\t0\t4\n", 3, "rating 0 outside 1..5"),
+    ("ml100k", "\n\n1\t2\t3\t4\t5\n", 3, "expected 4 fields, got 5"),
+    ("ml100k", GOOD + "\n1\tx\t3\t4\n", 3, "non-integer field 'x'"),
+    ("ml100k", GOOD * 40 + "\n" + "1\t2\t3\t4.5\n" + GOOD * 9, 42, "non-integer field '4.5'"),
+    ("ml100k", "1\t2\t3\t\n", 1, "non-integer field ''"),
+    ("ml100k", "1\t2\t3\t99999999999999999999\n", 1,
+     "non-integer field '99999999999999999999'"),
+    ("ml100k", "\n" + GOOD + "1\t2\t0\t4\n", 3, "rating 0 outside 1..5"),
     ("ml1m", "1::2::3\n", 1, "expected 4 fields, got 3"),
     ("ml1m", "1::2::3::4\n\n1::2::9::4\n", 3, "rating 9 outside 1..5"),
     ("ml1m", "1::2::3::4\n1:2::3::4\n", 2, "expected 4 fields, got 3"),
@@ -135,15 +136,48 @@ U_ITEM_FLAGS = "|".join(["0"] * len(D.ML100K_GENRES))
      2, "expected 5 fields, got 4"),
     (D.parse_item_genres, "ml1m", "1::A (1995)::Drama\n2::B::C (1995)::Drama\n",
      2, "expected 3 fields, got 4"),
+    (D.parse_item_genres, "ml100k", f"1|A (1995)|||u|{U_ITEM_FLAGS}\n"
+     f"2|B (1995)|||u|x{U_ITEM_FLAGS[1:]}\n", 2, "genre flag 'x' is not 0 or 1"),
+    (D.parse_item_genres, "ml100k", f"1|A (1995)|||u|{U_ITEM_FLAGS[:-1]}7\n",
+     1, "genre flag '7' is not 0 or 1"),
 ], ids=["u.user-age", "users.dat-id", "u.item-id", "movies.dat-id", "u.user-repeated-id",
         "users.dat-repeated-id", "u.item-repeated-id", "movies.dat-repeated-id",
-        "u.user-few-fields", "movies.dat-many-fields"])
+        "u.user-few-fields", "movies.dat-many-fields", "u.item-genre-flag-x",
+        "u.item-genre-flag-7"])
 def test_metadata_parse_errors_name_path_line_and_field(tmp_path, parse, fmt, text,
                                                          lineno, message):
     p = tmp_path / "meta"
     p.write_text(text, encoding="latin-1")
     with pytest.raises(D.ParseError, match=f"^{re.escape(str(p))}:{lineno}: {message}$"):
         parse(p, fmt)
+
+
+@pytest.mark.parametrize("parse, fmt, line, name", [
+    (D.parse_users, "ml100k", "1|{}|M|writer|00000", "age"),
+    (D.parse_users, "ml1m", "{}::F::1::10::48067", "user id"),
+    (D.parse_item_genres, "ml100k", "{}|A (1995)|||u|" + U_ITEM_FLAGS, "item id"),
+    (D.parse_item_genres, "ml1m", "{}::A (1995)::Drama", "item id"),
+], ids=["u.user-age", "users.dat-id", "u.item-id", "movies.dat-id"])
+@pytest.mark.parametrize("value", ["+5", "-5", " 5", "5 ", "1_0", "\u0665", "9" * 20],
+                         ids=["plus", "minus", "leading-space", "trailing-space", "underscore",
+                              "arabic-indic-digit", "past-int64"])
+def test_metadata_integers_are_ascii_digit_runs(tmp_path, parse, fmt, line, name, value):
+    p = tmp_path / "meta"
+    p.write_text(line.format(value) + "\n", encoding="utf-8")
+    shown = value.encode().decode("latin-1" if parse is D.parse_item_genres else "utf-8")
+    with pytest.raises(D.ParseError, match=f"^{re.escape(str(p))}:1: non-integer {name} "
+                                           f"{re.escape(repr(shown))}$"):
+        parse(p, fmt)
+
+
+def test_parse_occupations_refuses_a_repeated_name(tmp_path):
+    p = tmp_path / "u.occupation"
+    p.write_text(" writer\n\nartist \n")
+    assert D.parse_occupations(p) == ["writer", "artist"]
+    p.write_text("writer\n\nartist\nwriter\n")
+    with pytest.raises(D.ParseError,
+                       match=f"^{re.escape(str(p))}:4: occupation writer repeats line 1$"):
+        D.parse_occupations(p)
 
 
 def test_parse_rating_out_of_range(tmp_path):
@@ -154,8 +188,8 @@ def test_parse_rating_out_of_range(tmp_path):
 
 
 def line_oracle_parse_ratings(path, fmt, max_rating=5):
-    """The line-by-line `parse_ratings` from before its loadtxt fast path,
-    kept verbatim as the differential oracle."""
+    """The line-by-line `parse_ratings` from before its loadtxt path, kept
+    verbatim as the differential oracle for files in the grammar."""
     sep = {"ml100k": "\t", "ml1m": "::"}[fmt]
     path = Path(path)
     if not path.exists():
@@ -192,19 +226,35 @@ def line_oracle_parse_ratings(path, fmt, max_rating=5):
 
 
 RAW_ALPHABET = "0123456789\t:\n\r +-_.\x0cx\u0665"
+SEPS = {"ml100k": "\t", "ml1m": "::"}
+
+
+def first_line_outside_grammar(text, fmt, max_rating=5):
+    """The number of the first line of `text` outside `parse_ratings`'
+    grammar, or None: lines split at "\n", each empty or four runs of ASCII
+    digits joined by the separator, each in int64, the rating in
+    1..max_rating."""
+    sep = re.escape(SEPS[fmt])
+    line_re = re.compile(sep.join(["([0-9]+)"] * 4))
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        match = line_re.fullmatch(line)
+        if line and not (match and all(int(f) < 2**63 for f in match.groups())
+                         and 1 <= int(match[3]) <= max_rating):
+            return lineno
+    return None
 
 
 @st.composite
 def ratings_files(draw):
-    """(fmt, text) of a ratings file: free text over the alphabet, a clean
-    file the fast path must take, or a noisy one: lines of three to five
-    fields joined by a separator, most often the format's, whose fields
-    are ids, ratings, int64-sized or past int64, or junk."""
+    """(fmt, text) of a ratings file: free text over the alphabet, a file
+    in the grammar, or a noisy one: lines of three to five fields joined by
+    a separator, most often the format's, whose fields are ids, ratings,
+    int64-sized or past int64, or junk."""
     fmt = draw(st.sampled_from(["ml100k", "ml1m"]))
     kind = draw(st.sampled_from(["free", "clean", "noisy", "noisy"]))
     if kind == "free":
         return fmt, draw(st.text(RAW_ALPHABET, max_size=40))
-    sep = {"ml100k": "\t", "ml1m": "::"}[fmt]
+    sep = SEPS[fmt]
     number = st.one_of(st.integers(0, 99999).map(str),
                        st.text("0123456789", min_size=1, max_size=18))
     if kind == "clean":
@@ -237,37 +287,63 @@ def ratings_path(tmp_path_factory):
     return tmp_path_factory.mktemp("differential") / "ratings"
 
 
+def assert_parse_follows_grammar(path, fmt):
+    """`parse_ratings` gives the line oracle's array for a file in the
+    grammar, and for any other file a ParseError at its first line outside
+    the grammar, with one of the three messages."""
+    bad = first_line_outside_grammar(path.read_bytes().decode(), fmt)
+    if bad is None:
+        assert (parse_outcome(D.parse_ratings, path, fmt)
+                == parse_outcome(line_oracle_parse_ratings, path, fmt))
+        return
+    messages = r"expected 4 fields, got \d+|non-integer field '.*'|rating \d+ outside 1\.\.5"
+    with pytest.raises(D.ParseError, match=f"^{re.escape(str(path))}:{bad}: ({messages})$"):
+        D.parse_ratings(path, fmt)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(ratings_files())
 def test_parse_ratings_matches_line_oracle(ratings_path, case):
-    """The fast path gives the oracle's array, and every file it refuses
-    the oracle's array or ParseError text, in both formats."""
+    """In both formats, files in the grammar parse to the line oracle's
+    array, and every other file is refused at its first line outside it."""
     fmt, text = case
     ratings_path.write_bytes(text.encode())
-    assert (parse_outcome(D.parse_ratings, ratings_path, fmt)
-            == parse_outcome(line_oracle_parse_ratings, ratings_path, fmt))
+    assert_parse_follows_grammar(ratings_path, fmt)
 
 
-@pytest.mark.parametrize("fmt, text, fast", [
-    ("ml100k", "\n196\t242\t3\t881250949\n\n1\t2\t5\t4", True),
-    ("ml1m", "1::1193::5::978300760\n", True),
-    ("ml100k", "196\t242\t3\t881250949\r\n", False),
-    ("ml100k", "196\t242\t3\t+881250949\n", False),
-    ("ml1m", "1::1193:::5::978300760\n", False),
-    ("ml1m", "1\t1193::5::978300760\n", False),
-    ("ml100k", "", False),
-    ("ml100k", "1\t2\t6\t4\n", False),
-    ("ml100k", "1\t2\t3\t99999999999999999999\n", False),
-], ids=["ml100k-blank-lines", "ml1m", "crlf", "sign", "lone-colon", "ml1m-tab", "empty",
-        "rating-6", "int64-overflow"])
-def test_parse_fast_path_takes_only_plain_digit_files(tmp_path, fmt, text, fast):
+@pytest.mark.parametrize("fmt, text, lineno", [
+    ("ml100k", "\n196\t242\t3\t881250949\n\n1\t2\t5\t4", None),
+    ("ml1m", "1::1193::5::978300760\n", None),
+    ("ml100k", "", None),
+    ("ml100k", "\n\n", None),
+    ("ml100k", "9223372036854775807\t007\t5\t0\n", None),
+    ("ml100k", "1\t2\t3\t4\n196\t242\t3\t881250949\r\n", 2),
+    ("ml100k", "1\t2\t3\t4\r5\t6\t1\t8\r", 1),
+    ("ml100k", "196\t242\t3\t+881250949\n", 1),
+    ("ml100k", "196\t242\t-3\t881250949\n", 1),
+    ("ml100k", "196\t 242\t3\t881250949\n", 1),
+    ("ml100k", "196\t242 \t3\t881250949\n", 1),
+    ("ml100k", "1_96\t242\t3\t881250949\n", 1),
+    ("ml100k", "196\t242\t\u0665\t881250949\n", 1),
+    ("ml100k", "1\t2\t3\t4\n\x0c\n5\t6\t1\t8\n", 2),
+    ("ml100k", "1\t2\t3\t4\n \n5\t6\t1\t8\n", 2),
+    ("ml100k", "1\t2\t3\t4\n\t\t\t\n5\t6\t1\t8\n", 2),
+    ("ml1m", "1::1193:::5::978300760\n", 1),
+    ("ml1m", "1\t1193::5::978300760\n", 1),
+    ("ml100k", "1\t2\t6\t4\n", 1),
+    ("ml100k", "1\t2\t3\t99999999999999999999\n", 1),
+    ("ml100k", "9223372036854775808\t2\t3\t4\n", 1),
+], ids=["ml100k-blank-lines", "ml1m", "empty", "only-empty-lines", "int64-max", "crlf",
+        "cr", "sign", "minus", "leading-space", "trailing-space", "underscore",
+        "arabic-indic-digit", "form-feed-line", "space-line", "tabs-line", "lone-colon",
+        "ml1m-tab", "rating-6", "int64-overflow", "int64-max-plus-1"])
+def test_parse_fast_path_takes_only_plain_digit_files(tmp_path, fmt, text, lineno):
+    """The grammar table: `np.loadtxt`, the one array path, takes exactly
+    the plain digit files; each other form is refused at its line."""
     p = tmp_path / "ratings"
     p.write_bytes(text.encode())
-    sep = {"ml100k": "\t", "ml1m": "::"}[fmt]
-    ratings = D._parse_digit_rows(p, sep, 5)
-    assert (ratings is not None) == fast
-    if fast:
-        assert ratings.tobytes() == line_oracle_parse_ratings(p, fmt).tobytes()
+    assert first_line_outside_grammar(text, fmt) == lineno
+    assert_parse_follows_grammar(p, fmt)
 
 
 def dense(ratings, m):
