@@ -203,45 +203,52 @@ def cmd_prepare(args) -> int:
     return 0
 
 
-def _save_trainer_checkpoint(path, trainer: T.Trainer, cache, args, rnd):
-    """Save G into `path`, making its directory: `train` makes its out-dir
-    only here, once the run has passed every refusal."""
-    meta = {
+def _checkpoint_meta(cache, args, config: T.TrainConfig) -> dict:
+    """The run metadata that each checkpoint of a `train` run records,
+    beside the round it was saved at."""
+    return {
         "dataset": cache.dataset,
         "schema_hash": cache.schema_hash(),
         "cold_fraction": args.cold_fraction,
         "split_seed": args.split_seed,
         "leakage_free_cold": args.leakage_free_cold,
-        "config": dataclasses.asdict(trainer.config),
-        "round": rnd,
+        "config": dataclasses.asdict(config),
     }
+
+
+def _save_trainer_checkpoint(path, trainer: T.Trainer, meta: dict, rnd):
+    """Save G into `path`, making its directory: `train` makes its out-dir
+    only here, once the run has passed every refusal."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    NN.save_checkpoint(path, {"generator": trainer.generator}, meta)
+    NN.save_checkpoint(path, {"generator": trainer.generator}, {**meta, "round": rnd})
 
 
 def cmd_train(args) -> int:
     config = _load_config(args)
     cache = D.load_cache(_cache_path(args))
     _, x_warm, y_warm, _, _ = _split(args, cache, config.seed)
+    # What the outputs record of the cache is worked out now, so that the
+    # cache is not held through training.
+    meta = _checkpoint_meta(cache, args, config)
+    inputs = {"cache_content": D.cache_content_hash(cache)}
+    del cache
     out_dir = Path(args.out_dir)
     best_path = out_dir / "checkpoint.best.npz"
     best_rounds = []
 
     def on_best(tr, point):
         best_rounds.append(point.round)
-        _save_trainer_checkpoint(best_path, tr, cache, args, point.round)
+        _save_trainer_checkpoint(best_path, tr, meta, point.round)
 
     trainer = T.fit(x_warm, y_warm, config, on_best=on_best)
 
     final_path = out_dir / "checkpoint.npz"
-    _save_trainer_checkpoint(final_path, trainer, cache, args,
-                             trainer.rounds_done)
+    _save_trainer_checkpoint(final_path, trainer, meta, trainer.rounds_done)
     if not best_rounds:     # no improvement this run: the final model is the best
-        _save_trainer_checkpoint(best_path, trainer, cache, args,
-                                 trainer.rounds_done)
+        _save_trainer_checkpoint(best_path, trainer, meta, trainer.rounds_done)
     curve_path = out_dir / "curve.csv"
     trainer.curve.write_csv(curve_path)
-    _write_manifest(args, {"cache_content": D.cache_content_hash(cache)},
+    _write_manifest(args, inputs,
                     {"checkpoint": str(final_path), "checkpoint_best": str(best_path),
                      "curve": str(curve_path)}, config)
     flagged = sum(p.collapse_flag for p in trainer.curve.points)

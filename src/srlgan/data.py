@@ -56,6 +56,9 @@ ML1M_GENRES = [
 # ML1M's age code book (see the dataset README).
 ML1M_AGE_CODES = [1, 18, 25, 35, 45, 50, 56]
 
+# The gender slots of every layout.
+GENDERS = ("M", "F")
+
 
 # Each raw layout: its files by role, the ratings and the metadata (users,
 # items) separators, the columns of age, gender and occupation in a user
@@ -188,13 +191,26 @@ def _metadata_rows(path, sep: str, n_fields: int, what: str, encoding: str,
         yield lineno, key, parts
 
 
-def parse_users(path, fmt: str) -> dict[int, UserMeta]:
-    """Parse user metadata (u.user or users.dat) keyed by user id."""
-    age, gender, occupation = LAYOUTS[fmt]["user_columns"]
-    rows = _metadata_rows(path, LAYOUTS[fmt]["meta_sep"], 5, "user id", "utf-8")
-    return {uid: UserMeta(uid, _int_field(parts[age], "age", path, lineno),
-                          parts[gender], parts[occupation])
-            for lineno, uid, parts in rows}
+def parse_users(path, fmt: str, occupations=None) -> dict[int, UserMeta]:
+    """Parse user metadata (u.user or users.dat) keyed by user id.  A user
+    attribute with no slot in the layout's schema raises ParseError naming
+    the line: a gender other than GENDERS, an age outside the layout's code
+    book, or an occupation outside its code book or else `occupations`
+    (u.occupation's names; None takes any)."""
+    layout = LAYOUTS[fmt]
+    age, gender, occupation = layout["user_columns"]
+    slots = {"gender": GENDERS, "age": layout["ages"],
+             "occupation": layout["occupations"] or occupations}
+    users = {}
+    for lineno, uid, parts in _metadata_rows(path, layout["meta_sep"], 5, "user id", "utf-8"):
+        user = UserMeta(uid, _int_field(parts[age], "age", path, lineno),
+                        parts[gender], parts[occupation])
+        for what, values in slots.items():
+            if values is not None and getattr(user, what) not in values:
+                raise ParseError(f"{path}:{lineno}: {what} {getattr(user, what)!r} "
+                                 f"has no attribute slot")
+        users[uid] = user
+    return users
 
 
 def parse_item_genres(path, fmt: str) -> dict[int, list[str]]:
@@ -336,13 +352,28 @@ def sparsity_percent(rows: PurchaseRows) -> float:
 
 
 def _write_archive(path, header: dict, **arrays) -> None:
-    """`np.savez` of the json `header` and `arrays` into a temp file beside
-    `path`, renamed over it, so no reader sees a partial file; the file gets
-    the umask's mode."""
+    """The `np.savez` file of the json `header` and the `arrays`, written
+    into a temp file beside `path` and renamed over it, so no reader sees a
+    partial file; the file gets the umask's mode.  Each member is opened as
+    `np.savez` opens it and gets the .npy 1.0 header `np.save` writes, then
+    the array's own buffer: `np.savez` copies each array out in chunks of up
+    to 16 MiB, a theta-sized copy for a checkpoint.  The bytes are
+    `np.savez`'s for every C-contiguous array; any other array is copied
+    into C order first."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp.npz")
+    members = {"header": json.dumps(header, sort_keys=True), **arrays}
     try:
-        np.savez(tmp, header=json.dumps(header, sort_keys=True), **arrays)
+        with zipfile.ZipFile(tmp, mode="w", compression=zipfile.ZIP_STORED,
+                             allowZip64=True) as zf:
+            for name, value in members.items():
+                arr = np.asarray(value)
+                if not arr.flags.c_contiguous:
+                    arr = arr.copy(order="C")
+                with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array_header_1_0(
+                        member, np.lib.format.header_data_from_array_1_0(arr))
+                    member.write(memoryview(arr).cast("B"))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -473,9 +504,9 @@ def cache_content_hash(cache: DatasetCache) -> str:
     rows = cache.purchase
     h = hashlib.sha256()
     h.update(cache.schema_json.encode())
-    h.update(np.asarray(cache.user_ids, dtype=np.int64).tobytes())
+    h.update(np.asarray(cache.user_ids, dtype=np.int64))
     for arr in (rows.indptr, rows.items, rows.values, cache.tfidf):
-        h.update(arr.tobytes())
+        h.update(np.ascontiguousarray(arr))     # its buffer: no copy when contiguous
     h.update(f"{cache.dataset}|{cache.max_rating}|{rows.m}|2".encode())
     return h.hexdigest()
 

@@ -12,9 +12,11 @@ positions are computed (`rank_items`' top-k rule).
 One scorer serves every caller: `evaluate_report` takes one score row per
 user, or one row shared by all users (ItemPop's popularity counts), ranks
 each row it is given once, and finds which ranked items each user stored
-with one `np.searchsorted` over the CSR entries.  DCG sums run left to
-right over rank positions (`np.cumsum`), in the order of a per-user loop,
-so every value has the bits that loop gives.
+with one `np.searchsorted` over the CSR entries.  A score matrix is ranked
+in row blocks of about RANK_BLOCK elements, so no temporary of the
+matrix's size is made.  DCG sums run left to right over rank positions
+(`np.cumsum`), in the order of a per-user loop, so every value has the
+bits that loop gives.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ import numpy as np
 from .data import PurchaseRows
 
 DEFAULT_NS = (5, 20)
+
+# `evaluate_report` ranks a score matrix in row blocks of about this many
+# elements (1 MiB of float64), so the ranking's temporaries (the negated
+# scores, their partition, the masks) stay block-sized.
+RANK_BLOCK = 131072
 
 
 def rank_items(scores, k=None) -> np.ndarray:
@@ -130,7 +137,11 @@ def evaluate_report(scores, held_out: PurchaseRows, ns=DEFAULT_NS, user_keys=Non
         raise ValueError(f"{users.size} user keys for {n_rows} rows")
 
     k = max(ns)
-    top = rank_items(scores, k) - 1
+    # Each row is ranked on its own, so row blocks keep every bit.
+    step = max(1, RANK_BLOCK // max(m, 1))
+    blocks = [scores] if scores.ndim == 1 else [
+        scores[a:a + step] for a in range(0, max(n_rows, 1), step)]
+    top = np.concatenate([rank_items(block, k) for block in blocks]) - 1
     count = np.diff(held_out.indptr)
     keep = count > 0
     rows = np.flatnonzero(keep)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LAYOUTS, UserMeta
+from .data import GENDERS, LAYOUTS, UserMeta
 
 
 class SchemaError(ValueError):
@@ -89,7 +89,7 @@ def layout_schema(dataset: str, users: dict[int, UserMeta],
         occupations = layout["occupations"]
     elif occupations is None:
         occupations = sorted({u.occupation for u in users.values()})
-    return AttributeSchema(dataset, tuple(ages), ("M", "F"), tuple(occupations),
+    return AttributeSchema(dataset, tuple(ages), GENDERS, tuple(occupations),
                            layout["genres"])
 
 

@@ -51,6 +51,14 @@ gradient w.r.t. the input alone: each Linear runs `input_grad` and `grad` is
 left as it is.  Use it for a pass whose parameter gradients nobody reads,
 such as the discriminator pass that only feeds the generator.
 
+The output layer makes one score-sized array: `Linear.forward` adds the
+bias into the product it just made (`out = x @ W; out += b`), and
+`Sigmoid.forward` consumes that fresh product, negating, exponentiating,
+adding 1 and inverting in place.  These are the operations of
+x @ W + b and 1 / (1 + exp(-x)) in the same order, so the bits are theirs.
+Every forward, with an rng or without, still caches what its backward
+reads.
+
 LeakyReLU is branch-free: forward is max(x, slope*x), and backward multiplies
 by a factor of exactly 1.0 or slope, which gives the bits of the two-branch
 `np.where` form, signed zeros, infinities and NaN included.
@@ -113,7 +121,9 @@ class Linear:
                 f"input width {x.shape[1]} != layer in-dim {self.weight.shape[0]}"
             )
         self._x = x
-        return x @ self.weight + self.bias
+        out = x @ self.weight
+        out += self.bias
+        return out
 
     def backward(self, grad_out):
         """Writes (after zero_grad) or adds the parameter gradients; returns
@@ -161,12 +171,18 @@ class LeakyReLU:
 
 
 class Sigmoid:
+    """1 / (1 + exp(-x)), computed in place: `forward` consumes its input,
+    which in an MLP is the fresh product of the Linear before it."""
+
     def __init__(self):
         self._y = None
 
     def forward(self, x, rng=None):
-        self._y = 1.0 / (1.0 + np.exp(-x))
-        return self._y
+        y = np.negative(x, out=x)
+        np.exp(y, out=y)
+        y += 1.0
+        self._y = np.divide(1.0, y, out=y)
+        return y
 
     def backward(self, grad_out):
         return grad_out * self._y * (1.0 - self._y)

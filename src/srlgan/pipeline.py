@@ -10,27 +10,23 @@ from . import data as D
 from . import features as F
 
 
-def prepare_dataset(raw_dir, dataset: str,
-                    items: int | None = None) -> tuple[D.DatasetCache, dict]:
-    """Parse a raw MovieLens directory into a DatasetCache plus stats.
-
-    `items` overrides the declared dataset item count (the default keeps
-    never-rated items so m matches the published dimensionality).
-    """
+def prepare_dataset(raw_dir, dataset: str) -> tuple[D.DatasetCache, dict]:
+    """Parse a raw MovieLens directory into a DatasetCache plus stats.  The
+    cache has the layout's item count m, never-rated items included, so m
+    matches the published dimensionality."""
     if dataset not in D.LAYOUTS:
         raise ValueError(f"unknown dataset {dataset!r}")
     layout = D.LAYOUTS[dataset]
     files = {role: Path(raw_dir) / name for role, name in layout["files"].items()}
-    m = layout["m"] if items is None else items
+    m = layout["m"]
     max_rating = layout["max_rating"]
 
     ratings = D.parse_ratings(files["ratings"], dataset, max_rating=max_rating)
-    users = D.parse_users(files["users"], dataset)
-    item_genres = D.parse_item_genres(files["items"], dataset)
-
     listed = files.get("occupations")
     occupations = (D.parse_occupations(listed)
                    if listed is not None and listed.exists() else None)
+    users = D.parse_users(files["users"], dataset, occupations)
+    item_genres = D.parse_item_genres(files["items"], dataset)
     schema = F.layout_schema(dataset, users, occupations)
 
     try:

@@ -17,6 +17,15 @@ beats the best so far by more than 1e-12; training stops when `patience`
 consecutive evaluations do not improve, or at `max_rounds`.  Without a
 validation row it runs to `max_rounds`.
 
+Each curve point also carries the collapse flag: the mean over items of
+the column std of G's eval-mode scores, at or below
+MODE_COLLAPSE_STD_FLOOR.  It is taken over the collapse set, which is the
+validation slice when there is one, and otherwise the first `batch_size`
+training rows (every `ablate` mode, and `validation_fraction = 0`).  The
+std runs in column blocks (`column_std`) and the ranking in row
+blocks (`evaluate.evaluate_report`), so an evaluation holds one score
+matrix and no temporary of its size.
+
 `gan_loss` and `beta` alone set the adversarial game.  The adversarial
 loss is picked once from `gan_loss`: D learns
 loss(D(real), 1) + loss(D(fake), 0), and G learns loss(D(fake), 1).
@@ -51,6 +60,9 @@ from .nn import Adam, TrainingError
 from .evaluate import DEFAULT_NS, MetricReport, evaluate_predictions, evaluate_report
 
 MODE_COLLAPSE_STD_FLOOR = 1e-4
+
+# `column_std`'s block length in elements (1 MiB of float64).
+COLUMN_STD_BLOCK = 131072
 
 
 @dataclass
@@ -299,14 +311,18 @@ class Trainer:
         return self.curve
 
     def _evaluate_checkpoint(self, rnd, d_loss, g_losses) -> CurvePoint:
+        """The curve point of round `rnd`: validation P/N/M@5, and the
+        collapse flag over the collapse set (the validation rows, or the
+        first `batch_size` training rows when there are none)."""
         if len(self.x_val):
             preds = M.generator_forward(self.generator, self.x_val)
             report = evaluate_predictions(preds, self.y_val, ns=(5,))
             p5, n5, m5 = report["P@5"], report["N@5"], report["M@5"]
         else:
-            preds = M.generator_forward(self.generator, self.x_train)
+            preds = M.generator_forward(self.generator,
+                                        self.x_train[:self.config.batch_size])
             p5 = n5 = m5 = float("nan")
-        std = float(preds.std(axis=0).mean())
+        std = float(column_std(preds).mean())
         return CurvePoint(
             round=rnd,
             loss_g=float(g_losses["total"]),
@@ -320,6 +336,18 @@ class Trainer:
     def _check_finite(value, what: str):
         if not np.isfinite(value):
             raise TrainingError(f"non-finite {what}")
+
+
+def column_std(scores) -> np.ndarray:
+    """`scores.std(axis=0)`, taken in column blocks of about COLUMN_STD_BLOCK
+    elements: each column's std is its own reduction, so the blocks keep its
+    bits without a temporary of the matrix's size."""
+    n, m = scores.shape
+    step = max(1, COLUMN_STD_BLOCK // max(n, 1))
+    std = np.empty(m)
+    for j in range(0, m, step):
+        std[j:j + step] = scores[:, j:j + step].std(axis=0)
+    return std
 
 
 def fit(x_warm, y_warm: PurchaseRows, config: TrainConfig, on_best=None) -> Trainer:

@@ -1,9 +1,15 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from synth import write_ml100k_like, write_ml1m_like
+
+# A floating-point overflow, division by zero, invalid operation or
+# underflow fails the test that meets it, instead of passing as an inf or a
+# NaN.  Code that expects one says so with np.errstate.
+np.seterr(all="raise")
 
 # Real MovieLens raw data is looked up under $SRLGAN_DATA_ROOT (default
 # ./data) in ml-100k/ and ml-1m/ subdirectories.  Tests that need the real
@@ -41,7 +47,7 @@ def synth1m_dir(tmp_path_factory):
 def synth_cache(synth100k_dir):
     from srlgan.pipeline import prepare_dataset
 
-    cache, _ = prepare_dataset(synth100k_dir, "ml100k", items=50)
+    cache, _ = prepare_dataset(synth100k_dir, "ml100k")
     return cache
 
 

@@ -260,8 +260,8 @@ def test_criterion_10_stability():
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        raw = write_ml100k_like(tmp, n_users=50, n_items=40)
-        cache, _ = P.prepare_dataset(raw, "ml100k", items=40)
+        raw = write_ml100k_like(tmp, n_users=50, n_items=1682)
+        cache, _ = P.prepare_dataset(raw, "ml100k")
     _, x_warm, y_warm, _, _ = P.split_matrices(cache, 0.2, 3)
     cfg = T.TrainConfig(beta=0.1, batch_size=16, pretrain_epochs=10,
                         learning_rate=1e-3, max_rounds=80, eval_every=5,

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -17,6 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from srlgan import data as D
+from srlgan import nn as NN
 from srlgan.cli import main
 
 DESK = ["--max-rounds", "2", "--eval-every", "1", "--pretrain-epochs", "1",
@@ -163,3 +166,50 @@ def test_shortened_npy_header_is_refused(good, tmp_path):
     assert rc == 1
     assert err == f"error: checkpoint {bad}: Bad CRC-32 for file 'generator/params.npy'\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_archive_writer_matches_np_savez_byte_for_byte(good, tmp_path):
+    """`data._write_archive` writes each member's buffer itself, yet its files
+    are `np.savez`'s byte for byte: the cache and the checkpoint the CLI
+    wrote (their 0-d json strings included), and an archive of an empty
+    array, an int32 vector and a 2-D float64 matrix."""
+    archives, _ = good
+    for kind, path in archives.items():
+        np.savez(tmp_path / f"{kind}.npz", **members(path))
+        assert path.read_bytes() == (tmp_path / f"{kind}.npz").read_bytes(), kind
+    arrays = {"empty": np.zeros(0), "ids": np.arange(7, dtype=np.int32),
+              "matrix": np.linspace(-1, 1, 12).reshape(3, 4)}
+    header = {"version": 1, "name": "café"}
+    D._write_archive(tmp_path / "ours.npz", header, **arrays)
+    np.savez(tmp_path / "savez.npz", header=json.dumps(header, sort_keys=True), **arrays)
+    assert (tmp_path / "ours.npz").read_bytes() == (tmp_path / "savez.npz").read_bytes()
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak bytes traced by tracemalloc while `fn(*args)` runs, above
+    what was traced before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkpoint_save_and_content_hash_copy_no_array(tmp_path, synth_cache):
+    """A checkpoint save writes theta's own buffer and the content hash reads
+    the cache's own buffers: neither allocates a tenth of the bytes it
+    writes or hashes (`np.savez` and `tobytes` made a copy of each array)."""
+    net = NN.MLP([50, 512, 256], np.random.default_rng(0))      # 1.26 MB
+    NN.save_checkpoint(tmp_path / "warm-up.npz", {"generator": net}, {"round": 1})
+    peak = traced_peak(NN.save_checkpoint, tmp_path / "ckpt.npz", {"generator": net},
+                       {"round": 1})
+    assert peak < net.theta.nbytes / 10, (peak, net.theta.nbytes)
+
+    rows = synth_cache.purchase
+    hashed = 8 * len(synth_cache.user_ids) + sum(
+        arr.nbytes for arr in (rows.indptr, rows.items, rows.values, synth_cache.tfidf))
+    D.cache_content_hash(synth_cache)
+    peak = traced_peak(D.cache_content_hash, synth_cache)
+    assert peak < hashed / 10, (peak, hashed)

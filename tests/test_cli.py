@@ -162,9 +162,10 @@ def on_line(lineno, edit):
     return apply
 
 
-def set_field(k, value):
-    """A u.data line edit that sets field k to `value`."""
-    return lambda line: "\t".join(value if j == k else f for j, f in enumerate(line.split("\t")))
+def set_field(k, value, sep="\t"):
+    """A line edit that sets field k of a `sep`-separated line (by default a
+    u.data line) to `value`."""
+    return lambda line: sep.join(value if j == k else f for j, f in enumerate(line.split(sep)))
 
 
 @pytest.mark.parametrize("name, edit, message", [
@@ -181,15 +182,21 @@ def set_field(k, value):
     ("u.user", on_line(2, lambda line: line.replace("|", "|+", 1)), ":2: non-integer age '+"),
     ("u.item", on_line(5, lambda line: line[:-1] + "x"), ":5: genre flag 'x' is not 0 or 1"),
     ("u.occupation", lambda text: text + "artist\n", ":9: occupation artist repeats line 1"),
+    ("u.user", on_line(2, set_field(2, "X", "|")), ":2: gender 'X' has no attribute slot"),
+    ("u.user", on_line(2, set_field(3, "pilot", "|")),
+     ":2: occupation 'pilot' has no attribute slot"),
+    ("users.dat", on_line(2, set_field(2, "99", "::")), ":2: age 99 has no attribute slot"),
 ], ids=["plus", "minus", "space", "underscore", "arabic-indic-digit", "crlf", "cr",
         "form-feed-line", "space-line", "tabs-line", "u.user-signed-age", "u.item-flag-x",
-        "u.occupation-repeat"])
-def test_prepare_refuses_raw_files_outside_their_grammar(tmp_path, synth100k_dir, capsys,
+        "u.occupation-repeat", "u.user-gender-x", "u.user-occupation-pilot",
+        "users.dat-age-code-99"])
+def test_prepare_refuses_raw_files_outside_their_grammar(tmp_path, request, capsys,
                                                          name, edit, message):
+    dataset = "ml1m" if name.endswith(".dat") else "ml100k"
     raw = tmp_path / "raw"
-    shutil.copytree(synth100k_dir, raw)
+    shutil.copytree(request.getfixturevalue(f"synth{dataset[2:]}_dir"), raw)
     (raw / name).write_bytes(edit((raw / name).read_text(encoding="latin-1")).encode())
-    rc = main(["prepare", "--dataset", "ml100k", "--raw-dir", str(raw),
+    rc = main(["prepare", "--dataset", dataset, "--raw-dir", str(raw),
                "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err

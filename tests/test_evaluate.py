@@ -206,6 +206,25 @@ def test_csr_scorer_matches_dense_oracle_bit_for_bit(scores, data):
             assert got.values[key].tobytes() == want.values[key].tobytes(), key
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tied_scores(), st.integers(1, 3), st.data())
+def test_row_blocks_match_the_dense_oracle_bit_for_bit(scores, rows_per_block, data):
+    """The scorer ranks a score matrix in row blocks of RANK_BLOCK // m rows;
+    with blocks of 1-3 rows (a last lone row included), every value has the
+    bits of the oracle, which ranks the whole matrix at once."""
+    rows, m = scores.shape
+    held = data.draw(arrays(np.float64, (rows, m), elements=RATINGS))
+    ns = tuple(data.draw(st.lists(st.integers(1, m + 3), min_size=1, max_size=3)))
+    for graded in (False, True):
+        with mock.patch.object(E, "RANK_BLOCK", rows_per_block * m):
+            got = E.evaluate_report(scores, csr(held), ns=ns, graded=graded)
+        want = dense_oracle_evaluate_report(scores, held, ns=ns, graded=graded)
+        assert got.users.tobytes() == want.users.tobytes()
+        assert got.n_skipped == want.n_skipped
+        for key in want.values:
+            assert got.values[key].tobytes() == want.values[key].tobytes(), key
+
+
 def test_precision_values():
     ranked = [1, 2, 3, 4, 5, 6]
     assert scored(ranked, {1, 2, 3, 4, 5}, 5)[0] == 1.0

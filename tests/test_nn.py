@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,42 @@ def test_leaky_relu_matches_two_branch_where_bit_for_bit(x, slope, data):
         grad_in = layer.backward(grad_out)
         assert _same_bits(y, np.where(x >= 0, x, slope * x))
         assert _same_bits(grad_in, np.where(x >= 0, grad_out, slope * grad_out))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 9)),
+                elements=st.one_of(st.floats(width=64), st.sampled_from(SPECIAL))))
+def test_sigmoid_in_place_matches_textbook_form_bit_for_bit(x):
+    """Sigmoid.forward consumes its input: it negates, exponentiates, adds 1
+    and inverts in that array, which gives the bits of 1 / (1 + exp(-x))."""
+    with np.errstate(all="ignore"):
+        want = 1.0 / (1.0 + np.exp(-x))
+        given_x = x.copy()
+        y = NN.Sigmoid().forward(given_x)
+    assert y is given_x
+    assert _same_bits(y, want)
+
+
+@pytest.mark.parametrize("rows, fan_in, fan_out", [(1, 16, 32768), (64, 71, 1682),
+                                                   (483, 48, 3952)])
+def test_linear_forward_adds_bias_in_place_bit_for_bit(rows, fan_in, fan_out):
+    """Linear.forward adds the bias into the product it made, so it gives the
+    bits of x @ W + b and allocates one output, not two (the broadcast add
+    may take a ufunc buffer of at most 64 KiB)."""
+    rng = np.random.default_rng(fan_out)
+    layer = _linear(fan_in, fan_out)
+    layer.weight[...] = rng.normal(size=layer.weight.shape)
+    layer.bias[...] = rng.normal(size=fan_out)
+    x = rng.normal(size=(rows, fan_in))
+    want = x @ layer.weight + layer.bias
+    tracemalloc.start()
+    try:
+        out = layer.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _same_bits(out, want)
+    assert peak < out.nbytes + 2 ** 17, (peak, out.nbytes)
 
 
 def test_backward_before_forward_raises():

@@ -567,3 +567,63 @@ def test_each_trainer_is_released_before_the_next_fit(run, monkeypatch):
     else:
         T.run_ablation(x, y, x[:6], y.take(range(6)), cfg)
     assert len(built) == 3
+
+
+def test_validation_peak_is_at_most_two_score_matrices():
+    """A validation evaluation holds G's score matrix and block-sized
+    temporaries: its traced peak stays at or under two score matrices at
+    300 users by 1682 items (a whole-matrix std and ranking took 3.2)."""
+    x, y = toy_data(n=40, m=1682)
+    x_val, y_val = toy_data(n=300, m=1682, seed=1)
+    tr = T.Trainer(x, y, small_config(generator_hidden=[16]), x_val=x_val, y_val=y_val)
+    losses = {"total": 0.0, "sr": 0.0}
+    tr._evaluate_checkpoint(1, 0.0, losses)       # warm-up: lazy allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tr._evaluate_checkpoint(1, 0.0, losses)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    scores_bytes = 300 * 1682 * 8
+    assert peak <= 2 * scores_bytes, peak / scores_bytes
+
+
+def test_collapse_check_without_validation_scores_one_batch():
+    """With no validation row, the collapse check scores the first
+    `batch_size` training rows in eval mode, never the whole training set,
+    and draws nothing from the run RNG."""
+    x, y = toy_data(n=40)
+    cfg = small_config(validation_fraction=0.0, max_rounds=4, eval_every=2)
+    tr = T.Trainer(x, y, cfg)
+    forward, eval_rows = tr.generator.forward, []
+
+    def spy(batch, rng=None):
+        if rng is None:
+            eval_rows.append(len(batch))
+        return forward(batch, rng)
+
+    tr.generator.forward = spy
+    tr.pretrain_generator()
+    tr.train()
+    assert eval_rows == [cfg.batch_size] * 2
+    state = tr.rng.bit_generator.state
+    point = tr._evaluate_checkpoint(5, 0.0, {"total": 0.0, "sr": 0.0})
+    assert tr.rng.bit_generator.state == state
+    preds = M.generator_forward(tr.generator, x[:cfg.batch_size])
+    assert point.collapse_flag == (preds.std(axis=0).mean() <= T.MODE_COLLAPSE_STD_FLOOR)
+
+
+@pytest.mark.parametrize("rows, m, block", [
+    (94, 1682, None), (189, 1682, None), (483, 3952, None), (1208, 3952, None),
+    (7, 13, 7), (7, 13, 20), (1, 9, 1), (5, 4, 10 ** 6)])
+def test_column_std_matches_whole_std_bit_for_bit(rows, m, block, monkeypatch):
+    """The collapse std, taken in column blocks (the default block, or one of
+    1 or 2 columns, or one block), has the bits of scores.std(axis=0)."""
+    if block is not None:
+        monkeypatch.setattr(T, "COLUMN_STD_BLOCK", block)
+    rng = np.random.default_rng(rows * m)
+    scores = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 3.0, size=(rows, m))))
+    want = scores.std(axis=0)
+    got = T.column_std(scores)
+    assert got.tobytes() == want.tobytes()
