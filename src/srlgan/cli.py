@@ -193,8 +193,7 @@ def cmd_prepare(args) -> int:
     stats_path = out_dir / f"{args.dataset}.stats.json"
     stats_path.write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
     inputs = {name: D.file_sha256(raw_dir / fname)
-              for name, fname in D.LAYOUTS[args.dataset]["files"].items()
-              if (raw_dir / fname).exists()}
+              for name, fname in D.LAYOUTS[args.dataset]["files"].items()}
     _write_manifest(args, inputs, {"cache_content": D.cache_content_hash(cache)})
     print(f"dataset={stats['dataset']} users={stats['users']} "
           f"items={stats['items']} ratings={stats['ratings']} d={stats['d']} "

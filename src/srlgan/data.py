@@ -3,14 +3,15 @@
 Supports the 100K layout (``u.data`` / ``u.user`` / ``u.item``, tab- and
 pipe-separated) and the 1M layout (``ratings.dat`` / ``users.dat`` /
 ``movies.dat``, ``::``-separated).  `LAYOUTS` is the one place that knows
-each layout: its file names, separators, user columns, item count m,
-rating ceiling C and attribute slots (age and occupation code books,
+each layout: its file names (every one required), separators, user
+columns, item count m and attribute slots (age and occupation code books,
 genres); the parsers, `features.layout_schema`, `pipeline` and the CLI
-read it.  A ratings file has one grammar, lines of four ASCII digit runs
-(`parse_ratings`): a file in it is read by one `np.loadtxt` into an
-(n, 4) int64 array of (user, item, rating, timestamp) rows, and any other
-file is refused at its first line outside it.  Every integer field of a
-raw file is a run of ASCII digits that fits in int64.  Ratings are
+read it.  Both layouts rate 1..C stars, C = `MAX_RATING`.  A ratings file
+has one grammar, lines of four ASCII digit runs (`parse_ratings`): a file
+in it is read by one `np.loadtxt` into an (n, 4) int64 array of (user,
+item, rating, timestamp) rows, and any other file is refused at its first
+line outside it.  Every integer field of a raw file is a run of ASCII
+digits that fits in int64.  Ratings are
 normalized to [0, 1] by dividing with the rating ceiling C, so a
 purchase-behavior row lives in {0, 1/C, ..., 1} with 0 meaning "not
 purchased".  Purchase rows are 96% zeros, so they stay in CSR form
@@ -59,23 +60,26 @@ ML1M_AGE_CODES = [1, 18, 25, 35, 45, 50, 56]
 # The gender slots of every layout.
 GENDERS = ("M", "F")
 
+# The rating ceiling C of every layout: ratings are 1..C stars.
+MAX_RATING = 5
+
 
 # Each raw layout: its files by role, the ratings and the metadata (users,
 # items) separators, the columns of age, gender and occupation in a user
-# line, the declared item count m (never-rated items included), the rating
-# ceiling C and its attribute slots: the age and occupation code books
-# (None: the distinct ages of the users file, and the lines of
-# u.occupation), the genres, and whether an item line flags them 0/1 in
-# that order after its first five fields (else a |-list as the third field).
+# line, the declared item count m (never-rated items included) and its
+# attribute slots: the age and occupation code books (None: the distinct
+# ages of the users file, and the lines of u.occupation), the genres, and
+# whether an item line flags them 0/1 in that order after its first five
+# fields (else a |-list as the third field).
 LAYOUTS = {
     "ml100k": {"files": {"ratings": "u.data", "users": "u.user", "items": "u.item",
                          "occupations": "u.occupation"},
                "sep": "\t", "meta_sep": "|", "user_columns": (1, 2, 3),
-               "m": 1682, "max_rating": 5, "ages": None, "occupations": None,
+               "m": 1682, "ages": None, "occupations": None,
                "genres": tuple(ML100K_GENRES), "genre_flags": True},
     "ml1m": {"files": {"ratings": "ratings.dat", "users": "users.dat", "items": "movies.dat"},
              "sep": "::", "meta_sep": "::", "user_columns": (2, 1, 3),
-             "m": 3952, "max_rating": 5, "ages": tuple(ML1M_AGE_CODES),
+             "m": 3952, "ages": tuple(ML1M_AGE_CODES),
              "occupations": tuple(str(code) for code in range(21)),
              "genres": tuple(ML1M_GENRES), "genre_flags": False},
 }
@@ -121,12 +125,12 @@ def _raw_file(path):
     return path
 
 
-def parse_ratings(path, fmt: str, max_rating: int = 5) -> np.ndarray:
+def parse_ratings(path, fmt: str) -> np.ndarray:
     """The (n, 4) int64 (user, item, rating, timestamp) rows of a ratings
     file, one per non-empty line; fmt is a `LAYOUTS` key.  The grammar:
     lines end in "\n" (the last may lack it), and each is empty or four
     ASCII digit runs joined by the layout's separator, each in int64, the
-    rating in 1..max_rating.  A file in it is read by one `np.loadtxt`;
+    rating in 1..MAX_RATING.  A file in it is read by one `np.loadtxt`;
     any other raises ParseError at its first line outside it."""
     sep = LAYOUTS[fmt]["sep"]
     raw = read_bytes(_raw_file(path))
@@ -147,7 +151,7 @@ def parse_ratings(path, fmt: str, max_rating: int = 5) -> np.ndarray:
             pass
         else:
             if ratings.shape[1] == 4 and np.all((ratings[:, 2] >= 1)
-                                                & (ratings[:, 2] <= max_rating)):
+                                                & (ratings[:, 2] <= MAX_RATING)):
                 return ratings
     # Any other file: find its first line outside the grammar.
     for lineno, line in enumerate(raw.decode("utf-8", "backslashreplace").split("\n"), 1):
@@ -157,8 +161,8 @@ def parse_ratings(path, fmt: str, max_rating: int = 5) -> np.ndarray:
         if len(fields) != 4:
             raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
         rating = [_int_field(field, "field", path, lineno) for field in fields][2]
-        if not 1 <= rating <= max_rating:
-            raise ParseError(f"{path}:{lineno}: rating {rating} outside 1..{max_rating}")
+        if not 1 <= rating <= MAX_RATING:
+            raise ParseError(f"{path}:{lineno}: rating {rating} outside 1..{MAX_RATING}")
     raise ParseError(f"{path}: np.loadtxt refused the file, yet no line breaks the grammar")
 
 
@@ -191,16 +195,16 @@ def _metadata_rows(path, sep: str, n_fields: int, what: str, encoding: str,
         yield lineno, key, parts
 
 
-def parse_users(path, fmt: str, occupations=None) -> dict[int, UserMeta]:
+def parse_users(path, fmt: str, occupations=()) -> dict[int, UserMeta]:
     """Parse user metadata (u.user or users.dat) keyed by user id.  A user
     attribute with no slot in the layout's schema raises ParseError naming
     the line: a gender other than GENDERS, an age outside the layout's code
     book, or an occupation outside its code book or else `occupations`
-    (u.occupation's names; None takes any)."""
+    (u.occupation's names, which ML100K needs)."""
     layout = LAYOUTS[fmt]
     age, gender, occupation = layout["user_columns"]
     slots = {"gender": GENDERS, "age": layout["ages"],
-             "occupation": layout["occupations"] or occupations}
+             "occupation": layout["occupations"] or tuple(occupations)}
     users = {}
     for lineno, uid, parts in _metadata_rows(path, layout["meta_sep"], 5, "user id", "utf-8"):
         user = UserMeta(uid, _int_field(parts[age], "age", path, lineno),
@@ -290,7 +294,7 @@ def as_purchase_rows(rows) -> PurchaseRows:
     return rows if isinstance(rows, PurchaseRows) else PurchaseRows.from_dense(rows)
 
 
-def build_purchase_matrix(ratings, m: int, max_rating: int = 5):
+def build_purchase_matrix(ratings, m: int):
     """Normalized purchase-behavior rows, one per user in `ratings`.
 
     `ratings` is parse_ratings' (n, 4) array.  Returns (user_ids, rows):
@@ -309,7 +313,7 @@ def build_purchase_matrix(ratings, m: int, max_rating: int = 5):
     latest = order[np.append(cell[order][1:] != cell[order][:-1], True)]
     cells = cell[latest]            # increasing: row-major order
     indptr = np.searchsorted(cells, np.arange(len(user_ids) + 1) * m)
-    return user_ids.tolist(), PurchaseRows(indptr, cells % m, rating[latest] / max_rating, m)
+    return user_ids.tolist(), PurchaseRows(indptr, cells % m, rating[latest] / MAX_RATING, m)
 
 
 def held_count(n: int, fraction: float) -> int:
@@ -341,11 +345,12 @@ def sparsity_percent(rows: PurchaseRows) -> float:
 # that holds the format version, written stored (uncompressed); the reader
 # also takes deflated members.  The cache (CACHE_VERSION 3) holds the
 # purchase rows in CSR form:
-#   header   : json {version, dataset, m, d, max_rating}
+#   header   : json {version, dataset, m, d, max_rating}: max_rating is
+#              MAX_RATING, and a file naming another C is refused
 #   user_ids : int64 (users,), strictly increasing
 #   indptr   : int64 (users + 1,), from 0, never decreasing, ending at nnz
 #   items    : int32 (nnz,), 0-based ids in 0..m-1, increasing within a row
-#   ratings  : uint8 (nnz,), in 1..max_rating (the purchase value times C)
+#   ratings  : uint8 (nnz,), in 1..C (the purchase value times C)
 #   tfidf    : float64 (users x d)
 #   schema   : json string (attribute slot list, see features.AttributeSchema)
 # ---------------------------------------------------------------------------
@@ -358,8 +363,8 @@ def _write_archive(path, header: dict, **arrays) -> None:
     `np.savez` opens it and gets the .npy 1.0 header `np.save` writes, then
     the array's own buffer: `np.savez` copies each array out in chunks of up
     to 16 MiB, a theta-sized copy for a checkpoint.  The bytes are
-    `np.savez`'s for every C-contiguous array; any other array is copied
-    into C order first."""
+    `np.savez`'s.  Every array must be C-contiguous, as every caller's is:
+    `memoryview.cast` raises TypeError for any other."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp.npz")
     members = {"header": json.dumps(header, sort_keys=True), **arrays}
@@ -368,8 +373,6 @@ def _write_archive(path, header: dict, **arrays) -> None:
                              allowZip64=True) as zf:
             for name, value in members.items():
                 arr = np.asarray(value)
-                if not arr.flags.c_contiguous:
-                    arr = arr.copy(order="C")
                 with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
                     np.lib.format.write_array_header_1_0(
                         member, np.lib.format.header_data_from_array_1_0(arr))
@@ -423,7 +426,6 @@ def _archive_array(z, name: str, dtype, shape: tuple) -> np.ndarray:
 @dataclass
 class DatasetCache:
     dataset: str
-    max_rating: int
     user_ids: list[int]
     purchase: PurchaseRows
     tfidf: np.ndarray
@@ -445,12 +447,13 @@ def save_cache(cache: DatasetCache, path) -> None:
     """Atomic write of the dataset cache; purchase values that are not a
     rating 1..C divided by C raise ValueError."""
     rows = cache.purchase
-    ratings = np.rint(rows.values * cache.max_rating).astype(np.uint8)
-    if np.any(ratings == 0) or not np.array_equal(ratings / cache.max_rating, rows.values):
-        raise ValueError(f"purchase values are not ratings 1..{cache.max_rating} "
-                         f"divided by {cache.max_rating}")
+    ratings = np.rint(rows.values * MAX_RATING).astype(np.uint8)
+    if (np.any((ratings < 1) | (ratings > MAX_RATING))
+            or not np.array_equal(ratings / MAX_RATING, rows.values)):
+        raise ValueError(f"purchase values are not ratings 1..{MAX_RATING} "
+                         f"divided by {MAX_RATING}")
     header = {"version": CACHE_VERSION, "dataset": cache.dataset, "m": cache.m,
-              "d": cache.d, "max_rating": cache.max_rating}
+              "d": cache.d, "max_rating": MAX_RATING}
     _write_archive(path, header, user_ids=np.asarray(cache.user_ids, dtype=np.int64),
                    indptr=rows.indptr, items=rows.items, ratings=ratings,
                    tfidf=cache.tfidf, schema=cache.schema_json)
@@ -458,16 +461,20 @@ def save_cache(cache: DatasetCache, path) -> None:
 
 def load_cache(path) -> DatasetCache:
     """The cache at `path`.  An unreadable, damaged or truncated file, another
-    format version, a missing array, an array of another dtype or of a shape
-    that disagrees with the user count and the header's d, user ids that do
-    not strictly increase, or purchase rows that break a CSR rule of the
+    format version, a header naming another rating ceiling than MAX_RATING,
+    a missing array, an array of another dtype or of a shape that disagrees
+    with the user count and the header's d, user ids that do not strictly
+    increase, or purchase rows that break a CSR rule of the
     layout above raise ValueError naming path and problem; a missing file,
     FileNotFoundError."""
     with _read_archive(path, "cache", CACHE_VERSION, "prepare") as (header, z):
+        if header["max_rating"] != MAX_RATING:
+            raise ValueError(f"max_rating {header['max_rating']!r} is not the "
+                             f"rating ceiling {MAX_RATING}")
         user_ids = _archive_array(z, "user_ids", np.int64, (None,))
         if np.any(np.diff(user_ids) <= 0):
             raise ValueError("user_ids are not strictly increasing")
-        n, m, c = len(user_ids), header["m"], header["max_rating"]
+        n, m = len(user_ids), header["m"]
         indptr = _archive_array(z, "indptr", np.int64, (n + 1,))
         items = _archive_array(z, "items", np.int32, (None,))
         ratings = _archive_array(z, "ratings", np.uint8, items.shape)
@@ -484,13 +491,12 @@ def load_cache(path) -> DatasetCache:
         row = np.repeat(np.arange(n), np.diff(indptr))
         if np.any(np.diff(row * m + items) <= 0):
             raise ValueError("item ids do not strictly increase within a row")
-        if np.any((ratings < 1) | (ratings > c)):
-            raise ValueError(f"ratings outside 1..{c}")
+        if np.any((ratings < 1) | (ratings > MAX_RATING)):
+            raise ValueError(f"ratings outside 1..{MAX_RATING}")
         return DatasetCache(
             dataset=header["dataset"],
-            max_rating=c,
             user_ids=user_ids.tolist(),
-            purchase=PurchaseRows(indptr, items, ratings / c, m),
+            purchase=PurchaseRows(indptr, items, ratings / MAX_RATING, m),
             tfidf=_archive_array(z, "tfidf", np.float64, (n, header["d"])),
             schema_json=str(_archive_array(z, "schema", np.str_, ())),
         )
@@ -507,7 +513,7 @@ def cache_content_hash(cache: DatasetCache) -> str:
     h.update(np.asarray(cache.user_ids, dtype=np.int64))
     for arr in (rows.indptr, rows.items, rows.values, cache.tfidf):
         h.update(np.ascontiguousarray(arr))     # its buffer: no copy when contiguous
-    h.update(f"{cache.dataset}|{cache.max_rating}|{rows.m}|2".encode())
+    h.update(f"{cache.dataset}|{MAX_RATING}|{rows.m}|2".encode())
     return h.hexdigest()
 
 

@@ -3,7 +3,8 @@
 Held-out behavior is `data.PurchaseRows`, never made dense: an item is
 relevant for a cold user iff the user's row stores it (every stored entry
 is a purchase).  NDCG uses binary gains by default (graded 2^(C*r)-1 gains
-behind a flag, with the ideal DCG built from the user's own sorted gains);
+behind a flag, C being `data.MAX_RATING`, so a stored r = rating/C gains
+2^rating - 1; the ideal DCG is built from the user's own sorted gains);
 users with no held-out purchases are excluded from the means.  Ranking is
 by descending score, tie-broken by ascending item id, so metrics depend
 only on the stable argsort of the negated scores; only its first max(ns)
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PurchaseRows
+from .data import MAX_RATING, PurchaseRows
 
 DEFAULT_NS = (5, 20)
 
@@ -159,7 +160,7 @@ def evaluate_report(scores, held_out: PurchaseRows, ns=DEFAULT_NS, user_keys=Non
         # Only stored entries carry a gain (2^0 - 1 = 0 elsewhere).  The
         # ideal DCG is the DCG of the user's own k largest gains, in
         # descending order.
-        gain = 2.0 ** (held_out.values * 5.0) - 1.0
+        gain = 2.0 ** (held_out.values * MAX_RATING) - 1.0
         ranked_gain = np.append(gain, 0.0)[np.where(hit, at, held_out.nnz)]
         descending = np.append(gain[np.lexsort((-gain, entry_row))], 0.0)
         start = held_out.indptr[rows][:, None]

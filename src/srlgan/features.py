@@ -8,15 +8,16 @@ smoothed inverse document frequency computed across all users, then
 multiplied elementwise (no further normalization).
 
 `layout_schema` takes the slots from the layout's entry in `data.LAYOUTS`:
-103 for ML100K (61 observed ages + 2 genders + 21 occupations from
-u.occupation + 19 genres) and 48 for ML1M (7 age codes + 2 genders + 21
-occupation codes + 18 genres).
+103 for ML100K (61 observed ages + 2 genders + 21 occupations + 19
+genres; the occupations are the lines of u.occupation, a required file)
+and 48 for ML1M (7 age codes + 2 genders + 21 occupation codes + 18
+genres).  `AttributeSchema`'s json document holds its fields by name.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -52,45 +53,25 @@ class AttributeSchema:
         return {name: k for k, name in enumerate(self.slot_names())}
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dataset": self.dataset,
-                "age_values": list(self.age_values),
-                "gender_values": list(self.gender_values),
-                "occupation_values": list(self.occupation_values),
-                "genre_values": list(self.genre_values),
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "AttributeSchema":
         obj = json.loads(text)
-        return cls(
-            dataset=obj["dataset"],
-            age_values=tuple(obj["age_values"]),
-            gender_values=tuple(obj["gender_values"]),
-            occupation_values=tuple(obj["occupation_values"]),
-            genre_values=tuple(obj["genre_values"]),
-        )
+        return cls(obj["dataset"], *(tuple(obj[f.name]) for f in fields(cls)[1:]))
 
 
 def layout_schema(dataset: str, users: dict[int, UserMeta],
-                  occupations: list[str] | None = None) -> AttributeSchema:
+                  occupations=()) -> AttributeSchema:
     """The schema of the `data.LAYOUTS` layout `dataset`.  Where the layout
     has no code book, the ages are the distinct ages in `users`, and the
-    occupations are `occupations` (u.occupation's lines) or, when that is
-    None, the distinct occupations in `users`."""
+    occupations are `occupations` (u.occupation's lines)."""
     layout = LAYOUTS[dataset]
     ages = layout["ages"]
     if ages is None:
         ages = sorted({u.age for u in users.values()})
-    if layout["occupations"] is not None:
-        occupations = layout["occupations"]
-    elif occupations is None:
-        occupations = sorted({u.occupation for u in users.values()})
-    return AttributeSchema(dataset, tuple(ages), GENDERS, tuple(occupations),
-                           layout["genres"])
+    return AttributeSchema(dataset, tuple(ages), GENDERS,
+                           layout["occupations"] or tuple(occupations), layout["genres"])
 
 
 def attribute_counts(users: dict[int, UserMeta], user_ids, ratings,

@@ -19,18 +19,15 @@ def prepare_dataset(raw_dir, dataset: str) -> tuple[D.DatasetCache, dict]:
     layout = D.LAYOUTS[dataset]
     files = {role: Path(raw_dir) / name for role, name in layout["files"].items()}
     m = layout["m"]
-    max_rating = layout["max_rating"]
 
-    ratings = D.parse_ratings(files["ratings"], dataset, max_rating=max_rating)
-    listed = files.get("occupations")
-    occupations = (D.parse_occupations(listed)
-                   if listed is not None and listed.exists() else None)
+    ratings = D.parse_ratings(files["ratings"], dataset)
+    occupations = D.parse_occupations(files["occupations"]) if "occupations" in files else ()
     users = D.parse_users(files["users"], dataset, occupations)
     item_genres = D.parse_item_genres(files["items"], dataset)
     schema = F.layout_schema(dataset, users, occupations)
 
     try:
-        user_ids, purchase = D.build_purchase_matrix(ratings, m=m, max_rating=max_rating)
+        user_ids, purchase = D.build_purchase_matrix(ratings, m=m)
     except ValueError as exc:
         raise D.ParseError(f"{files['ratings']}: {exc}") from None
     unknown = sorted(set(user_ids) - users.keys())
@@ -41,7 +38,6 @@ def prepare_dataset(raw_dir, dataset: str) -> tuple[D.DatasetCache, dict]:
     counts = F.attribute_counts(users, user_ids, ratings, item_genres, schema)
     cache = D.DatasetCache(
         dataset=dataset,
-        max_rating=max_rating,
         user_ids=user_ids,
         purchase=purchase,
         tfidf=counts * F.inverse_document_frequency(counts),

@@ -371,16 +371,19 @@ def cross_validate_beta(x_warm, y_warm, beta_grid, config: TrainConfig,
     """Pick beta by P@5 on the validation slice `fit` holds out.
 
     Ties go to the smaller beta.  Returns (best_beta, {beta: p5}); a
-    `curves` dict, when given, receives each beta's validation curve.
+    `curves` dict, when given, receives each beta's validation curve.  A
+    beta that `config` refuses raises ValueError before any training.
     """
     if len(beta_grid) == 0:
         raise ValueError("empty beta grid")
     if held_count(len(x_warm), config.validation_fraction) == 0:
         raise ValueError(f"validation_fraction {config.validation_fraction} holds out "
                          f"none of {len(x_warm)} warm users, so no beta can be scored")
+    configs = {beta: replace(config, beta=beta).validate()
+               for beta in sorted(set(map(float, beta_grid)))}
     scores = {}
-    for beta in sorted(set(map(float, beta_grid))):
-        trainer = fit(x_warm, y_warm, replace(config, beta=beta))
+    for beta, beta_config in configs.items():
+        trainer = fit(x_warm, y_warm, beta_config)
         preds = M.generator_forward(trainer.generator, trainer.x_val)
         report = evaluate_predictions(preds, trainer.y_val, ns=(5,))
         scores[beta] = report["P@5"]

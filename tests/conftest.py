@@ -61,7 +61,9 @@ def raw_counts():
     def counts(raw_dir, cache):
         names = D.LAYOUTS[cache.dataset]["files"]
         ratings = D.parse_ratings(raw_dir / names["ratings"], cache.dataset)
-        users = D.parse_users(raw_dir / names["users"], cache.dataset)
+        occupations = (D.parse_occupations(raw_dir / names["occupations"])
+                       if "occupations" in names else ())
+        users = D.parse_users(raw_dir / names["users"], cache.dataset, occupations)
         item_genres = D.parse_item_genres(raw_dir / names["items"], cache.dataset)
         schema = F.AttributeSchema.from_json(cache.schema_json)
         return F.attribute_counts(users, cache.user_ids, ratings, item_genres, schema)

@@ -94,24 +94,28 @@ def test_prepare_missing_raw_dir_exit_1(tmp_path):
     assert rc == 1
 
 
-@pytest.mark.parametrize("damage, message", [
-    ("missing", "raw file not found: "),
-    ("malformed", ":61: non-integer field"),
-], ids=["missing-raw-file", "malformed-rating-line"])
-def test_prepare_refusal_leaves_no_out_dir(tmp_path, synth100k_dir, capsys, damage, message):
+@pytest.mark.parametrize("damage, name, message", [
+    ("missing", "u.data", "raw file not found: "),
+    ("malformed", "u.data", ":61: non-integer field"),
+    # Required like every file of the layout: no occupation slots are taken
+    # from u.user instead.
+    ("missing", "u.occupation", "raw file not found: "),
+], ids=["missing-raw-file", "malformed-rating-line", "missing-u-occupation"])
+def test_prepare_refusal_leaves_no_out_dir(tmp_path, synth100k_dir, capsys, damage, name,
+                                           message):
     raw = tmp_path / "raw"
     shutil.copytree(synth100k_dir, raw)
     if damage == "missing":
-        (raw / "u.data").unlink()
+        (raw / name).unlink()
     else:
-        lines = (raw / "u.data").read_text().splitlines()
+        lines = (raw / name).read_text().splitlines()
         lines[60] = lines[60].replace("\t", "\tx", 1)
-        (raw / "u.data").write_text("\n".join(lines) + "\n")
+        (raw / name).write_text("\n".join(lines) + "\n")
     rc = main(["prepare", "--dataset", "ml100k", "--raw-dir", str(raw),
                "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(raw / "u.data") in err and message in err
+    assert err.startswith("error: ") and str(raw / name) in err and message in err
     assert not (tmp_path / "out").exists()
 
 
@@ -261,8 +265,8 @@ def test_prepare_of_edited_u_data_exits_0_or_1(synth100k_dir, data):
 
 def test_config_file_values_typed_by_train_config(tmp_path):
     cfg = tmp_path / "train.conf"
-    cfg.write_text("n_e = None\ngenerator_hidden = 8,16\nlearning_rate = 1e-3\n"
-                   "batch_size = 32\ngan_loss = bce  # S1\n")
+    cfg.write_text("# S1\n\nn_e = None\ngenerator_hidden = 8,16\nlearning_rate = 1e-3\n"
+                   "batch_size = 32\n   # indented\ngan_loss = bce  # S1\n")
     assert _parse_config_file(cfg) == {
         "n_e": None, "generator_hidden": [8, 16], "learning_rate": 1e-3,
         "batch_size": 32, "gan_loss": "bce"}
@@ -588,6 +592,9 @@ def _bad_cache(problem, good, tmp_path):
     if problem == "version 1":
         header = json.loads(str(contents["header"])) | {"version": 1}
         contents["header"] = json.dumps(header)
+    elif problem == "max_rating 10":
+        header = json.loads(str(contents["header"])) | {"max_rating": 10}
+        contents["header"] = json.dumps(header)
     elif problem == "version 2":              # the dense layout before CSR
         header = json.loads(str(contents["header"])) | {"version": 2}
         purchase = D.PurchaseRows(indptr, items, ratings / 5, header["m"]).toarray()
@@ -638,6 +645,7 @@ BAD_CACHE_MESSAGES = {
     "truncated": "File is not a zip file",
     "version 1": "format version 1 is not the supported version 3; re-run prepare",
     "version 2": "format version 2 is not the supported version 3; re-run prepare",
+    "max_rating 10": "max_rating 10 is not the rating ceiling 5",
     "missing": "items is not a file",
     "short purchase": "array 'indptr' is int64 (56,), expected int64 (61,)",
     "float32 purchase": "array 'ratings' is float32 (732,), expected uint8 (732,)",
@@ -704,6 +712,7 @@ def test_bad_cold_fraction_exit_1_before_out_dir(command, tmp_path, prepared, ca
     (["ablate"], "d_phase_updates_g = off\n", ":1: unknown config key 'd_phase_updates_g'"),
     (["train"], "n_d = 2\n", ":1: unknown config key 'n_d'"),
     (["train"], "n_g = 2\n", ":1: unknown config key 'n_g'"),
+    (["train"], "# S1\nbeta 0.1\n", ":2: expected 'key = value'"),
     (["train", "--cold-fraction", "-1e-3"], "", "split fraction -0.001 outside [0, 1)"),
     (["train", "--gan-loss", "x"], "", "gan_loss must be lsq or bce, got 'x'"),
     (["sweep-beta"], "gan_loss = x\n", "gan_loss must be lsq or bce, got 'x'"),
@@ -711,6 +720,7 @@ def test_bad_cold_fraction_exit_1_before_out_dir(command, tmp_path, prepared, ca
         "negative-n-e", "negative-pretrain-epochs", "negative-seed", "sweep-beta-negative-n-e",
         "negative-split-seed", "empty-width-list", "seed-letter", "batch-size-float",
         "sparsity-key", "nonsaturating-key", "d-phase-updates-g-key", "n-d-key", "n-g-key",
+        "line-without-equals",
         "cold-fraction-exponent",
         "gan-loss-flag", "gan-loss-key"])
 def test_train_refusals_leave_no_out_dir(argv, config, message, tmp_path, prepared, capsys):
@@ -963,6 +973,18 @@ def test_sweep_beta_honours_validation_fraction(tmp_path, prepared, monkeypatch)
     assert held == [(34, 14, 0.3)] * 2
 
 
+def test_sweep_beta_refuses_a_grid_beta_before_any_training(tmp_path, prepared, capsys,
+                                                           monkeypatch):
+    """Every beta of the grid is checked against the config before the
+    first fit: beta 0 would train, then 0.1 be refused by the BCE mode."""
+    monkeypatch.setattr(T, "Trainer", lambda *a, **k: pytest.fail("Trainer built"))
+    rc = main(["sweep-beta", *FAST, "--gan-loss", "bce", "--beta", "0", "--grid", "0,0.1",
+               "--cache", str(prepared / "ml100k.npz"), "--out-dir", str(tmp_path / "sweep")])
+    assert rc == 1
+    assert "error: the BCE ablation mode (S1) requires beta=0" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_sweep_beta_refuses_empty_validation_slice_before_out_dir(tmp_path, prepared, capsys):
     cfg = tmp_path / "train.conf"
     cfg.write_text("validation_fraction = 0\n")
@@ -1121,6 +1143,17 @@ def test_outputs_take_the_umask_mode(tmp_path, synth100k_dir, umask):
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
     assert sorted(p.name for p in (tmp_path / "train").iterdir()) == [
         "checkpoint.best.npz", "checkpoint.npz", "curve.csv", "manifest.json"]
+
+
+def test_runtime_error_exits_2_before_out_dir(tmp_path, prepared, capsys):
+    """A numeric failure exits 2.  The message depends on where it is met
+    (this suite makes numpy raise on overflow), so only its prefix is
+    checked."""
+    rc = main(["train", *FAST, "--learning-rate", "1e300",
+               "--cache", str(prepared / "ml100k.npz"), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("runtime error: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import re
@@ -114,17 +115,19 @@ def test_parse_errors_name_path_and_line(tmp_path, fmt, text, lineno, message):
 
 
 U_ITEM_FLAGS = "|".join(["0"] * len(D.ML100K_GENRES))
+# parse_users of a u.user whose occupations u.occupation lists.
+parse_u_user = functools.partial(D.parse_users, occupations=("doctor", "other", "writer"))
 
 
 @pytest.mark.parametrize("parse, fmt, text, lineno, message", [
-    (D.parse_users, "ml100k", "1|24|M|writer|00000\n\n2|x|F|other|00000\n",
+    (parse_u_user, "ml100k", "1|24|M|writer|00000\n\n2|x|F|other|00000\n",
      3, "non-integer age 'x'"),
     (D.parse_users, "ml1m", "x::F::1::10::48067\n", 1, "non-integer user id 'x'"),
     (D.parse_item_genres, "ml100k", f"1|A (1995)|||u|{U_ITEM_FLAGS}\n"
      f"x|B (1995)|||u|{U_ITEM_FLAGS}\n", 2, "non-integer item id 'x'"),
     (D.parse_item_genres, "ml1m", "1::A (1995)::Drama\n \n1.5::B (1995)::Drama\n",
      3, "non-integer item id '1.5'"),
-    (D.parse_users, "ml100k", "1|24|M|writer|00000\n\n1|77|F|doctor|00000\n",
+    (parse_u_user, "ml100k", "1|24|M|writer|00000\n\n1|77|F|doctor|00000\n",
      3, "user id 1 repeats line 1"),
     (D.parse_users, "ml1m", "1::F::1::10::48067\n2::M::56::16::70072\n\n02::M::25::15::55117\n",
      4, "user id 2 repeats line 2"),
@@ -132,7 +135,7 @@ U_ITEM_FLAGS = "|".join(["0"] * len(D.ML100K_GENRES))
      f"7|B (1995)|||u|{U_ITEM_FLAGS}\n", 2, "item id 7 repeats line 1"),
     (D.parse_item_genres, "ml1m", "\n3::A (1995)::Drama\n4::B (1995)::\n3::C (1995)::Drama\n",
      4, "item id 3 repeats line 2"),
-    (D.parse_users, "ml100k", "1|24|M|writer|00000\n2|53|F|other\n",
+    (parse_u_user, "ml100k", "1|24|M|writer|00000\n2|53|F|other\n",
      2, "expected 5 fields, got 4"),
     (D.parse_item_genres, "ml1m", "1::A (1995)::Drama\n2::B::C (1995)::Drama\n",
      2, "expected 3 fields, got 4"),
@@ -544,6 +547,21 @@ def test_cache_round_trip(tmp_path, synth_cache):
     assert D.cache_content_hash(loaded) == D.cache_content_hash(synth_cache)
 
 
+@pytest.mark.parametrize("value", [0.3, 0.0, 1.2], ids=["between-ratings", "zero", "rating-6"])
+def test_save_cache_refuses_values_that_are_not_ratings_over_c(tmp_path, synth_cache, value):
+    """A stored purchase value must be a rating 1..C divided by C; 1.2 is
+    6/C, a rating past the ceiling."""
+    from dataclasses import replace
+
+    rows = synth_cache.purchase
+    values = rows.values.copy()
+    values[0] = value
+    bad = replace(synth_cache, purchase=D.PurchaseRows(rows.indptr, rows.items, values, rows.m))
+    with pytest.raises(ValueError, match=r"^purchase values are not ratings 1\.\.5 divided by 5$"):
+        D.save_cache(bad, tmp_path / "cache.npz")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_content_hash_ignores_the_file_format(synth_cache, monkeypatch):
     """The hash names the content: a new file-format version keeps it."""
     before = D.cache_content_hash(synth_cache)
@@ -570,7 +588,6 @@ def test_cache_content_hash_covers_every_part(synth_cache):
     caches = [replace(synth_cache, purchase=v) for v in variants] + [
         replace(synth_cache, tfidf=2 * synth_cache.tfidf),
         replace(synth_cache, user_ids=[u + 1 for u in synth_cache.user_ids]),
-        replace(synth_cache, max_rating=10),
         replace(synth_cache, schema_json=synth_cache.schema_json + " "),
     ]
     hashes = {D.cache_content_hash(c) for c in [synth_cache, *caches]}
