@@ -4,17 +4,18 @@ Exit codes: 0 success, 1 usage, validation or configuration error (a bad
 flag or value, an unreadable cache or checkpoint), 2 runtime or numeric
 error.  Commands never mutate their inputs; outputs land under the given
 --out-dir.  When --cache is omitted, the cache is
-$SRLGAN_CACHE_ROOT/<dataset>.npz.  train, eval, sweep-beta and ablate cut
-the cache users by one seeded warm/cold split (`_split`), and their
-manifests record its cold fraction and seed.  train, sweep-beta and ablate
-read their training settings one way: argparse keeps each TRAIN_FLAGS
-flag as the string given, and `_load_config` reads it with the same
-`_coerce` as the `--config` key of that name, which types it by its
-TrainConfig field: an int, float, str, optional int or int list.  No
-setting is a switch; `gan_loss` and `beta` alone set the adversarial
-game.  A flag value may start with `-` (`--beta -1e-3`), and is then
-refused by the check that names the setting.  Their manifests record the
-resolved settings under `train_config`.
+$SRLGAN_CACHE_ROOT/<dataset>.npz.  train, eval, sweep-beta and ablate read
+the cache only in `_load_split`, which cuts its users by one seeded
+warm/cold split and lets the cache go before any training or scoring;
+their manifests record the split's cold fraction and seed.  train,
+sweep-beta and ablate read their training settings one way: argparse
+keeps each TRAIN_FLAGS flag as the string given, and `_load_config`
+reads it with the same `_coerce` as the `--config` key of that name,
+which types it by its TrainConfig field: an int, float, str, optional
+int or int list.  No setting is a switch; `gan_loss` and `beta` alone set
+the adversarial game.  A flag value may start with `-` (`--beta -1e-3`),
+and is then refused by the check that names the setting.  Their
+manifests record the resolved settings under `train_config`.
 """
 
 from __future__ import annotations
@@ -51,11 +52,18 @@ def _cache_path(args) -> Path:
     return Path(root) / f"{args.dataset}.npz"
 
 
-def _split(args, cache, split_seed: int, cold_fraction: float = 0.2,
-           need_cold: bool = False):
-    """`split_matrices` of the command's split.  A split flag left unset
-    takes the given fallback, written back into args for the manifest.
-    With `need_cold`, a split that draws no cold user is refused."""
+def _load_split(args, split_seed: int, cold_fraction: float = 0.2,
+                need_cold: bool = False, schema_hash: str | None = None):
+    """`split_matrices` of the command's split of its cache, and what the
+    outputs record of the cache (`dataset`, `schema_hash`, `cache_content`);
+    the cache itself is let go.  A cache of another schema than a given
+    `schema_hash` is refused.  A split flag left unset takes the given
+    fallback, written back into args for the manifest.  With `need_cold`, a
+    split that draws no cold user is refused."""
+    cache = D.load_cache(_cache_path(args))
+    if schema_hash not in (None, cache.schema_hash()):
+        raise ValueError("checkpoint/cache schema mismatch: "
+                         f"{schema_hash} vs {cache.schema_hash()}")
     if args.cold_fraction is None:
         args.cold_fraction = cold_fraction
     if args.split_seed is None:
@@ -67,7 +75,8 @@ def _split(args, cache, split_seed: int, cold_fraction: float = 0.2,
     if need_cold and len(split[0]) == 0:
         raise ValueError(f"--cold-fraction {args.cold_fraction:g} draws no cold users "
                          f"of {len(cache.user_ids)}, so there is nothing to evaluate")
-    return split
+    return split, {"dataset": cache.dataset, "schema_hash": cache.schema_hash(),
+                   "cache_content": D.cache_content_hash(cache)}
 
 
 # The TrainConfig fields that train, sweep-beta and ablate also take as
@@ -202,19 +211,6 @@ def cmd_prepare(args) -> int:
     return 0
 
 
-def _checkpoint_meta(cache, args, config: T.TrainConfig) -> dict:
-    """The run metadata that each checkpoint of a `train` run records,
-    beside the round it was saved at."""
-    return {
-        "dataset": cache.dataset,
-        "schema_hash": cache.schema_hash(),
-        "cold_fraction": args.cold_fraction,
-        "split_seed": args.split_seed,
-        "leakage_free_cold": args.leakage_free_cold,
-        "config": dataclasses.asdict(config),
-    }
-
-
 def _save_trainer_checkpoint(path, trainer: T.Trainer, meta: dict, rnd):
     """Save G into `path`, making its directory: `train` makes its out-dir
     only here, once the run has passed every refusal."""
@@ -224,13 +220,12 @@ def _save_trainer_checkpoint(path, trainer: T.Trainer, meta: dict, rnd):
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    cache = D.load_cache(_cache_path(args))
-    _, x_warm, y_warm, _, _ = _split(args, cache, config.seed)
-    # What the outputs record of the cache is worked out now, so that the
-    # cache is not held through training.
-    meta = _checkpoint_meta(cache, args, config)
-    inputs = {"cache_content": D.cache_content_hash(cache)}
-    del cache
+    (cold_ids, x_warm, y_warm, x_cold, y_cold), facts = _load_split(args, config.seed)
+    del cold_ids, x_cold, y_cold        # train scores no cold user
+    # The run metadata each checkpoint records, beside the round it was saved at.
+    meta = {"dataset": facts["dataset"], "schema_hash": facts["schema_hash"],
+            "cold_fraction": args.cold_fraction, "split_seed": args.split_seed,
+            "leakage_free_cold": args.leakage_free_cold, "config": dataclasses.asdict(config)}
     out_dir = Path(args.out_dir)
     best_path = out_dir / "checkpoint.best.npz"
     best_rounds = []
@@ -247,7 +242,7 @@ def cmd_train(args) -> int:
         _save_trainer_checkpoint(best_path, trainer, meta, trainer.rounds_done)
     curve_path = out_dir / "curve.csv"
     trainer.curve.write_csv(curve_path)
-    _write_manifest(args, inputs,
+    _write_manifest(args, {"cache_content": facts["cache_content"]},
                     {"checkpoint": str(final_path), "checkpoint_best": str(best_path),
                      "curve": str(curve_path)}, config)
     flagged = sum(p.collapse_flag for p in trainer.curve.points)
@@ -261,28 +256,32 @@ def cmd_eval(args) -> int:
     ns = _cutoffs(args.n)
     if (args.checkpoint is None) == (args.baseline is None):
         raise ValueError("eval needs exactly one of --checkpoint and --baseline")
-    cache = D.load_cache(_cache_path(args))
     if args.baseline == "itempop":
         # `srlgan train`'s default split, so a rerun draws the same cold users.
-        cold_ids, _, y_warm, _, y_cold = _split(args, cache, T.TrainConfig.seed,
-                                                need_cold=True)
-        report = E.evaluate_report(E.item_popularity(y_warm), y_cold, ns=ns,
-                                   user_keys=cold_ids, graded=args.graded)
+        (cold_ids, x_warm, y_warm, x_cold, y_cold), facts = _load_split(
+            args, T.TrainConfig.seed, need_cold=True)
+        popularity = E.item_popularity(y_warm)
+        del x_warm, y_warm, x_cold          # ItemPop scores by the warm counts only
+        report = E.evaluate_report(popularity, y_cold, ns=ns, user_keys=cold_ids,
+                                   graded=args.graded)
         label = "itempop"
     else:
         nets, meta = NN.load_checkpoint(args.checkpoint)
-        if meta["schema_hash"] != cache.schema_hash():
-            raise ValueError(
-                "checkpoint/cache schema mismatch: "
-                f"{meta['schema_hash']} vs {cache.schema_hash()}")
+        for key in ("schema_hash", "split_seed", "cold_fraction", "leakage_free_cold"):
+            if key not in meta:
+                raise ValueError(f"checkpoint {args.checkpoint}: run metadata has no {key!r}")
+        if "generator" not in nets:
+            raise ValueError(f"checkpoint {args.checkpoint}: no generator network")
         # Another split would put users the model trained on among the cold.
         for flag, key in (("--split-seed", "split_seed"), ("--cold-fraction", "cold_fraction")):
             if getattr(args, key) not in (None, meta[key]):
                 raise ValueError(f"{flag} {getattr(args, key)} differs from the checkpoint's "
                                  f"{meta[key]}: the cold set would hold training users")
         args.leakage_free_cold = args.leakage_free_cold or meta["leakage_free_cold"]
-        cold_ids, _, _, x_cold, y_cold = _split(args, cache, meta["split_seed"],
-                                                meta["cold_fraction"], need_cold=True)
+        (cold_ids, x_warm, y_warm, x_cold, y_cold), facts = _load_split(
+            args, meta["split_seed"], meta["cold_fraction"], need_cold=True,
+            schema_hash=meta["schema_hash"])
+        del x_warm, y_warm                  # the model scores cold users only
         preds = M.generator_forward(nets["generator"], x_cold)
         report = E.evaluate_report(preds, y_cold, ns=ns, user_keys=cold_ids, graded=args.graded)
         label = "model"
@@ -294,7 +293,7 @@ def cmd_eval(args) -> int:
     table = report.format_table()
     (out_dir / f"metrics.{label}.txt").write_text(table + "\n")
     print(table)
-    _write_manifest(args, {"cache_content": D.cache_content_hash(cache)},
+    _write_manifest(args, {"cache_content": facts["cache_content"]},
                     {"metrics_csv": str(csv_path)})
     return 0
 
@@ -302,8 +301,8 @@ def cmd_eval(args) -> int:
 def cmd_sweep_beta(args) -> int:
     config = _load_config(args)
     grid = _beta_grid(args.grid)
-    cache = D.load_cache(_cache_path(args))
-    _, x_warm, y_warm, _, _ = _split(args, cache, config.seed)
+    (cold_ids, x_warm, y_warm, x_cold, y_cold), facts = _load_split(args, config.seed)
+    del cold_ids, x_cold, y_cold        # sweep-beta scores warm users only
     curves = {}
     best, scores = T.cross_validate_beta(x_warm, y_warm, grid, config, curves=curves)
     out_dir = Path(args.out_dir)
@@ -330,7 +329,7 @@ def cmd_sweep_beta(args) -> int:
                                  "round", metric)
         (out_dir / f"sweep.{attr}.svg").write_text(svg)
 
-    _write_manifest(args, {"cache_content": D.cache_content_hash(cache)},
+    _write_manifest(args, {"cache_content": facts["cache_content"]},
                     {"sweep": str(sweep_path)}, config)
     print(f"recommended beta: {best:g} "
           f"(held-out P@5 {scores[best]:.4f}); outputs in {out_dir}")
@@ -340,9 +339,8 @@ def cmd_sweep_beta(args) -> int:
 def cmd_ablate(args) -> int:
     config = _load_config(args)
     ns = _cutoffs(args.n)
-    cache = D.load_cache(_cache_path(args))
-    cold_ids, x_warm, y_warm, x_cold, y_cold = _split(args, cache, config.seed,
-                                                      need_cold=True)
+    (cold_ids, x_warm, y_warm, x_cold, y_cold), facts = _load_split(args, config.seed,
+                                                                    need_cold=True)
     reports = T.run_ablation(x_warm, y_warm, x_cold, y_cold, config, ns=ns,
                              user_keys=cold_ids)
     out_dir = Path(args.out_dir)
@@ -355,7 +353,7 @@ def cmd_ablate(args) -> int:
         print(report.format_table())
     (out_dir / "ablation.summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_manifest(args, {"cache_content": D.cache_content_hash(cache)},
+    _write_manifest(args, {"cache_content": facts["cache_content"]},
                     {"summary": str(out_dir / "ablation.summary.json")}, config)
     return 0
 
@@ -405,7 +403,7 @@ def _add_cache_flags(p: argparse.ArgumentParser):
 
 
 def _add_split_flags(p: argparse.ArgumentParser, leakage_free_cold: bool = True):
-    """The warm/cold split flags, filled by `_split` when unset (sweep-beta
+    """The warm/cold split flags, filled by `_load_split` when unset (sweep-beta
     scores only warm users, so it goes without --leakage-free-cold)."""
     p.add_argument("--cold-fraction", dest="cold_fraction", type=float)
     p.add_argument("--split-seed", dest="split_seed", type=int)

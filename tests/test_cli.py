@@ -8,6 +8,7 @@ import re
 import shutil
 import stat
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from srlgan import data as D
+from srlgan import evaluate as E
+from srlgan import model as M
 from srlgan import nn as NN
 from srlgan import pipeline as P
 from srlgan import svgplot
@@ -100,18 +103,25 @@ def test_prepare_missing_raw_dir_exit_1(tmp_path):
     # Required like every file of the layout: no occupation slots are taken
     # from u.user instead.
     ("missing", "u.occupation", "raw file not found: "),
-], ids=["missing-raw-file", "malformed-rating-line", "missing-u-occupation"])
-def test_prepare_refusal_leaves_no_out_dir(tmp_path, synth100k_dir, capsys, damage, name,
-                                           message):
+    # A ratings file with no rating line: the text it is left with.
+    ("", "u.data", ": no rating line"),
+    ("\n\n", "u.data", ": no rating line"),
+    ("", "ratings.dat", ": no rating line"),
+], ids=["missing-raw-file", "malformed-rating-line", "missing-u-occupation", "empty-u-data",
+        "newline-only-u-data", "empty-ratings-dat"])
+def test_prepare_refusal_leaves_no_out_dir(tmp_path, request, capsys, damage, name, message):
+    dataset = "ml1m" if name.endswith(".dat") else "ml100k"
     raw = tmp_path / "raw"
-    shutil.copytree(synth100k_dir, raw)
+    shutil.copytree(request.getfixturevalue(f"synth{dataset[2:]}_dir"), raw)
     if damage == "missing":
         (raw / name).unlink()
-    else:
+    elif damage == "malformed":
         lines = (raw / name).read_text().splitlines()
         lines[60] = lines[60].replace("\t", "\tx", 1)
         (raw / name).write_text("\n".join(lines) + "\n")
-    rc = main(["prepare", "--dataset", "ml100k", "--raw-dir", str(raw),
+    else:
+        (raw / name).write_text(damage)
+    rc = main(["prepare", "--dataset", dataset, "--raw-dir", str(raw),
                "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
@@ -545,6 +555,10 @@ def _bad_checkpoint(problem, good, tmp_path):
         contents[problem] = np.zeros(1)
     elif problem == "float32":
         contents["generator/params"] = contents["generator/params"].astype(np.float32)
+    elif problem.startswith("no "):          # a run metadata key, or the generator
+        header = json.loads(str(contents["header"]))
+        del (header["nets"] if problem == "no generator" else header["meta"])[problem[3:]]
+        contents["header"] = json.dumps(header)
     else:
         del contents["generator/params"]
     bad = tmp_path / "bad.npz"
@@ -562,6 +576,9 @@ BAD_CHECKPOINT_MESSAGES = {
     "generator/params": "array 'generator/params' is float64 (1,)",
     "float32": "array 'generator/params' is float32",
     "missing": "generator/params is not a file",
+    "no generator": "no generator network",
+    **{f"no {key}": f"run metadata has no {key!r}"
+       for key in ("schema_hash", "split_seed", "cold_fraction", "leakage_free_cold")},
 }
 
 
@@ -595,6 +612,8 @@ def _bad_cache(problem, good, tmp_path):
     elif problem == "max_rating 10":
         header = json.loads(str(contents["header"])) | {"max_rating": 10}
         contents["header"] = json.dumps(header)
+    elif problem == "list header":
+        contents["header"] = json.dumps([3])
     elif problem == "version 2":              # the dense layout before CSR
         header = json.loads(str(contents["header"])) | {"version": 2}
         purchase = D.PurchaseRows(indptr, items, ratings / 5, header["m"]).toarray()
@@ -646,6 +665,7 @@ BAD_CACHE_MESSAGES = {
     "version 1": "format version 1 is not the supported version 3; re-run prepare",
     "version 2": "format version 2 is not the supported version 3; re-run prepare",
     "max_rating 10": "max_rating 10 is not the rating ceiling 5",
+    "list header": "header is not a json object",
     "missing": "items is not a file",
     "short purchase": "array 'indptr' is int64 (56,), expected int64 (61,)",
     "float32 purchase": "array 'ratings' is float32 (732,), expected uint8 (732,)",
@@ -697,6 +717,7 @@ def test_bad_cold_fraction_exit_1_before_out_dir(command, tmp_path, prepared, ca
     (["ablate", "--discriminator-hidden", "0"], "",
      "discriminator_hidden: each hidden width must be >= 1, got [0]"),
     (["train"], "dropout = 1.5\n", "dropout must be in [0, 1), got 1.5"),
+    (["train"], "validation_fraction = 1\n", "validation_fraction must be in [0, 1)"),
     (["train", "--cold-fraction", "0.999"], "", "empty warm training set"),
     (["train", "--n-e", "-3"], "", "n_e must be >= 0, got -3"),
     (["train", "--pretrain-epochs", "-2"], "", "pretrain_epochs must be >= 0, got -2"),
@@ -716,7 +737,8 @@ def test_bad_cold_fraction_exit_1_before_out_dir(command, tmp_path, prepared, ca
     (["train", "--cold-fraction", "-1e-3"], "", "split fraction -0.001 outside [0, 1)"),
     (["train", "--gan-loss", "x"], "", "gan_loss must be lsq or bce, got 'x'"),
     (["sweep-beta"], "gan_loss = x\n", "gan_loss must be lsq or bce, got 'x'"),
-], ids=["zero-width", "negative-width", "ablate-zero-width", "dropout", "no-warm-user",
+], ids=["zero-width", "negative-width", "ablate-zero-width", "dropout",
+        "validation-fraction-one", "no-warm-user",
         "negative-n-e", "negative-pretrain-epochs", "negative-seed", "sweep-beta-negative-n-e",
         "negative-split-seed", "empty-width-list", "seed-letter", "batch-size-float",
         "sparsity-key", "nonsaturating-key", "d-phase-updates-g-key", "n-d-key", "n-g-key",
@@ -778,6 +800,63 @@ def test_cache_root_needs_dataset(tmp_path, prepared, capsys, monkeypatch):
     assert "error: no --cache given: --dataset names the cache under SRLGAN_CACHE_ROOT" \
         in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_no_cache_needs_cache_root(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SRLGAN_CACHE_ROOT", raising=False)
+    rc = main(["eval", "--baseline", "itempop", "--dataset", "ml100k",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: no --cache given and SRLGAN_CACHE_ROOT is unset\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval-model", "eval-itempop", "sweep-beta",
+                                     "ablate"])
+def test_commands_let_go_of_the_cache_before_training_or_scoring(command, tmp_path, prepared,
+                                                                 trained, monkeypatch):
+    """The cache a command reads is freed before its first training step
+    or scoring pass, and of the split (cold ids, x_warm, y_warm, x_cold,
+    y_cold) only the parts the command reads are held through them."""
+    caches, parts, seen = [], [], []
+    load_cache, split_matrices = D.load_cache, P.split_matrices
+
+    def spy_load_cache(path):
+        cache = load_cache(path)
+        caches.append(weakref.ref(cache))
+        return cache
+
+    def spy_split_matrices(*args, **kwargs):
+        split = split_matrices(*args, **kwargs)
+        parts.extend(map(weakref.ref, split))
+        return split
+
+    held = {"train": [1, 2], "eval-model": [0, 3, 4], "eval-itempop": [0, 4],
+            "sweep-beta": [1, 2], "ablate": [0, 1, 2, 3, 4]}[command]
+
+    def check_when_called(owner, name):
+        work = getattr(owner, name)
+
+        def checked(*args, **kwargs):
+            # What is alive when the work starts: the cache, and which parts.
+            seen.append((name, [ref() is not None for ref in caches],
+                         [k for k, ref in enumerate(parts) if ref() is not None]))
+            return work(*args, **kwargs)
+        monkeypatch.setattr(owner, name, checked)
+
+    monkeypatch.setattr(D, "load_cache", spy_load_cache)
+    monkeypatch.setattr(P, "split_matrices", spy_split_matrices)
+    for owner, name in ((T.Trainer, "pretrain_generator"), (M, "generator_forward"),
+                        (E, "evaluate_report")):
+        check_when_called(owner, name)
+    argv = {"train": ["train", *FAST],
+            "eval-model": ["eval", "--checkpoint", str(trained / "checkpoint.npz")],
+            "eval-itempop": ["eval", "--baseline", "itempop"],
+            "sweep-beta": ["sweep-beta", *FAST, "--grid", "0.1"],
+            "ablate": ["ablate", *FAST]}[command]
+    assert main([*argv, "--cache", str(prepared / "ml100k.npz"),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert seen and all(alive == [False] and kept == held for _, alive, kept in seen), seen
 
 
 def test_eval_schema_mismatch_refused(tmp_path, synth1m_dir, trained):
@@ -1064,6 +1143,19 @@ def test_plot_of_a_run_without_validation_writes_no_nan(tmp_path, prepared):
     for column, lines in (("p5", 0), ("n5", 0), ("loss_sr", 1)):
         svg = (out / f"plot.{column}.svg").read_text()
         assert "nan" not in svg and svg.count("<polyline") == lines, column
+
+
+def test_plot_of_a_one_row_curve_writes_one_finite_point(tmp_path, trained):
+    lines = (trained / "curve.csv").read_text().splitlines()
+    curve = tmp_path / "one.csv"
+    curve.write_text("\n".join(lines[:2]) + "\n")
+    out = tmp_path / "plots"
+    assert main(["plot", "--out-dir", str(out), str(curve)]) == 0
+    for column in ("p5", "n5", "loss_sr"):
+        svg = (out / f"plot.{column}.svg").read_text()
+        points = re.findall(r'points="([^"]*)"', svg)
+        assert len(points) == 1 and len(points[0].split()) == 1, column
+        assert all(np.isfinite(float(v)) for v in points[0].split(",")), column
 
 
 def test_line_chart_leaves_non_finite_points_out():
