@@ -1,8 +1,9 @@
 """Command-line pipeline: prepare, train, eval, sweep-beta, ablate, plot.
 
 Exit codes: 0 success, 1 usage, validation or configuration error (a bad
-flag or value, an unreadable cache or checkpoint), 2 runtime or numeric
-error.  Commands never mutate their inputs; outputs land under the given
+flag or value, an unreadable cache or checkpoint: a ValueError or a
+FileNotFoundError), 2 runtime or numeric error, or a bug such as a
+KeyError.  Commands never mutate their inputs; outputs land under the given
 --out-dir.  When --cache is omitted, the cache is
 $SRLGAN_CACHE_ROOT/<dataset>.npz.  train, eval, sweep-beta and ablate read
 the cache only in `_load_split`, which cuts its users by one seeded
@@ -303,8 +304,7 @@ def cmd_sweep_beta(args) -> int:
     grid = _beta_grid(args.grid)
     (cold_ids, x_warm, y_warm, x_cold, y_cold), facts = _load_split(args, config.seed)
     del cold_ids, x_cold, y_cold        # sweep-beta scores warm users only
-    curves = {}
-    best, scores = T.cross_validate_beta(x_warm, y_warm, grid, config, curves=curves)
+    best, scores, curves = T.cross_validate_beta(x_warm, y_warm, grid, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for stale in out_dir.glob("curve.beta*.csv"):      # an earlier grid's curves
@@ -486,7 +486,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -219,15 +219,23 @@ def parse_users(path, fmt: str, occupations=()) -> dict[int, UserMeta]:
 
 def parse_item_genres(path, fmt: str) -> dict[int, list[str]]:
     """Parse item genre tags (u.item: id|title|release|video-release|url|
-    19 genre flags, or movies.dat: id::title::Genre|Genre) keyed by item id."""
+    19 genre flags, or movies.dat: id::title::Genre|Genre) keyed by item id.
+    A flag other than 0 or 1, or a genre outside the layout's genres, raises
+    ParseError naming the line."""
     layout = LAYOUTS[fmt]
     flags = layout["genres"] if layout["genre_flags"] else ()
     rows = _metadata_rows(path, layout["meta_sep"], 5 + len(flags) if flags else 3,
                           "item id", "latin-1")
-    if not flags:
-        return {item: [g for g in parts[2].split("|") if g] for _, item, parts in rows}
-    return {item: [g for g, f in zip(flags, parts[5:]) if _genre_flag(f, path, lineno)]
-            for lineno, item, parts in rows}
+    if flags:
+        return {item: [g for g, f in zip(flags, parts[5:]) if _genre_flag(f, path, lineno)]
+                for lineno, item, parts in rows}
+    items = {}
+    for lineno, item, parts in rows:
+        items[item] = [g for g in parts[2].split("|") if g]
+        unknown = [g for g in items[item] if g not in layout["genres"]]
+        if unknown:
+            raise ParseError(f"{path}:{lineno}: genre {unknown[0]!r} has no attribute slot")
+    return items
 
 
 def _genre_flag(raw: str, path, lineno: int) -> bool:
@@ -465,19 +473,26 @@ def save_cache(cache: DatasetCache, path) -> None:
 def load_cache(path) -> DatasetCache:
     """The cache at `path`.  An unreadable, damaged or truncated file, another
     format version, a header naming another rating ceiling than MAX_RATING,
-    a missing array, an array of another dtype or of a shape that disagrees
-    with the user count and the header's d, user ids that do not strictly
-    increase, or purchase rows that break a CSR rule of the
+    a header dataset that is not a string or an m or d that is not an
+    integer >= 1, a missing array, an array of another dtype or of a shape
+    that disagrees with the user count and the header's d, user ids that do
+    not strictly increase, or purchase rows that break a CSR rule of the
     layout above raise ValueError naming path and problem; a missing file,
     FileNotFoundError."""
     with _read_archive(path, "cache", CACHE_VERSION, "prepare") as (header, z):
         if header["max_rating"] != MAX_RATING:
             raise ValueError(f"max_rating {header['max_rating']!r} is not the "
                              f"rating ceiling {MAX_RATING}")
+        dataset, m, d = (header.get(key) for key in ("dataset", "m", "d"))
+        if not isinstance(dataset, str):
+            raise ValueError(f"header dataset {dataset!r} is not a string")
+        for key, value in (("m", m), ("d", d)):
+            if type(value) is not int or value < 1:
+                raise ValueError(f"header {key} {value!r} is not an integer >= 1")
         user_ids = _archive_array(z, "user_ids", np.int64, (None,))
         if np.any(np.diff(user_ids) <= 0):
             raise ValueError("user_ids are not strictly increasing")
-        n, m = len(user_ids), header["m"]
+        n = len(user_ids)
         indptr = _archive_array(z, "indptr", np.int64, (n + 1,))
         items = _archive_array(z, "items", np.int32, (None,))
         ratings = _archive_array(z, "ratings", np.uint8, items.shape)
@@ -497,10 +512,10 @@ def load_cache(path) -> DatasetCache:
         if np.any((ratings < 1) | (ratings > MAX_RATING)):
             raise ValueError(f"ratings outside 1..{MAX_RATING}")
         return DatasetCache(
-            dataset=header["dataset"],
+            dataset=dataset,
             user_ids=user_ids.tolist(),
             purchase=PurchaseRows(indptr, items, ratings / MAX_RATING, m),
-            tfidf=_archive_array(z, "tfidf", np.float64, (n, header["d"])),
+            tfidf=_archive_array(z, "tfidf", np.float64, (n, d)),
             schema_json=str(_archive_array(z, "schema", np.str_, ())),
         )
 

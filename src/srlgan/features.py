@@ -24,10 +24,6 @@ import numpy as np
 from .data import GENDERS, LAYOUTS, UserMeta
 
 
-class SchemaError(ValueError):
-    """User metadata does not fit the attribute schema."""
-
-
 @dataclass(frozen=True)
 class AttributeSchema:
     """Ordered attribute slots; slot order defines the vector layout."""
@@ -76,14 +72,13 @@ def layout_schema(dataset: str, users: dict[int, UserMeta],
 
 def attribute_counts(users: dict[int, UserMeta], user_ids, ratings,
                      item_genres, schema: AttributeSchema) -> np.ndarray:
-    """Raw attribute counts, one row per id in `user_ids` (row order given
-    by the caller so it can line up with the purchase matrix).
-
-    Demographic slots are one-hot.  A genre slot counts the user's rows in
-    the (n, 4) `ratings` array whose movie carries that genre: every rating
-    counts, duplicates included, and a multi-genre movie counts once per
-    carried genre.  Ratings of users not in `user_ids` are ignored.
-    """
+    """Raw attribute counts, one row per id in `user_ids`: every user of
+    the (n, 4) `ratings` array, in `build_purchase_matrix`'s increasing
+    order.  Demographic slots are one-hot.  A genre slot counts the user's
+    ratings whose movie carries that genre: every rating counts, duplicates
+    included, and a multi-genre movie counts once per carried genre.  The
+    parsers refuse a value without a slot, and `prepare_dataset` a rated
+    item that `item_genres` lacks."""
     index = schema.slot_index()
     n = len(user_ids)
     counts = np.zeros((n, schema.d), dtype=np.float64)
@@ -91,24 +86,16 @@ def attribute_counts(users: dict[int, UserMeta], user_ids, ratings,
         user = users[uid]
         for slot in (f"age={user.age}", f"gender={user.gender}",
                      f"occupation={user.occupation}"):
-            if slot not in index:
-                raise SchemaError(f"user {uid}: no schema slot {slot!r}")
             counts[k, index[slot]] = 1.0
 
-    ids = np.asarray(user_ids, dtype=np.int64)
-    rater, item = np.asarray(ratings, dtype=np.int64).reshape(-1, 4)[:, :2].T
-    listed = np.isin(rater, ids)
-    by_id = np.argsort(ids)
-    row = by_id[np.searchsorted(ids, rater[listed], sorter=by_id)]
-    rated, item_row = np.unique(item[listed], return_inverse=True)
+    row = np.searchsorted(user_ids, ratings[:, 0])
+    rated, item_row = np.unique(ratings[:, 1], return_inverse=True)
 
     # tags[j, g]: how often rated movie j carries genre g.
     column = {g: k for k, g in enumerate(schema.genre_values)}
     tags = np.zeros((len(rated), len(column)), dtype=np.float64)
     for j, item_id in enumerate(rated.tolist()):
-        for genre in item_genres.get(item_id, ()):
-            if genre not in column:
-                raise SchemaError(f"item {item_id}: unknown genre {genre!r}")
+        for genre in item_genres[item_id]:
             tags[j, column[genre]] += 1.0
     for genre, g in column.items():
         counts[:, index[f"genre={genre}"]] = np.bincount(

@@ -124,7 +124,7 @@ def sparsity_regularizer(rho, rho_hat):
     return loss, grad
 
 
-def generator_adversarial_grad(discriminator: MLP, x, y_hat, adv_loss, rng=None):
+def generator_adversarial_grad(discriminator: MLP, x, y_hat, adv_loss, rng):
     """G's adversarial term adv_loss(D(x || y_hat), 1), returned with
     its gradient w.r.t. y_hat, from `MLP.input_grad`: D's parameter
     gradients are not computed, so its `grad` is left as it was."""
@@ -134,9 +134,9 @@ def generator_adversarial_grad(discriminator: MLP, x, y_hat, adv_loss, rng=None)
 
 
 def generator_objective_grad(discriminator: MLP, x, y, y_hat, rho, beta: float,
-                             adv_loss=loss_lsq, rng=None):
+                             adv_loss, rng):
     """The full generator objective recon + adv + beta * KL at G's output
-    `y_hat` for attributes `x` and behavior `y`.
+    `y_hat` for attributes `x` and behavior `y`; D's forward gets `rng`.
 
     Returns (dict of the scalar loss components, dloss/dy_hat); no
     network's `grad` is touched.  beta=0 drops the sparsity term.

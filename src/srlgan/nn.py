@@ -59,9 +59,10 @@ x @ W + b and 1 / (1 + exp(-x)) in the same order, so the bits are theirs.
 Every forward, with an rng or without, still caches what its backward
 reads.
 
-LeakyReLU is branch-free: forward is max(x, slope*x), and backward multiplies
-by a factor of exactly 1.0 or slope, which gives the bits of the two-branch
-`np.where` form, signed zeros, infinities and NaN included.
+LeakyReLU is branch-free: forward is max(x, LEAKY_SLOPE*x), and backward
+multiplies by a factor of exactly 1.0 or LEAKY_SLOPE, which gives the bits
+of the two-branch `np.where` form, signed zeros, infinities and NaN
+included.
 
 Adam walks the flat theta/grad/m/v in blocks of ADAM_BLOCK elements, so the
 intermediates of its per-element arithmetic stay in cache instead of
@@ -155,19 +156,16 @@ def _row_blocks(n_rows: int, n_cols: int):
 
 
 class LeakyReLU:
-    def __init__(self, slope: float):
-        if not 0.0 < slope < 1.0:
-            raise ValueError("slope must be in (0, 1)")
-        self.slope = slope
+    def __init__(self):
         self._mask = None
 
     def forward(self, x, rng=None):
         self._mask = x >= 0
-        return np.maximum(x, self.slope * x)
+        return np.maximum(x, LEAKY_SLOPE * x)
 
     def backward(self, grad_out):
-        # The factor is exactly 1.0 where x >= 0 and slope elsewhere.
-        return grad_out * np.maximum(self._mask, self.slope)
+        # The factor is exactly 1.0 where x >= 0 and LEAKY_SLOPE elsewhere.
+        return grad_out * np.maximum(self._mask, LEAKY_SLOPE)
 
 
 class Sigmoid:
@@ -193,13 +191,13 @@ class Dropout:
     (given an rng, which draws the mask), identity without one."""
 
     def __init__(self, rate: float):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("rate must be in [0, 1)")
+        if not 0.0 < rate < 1.0:
+            raise ValueError("rate must be in (0, 1)")
         self.rate = rate
         self._scale = None
 
     def forward(self, x, rng=None):
-        if rng is None or self.rate == 0.0:
+        if rng is None:
             self._scale = None
             return x
         keep = rng.random(x.shape) >= self.rate
@@ -240,7 +238,7 @@ class MLP:
             if last:
                 self.layers.append(Sigmoid())
             else:
-                self.layers.append(LeakyReLU(LEAKY_SLOPE))
+                self.layers.append(LeakyReLU())
                 if dropout > 0.0:
                     self.layers.append(Dropout(dropout))
         self.use_grad(np.zeros(self.theta.size))
@@ -382,14 +380,21 @@ def load_checkpoint(path):
     """Returns (nets, meta) from a checkpoint file, building only the
     networks its header names.
 
-    An unreadable or damaged file, another format version, or an array that
-    is missing or not the float64 vector its header implies (which would
-    otherwise broadcast into the network) raises ValueError naming path and
-    problem; a missing file raises FileNotFoundError."""
+    An unreadable or damaged file, another format version, a header whose
+    `nets` or `meta` is not a json object or whose layer widths are not a
+    list, or an array that is missing or not the float64 vector its header
+    implies (which would otherwise broadcast into the network) raises
+    ValueError naming path and problem; a missing file raises
+    FileNotFoundError."""
     with _read_archive(path, "checkpoint", CHECKPOINT_VERSION, "train") as (header, z):
+        for key in ("nets", "meta"):
+            if not isinstance(header.get(key), dict):
+                raise ValueError(f"header has no json object {key!r}")
         nets = {}
         for name, sizes in header["nets"].items():
+            if not isinstance(sizes, list):
+                raise ValueError(f"layer widths {sizes!r} of {name!r} are not a list")
             net = nets[name] = MLP(sizes, None)
             net.theta[...] = _archive_array(z, f"{name}/params", np.float64,
                                             net.theta.shape)
-    return nets, header["meta"]
+        return nets, header["meta"]

@@ -30,10 +30,14 @@ def prepare_dataset(raw_dir, dataset: str) -> tuple[D.DatasetCache, dict]:
         user_ids, purchase = D.build_purchase_matrix(ratings, m=m)
     except ValueError as exc:
         raise D.ParseError(f"{files['ratings']}: {exc}") from None
-    unknown = sorted(set(user_ids) - users.keys())
-    if unknown:
-        raise ValueError(f"{files['ratings']}: user id {unknown[0]} has no entry "
-                         f"in {files['users']}")
+    # Every rater and every rated item (1-based, from the purchase rows'
+    # 0-based ids) needs a line in its metadata file.
+    rated = np.flatnonzero(np.bincount(purchase.items, minlength=m)) + 1
+    for what, ids, listed in (("user", user_ids, users), ("item", rated.tolist(), item_genres)):
+        unlisted = [i for i in ids if i not in listed]
+        if unlisted:
+            raise ValueError(f"{files['ratings']}: {what} id {unlisted[0]} has no entry "
+                             f"in {files[what + 's']}")
 
     counts = F.attribute_counts(users, user_ids, ratings, item_genres, schema)
     cache = D.DatasetCache(

@@ -57,7 +57,7 @@ import numpy as np
 from . import model as M
 from .data import PurchaseRows, as_purchase_rows, held_count, split_rows
 from .nn import Adam, TrainingError
-from .evaluate import DEFAULT_NS, MetricReport, evaluate_predictions, evaluate_report
+from .evaluate import MetricReport, evaluate_predictions, evaluate_report
 
 MODE_COLLAPSE_STD_FLOOR = 1e-4
 
@@ -366,32 +366,29 @@ def fit(x_warm, y_warm: PurchaseRows, config: TrainConfig, on_best=None) -> Trai
     return trainer
 
 
-def cross_validate_beta(x_warm, y_warm, beta_grid, config: TrainConfig,
-                        curves: dict | None = None):
-    """Pick beta by P@5 on the validation slice `fit` holds out.
+def cross_validate_beta(x_warm, y_warm, beta_grid, config: TrainConfig):
+    """Pick beta by P@5 on the validation slice `fit` holds out: the last
+    point of its validation curve, the run's final generator's.
 
-    Ties go to the smaller beta.  Returns (best_beta, {beta: p5}); a
-    `curves` dict, when given, receives each beta's validation curve.  A
-    beta that `config` refuses raises ValueError before any training.
+    Ties go to the smaller beta.  Returns (best_beta, {beta: p5},
+    {beta: curve}).  A beta that `config` refuses, and `max_rounds = 0`,
+    raise ValueError before any training.
     """
     if len(beta_grid) == 0:
         raise ValueError("empty beta grid")
+    if config.max_rounds == 0:
+        raise ValueError("max_rounds 0 trains no adversarial round, so every beta "
+                         "would score the same pretrained generator")
     if held_count(len(x_warm), config.validation_fraction) == 0:
         raise ValueError(f"validation_fraction {config.validation_fraction} holds out "
                          f"none of {len(x_warm)} warm users, so no beta can be scored")
     configs = {beta: replace(config, beta=beta).validate()
                for beta in sorted(set(map(float, beta_grid)))}
-    scores = {}
-    for beta, beta_config in configs.items():
-        trainer = fit(x_warm, y_warm, beta_config)
-        preds = M.generator_forward(trainer.generator, trainer.x_val)
-        report = evaluate_predictions(preds, trainer.y_val, ns=(5,))
-        scores[beta] = report["P@5"]
-        if curves is not None:
-            curves[beta] = trainer.curve
-        del trainer, preds      # free this run's networks before the next fit
+    curves = {beta: fit(x_warm, y_warm, beta_config).curve
+              for beta, beta_config in configs.items()}
+    scores = {beta: curve.points[-1].p5 for beta, curve in curves.items()}
     best = max(sorted(scores), key=lambda b: scores[b])
-    return best, scores
+    return best, scores, curves
 
 
 ABLATION_MODES = {
@@ -410,10 +407,10 @@ def ablation_config(base_config: TrainConfig, mode: str) -> TrainConfig:
 
 
 def run_ablation(x_warm, y_warm, x_cold, y_cold, base_config: TrainConfig,
-                 ns=DEFAULT_NS, user_keys=None) -> dict[str, MetricReport]:
+                 ns, user_keys) -> dict[str, MetricReport]:
     """Train S1, S2, S3 under identical seeds and score the cold users
-    (`y_warm`, `y_cold`: `data.PurchaseRows`), each report's users labelled
-    by `user_keys` (default: row numbers)."""
+    (`y_warm`, `y_cold`: `data.PurchaseRows`) at the cutoffs `ns`, each
+    report's users labelled by `user_keys`."""
     reports = {}
     for mode in ABLATION_MODES:
         trainer = fit(x_warm, y_warm, ablation_config(base_config, mode))

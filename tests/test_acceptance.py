@@ -123,7 +123,8 @@ def test_criterion_3_full_objective_gradcheck():
         sr, _ = M.sparsity_regularizer(rho, y_hat.mean(axis=0))
         return recon + adv_g + 0.1 * sr
 
-    _, grad = M.generator_objective_grad(dis, x, y, gen.forward(x), rho, beta=0.1)
+    _, grad = M.generator_objective_grad(dis, x, y, gen.forward(x), rho, beta=0.1,
+                                         adv_loss=M.loss_lsq, rng=None)
     gen.zero_grad()
     gen.backward(grad)
     analytic = np.concatenate([g.ravel() for _, _, g in gen.params()])
@@ -224,7 +225,7 @@ def test_criterion_8_ablation_ordering():
              for mode in ("S1", "S2", "S3")}
     for seed in RUN_SEEDS:
         cfg = dataclasses.replace(ACCEPT_CONFIG, seed=seed).validate()
-        reports = T.run_ablation(x_warm, y_warm, x_cold, y_cold, cfg, ns=(5,))
+        reports = T.run_ablation(x_warm, y_warm, x_cold, y_cold, cfg, ns=(5,), user_keys=None)
         for mode, report in reports.items():
             agg = report.aggregate()
             for k in means[mode]:
@@ -243,7 +244,7 @@ def test_criterion_9_beta_sweep():
     cache, _ = P.prepare_dataset(raw, "ml100k")
     _, x_warm, y_warm, _, _ = P.split_matrices(cache, 0.2, SPLIT_SEED)
     cfg = dataclasses.replace(ACCEPT_CONFIG, seed=RUN_SEEDS[0]).validate()
-    best, scores = T.cross_validate_beta(x_warm, y_warm, [0.01, 0.1, 1.0], cfg)
+    best, scores, _ = T.cross_validate_beta(x_warm, y_warm, [0.01, 0.1, 1.0], cfg)
     assert best == 0.1, scores
     _passed(f"9 (beta=0.1 best on 90/10 warm validation: {scores})")
 

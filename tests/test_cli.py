@@ -107,8 +107,12 @@ def test_prepare_missing_raw_dir_exit_1(tmp_path):
     ("", "u.data", ": no rating line"),
     ("\n\n", "u.data", ": no rating line"),
     ("", "ratings.dat", ": no rating line"),
+    # Item 1, which the fixture's users rate, loses its items-file line.
+    ("first-line", "u.item", ": item id 1 has no entry in "),
+    ("first-line", "movies.dat", ": item id 1 has no entry in "),
 ], ids=["missing-raw-file", "malformed-rating-line", "missing-u-occupation", "empty-u-data",
-        "newline-only-u-data", "empty-ratings-dat"])
+        "newline-only-u-data", "empty-ratings-dat", "unlisted-item-u-item",
+        "unlisted-item-movies-dat"])
 def test_prepare_refusal_leaves_no_out_dir(tmp_path, request, capsys, damage, name, message):
     dataset = "ml1m" if name.endswith(".dat") else "ml100k"
     raw = tmp_path / "raw"
@@ -119,6 +123,8 @@ def test_prepare_refusal_leaves_no_out_dir(tmp_path, request, capsys, damage, na
         lines = (raw / name).read_text().splitlines()
         lines[60] = lines[60].replace("\t", "\tx", 1)
         (raw / name).write_text("\n".join(lines) + "\n")
+    elif damage == "first-line":
+        (raw / name).write_bytes(b"".join((raw / name).read_bytes().splitlines(True)[1:]))
     else:
         (raw / name).write_text(damage)
     rc = main(["prepare", "--dataset", dataset, "--raw-dir", str(raw),
@@ -200,10 +206,14 @@ def set_field(k, value, sep="\t"):
     ("u.user", on_line(2, set_field(3, "pilot", "|")),
      ":2: occupation 'pilot' has no attribute slot"),
     ("users.dat", on_line(2, set_field(2, "99", "::")), ":2: age 99 has no attribute slot"),
+    ("movies.dat", on_line(3, set_field(2, "Drama|Foo", "::")),
+     ":3: genre 'Foo' has no attribute slot"),
+    ("movies.dat", lambda text: text + "51::Item 51 (1995)::Foo\n",
+     ":51: genre 'Foo' has no attribute slot"),
 ], ids=["plus", "minus", "space", "underscore", "arabic-indic-digit", "crlf", "cr",
         "form-feed-line", "space-line", "tabs-line", "u.user-signed-age", "u.item-flag-x",
         "u.occupation-repeat", "u.user-gender-x", "u.user-occupation-pilot",
-        "users.dat-age-code-99"])
+        "users.dat-age-code-99", "movies.dat-unknown-genre", "movies.dat-unrated-unknown-genre"])
 def test_prepare_refuses_raw_files_outside_their_grammar(tmp_path, request, capsys,
                                                          name, edit, message):
     dataset = "ml1m" if name.endswith(".dat") else "ml100k"
@@ -234,9 +244,11 @@ def edited_u_data(draw, lines):
     """The u.data `lines` with up to three lines replaced or inserted, each
     most often a rating line of the fixture's users with a rating in 1..5,
     else such a line with a rating of 0 or 6, one field junk or a "\r" at
-    its end, or an empty or a whitespace line."""
+    its end, or an empty or a whitespace line.  Items are most often the
+    50 that the fixture's u.item lists."""
     lines = list(lines)
-    rating = st.tuples(st.integers(1, 60), st.integers(1, 1682),
+    item = st.one_of(st.integers(1, 50), st.integers(1, 50), st.integers(1, 1682))
+    rating = st.tuples(st.integers(1, 60), item,
                        st.sampled_from([1, 2, 3, 4, 5, 1, 2, 3, 4, 5, 0, 6]),
                        st.integers(0, 2**63 - 1)).map(lambda row: "\t".join(map(str, row)))
     junk = st.tuples(st.integers(0, 3), st.text(RAW_JUNK, max_size=3), rating).map(
@@ -253,8 +265,9 @@ def edited_u_data(draw, lines):
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_prepare_of_edited_u_data_exits_0_or_1(synth100k_dir, data):
-    """`prepare` of a damaged u.data exits 1 naming the file and line, with
-    no out-dir; an accepted one gives the same cache content twice."""
+    """`prepare` of a damaged u.data exits 1 naming the file and line, or
+    the id of a user or item that u.user, u.item or 1..m does not hold,
+    with no out-dir; an accepted one gives the same cache content twice."""
     text = data.draw(edited_u_data((synth100k_dir / "u.data").read_text().splitlines()))
     with tempfile.TemporaryDirectory() as tmp:
         raw, outs = Path(tmp) / "raw", [Path(tmp) / "out1", Path(tmp) / "out2"]
@@ -264,7 +277,64 @@ def test_prepare_of_edited_u_data_exits_0_or_1(synth100k_dir, data):
         rc, err = run_cli([*argv, outs[0]])
         assert rc in (0, 1), err
         if rc == 1:
-            assert re.match(rf"error: {re.escape(str(raw / 'u.data'))}:\d+: ", err), err
+            assert re.match(rf"error: {re.escape(str(raw / 'u.data'))}(:\d+: "
+                            r"|: (user|item) id \d+ has no entry in |: item id \d+ outside )",
+                            err), err
+            assert not outs[0].exists()
+            return
+        assert run_cli([*argv, outs[1]])[0] == 0
+        hashes = [json.loads((out / "manifest.json").read_text())["outputs"]["cache_content"]
+                  for out in outs]
+        assert hashes[0] == hashes[1]
+
+
+# The metadata files of the fixtures, and the field values a metadata edit
+# draws from: ids (listed, unlisted, repeated or not integers), attribute
+# values with and without a slot, genre lists with and without an unknown
+# genre, genre flags, and junk.
+METADATA_FILES = ["u.user", "u.item", "u.occupation", "users.dat", "movies.dat"]
+METADATA_VALUES = ["1", "7", "50", "51", "60", "61", "0", "01", "+1", "x", "", " ",
+                   "18", "25", "56", "99", "20", "21", "M", "F", "X",
+                   "artist", "writer", "pilot", "Artist", "Drama", "Action|Comedy",
+                   "Foo", "Drama|Foo", "unknown", "Drama||Comedy"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_prepare_of_edited_metadata_exits_0_or_1(synth100k_dir, synth1m_dir, data):
+    """`prepare` after a one-line edit of a metadata file (a field set to
+    one of METADATA_VALUES, a field added or dropped, or the line deleted)
+    exits 0 or 1.  A refusal names a raw file: the edited one, or another
+    one's line that the edit left without a slot.  An accepted edit gives
+    the same cache content twice."""
+    name = data.draw(st.sampled_from(METADATA_FILES))
+    dataset = "ml1m" if name.endswith(".dat") else "ml100k"
+    source = synth1m_dir if dataset == "ml1m" else synth100k_dir
+    sep = D.LAYOUTS[dataset]["meta_sep"]
+    lines = (source / name).read_text(encoding="latin-1").splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1))
+    fields = lines[at].split(sep)
+    edit = data.draw(st.sampled_from(["set", "set", "set", "add", "drop", "delete"]))
+    if edit == "set":
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
+            st.sampled_from(METADATA_VALUES))
+    elif edit == "add":
+        fields.append(data.draw(st.sampled_from(METADATA_VALUES)))
+    elif edit == "drop":
+        fields.pop()
+    lines[at:at + 1] = [] if edit == "delete" else [sep.join(fields)]
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, outs = Path(tmp) / "raw", [Path(tmp) / "out1", Path(tmp) / "out2"]
+        shutil.copytree(source, raw)
+        (raw / name).write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+        argv = ["prepare", "--dataset", dataset, "--raw-dir", raw, "--out-dir"]
+        rc, err = run_cli([*argv, outs[0]])
+        assert rc in (0, 1), err
+        if rc == 1:
+            files = "|".join(re.escape(str(raw / f)) for f in D.LAYOUTS[dataset]["files"].values())
+            named = re.match(rf"error: ({files})(:\d+)?: ", err)
+            assert named and (str(raw / name) in err or named[2]), err
             assert not outs[0].exists()
             return
         assert run_cli([*argv, outs[1]])[0] == 0
@@ -555,6 +625,10 @@ def _bad_checkpoint(problem, good, tmp_path):
         contents[problem] = np.zeros(1)
     elif problem == "float32":
         contents["generator/params"] = contents["generator/params"].astype(np.float32)
+    elif problem in CHECKPOINT_HEADER_EDITS:
+        header = json.loads(str(contents["header"]))
+        CHECKPOINT_HEADER_EDITS[problem](header)
+        contents["header"] = json.dumps(header)
     elif problem.startswith("no "):          # a run metadata key, or the generator
         header = json.loads(str(contents["header"]))
         del (header["nets"] if problem == "no generator" else header["meta"])[problem[3:]]
@@ -565,6 +639,17 @@ def _bad_checkpoint(problem, good, tmp_path):
     np.savez(bad, **contents)
     return bad
 
+
+# The header edits of _bad_checkpoint: a `meta` or `nets` that is missing or
+# not a json object, and layer widths that are not a list.
+CHECKPOINT_HEADER_EDITS = {
+    "meta missing": lambda header: header.pop("meta"),
+    "meta null": lambda header: header.update(meta=None),
+    "nets null": lambda header: header.update(nets=None),
+    "nets list": lambda header: header.update(nets=[1]),
+    "widths 5": lambda header: header["nets"].update(generator=5),
+    "widths null": lambda header: header["nets"].update(generator=None),
+}
 
 # Each defect of _bad_checkpoint and a part of the message that refuses it.
 BAD_CHECKPOINT_MESSAGES = {
@@ -577,6 +662,12 @@ BAD_CHECKPOINT_MESSAGES = {
     "float32": "array 'generator/params' is float32",
     "missing": "generator/params is not a file",
     "no generator": "no generator network",
+    "meta missing": "header has no json object 'meta'",
+    "meta null": "header has no json object 'meta'",
+    "nets null": "header has no json object 'nets'",
+    "nets list": "header has no json object 'nets'",
+    "widths 5": "layer widths 5 of 'generator' are not a list",
+    "widths null": "layer widths None of 'generator' are not a list",
     **{f"no {key}": f"run metadata has no {key!r}"
        for key in ("schema_hash", "split_seed", "cold_fraction", "leakage_free_cold")},
 }
@@ -606,11 +697,8 @@ def _bad_cache(problem, good, tmp_path):
     with np.load(good) as z:
         contents = {key: z[key] for key in z.files}
     indptr, items, ratings = (contents[key] for key in ("indptr", "items", "ratings"))
-    if problem == "version 1":
-        header = json.loads(str(contents["header"])) | {"version": 1}
-        contents["header"] = json.dumps(header)
-    elif problem == "max_rating 10":
-        header = json.loads(str(contents["header"])) | {"max_rating": 10}
+    if problem in CACHE_HEADER_EDITS:
+        header = json.loads(str(contents["header"])) | CACHE_HEADER_EDITS[problem]
         contents["header"] = json.dumps(header)
     elif problem == "list header":
         contents["header"] = json.dumps([3])
@@ -656,6 +744,16 @@ def _bad_cache(problem, good, tmp_path):
     return bad
 
 
+# The header edits of _bad_cache, each a header field set to another value.
+CACHE_HEADER_EDITS = {
+    "version 1": {"version": 1},
+    "max_rating 10": {"max_rating": 10},
+    "m x": {"m": "x"},
+    "m 1682.5": {"m": 1682.5},
+    "d null": {"d": None},
+    "dataset list": {"dataset": [1]},
+}
+
 # Each defect of _bad_cache and a part of the message that refuses it; the
 # fixture cache has 60 users, 732 ratings, m = 1682 and d = D_100K.
 D_100K = 60
@@ -665,6 +763,10 @@ BAD_CACHE_MESSAGES = {
     "version 1": "format version 1 is not the supported version 3; re-run prepare",
     "version 2": "format version 2 is not the supported version 3; re-run prepare",
     "max_rating 10": "max_rating 10 is not the rating ceiling 5",
+    "m x": "header m 'x' is not an integer >= 1",
+    "m 1682.5": "header m 1682.5 is not an integer >= 1",
+    "d null": "header d None is not an integer >= 1",
+    "dataset list": "header dataset [1] is not a string",
     "list header": "header is not a json object",
     "missing": "items is not a file",
     "short purchase": "array 'indptr' is int64 (56,), expected int64 (61,)",
@@ -737,6 +839,9 @@ def test_bad_cold_fraction_exit_1_before_out_dir(command, tmp_path, prepared, ca
     (["train", "--cold-fraction", "-1e-3"], "", "split fraction -0.001 outside [0, 1)"),
     (["train", "--gan-loss", "x"], "", "gan_loss must be lsq or bce, got 'x'"),
     (["sweep-beta"], "gan_loss = x\n", "gan_loss must be lsq or bce, got 'x'"),
+    (["sweep-beta", "--max-rounds", "0"], "",
+     "max_rounds 0 trains no adversarial round, so every beta would score the same "
+     "pretrained generator"),
 ], ids=["zero-width", "negative-width", "ablate-zero-width", "dropout",
         "validation-fraction-one", "no-warm-user",
         "negative-n-e", "negative-pretrain-epochs", "negative-seed", "sweep-beta-negative-n-e",
@@ -744,7 +849,7 @@ def test_bad_cold_fraction_exit_1_before_out_dir(command, tmp_path, prepared, ca
         "sparsity-key", "nonsaturating-key", "d-phase-updates-g-key", "n-d-key", "n-g-key",
         "line-without-equals",
         "cold-fraction-exponent",
-        "gan-loss-flag", "gan-loss-key"])
+        "gan-loss-flag", "gan-loss-key", "sweep-beta-max-rounds-zero"])
 def test_train_refusals_leave_no_out_dir(argv, config, message, tmp_path, prepared, capsys):
     cfg = tmp_path / "train.conf"
     cfg.write_text(config)
@@ -1015,7 +1120,7 @@ def test_sweep_beta_outputs_and_cv_consistency(tmp_path, prepared):
     # matches the library cross-validation routine run on the same warm set
     cache = D.load_cache(prepared / "ml100k.npz")
     _, x_warm, y_warm, _, _ = P.split_matrices(cache, 0.2, 3)
-    best, _ = T.cross_validate_beta(x_warm, y_warm, [0.1, 1], FAST_CONFIG)
+    best, _, _ = T.cross_validate_beta(x_warm, y_warm, [0.1, 1], FAST_CONFIG)
     assert recommended[0] == best
 
     manifest = json.loads((out / "manifest.json").read_text())
@@ -1245,6 +1350,20 @@ def test_runtime_error_exits_2_before_out_dir(tmp_path, prepared, capsys):
                "--cache", str(prepared / "ml100k.npz"), "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("runtime error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_key_error_exits_2(tmp_path, prepared, capsys, monkeypatch):
+    """Bad input is refused with ValueError or FileNotFoundError, so a
+    KeyError is a bug, and exits 2."""
+    def lookup(*args, **kwargs):
+        return {}["missing"]
+
+    monkeypatch.setattr(P, "split_matrices", lookup)
+    rc = main(["train", *FAST, "--cache", str(prepared / "ml100k.npz"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "runtime error: 'missing'\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -143,10 +143,17 @@ parse_u_user = functools.partial(D.parse_users, occupations=("doctor", "other", 
      f"2|B (1995)|||u|x{U_ITEM_FLAGS[1:]}\n", 2, "genre flag 'x' is not 0 or 1"),
     (D.parse_item_genres, "ml100k", f"1|A (1995)|||u|{U_ITEM_FLAGS[:-1]}7\n",
      1, "genre flag '7' is not 0 or 1"),
+    (D.parse_users, "ml1m", "1::F::1::10::48067\n2::M::99::16::70072\n",
+     2, "age 99 has no attribute slot"),
+    (D.parse_users, "ml1m", "1::F::1::10::48067\n\n2::X::56::16::70072\n",
+     3, "gender 'X' has no attribute slot"),
+    (parse_u_user, "ml100k", "1|24|M|writer|00000\n2|53|F|pilot|00000\n",
+     2, "occupation 'pilot' has no attribute slot"),
 ], ids=["u.user-age", "users.dat-id", "u.item-id", "movies.dat-id", "u.user-repeated-id",
         "users.dat-repeated-id", "u.item-repeated-id", "movies.dat-repeated-id",
         "u.user-few-fields", "movies.dat-many-fields", "u.item-genre-flag-x",
-        "u.item-genre-flag-7"])
+        "u.item-genre-flag-7", "users.dat-age-99", "users.dat-gender-x",
+        "u.user-occupation-pilot"])
 def test_metadata_parse_errors_name_path_line_and_field(tmp_path, parse, fmt, text,
                                                          lineno, message):
     p = tmp_path / "meta"

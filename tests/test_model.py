@@ -252,7 +252,7 @@ def test_full_generator_objective_gradcheck(gan_loss, beta):
         return recon + adv_g + beta * sr
 
     _, grad = M.generator_objective_grad(dis, x, y, gen.forward(x), rho, beta=beta,
-                                         adv_loss=M.ADVERSARIAL_LOSSES[gan_loss])
+                                         adv_loss=M.ADVERSARIAL_LOSSES[gan_loss], rng=None)
     gen.zero_grad()
     gen.backward(grad)
     analytic = np.concatenate([g.ravel() for _, _, g in gen.params()])
@@ -262,7 +262,8 @@ def test_full_generator_objective_gradcheck(gan_loss, beta):
 
 def test_generator_objective_grad_leaves_discriminator_clean():
     gen, dis, x, y, rho = _toy_setup(3)
-    losses, _ = M.generator_objective_grad(dis, x, y, gen.forward(x), rho, beta=0.1)
+    losses, _ = M.generator_objective_grad(dis, x, y, gen.forward(x), rho, beta=0.1,
+                                           adv_loss=M.loss_lsq, rng=None)
     for _, _, grad in dis.params():
         assert np.all(grad == 0)
     assert not gen.grad.any()
@@ -274,11 +275,13 @@ def test_generator_objective_grad_leaves_discriminator_clean():
 def test_generator_objective_grad_leaves_stale_discriminator_grad_unchanged():
     gen, dis, x, y, rho = _toy_setup(3)
     y_hat = gen.forward(x)
-    _, expected = M.generator_objective_grad(dis, x, y, y_hat, rho, beta=0.1)
+    _, expected = M.generator_objective_grad(dis, x, y, y_hat, rho, beta=0.1,
+                                             adv_loss=M.loss_lsq, rng=None)
     dis.grad[...] = np.linspace(-1.0, 1.0, dis.grad.size)
     gen.grad[...] = np.linspace(1.0, 2.0, gen.grad.size)
     stale_d, stale_g = dis.grad.copy(), gen.grad.copy()
-    _, grad = M.generator_objective_grad(dis, x, y, y_hat, rho, beta=0.1)
+    _, grad = M.generator_objective_grad(dis, x, y, y_hat, rho, beta=0.1,
+                                         adv_loss=M.loss_lsq, rng=None)
     assert np.array_equal(dis.grad, stale_d)
     assert np.array_equal(gen.grad, stale_g)
     assert np.array_equal(grad, expected)

@@ -69,7 +69,7 @@ def test_linear_shape_mismatch():
 def test_activations():
     s = NN.Sigmoid()
     assert s.forward(np.array([[0.0]]))[0, 0] == 0.5
-    lr = NN.LeakyReLU(0.01)
+    lr = NN.LeakyReLU()
     out = lr.forward(np.array([[-2.0, 3.0]]))
     assert out[0, 0] == pytest.approx(-0.02)
     assert out[0, 1] == 3.0
@@ -79,6 +79,20 @@ def test_dropout_eval_identity():
     d = NN.Dropout(0.4)
     x = np.random.default_rng(0).normal(size=(3, 5))
     assert np.array_equal(d.forward(x), x)
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.0])
+def test_dropout_refuses_a_rate_outside_0_1(rate):
+    with pytest.raises(ValueError, match=r"rate must be in \(0, 1\)"):
+        NN.Dropout(rate)
+
+
+def test_mlp_builds_dropout_only_at_a_positive_rate():
+    def dropouts(rate):
+        net = NN.MLP([3, 5, 4, 2], np.random.default_rng(0), dropout=rate)
+        return sum(isinstance(layer, NN.Dropout) for layer in net.layers)
+
+    assert (dropouts(0.0), dropouts(0.3)) == (0, 2)
 
 
 def test_dropout_train_scales_survivors():
@@ -107,12 +121,11 @@ SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(x=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 9)),
                 elements=st.one_of(st.floats(width=64), st.sampled_from(SPECIAL))),
-       slope=st.one_of(st.just(0.01), st.floats(1e-300, 1.0, exclude_max=True)),
        data=st.data())
-def test_leaky_relu_matches_two_branch_where_bit_for_bit(x, slope, data):
+def test_leaky_relu_matches_two_branch_where_bit_for_bit(x, data):
     grad_out = data.draw(arrays(np.float64, x.shape, elements=st.one_of(
         st.floats(width=64), st.sampled_from(SPECIAL))))
-    layer = NN.LeakyReLU(slope)
+    layer, slope = NN.LeakyReLU(), NN.LEAKY_SLOPE
     with np.errstate(all="ignore"):
         y = layer.forward(x)
         grad_in = layer.backward(grad_out)

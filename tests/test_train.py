@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -180,18 +181,45 @@ def test_holdout_split_sizes_and_determinism():
 def test_cross_validate_beta_singleton():
     x, y = toy_data(n=30)
     cfg = small_config(max_rounds=2, pretrain_epochs=2)
-    best, scores = T.cross_validate_beta(x, y, [0.1], cfg)
+    best, scores, curves = T.cross_validate_beta(x, y, [0.1], cfg)
     assert best == 0.1
-    assert set(scores) == {0.1}
+    assert set(scores) == set(curves) == {0.1}
 
 
-def test_cross_validate_beta_tie_prefers_smaller():
+@pytest.mark.parametrize("stop", ["max-rounds", "patience"])
+def test_cross_validate_beta_scores_each_final_generator(stop):
+    """Each beta's score is the last point of its curve, which is the
+    validation P@5 of the generator its fit ends with, whether the run
+    reaches max_rounds or stops on patience."""
     x, y = toy_data(n=30)
-    cfg = small_config(max_rounds=0, n_e=0, pretrain_epochs=0)
-    # with no training at all, every beta scores identically
-    best, scores = T.cross_validate_beta(x, y, [1.0, 0.1], cfg)
-    assert len(set(scores.values())) == 1
+    settings = ({"max_rounds": 5, "eval_every": 2} if stop == "max-rounds" else
+                {"max_rounds": 40, "eval_every": 1, "patience": 2, "learning_rate": 1e-9})
+    cfg = small_config(pretrain_epochs=2, **settings)
+    _, scores, curves = T.cross_validate_beta(x, y, [0.0, 1.0], cfg)
+    for beta, curve in curves.items():
+        trainer = T.fit(x, y, small_config(pretrain_epochs=2, beta=beta, **settings))
+        assert curve.points == trainer.curve.points
+        assert (trainer.rounds_done < cfg.max_rounds) == (stop == "patience")
+        report = T.evaluate_predictions(M.generator_forward(trainer.generator, trainer.x_val),
+                                        trainer.y_val, ns=(5,))
+        assert scores[beta] == report["P@5"]
+
+
+def test_cross_validate_beta_tie_prefers_smaller(monkeypatch):
+    x, y = toy_data(n=30)
+    curve = T.TrainingCurve([T.CurvePoint(2, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5)])
+    # every beta's run ends on the same validation P@5
+    monkeypatch.setattr(T, "fit", lambda *args: SimpleNamespace(curve=curve))
+    best, scores, _ = T.cross_validate_beta(x, y, [1.0, 0.1], small_config())
+    assert scores == {0.1: 0.5, 1.0: 0.5}
     assert best == 0.1
+
+
+def test_cross_validate_beta_refuses_max_rounds_zero_before_training(monkeypatch):
+    x, y = toy_data(n=30)
+    monkeypatch.setattr(T, "fit", lambda *args: pytest.fail("trained"))
+    with pytest.raises(ValueError, match="max_rounds 0 trains no adversarial round"):
+        T.cross_validate_beta(x, y, [0.1, 1.0], small_config(max_rounds=0))
 
 
 @pytest.mark.parametrize("fraction", [0.0, 0.01])
@@ -249,7 +277,7 @@ def test_run_ablation_matches_trainer_on_all_warm_users_bit_for_bit():
     x, y = toy_data()
     x_cold, y_cold = toy_data(n=12, seed=1)
     base = small_config(max_rounds=4, validation_fraction=0.25)
-    reports = T.run_ablation(x, y, x_cold, y_cold, base, ns=(5, 10))
+    reports = T.run_ablation(x, y, x_cold, y_cold, base, ns=(5, 10), user_keys=None)
     assert list(reports) == ["S1", "S2", "S3"]
     for mode, report in reports.items():
         trainer = train_with_slice(x, y, T.ablation_config(base, mode), x[:0], y.take([]))
@@ -565,7 +593,7 @@ def test_each_trainer_is_released_before_the_next_fit(run, monkeypatch):
     if run == "sweep-beta":
         T.cross_validate_beta(x, y, [0.0, 0.1, 1.0], cfg)
     else:
-        T.run_ablation(x, y, x[:6], y.take(range(6)), cfg)
+        T.run_ablation(x, y, x[:6], y.take(range(6)), cfg, ns=(5,), user_keys=None)
     assert len(built) == 3
 
 
