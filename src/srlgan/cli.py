@@ -32,6 +32,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import data as D
 from . import evaluate as E
 from . import model as M
@@ -173,13 +175,18 @@ def _coerce(field: dataclasses.Field, raw: str, name: str):
 def _write_manifest(args, inputs: dict, outputs: dict,
                     config: T.TrainConfig | None = None) -> Path:
     """manifest.json in the command's out-dir; `args` holds the flags as
-    given, and a training command's resolved settings go under
-    `train_config`."""
+    given, `environment` the variables that set the BLAS threads and
+    kernels (null when unset) and the numpy version, on which the last bits
+    of the outputs depend, and a training command's resolved settings go
+    under `train_config`."""
     manifest = {
         "command": args.subcommand,
         "args": {k: v for k, v in vars(args).items() if k != "func"},
         "inputs": inputs,
         "outputs": outputs,
+        "environment": {**{name: os.environ.get(name) for name in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_CORETYPE")},
+            "numpy": np.__version__},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
     if config is not None:
@@ -217,6 +224,14 @@ def _save_trainer_checkpoint(path, trainer: T.Trainer, meta: dict, rnd):
     only here, once the run has passed every refusal."""
     path.parent.mkdir(parents=True, exist_ok=True)
     NN.save_checkpoint(path, {"generator": trainer.generator}, {**meta, "round": rnd})
+
+
+# The spec (`data.check_document`) of the checkpoint metadata that eval reads.
+RUN_METADATA = {
+    "schema_hash": (str, "16 hex digits", lambda v: re.fullmatch("[0-9a-f]{16}", v)),
+    "split_seed": (int, "an integer >= 0", lambda v: v >= 0),
+    "cold_fraction": (float, "a float in [0, 1)", lambda v: 0 <= v < 1),
+    "leakage_free_cold": (bool, "true or false", None)}
 
 
 def cmd_train(args) -> int:
@@ -268,11 +283,9 @@ def cmd_eval(args) -> int:
         label = "itempop"
     else:
         nets, meta = NN.load_checkpoint(args.checkpoint)
-        for key in ("schema_hash", "split_seed", "cold_fraction", "leakage_free_cold"):
-            if key not in meta:
-                raise ValueError(f"checkpoint {args.checkpoint}: run metadata has no {key!r}")
+        D.check_document(meta, RUN_METADATA, f"checkpoint {args.checkpoint}: header meta")
         if "generator" not in nets:
-            raise ValueError(f"checkpoint {args.checkpoint}: no generator network")
+            raise ValueError(f"checkpoint {args.checkpoint}: header nets has no 'generator'")
         # Another split would put users the model trained on among the cold.
         for flag, key in (("--split-seed", "split_seed"), ("--cold-fraction", "cold_fraction")):
             if getattr(args, key) not in (None, meta[key]):

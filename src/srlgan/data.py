@@ -20,7 +20,9 @@ training step's minibatch is made dense, and the scorer reads CSR rows.
 `split_rows` draws every seeded split (warm/cold users, the validation
 slice); cache rows are users in strictly increasing id order.  The dataset
 cache, and `nn`'s checkpoints, are .npz archives written by one writer,
-`_write_archive`, and read by one reader, `_read_archive`.
+`_write_archive`, and read by one reader, `_read_archive`.  Each json
+document they carry has one spec (`CACHE_HEADER`, `SCHEMA`,
+`nn.CHECKPOINT_HEADER`, `cli.RUN_METADATA`), checked by `check_document`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import warnings
 import zipfile
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from tokenize import TokenError
 
@@ -356,15 +358,39 @@ def sparsity_percent(rows: PurchaseRows) -> float:
 # that holds the format version, written stored (uncompressed); the reader
 # also takes deflated members.  The cache (CACHE_VERSION 3) holds the
 # purchase rows in CSR form:
-#   header   : json {version, dataset, m, d, max_rating}: max_rating is
-#              MAX_RATING, and a file naming another C is refused
+#   header   : json CACHE_HEADER document
 #   user_ids : int64 (users,), strictly increasing
 #   indptr   : int64 (users + 1,), from 0, never decreasing, ending at nnz
 #   items    : int32 (nnz,), 0-based ids in 0..m-1, increasing within a row
 #   ratings  : uint8 (nnz,), in 1..C (the purchase value times C)
 #   tfidf    : float64 (users x d)
-#   schema   : json string (attribute slot list, see features.AttributeSchema)
+#   schema   : json SCHEMA document, whose slots are the d tfidf columns
 # ---------------------------------------------------------------------------
+
+_SIZE = (int, "an integer >= 1", lambda v: v >= 1)
+_STRINGS = (list, "a list of strings", lambda v: all(type(s) is str for s in v))
+CACHE_HEADER = {
+    "version": (int, f"the supported version {CACHE_VERSION}; re-run prepare",
+                lambda v: v == CACHE_VERSION),
+    "dataset": (str, "a string", None), "m": _SIZE, "d": _SIZE,
+    "max_rating": (int, f"the rating ceiling {MAX_RATING}", lambda v: v == MAX_RATING)}
+SCHEMA = {"dataset": (str, "a string", None),
+          "age_values": (list, "a list of integers", lambda v: all(type(a) is int for a in v)),
+          "gender_values": _STRINGS, "occupation_values": _STRINGS, "genre_values": _STRINGS}
+
+
+def check_document(doc, spec: dict, what: str) -> dict:
+    """`doc`, refused unless it is a json object with every key of `spec`,
+    which maps a key to (the type `json.loads` gives its value, a bool being
+    no int; words for the type and range; the range's test or None)."""
+    if type(doc) is not dict:
+        raise ValueError(f"{what} is not a json object")
+    for key, (kind, words, test) in spec.items():
+        if key not in doc:
+            raise ValueError(f"{what} has no {key!r}")
+        if type(doc[key]) is not kind or not (test is None or test(doc[key])):
+            raise ValueError(f"{what} {key} {doc[key]!r} is not {words}")
+    return doc
 
 
 def _write_archive(path, header: dict, **arrays) -> None:
@@ -394,20 +420,15 @@ def _write_archive(path, header: dict, **arrays) -> None:
 
 
 @contextmanager
-def _read_archive(path, what: str, version: int, writer: str):
-    """Yields (header, archive) of the archive at `path`.  Another format
-    version, and every failure to read it, here or in the caller's block,
-    raise ValueError("<what> <path>: ..."); a missing file raises
-    FileNotFoundError."""
+def _read_archive(path, what: str, spec: dict):
+    """Yields (header, archive) of the archive at `path`.  A header that
+    breaks `spec` (its format version included), and every failure to read
+    the archive, here or in the caller's block, raise ValueError("<what>
+    <path>: ..."); a missing file raises FileNotFoundError."""
     try:
         with np.load(path, allow_pickle=False) as z:
             header = json.loads(str(_archive_array(z, "header", np.str_, ())))
-            if not isinstance(header, dict):
-                raise ValueError("header is not a json object")
-            if header["version"] != version:
-                raise ValueError(f"format version {header['version']!r} is not the "
-                                 f"supported version {version}; re-run {writer}")
-            yield header, z
+            yield check_document(header, spec, "header"), z
     except FileNotFoundError:
         raise
     # A damaged byte fails in zipfile (BadZipFile; NotImplementedError for an
@@ -434,13 +455,47 @@ def _archive_array(z, name: str, dtype, shape: tuple) -> np.ndarray:
     return arr
 
 
+@dataclass(frozen=True)
+class AttributeSchema:
+    """Ordered attribute slots; slot order defines the vector layout."""
+
+    dataset: str
+    age_values: tuple          # observed ages (100K) or age codes (1M)
+    gender_values: tuple       # ("M", "F")
+    occupation_values: tuple   # names (100K) or stringified codes (1M)
+    genre_values: tuple
+
+    @property
+    def d(self) -> int:
+        return (len(self.age_values) + len(self.gender_values)
+                + len(self.occupation_values) + len(self.genre_values))
+
+    def slot_names(self) -> list[str]:
+        return ([f"age={a}" for a in self.age_values]
+                + [f"gender={g}" for g in self.gender_values]
+                + [f"occupation={o}" for o in self.occupation_values]
+                + [f"genre={g}" for g in self.genre_values])
+
+    def slot_index(self) -> dict[str, int]:
+        return {name: k for k, name in enumerate(self.slot_names())}
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> AttributeSchema:
+        obj = check_document(json.loads(text), SCHEMA, "schema")
+        return cls(obj["dataset"], *(tuple(obj[f.name]) for f in fields(cls)[1:]))
+
+
 @dataclass
 class DatasetCache:
     dataset: str
     user_ids: list[int]
     purchase: PurchaseRows
     tfidf: np.ndarray
-    schema_json: str
+    schema: AttributeSchema
+    schema_json: str        # the stored text of `schema`, which is hashed
 
     @property
     def m(self) -> int:
@@ -471,24 +526,15 @@ def save_cache(cache: DatasetCache, path) -> None:
 
 
 def load_cache(path) -> DatasetCache:
-    """The cache at `path`.  An unreadable, damaged or truncated file, another
-    format version, a header naming another rating ceiling than MAX_RATING,
-    a header dataset that is not a string or an m or d that is not an
-    integer >= 1, a missing array, an array of another dtype or of a shape
-    that disagrees with the user count and the header's d, user ids that do
-    not strictly increase, or purchase rows that break a CSR rule of the
-    layout above raise ValueError naming path and problem; a missing file,
-    FileNotFoundError."""
-    with _read_archive(path, "cache", CACHE_VERSION, "prepare") as (header, z):
-        if header["max_rating"] != MAX_RATING:
-            raise ValueError(f"max_rating {header['max_rating']!r} is not the "
-                             f"rating ceiling {MAX_RATING}")
-        dataset, m, d = (header.get(key) for key in ("dataset", "m", "d"))
-        if not isinstance(dataset, str):
-            raise ValueError(f"header dataset {dataset!r} is not a string")
-        for key, value in (("m", m), ("d", d)):
-            if type(value) is not int or value < 1:
-                raise ValueError(f"header {key} {value!r} is not an integer >= 1")
+    """The cache at `path`.  An unreadable, damaged or truncated file, a
+    header or schema that breaks CACHE_HEADER or SCHEMA, a schema whose
+    slot count is not d, a missing array, an array of another dtype or of a
+    shape that disagrees with the user count and the header's d, user ids
+    that do not strictly increase, or purchase rows that break a CSR rule
+    of the layout above raise ValueError naming path and problem; a missing
+    file, FileNotFoundError."""
+    with _read_archive(path, "cache", CACHE_HEADER) as (header, z):
+        m, d = header["m"], header["d"]
         user_ids = _archive_array(z, "user_ids", np.int64, (None,))
         if np.any(np.diff(user_ids) <= 0):
             raise ValueError("user_ids are not strictly increasing")
@@ -511,12 +557,19 @@ def load_cache(path) -> DatasetCache:
             raise ValueError("item ids do not strictly increase within a row")
         if np.any((ratings < 1) | (ratings > MAX_RATING)):
             raise ValueError(f"ratings outside 1..{MAX_RATING}")
+        tfidf = _archive_array(z, "tfidf", np.float64, (n, d))
+        schema_json = str(_archive_array(z, "schema", np.str_, ()))
+        schema = AttributeSchema.from_json(schema_json)
+        if schema.d != d:
+            raise ValueError(f"schema age_values, gender_values, occupation_values and "
+                             f"genre_values hold {schema.d} slots, not the tfidf width {d}")
         return DatasetCache(
-            dataset=dataset,
+            dataset=header["dataset"],
             user_ids=user_ids.tolist(),
             purchase=PurchaseRows(indptr, items, ratings / MAX_RATING, m),
-            tfidf=_archive_array(z, "tfidf", np.float64, (n, d)),
-            schema_json=str(_archive_array(z, "schema", np.str_, ())),
+            tfidf=tfidf,
+            schema=schema,
+            schema_json=schema_json,
         )
 
 

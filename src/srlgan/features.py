@@ -11,50 +11,14 @@ multiplied elementwise (no further normalization).
 103 for ML100K (61 observed ages + 2 genders + 21 occupations + 19
 genres; the occupations are the lines of u.occupation, a required file)
 and 48 for ML1M (7 age codes + 2 genders + 21 occupation codes + 18
-genres).  `AttributeSchema`'s json document holds its fields by name.
+genres), held by `data.AttributeSchema`, whose json document the cache stores.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields
-
 import numpy as np
 
-from .data import GENDERS, LAYOUTS, UserMeta
-
-
-@dataclass(frozen=True)
-class AttributeSchema:
-    """Ordered attribute slots; slot order defines the vector layout."""
-
-    dataset: str
-    age_values: tuple          # observed ages (100K) or age codes (1M)
-    gender_values: tuple       # ("M", "F")
-    occupation_values: tuple   # names (100K) or stringified codes (1M)
-    genre_values: tuple
-
-    @property
-    def d(self) -> int:
-        return (len(self.age_values) + len(self.gender_values)
-                + len(self.occupation_values) + len(self.genre_values))
-
-    def slot_names(self) -> list[str]:
-        return ([f"age={a}" for a in self.age_values]
-                + [f"gender={g}" for g in self.gender_values]
-                + [f"occupation={o}" for o in self.occupation_values]
-                + [f"genre={g}" for g in self.genre_values])
-
-    def slot_index(self) -> dict[str, int]:
-        return {name: k for k, name in enumerate(self.slot_names())}
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AttributeSchema":
-        obj = json.loads(text)
-        return cls(obj["dataset"], *(tuple(obj[f.name]) for f in fields(cls)[1:]))
+from .data import GENDERS, LAYOUTS, AttributeSchema, UserMeta
 
 
 def layout_schema(dataset: str, users: dict[int, UserMeta],

@@ -17,19 +17,22 @@ gradients are never live at the same time can share (the Trainer's G and D
 do, in the larger network's `grad`): a network's `grad` is meaningful only
 from its `zero_grad` to its optimizer step, and outside that span it may
 hold another network's gradient.  Each Linear holds views into `theta` and
-`grad`, so zero_grad, Adam and checkpoint I/O are single array operations.  The MLP draws each layer's initial weights straight into its
-weight view (`rng.random(out=...)`, then scaled and shifted in place, which
-gives `rng.uniform`'s bits without a weight-sized temporary: He uniform for
-the hidden layers, Xavier uniform for the output layer, zero biases); built
+`grad`, so Adam and checkpoint I/O are single array operations.  The MLP
+draws each layer's initial weights straight into its weight view
+(`rng.random(out=...)`, then scaled and shifted in place, which gives
+`rng.uniform`'s bits without a weight-sized temporary: He uniform for the
+hidden layers, Xavier uniform for the output layer, zero biases); built
 with no rng, it leaves `theta` at zero, which is how `load_checkpoint` fills
 a network from the stored vector without drawing an init it would overwrite.
 
-`MLP.zero_grad()` clears `grad` and marks every Linear, so that the next
-`backward` of each layer writes its parameter gradients into the flat store
-(`np.matmul(..., out=)`, `np.sum(..., out=)`) instead of allocating them and
-adding them to the zeros.  0 + a is a (a -0.0 stays -0.0 where the sum gave
-0.0, which Adam cannot tell apart), so theta and the moments get the bits of
-accumulation.
+`MLP.zero_grad()` clears nothing: it marks every Linear, so that the next
+`backward` of each layer writes its parameter gradients whole into the flat
+store (`np.matmul(..., out=)`, `np.sum(..., out=)`), over whatever `grad`
+held.  That gives the bits of adding them to zeros: 0 + a is a (a -0.0
+stays -0.0 where the sum gave 0.0, which Adam cannot tell apart).
+`Adam.step` refuses, before any write, a network with a Linear that
+`zero_grad` marked and no backward has written since, whose gradient would
+be stale: a RuntimeError names the layer.
 Every later backward accumulates (the discriminator's real and fake passes
 sum into one gradient), and so does a backward into a `grad` that was never
 zeroed through `zero_grad`.  An accumulating backward adds x.T @ grad_out
@@ -291,7 +294,8 @@ class MLP:
         return grad_out
 
     def zero_grad(self):
-        self.grad[...] = 0.0
+        """Mark every Linear, so that its next `backward` writes its
+        gradients whole; `grad` itself is left as it is until then."""
         for layer in self.layers:
             if isinstance(layer, Linear):
                 layer._overwrite = True
@@ -317,6 +321,13 @@ class Adam:
         self.v = np.zeros(net.theta.size)
 
     def step(self):
+        """One update from `net.grad`.  A Linear that `zero_grad` marked and
+        no backward has written since holds a stale gradient, which raises
+        RuntimeError naming the layer, as does a non-finite gradient
+        (TrainingError); either before any write."""
+        for k, layer in enumerate(self.net.layers):
+            if isinstance(layer, Linear) and layer._overwrite:
+                raise RuntimeError(f"layer{k} has no gradient: no backward since zero_grad")
         grad = self.net.grad
         t = self.t + 1
         with np.errstate(over="ignore"):
@@ -363,6 +374,12 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_VERSION = 4
+CHECKPOINT_HEADER = {       # the header's spec, see `data.check_document`
+    "version": (int, f"the supported version {CHECKPOINT_VERSION}; re-run train",
+                lambda v: v == CHECKPOINT_VERSION),
+    "nets": (dict, "a json object of layer-width lists",
+             lambda v: all(type(sizes) is list for sizes in v.values())),
+    "meta": (dict, "a json object", None)}
 
 
 def save_checkpoint(path, nets: dict[str, MLP], meta: dict) -> None:
@@ -380,20 +397,14 @@ def load_checkpoint(path):
     """Returns (nets, meta) from a checkpoint file, building only the
     networks its header names.
 
-    An unreadable or damaged file, another format version, a header whose
-    `nets` or `meta` is not a json object or whose layer widths are not a
-    list, or an array that is missing or not the float64 vector its header
-    implies (which would otherwise broadcast into the network) raises
-    ValueError naming path and problem; a missing file raises
-    FileNotFoundError."""
-    with _read_archive(path, "checkpoint", CHECKPOINT_VERSION, "train") as (header, z):
-        for key in ("nets", "meta"):
-            if not isinstance(header.get(key), dict):
-                raise ValueError(f"header has no json object {key!r}")
+    An unreadable or damaged file, a header that breaks CHECKPOINT_HEADER
+    (its format version included), or an array that is missing or not the
+    float64 vector its header implies (which would otherwise broadcast into
+    the network) raises ValueError naming path and problem; a missing file
+    raises FileNotFoundError."""
+    with _read_archive(path, "checkpoint", CHECKPOINT_HEADER) as (header, z):
         nets = {}
         for name, sizes in header["nets"].items():
-            if not isinstance(sizes, list):
-                raise ValueError(f"layer widths {sizes!r} of {name!r} are not a list")
             net = nets[name] = MLP(sizes, None)
             net.theta[...] = _archive_array(z, f"{name}/params", np.float64,
                                             net.theta.shape)

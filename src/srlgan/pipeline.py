@@ -29,15 +29,17 @@ def prepare_dataset(raw_dir, dataset: str) -> tuple[D.DatasetCache, dict]:
     try:
         user_ids, purchase = D.build_purchase_matrix(ratings, m=m)
     except ValueError as exc:
+        if len(ratings):        # an item id outside 1..m
+            _refuse_line(files["ratings"], dataset, 1, lambda i: not 1 <= i <= m,
+                         f"outside 1..{m}")
         raise D.ParseError(f"{files['ratings']}: {exc}") from None
     # Every rater and every rated item (1-based, from the purchase rows'
     # 0-based ids) needs a line in its metadata file.
     rated = np.flatnonzero(np.bincount(purchase.items, minlength=m)) + 1
-    for what, ids, listed in (("user", user_ids, users), ("item", rated.tolist(), item_genres)):
-        unlisted = [i for i in ids if i not in listed]
-        if unlisted:
-            raise ValueError(f"{files['ratings']}: {what} id {unlisted[0]} has no entry "
-                             f"in {files[what + 's']}")
+    for column, (ids, listed) in enumerate(((user_ids, users), (rated.tolist(), item_genres))):
+        if any(i not in listed for i in ids):
+            _refuse_line(files["ratings"], dataset, column, lambda i: i not in listed,
+                         f"has no entry in {files[('users', 'items')[column]]}")
 
     counts = F.attribute_counts(users, user_ids, ratings, item_genres, schema)
     cache = D.DatasetCache(
@@ -45,6 +47,7 @@ def prepare_dataset(raw_dir, dataset: str) -> tuple[D.DatasetCache, dict]:
         user_ids=user_ids,
         purchase=purchase,
         tfidf=counts * F.inverse_document_frequency(counts),
+        schema=schema,
         schema_json=schema.to_json(),
     )
     stats = {
@@ -56,6 +59,17 @@ def prepare_dataset(raw_dir, dataset: str) -> tuple[D.DatasetCache, dict]:
         "sparsity_percent": round(D.sparsity_percent(purchase), 2),
     }
     return cache, stats
+
+
+def _refuse_line(path, dataset: str, column: int, bad, message: str):
+    """Raise ParseError("<path>:<line>: <user|item> id <id> <message>") at
+    the first line of the ratings file `path`, which is in `parse_ratings`'
+    grammar, whose user (column 0) or item (1) id `bad` takes; empty lines
+    count toward the line number."""
+    sep = D.LAYOUTS[dataset]["sep"].encode()
+    for lineno, line in enumerate(D.read_bytes(path).split(b"\n"), 1):
+        if line and bad(key := int(line.split(sep)[column])):
+            raise D.ParseError(f"{path}:{lineno}: {('user', 'item')[column]} id {key} {message}")
 
 
 def split_matrices(cache: D.DatasetCache, cold_fraction: float, seed: int,
@@ -73,8 +87,7 @@ def split_matrices(cache: D.DatasetCache, cold_fraction: float, seed: int,
     y_warm = cache.purchase.take(warm_rows)
     x_cold = cache.tfidf[cold_rows]
     if leakage_free_cold:
-        schema = F.AttributeSchema.from_json(cache.schema_json)
-        x_cold[:, schema.d - len(schema.genre_values):] = 0.0
+        x_cold[:, cache.schema.d - len(cache.schema.genre_values):] = 0.0
     y_cold = cache.purchase.take(cold_rows)
     cold_ids = np.asarray(cache.user_ids, dtype=np.int64)[cold_rows]
     return cold_ids, x_warm, y_warm, x_cold, y_cold

@@ -2,12 +2,15 @@
 
 Every damage to an archive is either refused, with exit 1, a message naming
 the file and no out-dir, or read back to the very arrays that were written,
-so the command's metrics are those of the undamaged run.
+so the command's metrics are those of the undamaged run.  An edit of one of
+its json documents is refused naming the key, unless the document still
+holds what the command needs.
 """
 
 import contextlib
 import io
 import json
+import re
 import tempfile
 import tracemalloc
 import zipfile
@@ -114,6 +117,71 @@ def test_damaged_archive_is_refused_or_read_whole(good, kind, data):
             assert not out.exists()
         else:
             assert (out / "metrics.model.csv").read_bytes() == metrics
+
+
+# The json documents of the archives: the archive and member that carry
+# each, the key of the document inside the member's json (None: the whole
+# member), and the keys that eval reads from it.
+DOCUMENTS = {
+    "cache header": ("cache", "header", None, ["version", "dataset", "m", "d", "max_rating"]),
+    "schema": ("cache", "schema", None,
+               ["dataset", "age_values", "gender_values", "occupation_values", "genre_values"]),
+    "checkpoint header": ("checkpoint", "header", None, ["version", "nets", "meta"]),
+    "run metadata": ("checkpoint", "header", "meta",
+                     ["schema_hash", "split_seed", "cold_fraction", "leakage_free_cold"]),
+}
+# The edits of a key: dropped, or its value replaced by a json value of each
+# kind (a list: the value's list one item short, or the value in a list).
+EDITS = ["drop", "null", "bool", "int", "float", "str", "list", "object"]
+# The edits after which the document still holds what eval needs: a dataset
+# name is only a label, and the checkpoint's split flags may take any value
+# in their range, with which eval then cuts its split.
+STILL_VALID = {("cache header", "dataset", "str"), ("schema", "dataset", "str"),
+               ("run metadata", "cold_fraction", "float"),
+               ("run metadata", "leakage_free_cold", "bool")}
+
+
+def edited(value, how):
+    return {"null": None, "bool": True, "int": -1, "float": 0.5, "str": "x", "object": {},
+            "list": value[:-1] if isinstance(value, list) else [value]}[how]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(document=st.sampled_from(sorted(DOCUMENTS)), data=st.data())
+def test_edited_json_document_is_refused_naming_the_key(good, document, data):
+    """An archive whose json document has one key dropped, or its value
+    replaced by a json value of each kind: eval (ItemPop, with or without
+    --leakage-free-cold, for a cache) exits 0 when the edit is in
+    STILL_VALID, and otherwise exits 1 naming the archive and the key, with
+    no out-dir; never 2."""
+    archives, _ = good
+    kind, member, inner, keys = DOCUMENTS[document]
+    key, how = data.draw(st.sampled_from(keys)), data.draw(st.sampled_from(EDITS))
+    contents = members(archives[kind])
+    outer = json.loads(str(contents[member]))
+    doc = outer[inner] if inner else outer
+    if how == "drop":
+        del doc[key]
+    else:
+        doc[key] = edited(doc[key], how)
+    contents[member] = json.dumps(outer)
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, out = Path(tmp) / "bad.npz", Path(tmp) / "out"
+        np.savez(bad, **contents)
+        if kind == "cache":
+            flags = ["--leakage-free-cold"] if data.draw(st.booleans()) else []
+            rc, err = run(["eval", "--baseline", "itempop", *flags, "--cache", bad,
+                           "--out-dir", out])
+        else:
+            rc, err = eval_(archives | {kind: bad}, out)
+        if (document, key, how) in STILL_VALID:
+            assert rc == 0, err
+            return
+        assert rc == 1, err
+        assert err.startswith(f"error: {kind} {bad}: "), err
+        assert re.search(rf"[ ']{key}[ ',]", err), err
+        assert not out.exists()
 
 
 def member_offset(path, member):

@@ -188,13 +188,21 @@ def test_single_linear_layer_gradient():
     assert np.allclose(net.layers[0].grad_bias, 1.0)
 
 
-def test_zero_grad_gives_zero_param_grads():
+def test_zero_grad_clears_nothing_and_a_step_before_backward_is_refused():
+    # zero_grad only marks the layers; a step before any backward would read
+    # the stale gradient, so it is refused before it writes anything.
     net = NN.MLP([3, 4, 2], np.random.default_rng(0))
+    opt = NN.Adam(net, lr=0.1)
     net.forward(np.ones((2, 3)))
     net.backward(np.ones((2, 2)))
+    stale = net.grad.copy()
     net.zero_grad()
-    for _, _, grad in net.params():
-        assert np.all(grad == 0)
+    assert np.array_equal(net.grad, stale) and stale.any()
+    before = net.theta.copy()
+    with pytest.raises(RuntimeError, match=r"^layer0 has no gradient: no backward since"):
+        opt.step()
+    assert opt.t == 0 and not opt.m.any() and not opt.v.any()
+    assert np.array_equal(net.theta, before)
 
 
 def test_mlp_gradients_match_finite_differences():
@@ -240,13 +248,24 @@ def test_input_gradient_matches_finite_differences():
     assert rel_err(input_grad, numeric) < 1e-4
 
 
-def test_adam_zero_grad_no_update():
-    net = NN.MLP([2, 3], np.random.default_rng(0))
-    before = net.theta.copy()
+def test_adam_refuses_a_layer_that_no_backward_wrote_since_zero_grad():
+    net = NN.MLP([3, 4, 4, 2], np.random.default_rng(0))
     opt = NN.Adam(net, lr=0.1)
+    x = np.random.default_rng(1).normal(size=(2, 3))
     net.zero_grad()
+    # A backward through the last two Linears only: layer0 keeps its mark.
+    grad_out = net.forward(x) - 0.5
+    for layer in reversed(net.layers[2:]):
+        grad_out = layer.backward(grad_out)
+    before = net.theta.copy()
+    with pytest.raises(RuntimeError, match=r"^layer0 has no gradient"):
+        opt.step()
+    assert opt.t == 0 and np.array_equal(net.theta, before)
+    # A whole backward writes every layer, and the step goes through.
+    net.zero_grad()
+    net.backward(net.forward(x) - 0.5)
     opt.step()
-    assert np.array_equal(net.theta, before)
+    assert opt.t == 1 and not np.array_equal(net.theta, before)
 
 
 def test_adam_first_step_magnitude():
