@@ -296,6 +296,11 @@ def cmd_eval(args) -> int:
             args, meta["split_seed"], meta["cold_fraction"], need_cold=True,
             schema_hash=meta["schema_hash"])
         del x_warm, y_warm                  # the model scores cold users only
+        sizes = nets["generator"].sizes
+        if (sizes[0], sizes[-1]) != (x_cold.shape[1], y_cold.m):
+            raise ValueError(f"checkpoint {args.checkpoint}: generator widths {sizes} do not "
+                             f"map the d {x_cold.shape[1]} attributes of cache "
+                             f"{_cache_path(args)} to its m {y_cold.m} items")
         preds = M.generator_forward(nets["generator"], x_cold)
         report = E.evaluate_report(preds, y_cold, ns=ns, user_keys=cold_ids, graded=args.graded)
         label = "model"

@@ -133,7 +133,8 @@ def parse_ratings(path, fmt: str) -> np.ndarray:
     lines end in "\n" (the last may lack it), and each is empty or four
     ASCII digit runs joined by the layout's separator, each in int64, the
     rating in 1..MAX_RATING.  A file in it is read by one `np.loadtxt`;
-    any other raises ParseError at its first line outside it."""
+    any other raises ParseError at its first line outside it, which
+    `rating_lines` finds."""
     sep = LAYOUTS[fmt]["sep"]
     raw = read_bytes(_raw_file(path))
     if not raw.strip(b"\n"):
@@ -155,17 +156,28 @@ def parse_ratings(path, fmt: str) -> np.ndarray:
             if ratings.shape[1] == 4 and np.all((ratings[:, 2] >= 1)
                                                 & (ratings[:, 2] <= MAX_RATING)):
                 return ratings
-    # Any other file: find its first line outside the grammar.
-    for lineno, line in enumerate(raw.decode("utf-8", "backslashreplace").split("\n"), 1):
+    for _ in rating_lines(path, fmt):
+        pass
+    raise ParseError(f"{path}: np.loadtxt refused the file, yet no line breaks the grammar")
+
+
+def rating_lines(path, fmt: str):
+    """Yields (line number, [user, item, rating, timestamp]) of each
+    non-empty line of the ratings file `path`, empty lines counted; a line
+    outside `parse_ratings`' grammar raises ParseError.  No other code
+    splits a ratings line."""
+    sep = LAYOUTS[fmt]["sep"]
+    for lineno, line in enumerate(read_bytes(path).decode("utf-8", "backslashreplace")
+                                  .split("\n"), 1):
         if not line:
             continue
         fields = line.split(sep)
         if len(fields) != 4:
             raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
-        rating = [_int_field(field, "field", path, lineno) for field in fields][2]
-        if not 1 <= rating <= MAX_RATING:
-            raise ParseError(f"{path}:{lineno}: rating {rating} outside 1..{MAX_RATING}")
-    raise ParseError(f"{path}: np.loadtxt refused the file, yet no line breaks the grammar")
+        row = [_int_field(field, "field", path, lineno) for field in fields]
+        if not 1 <= row[2] <= MAX_RATING:
+            raise ParseError(f"{path}:{lineno}: rating {row[2]} outside 1..{MAX_RATING}")
+        yield lineno, row
 
 
 def _int_field(raw: str, name: str, path, lineno: int) -> int:
@@ -348,8 +360,6 @@ def split_rows(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarr
 def sparsity_percent(rows: PurchaseRows) -> float:
     """Percentage of zero entries in the users x items purchase rows."""
     size = len(rows) * rows.m
-    if size == 0:
-        raise ValueError("empty purchase matrix")
     return 100.0 * float(size - rows.nnz) / size
 
 
@@ -527,14 +537,20 @@ def save_cache(cache: DatasetCache, path) -> None:
 
 def load_cache(path) -> DatasetCache:
     """The cache at `path`.  An unreadable, damaged or truncated file, a
-    header or schema that breaks CACHE_HEADER or SCHEMA, a schema whose
-    slot count is not d, a missing array, an array of another dtype or of a
-    shape that disagrees with the user count and the header's d, user ids
-    that do not strictly increase, or purchase rows that break a CSR rule
-    of the layout above raise ValueError naming path and problem; a missing
-    file, FileNotFoundError."""
+    header or schema that breaks CACHE_HEADER or SCHEMA, a header dataset
+    that is no `LAYOUTS` key or an m other than its item count, a schema
+    whose slot count is not d, a missing array, an array of another dtype
+    or of a shape that disagrees with the user count and the header's d,
+    user ids that do not strictly increase, or purchase rows that break a
+    CSR rule of the layout above raise ValueError naming path and problem;
+    a missing file, FileNotFoundError."""
     with _read_archive(path, "cache", CACHE_HEADER) as (header, z):
-        m, d = header["m"], header["d"]
+        dataset, m, d = header["dataset"], header["m"], header["d"]
+        if dataset not in LAYOUTS:
+            raise ValueError(f"header dataset {dataset!r} is not one of {sorted(LAYOUTS)}")
+        if m != LAYOUTS[dataset]["m"]:
+            raise ValueError(f"header m {m} is not the {dataset} item count "
+                             f"{LAYOUTS[dataset]['m']}")
         user_ids = _archive_array(z, "user_ids", np.int64, (None,))
         if np.any(np.diff(user_ids) <= 0):
             raise ValueError("user_ids are not strictly increasing")
@@ -564,7 +580,7 @@ def load_cache(path) -> DatasetCache:
             raise ValueError(f"schema age_values, gender_values, occupation_values and "
                              f"genre_values hold {schema.d} slots, not the tfidf width {d}")
         return DatasetCache(
-            dataset=header["dataset"],
+            dataset=dataset,
             user_ids=user_ids.tolist(),
             purchase=PurchaseRows(indptr, items, ratings / MAX_RATING, m),
             tfidf=tfidf,

@@ -42,7 +42,8 @@ def attribute_counts(users: dict[int, UserMeta], user_ids, ratings,
     ratings whose movie carries that genre: every rating counts, duplicates
     included, and a multi-genre movie counts once per carried genre.  The
     parsers refuse a value without a slot, and `prepare_dataset` a rated
-    item that `item_genres` lacks."""
+    item outside 1..m or that `item_genres` lacks, so the genre table is
+    indexed by item id."""
     index = schema.slot_index()
     n = len(user_ids)
     counts = np.zeros((n, schema.d), dtype=np.float64)
@@ -53,17 +54,18 @@ def attribute_counts(users: dict[int, UserMeta], user_ids, ratings,
             counts[k, index[slot]] = 1.0
 
     row = np.searchsorted(user_ids, ratings[:, 0])
-    rated, item_row = np.unique(ratings[:, 1], return_inverse=True)
+    items = ratings[:, 1]
+    ratings_of_item = np.bincount(items)
 
-    # tags[j, g]: how often rated movie j carries genre g.
+    # tags[i, g]: how often the movie of item id i carries genre g.
     column = {g: k for k, g in enumerate(schema.genre_values)}
-    tags = np.zeros((len(rated), len(column)), dtype=np.float64)
-    for j, item_id in enumerate(rated.tolist()):
+    tags = np.zeros((len(ratings_of_item), len(column)), dtype=np.float64)
+    for item_id in np.flatnonzero(ratings_of_item).tolist():
         for genre in item_genres[item_id]:
-            tags[j, column[genre]] += 1.0
+            tags[item_id, column[genre]] += 1.0
     for genre, g in column.items():
         counts[:, index[f"genre={genre}"]] = np.bincount(
-            row, weights=tags[item_row, g], minlength=n)
+            row, weights=tags[items, g], minlength=n)
     return counts
 
 
@@ -71,8 +73,6 @@ def inverse_document_frequency(count_matrix) -> np.ndarray:
     """Smoothed idf per slot: ln((1+N)/(1+df)) + 1, df = users with a
     nonzero count in that slot."""
     counts = np.asarray(count_matrix, dtype=np.float64)
-    if counts.ndim != 2 or counts.shape[0] < 1:
-        raise ValueError("need a nonempty users x slots count matrix")
     n_users = counts.shape[0]
     df = np.count_nonzero(counts > 0, axis=0)
     return np.log((1.0 + n_users) / (1.0 + df)) + 1.0

@@ -63,8 +63,6 @@ def loss_reconstruction(y, y_hat):
     """
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     y_hat = np.atleast_2d(np.asarray(y_hat, dtype=np.float64))
-    if y.shape != y_hat.shape:
-        raise ValueError(f"shape mismatch: {y.shape} vs {y_hat.shape}")
     b = y.shape[0]
     diff = y_hat - y
     loss = float(np.sum(diff * diff)) / b
@@ -80,16 +78,14 @@ def loss_lsq(d_out, label: float):
 
 
 def loss_bce(d_out, label: float):
-    """Cross-entropy adversarial loss for a label of 1 or 0, d_out clipped
+    """Cross-entropy adversarial loss for label 1, else 0, d_out clipped
     into [BCE_EPS, 1-BCE_EPS] (ablation mode S1).  Returns (loss, dloss/dd_out)."""
     d_out = np.clip(np.asarray(d_out, dtype=np.float64).reshape(-1, 1),
                     BCE_EPS, 1.0 - BCE_EPS)
     n = d_out.shape[0]
     if label == 1.0:
         return -float(np.mean(np.log(d_out))), -1.0 / (d_out * n)
-    if label == 0.0:
-        return -float(np.mean(np.log(1.0 - d_out))), 1.0 / ((1.0 - d_out) * n)
-    raise ValueError(f"BCE label must be 1 or 0, got {label!r}")
+    return -float(np.mean(np.log(1.0 - d_out))), 1.0 / ((1.0 - d_out) * n)
 
 
 # TrainConfig.gan_loss -> adversarial loss
@@ -100,8 +96,6 @@ def mean_purchase(rows: PurchaseRows) -> np.ndarray:
     """Per-item mean of warm purchase-behavior rows (the sparsity target).
     Each item's sum runs over the rows in order, as a dense column mean of
     two or more columns does."""
-    if len(rows) < 1 or rows.m == 0:
-        raise ValueError("need at least one purchase-behavior row")
     return np.bincount(rows.items, weights=rows.values, minlength=rows.m) / len(rows)
 
 
@@ -114,8 +108,6 @@ def sparsity_regularizer(rho, rho_hat):
     """
     rho = np.asarray(rho, dtype=np.float64).ravel()
     rho_hat = np.asarray(rho_hat, dtype=np.float64).ravel()
-    if rho.shape != rho_hat.shape:
-        raise ValueError(f"length mismatch: {rho.shape} vs {rho_hat.shape}")
     p = np.clip(rho, KL_EPS, 1.0 - KL_EPS)
     q = np.clip(rho_hat, KL_EPS, 1.0 - KL_EPS)
     loss = float(np.sum(p * np.log(p / q) + (1.0 - p) * np.log((1.0 - p) / (1.0 - q))))

@@ -132,8 +132,6 @@ class Linear:
     def backward(self, grad_out):
         """Writes (after zero_grad) or adds the parameter gradients; returns
         the input gradient, or None for the input layer."""
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
         if self._overwrite:
             np.matmul(self._x.T, grad_out, out=self.grad_weight)
             np.sum(grad_out, axis=0, out=self.grad_bias)
@@ -190,12 +188,10 @@ class Sigmoid:
 
 
 class Dropout:
-    """Inverted dropout: survivors scaled by 1/(1-rate) in training mode
-    (given an rng, which draws the mask), identity without one."""
+    """Inverted dropout at a rate in (0, 1): survivors scaled by 1/(1-rate)
+    in training mode (given an rng, which draws the mask), else identity."""
 
     def __init__(self, rate: float):
-        if not 0.0 < rate < 1.0:
-            raise ValueError("rate must be in (0, 1)")
         self.rate = rate
         self._scale = None
 
@@ -311,7 +307,11 @@ class MLP:
 
 
 class Adam:
-    """Bias-corrected adaptive-moment optimizer; `m`, `v` match `net.theta`."""
+    """Bias-corrected adaptive-moment optimizer; `m`, `v` match `net.theta`.
+    It runs on one thread: after each BLAS call an idle OpenBLAS worker
+    keeps spinning on the other core, so a second Adam thread finds none
+    free, and lowering the worker's priority starves the BLAS calls
+    whenever another process wants the CPU."""
 
     def __init__(self, net: MLP, lr: float):
         self.net = net

@@ -13,33 +13,32 @@ from . import features as F
 def prepare_dataset(raw_dir, dataset: str) -> tuple[D.DatasetCache, dict]:
     """Parse a raw MovieLens directory into a DatasetCache plus stats.  The
     cache has the layout's item count m, never-rated items included, so m
-    matches the published dimensionality."""
-    if dataset not in D.LAYOUTS:
-        raise ValueError(f"unknown dataset {dataset!r}")
+    matches the published dimensionality; `dataset` is a `data.LAYOUTS`
+    key, which argparse's choices make it."""
     layout = D.LAYOUTS[dataset]
     files = {role: Path(raw_dir) / name for role, name in layout["files"].items()}
     m = layout["m"]
 
-    ratings = D.parse_ratings(files["ratings"], dataset)
+    path = files["ratings"]
+    ratings = D.parse_ratings(path, dataset)
     occupations = D.parse_occupations(files["occupations"]) if "occupations" in files else ()
     users = D.parse_users(files["users"], dataset, occupations)
     item_genres = D.parse_item_genres(files["items"], dataset)
     schema = F.layout_schema(dataset, users, occupations)
 
-    try:
-        user_ids, purchase = D.build_purchase_matrix(ratings, m=m)
-    except ValueError as exc:
-        if len(ratings):        # an item id outside 1..m
-            _refuse_line(files["ratings"], dataset, 1, lambda i: not 1 <= i <= m,
-                         f"outside 1..{m}")
-        raise D.ParseError(f"{files['ratings']}: {exc}") from None
-    # Every rater and every rated item (1-based, from the purchase rows'
-    # 0-based ids) needs a line in its metadata file.
-    rated = np.flatnonzero(np.bincount(purchase.items, minlength=m)) + 1
-    for column, (ids, listed) in enumerate(((user_ids, users), (rated.tolist(), item_genres))):
-        if any(i not in listed for i in ids):
-            _refuse_line(files["ratings"], dataset, column, lambda i: i not in listed,
-                         f"has no entry in {files[('users', 'items')[column]]}")
+    if not len(ratings):
+        raise D.ParseError(f"{path}: no rating line")
+    # Each rating's item lies in 1..m, and its user and item have a line in
+    # their metadata files: the first rule broken is refused at its first line.
+    for column, listed, message in ((1, range(1, m + 1), f"outside 1..{m}"),
+                                    (0, users, f"has no entry in {files['users']}"),
+                                    (1, item_genres, f"has no entry in {files['items']}")):
+        if not np.isin(ratings[:, column], list(listed)).all():
+            lineno, row = next(line for line in D.rating_lines(path, dataset)
+                               if line[1][column] not in listed)
+            raise D.ParseError(f"{path}:{lineno}: {('user', 'item')[column]} id "
+                               f"{row[column]} {message}")
+    user_ids, purchase = D.build_purchase_matrix(ratings, m=m)
 
     counts = F.attribute_counts(users, user_ids, ratings, item_genres, schema)
     cache = D.DatasetCache(
@@ -59,17 +58,6 @@ def prepare_dataset(raw_dir, dataset: str) -> tuple[D.DatasetCache, dict]:
         "sparsity_percent": round(D.sparsity_percent(purchase), 2),
     }
     return cache, stats
-
-
-def _refuse_line(path, dataset: str, column: int, bad, message: str):
-    """Raise ParseError("<path>:<line>: <user|item> id <id> <message>") at
-    the first line of the ratings file `path`, which is in `parse_ratings`'
-    grammar, whose user (column 0) or item (1) id `bad` takes; empty lines
-    count toward the line number."""
-    sep = D.LAYOUTS[dataset]["sep"].encode()
-    for lineno, line in enumerate(D.read_bytes(path).split(b"\n"), 1):
-        if line and bad(key := int(line.split(sep)[column])):
-            raise D.ParseError(f"{path}:{lineno}: {('user', 'item')[column]} id {key} {message}")
 
 
 def split_matrices(cache: D.DatasetCache, cold_fraction: float, seed: int,

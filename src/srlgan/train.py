@@ -131,11 +131,6 @@ class CurvePoint:
 class TrainingCurve:
     points: list[CurvePoint] = field(default_factory=list)
 
-    def append(self, point: CurvePoint):
-        if self.points and point.round <= self.points[-1].round:
-            raise ValueError("curve rounds must be strictly increasing")
-        self.points.append(point)
-
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -296,7 +291,7 @@ class Trainer:
 
             if self.rounds_done % cfg.eval_every == 0 or self.rounds_done == cfg.max_rounds:
                 point = self._evaluate_checkpoint(self.rounds_done, d_loss, g_losses)
-                self.curve.append(point)
+                self.curve.points.append(point)
                 if not np.isfinite(point.p5):
                     continue    # no validation row, or none with a purchase
                 if point.p5 > best_p5 + 1e-12:

@@ -133,10 +133,11 @@ DOCUMENTS = {
 # The edits of a key: dropped, or its value replaced by a json value of each
 # kind (a list: the value's list one item short, or the value in a list).
 EDITS = ["drop", "null", "bool", "int", "float", "str", "list", "object"]
-# The edits after which the document still holds what eval needs: a dataset
-# name is only a label, and the checkpoint's split flags may take any value
-# in their range, with which eval then cuts its split.
-STILL_VALID = {("cache header", "dataset", "str"), ("schema", "dataset", "str"),
+# The edits after which the document still holds what eval needs: the
+# schema's dataset name is only a label (the cache header's names the
+# layout whose item count m must be), and the checkpoint's split flags may
+# take any value in their range, with which eval then cuts its split.
+STILL_VALID = {("schema", "dataset", "str"),
                ("run metadata", "cold_fraction", "float"),
                ("run metadata", "leakage_free_cold", "bool")}
 

@@ -143,26 +143,32 @@ def test_prepare_refusal_leaves_no_out_dir(tmp_path, request, capsys, damage, na
     assert not (tmp_path / "out").exists()
 
 
-# The fixture's u.data has 732 lines; each refusal names the line it appends,
-# counting an empty line.
+# The fixtures' u.data has 732 lines and ratings.dat 710; each refusal names
+# the line it appends, counting an empty line.
 @pytest.mark.parametrize("line, names", [
     ("999\t1\t3\t5\n", ["u.data:733: user id 999 has no entry in ", "u.user"]),
     ("1\t99999\t3\t5\n", ["u.data:733: item id 99999 outside 1..1682"]),
     ("\n1\t0\t3\t5\n", ["u.data:734: item id 0 outside 1..1682"]),
-], ids=["unknown-user", "item-out-of-range", "item-zero-after-empty-line"])
-def test_prepare_bad_rating_ids_exit_1(tmp_path, synth100k_dir, capsys, line, names):
+    ("999::1::3::5\n", ["ratings.dat:711: user id 999 has no entry in ", "users.dat"]),
+    ("1::99999::3::5\n", ["ratings.dat:711: item id 99999 outside 1..3952"]),
+    ("\n1::0::3::5\n", ["ratings.dat:712: item id 0 outside 1..3952"]),
+], ids=["unknown-user", "item-out-of-range", "item-zero-after-empty-line",
+        "unknown-user-ratings-dat", "item-out-of-range-ratings-dat",
+        "item-zero-after-empty-line-ratings-dat"])
+def test_prepare_bad_rating_ids_exit_1(tmp_path, request, capsys, line, names):
+    dataset = "ml1m" if "::" in line else "ml100k"
     raw = tmp_path / "raw"
-    shutil.copytree(synth100k_dir, raw)
-    with open(raw / "u.data", "a") as fh:
+    shutil.copytree(request.getfixturevalue(f"synth{dataset[2:]}_dir"), raw)
+    with open(raw / D.LAYOUTS[dataset]["files"]["ratings"], "a") as fh:
         fh.write(line)
-    rc = main(["prepare", "--dataset", "ml100k", "--raw-dir", str(raw),
+    rc = main(["prepare", "--dataset", dataset, "--raw-dir", str(raw),
                "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     for name in names:
         assert name in err
-    assert not (tmp_path / "out" / "ml100k.npz").exists()
+    assert not (tmp_path / "out" / f"{dataset}.npz").exists()
 
 
 @pytest.mark.parametrize("case", ["non-integer-id", "repeated-id"])
@@ -639,6 +645,12 @@ def _bad_checkpoint(problem, good, tmp_path):
         header = json.loads(str(contents["header"]))
         CHECKPOINT_HEADER_EDITS[problem](header)
         contents["header"] = json.dumps(header)
+    elif problem.endswith(" width"):         # one unit more, with params to match
+        header = json.loads(str(contents["header"]))
+        sizes = header["nets"]["generator"]
+        sizes[0 if problem == "input width" else -1] += 1
+        contents["header"] = json.dumps(header)
+        contents["generator/params"] = NN.MLP(sizes, None).theta
     elif problem.startswith("no "):          # a run metadata key, or the generator
         header = json.loads(str(contents["header"]))
         del (header["nets"] if problem == "no generator" else header["meta"])[problem[3:]]
@@ -691,6 +703,10 @@ BAD_CHECKPOINT_MESSAGES = {
     "schema_hash null": "header meta schema_hash None is not 16 hex digits",
     "leakage_free_cold yes": "header meta leakage_free_cold 'yes' is not true or false",
     "cold_fraction 1.0": "header meta cold_fraction 1.0 is not a float in [0, 1)",
+    # A generator that reads one attribute more than the cache's d, or scores
+    # one item more than its m: the message names the cache too.
+    "input width": "generator widths [61, 8, 1682] do not map the d 60 attributes of cache ",
+    "output width": "generator widths [60, 8, 1683] do not map the d 60 attributes of cache ",
 }
 
 
@@ -704,6 +720,8 @@ def test_eval_refuses_bad_checkpoint(problem, tmp_path, prepared, trained, capsy
     assert rc == 1, err
     assert err.startswith(f"error: checkpoint {bad}: ")
     assert BAD_CHECKPOINT_MESSAGES[problem] in err, err
+    if problem.endswith(" width"):
+        assert err.endswith(f"cache {prepared / 'ml100k.npz'} to its m 1682 items\n"), err
 
 
 def _bad_cache(problem, good, tmp_path):
@@ -775,6 +793,9 @@ CACHE_HEADER_EDITS = {
     "m 1682.5": {"m": 1682.5},
     "d null": {"d": None},
     "dataset list": {"dataset": [1]},
+    "dataset x": {"dataset": "x"},
+    "dataset ml1m": {"dataset": "ml1m"},
+    "m 3000": {"m": 3000},
 }
 
 # The schema edits of _bad_cache, each the edited document: a slot list
@@ -805,6 +826,9 @@ BAD_CACHE_MESSAGES = {
     "m 1682.5": "header m 1682.5 is not an integer >= 1",
     "d null": "header d None is not an integer >= 1",
     "dataset list": "header dataset [1] is not a string",
+    "dataset x": "header dataset 'x' is not one of ['ml100k', 'ml1m']",
+    "dataset ml1m": "header m 1682 is not the ml1m item count 3952",
+    "m 3000": "header m 3000 is not the ml100k item count 1682",
     "list header": "header is not a json object",
     "missing": "items is not a file",
     "short purchase": "array 'indptr' is int64 (56,), expected int64 (61,)",

@@ -53,11 +53,6 @@ def test_loss_reconstruction_values():
     assert loss == pytest.approx(0.25)
 
 
-def test_loss_reconstruction_shape_mismatch():
-    with pytest.raises(ValueError):
-        M.loss_reconstruction(np.ones((2, 3)), np.ones((2, 4)))
-
-
 def _d_loss(loss, d_real, d_fake):
     return loss(d_real, 1.0)[0] + loss(d_fake, 0.0)[0]
 
@@ -83,11 +78,6 @@ def test_loss_bce_gan_finite_at_extremes():
     d_loss = _d_loss(M.loss_bce, [1.0], [0.0])
     g_loss, _ = M.loss_bce([0.0], 1.0)
     assert np.isfinite(d_loss) and np.isfinite(g_loss)
-
-
-def test_loss_bce_refuses_soft_labels():
-    with pytest.raises(ValueError, match="label must be 1 or 0"):
-        M.loss_bce([0.5], 0.9)
 
 
 # The five-tuple adversarial losses the (d_out, label) interface replaced,
@@ -149,8 +139,6 @@ def test_mean_purchase():
     assert np.allclose(rho, [0.5, 0.5])
     assert np.allclose(M.mean_purchase(csr([[0.2, 0.4]])), [0.2, 0.4])
     assert np.allclose(M.mean_purchase(csr(np.zeros((3, 2)))), 0.0)
-    with pytest.raises(ValueError):
-        M.mean_purchase(csr(np.zeros((0, 2))))
 
 
 def test_sparsity_regularizer_hand_value():
@@ -176,11 +164,6 @@ def test_sparsity_regularizer_monotone_away_from_rho():
 def test_sparsity_regularizer_handles_boundary_rho():
     loss, _ = M.sparsity_regularizer([0.0, 1.0], [0.5, 0.5])
     assert np.isfinite(loss) and loss > 0
-
-
-def test_sparsity_regularizer_length_mismatch():
-    with pytest.raises(ValueError):
-        M.sparsity_regularizer([0.5, 0.5], [0.5])
 
 
 @settings(max_examples=200, deadline=None)

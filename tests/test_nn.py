@@ -81,12 +81,6 @@ def test_dropout_eval_identity():
     assert np.array_equal(d.forward(x), x)
 
 
-@pytest.mark.parametrize("rate", [0.0, 1.0])
-def test_dropout_refuses_a_rate_outside_0_1(rate):
-    with pytest.raises(ValueError, match=r"rate must be in \(0, 1\)"):
-        NN.Dropout(rate)
-
-
 def test_mlp_builds_dropout_only_at_a_positive_rate():
     def dropouts(rate):
         net = NN.MLP([3, 5, 4, 2], np.random.default_rng(0), dropout=rate)
@@ -167,12 +161,6 @@ def test_linear_forward_adds_bias_in_place_bit_for_bit(rows, fan_in, fan_out):
         tracemalloc.stop()
     assert _same_bits(out, want)
     assert peak < out.nbytes + 2 ** 17, (peak, out.nbytes)
-
-
-def test_backward_before_forward_raises():
-    layer = _linear(2, 2)
-    with pytest.raises(RuntimeError):
-        layer.backward(np.ones((1, 2)))
 
 
 def test_single_linear_layer_gradient():
