@@ -98,7 +98,7 @@ def _load_config(args) -> T.TrainConfig:
         raw = getattr(args, name)
         if raw is not None:
             values[name] = _coerce(_FIELDS[name], raw, "--" + name.replace("_", "-"))
-    return T.TrainConfig(**values).validate()
+    return T.TrainConfig(**values)
 
 
 def _int_list(raw: str, name: str) -> list[int]:
@@ -257,13 +257,13 @@ def cmd_train(args) -> int:
     if not best_rounds:     # no improvement this run: the final model is the best
         _save_trainer_checkpoint(best_path, trainer, meta, trainer.rounds_done)
     curve_path = out_dir / "curve.csv"
-    trainer.curve.write_csv(curve_path)
+    T.write_curve(curve_path, trainer.curve)
     _write_manifest(args, {"cache_content": facts["cache_content"]},
                     {"checkpoint": str(final_path), "checkpoint_best": str(best_path),
                      "curve": str(curve_path)}, config)
-    flagged = sum(p.collapse_flag for p in trainer.curve.points)
+    flagged = sum(p.collapse_flag for p in trainer.curve)
     print(f"trained {trainer.rounds_done} rounds "
-          f"({len(trainer.curve.points)} checkpoints, "
+          f"({len(trainer.curve)} checkpoints, "
           f"{flagged} collapse flags); outputs in {out_dir}")
     return 0
 
@@ -328,7 +328,7 @@ def cmd_sweep_beta(args) -> int:
     for stale in out_dir.glob("curve.beta*.csv"):      # an earlier grid's curves
         stale.unlink()
     for beta, curve in curves.items():
-        curve.write_csv(out_dir / f"curve.beta{beta:g}.csv")
+        T.write_curve(out_dir / f"curve.beta{beta:g}.csv", curve)
 
     sweep_path = out_dir / "sweep.csv"
     with open(sweep_path, "w", newline="") as fh:
@@ -339,8 +339,7 @@ def cmd_sweep_beta(args) -> int:
 
     for metric, attr in (("P@5", "p5"), ("N@5", "n5")):
         series = {
-            f"beta={beta:g}": ([p.round for p in c.points],
-                               [getattr(p, attr) for p in c.points])
+            f"beta={beta:g}": ([p.round for p in c], [getattr(p, attr) for p in c])
             for beta, c in curves.items()
         }
         svg = svgplot.line_chart(series, f"validation {metric} vs round",

@@ -322,15 +322,11 @@ def build_purchase_matrix(ratings, m: int):
     `ratings` is parse_ratings' (n, 4) array.  Returns (user_ids, rows):
     PurchaseRows whose dense row k has rating/C at column i-1 for user
     user_ids[k] and item i, 0 where unrated.  Duplicate (user, item) pairs
-    keep the latest timestamp; on equal timestamps the later row wins.  No
-    row, or an item id outside 1..m, raises ValueError.
+    keep the latest timestamp; on equal timestamps the later row wins.
+    `ratings` holds at least one row and every item id lies in 1..m, as
+    `pipeline.prepare_dataset` ensures before it calls this.
     """
     user, item, rating, ts = np.asarray(ratings, dtype=np.int64).reshape(-1, 4).T
-    if not len(user):
-        raise ValueError("no rating line")
-    outside = (item < 1) | (item > m)
-    if outside.any():
-        raise ValueError(f"item id {item[outside][0]} outside 1..{m}")
     user_ids, row = np.unique(user, return_inverse=True)
     cell = row * m + (item - 1)
     # Stable sort by cell, then timestamp: each cell's last row is its latest.

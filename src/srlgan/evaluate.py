@@ -123,15 +123,14 @@ def evaluate_report(scores, held_out: PurchaseRows, ns=DEFAULT_NS, user_keys=Non
     """P@n, NDCG@n and MRR@n for every user with a held-out purchase.
 
     `scores` is either one row per `held_out` row (n x m) or one row of m
-    item scores shared by every user; `ns` holds cutoffs >= 1 and
-    `user_keys` one key per row.  P@n divides by n even when n exceeds the
-    number of items.
+    item scores shared by every user, which every caller ensures (`eval`
+    checks a checkpoint's widths against the cache); `ns` holds cutoffs >= 1
+    and `user_keys` one key per row.  P@n divides by n even when n exceeds
+    the number of items.
     """
     ns = tuple(ns)
     scores = np.asarray(scores, dtype=np.float64)
     n_rows, m = len(held_out), held_out.m
-    if scores.shape not in ((n_rows, m), (m,)):
-        raise ValueError(f"shape mismatch: {scores.shape} vs {(n_rows, m)}")
     users = np.asarray(range(n_rows) if user_keys is None else user_keys)
 
     k = max(ns)

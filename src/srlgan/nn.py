@@ -120,10 +120,6 @@ class Linear:
         self._overwrite = False     # set by MLP.zero_grad: next backward writes
 
     def forward(self, x, rng=None):
-        if x.shape[1] != self.weight.shape[0]:
-            raise ValueError(
-                f"input width {x.shape[1]} != layer in-dim {self.weight.shape[0]}"
-            )
         self._x = x
         out = x @ self.weight
         out += self.bias

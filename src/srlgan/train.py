@@ -26,6 +26,10 @@ std runs in column blocks (`column_std`) and the ranking in row
 blocks (`evaluate.evaluate_report`), so an evaluation holds one score
 matrix and no temporary of its size.
 
+A `TrainConfig` is valid once built: it is frozen, and its constructor (so
+also `dataclasses.replace`) names every bad setting in one ValueError.  A
+run's curve is a list of `CurvePoint`s; `write_curve` writes it as CSV.
+
 `gan_loss` and `beta` alone set the adversarial game.  The adversarial
 loss is picked once from `gan_loss`: D learns
 loss(D(real), 1) + loss(D(fake), 0), and G learns loss(D(fake), 1).
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +69,7 @@ MODE_COLLAPSE_STD_FLOOR = 1e-4
 COLUMN_STD_BLOCK = 131072
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     beta: float = 0.1
     batch_size: int = 64
@@ -82,7 +86,7 @@ class TrainConfig:
     discriminator_hidden: list[int] | None = None
     dropout: float = M.DISCRIMINATOR_DROPOUT
 
-    def validate(self):
+    def __post_init__(self):
         problems = []
         for name in ("beta", "learning_rate"):
             if not math.isfinite(getattr(self, name)):
@@ -112,7 +116,6 @@ class TrainConfig:
                 problems.append(f"{name}: each hidden width must be >= 1, got {widths}")
         if problems:
             raise ValueError("; ".join(problems))
-        return self
 
 
 @dataclass
@@ -127,37 +130,17 @@ class CurvePoint:
     collapse_flag: bool = False
 
 
-@dataclass
-class TrainingCurve:
-    points: list[CurvePoint] = field(default_factory=list)
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["round", "loss_g", "loss_d", "loss_sr", "p5", "n5",
-                        "m5", "collapse_flag"])
-            for p in self.points:
-                w.writerow([p.round, f"{p.loss_g:.10g}", f"{p.loss_d:.10g}",
-                            f"{p.loss_sr:.10g}", f"{p.p5:.10g}",
-                            f"{p.n5:.10g}", f"{p.m5:.10g}",
-                            int(p.collapse_flag)])
-
-
-class _BatchSampler:
-    """Uniform without-replacement minibatches, reshuffled each epoch."""
-
-    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
-        self.n = n
-        self.batch_size = min(batch_size, n)
-        self.rng = rng
-        self._order = []
-
-    def next(self) -> np.ndarray:
-        if len(self._order) < self.batch_size:
-            self._order = list(self.rng.permutation(self.n))
-        batch = self._order[:self.batch_size]
-        del self._order[:self.batch_size]
-        return np.asarray(batch)
+def write_curve(path, points) -> None:
+    """A run's curve points as CSV, one row per point."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["round", "loss_g", "loss_d", "loss_sr", "p5", "n5",
+                    "m5", "collapse_flag"])
+        for p in points:
+            w.writerow([p.round, f"{p.loss_g:.10g}", f"{p.loss_d:.10g}",
+                        f"{p.loss_sr:.10g}", f"{p.p5:.10g}",
+                        f"{p.n5:.10g}", f"{p.m5:.10g}",
+                        int(p.collapse_flag)])
 
 
 class Trainer:
@@ -168,7 +151,6 @@ class Trainer:
 
     def __init__(self, x_train, y_train, config: TrainConfig,
                  x_val=None, y_val=None):
-        config.validate()
         self.config = config
         self.x_train = np.asarray(x_train, dtype=np.float64)
         self.y_train = as_purchase_rows(y_train)
@@ -203,15 +185,20 @@ class Trainer:
         self.adv_loss = M.ADVERSARIAL_LOSSES[config.gan_loss]
         self.opt_d = Adam(self.discriminator, lr=config.learning_rate)
         self.rho = M.mean_purchase(self.y_train)
-        self.sampler = _BatchSampler(self.x_train.shape[0],
-                                     config.batch_size, self.rng)
-        self.curve = TrainingCurve()
+        self._order = np.empty(0, np.int64)  # this epoch's undrawn rows
+        self.curve: list[CurvePoint] = []
         self.rounds_done = 0
 
     # -- phases ------------------------------------------------------------
 
     def _batch(self):
-        idx = self.sampler.next()
+        """The next minibatch: uniform rows without replacement, reshuffled
+        when fewer than a batch are left undrawn."""
+        n = self.x_train.shape[0]
+        size = min(self.config.batch_size, n)
+        if len(self._order) < size:
+            self._order = self.rng.permutation(n)
+        idx, self._order = self._order[:size], self._order[size:]
         return self.x_train[idx], self.y_train.toarray(idx)
 
     def pretrain_generator(self) -> None:
@@ -276,7 +263,7 @@ class Trainer:
 
     # -- main loop ----------------------------------------------------------
 
-    def train(self, on_best=None) -> TrainingCurve:
+    def train(self, on_best=None) -> list[CurvePoint]:
         """The adversarial loop, logging a curve point every `eval_every`
         rounds and at the last.  `on_best(trainer, point)` is called at each
         evaluation that improves validation P@5, the same ones that reset
@@ -291,7 +278,7 @@ class Trainer:
 
             if self.rounds_done % cfg.eval_every == 0 or self.rounds_done == cfg.max_rounds:
                 point = self._evaluate_checkpoint(self.rounds_done, d_loss, g_losses)
-                self.curve.points.append(point)
+                self.curve.append(point)
                 if not np.isfinite(point.p5):
                     continue    # no validation row, or none with a purchase
                 if point.p5 > best_p5 + 1e-12:
@@ -377,11 +364,11 @@ def cross_validate_beta(x_warm, y_warm, beta_grid, config: TrainConfig):
     if held_count(len(x_warm), config.validation_fraction) == 0:
         raise ValueError(f"validation_fraction {config.validation_fraction} holds out "
                          f"none of {len(x_warm)} warm users, so no beta can be scored")
-    configs = {beta: replace(config, beta=beta).validate()
+    configs = {beta: replace(config, beta=beta)
                for beta in sorted(set(map(float, beta_grid)))}
     curves = {beta: fit(x_warm, y_warm, beta_config).curve
               for beta, beta_config in configs.items()}
-    scores = {beta: curve.points[-1].p5 for beta, curve in curves.items()}
+    scores = {beta: curve[-1].p5 for beta, curve in curves.items()}
     best = max(sorted(scores), key=lambda b: scores[b])
     return best, scores, curves
 
@@ -398,7 +385,7 @@ def ablation_config(base_config: TrainConfig, mode: str) -> TrainConfig:
     """The S1/S2/S3 config derived from a base (S3) config.  Each mode
     trains on all warm users: no validation slice, so no early stopping."""
     return replace(base_config, validation_fraction=0.0,
-                   **ABLATION_MODES[mode]).validate()
+                   **ABLATION_MODES[mode])
 
 
 def run_ablation(x_warm, y_warm, x_cold, y_cold, base_config: TrainConfig,

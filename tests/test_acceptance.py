@@ -203,7 +203,7 @@ def test_criterion_7_headline_metrics():
     _, x_warm, y_warm, x_cold, y_cold = _ml100k_split(raw)
     agg = {k: [] for k in ("P@5", "P@20", "N@5", "N@20", "M@5", "M@20")}
     for seed in RUN_SEEDS:
-        cfg = dataclasses.replace(ACCEPT_CONFIG, seed=seed).validate()
+        cfg = dataclasses.replace(ACCEPT_CONFIG, seed=seed)
         _, scores = _train_and_score(x_warm, y_warm, x_cold, y_cold, cfg)
         for k in agg:
             agg[k].append(scores[k])
@@ -224,7 +224,7 @@ def test_criterion_8_ablation_ordering():
     means = {mode: {"P@5": [], "N@5": [], "M@5": []}
              for mode in ("S1", "S2", "S3")}
     for seed in RUN_SEEDS:
-        cfg = dataclasses.replace(ACCEPT_CONFIG, seed=seed).validate()
+        cfg = dataclasses.replace(ACCEPT_CONFIG, seed=seed)
         reports = T.run_ablation(x_warm, y_warm, x_cold, y_cold, cfg, ns=(5,), user_keys=None)
         for mode, report in reports.items():
             agg = report.aggregate()
@@ -243,7 +243,7 @@ def test_criterion_9_beta_sweep():
     raw = require_ml100k()
     cache, _ = P.prepare_dataset(raw, "ml100k")
     _, x_warm, y_warm, _, _ = P.split_matrices(cache, 0.2, SPLIT_SEED)
-    cfg = dataclasses.replace(ACCEPT_CONFIG, seed=RUN_SEEDS[0]).validate()
+    cfg = dataclasses.replace(ACCEPT_CONFIG, seed=RUN_SEEDS[0])
     best, scores, _ = T.cross_validate_beta(x_warm, y_warm, [0.01, 0.1, 1.0], cfg)
     assert best == 0.1, scores
     _passed(f"9 (beta=0.1 best on 90/10 warm validation: {scores})")
@@ -267,9 +267,9 @@ def test_criterion_10_stability():
     cfg = T.TrainConfig(beta=0.1, batch_size=16, pretrain_epochs=10,
                         learning_rate=1e-3, max_rounds=80, eval_every=5,
                         patience=100, seed=5, generator_hidden=[16],
-                        discriminator_hidden=[16]).validate()
+                        discriminator_hidden=[16])
     trainer = train_with_slice(x_warm, y_warm, cfg, x_warm[:10], y_warm.take(range(10)))
-    points = trainer.curve.points
+    points = trainer.curve
     assert points, "no checkpoints logged"
     for p in points:
         assert np.isfinite(p.loss_g) and np.isfinite(p.loss_d) and np.isfinite(p.loss_sr)

@@ -100,6 +100,7 @@ def test_prepare_missing_raw_dir_exit_1(tmp_path):
                "--raw-dir", str(tmp_path / "nope"), "--out-dir",
                str(tmp_path / "out")])
     assert rc == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("damage, name, message", [
@@ -720,6 +721,7 @@ def test_eval_refuses_bad_checkpoint(problem, tmp_path, prepared, trained, capsy
     assert rc == 1, err
     assert err.startswith(f"error: checkpoint {bad}: ")
     assert BAD_CHECKPOINT_MESSAGES[problem] in err, err
+    assert not (tmp_path / "out").exists()
     if problem.endswith(" width"):
         assert err.endswith(f"cache {prepared / 'ml100k.npz'} to its m 1682 items\n"), err
 

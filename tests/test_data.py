@@ -395,13 +395,6 @@ def test_purchase_matrix_order_insensitive():
     assert np.array_equal(a, b)
 
 
-def test_purchase_matrix_item_out_of_range():
-    with pytest.raises(ValueError, match="item id 7 outside 1..4"):
-        D.build_purchase_matrix(rows((1, 7, 3, 0)), m=4)
-    with pytest.raises(ValueError, match="item id 0 outside 1..4"):
-        D.build_purchase_matrix(rows((1, 2, 3, 0), (1, 0, 3, 0)), m=4)
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_purchase_matrix_matches_dict_oracle(seed):
     ratings = random_ratings(seed)

@@ -410,15 +410,6 @@ def test_shared_row_scores_like_its_broadcast():
             assert np.array_equal(shared.values[key], batch.values[key])
 
 
-@pytest.mark.parametrize("scores, held", [
-    (np.ones((1, 4)), np.ones((2, 4))),
-    (np.ones(3), np.ones((2, 4))),
-], ids=["one-row-batch", "short-row"])
-def test_evaluate_report_refuses_bad_input(scores, held):
-    with pytest.raises(ValueError, match="shape mismatch"):
-        E.evaluate_report(scores, csr(held))
-
-
 def test_item_pop_ranking():
     warm = csr([
         [1.0, 0.2, 0.0, 0.4],
@@ -488,4 +479,4 @@ def test_s1_with_beta_rejected():
     from srlgan.train import TrainConfig
 
     with pytest.raises(ValueError):
-        TrainConfig(gan_loss="bce", beta=0.1).validate()
+        TrainConfig(gan_loss="bce", beta=0.1)

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -44,23 +46,28 @@ def small_config(**overrides):
         generator_hidden=[8], discriminator_hidden=[8], dropout=0.4,
     )
     base.update(overrides)
-    return T.TrainConfig(**base).validate()
+    return T.TrainConfig(**base)
 
 
 def test_config_validation_collects_problems():
     with pytest.raises(ValueError, match="beta"):
-        T.TrainConfig(beta=-1).validate()
+        T.TrainConfig(beta=-1)
     with pytest.raises(ValueError, match="gan_loss"):
-        T.TrainConfig(gan_loss="hinge").validate()
-    with pytest.raises(ValueError, match="batch_size"):
-        T.TrainConfig(batch_size=0).validate()
+        T.TrainConfig(gan_loss="hinge")
+    with pytest.raises(ValueError, match="batch_size must be >= 1; learning_rate must be > 0"):
+        T.TrainConfig(batch_size=0, learning_rate=-1.0)
+    # A config is checked where it is built, and cannot change after.
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        dataclasses.replace(T.TrainConfig(), beta=-1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        T.TrainConfig().beta = -1.0
 
 
 @pytest.mark.parametrize("field", ["beta", "learning_rate"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_config_refuses_non_finite_hyperparameters(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        T.TrainConfig(**{field: value}).validate()
+        T.TrainConfig(**{field: value})
 
 
 def test_pretrain_reduces_reconstruction_loss():
@@ -93,6 +100,27 @@ def test_training_deterministic_bit_for_bit():
                        trainer.discriminator.theta.copy()))
     assert np.array_equal(params[0][0], params[1][0])
     assert np.array_equal(params[0][1], params[1][1])
+
+
+def test_batches_follow_one_permutation_per_epoch():
+    """Each epoch draws one permutation of the rows from the run RNG and
+    serves it in order, a batch at a time; its n mod b leftover rows are
+    never drawn."""
+    x, y = toy_data(n=40)
+    b = 12
+    trainer = T.Trainer(x, y, small_config(batch_size=b))
+    oracle = copy.deepcopy(trainer.rng)
+    for _ in range(3):
+        perm = oracle.permutation(len(x))
+        leftover = x[perm[len(x) // b * b:]]
+        assert len(leftover) == len(x) % b
+        for k in range(len(x) // b):
+            xb, yb = trainer._batch()
+            rows = perm[k * b:(k + 1) * b]
+            assert np.array_equal(xb, x[rows])
+            assert np.array_equal(yb, y.toarray(rows))
+            assert not (xb[:, None, :] == leftover).all(-1).any()
+    assert trainer.rng.bit_generator.state == oracle.bit_generator.state
 
 
 def test_discriminator_step_allocates_less_than_one_layer0_weight():
@@ -129,16 +157,16 @@ def test_max_rounds_zero_keeps_pretrained_generator():
     before = trainer.generator.theta.copy()
     trainer.train()
     assert np.array_equal(trainer.generator.theta, before)
-    assert trainer.curve.points == []
+    assert trainer.curve == []
 
 
 def test_curve_rounds_strictly_increasing_and_finite():
     x, y = toy_data()
     cfg = small_config(max_rounds=8, eval_every=2)
     trainer = train_with_slice(x, y, cfg, x[:8], y.take(range(8)))
-    rounds = [p.round for p in trainer.curve.points]
+    rounds = [p.round for p in trainer.curve]
     assert rounds == sorted(rounds) and len(set(rounds)) == len(rounds)
-    for p in trainer.curve.points:
+    for p in trainer.curve:
         assert np.isfinite(p.loss_g) and np.isfinite(p.loss_d)
         assert np.isfinite(p.loss_sr)
         assert 0.0 <= p.p5 <= 1.0
@@ -198,7 +226,7 @@ def test_cross_validate_beta_scores_each_final_generator(stop):
     _, scores, curves = T.cross_validate_beta(x, y, [0.0, 1.0], cfg)
     for beta, curve in curves.items():
         trainer = T.fit(x, y, small_config(pretrain_epochs=2, beta=beta, **settings))
-        assert curve.points == trainer.curve.points
+        assert curve == trainer.curve
         assert (trainer.rounds_done < cfg.max_rounds) == (stop == "patience")
         report = T.evaluate_predictions(M.generator_forward(trainer.generator, trainer.x_val),
                                         trainer.y_val, ns=(5,))
@@ -207,7 +235,7 @@ def test_cross_validate_beta_scores_each_final_generator(stop):
 
 def test_cross_validate_beta_tie_prefers_smaller(monkeypatch):
     x, y = toy_data(n=30)
-    curve = T.TrainingCurve([T.CurvePoint(2, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5)])
+    curve = [T.CurvePoint(2, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5)]
     # every beta's run ends on the same validation P@5
     monkeypatch.setattr(T, "fit", lambda *args: SimpleNamespace(curve=curve))
     best, scores, _ = T.cross_validate_beta(x, y, [1.0, 0.1], small_config())
@@ -293,10 +321,10 @@ def test_curve_csv_round_trip(tmp_path):
     cfg = small_config(max_rounds=4, eval_every=2)
     trainer = train_with_slice(x, y, cfg, x[:8], y.take(range(8)))
     path = tmp_path / "curve.csv"
-    trainer.curve.write_csv(path)
+    T.write_curve(path, trainer.curve)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("round,loss_g,loss_d,loss_sr,p5,n5,m5")
-    assert len(lines) == 1 + len(trainer.curve.points)
+    assert len(lines) == 1 + len(trainer.curve)
 
 
 # -- the production round against a plain one --------------------------------
