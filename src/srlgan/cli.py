@@ -177,8 +177,9 @@ def _write_manifest(args, inputs: dict, outputs: dict,
     """manifest.json in the command's out-dir; `args` holds the flags as
     given, `environment` the variables that set the BLAS threads and
     kernels (null when unset) and the numpy version, on which the last bits
-    of the outputs depend, and a training command's resolved settings go
-    under `train_config`."""
+    of the outputs depend, and the thread count `Adam.step` uses, on which
+    they do not; a training command's resolved settings go under
+    `train_config`."""
     manifest = {
         "command": args.subcommand,
         "args": {k: v for k, v in vars(args).items() if k != "func"},
@@ -186,7 +187,7 @@ def _write_manifest(args, inputs: dict, outputs: dict,
         "outputs": outputs,
         "environment": {**{name: os.environ.get(name) for name in (
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_CORETYPE")},
-            "numpy": np.__version__},
+            "numpy": np.__version__, "adam_threads": NN.adam_threads()},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
     if config is not None:

@@ -76,9 +76,23 @@ BLAS read: a sum of squares cannot cancel, so a finite `grad @ grad` proves
 every element finite.  Only a non-finite sum (a NaN or an inf, or finite
 values whose squares overflow) pays for the per-element check, which decides
 and names the offending tensor.
+The blocks run on as many threads as BLAS has (`adam_threads()`), when the
+loaded BLAS is an OpenBLAS that serves its calls from its own pthreads pool:
+after the checks, `Adam.step` parks that pool (`blas_thread_shutdown_`
+joins its idle workers, which would otherwise spin on their cores for about
+0.13 s after every product, as measured with OpenBLAS 0.3.31; the next BLAS
+call restarts them at the same count, with the same bits), and splits the blocks into contiguous runs of
+whole blocks, one per thread, the calling thread taking the first.  No
+element's operations change, so every bit is the one-thread result's.
+With `OPENBLAS_NUM_THREADS=1`, or any other BLAS (MKL, Accelerate, an
+OpenMP OpenBLAS), Adam runs on the calling thread alone.
 """
 
 from __future__ import annotations
+
+import ctypes
+import os
+import threading
 
 import numpy as np
 
@@ -302,12 +316,92 @@ class MLP:
         return out
 
 
+def _find_openblas():
+    """(park, threads): the loaded OpenBLAS's `blas_thread_shutdown_` and its
+    thread-count getter, when it serves BLAS calls from its own pthreads
+    pool (`openblas_get_parallel() == 1`); else None.  The library is the
+    mapped file whose name contains `openblas`; a build may export its
+    functions with a `scipy_` prefix and a `64_` suffix."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[-1].strip() for line in maps}
+        for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+            lib = ctypes.CDLL(path)
+            park = getattr(lib, "blas_thread_shutdown_", None)
+            parallel, threads = (_exported(lib, stem)
+                                 for stem in ("get_parallel", "get_num_threads"))
+            if park is None or parallel is None or threads is None:
+                continue
+            for function in (park, parallel, threads):
+                function.argtypes, function.restype = (), ctypes.c_int
+            if parallel() == 1:
+                return park, threads
+    except OSError:
+        pass
+    return None
+
+
+def _exported(lib, stem):
+    """The function `openblas_<stem>` of `lib` under its exported name, or None."""
+    names = (f"{pre}openblas_{stem}{suf}" for pre in ("", "scipy_") for suf in ("", "64_"))
+    return next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+
+
+_OPENBLAS = _find_openblas()
+
+
+def adam_threads() -> int:
+    """The threads `Adam.step` splits its blocks over: the BLAS thread count
+    when the loaded OpenBLAS's pool can be parked, else 1."""
+    return 1 if _OPENBLAS is None else max(1, _OPENBLAS[1]())
+
+
+def _adam_blocks(theta, grad, m_all, v_all, lo, hi, scratch, lr, c1, c2):
+    """Adam's update of elements lo:hi, ADAM_BLOCK at a time, with the two
+    rows of `scratch` as each block's temporaries; it allocates nothing."""
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    # The textbook per-element operations, in order, block by block:
+    # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    # theta -= lr*m_hat / (sqrt(v_hat) + eps).
+    for start in range(lo, hi, ADAM_BLOCK):
+        end = min(start + ADAM_BLOCK, hi)
+        g, m, v = grad[start:end], m_all[start:end], v_all[start:end]
+        a, b = scratch[0, :end - start], scratch[1, :end - start]
+        np.multiply(g, 1.0 - b1, out=a)
+        m *= b1
+        m += a
+        np.multiply(g, 1.0 - b2, out=a)
+        a *= g
+        v *= b2
+        v += a
+        np.divide(m, c1, out=a)
+        a *= lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        theta[start:end] -= a
+
+
+def _adam_helper(errors, failures, *args):
+    """A helper thread's run: numpy's error state does not cross threads,
+    so it takes the caller's; an exception is kept for the caller."""
+    try:
+        with np.errstate(**errors):
+            _adam_blocks(*args)
+    except BaseException as exc:
+        failures.append(exc)
+
+
 class Adam:
     """Bias-corrected adaptive-moment optimizer; `m`, `v` match `net.theta`.
-    It runs on one thread: after each BLAS call an idle OpenBLAS worker
-    keeps spinning on the other core, so a second Adam thread finds none
-    free, and lowering the worker's priority starves the BLAS calls
-    whenever another process wants the CPU."""
+    `step` runs its blocks on `adam_threads()` threads, the BLAS thread
+    count (1 unless OpenBLAS's own pool can be parked): the calling thread
+    takes the first contiguous run of whole blocks and a helper thread each
+    later run, while the parked OpenBLAS workers leave their cores free.
+    Every element gets the same operations on any thread count, so the bits
+    are the one-thread result's.  Parking is for a process whose BLAS calls
+    come from one thread: no other thread may be inside BLAS during `step`."""
 
     def __init__(self, net: MLP, lr: float):
         self.net = net
@@ -320,7 +414,9 @@ class Adam:
         """One update from `net.grad`.  A Linear that `zero_grad` marked and
         no backward has written since holds a stale gradient, which raises
         RuntimeError naming the layer, as does a non-finite gradient
-        (TrainingError); either before any write."""
+        (TrainingError); either before any write.  An exception in a helper
+        thread (a FloatingPointError under the caller's `np.errstate`) is
+        raised here after every thread has finished."""
         for k, layer in enumerate(self.net.layers):
             if isinstance(layer, Linear) and layer._overwrite:
                 raise RuntimeError(f"layer{k} has no gradient: no backward since zero_grad")
@@ -333,32 +429,29 @@ class Adam:
                         if not np.isfinite(g).all())
             raise TrainingError(f"non-finite gradient in {name} at step {t}")
         self.t = t
-        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, self.lr, ADAM_EPS
-        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
         n = grad.size
-        scratch_a = np.empty(min(n, ADAM_BLOCK))
-        scratch_b = np.empty_like(scratch_a)
-        # The textbook per-element operations, in order, block by block:
-        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-        # theta -= lr*m_hat / (sqrt(v_hat) + eps).
-        for start in range(0, n, ADAM_BLOCK):
-            end = min(start + ADAM_BLOCK, n)
-            g, m, v = grad[start:end], self.m[start:end], self.v[start:end]
-            a, b = scratch_a[:end - start], scratch_b[:end - start]
-            np.multiply(g, 1.0 - b1, out=a)
-            m *= b1
-            m += a
-            np.multiply(g, 1.0 - b2, out=a)
-            a *= g
-            v *= b2
-            v += a
-            np.divide(m, c1, out=a)
-            a *= lr
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            b += eps
-            a /= b
-            self.net.theta[start:end] -= a
+        blocks = -(-n // ADAM_BLOCK)
+        threads = min(adam_threads(), blocks)
+        if threads > 1:
+            _OPENBLAS[0]()          # park the BLAS workers: Adam takes their cores
+        edges = [min(n, ADAM_BLOCK * (blocks * k // threads)) for k in range(threads + 1)]
+        scratch = np.empty((threads, 2, min(n, ADAM_BLOCK)))
+        args = [(self.net.theta, grad, self.m, self.v, lo, hi, rows,
+                 self.lr, 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t)
+                for lo, hi, rows in zip(edges, edges[1:], scratch)]
+        errors, failures = {**np.geterr(), "call": np.geterrcall()}, []
+        helpers = [threading.Thread(target=_adam_helper, args=(errors, failures, *a))
+                   for a in args[1:]]
+        try:
+            for helper in helpers:
+                helper.start()
+            _adam_blocks(*args[0])
+        finally:
+            for helper in helpers:
+                if helper.ident is not None:    # started
+                    helper.join()
+        if failures:
+            raise failures[0]
 
 
 # ---------------------------------------------------------------------------

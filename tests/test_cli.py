@@ -64,11 +64,13 @@ def test_prepare_outputs(prepared):
     assert 0 <= stats["sparsity_percent"] <= 100
     manifest = json.loads((prepared / "manifest.json").read_text())
     assert sorted(manifest["inputs"]) == ["items", "occupations", "ratings", "users"]
-    # The BLAS settings and numpy build on which the last bits depend.
+    # The BLAS settings and numpy build on which the last bits depend, and
+    # the thread count of Adam's update, on which they do not.
     assert manifest["environment"] == {
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
-        "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"), "numpy": np.__version__}
+        "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"), "numpy": np.__version__,
+        "adam_threads": NN.adam_threads()}
 
 
 def test_prepare_rerun_identical_cache_hash(tmp_path, synth100k_dir, prepared):

@@ -1,4 +1,10 @@
+import ctypes
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -631,3 +637,131 @@ def test_adam_refuses_non_finite_grad_in_last_block(bad):
     assert opt.t == 1
     for after, expected in zip((net.theta, opt.m, opt.v), before):
         assert np.array_equal(after, expected)
+
+
+def _force_adam_threads(monkeypatch, threads):
+    """Make `Adam.step` split over `threads`, parking the real OpenBLAS pool
+    where one is loaded."""
+    park = NN._OPENBLAS[0] if NN._OPENBLAS is not None else (lambda: 0)
+    monkeypatch.setattr(NN, "_OPENBLAS", (park, lambda: threads))
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Threads hand the interpreter lock over often while a test runs."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 8, "no-openblas"])
+def test_adam_on_every_thread_count_matches_textbook_adam_bit_for_bit(
+        monkeypatch, short_switch_interval, threads):
+    # 104,707 parameters: three full Adam blocks and a ragged fourth, so
+    # three threads get one, one and two blocks, and eight (more threads
+    # than blocks, and than most hosts' cores) one block each.
+    net = NN.MLP([40, 300, 300, 7], np.random.default_rng(28))
+    n, block = net.theta.size, NN.ADAM_BLOCK
+    if threads == "no-openblas":
+        def unloadable(path):
+            raise OSError(f"{path}: cannot open")
+        monkeypatch.setattr(ctypes, "CDLL", unloadable)
+        monkeypatch.setattr(NN, "_OPENBLAS", NN._find_openblas())
+        assert NN._OPENBLAS is None
+        threads = 1
+    else:
+        _force_adam_threads(monkeypatch, threads)
+    assert NN.adam_threads() == threads
+    edges = {1: [0, n], 2: [0, 2 * block, n], 3: [0, block, 2 * block, n],
+             8: [0, block, 2 * block, 3 * block, n]}[threads]
+    runs, blocks = [], NN._adam_blocks
+
+    def spy(theta, grad, m, v, lo, hi, *args):
+        runs.append((lo, hi))
+        blocks(theta, grad, m, v, lo, hi, *args)
+    monkeypatch.setattr(NN, "_adam_blocks", spy)
+    opt = NN.Adam(net, lr=0.003)
+    # Kingma & Ba (2015), Algorithm 1, applied tensor by tensor.
+    params = {name: value.copy() for name, value, _ in net.params()}
+    m = {name: np.zeros_like(p) for name, p in params.items()}
+    v = {name: np.zeros_like(p) for name, p in params.items()}
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.003
+    rng = np.random.default_rng(29)
+    for t in range(1, 5):
+        net.zero_grad()
+        net.backward(net.forward(rng.normal(size=(5, 40))) - 0.5)
+        for name, _, grad in net.params():
+            m[name] = b1 * m[name] + (1.0 - b1) * grad
+            v[name] = b2 * v[name] + (1.0 - b2) * grad * grad
+            m_hat = m[name] / (1.0 - b1 ** t)
+            v_hat = v[name] / (1.0 - b2 ** t)
+            params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        runs.clear()
+        opt.step()
+        assert sorted(runs) == list(zip(edges, edges[1:])), t
+        for name, value, _ in net.params():
+            assert np.array_equal(value, params[name]), (t, name)
+    assert np.array_equal(opt.m, np.concatenate([a.ravel() for a in m.values()]))
+    assert np.array_equal(opt.v, np.concatenate([a.ravel() for a in v.values()]))
+
+
+def test_adam_helper_thread_takes_the_callers_error_state(monkeypatch):
+    # At two threads the helper takes the blocks from 2 * ADAM_BLOCK on, and
+    # only there do the gradient's squares overflow.
+    _force_adam_threads(monkeypatch, 2)
+    net = NN.MLP([40, 300, 300, 7], np.random.default_rng(30))
+    opt = NN.Adam(net, lr=0.003)
+    grad = np.random.default_rng(31).normal(size=net.grad.size)
+    grad[-3:] = 1e200
+    net.grad[...] = grad
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        opt.step()
+    # Ignored overflow neither raises nor warns, on either thread, and the
+    # step is textbook Adam.
+    net, twin = NN.MLP([40, 300, 300, 7], None), NN.MLP([40, 300, 300, 7], None)
+    opt = NN.Adam(net, lr=0.003)
+    net.grad[...] = grad
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        opt.step()
+    theta, m, v = _textbook_adam(twin.theta, np.zeros_like(grad), np.zeros_like(grad),
+                                 grad, 1, lr=0.003)
+    for got, want in ((net.theta, theta), (opt.m, m), (opt.v, v)):
+        assert np.array_equal(got, want)
+
+
+_PARKED_POOL = """
+import sys, time
+import numpy as np
+from srlgan import nn as NN
+if NN.adam_threads() != 2:
+    sys.exit("no parkable OpenBLAS pool at 2 threads")
+rng = np.random.default_rng(32)
+net = NN.MLP([40, 300, 300, 7], rng)
+opt = NN.Adam(net, lr=0.003)
+net.grad[...] = rng.normal(size=net.grad.size)
+x, w = rng.normal(size=(64, 4000)), rng.normal(size=(4000, 2048))
+before = x @ w
+opt.step()
+start = time.process_time()
+time.sleep(0.2)
+spent = time.process_time() - start
+print(spent, np.array_equal(x @ w, before))
+"""
+
+
+def test_adam_parks_the_openblas_pool():
+    # A fresh process at two BLAS threads: the product wakes the worker,
+    # which would spin for about 0.13 s after it; Adam parks it, so a sleep
+    # right after the step burns no CPU, and the next product restarts the
+    # pool and gives the same bits.
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": str(Path(NN.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _PARKED_POOL], env=env,
+                          capture_output=True, text=True, timeout=120)
+    if "no parkable OpenBLAS" in done.stderr:
+        pytest.skip("no parkable OpenBLAS pool at 2 threads is loaded")
+    assert done.returncode == 0, done.stderr
+    spent, same_bits = done.stdout.split()
+    assert float(spent) < 0.02 and same_bits == "True"
