@@ -251,7 +251,9 @@ def cmd_train(args) -> int:
         best_rounds.append(point.round)
         _save_trainer_checkpoint(best_path, tr, meta, point.round)
 
-    trainer = T.fit(x_warm, y_warm, config, on_best=on_best)
+    cut = T.validation_cut(x_warm, y_warm, config)
+    del x_warm, y_warm                  # the cut's rows are the only copy
+    trainer = T.fit(cut, config, on_best=on_best)
 
     final_path = out_dir / "checkpoint.npz"
     _save_trainer_checkpoint(final_path, trainer, meta, trainer.rounds_done)
@@ -323,7 +325,9 @@ def cmd_sweep_beta(args) -> int:
     grid = _beta_grid(args.grid)
     (cold_ids, x_warm, y_warm, x_cold, y_cold), facts = _load_split(args, config.seed)
     del cold_ids, x_cold, y_cold        # sweep-beta scores warm users only
-    best, scores, curves = T.cross_validate_beta(x_warm, y_warm, grid, config)
+    cut = T.validation_cut(x_warm, y_warm, config)
+    del x_warm, y_warm                  # the cut's rows are the only copy
+    best, scores, curves = T.cross_validate_beta(cut, grid, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for stale in out_dir.glob("curve.beta*.csv"):      # an earlier grid's curves

@@ -47,8 +47,9 @@ def build_discriminator(d: int, m: int, rng, hidden=None,
 
 
 def generator_forward(generator: MLP, x) -> np.ndarray:
-    """Predicted purchase behavior for a batch of attribute vectors."""
-    return generator.forward(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    """Predicted purchase behavior for a batch of attribute vectors, from
+    `MLP.predict`: eval mode, and no activation is kept."""
+    return generator.predict(np.atleast_2d(np.asarray(x, dtype=np.float64)))
 
 
 def discriminator_input(x, y) -> np.ndarray:

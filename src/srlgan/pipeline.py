@@ -29,16 +29,18 @@ def prepare_dataset(raw_dir, dataset: str) -> tuple[D.DatasetCache, dict]:
     if not len(ratings):
         raise D.ParseError(f"{path}: no rating line")
     # Each rating's item lies in 1..m, and its user and item have a line in
-    # their metadata files: the first rule broken is refused at its first line.
-    for column, listed, message in ((1, range(1, m + 1), f"outside 1..{m}"),
-                                    (0, users, f"has no entry in {files['users']}"),
-                                    (1, item_genres, f"has no entry in {files['items']}")):
-        if not np.isin(ratings[:, column], list(listed)).all():
-            lineno, row = next(line for line in D.rating_lines(path, dataset)
-                               if line[1][column] not in listed)
-            raise D.ParseError(f"{path}:{lineno}: {('user', 'item')[column]} id "
-                               f"{row[column]} {message}")
+    # their metadata files: the first rule broken is refused at its first
+    # line.  Each rule reads distinct ids: the range the item column's
+    # extremes, before `build_purchase_matrix`, which requires it; the users
+    # the matrix's user ids; the items the rated ones.
+    items = np.ascontiguousarray(ratings[:, 1])     # a strided pass costs 4x one
+    if not 1 <= items.min() <= items.max() <= m:
+        _refuse_first_line(path, dataset, 1, range(1, m + 1), f"outside 1..{m}")
     user_ids, purchase = D.build_purchase_matrix(ratings, m=m)
+    if not users.keys() >= set(user_ids):
+        _refuse_first_line(path, dataset, 0, users, f"has no entry in {files['users']}")
+    if not item_genres.keys() >= set(np.flatnonzero(np.bincount(items)).tolist()):
+        _refuse_first_line(path, dataset, 1, item_genres, f"has no entry in {files['items']}")
 
     counts = F.attribute_counts(users, user_ids, ratings, item_genres, schema)
     cache = D.DatasetCache(
@@ -58,6 +60,14 @@ def prepare_dataset(raw_dir, dataset: str) -> tuple[D.DatasetCache, dict]:
         "sparsity_percent": round(D.sparsity_percent(purchase), 2),
     }
     return cache, stats
+
+
+def _refuse_first_line(path, dataset: str, column: int, listed, message: str):
+    """Raise ParseError at the first line of the ratings file `path` whose
+    user (`column` 0) or item (1) id is not in `listed`."""
+    lineno, row = next(line for line in D.rating_lines(path, dataset)
+                       if line[1][column] not in listed)
+    raise D.ParseError(f"{path}:{lineno}: {('user', 'item')[column]} id {row[column]} {message}")
 
 
 def split_matrices(cache: D.DatasetCache, cold_fraction: float, seed: int,

@@ -2,11 +2,14 @@
 discriminator/generator phases with the sparsity-regularized objective;
 the beta sweep and the S1/S2/S3 ablation built on it.
 
-`fit` is the one place a run is put together: it holds out the seeded
-`validation_fraction` slice of the warm users, builds the Trainer,
-pretrains G and runs the adversarial loop.  `train`, `sweep-beta` and
-`ablate` all train through it.  Behaviors stay `data.PurchaseRows`: a step
-makes only its minibatch dense, and validation scores the CSR slice.
+`fit` is the one place a run is put together: it builds the Trainer on a
+`validation_cut` of the warm users (the rows it trains on and the seeded
+`validation_fraction` slice it holds out), pretrains G and runs the
+adversarial loop.  `train`, `sweep-beta` and `ablate` all train through it,
+and each makes its cut once: `train` and `sweep-beta` then let go of the
+warm rows, so a run holds one copy of them, and the ablation's cut holds
+nothing out, so it copies nothing.  Behaviors stay `data.PurchaseRows`: a
+step makes only its minibatch dense, and validation scores the CSR slice.
 
 One "round" of the main loop is one discriminator-phase step, which also
 updates the generator through the adversarial loss (the schedule's joint
@@ -55,11 +58,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import model as M
-from .data import PurchaseRows, as_purchase_rows, held_count, split_rows
+from .data import PurchaseRows, as_purchase_rows, split_rows
 from .nn import Adam, TrainingError
 from .evaluate import MetricReport, evaluate_predictions, evaluate_report
 
@@ -332,42 +336,62 @@ def column_std(scores) -> np.ndarray:
     return std
 
 
-def fit(x_warm, y_warm: PurchaseRows, config: TrainConfig, on_best=None) -> Trainer:
-    """Train on the warm users, holding out the seeded `validation_fraction`
-    slice of them for validation and early stopping; returns the finished
-    Trainer.  `on_best` is passed to `Trainer.train`."""
+class ValidationCut(NamedTuple):
+    """The warm rows a run trains on, and the validation rows it holds out."""
+    x_train: np.ndarray
+    y_train: PurchaseRows
+    x_val: np.ndarray
+    y_val: PurchaseRows
+
+
+def validation_cut(x_warm, y_warm: PurchaseRows, config: TrainConfig) -> ValidationCut:
+    """The warm users cut by the seeded `validation_fraction` slice that
+    `config` holds out.  A cut that holds out no row copies none: its
+    training rows are `x_warm` and `y_warm` themselves.  Every config with
+    this one's `validation_fraction` and `seed` makes the same cut."""
     x_warm = np.asarray(x_warm, dtype=np.float64)
     if x_warm.shape[0] != len(y_warm):
         raise ValueError("attribute/behavior row counts differ")
     train_rows, val_rows = split_rows(x_warm.shape[0], config.validation_fraction,
                                       config.seed)
-    trainer = Trainer(x_warm[train_rows], y_warm.take(train_rows), config,
-                      x_val=x_warm[val_rows], y_val=y_warm.take(val_rows))
+    if not len(val_rows):
+        return ValidationCut(x_warm, y_warm, x_warm[:0], y_warm.take(val_rows))
+    return ValidationCut(x_warm[train_rows], y_warm.take(train_rows),
+                         x_warm[val_rows], y_warm.take(val_rows))
+
+
+def fit(cut: ValidationCut, config: TrainConfig, on_best=None) -> Trainer:
+    """Train on `validation_cut(..., config)`'s training rows, validating
+    and stopping early on its held-out rows; returns the finished Trainer,
+    which holds the cut's arrays without copying them.  `on_best` is passed
+    to `Trainer.train`."""
+    trainer = Trainer(cut.x_train, cut.y_train, config, x_val=cut.x_val, y_val=cut.y_val)
     trainer.pretrain_generator()
     trainer.train(on_best=on_best)
     return trainer
 
 
-def cross_validate_beta(x_warm, y_warm, beta_grid, config: TrainConfig):
-    """Pick beta by P@5 on the validation slice `fit` holds out: the last
-    point of its validation curve, the run's final generator's.
+def cross_validate_beta(cut: ValidationCut, beta_grid, config: TrainConfig):
+    """Pick beta by P@5 on the validation rows of `cut`, which is
+    `validation_cut(..., config)`'s: every beta's fit trains on the same cut
+    and scores the last point of its validation curve, the run's final
+    generator's.
 
     Ties go to the smaller beta.  Returns (best_beta, {beta: p5},
-    {beta: curve}).  A beta that `config` refuses, and `max_rounds = 0`,
-    raise ValueError before any training.
+    {beta: curve}).  A beta that `config` refuses, `max_rounds = 0` and a
+    cut without validation rows raise ValueError before any training.
     """
     if len(beta_grid) == 0:
         raise ValueError("empty beta grid")
     if config.max_rounds == 0:
         raise ValueError("max_rounds 0 trains no adversarial round, so every beta "
                          "would score the same pretrained generator")
-    if held_count(len(x_warm), config.validation_fraction) == 0:
+    if not len(cut.x_val):
         raise ValueError(f"validation_fraction {config.validation_fraction} holds out "
-                         f"none of {len(x_warm)} warm users, so no beta can be scored")
+                         f"none of {len(cut.x_train)} warm users, so no beta can be scored")
     configs = {beta: replace(config, beta=beta)
                for beta in sorted(set(map(float, beta_grid)))}
-    curves = {beta: fit(x_warm, y_warm, beta_config).curve
-              for beta, beta_config in configs.items()}
+    curves = {beta: fit(cut, beta_config).curve for beta, beta_config in configs.items()}
     scores = {beta: curve[-1].p5 for beta, curve in curves.items()}
     best = max(sorted(scores), key=lambda b: scores[b])
     return best, scores, curves
@@ -392,11 +416,16 @@ def run_ablation(x_warm, y_warm, x_cold, y_cold, base_config: TrainConfig,
                  ns, user_keys) -> dict[str, MetricReport]:
     """Train S1, S2, S3 under identical seeds and score the cold users
     (`y_warm`, `y_cold`: `data.PurchaseRows`) at the cutoffs `ns`, each
-    report's users labelled by `user_keys`."""
+    report's users labelled by `user_keys`.  The modes share one cut, which
+    holds out no row, so every mode trains on `x_warm` and `y_warm`
+    themselves.  Each mode scores with its generator alone: its Trainer
+    (D and both optimizers) is let go before the score matrix is made."""
+    configs = {mode: ablation_config(base_config, mode) for mode in ABLATION_MODES}
+    cut = validation_cut(x_warm, y_warm, configs["S3"])
     reports = {}
-    for mode in ABLATION_MODES:
-        trainer = fit(x_warm, y_warm, ablation_config(base_config, mode))
-        preds = M.generator_forward(trainer.generator, x_cold)
+    for mode, config in configs.items():
+        generator = fit(cut, config).generator
+        preds = M.generator_forward(generator, x_cold)
         reports[mode] = evaluate_report(preds, y_cold, ns=ns, user_keys=user_keys)
-        del trainer, preds      # free this run's networks before the next fit
+        del generator, preds    # free this run's network before the next fit
     return reports

@@ -192,7 +192,8 @@ def test_criterion_6_itempop_p5():
 # -- criteria 7/8/9/10: training runs on real ML100K ---------------------------
 
 def _train_and_score(x_warm, y_warm, x_cold, y_cold, config):
-    trainer = T.fit(x_warm, y_warm, dataclasses.replace(config, validation_fraction=0.0))
+    config = dataclasses.replace(config, validation_fraction=0.0)
+    trainer = T.fit(T.validation_cut(x_warm, y_warm, config), config)
     preds = M.generator_forward(trainer.generator, x_cold)
     return trainer, E.evaluate_report(preds, y_cold).aggregate()
 
@@ -244,7 +245,8 @@ def test_criterion_9_beta_sweep():
     cache, _ = P.prepare_dataset(raw, "ml100k")
     _, x_warm, y_warm, _, _ = P.split_matrices(cache, 0.2, SPLIT_SEED)
     cfg = dataclasses.replace(ACCEPT_CONFIG, seed=RUN_SEEDS[0])
-    best, scores, _ = T.cross_validate_beta(x_warm, y_warm, [0.01, 0.1, 1.0], cfg)
+    cut = T.validation_cut(x_warm, y_warm, cfg)
+    best, scores, _ = T.cross_validate_beta(cut, [0.01, 0.1, 1.0], cfg)
     assert best == 0.1, scores
     _passed(f"9 (beta=0.1 best on 90/10 warm validation: {scores})")
 

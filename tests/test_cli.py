@@ -155,9 +155,11 @@ def test_prepare_refusal_leaves_no_out_dir(tmp_path, request, capsys, damage, na
     ("999::1::3::5\n", ["ratings.dat:711: user id 999 has no entry in ", "users.dat"]),
     ("1::99999::3::5\n", ["ratings.dat:711: item id 99999 outside 1..3952"]),
     ("\n1::0::3::5\n", ["ratings.dat:712: item id 0 outside 1..3952"]),
+    # Two rules broken: the range rule comes first, whatever the line order.
+    ("999\t1\t3\t5\n1\t99999\t3\t5\n", ["u.data:734: item id 99999 outside 1..1682"]),
 ], ids=["unknown-user", "item-out-of-range", "item-zero-after-empty-line",
         "unknown-user-ratings-dat", "item-out-of-range-ratings-dat",
-        "item-zero-after-empty-line-ratings-dat"])
+        "item-zero-after-empty-line-ratings-dat", "unknown-user-then-item-out-of-range"])
 def test_prepare_bad_rating_ids_exit_1(tmp_path, request, capsys, line, names):
     dataset = "ml1m" if "::" in line else "ml100k"
     raw = tmp_path / "raw"
@@ -1002,8 +1004,8 @@ def test_commands_let_go_of_the_cache_before_training_or_scoring(command, tmp_pa
         parts.extend(map(weakref.ref, split))
         return split
 
-    held = {"train": [1, 2], "eval-model": [0, 3, 4], "eval-itempop": [0, 4],
-            "sweep-beta": [1, 2], "ablate": [0, 1, 2, 3, 4]}[command]
+    held = {"train": [], "eval-model": [0, 3, 4], "eval-itempop": [0, 4],
+            "sweep-beta": [], "ablate": [0, 1, 2, 3, 4]}[command]
 
     def check_when_called(owner, name):
         work = getattr(owner, name)
@@ -1186,7 +1188,8 @@ def test_sweep_beta_outputs_and_cv_consistency(tmp_path, prepared):
     # matches the library cross-validation routine run on the same warm set
     cache = D.load_cache(prepared / "ml100k.npz")
     _, x_warm, y_warm, _, _ = P.split_matrices(cache, 0.2, 3)
-    best, _, _ = T.cross_validate_beta(x_warm, y_warm, [0.1, 1], FAST_CONFIG)
+    cut = T.validation_cut(x_warm, y_warm, FAST_CONFIG)
+    best, _, _ = T.cross_validate_beta(cut, [0.1, 1], FAST_CONFIG)
     assert recommended[0] == best
 
     manifest = json.loads((out / "manifest.json").read_text())

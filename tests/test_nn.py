@@ -457,19 +457,69 @@ def test_adam_refused_step_leaves_optimizer_unchanged():
 def test_input_grad_leaves_grad_untouched():
     net = NN.MLP([6, 8, 5, 3], np.random.default_rng(8), dropout=0.3)
     x = np.random.default_rng(9).normal(size=(4, 6))
-    out = net.forward(x, rng=np.random.default_rng(10))
-    g = out - 0.5
+
+    def forward():      # each pass reads its own forward, with the same masks
+        return net.forward(x, rng=np.random.default_rng(10))
+
+    g = forward() - 0.5
     net.grad[...] = 0.25
     input_grad = net.input_grad(g)
     assert np.all(net.grad == 0.25)
     # Each layer's own backward down to the input layer, which returns no
     # input gradient, so the last product is written out here.
+    forward()
     assert net.backward(g) is None
+    forward()
     expected = g
     for layer in reversed(net.layers[1:]):
         expected = layer.backward(expected)
     assert np.array_equal(input_grad, expected @ net.layers[0].weight.T)
     assert np.any(net.grad != 0.25)
+
+
+CACHES = ("_x", "_mask", "_scale", "_y")
+
+
+def cached_layers(net):
+    """The indices of `net`'s layers that hold an activation cache."""
+    return [k for k, layer in enumerate(net.layers)
+            if any(getattr(layer, name, None) is not None for name in CACHES)]
+
+
+@pytest.mark.parametrize("sizes, dropout", [((6, 16, 32, 11), 0.0), ((17, 24, 8, 1), 0.4)],
+                         ids=["generator-like", "discriminator-like"])
+def test_predict_matches_forward_bit_for_bit(sizes, dropout):
+    """`predict` gives the rng-less forward's bits and keeps no cache, also
+    when it follows a training forward."""
+    net = NN.MLP(sizes, np.random.default_rng(40), dropout=dropout)
+    x = np.random.default_rng(41).normal(size=(9, sizes[0]))
+    want = net.forward(x)
+    net.forward(x, rng=np.random.default_rng(42))
+    assert cached_layers(net)
+    got = net.predict(x)
+    assert got.tobytes() == want.tobytes()
+    assert cached_layers(net) == []
+
+
+@pytest.mark.parametrize("first, second", [("backward", "backward"), ("backward", "input_grad"),
+                                           ("input_grad", "backward"),
+                                           ("input_grad", "input_grad"),
+                                           ("predict", "backward")])
+def test_one_forward_serves_one_backward(first, second):
+    """A backward or input_grad releases every cache it read, and a second
+    pass on the same forward (or one after predict) is refused, naming the
+    output Linear, before any layer runs: it never reaches a released
+    Dropout, whose empty mask would read as eval mode."""
+    net = NN.MLP([5, 7, 6, 3], np.random.default_rng(43), dropout=0.3)
+    x = np.random.default_rng(44).normal(size=(4, 5))
+    g = net.forward(x, rng=np.random.default_rng(45)) - 0.5
+    getattr(net, first)(x if first == "predict" else g)
+    assert cached_layers(net) == []
+    grad = net.grad.copy()
+    with pytest.raises(RuntimeError, match=r"^layer6 holds no activations: each forward "
+                                           r"serves one backward or input_grad$"):
+        getattr(net, second)(g)
+    assert net.grad.tobytes() == grad.tobytes()
 
 
 def test_input_layer_backward_returns_no_input_gradient():

@@ -39,6 +39,11 @@ def train_with_slice(x, y, config, x_val, y_val):
     return trainer
 
 
+def fit(x, y, config):
+    """`T.fit` on the cut `config` makes of all of x, y."""
+    return T.fit(T.validation_cut(x, y, config), config)
+
+
 def small_config(**overrides):
     base = dict(
         beta=0.1, batch_size=8, pretrain_epochs=5, learning_rate=1e-3,
@@ -142,10 +147,34 @@ def test_discriminator_step_allocates_less_than_one_layer0_weight():
     assert peak < weight_bytes / 2, (peak, weight_bytes)
 
 
+def test_no_activation_outlives_a_step_or_an_evaluation():
+    """After each training step and each validation, no layer of G or D
+    holds an activation cache."""
+    x, y = toy_data()
+    trainer = T.Trainer(x[8:], y.take(range(8, 40)), small_config(dropout=0.4),
+                        x_val=x[:8], y_val=y.take(range(8)))
+    caches = ("_x", "_mask", "_scale", "_y")
+
+    def cached():
+        return [(role, k) for role, net in (("G", trainer.generator),
+                                            ("D", trainer.discriminator))
+                for k, layer in enumerate(net.layers)
+                if any(getattr(layer, name, None) is not None for name in caches)]
+
+    trainer.pretrain_generator()
+    assert cached() == []
+    d_loss = trainer.discriminator_phase_step()
+    assert cached() == []
+    g_losses = trainer.generator_phase_step()
+    assert cached() == []
+    trainer._evaluate_checkpoint(1, d_loss, g_losses)
+    assert cached() == []
+
+
 def test_different_seed_different_params():
     x, y = toy_data()
-    a = T.fit(x, y, small_config(seed=1, validation_fraction=0.0))
-    b = T.fit(x, y, small_config(seed=2, validation_fraction=0.0))
+    a = fit(x, y, small_config(seed=1, validation_fraction=0.0))
+    b = fit(x, y, small_config(seed=2, validation_fraction=0.0))
     assert not np.array_equal(a.generator.theta, b.generator.theta)
 
 
@@ -175,7 +204,7 @@ def test_curve_rounds_strictly_increasing_and_finite():
 def test_discriminator_scores_stay_in_unit_interval():
     x, y = toy_data()
     cfg = small_config(max_rounds=6, validation_fraction=0.0)
-    trainer = T.fit(x, y, cfg)
+    trainer = fit(x, y, cfg)
     scores = trainer.discriminator.forward(
         M.discriminator_input(x, y.toarray()))
     assert np.all((scores > 0) & (scores < 1))
@@ -194,7 +223,7 @@ def test_bce_mode_trains():
     x, y = toy_data()
     cfg = small_config(gan_loss="bce", beta=0.0, max_rounds=4,
                        validation_fraction=0.0)
-    trainer = T.fit(x, y, cfg)
+    trainer = fit(x, y, cfg)
     assert trainer.rounds_done == 4
 
 
@@ -209,7 +238,7 @@ def test_holdout_split_sizes_and_determinism():
 def test_cross_validate_beta_singleton():
     x, y = toy_data(n=30)
     cfg = small_config(max_rounds=2, pretrain_epochs=2)
-    best, scores, curves = T.cross_validate_beta(x, y, [0.1], cfg)
+    best, scores, curves = T.cross_validate_beta(T.validation_cut(x, y, cfg), [0.1], cfg)
     assert best == 0.1
     assert set(scores) == set(curves) == {0.1}
 
@@ -223,9 +252,9 @@ def test_cross_validate_beta_scores_each_final_generator(stop):
     settings = ({"max_rounds": 5, "eval_every": 2} if stop == "max-rounds" else
                 {"max_rounds": 40, "eval_every": 1, "patience": 2, "learning_rate": 1e-9})
     cfg = small_config(pretrain_epochs=2, **settings)
-    _, scores, curves = T.cross_validate_beta(x, y, [0.0, 1.0], cfg)
+    _, scores, curves = T.cross_validate_beta(T.validation_cut(x, y, cfg), [0.0, 1.0], cfg)
     for beta, curve in curves.items():
-        trainer = T.fit(x, y, small_config(pretrain_epochs=2, beta=beta, **settings))
+        trainer = fit(x, y, small_config(pretrain_epochs=2, beta=beta, **settings))
         assert curve == trainer.curve
         assert (trainer.rounds_done < cfg.max_rounds) == (stop == "patience")
         report = T.evaluate_predictions(M.generator_forward(trainer.generator, trainer.x_val),
@@ -238,7 +267,8 @@ def test_cross_validate_beta_tie_prefers_smaller(monkeypatch):
     curve = [T.CurvePoint(2, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5)]
     # every beta's run ends on the same validation P@5
     monkeypatch.setattr(T, "fit", lambda *args: SimpleNamespace(curve=curve))
-    best, scores, _ = T.cross_validate_beta(x, y, [1.0, 0.1], small_config())
+    cfg = small_config()
+    best, scores, _ = T.cross_validate_beta(T.validation_cut(x, y, cfg), [1.0, 0.1], cfg)
     assert scores == {0.1: 0.5, 1.0: 0.5}
     assert best == 0.1
 
@@ -246,8 +276,9 @@ def test_cross_validate_beta_tie_prefers_smaller(monkeypatch):
 def test_cross_validate_beta_refuses_max_rounds_zero_before_training(monkeypatch):
     x, y = toy_data(n=30)
     monkeypatch.setattr(T, "fit", lambda *args: pytest.fail("trained"))
+    cfg = small_config(max_rounds=0)
     with pytest.raises(ValueError, match="max_rounds 0 trains no adversarial round"):
-        T.cross_validate_beta(x, y, [0.1, 1.0], small_config(max_rounds=0))
+        T.cross_validate_beta(T.validation_cut(x, y, cfg), [0.1, 1.0], cfg)
 
 
 @pytest.mark.parametrize("fraction", [0.0, 0.01])
@@ -255,7 +286,7 @@ def test_cross_validate_beta_refuses_empty_validation_slice(fraction):
     x, y = toy_data(n=30)
     cfg = small_config(validation_fraction=fraction)
     with pytest.raises(ValueError, match=f"validation_fraction {fraction} holds out none of 30"):
-        T.cross_validate_beta(x, y, [0.1], cfg)
+        T.cross_validate_beta(T.validation_cut(x, y, cfg), [0.1], cfg)
 
 
 def test_early_stopping_on_stale_validation():
@@ -619,7 +650,7 @@ def test_each_trainer_is_released_before_the_next_fit(run, monkeypatch):
     x, y = toy_data()
     cfg = small_config(max_rounds=1, eval_every=1, pretrain_epochs=1)
     if run == "sweep-beta":
-        T.cross_validate_beta(x, y, [0.0, 0.1, 1.0], cfg)
+        T.cross_validate_beta(T.validation_cut(x, y, cfg), [0.0, 0.1, 1.0], cfg)
     else:
         T.run_ablation(x, y, x[:6], y.take(range(6)), cfg, ns=(5,), user_keys=None)
     assert len(built) == 3
@@ -652,14 +683,13 @@ def test_collapse_check_without_validation_scores_one_batch():
     x, y = toy_data(n=40)
     cfg = small_config(validation_fraction=0.0, max_rounds=4, eval_every=2)
     tr = T.Trainer(x, y, cfg)
-    forward, eval_rows = tr.generator.forward, []
+    predict, eval_rows = tr.generator.predict, []
 
-    def spy(batch, rng=None):
-        if rng is None:
-            eval_rows.append(len(batch))
-        return forward(batch, rng)
+    def spy(batch):
+        eval_rows.append(len(batch))
+        return predict(batch)
 
-    tr.generator.forward = spy
+    tr.generator.predict = spy
     tr.pretrain_generator()
     tr.train()
     assert eval_rows == [cfg.batch_size] * 2
