@@ -65,15 +65,19 @@ bias into the product it just made (`out = x @ W; out += b`), and
 adding 1 and inverting in place.  These are the operations of
 x @ W + b and 1 / (1 + exp(-x)) in the same order, so the bits are theirs.
 
-Activations live from a forward to the one backward that reads them.
-`MLP.forward`, with an rng or without, caches in each layer what its
-backward reads; `MLP.backward` and `MLP.input_grad` release each layer's
-cache as soon as they have read it, so no activation outlives a training
-step.  A second backward or input_grad on one forward raises RuntimeError
-naming the layer, before any layer runs.  `MLP.predict(x)` is inference:
-the rng-less forward's bits, with each layer's cache dropped as soon as the
-next output exists, so it keeps nothing and holds no more than one layer's
-input and output at a time.
+An MLP's `layers` are its Linears.  Each hidden Linear is followed by
+LeakyReLU and, in training mode at a positive dropout rate, by inverted
+dropout; the output Linear by Sigmoid.  The activation classes hold no
+state: their static `forward` and `backward` are given what they read.
+The MLP keeps the one activation tape a backward reads: each Linear's
+input, each hidden layer's `x >= 0` mask and dropout scale, and the
+sigmoid output.  `MLP.forward`, with an rng or without, records it;
+`MLP.backward` and `MLP.input_grad` run one loop, which pops each entry at
+its last reader, so no activation outlives a training step.  A second
+backward or input_grad on one forward, or one after `predict`, raises
+RuntimeError before any layer runs.  `MLP.predict(x)` is inference: the
+rng-less forward's bits, with no tape and no mask, so it keeps nothing and
+holds no more than one layer's input and output at a time.
 
 LeakyReLU is branch-free: forward is max(x, LEAKY_SLOPE*x), and backward
 multiplies by a factor of exactly 1.0 or LEAKY_SLOPE, which gives the bits
@@ -183,71 +187,56 @@ def _row_blocks(n_rows: int, n_cols: int):
 
 
 class LeakyReLU:
-    def __init__(self):
-        self._mask = None
+    """max(x, LEAKY_SLOPE*x); `backward` reads the `x >= 0` mask of its input."""
 
-    def forward(self, x, rng=None):
-        self._mask = x >= 0
+    @staticmethod
+    def forward(x):
         return np.maximum(x, LEAKY_SLOPE * x)
 
-    def backward(self, grad_out):
+    @staticmethod
+    def backward(grad_out, mask):
         # The factor is exactly 1.0 where x >= 0 and LEAKY_SLOPE elsewhere.
-        return grad_out * np.maximum(self._mask, LEAKY_SLOPE)
-
-    def release(self):
-        self._mask = None
+        return grad_out * np.maximum(mask, LEAKY_SLOPE)
 
 
 class Sigmoid:
     """1 / (1 + exp(-x)), computed in place: `forward` consumes its input,
-    which in an MLP is the fresh product of the Linear before it."""
+    which in an MLP is the fresh product of the output Linear.  `backward`
+    reads the output."""
 
-    def __init__(self):
-        self._y = None
-
-    def forward(self, x, rng=None):
+    @staticmethod
+    def forward(x):
         y = np.negative(x, out=x)
         np.exp(y, out=y)
         y += 1.0
-        self._y = np.divide(1.0, y, out=y)
-        return y
+        return np.divide(1.0, y, out=y)
 
-    def backward(self, grad_out):
-        return grad_out * self._y * (1.0 - self._y)
-
-    def release(self):
-        self._y = None
+    @staticmethod
+    def backward(grad_out, y):
+        return grad_out * y * (1.0 - y)
 
 
 class Dropout:
-    """Inverted dropout at a rate in (0, 1): survivors scaled by 1/(1-rate)
-    in training mode (given an rng, which draws the mask), else identity."""
+    """Inverted dropout at a rate in (0, 1), in training mode: `forward`
+    draws the mask from `rng` and returns the survivors scaled by
+    1/(1-rate), with that scale, which `backward` reads."""
 
-    def __init__(self, rate: float):
-        self.rate = rate
-        self._scale = None
+    @staticmethod
+    def forward(x, rate, rng):
+        keep = rng.random(x.shape) >= rate
+        scale = keep / (1.0 - rate)
+        return x * scale, scale
 
-    def forward(self, x, rng=None):
-        if rng is None:
-            self._scale = None
-            return x
-        keep = rng.random(x.shape) >= self.rate
-        self._scale = keep / (1.0 - self.rate)
-        return x * self._scale
-
-    def backward(self, grad_out):
-        if self._scale is None:
-            return grad_out
-        return grad_out * self._scale
-
-    def release(self):
-        self._scale = None
+    @staticmethod
+    def backward(grad_out, scale):
+        return grad_out * scale
 
 
 class MLP:
-    """Sequential dense net: LeakyReLU hiddens (optional dropout), sigmoid
-    output.  forward() caches activations for one backward() or
-    input_grad() pass, which releases them; predict() caches nothing.
+    """Sequential dense net of the Linears in `layers`: LeakyReLU hiddens
+    (with inverted dropout at rate `dropout` in training mode), sigmoid
+    output.  forward() records the activation tape of one backward() or
+    input_grad() pass, which pops it; predict() records nothing.
     `rng` draws the initial weights; with None, `theta` stays zero."""
 
     def __init__(self, sizes, rng: np.random.Generator | None, dropout: float = 0.0):
@@ -256,26 +245,23 @@ class MLP:
         if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in sizes):
             raise ValueError(f"layer widths must be integers >= 1, got {list(sizes)}")
         self.sizes = [int(n) for n in sizes]
+        self.dropout = dropout
         self.theta = np.zeros(sum((a + 1) * b for a, b in zip(self.sizes, self.sizes[1:])))
         views = self._layer_views(self.theta)
-        self.layers = []
-        for k, (weight, bias) in enumerate(views):
-            last = k == len(views) - 1
-            if rng is not None:
+        if rng is not None:
+            for k, (weight, _) in enumerate(views):
                 # He uniform for hidden layers, Xavier uniform for the output,
                 # as rng.uniform computes it: low + (high - low) * next_double.
                 a, b = weight.shape
-                bound = np.sqrt(6.0 / (a + b if last else a))
+                bound = np.sqrt(6.0 / (a + b if k == len(views) - 1 else a))
                 rng.random(out=weight)
                 weight *= bound - (-bound)
                 weight += -bound
-            self.layers.append(Linear(weight, bias, input_layer=k == 0))
-            if last:
-                self.layers.append(Sigmoid())
-            else:
-                self.layers.append(LeakyReLU())
-                if dropout > 0.0:
-                    self.layers.append(Dropout(dropout))
+        self.layers = [Linear(weight, bias, input_layer=k == 0)
+                       for k, (weight, bias) in enumerate(views)]
+        # The tape beside each Linear's input: per hidden layer its mask and,
+        # where dropout drew, its scale; and the sigmoid output.
+        self._masks, self._scales, self._y = [], [], None
         self.use_grad(np.zeros(self.theta.size))
 
     def _layer_views(self, flat):
@@ -298,70 +284,79 @@ class MLP:
             raise ValueError(f"a gradient buffer must be a contiguous float64 vector of "
                              f"at least {self.theta.size} elements")
         self.grad = buffer[:self.theta.size]
-        linears = [layer for layer in self.layers if isinstance(layer, Linear)]
-        for linear, (weight, bias) in zip(linears, self._layer_views(self.grad)):
+        for linear, (weight, bias) in zip(self.layers, self._layer_views(self.grad)):
             linear.grad_weight, linear.grad_bias = weight, bias
 
     def forward(self, x, rng=None):
         x = np.asarray(x, dtype=np.float64)
-        for layer in self.layers:
-            x = layer.forward(x, rng)
-        return x
+        self._masks, self._scales, self._y = [], [], None
+        for linear in self.layers[:-1]:
+            x = linear.forward(x)
+            self._masks.append(x >= 0)
+            x = LeakyReLU.forward(x)
+            if rng is not None and self.dropout > 0.0:
+                x, scale = Dropout.forward(x, self.dropout, rng)
+                self._scales.append(scale)
+        self._y = Sigmoid.forward(self.layers[-1].forward(x))
+        return self._y
 
     def predict(self, x):
         """Eval-mode output for `x`, bit for bit the rng-less forward's,
-        keeping no activation: each layer's cache is dropped as soon as the
-        next output exists.  A training forward's caches are dropped too."""
+        recording no tape: each Linear's input is dropped as soon as its
+        output exists.  A training forward's tape is dropped too."""
         x = np.asarray(x, dtype=np.float64)
-        for layer in self.layers:
-            x = layer.forward(x)
-            layer.release()
+        self._masks, self._scales, self._y = [], [], None
+        for linear in self.layers:
+            x = linear.forward(x)
+            linear.release()
+            activation = Sigmoid if linear is self.layers[-1] else LeakyReLU
+            x = activation.forward(x)
         return x
 
     def backward(self, grad_out):
         """Backprop a loss gradient into the parameter gradients, which
         accumulate into `grad` (the first backward after zero_grad writes
-        them), releasing each layer's cache once read.  Returns nothing:
-        the input layer skips its input gradient."""
-        for layer in self._cached_layers():
-            grad_out = layer.backward(grad_out)
-            layer.release()
+        them).  Returns nothing: the input layer skips its input gradient."""
+        self._backprop(grad_out, Linear.backward)
 
     def input_grad(self, grad_out):
-        """Backprop a loss gradient to the input alone and return it,
-        releasing each layer's cache; no parameter gradient is computed and
-        `grad` is left as it is."""
-        for layer in self._cached_layers():
-            if isinstance(layer, Linear):
-                grad_out = layer.input_grad(grad_out)
-            else:
-                grad_out = layer.backward(grad_out)
-            layer.release()
-        return grad_out
+        """Backprop a loss gradient to the input alone and return it; no
+        parameter gradient is computed and `grad` is left as it is."""
+        return self._backprop(grad_out, Linear.input_grad)
 
-    def _cached_layers(self):
-        """The layers in backward order, after refusing (RuntimeError naming
-        it) a released Linear: a released Dropout would pass for eval mode."""
-        for k, layer in reversed(list(enumerate(self.layers))):
-            if isinstance(layer, Linear) and layer._x is None:
-                raise RuntimeError(f"layer{k} holds no activations: each forward serves "
-                                   f"one backward or input_grad")
-        return reversed(self.layers)
+    def _backprop(self, grad_out, step):
+        """Run the activations' backwards and `step(linear, grad_out)` on
+        each Linear, from the output down, popping each tape entry at its
+        last reader.  An empty tape raises RuntimeError before any layer
+        runs: each forward serves one pass."""
+        if self._y is None:
+            raise RuntimeError(f"layer{len(self.layers) - 1} holds no activations: each "
+                               f"forward serves one backward or input_grad")
+        grad_out = Sigmoid.backward(grad_out, self._y)
+        self._y = None
+        for linear in reversed(self.layers):
+            grad_out = step(linear, grad_out)
+            linear.release()
+            # One mask (and one scale, where dropout drew) per Linear below.
+            if self._scales:
+                grad_out = Dropout.backward(grad_out, self._scales.pop())
+            if self._masks:
+                grad_out = LeakyReLU.backward(grad_out, self._masks.pop())
+        return grad_out
 
     def zero_grad(self):
         """Mark every Linear, so that its next `backward` writes its
         gradients whole; `grad` itself is left as it is until then."""
-        for layer in self.layers:
-            if isinstance(layer, Linear):
-                layer._overwrite = True
+        for linear in self.layers:
+            linear._overwrite = True
 
     def params(self):
-        """(name, value, grad) of every weight and bias, in `theta` order."""
+        """(name, value, grad) of every weight and bias, in `theta` order;
+        `layer{k}` is the k-th Linear."""
         out = []
-        for k, layer in enumerate(self.layers):
-            if isinstance(layer, Linear):
-                out += [(f"layer{k}.weight", layer.weight, layer.grad_weight),
-                        (f"layer{k}.bias", layer.bias, layer.grad_bias)]
+        for k, linear in enumerate(self.layers):
+            out += [(f"layer{k}.weight", linear.weight, linear.grad_weight),
+                    (f"layer{k}.bias", linear.bias, linear.grad_bias)]
         return out
 
 
@@ -466,8 +461,8 @@ class Adam:
         (TrainingError); either before any write.  An exception in a helper
         thread (a FloatingPointError under the caller's `np.errstate`) is
         raised here after every thread has finished."""
-        for k, layer in enumerate(self.net.layers):
-            if isinstance(layer, Linear) and layer._overwrite:
+        for k, linear in enumerate(self.net.layers):
+            if linear._overwrite:
                 raise RuntimeError(f"layer{k} has no gradient: no backward since zero_grad")
         grad = self.net.grad
         t = self.t + 1

@@ -375,22 +375,20 @@ def cross_validate_beta(cut: ValidationCut, beta_grid, config: TrainConfig):
     """Pick beta by P@5 on the validation rows of `cut`, which is
     `validation_cut(..., config)`'s: every beta's fit trains on the same cut
     and scores the last point of its validation curve, the run's final
-    generator's.
+    generator's.  `beta_grid` holds distinct betas, at least one, as
+    `cli._beta_grid` reads them.
 
     Ties go to the smaller beta.  Returns (best_beta, {beta: p5},
     {beta: curve}).  A beta that `config` refuses, `max_rounds = 0` and a
     cut without validation rows raise ValueError before any training.
     """
-    if len(beta_grid) == 0:
-        raise ValueError("empty beta grid")
     if config.max_rounds == 0:
         raise ValueError("max_rounds 0 trains no adversarial round, so every beta "
                          "would score the same pretrained generator")
     if not len(cut.x_val):
         raise ValueError(f"validation_fraction {config.validation_fraction} holds out "
                          f"none of {len(cut.x_train)} warm users, so no beta can be scored")
-    configs = {beta: replace(config, beta=beta)
-               for beta in sorted(set(map(float, beta_grid)))}
+    configs = {beta: replace(config, beta=beta) for beta in sorted(beta_grid)}
     curves = {beta: fit(cut, beta_config).curve for beta, beta_config in configs.items()}
     scores = {beta: curve[-1].p5 for beta, curve in curves.items()}
     best = max(sorted(scores), key=lambda b: scores[b])

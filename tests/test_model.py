@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srlgan import model as M
-from srlgan import nn as NN
 from srlgan.data import PurchaseRows
 
 from test_nn import central_diff_grads, rel_err
@@ -41,7 +40,7 @@ def test_default_layer_widths():
     assert gen.sizes == [103, 512, 1024, 1024, 1682]
     dis = M.build_discriminator(103, 1682, rng)
     assert dis.sizes == [1682 + 103, 2048, 512, 128, 1]
-    assert [layer.rate for layer in dis.layers if isinstance(layer, NN.Dropout)] == [0.4] * 3
+    assert dis.dropout == 0.4 and not gen.dropout
 
 
 def test_loss_reconstruction_values():
@@ -188,6 +187,27 @@ def test_sparsity_regularizer_gradient_matches_finite_diff():
         num = (M.sparsity_regularizer(rho, up)[0]
                - M.sparsity_regularizer(rho, down)[0]) / (2 * step)
         assert grad[k] == pytest.approx(num, rel=1e-5)
+
+
+def test_sparsity_regularizer_gradient_is_zero_where_rho_hat_is_clamped():
+    # Inside [KL_EPS, 1 - KL_EPS] the gradient is the loss's slope; outside,
+    # the clamp holds q still, so the loss is flat and the gradient exactly 0
+    # (unmasked, -p/q + (1-p)/(1-q) at q = KL_EPS is about -p * 1e6).
+    rho = np.array([0.3, 0.6, 0.2, 0.7, 0.5, 0.4])
+    rho_hat = np.array([0.4, 0.25, 1e-7, 1.0 - 1e-7, 0.0, 1.0])
+    clamped = np.array([False, False, True, True, True, True])
+    _, grad = M.sparsity_regularizer(rho, rho_hat)
+    assert np.all(grad[clamped] == 0.0)
+    step = 1e-8         # small enough to stay on each side of the clamp
+    for k in range(len(rho)):
+        up = rho_hat.copy(); up[k] += step
+        down = rho_hat.copy(); down[k] -= step
+        num = (M.sparsity_regularizer(rho, up)[0]
+               - M.sparsity_regularizer(rho, down)[0]) / (2 * step)
+        if clamped[k]:
+            assert num == 0.0, k
+        else:
+            assert grad[k] == pytest.approx(num, rel=1e-5), k
 
 
 def test_batch_permutation_invariance():

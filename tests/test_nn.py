@@ -73,33 +73,38 @@ def test_linear_shape_mismatch():
 
 
 def test_activations():
-    s = NN.Sigmoid()
-    assert s.forward(np.array([[0.0]]))[0, 0] == 0.5
-    lr = NN.LeakyReLU()
-    out = lr.forward(np.array([[-2.0, 3.0]]))
+    assert NN.Sigmoid.forward(np.array([[0.0]]))[0, 0] == 0.5
+    out = NN.LeakyReLU.forward(np.array([[-2.0, 3.0]]))
     assert out[0, 0] == pytest.approx(-0.02)
     assert out[0, 1] == 3.0
 
 
 def test_dropout_eval_identity():
-    d = NN.Dropout(0.4)
+    # Without an rng, a net with dropout gives the bits of one without, and
+    # records no dropout scale.
     x = np.random.default_rng(0).normal(size=(3, 5))
-    assert np.array_equal(d.forward(x), x)
+    net = NN.MLP([5, 4, 2], np.random.default_rng(1), dropout=0.4)
+    plain = NN.MLP([5, 4, 2], np.random.default_rng(1))
+    assert net.forward(x).tobytes() == plain.forward(x).tobytes()
+    assert net._scales == []
 
 
 def test_mlp_builds_dropout_only_at_a_positive_rate():
     def dropouts(rate):
         net = NN.MLP([3, 5, 4, 2], np.random.default_rng(0), dropout=rate)
-        return sum(isinstance(layer, NN.Dropout) for layer in net.layers)
+        rng = np.random.default_rng(1)
+        net.forward(np.ones((2, 3)), rng=rng)
+        drew = rng.bit_generator.state != np.random.default_rng(1).bit_generator.state
+        return len(net._scales), drew
 
-    assert (dropouts(0.0), dropouts(0.3)) == (0, 2)
+    assert (dropouts(0.0), dropouts(0.3)) == ((0, False), (2, True))
 
 
 def test_dropout_train_scales_survivors():
-    d = NN.Dropout(0.4)
     rng = np.random.default_rng(0)
     x = np.ones((200, 50))
-    y = d.forward(x, rng=rng)
+    y, scale = NN.Dropout.forward(x, 0.4, rng)
+    assert np.array_equal(y, x * scale)
     kept = y[y != 0]
     assert np.allclose(kept, 1.0 / 0.6)
     # survival rate near 1 - rate
@@ -125,10 +130,10 @@ SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
 def test_leaky_relu_matches_two_branch_where_bit_for_bit(x, data):
     grad_out = data.draw(arrays(np.float64, x.shape, elements=st.one_of(
         st.floats(width=64), st.sampled_from(SPECIAL))))
-    layer, slope = NN.LeakyReLU(), NN.LEAKY_SLOPE
+    slope = NN.LEAKY_SLOPE
     with np.errstate(all="ignore"):
-        y = layer.forward(x)
-        grad_in = layer.backward(grad_out)
+        y = NN.LeakyReLU.forward(x)
+        grad_in = NN.LeakyReLU.backward(grad_out, x >= 0)     # MLP.forward's mask
         assert _same_bits(y, np.where(x >= 0, x, slope * x))
         assert _same_bits(grad_in, np.where(x >= 0, grad_out, slope * grad_out))
 
@@ -142,7 +147,7 @@ def test_sigmoid_in_place_matches_textbook_form_bit_for_bit(x):
     with np.errstate(all="ignore"):
         want = 1.0 / (1.0 + np.exp(-x))
         given_x = x.copy()
-        y = NN.Sigmoid().forward(given_x)
+        y = NN.Sigmoid.forward(given_x)
     assert y is given_x
     assert _same_bits(y, want)
 
@@ -173,13 +178,26 @@ def test_single_linear_layer_gradient():
     # L = sum(out) for one linear layer: dL/dW = column of x sums
     rng = np.random.default_rng(1)
     net = NN.MLP([3, 2], rng)
-    net.layers = net.layers[:1]  # strip the sigmoid
+    layer = net.layers[0]
     x = rng.normal(size=(1, 3))
     net.zero_grad()
-    out = net.forward(x)
-    net.backward(np.ones_like(out))
-    assert np.allclose(net.layers[0].grad_weight, np.outer(x[0], np.ones(2)))
-    assert np.allclose(net.layers[0].grad_bias, 1.0)
+    out = layer.forward(x)
+    layer.backward(np.ones_like(out))
+    assert np.allclose(layer.grad_weight, np.outer(x[0], np.ones(2)))
+    assert np.allclose(layer.grad_bias, 1.0)
+
+
+def test_hidden_gradient_passes_whole_at_a_zero_pre_activation():
+    # MLP.forward's mask is x >= 0: where a hidden pre-activation is exactly
+    # 0, LeakyReLU's factor is 1.0, as in the two-branch np.where form.
+    net = NN.MLP([2, 3, 1], None)      # zero weights: every hidden pre-activation is 0
+    net.layers[1].weight[...] = [[1.0], [2.0], [3.0]]
+    x = np.array([[1.0, -2.0]])
+    y = net.forward(x)
+    net.zero_grad()
+    net.backward(np.ones_like(y))
+    delta = y * (1.0 - y)
+    assert np.array_equal(net.layers[0].grad_weight, x.T @ (delta @ net.layers[1].weight.T))
 
 
 def test_zero_grad_clears_nothing_and_a_step_before_backward_is_refused():
@@ -242,15 +260,48 @@ def test_input_gradient_matches_finite_differences():
     assert rel_err(input_grad, numeric) < 1e-4
 
 
+def test_gradients_with_dropout_match_finite_differences():
+    """Parameter and input gradients through drawn dropout masks: every
+    loss evaluation re-seeds the forward's rng, so it draws the same masks."""
+    rng = np.random.default_rng(12)
+    net = NN.MLP([4, 7, 6, 3], rng, dropout=0.4)
+    x = rng.normal(size=(5, 4))
+    target = rng.uniform(0.2, 0.8, size=(5, 3))
+
+    def loss_fn(inputs=x):
+        out = net.forward(inputs, rng=np.random.default_rng(13))
+        return float(np.sum((out - target) ** 2))
+
+    def loss_grad():
+        return 2.0 * (net.forward(x, rng=np.random.default_rng(13)) - target)
+
+    net.zero_grad()
+    grad_out = loss_grad()
+    assert len(net._scales) == 2 and all((s == 0).any() for s in net._scales)
+    net.backward(grad_out)
+    numeric = central_diff_grads(net, loss_fn)
+    assert rel_err(net.grad, numeric) < 1e-4
+
+    input_grad = net.input_grad(loss_grad())
+    step = 1e-6
+    numeric = np.zeros_like(x)
+    for idx in np.ndindex(*x.shape):
+        up, down = x.copy(), x.copy()
+        up[idx] += step
+        down[idx] -= step
+        numeric[idx] = (loss_fn(up) - loss_fn(down)) / (2 * step)
+    assert rel_err(input_grad, numeric) < 1e-4
+
+
 def test_adam_refuses_a_layer_that_no_backward_wrote_since_zero_grad():
     net = NN.MLP([3, 4, 4, 2], np.random.default_rng(0))
     opt = NN.Adam(net, lr=0.1)
     x = np.random.default_rng(1).normal(size=(2, 3))
     net.zero_grad()
     # A backward through the last two Linears only: layer0 keeps its mark.
-    grad_out = net.forward(x) - 0.5
-    for layer in reversed(net.layers[2:]):
-        grad_out = layer.backward(grad_out)
+    net.forward(x)
+    net.layers[2].backward(np.ones((2, 2)))
+    net.layers[1].backward(np.ones((2, 4)))
     before = net.theta.copy()
     with pytest.raises(RuntimeError, match=r"^layer0 has no gradient"):
         opt.step()
@@ -265,7 +316,6 @@ def test_adam_refuses_a_layer_that_no_backward_wrote_since_zero_grad():
 def test_adam_first_step_magnitude():
     # Constant gradient: the bias-corrected first step has magnitude ~lr.
     net = NN.MLP([1, 1], np.random.default_rng(0))
-    net.layers = net.layers[:1]
     before = net.theta.copy()
     opt = NN.Adam(net, lr=0.01)
     net.layers[0].grad_weight[...] = 3.0
@@ -277,7 +327,6 @@ def test_adam_first_step_magnitude():
 
 def test_adam_identical_grads_identical_updates():
     net = NN.MLP([2, 2], np.random.default_rng(5))
-    net.layers = net.layers[:1]
     net.layers[0].weight[...] = 0.5
     opt = NN.Adam(net, lr=0.02)
     net.layers[0].grad_weight[...] = 1.7
@@ -291,16 +340,16 @@ def test_adam_nonfinite_grad_raises():
     net = NN.MLP([3, 4, 4, 2], np.random.default_rng(0))
     opt = NN.Adam(net, lr=0.01)
     before = net.theta.copy()
-    net.layers[2].grad_weight[1, 3] = np.nan
-    with pytest.raises(NN.TrainingError, match=r"layer2\.weight"):
+    net.layers[1].grad_weight[1, 3] = np.nan
+    with pytest.raises(NN.TrainingError, match=r"layer1\.weight"):
         opt.step()
     assert np.array_equal(net.theta, before)
 
 
 def test_layer_arrays_are_views_of_the_flat_store():
     net = NN.MLP([3, 5, 4, 2], np.random.default_rng(2), dropout=0.3)
-    linears = [layer for layer in net.layers if isinstance(layer, NN.Linear)]
-    assert len(linears) == 3
+    linears = net.layers
+    assert len(linears) == 3 and all(type(layer) is NN.Linear for layer in linears)
     assert net.theta.size == net.grad.size == 3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2
     for layer in linears:
         for value, grad in ((layer.weight, layer.grad_weight),
@@ -426,7 +475,7 @@ def test_blocked_adam_matches_textbook_adam_across_blocks():
     # A NaN in the last block alone is refused before any block is written.
     before = (net.theta.copy(), opt.m.copy(), opt.v.copy())
     net.grad[-1] = np.nan
-    with pytest.raises(NN.TrainingError, match=r"layer4\.bias at step 4"):
+    with pytest.raises(NN.TrainingError, match=r"layer2\.bias at step 4"):
         opt.step()
     assert opt.t == 3
     for after, expected in zip((net.theta, opt.m, opt.v), before):
@@ -463,42 +512,53 @@ def test_input_grad_leaves_grad_untouched():
 
     g = forward() - 0.5
     net.grad[...] = 0.25
+    y, masks, scales = net._y.copy(), list(net._masks), list(net._scales)
     input_grad = net.input_grad(g)
     assert np.all(net.grad == 0.25)
-    # Each layer's own backward down to the input layer, which returns no
-    # input gradient, so the last product is written out here.
+    # The chain written out from the tape: the sigmoid's derivative, then
+    # below each upper Linear its layer's dropout scale and LeakyReLU factor.
+    assert len(masks) == len(scales) == 2
+    expected = g * y * (1.0 - y)
+    for linear, mask, scale in zip(net.layers[:0:-1], masks[::-1], scales[::-1]):
+        expected = expected @ linear.weight.T * scale * np.maximum(mask, NN.LEAKY_SLOPE)
+    assert np.array_equal(input_grad, expected @ net.layers[0].weight.T)
+    # The input layer's backward returns no input gradient; told otherwise,
+    # it returns input_grad's bits from the parameter-gradient pass.
     forward()
     assert net.backward(g) is None
     forward()
-    expected = g
-    for layer in reversed(net.layers[1:]):
-        expected = layer.backward(expected)
-    assert np.array_equal(input_grad, expected @ net.layers[0].weight.T)
+    net.layers[0].input_layer = False
+    assert np.array_equal(input_grad, net._backprop(g, NN.Linear.backward))
     assert np.any(net.grad != 0.25)
 
 
-CACHES = ("_x", "_mask", "_scale", "_y")
-
-
-def cached_layers(net):
-    """The indices of `net`'s layers that hold an activation cache."""
-    return [k for k, layer in enumerate(net.layers)
-            if any(getattr(layer, name, None) is not None for name in CACHES)]
+def held_activations(net):
+    """What of an activation tape `net` holds: `layer{k}` for each Linear
+    that holds its input, and the name of every array, or list holding an
+    array, among the MLP's own attributes besides `theta` and `grad`."""
+    held = [f"layer{k}" for k, linear in enumerate(net.layers) if linear._x is not None]
+    for name, value in vars(net).items():
+        if isinstance(value, list) and any(isinstance(v, np.ndarray) for v in value):
+            held.append(name)
+        elif isinstance(value, np.ndarray) and name not in ("theta", "grad"):
+            held.append(name)
+    return held
 
 
 @pytest.mark.parametrize("sizes, dropout", [((6, 16, 32, 11), 0.0), ((17, 24, 8, 1), 0.4)],
                          ids=["generator-like", "discriminator-like"])
 def test_predict_matches_forward_bit_for_bit(sizes, dropout):
-    """`predict` gives the rng-less forward's bits and keeps no cache, also
-    when it follows a training forward."""
+    """`predict` gives the rng-less forward's bits and keeps no activation,
+    also when it follows a training forward."""
     net = NN.MLP(sizes, np.random.default_rng(40), dropout=dropout)
     x = np.random.default_rng(41).normal(size=(9, sizes[0]))
     want = net.forward(x)
     net.forward(x, rng=np.random.default_rng(42))
-    assert cached_layers(net)
+    assert held_activations(net) == ["layer0", "layer1", "layer2", "_masks",
+                                     *(["_scales"] if dropout else []), "_y"]
     got = net.predict(x)
     assert got.tobytes() == want.tobytes()
-    assert cached_layers(net) == []
+    assert held_activations(net) == []
 
 
 @pytest.mark.parametrize("first, second", [("backward", "backward"), ("backward", "input_grad"),
@@ -506,17 +566,18 @@ def test_predict_matches_forward_bit_for_bit(sizes, dropout):
                                            ("input_grad", "input_grad"),
                                            ("predict", "backward")])
 def test_one_forward_serves_one_backward(first, second):
-    """A backward or input_grad releases every cache it read, and a second
+    """A backward or input_grad pops the whole tape it read, and a second
     pass on the same forward (or one after predict) is refused, naming the
-    output Linear, before any layer runs: it never reaches a released
-    Dropout, whose empty mask would read as eval mode."""
+    output Linear, before any layer runs: it never reaches a Linear or an
+    activation with nothing to read, and never takes the empty list of
+    dropout scales for eval mode."""
     net = NN.MLP([5, 7, 6, 3], np.random.default_rng(43), dropout=0.3)
     x = np.random.default_rng(44).normal(size=(4, 5))
     g = net.forward(x, rng=np.random.default_rng(45)) - 0.5
     getattr(net, first)(x if first == "predict" else g)
-    assert cached_layers(net) == []
+    assert held_activations(net) == []
     grad = net.grad.copy()
-    with pytest.raises(RuntimeError, match=r"^layer6 holds no activations: each forward "
+    with pytest.raises(RuntimeError, match=r"^layer2 holds no activations: each forward "
                                            r"serves one backward or input_grad$"):
         getattr(net, second)(g)
     assert net.grad.tobytes() == grad.tobytes()
@@ -524,7 +585,7 @@ def test_one_forward_serves_one_backward(first, second):
 
 def test_input_layer_backward_returns_no_input_gradient():
     net = NN.MLP([4, 5, 2], np.random.default_rng(13))
-    first, hidden = net.layers[0], net.layers[2]
+    first, hidden = net.layers
     assert first.input_layer and not hidden.input_layer
     net.forward(np.ones((3, 4)))
     assert first.backward(np.ones((3, 5))) is None
@@ -582,14 +643,12 @@ def _twin_nets(seed=31, sizes=(5, 7, 6, 3)):
 
 
 def _grad_into_input_layer(net, grad_out):
-    """The gradient that reaches the input layer's backward; no parameter
-    gradient is touched."""
-    for layer in reversed(net.layers[1:]):
-        if isinstance(layer, NN.Linear):
-            grad_out = layer.input_grad(grad_out)
-        else:
-            grad_out = layer.backward(grad_out)
-    return grad_out
+    """The gradient that reaches the input layer's backward, from the tape
+    of `net`'s last forward, which it pops; no parameter gradient is
+    touched."""
+    first = net.layers[0]
+    return net._backprop(grad_out, lambda linear, g: g if linear is first
+                         else linear.input_grad(g))
 
 
 def test_backwards_after_zero_grad_equal_zero_plus_a_plus_b_bit_for_bit():
@@ -610,9 +669,9 @@ def test_backwards_after_zero_grad_equal_zero_plus_a_plus_b_bit_for_bit():
         for _ in range(2):
             x = rng.normal(size=(4, sizes[0]))
             g = net.forward(x) - 0.5
-            twin.forward(x)
             whole += np.matmul(x.T, _grad_into_input_layer(net, g))
             for m in (net, twin):
+                m.forward(x)
                 m.backward(g)
             assert np.array_equal(net.grad, twin.grad)
             assert np.array_equal(first.grad_weight, whole)
@@ -682,7 +741,7 @@ def test_adam_refuses_non_finite_grad_in_last_block(bad):
     before = (net.theta.copy(), opt.m.copy(), opt.v.copy())
     net.grad[...] = rng.normal(size=net.grad.size)
     net.grad[-2] = bad
-    with pytest.raises(NN.TrainingError, match=r"layer4\.bias at step 2"):
+    with pytest.raises(NN.TrainingError, match=r"layer2\.bias at step 2"):
         opt.step()
     assert opt.t == 1
     for after, expected in zip((net.theta, opt.m, opt.v), before):

@@ -14,6 +14,8 @@ from srlgan.data import PurchaseRows, split_rows
 from srlgan.evaluate import evaluate_report
 from srlgan.nn import TrainingError
 
+from test_nn import held_activations
+
 
 def toy_data(n=40, d=6, m=12, seed=0):
     """Attribute rows and PurchaseRows with planted structure: users in
@@ -128,6 +130,23 @@ def test_batches_follow_one_permutation_per_epoch():
     assert trainer.rng.bit_generator.state == oracle.bit_generator.state
 
 
+def test_batches_serve_the_whole_permutation_when_n_is_a_multiple_of_b():
+    """With n = 3b, each epoch's permutation is served whole, its last batch
+    included, before the next permutation is drawn."""
+    x, y = toy_data(n=36)
+    b = 12
+    trainer = T.Trainer(x, y, small_config(batch_size=b))
+    oracle = copy.deepcopy(trainer.rng)
+    for _ in range(3):
+        perm = oracle.permutation(len(x))
+        for k in range(3):
+            xb, yb = trainer._batch()
+            rows = perm[k * b:(k + 1) * b]
+            assert np.array_equal(xb, x[rows])
+            assert np.array_equal(yb, y.toarray(rows))
+    assert trainer.rng.bit_generator.state == oracle.bit_generator.state
+
+
 def test_discriminator_step_allocates_less_than_one_layer0_weight():
     # m + d = 1100 by 2048: D's layer-0 weight gradient is 18 MB and the
     # fake pass adds it in five row blocks of about 4 MiB, so the step's
@@ -148,18 +167,16 @@ def test_discriminator_step_allocates_less_than_one_layer0_weight():
 
 
 def test_no_activation_outlives_a_step_or_an_evaluation():
-    """After each training step and each validation, no layer of G or D
-    holds an activation cache."""
+    """After each training step and each validation, neither G nor D holds
+    any of an activation tape."""
     x, y = toy_data()
     trainer = T.Trainer(x[8:], y.take(range(8, 40)), small_config(dropout=0.4),
                         x_val=x[:8], y_val=y.take(range(8)))
-    caches = ("_x", "_mask", "_scale", "_y")
 
     def cached():
-        return [(role, k) for role, net in (("G", trainer.generator),
-                                            ("D", trainer.discriminator))
-                for k, layer in enumerate(net.layers)
-                if any(getattr(layer, name, None) is not None for name in caches)]
+        return [(role, held) for role, net in (("G", trainer.generator),
+                                               ("D", trainer.discriminator))
+                for held in held_activations(net)]
 
     trainer.pretrain_generator()
     assert cached() == []
@@ -169,6 +186,9 @@ def test_no_activation_outlives_a_step_or_an_evaluation():
     assert cached() == []
     trainer._evaluate_checkpoint(1, d_loss, g_losses)
     assert cached() == []
+    disc = trainer.discriminator        # a tape that is held is seen
+    disc.forward(np.ones((2, disc.sizes[0])), np.random.default_rng(0))
+    assert ("D", "_scales") in cached()
 
 
 def test_different_seed_different_params():
@@ -217,6 +237,21 @@ def test_mode_collapse_flag_mechanics():
     # a healthy generator at init should not trip the floor
     point = trainer._evaluate_checkpoint(1, 0.0, {"total": 0.0, "sr": 0.0})
     assert not point.collapse_flag
+
+
+@pytest.mark.parametrize("std, flagged", [(0.99e-4, True), (1.01e-4, False)])
+def test_collapse_flag_turns_at_the_std_floor(std, flagged):
+    """The flag is set when the mean column std of the collapse set's
+    scores is at or below the floor of 1e-4, and not just above it."""
+    x, y = toy_data()
+    trainer = T.Trainer(x, y, small_config(validation_fraction=0.0))
+    rows = trainer.config.batch_size
+    signs = np.where(np.arange(rows) % 2, 1.0, -1.0)[:, None]
+    scores = 0.5 + std * signs * np.ones((1, y.m))     # every column's std is `std`
+    assert T.column_std(scores).mean() == pytest.approx(std, rel=1e-6)
+    trainer.generator.predict = lambda batch: scores.copy()
+    point = trainer._evaluate_checkpoint(1, 0.0, {"total": 0.0, "sr": 0.0})
+    assert point.collapse_flag == flagged
 
 
 def test_bce_mode_trains():
@@ -547,13 +582,15 @@ def test_generator_and_discriminator_share_one_gradient(m, generator_hidden,
 
 def _float64_buffers(trainer):
     """The distinct buffers behind every array the networks, their layers and
-    the optimizers hold."""
+    the optimizers hold, directly or in a list (an MLP's activation tape)."""
     objects = [trainer.generator, trainer.discriminator, trainer.opt_g, trainer.opt_d,
                *trainer.generator.layers, *trainer.discriminator.layers]
     buffers = {}
     for obj in objects:
-        for value in vars(obj).values():
-            if isinstance(value, np.ndarray):
+        for held in vars(obj).values():
+            for value in held if isinstance(held, list) else [held]:
+                if not isinstance(value, np.ndarray):
+                    continue
                 while value.base is not None:
                     value = value.base
                 buffers[id(value)] = value
