@@ -432,7 +432,7 @@ def _read_archive(path, what: str, spec: dict):
     the archive, here or in the caller's block, raise ValueError("<what>
     <path>: ..."); a missing file raises FileNotFoundError."""
     try:
-        with np.load(path, allow_pickle=False) as z:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
             header = json.loads(str(_archive_array(z, "header", np.str_, ())))
             yield check_document(header, spec, "header"), z
     except FileNotFoundError:

@@ -181,7 +181,7 @@ def evaluate_report(scores, held_out: PurchaseRows, ns=DEFAULT_NS, user_keys=Non
 def item_popularity(warm_rows: PurchaseRows) -> np.ndarray:
     """ItemPop's score row: each item's purchase count (stored entries)
     over the warm users."""
-    if len(warm_rows) < 1 or warm_rows.m == 0:
+    if len(warm_rows) < 1:
         raise ValueError("empty warm purchase matrix")
     return np.bincount(warm_rows.items, minlength=warm_rows.m)
 

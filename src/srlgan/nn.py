@@ -7,9 +7,9 @@ production 1e-6 the median relative Adam step is 1.2e-5 to 3.4e-5, about
 kept because the bit-for-bit tests and the benchmark's float64 reference
 check are written against it; float32 waits on a quality band that can
 judge outputs which are no longer bit-identical.  Batches are row-major:
-(batch, features).  Every `forward(x, rng=None)` is in training mode
+(batch, features).  `MLP.forward(x, rng=None)` is in training mode
 exactly when an rng is given, from which dropout draws its masks; with none
-it draws nothing.
+it draws nothing.  `Linear.forward(x)` draws nothing and takes no rng.
 A network instance is single-writer during training; clone parameters for
 concurrent read-only inference.
 
@@ -139,9 +139,10 @@ class TrainingError(RuntimeError):
 
 
 class Linear:
-    """y = x @ W + b with W shaped (in, out).  `weight`, `bias` and their
-    gradients are views into the owning MLP's `theta` and `grad`.  The input
-    layer (`input_layer=True`) returns no input gradient from `backward`."""
+    """y = x @ W + b with W shaped (in, out): `forward(x)` returns it and
+    keeps `x` for `backward`.  `weight`, `bias` and their gradients are views
+    into the owning MLP's `theta` and `grad`.  The input layer
+    (`input_layer=True`) returns no input gradient from `backward`."""
 
     def __init__(self, weight, bias, input_layer=False):
         self.weight, self.bias = weight, bias
@@ -150,7 +151,7 @@ class Linear:
         self._x = None
         self._overwrite = False     # set by MLP.zero_grad: next backward writes
 
-    def forward(self, x, rng=None):
+    def forward(self, x):
         self._x = x
         out = x @ self.weight
         out += self.bias
@@ -202,14 +203,18 @@ class LeakyReLU:
 class Sigmoid:
     """1 / (1 + exp(-x)), computed in place: `forward` consumes its input,
     which in an MLP is the fresh product of the output Linear.  `backward`
-    reads the output."""
+    reads the output.  A saturated sigmoid is not reported: below
+    x = -709.78 exp(-x) overflows and the output is 0, just above it the
+    output is subnormal, and above x = 745 exp(-x) underflows and the
+    output is 1."""
 
     @staticmethod
     def forward(x):
         y = np.negative(x, out=x)
-        np.exp(y, out=y)
-        y += 1.0
-        return np.divide(1.0, y, out=y)
+        with np.errstate(over="ignore", under="ignore"):
+            np.exp(y, out=y)
+            y += 1.0
+            return np.divide(1.0, y, out=y)
 
     @staticmethod
     def backward(grad_out, y):
@@ -278,11 +283,9 @@ class MLP:
         array, this network's `grad`, and point every Linear's gradient views
         into it.  Networks whose gradients are never live at the same time
         can share one buffer: its contents are this network's gradient only
-        from `zero_grad` to the optimizer step."""
-        if (buffer.dtype != np.float64 or buffer.ndim != 1
-                or not buffer.flags.c_contiguous or buffer.size < self.theta.size):
-            raise ValueError(f"a gradient buffer must be a contiguous float64 vector of "
-                             f"at least {self.theta.size} elements")
+        from `zero_grad` to the optimizer step.  The caller passes a
+        contiguous vector of at least `theta.size` elements, as `__init__`
+        (its own zeros) and `train.Trainer` (the larger network's `grad`) do."""
         self.grad = buffer[:self.theta.size]
         for linear, (weight, bias) in zip(self.layers, self._layer_views(self.grad)):
             linear.grad_weight, linear.grad_bias = weight, bias

@@ -100,7 +100,7 @@ class TrainConfig:
         if self.gan_loss not in M.ADVERSARIAL_LOSSES:
             problems.append(f"gan_loss must be lsq or bce, got {self.gan_loss!r}")
         if self.gan_loss == "bce" and self.beta > 0:
-            problems.append("the BCE ablation mode (S1) requires beta=0")
+            problems.append("gan_loss bce (the S1 ablation mode) requires beta=0")
         for name in ("batch_size", "eval_every", "patience"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1")
@@ -151,7 +151,10 @@ class Trainer:
     """Owns the two networks, their one gradient workspace, their optimizers,
     and the run RNG.  `y_train` is `data.PurchaseRows` or a dense array,
     `y_val` is `data.PurchaseRows`; without `x_val`/`y_val` the validation
-    slice is empty."""
+    slice is empty.  The rows are the caller's to match, as `fit`'s
+    `validation_cut` does: one attribute row per behavior row, and the
+    validation rows as wide and over as many items as the training rows.
+    An empty training set raises ValueError."""
 
     def __init__(self, x_train, y_train, config: TrainConfig,
                  x_val=None, y_val=None):
@@ -161,17 +164,8 @@ class Trainer:
         self.x_val = np.asarray(self.x_train[:0] if x_val is None else x_val,
                                 dtype=np.float64)
         self.y_val = self.y_train.take([]) if y_val is None else y_val
-        if self.x_train.shape[0] != len(self.y_train):
-            raise ValueError("attribute/behavior row counts differ")
         if self.x_train.shape[0] < 1:
             raise ValueError("empty warm training set")
-        if len(self.x_val) != len(self.y_val):
-            raise ValueError(f"validation slice has {len(self.x_val)} attribute rows "
-                             f"but {len(self.y_val)} behavior rows")
-        if (self.x_val.shape[1:], self.y_val.m) != (self.x_train.shape[1:], self.y_train.m):
-            raise ValueError(f"validation rows have attribute shape {self.x_val.shape[1:]} and "
-                             f"{self.y_val.m} items, training rows {self.x_train.shape[1:]} and "
-                             f"{self.y_train.m}")
 
         d = self.x_train.shape[1]
         m = self.y_train.m
@@ -348,12 +342,16 @@ def validation_cut(x_warm, y_warm: PurchaseRows, config: TrainConfig) -> Validat
     """The warm users cut by the seeded `validation_fraction` slice that
     `config` holds out.  A cut that holds out no row copies none: its
     training rows are `x_warm` and `y_warm` themselves.  Every config with
-    this one's `validation_fraction` and `seed` makes the same cut."""
-    x_warm = np.asarray(x_warm, dtype=np.float64)
-    if x_warm.shape[0] != len(y_warm):
-        raise ValueError("attribute/behavior row counts differ")
+    this one's `validation_fraction` and `seed` makes the same cut.
+    `x_warm` is a float64 array with one row per row of `y_warm`, as
+    `pipeline.split_matrices` gives them: `data.load_cache` checks one
+    attribute row per purchase row.  A slice that would hold out every warm
+    user raises ValueError."""
     train_rows, val_rows = split_rows(x_warm.shape[0], config.validation_fraction,
                                       config.seed)
+    if len(val_rows) and not len(train_rows):
+        raise ValueError(f"validation_fraction {config.validation_fraction} holds out all "
+                         f"{len(val_rows)} warm users, so none is left to train on")
     if not len(val_rows):
         return ValidationCut(x_warm, y_warm, x_warm[:0], y_warm.take(val_rows))
     return ValidationCut(x_warm[train_rows], y_warm.take(train_rows),

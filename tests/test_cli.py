@@ -23,7 +23,7 @@ from srlgan import nn as NN
 from srlgan import pipeline as P
 from srlgan import svgplot
 from srlgan import train as T
-from srlgan.cli import _parse_config_file, main
+from srlgan.cli import TRAIN_FLAGS, _parse_config_file, main
 
 FAST = [
     "--max-rounds", "2", "--eval-every", "1", "--pretrain-epochs", "1",
@@ -888,6 +888,8 @@ def test_bad_cold_fraction_exit_1_before_out_dir(command, tmp_path, prepared, ca
      "discriminator_hidden: each hidden width must be >= 1, got [0]"),
     (["train"], "dropout = 1.5\n", "dropout must be in [0, 1), got 1.5"),
     (["train"], "validation_fraction = 1\n", "validation_fraction must be in [0, 1)"),
+    (["train"], "validation_fraction = 0.99\n",
+     "validation_fraction 0.99 holds out all 48 warm users, so none is left to train on"),
     (["train", "--cold-fraction", "0.999"], "", "empty warm training set"),
     (["train", "--n-e", "-3"], "", "n_e must be >= 0, got -3"),
     (["train", "--pretrain-epochs", "-2"], "", "pretrain_epochs must be >= 0, got -2"),
@@ -911,7 +913,7 @@ def test_bad_cold_fraction_exit_1_before_out_dir(command, tmp_path, prepared, ca
      "max_rounds 0 trains no adversarial round, so every beta would score the same "
      "pretrained generator"),
 ], ids=["zero-width", "negative-width", "ablate-zero-width", "dropout",
-        "validation-fraction-one", "no-warm-user",
+        "validation-fraction-one", "validation-fraction-takes-all", "no-warm-user",
         "negative-n-e", "negative-pretrain-epochs", "negative-seed", "sweep-beta-negative-n-e",
         "negative-split-seed", "empty-width-list", "seed-letter", "batch-size-float",
         "sparsity-key", "nonsaturating-key", "d-phase-updates-g-key", "n-d-key", "n-g-key",
@@ -929,11 +931,74 @@ def test_train_refusals_leave_no_out_dir(argv, config, message, tmp_path, prepar
     assert not (tmp_path / "out").exists()
 
 
+# The values a fuzzed training setting draws from, by the kind `cli._coerce`
+# reads its TrainConfig field as: good ones, refused ones, and ones that
+# start with `-`.  Accepted ints stay at most 2, so a run is at most 2
+# rounds of at most 2 pretraining epochs; widths stay desk widths.
+SETTING_VALUES = {
+    "int": ["0", "1", "2", "-1", "-x", "x", "1.5", ""],
+    "float": ["0", "1e-3", "0.1", "0.5", "0.99", "1", "-1e-3", "-x", "x", "nan", "inf",
+              "-inf", ""],
+    "str": ["lsq", "bce", "LSQ", "x", "-x", ""],
+    "int | None": ["none", "None", "0", "1", "-1", "-none", "x"],
+    "list[int] | None": ["8", "4,8", "8,0", "-8", "8,-1", "", "8,x", "8,"],
+}
+# The desk settings a fuzzed run starts from.
+DESK_SETTINGS = {"max_rounds": "2", "eval_every": "1", "pretrain_epochs": "1",
+                 "batch_size": "16", "learning_rate": "1e-3", "seed": "3",
+                 "generator_hidden": "8", "discriminator_hidden": "8"}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_train_of_fuzzed_flags_and_config_keys_exits_0_or_1(prepared, data):
+    """`train` with up to three TrainConfig settings drawn over the desk
+    ones, each given as a flag (where it has one) or as a config key,
+    exits 0 or 1.  A refusal names a setting it was given, as a key or as
+    a flag, and makes no out-dir; an accepted run writes the same
+    curve.csv twice."""
+    fields = {f.name: f.type for f in dataclasses.fields(T.TrainConfig)}
+    values = dict(DESK_SETTINGS)
+    for name in data.draw(st.lists(st.sampled_from(sorted(fields)), max_size=3, unique=True)):
+        values[name] = data.draw(st.sampled_from(SETTING_VALUES[fields[name]]))
+    as_key = {name for name in values
+              if name not in TRAIN_FLAGS or data.draw(st.booleans())}
+    flags = [arg for name in sorted(set(values) - as_key)
+             for arg in ("--" + name.replace("_", "-"), values[name])]
+    # The CLI runs in numpy's default error state, which ignores underflow:
+    # a learning rate near 1 saturates G's sigmoid, and the products of its
+    # tiny outputs and gradients underflow in the losses, backward and Adam.
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(under="ignore"):
+        cfg, outs = Path(tmp) / "train.conf", [Path(tmp) / "out1", Path(tmp) / "out2"]
+        cfg.write_text("".join(f"{name} = {values[name]}\n" for name in sorted(as_key)))
+        argv = ["train", "--cache", prepared / "ml100k.npz", "--config", cfg, *flags,
+                "--out-dir"]
+        rc, err = run_cli([*argv, outs[0]])
+        assert rc in (0, 1), err
+        if rc == 1:
+            assert err.startswith("error: "), err
+            assert any(name in err or "--" + name.replace("_", "-") in err
+                       for name in values), err
+            assert not outs[0].exists()
+            return
+        assert run_cli([*argv, outs[1]]) == (0, "")
+        assert (outs[0] / "curve.csv").read_bytes() == (outs[1] / "curve.csv").read_bytes()
+
+
 def test_eval_refuses_negative_split_seed_before_out_dir(tmp_path, prepared, capsys):
     rc = main(["eval", "--baseline", "itempop", "--split-seed", "-1",
                "--cache", str(prepared / "ml100k.npz"), "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err == "error: --split-seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_itempop_refuses_a_split_with_no_warm_user(tmp_path, prepared, capsys):
+    rc = main(["eval", "--baseline", "itempop", "--cold-fraction", "0.999",
+               "--cache", str(prepared / "ml100k.npz"), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: empty warm purchase matrix\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -1234,7 +1299,7 @@ def test_sweep_beta_refuses_a_grid_beta_before_any_training(tmp_path, prepared, 
     rc = main(["sweep-beta", *FAST, "--gan-loss", "bce", "--beta", "0", "--grid", "0,0.1",
                "--cache", str(prepared / "ml100k.npz"), "--out-dir", str(tmp_path / "sweep")])
     assert rc == 1
-    assert "error: the BCE ablation mode (S1) requires beta=0" in capsys.readouterr().err
+    assert "error: gan_loss bce (the S1 ablation mode) requires beta=0" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
 
 

@@ -123,6 +123,13 @@ SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
            2.2250738585072014e-308, -1e-310, 1e-310, 1.7976931348623157e308]
 
 
+def test_sigmoid_saturates_without_a_floating_point_error():
+    """tier-1 raises on every floating-point error (conftest); a saturated
+    sigmoid's overflow and underflow are not errors."""
+    y = NN.Sigmoid.forward(np.array([-1000.0, -709.5, 0.0, 1000.0]))
+    assert y[0] == 0.0 and 0.0 < y[1] < 1e-300 and y[2] == 0.5 and y[3] == 1.0
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(x=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 9)),
                 elements=st.one_of(st.floats(width=64), st.sampled_from(SPECIAL))),
@@ -375,15 +382,6 @@ def test_use_grad_points_every_gradient_view_into_the_given_buffer():
     net.backward(np.ones((4, 2)))
     assert np.isfinite(buffer[:n]).all() and np.isnan(buffer[n:]).all()
     assert np.array_equal(buffer[:n], np.concatenate([g.ravel() for _, _, g in net.params()]))
-
-
-@pytest.mark.parametrize("buffer", [np.zeros(53), np.zeros(54, np.float32),
-                                    np.zeros(108)[::2], np.zeros((2, 54))],
-                         ids=["short", "float32", "strided", "two-d"])
-def test_use_grad_refuses_a_buffer_it_cannot_view(buffer):
-    net = NN.MLP([3, 5, 4, 2], None)
-    with pytest.raises(ValueError, match="contiguous float64 vector of at least 54 elements"):
-        net.use_grad(buffer)
 
 
 def _reference_theta(sizes, rng):

@@ -351,22 +351,6 @@ def test_on_best_fires_exactly_when_early_stopping_resets():
     assert trainer.rounds_done == 6
 
 
-@pytest.mark.parametrize("case", ["rows", "width", "items"])
-def test_trainer_refuses_mismatched_validation_slice(case, monkeypatch):
-    x, y = toy_data()
-    x_val, y_val, message = {
-        "rows": (x[:8], y.take(range(5)),
-                 "validation slice has 8 attribute rows but 5 behavior rows"),
-        "width": (x[:8, :5], y.take(range(8)),
-                  r"attribute shape \(5,\) and 12 items, training rows \(6,\) and 12"),
-        "items": (x[:8], PurchaseRows.from_dense(y.toarray(range(8))[:, :10]),
-                  r"attribute shape \(6,\) and 10 items, training rows \(6,\) and 12"),
-    }[case]
-    monkeypatch.setattr(M, "build_generator", lambda *a, **k: pytest.fail("network built"))
-    with pytest.raises(ValueError, match=message):
-        T.Trainer(x, y, small_config(), x_val=x_val, y_val=y_val)
-
-
 def test_run_ablation_matches_trainer_on_all_warm_users_bit_for_bit():
     x, y = toy_data()
     x_cold, y_cold = toy_data(n=12, seed=1)
