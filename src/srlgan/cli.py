@@ -55,29 +55,39 @@ def _cache_path(args) -> Path:
     return Path(root) / f"{args.dataset}.npz"
 
 
-def _load_split(args, split_seed: int, cold_fraction: float = 0.2,
-                need_cold: bool = False, schema_hash: str | None = None):
+def _load_split(args, reads: set[str], split_seed: int, cold_fraction: float = 0.2,
+                schema_hash: str | None = None):
     """`split_matrices` of the command's split of its cache, and what the
     outputs record of the cache (`dataset`, `schema_hash`, `cache_content`);
     the cache itself is let go.  A cache of another schema than a given
     `schema_hash` is refused.  A split flag left unset takes the given
-    fallback, written back into args for the manifest.  With `need_cold`, a
-    split that draws no cold user is refused."""
-    cache = D.load_cache(_cache_path(args))
-    if schema_hash not in (None, cache.schema_hash()):
-        raise ValueError("checkpoint/cache schema mismatch: "
-                         f"{schema_hash} vs {cache.schema_hash()}")
+    fallback, written back into args for the manifest.  The split flags
+    enter here, and are checked here only: --split-seed must be >= 0 and
+    --cold-fraction in [0, 1) (a checkpoint's fallback is checked by
+    RUN_METADATA).  `reads` names the sides of the split that the command
+    reads, of "warm" and "cold"; a split that leaves one of them empty is
+    refused."""
     if args.cold_fraction is None:
         args.cold_fraction = cold_fraction
+    elif not 0 <= args.cold_fraction < 1:
+        raise ValueError(f"--cold-fraction must be in [0, 1), got {args.cold_fraction}")
     if args.split_seed is None:
         args.split_seed = split_seed
     elif args.split_seed < 0:
         raise ValueError(f"--split-seed must be >= 0, got {args.split_seed}")
+    cache = D.load_cache(_cache_path(args))
+    if schema_hash not in (None, cache.schema_hash()):
+        raise ValueError("checkpoint/cache schema mismatch: "
+                         f"{schema_hash} vs {cache.schema_hash()}")
     split = P.split_matrices(cache, args.cold_fraction, args.split_seed,
                              getattr(args, "leakage_free_cold", False))
-    if need_cold and len(split[0]) == 0:
+    n_users = len(cache.user_ids)
+    if "cold" in reads and len(split[0]) == 0:
         raise ValueError(f"--cold-fraction {args.cold_fraction:g} draws no cold users "
-                         f"of {len(cache.user_ids)}, so there is nothing to evaluate")
+                         f"of {n_users}, so there is nothing to evaluate")
+    if "warm" in reads and len(split[1]) == 0:
+        raise ValueError(f"--cold-fraction {args.cold_fraction:g} draws all {n_users} "
+                         f"users cold, so no warm user is left to learn from")
     return split, {"dataset": cache.dataset, "schema_hash": cache.schema_hash(),
                    "cache_content": D.cache_content_hash(cache)}
 
@@ -237,7 +247,7 @@ RUN_METADATA = {
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    (cold_ids, x_warm, y_warm, x_cold, y_cold), facts = _load_split(args, config.seed)
+    (cold_ids, x_warm, y_warm, x_cold, y_cold), facts = _load_split(args, {"warm"}, config.seed)
     del cold_ids, x_cold, y_cold        # train scores no cold user
     # The run metadata each checkpoint records, beside the round it was saved at.
     meta = {"dataset": facts["dataset"], "schema_hash": facts["schema_hash"],
@@ -278,7 +288,7 @@ def cmd_eval(args) -> int:
     if args.baseline == "itempop":
         # `srlgan train`'s default split, so a rerun draws the same cold users.
         (cold_ids, x_warm, y_warm, x_cold, y_cold), facts = _load_split(
-            args, T.TrainConfig.seed, need_cold=True)
+            args, {"warm", "cold"}, T.TrainConfig.seed)
         popularity = E.item_popularity(y_warm)
         del x_warm, y_warm, x_cold          # ItemPop scores by the warm counts only
         report = E.evaluate_report(popularity, y_cold, ns=ns, user_keys=cold_ids,
@@ -296,7 +306,7 @@ def cmd_eval(args) -> int:
                                  f"{meta[key]}: the cold set would hold training users")
         args.leakage_free_cold = args.leakage_free_cold or meta["leakage_free_cold"]
         (cold_ids, x_warm, y_warm, x_cold, y_cold), facts = _load_split(
-            args, meta["split_seed"], meta["cold_fraction"], need_cold=True,
+            args, {"cold"}, meta["split_seed"], meta["cold_fraction"],
             schema_hash=meta["schema_hash"])
         del x_warm, y_warm                  # the model scores cold users only
         sizes = nets["generator"].sizes
@@ -323,7 +333,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep_beta(args) -> int:
     config = _load_config(args)
     grid = _beta_grid(args.grid)
-    (cold_ids, x_warm, y_warm, x_cold, y_cold), facts = _load_split(args, config.seed)
+    (cold_ids, x_warm, y_warm, x_cold, y_cold), facts = _load_split(args, {"warm"}, config.seed)
     del cold_ids, x_cold, y_cold        # sweep-beta scores warm users only
     cut = T.validation_cut(x_warm, y_warm, config)
     del x_warm, y_warm                  # the cut's rows are the only copy
@@ -361,8 +371,8 @@ def cmd_sweep_beta(args) -> int:
 def cmd_ablate(args) -> int:
     config = _load_config(args)
     ns = _cutoffs(args.n)
-    (cold_ids, x_warm, y_warm, x_cold, y_cold), facts = _load_split(args, config.seed,
-                                                                    need_cold=True)
+    (cold_ids, x_warm, y_warm, x_cold, y_cold), facts = _load_split(
+        args, {"warm", "cold"}, config.seed)
     reports = T.run_ablation(x_warm, y_warm, x_cold, y_cold, config, ns=ns,
                              user_keys=cold_ids)
     out_dir = Path(args.out_dir)

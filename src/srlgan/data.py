@@ -319,14 +319,14 @@ def as_purchase_rows(rows) -> PurchaseRows:
 def build_purchase_matrix(ratings, m: int):
     """Normalized purchase-behavior rows, one per user in `ratings`.
 
-    `ratings` is parse_ratings' (n, 4) array.  Returns (user_ids, rows):
+    `ratings` is parse_ratings' (n, 4) int64 array.  Returns (user_ids, rows):
     PurchaseRows whose dense row k has rating/C at column i-1 for user
     user_ids[k] and item i, 0 where unrated.  Duplicate (user, item) pairs
     keep the latest timestamp; on equal timestamps the later row wins.
     `ratings` holds at least one row and every item id lies in 1..m, as
     `pipeline.prepare_dataset` ensures before it calls this.
     """
-    user, item, rating, ts = np.asarray(ratings, dtype=np.int64).reshape(-1, 4).T
+    user, item, rating, ts = ratings.T
     user_ids, row = np.unique(user, return_inverse=True)
     cell = row * m + (item - 1)
     # Stable sort by cell, then timestamp: each cell's last row is its latest.
@@ -339,9 +339,8 @@ def build_purchase_matrix(ratings, m: int):
 
 def held_count(n: int, fraction: float) -> int:
     """The number of rows `split_rows` holds out of n: round-half-up of
-    fraction*n."""
-    if not 0 <= fraction < 1:
-        raise ValueError(f"split fraction {fraction} outside [0, 1)")
+    fraction*n, for a fraction in [0, 1), as `cli._load_split` (the cold
+    fraction) and `train.TrainConfig` (the validation fraction) check it."""
     return int(math.floor(fraction * n + 0.5))
 
 

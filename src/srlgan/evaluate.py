@@ -7,8 +7,10 @@ behind a flag, C being `data.MAX_RATING`, so a stored r = rating/C gains
 2^rating - 1; the ideal DCG is built from the user's own sorted gains);
 users with no held-out purchases are excluded from the means.  Ranking is
 by descending score, tie-broken by ascending item id, so metrics depend
-only on the stable argsort of the negated scores; only its first max(ns)
-positions are computed (`rank_items`' top-k rule).
+only on the stable argsort of the negated scores; only its first
+k = min(max(ns), m) positions are computed (`rank_items`' top-k rule).  A
+cutoff n above m reads position m: the positions past the last item add
+no hit and no gain, so a huge cutoff costs no more than n = m.
 
 One scorer serves every caller: `evaluate_report` takes one score row per
 user, or one row shared by all users (ItemPop's popularity counts), ranks
@@ -33,7 +35,8 @@ DEFAULT_NS = (5, 20)
 
 # `evaluate_report` ranks a score matrix in row blocks of about this many
 # elements (1 MiB of float64), so the ranking's temporaries (the negated
-# scores, their partition, the masks) stay block-sized.
+# scores, their partition, the masks) stay block-sized; `train.column_std`
+# takes the collapse std in column blocks of the same size.
 RANK_BLOCK = 131072
 
 
@@ -41,6 +44,7 @@ def rank_items(scores, k=None) -> np.ndarray:
     """1-based item ids by descending score along the last axis, lower id
     first on ties: a 1-D row gives one ranking, a 2-D batch one per row.
     Only the first k positions are returned, all of them when k is None.
+    `scores` is float64, or ItemPop's int64 counts, which this converts.
 
     For a 2-D batch with 0 < k < m the rows are not sorted whole: each is
     partitioned to its k-th score, and only the entries at or above it are
@@ -122,18 +126,17 @@ def evaluate_report(scores, held_out: PurchaseRows, ns=DEFAULT_NS, user_keys=Non
                     graded: bool = False) -> MetricReport:
     """P@n, NDCG@n and MRR@n for every user with a held-out purchase.
 
-    `scores` is either one row per `held_out` row (n x m) or one row of m
-    item scores shared by every user, which every caller ensures (`eval`
-    checks a checkpoint's widths against the cache); `ns` holds cutoffs >= 1
-    and `user_keys` one key per row.  P@n divides by n even when n exceeds
-    the number of items.
+    `scores` is an array of either one float64 row per `held_out` row
+    (n x m) or one row of m item scores shared by every user (ItemPop's
+    int64 counts), which every caller ensures (`eval` checks a checkpoint's
+    widths against the cache); `ns` holds cutoffs >= 1 and `user_keys` one
+    key per row.  P@n divides by n even when n exceeds the number of items.
     """
     ns = tuple(ns)
-    scores = np.asarray(scores, dtype=np.float64)
     n_rows, m = len(held_out), held_out.m
     users = np.asarray(range(n_rows) if user_keys is None else user_keys)
 
-    k = max(ns)
+    k = min(max(ns), m)
     # Each row is ranked on its own, so row blocks keep every bit.
     step = max(1, RANK_BLOCK // max(m, 1))
     blocks = [scores] if scores.ndim == 1 else [
@@ -144,11 +147,10 @@ def evaluate_report(scores, held_out: PurchaseRows, ns=DEFAULT_NS, user_keys=Non
     rows = np.flatnonzero(keep)
     top = top[keep] if top.ndim == 2 else top
     # Keys row*m + item increase along the CSR arrays, and the sentinel n*m
-    # lies past every query.  Positions past the last item query -1: no hit.
+    # lies past every query.
     entry_row = np.repeat(np.arange(n_rows), count)
     keys = np.append(entry_row * m + held_out.items, n_rows * m)
-    query = np.full((len(rows), k), -1)
-    query[:, :top.shape[-1]] = rows[:, None] * m + top
+    query = rows[:, None] * m + top
     at = np.searchsorted(keys, query)
     hit = keys[at] == query
     ideal = np.arange(k) < count[keep][:, None]
@@ -171,17 +173,17 @@ def evaluate_report(scores, held_out: PurchaseRows, ns=DEFAULT_NS, user_keys=Non
 
     values = {}
     for n in ns:
-        values[f"P@{n}"] = hits[:, n - 1] / n
-        values[f"N@{n}"] = dcg[:, n - 1] / idcg[:, n - 1]
-        values[f"M@{n}"] = np.where(hits[:, n - 1] > 0, 1.0 / first, 0.0)
+        at_n = min(n, k) - 1
+        values[f"P@{n}"] = hits[:, at_n] / n
+        values[f"N@{n}"] = dcg[:, at_n] / idcg[:, at_n]
+        values[f"M@{n}"] = np.where(hits[:, at_n] > 0, 1.0 / first, 0.0)
     return MetricReport(ns=ns, users=users[keep], values=values,
                         n_skipped=int(np.count_nonzero(~keep)))
 
 
 def item_popularity(warm_rows: PurchaseRows) -> np.ndarray:
     """ItemPop's score row: each item's purchase count (stored entries)
-    over the warm users."""
-    if len(warm_rows) < 1:
-        raise ValueError("empty warm purchase matrix")
+    over the warm users, of whom there is at least one (`cli._load_split`
+    refuses a split that leaves none)."""
     return np.bincount(warm_rows.items, minlength=warm_rows.m)
 

@@ -69,10 +69,10 @@ def attribute_counts(users: dict[int, UserMeta], user_ids, ratings,
     return counts
 
 
-def inverse_document_frequency(count_matrix) -> np.ndarray:
+def inverse_document_frequency(counts) -> np.ndarray:
     """Smoothed idf per slot: ln((1+N)/(1+df)) + 1, df = users with a
-    nonzero count in that slot."""
-    counts = np.asarray(count_matrix, dtype=np.float64)
+    nonzero count in that slot, for `attribute_counts`' (N, d) float64
+    counts."""
     n_users = counts.shape[0]
     df = np.count_nonzero(counts > 0, axis=0)
     return np.log((1.0 + n_users) / (1.0 + df)) + 1.0

@@ -47,23 +47,24 @@ def build_discriminator(d: int, m: int, rng, hidden=None,
 
 
 def generator_forward(generator: MLP, x) -> np.ndarray:
-    """Predicted purchase behavior for a batch of attribute vectors, from
-    `MLP.predict`: eval mode, and no activation is kept."""
-    return generator.predict(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    """Predicted purchase behavior for `x`, a (b, d) float64 batch of
+    attribute vectors, from `MLP.predict`: eval mode, and no activation is
+    kept."""
+    return generator.predict(x)
 
 
 def discriminator_input(x, y) -> np.ndarray:
-    """Conditioning: the discriminator sees (attributes || behavior)."""
-    return np.concatenate([np.atleast_2d(x), np.atleast_2d(y)], axis=1)
+    """Conditioning: the discriminator sees (attributes || behavior), for
+    (b, d) attributes `x` and (b, m) behavior `y`, both float64."""
+    return np.concatenate([x, y], axis=1)
 
 
 def loss_reconstruction(y, y_hat):
-    """Mean over the batch of the per-user summed squared error.
+    """Mean over the batch of the per-user summed squared error, for (b, m)
+    float64 behavior `y` and G's (b, m) output `y_hat`.
 
     Returns (loss, dloss/dy_hat).
     """
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    y_hat = np.atleast_2d(np.asarray(y_hat, dtype=np.float64))
     b = y.shape[0]
     diff = y_hat - y
     loss = float(np.sum(diff * diff)) / b
@@ -71,18 +72,17 @@ def loss_reconstruction(y, y_hat):
 
 
 def loss_lsq(d_out, label: float):
-    """Least-squares adversarial loss 0.5*mean((d_out - label)^2).
-    Returns (loss, dloss/dd_out)."""
-    d_out = np.asarray(d_out, dtype=np.float64).reshape(-1, 1)
+    """Least-squares adversarial loss 0.5*mean((d_out - label)^2), for
+    `d_out`: D's (b, 1) float64 output.  Returns (loss, dloss/dd_out)."""
     diff = d_out - label
     return 0.5 * float(np.mean(diff ** 2)), diff / d_out.shape[0]
 
 
 def loss_bce(d_out, label: float):
-    """Cross-entropy adversarial loss for label 1, else 0, d_out clipped
-    into [BCE_EPS, 1-BCE_EPS] (ablation mode S1).  Returns (loss, dloss/dd_out)."""
-    d_out = np.clip(np.asarray(d_out, dtype=np.float64).reshape(-1, 1),
-                    BCE_EPS, 1.0 - BCE_EPS)
+    """Cross-entropy adversarial loss for label 1, else 0, for `d_out`: D's
+    (b, 1) float64 output, clipped into [BCE_EPS, 1-BCE_EPS] (ablation mode
+    S1).  Returns (loss, dloss/dd_out)."""
+    d_out = np.clip(d_out, BCE_EPS, 1.0 - BCE_EPS)
     n = d_out.shape[0]
     if label == 1.0:
         return -float(np.mean(np.log(d_out))), -1.0 / (d_out * n)
@@ -101,14 +101,14 @@ def mean_purchase(rows: PurchaseRows) -> np.ndarray:
 
 
 def sparsity_regularizer(rho, rho_hat):
-    """Sum over items of KL(Bernoulli(rho_i) || Bernoulli(rho_hat_i)).
+    """Sum over items of KL(Bernoulli(rho_i) || Bernoulli(rho_hat_i)), for
+    the (m,) float64 vectors `rho` (`mean_purchase`'s) and `rho_hat` (the
+    batch mean of G's output).
 
     Both arguments are clamped into [KL_EPS, 1-KL_EPS] before the logs; the
     gradient is w.r.t. the unclamped rho_hat (zero where clamping is
     active).  Returns (loss, dloss/drho_hat).
     """
-    rho = np.asarray(rho, dtype=np.float64).ravel()
-    rho_hat = np.asarray(rho_hat, dtype=np.float64).ravel()
     p = np.clip(rho, KL_EPS, 1.0 - KL_EPS)
     q = np.clip(rho_hat, KL_EPS, 1.0 - KL_EPS)
     loss = float(np.sum(p * np.log(p / q) + (1.0 - p) * np.log((1.0 - p) / (1.0 - q))))
@@ -129,12 +129,12 @@ def generator_adversarial_grad(discriminator: MLP, x, y_hat, adv_loss, rng):
 def generator_objective_grad(discriminator: MLP, x, y, y_hat, rho, beta: float,
                              adv_loss, rng):
     """The full generator objective recon + adv + beta * KL at G's output
-    `y_hat` for attributes `x` and behavior `y`; D's forward gets `rng`.
+    `y_hat` for attributes `x` and behavior `y` (float64, (b, d), (b, m)
+    and (b, m)) and the (m,) sparsity target `rho`; D's forward gets `rng`.
 
     Returns (dict of the scalar loss components, dloss/dy_hat); no
     network's `grad` is touched.  beta=0 drops the sparsity term.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     recon, d_recon = loss_reconstruction(y, y_hat)
     adv_g, d_yhat_adv = generator_adversarial_grad(
         discriminator, x, y_hat, adv_loss, rng)

@@ -6,10 +6,11 @@ production 1e-6 the median relative Adam step is 1.2e-5 to 3.4e-5, about
 100-570 float32 ulps, and only 0.02-0.2% of elements would not move.  It is
 kept because the bit-for-bit tests and the benchmark's float64 reference
 check are written against it; float32 waits on a quality band that can
-judge outputs which are no longer bit-identical.  Batches are row-major:
-(batch, features).  `MLP.forward(x, rng=None)` is in training mode
-exactly when an rng is given, from which dropout draws its masks; with none
-it draws nothing.  `Linear.forward(x)` draws nothing and takes no rng.
+judge outputs which are no longer bit-identical.  Batches are row-major
+float64 arrays, (batch, features), used as given: the package fixes dtype
+and shape where its inputs enter, so nothing here converts them.
+`MLP.forward(x, rng=None)` is in training mode exactly when an rng is
+given, from which dropout draws its masks; with none it draws nothing.  `Linear.forward(x)` draws nothing and takes no rng.
 A network instance is single-writer during training; clone parameters for
 concurrent read-only inference.
 
@@ -42,8 +43,8 @@ Every later backward accumulates (the discriminator's real and fake passes
 sum into one gradient), and so does a backward into a `grad` that was never
 zeroed through `zero_grad`.  An accumulating backward adds x.T @ grad_out
 into `grad` in row blocks of about WEIGHT_GRAD_BLOCK elements, so no
-weight-sized product is allocated (the discriminator's fake pass at ML1M
-shape used to allocate a 65 MB one).  Each element of a row block is the
+weight-sized product is allocated (at ML1M shape the discriminator's
+layer-0 product would be 65 MB).  Each element of a row block is the
 same dot product over the batch as in the whole-matrix product.  Measured
 with OpenBLAS 0.3.31, the blocks give the whole product's bits at every
 output width that is a multiple of 16, such as the discriminator's (the
@@ -242,13 +243,12 @@ class MLP:
     (with inverted dropout at rate `dropout` in training mode), sigmoid
     output.  forward() records the activation tape of one backward() or
     input_grad() pass, which pops it; predict() records nothing.
-    `rng` draws the initial weights; with None, `theta` stays zero."""
+    `sizes` holds two or more int widths >= 1, as `train.Trainer` (from a
+    checked `TrainConfig` and cache) and `load_checkpoint` (from a header
+    that CHECKPOINT_HEADER checks) pass them.  `rng` draws the initial
+    weights; with None, `theta` stays zero."""
 
     def __init__(self, sizes, rng: np.random.Generator | None, dropout: float = 0.0):
-        if len(sizes) < 2:
-            raise ValueError("need at least input and output sizes")
-        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in sizes):
-            raise ValueError(f"layer widths must be integers >= 1, got {list(sizes)}")
         self.sizes = [int(n) for n in sizes]
         self.dropout = dropout
         self.theta = np.zeros(sum((a + 1) * b for a, b in zip(self.sizes, self.sizes[1:])))
@@ -291,7 +291,8 @@ class MLP:
             linear.grad_weight, linear.grad_bias = weight, bias
 
     def forward(self, x, rng=None):
-        x = np.asarray(x, dtype=np.float64)
+        """The output for `x`, a (b, sizes[0]) float64 batch, recording the
+        tape; in training mode (dropout draws) exactly when `rng` is given."""
         self._masks, self._scales, self._y = [], [], None
         for linear in self.layers[:-1]:
             x = linear.forward(x)
@@ -306,8 +307,8 @@ class MLP:
     def predict(self, x):
         """Eval-mode output for `x`, bit for bit the rng-less forward's,
         recording no tape: each Linear's input is dropped as soon as its
-        output exists.  A training forward's tape is dropped too."""
-        x = np.asarray(x, dtype=np.float64)
+        output exists.  A training forward's tape is dropped too.  `x` is a
+        (b, sizes[0]) float64 batch, as `forward`'s."""
         self._masks, self._scales, self._y = [], [], None
         for linear in self.layers:
             x = linear.forward(x)
@@ -514,7 +515,9 @@ CHECKPOINT_HEADER = {       # the header's spec, see `data.check_document`
     "version": (int, f"the supported version {CHECKPOINT_VERSION}; re-run train",
                 lambda v: v == CHECKPOINT_VERSION),
     "nets": (dict, "a json object of layer-width lists",
-             lambda v: all(type(sizes) is list for sizes in v.values())),
+             lambda v: all(type(sizes) is list and len(sizes) >= 2
+                           and all(type(n) is int and n >= 1 for n in sizes)
+                           for sizes in v.values())),
     "meta": (dict, "a json object", None)}
 
 

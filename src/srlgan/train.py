@@ -62,15 +62,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import evaluate as E
 from . import model as M
 from .data import PurchaseRows, as_purchase_rows, split_rows
 from .nn import Adam, TrainingError
 from .evaluate import MetricReport, evaluate_predictions, evaluate_report
 
 MODE_COLLAPSE_STD_FLOOR = 1e-4
-
-# `column_std`'s block length in elements (1 MiB of float64).
-COLUMN_STD_BLOCK = 131072
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,11 @@ class TrainConfig:
             problems.append(f"dropout must be in [0, 1), got {self.dropout!r}")
         for name in ("generator_hidden", "discriminator_hidden"):
             widths = getattr(self, name)
-            if widths is not None and not all(w >= 1 for w in widths):
+            if widths is None:
+                continue
+            if not all(isinstance(w, (int, np.integer)) for w in widths):
+                problems.append(f"{name}: each hidden width must be an integer, got {widths}")
+            elif not all(w >= 1 for w in widths):
                 problems.append(f"{name}: each hidden width must be >= 1, got {widths}")
         if problems:
             raise ValueError("; ".join(problems))
@@ -149,23 +151,21 @@ def write_curve(path, points) -> None:
 
 class Trainer:
     """Owns the two networks, their one gradient workspace, their optimizers,
-    and the run RNG.  `y_train` is `data.PurchaseRows` or a dense array,
-    `y_val` is `data.PurchaseRows`; without `x_val`/`y_val` the validation
-    slice is empty.  The rows are the caller's to match, as `fit`'s
-    `validation_cut` does: one attribute row per behavior row, and the
-    validation rows as wide and over as many items as the training rows.
-    An empty training set raises ValueError."""
+    and the run RNG.  `x_train` and `x_val` are (n, d) float64 attribute
+    rows, `y_train` is `data.PurchaseRows` or a dense float64 array, `y_val`
+    is `data.PurchaseRows`; without `x_val`/`y_val` the validation slice is
+    empty.  The rows are the caller's to match, as `fit`'s `validation_cut`
+    does: at least one training row (`cli._load_split` refuses a split
+    that leaves no warm user), one attribute row per behavior row, and the
+    validation rows as wide and over as many items as the training rows."""
 
     def __init__(self, x_train, y_train, config: TrainConfig,
                  x_val=None, y_val=None):
         self.config = config
-        self.x_train = np.asarray(x_train, dtype=np.float64)
+        self.x_train = x_train
         self.y_train = as_purchase_rows(y_train)
-        self.x_val = np.asarray(self.x_train[:0] if x_val is None else x_val,
-                                dtype=np.float64)
+        self.x_val = x_train[:0] if x_val is None else x_val
         self.y_val = self.y_train.take([]) if y_val is None else y_val
-        if self.x_train.shape[0] < 1:
-            raise ValueError("empty warm training set")
 
         d = self.x_train.shape[1]
         m = self.y_train.m
@@ -319,11 +319,12 @@ class Trainer:
 
 
 def column_std(scores) -> np.ndarray:
-    """`scores.std(axis=0)`, taken in column blocks of about COLUMN_STD_BLOCK
-    elements: each column's std is its own reduction, so the blocks keep its
-    bits without a temporary of the matrix's size."""
+    """`scores.std(axis=0)`, taken in column blocks of about
+    `evaluate.RANK_BLOCK` elements, the bound on every score matrix's
+    temporaries: each column's std is its own reduction, so the blocks keep
+    its bits without a temporary of the matrix's size."""
     n, m = scores.shape
-    step = max(1, COLUMN_STD_BLOCK // max(n, 1))
+    step = max(1, E.RANK_BLOCK // max(n, 1))
     std = np.empty(m)
     for j in range(0, m, step):
         std[j:j + step] = scores[:, j:j + step].std(axis=0)
@@ -385,7 +386,8 @@ def cross_validate_beta(cut: ValidationCut, beta_grid, config: TrainConfig):
                          "would score the same pretrained generator")
     if not len(cut.x_val):
         raise ValueError(f"validation_fraction {config.validation_fraction} holds out "
-                         f"none of {len(cut.x_train)} warm users, so no beta can be scored")
+                         f"none of {len(cut.x_train)} warm users, so no beta can be scored: "
+                         f"raise it, or lower --cold-fraction")
     configs = {beta: replace(config, beta=beta) for beta in sorted(beta_grid)}
     curves = {beta: fit(cut, beta_config).curve for beta, beta_config in configs.items()}
     scores = {beta: curve[-1].p5 for beta, curve in curves.items()}

@@ -136,7 +136,7 @@ def test_criterion_3_full_objective_gradcheck():
 # -- criterion 4: loss oracles ------------------------------------------------
 
 def test_criterion_4_sparsity_loss_oracles():
-    loss, _ = M.sparsity_regularizer([0.5], [0.25])
+    loss, _ = M.sparsity_regularizer(np.array([0.5]), np.array([0.25]))
     assert abs(loss - 0.14384) <= 1e-5
 
     rng = np.random.default_rng(11)
@@ -146,7 +146,7 @@ def test_criterion_4_sparsity_loss_oracles():
 
     pairs = rng.uniform(0, 1, size=(10_000, 2))
     for p, q in pairs:
-        val, _ = M.sparsity_regularizer([p], [q])
+        val, _ = M.sparsity_regularizer(np.array([p]), np.array([q]))
         assert val >= -1e-12
     _passed("4 (sparsity loss: 0.14384 oracle, zero at equality, "
             "nonnegative on 10k pairs)")

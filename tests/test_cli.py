@@ -24,6 +24,7 @@ from srlgan import pipeline as P
 from srlgan import svgplot
 from srlgan import train as T
 from srlgan.cli import TRAIN_FLAGS, _parse_config_file, main
+from test_evaluate import brute_mrr, brute_ndcg, brute_precision
 
 FAST = [
     "--max-rounds", "2", "--eval-every", "1", "--pretrain-epochs", "1",
@@ -668,8 +669,8 @@ def _bad_checkpoint(problem, good, tmp_path):
 
 
 # The header edits of _bad_checkpoint: a `meta` or `nets` that is missing or
-# not a json object, layer widths that are not a list, and run metadata
-# values of another type or outside their range.
+# not a json object, layer widths that are not a list of two or more ints
+# >= 1, and run metadata values of another type or outside their range.
 CHECKPOINT_HEADER_EDITS = {
     "meta missing": lambda header: header.pop("meta"),
     "meta null": lambda header: header.update(meta=None),
@@ -677,6 +678,10 @@ CHECKPOINT_HEADER_EDITS = {
     "nets list": lambda header: header.update(nets=[1]),
     "widths 5": lambda header: header["nets"].update(generator=5),
     "widths null": lambda header: header["nets"].update(generator=None),
+    "widths [60, 0, 1682]": lambda header: header["nets"].update(generator=[60, 0, 1682]),
+    "widths [60]": lambda header: header["nets"].update(generator=[60]),
+    "widths [60, 8.0, 1682]": lambda header: header["nets"].update(generator=[60, 8.0, 1682]),
+    "widths [60, true, 1682]": lambda header: header["nets"].update(generator=[60, True, 1682]),
     "split_seed x": lambda header: header["meta"].update(split_seed="x"),
     "split_seed -1": lambda header: header["meta"].update(split_seed=-1),
     "schema_hash null": lambda header: header["meta"].update(schema_hash=None),
@@ -701,6 +706,13 @@ BAD_CHECKPOINT_MESSAGES = {
     "nets list": "header nets [1] is not a json object of layer-width lists",
     "widths 5": "header nets {'generator': 5} is not a json object of layer-width lists",
     "widths null": "header nets {'generator': None} is not a json object of layer-width lists",
+    "widths [60, 0, 1682]":
+        "header nets {'generator': [60, 0, 1682]} is not a json object of layer-width lists",
+    "widths [60]": "header nets {'generator': [60]} is not a json object of layer-width lists",
+    "widths [60, 8.0, 1682]":
+        "header nets {'generator': [60, 8.0, 1682]} is not a json object of layer-width lists",
+    "widths [60, true, 1682]":
+        "header nets {'generator': [60, True, 1682]} is not a json object of layer-width lists",
     **{f"no {key}": f"header meta has no {key!r}"
        for key in ("schema_hash", "split_seed", "cold_fraction", "leakage_free_cold")},
     "split_seed x": "header meta split_seed 'x' is not an integer >= 0",
@@ -855,8 +867,10 @@ BAD_CACHE_MESSAGES = {
 }
 
 
-@pytest.mark.parametrize("command", [["eval", "--baseline", "itempop"], ["train", *FAST]],
-                         ids=["eval", "train"])
+@pytest.mark.parametrize("command", [
+    ["eval", "--baseline", "itempop"], ["train", *FAST],
+    ["eval", "--baseline", "itempop", "--leakage-free-cold"],
+], ids=["eval", "train", "eval-leakage-free-cold"])
 @pytest.mark.parametrize("problem", list(BAD_CACHE_MESSAGES))
 def test_refuses_bad_cache(problem, command, tmp_path, prepared, capsys):
     bad = _bad_cache(problem, prepared / "ml100k.npz", tmp_path)
@@ -875,7 +889,7 @@ def test_bad_cold_fraction_exit_1_before_out_dir(command, tmp_path, prepared, ca
     rc = main([*command, "--cold-fraction", "1", "--cache", str(prepared / "ml100k.npz"),
                "--out-dir", str(tmp_path / "out")])
     assert rc == 1
-    assert "error: split fraction 1.0 outside [0, 1)" in capsys.readouterr().err
+    assert "error: --cold-fraction must be in [0, 1), got 1.0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -890,7 +904,12 @@ def test_bad_cold_fraction_exit_1_before_out_dir(command, tmp_path, prepared, ca
     (["train"], "validation_fraction = 1\n", "validation_fraction must be in [0, 1)"),
     (["train"], "validation_fraction = 0.99\n",
      "validation_fraction 0.99 holds out all 48 warm users, so none is left to train on"),
-    (["train", "--cold-fraction", "0.999"], "", "empty warm training set"),
+    (["train", "--cold-fraction", "0.999"], "",
+     "--cold-fraction 0.999 draws all 60 users cold, so no warm user is left to learn from"),
+    (["sweep-beta", "--cold-fraction", "0.999"], "",
+     "--cold-fraction 0.999 draws all 60 users cold, so no warm user is left to learn from"),
+    (["ablate", "--cold-fraction", "0.999"], "",
+     "--cold-fraction 0.999 draws all 60 users cold, so no warm user is left to learn from"),
     (["train", "--n-e", "-3"], "", "n_e must be >= 0, got -3"),
     (["train", "--pretrain-epochs", "-2"], "", "pretrain_epochs must be >= 0, got -2"),
     (["train", "--seed", "-1"], "", "seed must be >= 0, got -1"),
@@ -906,7 +925,7 @@ def test_bad_cold_fraction_exit_1_before_out_dir(command, tmp_path, prepared, ca
     (["train"], "n_d = 2\n", ":1: unknown config key 'n_d'"),
     (["train"], "n_g = 2\n", ":1: unknown config key 'n_g'"),
     (["train"], "# S1\nbeta 0.1\n", ":2: expected 'key = value'"),
-    (["train", "--cold-fraction", "-1e-3"], "", "split fraction -0.001 outside [0, 1)"),
+    (["train", "--cold-fraction", "-1e-3"], "", "--cold-fraction must be in [0, 1), got -0.001"),
     (["train", "--gan-loss", "x"], "", "gan_loss must be lsq or bce, got 'x'"),
     (["sweep-beta"], "gan_loss = x\n", "gan_loss must be lsq or bce, got 'x'"),
     (["sweep-beta", "--max-rounds", "0"], "",
@@ -914,6 +933,7 @@ def test_bad_cold_fraction_exit_1_before_out_dir(command, tmp_path, prepared, ca
      "pretrained generator"),
 ], ids=["zero-width", "negative-width", "ablate-zero-width", "dropout",
         "validation-fraction-one", "validation-fraction-takes-all", "no-warm-user",
+        "sweep-beta-no-warm-user", "ablate-no-warm-user",
         "negative-n-e", "negative-pretrain-epochs", "negative-seed", "sweep-beta-negative-n-e",
         "negative-split-seed", "empty-width-list", "seed-letter", "batch-size-float",
         "sparsity-key", "nonsaturating-key", "d-phase-updates-g-key", "n-d-key", "n-g-key",
@@ -986,6 +1006,59 @@ def test_train_of_fuzzed_flags_and_config_keys_exits_0_or_1(prepared, data):
         assert (outs[0] / "curve.csv").read_bytes() == (outs[1] / "curve.csv").read_bytes()
 
 
+# The values a fuzzed eval or sweep-beta flag draws from: good ones, refused
+# ones, and ones at the edges of each flag's range.  The split flags' values
+# all parse as argparse's int or float, so every refusal is the CLI's own.
+EVAL_FLAG_VALUES = {
+    "--n": ["5", "1,20", "1682", "5,1682,2000", "5,,20", "0", "-0", "0,-0", "-5", "5,5",
+            str(10 ** 12), "1e400", "x", ""],
+    "--split-seed": ["0", "3", "-0", "-1", str(10 ** 12)],
+    "--cold-fraction": ["0", "-0", "0.2", "0.5", "0.95", "0.999", "1", "1.5", "-0.1", "nan",
+                        "1e400"],
+    "--grid": ["0.1", "0,1", "1,0.01", "0.1,0.1", "0,-0", "-0.1", "5,,20", "nan", "1e400",
+               "x", ""],
+}
+# Each fuzzed command's flags beside the split's, and the file a rerun must
+# write byte for byte.
+FUZZED_COMMANDS = {
+    "eval-itempop": (["--n", "--graded", "--leakage-free-cold"], "metrics.itempop.csv"),
+    "eval-model": (["--n", "--graded", "--leakage-free-cold"], "metrics.model.csv"),
+    "sweep-beta": (["--grid"], "sweep.csv"),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_eval_and_sweep_beta_of_fuzzed_flags_exit_0_or_1(prepared, trained, data):
+    """`eval` (ItemPop or a checkpoint) and `sweep-beta` with some of their
+    flags drawn exit 0 or 1.  A refusal names a flag it was given and
+    makes no out-dir; an accepted run writes the same metrics CSV or
+    sweep.csv twice."""
+    command = data.draw(st.sampled_from(sorted(FUZZED_COMMANDS)))
+    flags, output = FUZZED_COMMANDS[command]
+    drawn = data.draw(st.lists(st.sampled_from(sorted(
+        [*flags, "--split-seed", "--cold-fraction"])), max_size=3, unique=True))
+    argv = {"eval-itempop": ["eval", "--baseline", "itempop"],
+            "eval-model": ["eval", "--checkpoint", trained / "checkpoint.npz"],
+            "sweep-beta": ["sweep-beta", *FAST]}[command]
+    argv += ["--cache", prepared / "ml100k.npz"]
+    for flag in drawn:
+        argv += [flag] if flag in ("--graded", "--leakage-free-cold") else [
+            flag, data.draw(st.sampled_from(EVAL_FLAG_VALUES[flag]))]
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(under="ignore"):
+        outs = [Path(tmp) / "out1", Path(tmp) / "out2"]
+        rc, err = run_cli([*argv, "--out-dir", outs[0]])
+        assert rc in (0, 1), err
+        if rc == 1:
+            assert err.startswith("error: "), err
+            assert any(flag in err for flag in drawn), err
+            assert not outs[0].exists()
+            return
+        assert run_cli([*argv, "--out-dir", outs[1]]) == (0, "")
+        assert (outs[0] / output).read_bytes() == (outs[1] / output).read_bytes()
+
+
 def test_eval_refuses_negative_split_seed_before_out_dir(tmp_path, prepared, capsys):
     rc = main(["eval", "--baseline", "itempop", "--split-seed", "-1",
                "--cache", str(prepared / "ml100k.npz"), "--out-dir", str(tmp_path / "out")])
@@ -998,8 +1071,51 @@ def test_eval_itempop_refuses_a_split_with_no_warm_user(tmp_path, prepared, caps
     rc = main(["eval", "--baseline", "itempop", "--cold-fraction", "0.999",
                "--cache", str(prepared / "ml100k.npz"), "--out-dir", str(tmp_path / "out")])
     assert rc == 1
-    assert capsys.readouterr().err == "error: empty warm purchase matrix\n"
+    assert capsys.readouterr().err == ("error: --cold-fraction 0.999 draws all 60 users cold, "
+                                       "so no warm user is left to learn from\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_eval_checkpoint_accepts_a_split_with_no_warm_user(tmp_path, prepared, trained):
+    """A model scores cold users only, so a checkpoint whose split drew
+    every user cold is scored on all of them."""
+    nets, meta = NN.load_checkpoint(trained / "checkpoint.npz")
+    NN.save_checkpoint(tmp_path / "all-cold.npz", nets, meta | {"cold_fraction": 0.999})
+    rc = main(["eval", "--checkpoint", str(tmp_path / "all-cold.npz"),
+               "--cache", str(prepared / "ml100k.npz"), "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    lines = (tmp_path / "out" / "metrics.model.csv").read_text().splitlines()
+    assert len(lines) == 1 + 60 + 1     # the header, every user, the mean
+
+
+@pytest.mark.parametrize("label", ["model", "itempop"])
+def test_eval_at_a_cutoff_above_m_matches_brute_force(label, tmp_path, prepared, trained):
+    """A cutoff far above m costs no more than m: eval exits 0, and P/N/M
+    at it are a walk of each cold user's whole ranking."""
+    n = 10 ** 12
+    source = {"model": ["--checkpoint", str(trained / "checkpoint.npz")],
+              "itempop": ["--baseline", "itempop"]}[label]
+    out = tmp_path / "out"
+    rc = main(["eval", *source, "--n", f"5,{n}", "--cache", str(prepared / "ml100k.npz"),
+               "--out-dir", str(out)])
+    assert rc == 0
+    seed = json.loads((out / "manifest.json").read_text())["args"]["split_seed"]
+    cache = D.load_cache(prepared / "ml100k.npz")
+    cold_ids, _, y_warm, x_cold, y_cold = P.split_matrices(cache, 0.2, seed)
+    if label == "model":
+        scores = M.generator_forward(NN.load_checkpoint(trained / "checkpoint.npz")[0]["generator"],
+                                     x_cold)
+    else:
+        scores = np.broadcast_to(np.count_nonzero(y_warm.toarray(), axis=0), (len(cold_ids), 1682))
+    got = {row["user"]: row for row in csv.DictReader(
+        (out / f"metrics.{label}.csv").read_text().splitlines())}
+    for user, row, truth in zip(cold_ids, scores, y_cold.toarray()):
+        ranked = np.argsort(-row, kind="stable") + 1
+        relevant = set((np.flatnonzero(truth) + 1).tolist())
+        want = {"P": brute_precision(ranked, relevant, n), "N": brute_ndcg(ranked, relevant, n),
+                "M": brute_mrr(ranked, relevant, n)}
+        for metric, value in want.items():
+            assert float(got[str(user)][f"{metric}@{n}"]) == pytest.approx(value, rel=1e-9)
 
 
 @pytest.mark.parametrize("command", ["eval-itempop", "eval-model", "ablate"])

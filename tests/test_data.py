@@ -515,11 +515,6 @@ def test_split_deterministic():
     assert not np.array_equal(a[1], c[1])
 
 
-def test_split_bad_fraction():
-    with pytest.raises(ValueError, match=r"split fraction 1.0 outside \[0, 1\)"):
-        D.split_rows(2, 1.0, seed=0)
-
-
 def test_sparsity_percent():
     csr = D.PurchaseRows.from_dense
     assert D.sparsity_percent(csr(np.zeros((3, 4)))) == 100.0

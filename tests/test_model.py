@@ -44,38 +44,43 @@ def test_default_layer_widths():
 
 
 def test_loss_reconstruction_values():
-    loss, _ = M.loss_reconstruction([[1.0, 0.0]], [[1.0, 0.0]])
+    loss, _ = M.loss_reconstruction(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
     assert loss == 0.0
-    loss, _ = M.loss_reconstruction([[1.0, 0.0]], [[0.0, 1.0]])
+    loss, _ = M.loss_reconstruction(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
     assert loss == pytest.approx(2.0)
-    loss, _ = M.loss_reconstruction([[0.6, 0.0]], [[0.1, 0.0]])
+    loss, _ = M.loss_reconstruction(np.array([[0.6, 0.0]]), np.array([[0.1, 0.0]]))
     assert loss == pytest.approx(0.25)
 
 
+def _d_out(value):
+    """D's (1, 1) output for one row."""
+    return np.array([[value]])
+
+
 def _d_loss(loss, d_real, d_fake):
-    return loss(d_real, 1.0)[0] + loss(d_fake, 0.0)[0]
+    return loss(_d_out(d_real), 1.0)[0] + loss(_d_out(d_fake), 0.0)[0]
 
 
 def test_loss_lsgan_optima():
-    d_loss = _d_loss(M.loss_lsq, [1.0], [0.0])
+    d_loss = _d_loss(M.loss_lsq, 1.0, 0.0)
     assert d_loss == pytest.approx(0.0)
-    d_loss = _d_loss(M.loss_lsq, [0.5], [0.5])
+    d_loss = _d_loss(M.loss_lsq, 0.5, 0.5)
     assert d_loss == pytest.approx(0.25)
-    g_loss, _ = M.loss_lsq([1.0], 1.0)
+    g_loss, _ = M.loss_lsq(_d_out(1.0), 1.0)
     assert g_loss == pytest.approx(0.0)
 
 
 def test_loss_lsgan_literal_generator_form():
     """Label 0 gives 0.5·mean(D²), the discriminator's fake-side term."""
-    g_loss, _ = M.loss_lsq([1.0], 0.0)
+    g_loss, _ = M.loss_lsq(_d_out(1.0), 0.0)
     assert g_loss == pytest.approx(0.5)
-    g_loss, _ = M.loss_lsq([0.0], 0.0)
+    g_loss, _ = M.loss_lsq(_d_out(0.0), 0.0)
     assert g_loss == pytest.approx(0.0)
 
 
 def test_loss_bce_gan_finite_at_extremes():
-    d_loss = _d_loss(M.loss_bce, [1.0], [0.0])
-    g_loss, _ = M.loss_bce([0.0], 1.0)
+    d_loss = _d_loss(M.loss_bce, 1.0, 0.0)
+    g_loss, _ = M.loss_bce(_d_out(0.0), 1.0)
     assert np.isfinite(d_loss) and np.isfinite(g_loss)
 
 
@@ -121,6 +126,7 @@ def test_label_losses_reproduce_five_tuple_losses_bit_for_bit(loss, oracle):
         d_fake = rng.uniform(0, 1, 5)
         if seed_row % 2:  # the clip extremes
             d_real[:2], d_fake[:2] = (0.0, 1.0), (1.0, 0.0)
+        d_real, d_fake = d_real[:, None], d_fake[:, None]   # D's (b, 1) outputs
         loss_real, dd_real = loss(d_real, 1.0)
         loss_fake, dd_fake_d = loss(d_fake, 0.0)
         g_loss, dd_fake_g = loss(d_fake, 1.0)
@@ -141,7 +147,7 @@ def test_mean_purchase():
 
 
 def test_sparsity_regularizer_hand_value():
-    loss, _ = M.sparsity_regularizer([0.5], [0.25])
+    loss, _ = M.sparsity_regularizer(np.array([0.5]), np.array([0.25]))
     expected = 0.5 * math.log(2) + 0.5 * math.log(2 / 3)
     assert loss == pytest.approx(expected, abs=1e-12)
     assert loss == pytest.approx(0.14384, abs=1e-5)
@@ -155,13 +161,13 @@ def test_sparsity_regularizer_zero_at_equal():
 
 
 def test_sparsity_regularizer_monotone_away_from_rho():
-    near, _ = M.sparsity_regularizer([0.5], [0.25])
-    far, _ = M.sparsity_regularizer([0.5], [0.1])
+    near, _ = M.sparsity_regularizer(np.array([0.5]), np.array([0.25]))
+    far, _ = M.sparsity_regularizer(np.array([0.5]), np.array([0.1]))
     assert far > near
 
 
 def test_sparsity_regularizer_handles_boundary_rho():
-    loss, _ = M.sparsity_regularizer([0.0, 1.0], [0.5, 0.5])
+    loss, _ = M.sparsity_regularizer(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
     assert np.isfinite(loss) and loss > 0
 
 
@@ -169,8 +175,8 @@ def test_sparsity_regularizer_handles_boundary_rho():
 @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
                 min_size=1, max_size=20))
 def test_sparsity_regularizer_nonnegative(pairs):
-    rho = [p for p, _ in pairs]
-    rho_hat = [q for _, q in pairs]
+    rho = np.array([p for p, _ in pairs])
+    rho_hat = np.array([q for _, q in pairs])
     loss, _ = M.sparsity_regularizer(rho, rho_hat)
     assert loss >= -1e-12
 

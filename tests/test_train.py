@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from srlgan import evaluate as E
 from srlgan import model as M
 from srlgan import train as T
 from srlgan.data import PurchaseRows, split_rows
@@ -68,6 +69,15 @@ def test_config_validation_collects_problems():
         dataclasses.replace(T.TrainConfig(), beta=-1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         T.TrainConfig().beta = -1.0
+
+
+@pytest.mark.parametrize("widths", [[8.0], [8, 2.5]])
+def test_config_refuses_non_integer_hidden_widths(widths):
+    """The networks are built from these widths as given: `nn.MLP` checks
+    none of them."""
+    with pytest.raises(ValueError, match=r"generator_hidden: each hidden width must be an "
+                                         r"integer, got \["):
+        T.TrainConfig(generator_hidden=widths)
 
 
 @pytest.mark.parametrize("field", ["beta", "learning_rate"])
@@ -728,7 +738,7 @@ def test_column_std_matches_whole_std_bit_for_bit(rows, m, block, monkeypatch):
     """The collapse std, taken in column blocks (the default block, or one of
     1 or 2 columns, or one block), has the bits of scores.std(axis=0)."""
     if block is not None:
-        monkeypatch.setattr(T, "COLUMN_STD_BLOCK", block)
+        monkeypatch.setattr(E, "RANK_BLOCK", block)
     rng = np.random.default_rng(rows * m)
     scores = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 3.0, size=(rows, m))))
     want = scores.std(axis=0)
