@@ -111,6 +111,16 @@ def _load_config(args) -> T.TrainConfig:
     return T.TrainConfig(**values)
 
 
+def _float(raw: str) -> float:
+    """`float(raw)` with -0 read as 0, so that no output name, message or
+    checkpoint setting says -0.  Every float flag, config value and --grid
+    beta is read by this."""
+    return float(raw) + 0.0
+
+
+_float.__name__ = "float"      # as argparse names the type: "invalid float value"
+
+
 def _int_list(raw: str, name: str) -> list[int]:
     """A comma-separated list of integers; `name` is the flag or config key
     reported when an item is not an integer."""
@@ -136,7 +146,7 @@ def _beta_grid(raw: str) -> list[float]:
     """The `--grid` of sweep-beta: comma-separated distinct betas, each
     finite and >= 0."""
     try:
-        grid = [float(s) for s in raw.split(",")]
+        grid = [_float(s) for s in raw.split(",")]
     except ValueError:
         raise ValueError(f"--grid: expected comma-separated numbers, got {raw!r}") from None
     if not all(math.isfinite(beta) and beta >= 0 for beta in grid):
@@ -177,7 +187,7 @@ def _coerce(field: dataclasses.Field, raw: str, name: str):
     if kind == "list[int]":
         return _int_list(raw, name)
     try:
-        return {"int": int, "float": float, "str": str}[kind](raw)
+        return {"int": int, "float": _float, "str": str}[kind](raw)
     except ValueError:
         raise ValueError(f"{name}: expected {kind}, got {raw!r}") from None
 
@@ -431,17 +441,16 @@ def _add_cache_flags(p: argparse.ArgumentParser):
     sweep-beta and ablate."""
     p.add_argument("--cache", help="cache .npz (default $SRLGAN_CACHE_ROOT/<dataset>.npz)")
     p.add_argument("--dataset", choices=sorted(D.LAYOUTS))
-    p.add_argument("--out-dir", dest="out_dir", required=True)
+    p.add_argument("--out-dir", required=True)
 
 
 def _add_split_flags(p: argparse.ArgumentParser, leakage_free_cold: bool = True):
     """The warm/cold split flags, filled by `_load_split` when unset (sweep-beta
     scores only warm users, so it goes without --leakage-free-cold)."""
-    p.add_argument("--cold-fraction", dest="cold_fraction", type=float)
-    p.add_argument("--split-seed", dest="split_seed", type=int)
+    p.add_argument("--cold-fraction", type=_float)
+    p.add_argument("--split-seed", type=int)
     if leakage_free_cold:
-        p.add_argument("--leakage-free-cold", dest="leakage_free_cold",
-                       action="store_true",
+        p.add_argument("--leakage-free-cold", action="store_true",
                        help="zero the genre slots of cold users' TF-IDF vectors")
 
 
@@ -470,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare", help="parse raw MovieLens files into a cache")
     p.add_argument("--dataset", choices=sorted(D.LAYOUTS), required=True)
-    p.add_argument("--raw-dir", dest="raw_dir", required=True)
-    p.add_argument("--out-dir", dest="out_dir", required=True)
+    p.add_argument("--raw-dir", required=True)
+    p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train on a prepared cache")
@@ -506,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("plot", help="render curve CSVs as SVG charts")
-    p.add_argument("--out-dir", dest="out_dir", required=True)
+    p.add_argument("--out-dir", required=True)
     p.add_argument("curves", nargs="+", help="curve CSV files")
     p.set_defaults(func=cmd_plot)
 

@@ -320,9 +320,11 @@ def build_purchase_matrix(ratings, m: int):
     """Normalized purchase-behavior rows, one per user in `ratings`.
 
     `ratings` is parse_ratings' (n, 4) int64 array.  Returns (user_ids, rows):
-    PurchaseRows whose dense row k has rating/C at column i-1 for user
-    user_ids[k] and item i, 0 where unrated.  Duplicate (user, item) pairs
-    keep the latest timestamp; on equal timestamps the later row wins.
+    the strictly increasing int64 array of `np.unique`, which the cache
+    keeps as it is, and PurchaseRows whose dense row k has rating/C at
+    column i-1 for user user_ids[k] and item i, 0 where unrated.
+    Duplicate (user, item) pairs keep the latest timestamp; on equal
+    timestamps the later row wins.
     `ratings` holds at least one row and every item id lies in 1..m, as
     `pipeline.prepare_dataset` ensures before it calls this.
     """
@@ -334,7 +336,7 @@ def build_purchase_matrix(ratings, m: int):
     latest = order[np.append(cell[order][1:] != cell[order][:-1], True)]
     cells = cell[latest]            # increasing: row-major order
     indptr = np.searchsorted(cells, np.arange(len(user_ids) + 1) * m)
-    return user_ids.tolist(), PurchaseRows(indptr, cells % m, rating[latest] / MAX_RATING, m)
+    return user_ids, PurchaseRows(indptr, cells % m, rating[latest] / MAX_RATING, m)
 
 
 def held_count(n: int, fraction: float) -> int:
@@ -495,8 +497,12 @@ class AttributeSchema:
 
 @dataclass
 class DatasetCache:
+    """A prepared dataset: row k of `purchase` and of `tfidf` belongs to the
+    user `user_ids[k]`, an int64 array that strictly increases, as
+    `build_purchase_matrix` returns it and `load_cache` reads it."""
+
     dataset: str
-    user_ids: list[int]
+    user_ids: np.ndarray
     purchase: PurchaseRows
     tfidf: np.ndarray
     schema: AttributeSchema
@@ -515,19 +521,15 @@ class DatasetCache:
 
 
 def save_cache(cache: DatasetCache, path) -> None:
-    """Atomic write of the dataset cache; purchase values that are not a
-    rating 1..C divided by C raise ValueError."""
+    """Atomic write of the dataset cache, whose purchase values are
+    ratings 1..C divided by C, as `parse_ratings` bounds them."""
     rows = cache.purchase
     ratings = np.rint(rows.values * MAX_RATING).astype(np.uint8)
-    if (np.any((ratings < 1) | (ratings > MAX_RATING))
-            or not np.array_equal(ratings / MAX_RATING, rows.values)):
-        raise ValueError(f"purchase values are not ratings 1..{MAX_RATING} "
-                         f"divided by {MAX_RATING}")
     header = {"version": CACHE_VERSION, "dataset": cache.dataset, "m": cache.m,
               "d": cache.d, "max_rating": MAX_RATING}
-    _write_archive(path, header, user_ids=np.asarray(cache.user_ids, dtype=np.int64),
-                   indptr=rows.indptr, items=rows.items, ratings=ratings,
-                   tfidf=cache.tfidf, schema=cache.schema_json)
+    _write_archive(path, header, user_ids=cache.user_ids, indptr=rows.indptr,
+                   items=rows.items, ratings=ratings, tfidf=cache.tfidf,
+                   schema=cache.schema_json)
 
 
 def load_cache(path) -> DatasetCache:
@@ -568,7 +570,8 @@ def load_cache(path) -> DatasetCache:
             raise ValueError("item ids do not strictly increase within a row")
         if np.any((ratings < 1) | (ratings > MAX_RATING)):
             raise ValueError(f"ratings outside 1..{MAX_RATING}")
-        tfidf = _archive_array(z, "tfidf", np.float64, (n, d))
+        # C order, also for a member np.save wrote in Fortran order.
+        tfidf = np.ascontiguousarray(_archive_array(z, "tfidf", np.float64, (n, d)))
         schema_json = str(_archive_array(z, "schema", np.str_, ()))
         schema = AttributeSchema.from_json(schema_json)
         if schema.d != d:
@@ -576,7 +579,7 @@ def load_cache(path) -> DatasetCache:
                              f"genre_values hold {schema.d} slots, not the tfidf width {d}")
         return DatasetCache(
             dataset=dataset,
-            user_ids=user_ids.tolist(),
+            user_ids=user_ids,
             purchase=PurchaseRows(indptr, items, ratings / MAX_RATING, m),
             tfidf=tfidf,
             schema=schema,
@@ -592,9 +595,8 @@ def cache_content_hash(cache: DatasetCache) -> str:
     rows = cache.purchase
     h = hashlib.sha256()
     h.update(cache.schema_json.encode())
-    h.update(np.asarray(cache.user_ids, dtype=np.int64))
-    for arr in (rows.indptr, rows.items, rows.values, cache.tfidf):
-        h.update(np.ascontiguousarray(arr))     # its buffer: no copy when contiguous
+    for arr in (cache.user_ids, rows.indptr, rows.items, rows.values, cache.tfidf):
+        h.update(arr)       # its buffer: prepare's and load_cache's are C-contiguous
     h.update(f"{cache.dataset}|{MAX_RATING}|{rows.m}|2".encode())
     return h.hexdigest()
 

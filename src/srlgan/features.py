@@ -38,12 +38,12 @@ def attribute_counts(users: dict[int, UserMeta], user_ids, ratings,
                      item_genres, schema: AttributeSchema) -> np.ndarray:
     """Raw attribute counts, one row per id in `user_ids`: every user of
     the (n, 4) `ratings` array, in `build_purchase_matrix`'s increasing
-    order.  Demographic slots are one-hot.  A genre slot counts the user's
-    ratings whose movie carries that genre: every rating counts, duplicates
-    included, and a multi-genre movie counts once per carried genre.  The
-    parsers refuse a value without a slot, and `prepare_dataset` a rated
-    item outside 1..m or that `item_genres` lacks, so the genre table is
-    indexed by item id."""
+    int64 array.  Demographic slots are one-hot.  A genre slot counts the
+    user's ratings whose movie carries that genre: every rating counts,
+    duplicates included, and a multi-genre movie counts once per carried
+    genre.  The parsers refuse a value without a slot, and
+    `prepare_dataset` a rated item outside 1..m or that `item_genres`
+    lacks, so the genre table is indexed by item id."""
     index = schema.slot_index()
     n = len(user_ids)
     counts = np.zeros((n, schema.d), dtype=np.float64)

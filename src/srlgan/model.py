@@ -36,13 +36,13 @@ BCE_EPS = 1e-12     # the BCE loss's clip
 
 
 def build_generator(d: int, m: int, rng, hidden=None) -> MLP:
-    hidden = GENERATOR_HIDDEN if hidden is None else list(hidden)
+    hidden = GENERATOR_HIDDEN if hidden is None else hidden
     return MLP([d, *hidden, m], rng)
 
 
 def build_discriminator(d: int, m: int, rng, hidden=None,
                         dropout: float = DISCRIMINATOR_DROPOUT) -> MLP:
-    hidden = DISCRIMINATOR_HIDDEN if hidden is None else list(hidden)
+    hidden = DISCRIMINATOR_HIDDEN if hidden is None else hidden
     return MLP([m + d, *hidden, 1], rng, dropout=dropout)
 
 

@@ -10,7 +10,8 @@ judge outputs which are no longer bit-identical.  Batches are row-major
 float64 arrays, (batch, features), used as given: the package fixes dtype
 and shape where its inputs enter, so nothing here converts them.
 `MLP.forward(x, rng=None)` is in training mode exactly when an rng is
-given, from which dropout draws its masks; with none it draws nothing.  `Linear.forward(x)` draws nothing and takes no rng.
+given, from which dropout draws its masks; with none it draws nothing.
+`Linear.forward(x)` draws nothing and takes no rng.
 A network instance is single-writer during training; clone parameters for
 concurrent read-only inference.
 

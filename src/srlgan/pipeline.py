@@ -87,5 +87,5 @@ def split_matrices(cache: D.DatasetCache, cold_fraction: float, seed: int,
     if leakage_free_cold:
         x_cold[:, cache.schema.d - len(cache.schema.genre_values):] = 0.0
     y_cold = cache.purchase.take(cold_rows)
-    cold_ids = np.asarray(cache.user_ids, dtype=np.int64)[cold_rows]
+    cold_ids = cache.user_ids[cold_rows]
     return cold_ids, x_warm, y_warm, x_cold, y_cold

@@ -391,7 +391,7 @@ def cross_validate_beta(cut: ValidationCut, beta_grid, config: TrainConfig):
     configs = {beta: replace(config, beta=beta) for beta in sorted(beta_grid)}
     curves = {beta: fit(cut, beta_config).curve for beta, beta_config in configs.items()}
     scores = {beta: curve[-1].p5 for beta, curve in curves.items()}
-    best = max(sorted(scores), key=lambda b: scores[b])
+    best = max(scores, key=scores.get)      # the first, so the smallest, of a tie
     return best, scores, curves
 
 

@@ -1147,6 +1147,39 @@ def test_train_and_sweep_beta_accept_no_cold_users(command, tmp_path, prepared):
     assert args["cold_fraction"] == 0.0
 
 
+def test_minus_zero_reads_as_zero(tmp_path, prepared, capsys):
+    """A float flag or config value of -0 is 0: `train --beta -0` writes
+    `--beta 0`'s files, a sweep-beta grid names no curve or beta `-0`, and
+    `--cold-fraction -0` is recorded as 0.0."""
+    cache = ["--cache", str(prepared / "ml100k.npz")]
+    for beta in ("0", "-0"):
+        assert main(["train", *cache, "--out-dir", str(tmp_path / beta), *FAST,
+                     "--beta", beta]) == 0
+    for name in ("curve.csv", "checkpoint.npz", "checkpoint.best.npz"):
+        assert (tmp_path / "-0" / name).read_bytes() == (tmp_path / "0" / name).read_bytes()
+
+    sweep = tmp_path / "sweep"
+    capsys.readouterr()
+    assert main(["sweep-beta", *cache, "--out-dir", str(sweep), "--grid", "-0,1", *FAST]) == 0
+    assert re.search(r"recommended beta: (\S+) ", capsys.readouterr().out)[1] in ("0", "1")
+    assert sorted(p.name for p in sweep.glob("curve.*")) == ["curve.beta0.csv", "curve.beta1.csv"]
+    rows = (sweep / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "1"]
+    assert main(["sweep-beta", *cache, "--out-dir", str(tmp_path / "twice"), "--grid", "0,-0",
+                 *FAST]) == 1
+    assert "error: --grid: beta 0 is given more than once in '0,-0'" in capsys.readouterr().err
+
+    run = tmp_path / "cold"
+    assert main(["train", *cache, "--out-dir", str(run), *FAST, "--cold-fraction", "-0"]) == 0
+    args = json.loads((run / "manifest.json").read_text())["args"]
+    meta = NN.load_checkpoint(run / "checkpoint.npz")[1]
+    assert repr(args["cold_fraction"]) == repr(meta["cold_fraction"]) == "0.0"
+    # The reader keeps argparse's name for a value that is no float.
+    with pytest.raises(SystemExit):
+        main(["train", "--cold-fraction", "abc", "--out-dir", str(tmp_path / "bad")])
+    assert "argument --cold-fraction: invalid float value: 'abc'" in capsys.readouterr().err
+
+
 def test_cache_root_needs_dataset(tmp_path, prepared, capsys, monkeypatch):
     monkeypatch.setenv("SRLGAN_CACHE_ROOT", str(prepared))
     rc = main(["eval", "--baseline", "itempop", "--out-dir", str(tmp_path / "out")])
@@ -1498,6 +1531,8 @@ def test_plot_of_a_run_without_validation_writes_no_nan(tmp_path, prepared):
     for column, lines in (("p5", 0), ("n5", 0), ("loss_sr", 1)):
         svg = (out / f"plot.{column}.svg").read_text()
         assert "nan" not in svg and svg.count("<polyline") == lines, column
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "run" / "curve.csv").read_text())))
+    assert rows and all(row["collapse_flag"] in ("0", "1") for row in rows)
 
 
 def test_plot_of_a_one_row_curve_writes_one_finite_point(tmp_path, trained):
@@ -1630,9 +1665,11 @@ def test_key_error_exits_2(tmp_path, prepared, capsys, monkeypatch):
     ([], 1),
     (["--help"], 0),
     (["eval", "--help"], 0),
+    (["train", "--help"], 0),
 ], ids=["bad-int", "bad-float", "unknown-flag", "removed-sparsity-flag", "removed-n-d-flag",
         "removed-n-g-flag", "option-for-value",
-        "missing-out-dir", "sweep-leakage-free-cold", "no-command", "help", "eval-help"])
+        "missing-out-dir", "sweep-leakage-free-cold", "no-command", "help", "eval-help",
+        "train-help"])
 def test_usage_exit_codes(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exit_:

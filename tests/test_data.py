@@ -34,7 +34,7 @@ def latest_rating_oracle(ratings, m, max_rating=5):
     matrix = np.zeros((len(user_ids), m))
     for (u, i), (rating, _) in latest.items():
         matrix[row_of[u], i - 1] = rating / max_rating
-    return user_ids, matrix
+    return np.array(user_ids, dtype=np.int64), matrix
 
 
 def random_ratings(seed, n=400, m=30):
@@ -365,7 +365,7 @@ def dense(ratings, m):
 def test_purchase_matrix_normalization():
     ratings = rows((1, 1, 5, 10), (1, 3, 3, 11), (2, 2, 1, 12))
     user_ids, matrix = dense(ratings, m=4)
-    assert user_ids == [1, 2]
+    assert user_ids.dtype == np.int64 and user_ids.tolist() == [1, 2]
     assert matrix[0, 0] == 1.0       # rating 5 / C=5
     assert matrix[0, 2] == 0.6       # rating 3 / C=5
     assert matrix[0, 1] == 0.0       # unrated
@@ -391,7 +391,7 @@ def test_purchase_matrix_order_insensitive():
     ratings = rows((1, 1, 2, 100), (2, 1, 3, 101), (1, 2, 4, 102))
     ids_a, a = dense(ratings, m=3)
     ids_b, b = dense(ratings[::-1], m=3)
-    assert ids_a == ids_b
+    assert np.array_equal(ids_a, ids_b)
     assert np.array_equal(a, b)
 
 
@@ -400,7 +400,7 @@ def test_purchase_matrix_matches_dict_oracle(seed):
     ratings = random_ratings(seed)
     user_ids, purchase = D.build_purchase_matrix(ratings, m=30)
     want_ids, want = latest_rating_oracle(ratings, m=30)
-    assert user_ids == want_ids
+    assert user_ids.dtype == want_ids.dtype and np.array_equal(user_ids, want_ids)
     assert np.array_equal(purchase.toarray(), want)
     # The CSR holds exactly the nonzero entries, row-major.
     assert purchase.toarray().tobytes() == want.tobytes()
@@ -528,7 +528,8 @@ def test_cache_round_trip(tmp_path, synth_cache):
     D.save_cache(synth_cache, path)
     loaded = D.load_cache(path)
     assert loaded.dataset == synth_cache.dataset
-    assert loaded.user_ids == synth_cache.user_ids
+    assert loaded.user_ids.dtype == synth_cache.user_ids.dtype == np.int64
+    assert np.array_equal(loaded.user_ids, synth_cache.user_ids)
     for name in ("indptr", "items", "values"):
         got, want = getattr(loaded.purchase, name), getattr(synth_cache.purchase, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -540,19 +541,17 @@ def test_cache_round_trip(tmp_path, synth_cache):
     assert D.cache_content_hash(loaded) == D.cache_content_hash(synth_cache)
 
 
-@pytest.mark.parametrize("value", [0.3, 0.0, 1.2], ids=["between-ratings", "zero", "rating-6"])
-def test_save_cache_refuses_values_that_are_not_ratings_over_c(tmp_path, synth_cache, value):
-    """A stored purchase value must be a rating 1..C divided by C; 1.2 is
-    6/C, a rating past the ceiling."""
-    from dataclasses import replace
-
-    rows = synth_cache.purchase
-    values = rows.values.copy()
-    values[0] = value
-    bad = replace(synth_cache, purchase=D.PurchaseRows(rows.indptr, rows.items, values, rows.m))
-    with pytest.raises(ValueError, match=r"^purchase values are not ratings 1\.\.5 divided by 5$"):
-        D.save_cache(bad, tmp_path / "cache.npz")
-    assert list(tmp_path.iterdir()) == []
+def test_cache_with_a_fortran_order_tfidf_loads_the_same_content(tmp_path, synth_cache):
+    """np.save writes a Fortran-ordered array as such; load_cache reads it
+    back in C order, so the content hash, which hashes each array's buffer,
+    is the C-ordered file's."""
+    D.save_cache(synth_cache, tmp_path / "c.npz")
+    with np.load(tmp_path / "c.npz") as z:
+        members = {name: z[name] for name in z.files}
+    np.savez(tmp_path / "f.npz", **{**members, "tfidf": np.asfortranarray(members["tfidf"])})
+    loaded = D.load_cache(tmp_path / "f.npz")
+    assert loaded.tfidf.flags.c_contiguous
+    assert D.cache_content_hash(loaded) == D.cache_content_hash(synth_cache)
 
 
 def test_cache_content_hash_ignores_the_file_format(synth_cache, monkeypatch):
@@ -580,7 +579,7 @@ def test_cache_content_hash_covers_every_part(synth_cache):
     ]
     caches = [replace(synth_cache, purchase=v) for v in variants] + [
         replace(synth_cache, tfidf=2 * synth_cache.tfidf),
-        replace(synth_cache, user_ids=[u + 1 for u in synth_cache.user_ids]),
+        replace(synth_cache, user_ids=synth_cache.user_ids + 1),
         replace(synth_cache, schema_json=synth_cache.schema_json + " "),
     ]
     hashes = {D.cache_content_hash(c) for c in [synth_cache, *caches]}
@@ -599,7 +598,7 @@ def test_prepared_arrays_pinned(request, raw_counts, fixture, dataset, digest):
     raw_dir = request.getfixturevalue(fixture)
     cache, _ = prepare_dataset(raw_dir, dataset)
     h = hashlib.sha256()
-    h.update(np.asarray(cache.user_ids, dtype=np.int64).tobytes())
+    h.update(cache.user_ids.tobytes())
     h.update(cache.purchase.toarray().tobytes())
     h.update(raw_counts(raw_dir, cache).tobytes())
     assert h.hexdigest()[:16] == digest
