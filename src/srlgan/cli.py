@@ -359,8 +359,8 @@ def cmd_sweep_beta(args) -> int:
     with open(sweep_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["beta", "held_out_p5", "recommended"])
-        for beta in sorted(scores):
-            w.writerow([f"{beta:g}", f"{scores[beta]:.10g}", int(beta == best)])
+        for beta, p5 in scores.items():      # ascending beta
+            w.writerow([f"{beta:g}", f"{p5:.10g}", int(beta == best)])
 
     for metric, attr in (("P@5", "p5"), ("N@5", "n5")):
         series = {

@@ -141,15 +141,17 @@ def parse_ratings(path, fmt: str) -> np.ndarray:
         return np.zeros((0, 4), dtype=np.int64)
     # With no sign, space, underscore or dot in a field, numpy's integer
     # parser is the grammar's in every numpy version; a ':' outside a '::'
-    # stays in a field, which loadtxt refuses.
+    # stays in a field, which loadtxt refuses.  It reads bytes: a StringIO
+    # of the text would hold a copy at 4 bytes per character.
     if not raw.translate(None, b"0123456789\n" + sep.encode()):
         try:
             with warnings.catch_warnings():
                 # numpy < 2 retries an integer field that fails as a float,
                 # with a DeprecationWarning.
                 warnings.simplefilter("error")
-                ratings = np.loadtxt(io.StringIO(raw.decode().replace(sep, "\t")),
-                                     delimiter="\t", dtype=np.int64, comments=None, ndmin=2)
+                ratings = np.loadtxt(io.BytesIO(raw.replace(sep.encode(), b"\t")),
+                                     delimiter="\t", dtype=np.int64, comments=None, ndmin=2,
+                                     encoding="ascii")
         except (ValueError, OverflowError, Warning):
             pass
         else:

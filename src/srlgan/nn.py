@@ -19,11 +19,11 @@ An MLP owns its parameters: one flat vector `theta`, in `params()` order
 (layer by layer, weight then bias), allocated once with `np.zeros`.  Its
 flat `grad` has the same layout and is its own `np.zeros` vector until
 `use_grad(buffer)` makes it the first `theta.size` elements of a given
-float64 vector.  That vector is a gradient workspace that networks whose
-gradients are never live at the same time can share (the Trainer's G and D
-do, in the larger network's `grad`): a network's `grad` is meaningful only
-from its `zero_grad` to its optimizer step, and outside that span it may
-hold another network's gradient.  Each Linear holds views into `theta` and
+float64 vector.  That vector is a workspace that networks whose gradients
+are never live at the same time can share (the Trainer's G and D do, in a
+vector that also takes G's validation scores): a network's `grad` is
+meaningful only from its `zero_grad` to its optimizer step, and outside
+that span it may hold anything else.  Each Linear holds views into `theta` and
 `grad`, so Adam and checkpoint I/O are single array operations.  The MLP
 draws each layer's initial weights straight into its weight view
 (`rng.random(out=...)`, then scaled and shifted in place, which gives
@@ -66,6 +66,9 @@ bias into the product it just made (`out = x @ W; out += b`), and
 `Sigmoid.forward` consumes that fresh product, negating, exponentiating,
 adding 1 and inverting in place.  These are the operations of
 x @ W + b and 1 / (1 + exp(-x)) in the same order, so the bits are theirs.
+`MLP.predict` runs the same operations itself (`np.matmul(x, W, out=out);
+out += b`), in a fresh product or, given `out=buf`, in the caller's `buf`,
+where it makes none.
 
 An MLP's `layers` are its Linears.  Each hidden Linear is followed by
 LeakyReLU and, in training mode at a positive dropout rate, by inverted
@@ -77,9 +80,10 @@ sigmoid output.  `MLP.forward`, with an rng or without, records it;
 `MLP.backward` and `MLP.input_grad` run one loop, which pops each entry at
 its last reader, so no activation outlives a training step.  A second
 backward or input_grad on one forward, or one after `predict`, raises
-RuntimeError before any layer runs.  `MLP.predict(x)` is inference: the
-rng-less forward's bits, with no tape and no mask, so it keeps nothing and
-holds no more than one layer's input and output at a time.
+RuntimeError before any layer runs.  `MLP.predict(x, out=None)` is
+inference: the rng-less forward's bits, with no tape and no mask, so it
+keeps nothing and holds no more than one layer's input and output at a
+time.
 
 LeakyReLU is branch-free: forward is max(x, LEAKY_SLOPE*x), and backward
 multiplies by a factor of exactly 1.0 or LEAKY_SLOPE, which gives the bits
@@ -286,7 +290,7 @@ class MLP:
         can share one buffer: its contents are this network's gradient only
         from `zero_grad` to the optimizer step.  The caller passes a
         contiguous vector of at least `theta.size` elements, as `__init__`
-        (its own zeros) and `train.Trainer` (the larger network's `grad`) do."""
+        (its own zeros) and `train.Trainer` (its `workspace`) do."""
         self.grad = buffer[:self.theta.size]
         for linear, (weight, bias) in zip(self.layers, self._layer_views(self.grad)):
             linear.grad_weight, linear.grad_bias = weight, bias
@@ -305,18 +309,24 @@ class MLP:
         self._y = Sigmoid.forward(self.layers[-1].forward(x))
         return self._y
 
-    def predict(self, x):
+    def predict(self, x, out=None):
         """Eval-mode output for `x`, bit for bit the rng-less forward's,
         recording no tape: each Linear's input is dropped as soon as its
         output exists.  A training forward's tape is dropped too.  `x` is a
-        (b, sizes[0]) float64 batch, as `forward`'s."""
+        (b, sizes[0]) float64 batch, as `forward`'s.  Given `out`, a
+        C-contiguous (b, sizes[-1]) float64 array, the output layer writes
+        into it and returns it.  The output layer runs `Linear.forward`'s
+        operations, in its order, without calling it."""
         self._masks, self._scales, self._y = [], [], None
-        for linear in self.layers:
+        *hidden, last = self.layers
+        for linear in hidden:
             x = linear.forward(x)
             linear.release()
-            activation = Sigmoid if linear is self.layers[-1] else LeakyReLU
-            x = activation.forward(x)
-        return x
+            x = LeakyReLU.forward(x)
+        x = np.matmul(x, last.weight, out=out)
+        x += last.bias
+        last.release()
+        return Sigmoid.forward(x)
 
     def backward(self, grad_out):
         """Backprop a loss gradient into the parameter gradients, which

@@ -24,10 +24,11 @@ Each curve point also carries the collapse flag: the mean over items of
 the column std of G's eval-mode scores, at or below
 MODE_COLLAPSE_STD_FLOOR.  It is taken over the collapse set, which is the
 validation slice when there is one, and otherwise the first `batch_size`
-training rows (every `ablate` mode, and `validation_fraction = 0`).  The
-std runs in column blocks (`column_std`) and the ranking in row
-blocks (`evaluate.evaluate_report`), so an evaluation holds one score
-matrix and no temporary of its size.
+training rows (every `ablate` mode, and `validation_fraction = 0`).  G
+scores it into the idle gradient workspace (below), the std runs in column
+blocks (`column_std`) and the ranking in row blocks
+(`evaluate.evaluate_report`), so an evaluation allocates no score matrix
+and no temporary of its size.
 
 A `TrainConfig` is valid once built: it is frozen, and its constructor (so
 also `dataclasses.replace`) names every bad setting in one ValueError.  A
@@ -43,11 +44,14 @@ requires beta 0.
 update, in pretraining and in both phases, is one `Trainer._step_generator`.
 
 G and D alternate, so their gradients are never live at the same time, and
-they share one gradient workspace: the larger network's `grad`, of which the
-smaller network's `grad` is a prefix (`nn.MLP.use_grad`).  A network's `grad`
-is meaningful only from its `zero_grad` to its optimizer step; outside that
-span it may hold the other network's gradient.  The sweep and the ablation
-release each finished Trainer before the next `fit` builds one.
+they share one workspace, `Trainer.workspace`: each network's `grad` is a
+prefix of it (`nn.MLP.use_grad`).  A network's `grad` is meaningful only
+from its `zero_grad` to its optimizer step; outside that span it may hold
+the other network's gradient or the collapse set's scores, which an
+evaluation writes into the workspace's first rows * m elements.  It is as
+long as the largest of the three, which at the paper's widths is D, so the
+scores cost no memory of their own.  The sweep and the ablation release
+each finished Trainer before the next `fit` builds one.
 
 Everything is driven by a single seeded Generator, so a run is
 reproducible bit-for-bit from (data, config, seed).
@@ -150,10 +154,11 @@ def write_curve(path, points) -> None:
 
 
 class Trainer:
-    """Owns the two networks, their one gradient workspace, their optimizers,
-    and the run RNG.  `x_train` and `x_val` are (n, d) float64 attribute
-    rows, `y_train` is `data.PurchaseRows` or a dense float64 array, `y_val`
-    is `data.PurchaseRows`; without `x_val`/`y_val` the validation slice is
+    """Owns the two networks, their one workspace for gradients and
+    validation scores, their optimizers, and the run RNG.  `x_train` and
+    `x_val` are (n, d) float64 attribute rows, `y_train` is
+    `data.PurchaseRows` or a dense float64 array, `y_val` is
+    `data.PurchaseRows`; without `x_val`/`y_val` the validation slice is
     empty.  The rows are the caller's to match, as `fit`'s `validation_cut`
     does: at least one training row (`cli._load_split` refuses a split
     that leaves no warm user), one attribute row per behavior row, and the
@@ -175,10 +180,14 @@ class Trainer:
         self.discriminator = M.build_discriminator(
             d, m, self.rng, hidden=config.discriminator_hidden,
             dropout=config.dropout)
-        # One gradient workspace for G and D (see the module docstring).
-        small, large = sorted((self.generator, self.discriminator),
-                              key=lambda net: net.theta.size)
-        small.use_grad(large.grad)
+        # One workspace for G's and D's gradients and the collapse set's
+        # scores (see the module docstring).
+        self.x_collapse = self.x_val if len(self.x_val) else x_train[:config.batch_size]
+        self.workspace = np.zeros(max(self.generator.theta.size,
+                                      self.discriminator.theta.size,
+                                      len(self.x_collapse) * m))
+        for net in (self.generator, self.discriminator):
+            net.use_grad(self.workspace)
         self.opt_g = Adam(self.generator, lr=config.learning_rate)
         self.adv_loss = M.ADVERSARIAL_LOSSES[config.gan_loss]
         self.opt_d = Adam(self.discriminator, lr=config.learning_rate)
@@ -294,13 +303,14 @@ class Trainer:
         """The curve point of round `rnd`: validation P/N/M@5, and the
         collapse flag over the collapse set (the validation rows, or the
         first `batch_size` training rows when there are none)."""
+        rows, m = len(self.x_collapse), self.y_train.m
+        # Between optimizer steps no gradient in the workspace is live.
+        preds = self.generator.predict(self.x_collapse,
+                                       out=self.workspace[:rows * m].reshape(rows, m))
         if len(self.x_val):
-            preds = M.generator_forward(self.generator, self.x_val)
             report = evaluate_predictions(preds, self.y_val, ns=(5,))
             p5, n5, m5 = report["P@5"], report["N@5"], report["M@5"]
         else:
-            preds = M.generator_forward(self.generator,
-                                        self.x_train[:self.config.batch_size])
             p5 = n5 = m5 = float("nan")
         std = float(column_std(preds).mean())
         return CurvePoint(
@@ -378,8 +388,9 @@ def cross_validate_beta(cut: ValidationCut, beta_grid, config: TrainConfig):
     `cli._beta_grid` reads them.
 
     Ties go to the smaller beta.  Returns (best_beta, {beta: p5},
-    {beta: curve}).  A beta that `config` refuses, `max_rounds = 0` and a
-    cut without validation rows raise ValueError before any training.
+    {beta: curve}), both keyed in ascending beta order.  A beta that
+    `config` refuses, `max_rounds = 0` and a cut without validation rows
+    raise ValueError before any training.
     """
     if config.max_rounds == 0:
         raise ValueError("max_rounds 0 trains no adversarial round, so every beta "

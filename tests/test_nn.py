@@ -552,6 +552,26 @@ def test_predict_matches_forward_bit_for_bit(sizes, dropout):
     assert held_activations(net) == []
 
 
+@pytest.mark.parametrize("sizes", [(6, 16, 32, 11), (17, 24, 8, 1), (5, 3)],
+                         ids=["generator-like", "discriminator-like", "no-hidden-layer"])
+def test_predict_into_out_matches_predict_bit_for_bit(sizes):
+    """`predict(x, out=buf)` writes `predict(x)`'s bytes into `buf`, a
+    reshaped prefix of a longer NaN-filled vector as the Trainer passes it,
+    returns `buf` itself, leaves the rest of the vector alone, and keeps no
+    activation, also when it follows a training forward."""
+    net = NN.MLP(sizes, np.random.default_rng(46), dropout=0.3)
+    x = np.random.default_rng(47).normal(size=(9, sizes[0]))
+    want = net.predict(x)
+    vector = np.full(9 * sizes[-1] + 5, np.nan)
+    buf = vector[:9 * sizes[-1]].reshape(9, sizes[-1])
+    net.forward(x, rng=np.random.default_rng(48))
+    got = net.predict(x, out=buf)
+    assert got is buf
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(vector[9 * sizes[-1]:]).all()
+    assert held_activations(net) == []
+
+
 @pytest.mark.parametrize("first, second", [("backward", "backward"), ("backward", "input_grad"),
                                            ("input_grad", "backward"),
                                            ("input_grad", "input_grad"),

@@ -259,7 +259,12 @@ def test_collapse_flag_turns_at_the_std_floor(std, flagged):
     signs = np.where(np.arange(rows) % 2, 1.0, -1.0)[:, None]
     scores = 0.5 + std * signs * np.ones((1, y.m))     # every column's std is `std`
     assert T.column_std(scores).mean() == pytest.approx(std, rel=1e-6)
-    trainer.generator.predict = lambda batch: scores.copy()
+
+    def predict(batch, out=None):
+        out[...] = scores
+        return out
+
+    trainer.generator.predict = predict
     point = trainer._evaluate_checkpoint(1, 0.0, {"total": 0.0, "sr": 0.0})
     assert point.collapse_flag == flagged
 
@@ -552,9 +557,9 @@ WORKSPACE_WIDTHS = {"larger-discriminator": ([16, 12], [20, 10]),
                     "larger-generator": ([32, 32], [8])}
 
 
-def _workspace(trainer):
-    """The gradient buffer G and D share: the larger network's `grad`."""
-    return max(trainer.generator.grad, trainer.discriminator.grad, key=len)
+def _same_point(a, b):
+    """Curve points equal field by field, a NaN P/N/M@5 matching NaN."""
+    return repr(a) == repr(b)
 
 
 @pytest.mark.parametrize("m, generator_hidden, discriminator_hidden, larger", [
@@ -568,10 +573,10 @@ def test_generator_and_discriminator_share_one_gradient(m, generator_hidden,
     trainer = T.Trainer(x, y, small_config(generator_hidden=generator_hidden,
                                            discriminator_hidden=discriminator_hidden))
     gen, disc = trainer.generator, trainer.discriminator
-    assert np.shares_memory(gen.grad, disc.grad)
-    assert _workspace(trainer) is getattr(trainer, larger).grad
+    assert gen.grad.base is disc.grad.base is trainer.workspace
+    assert getattr(trainer, larger).grad.size == trainer.workspace.size
     smaller = disc if larger == "generator" else gen
-    assert smaller.grad.size == smaller.theta.size < _workspace(trainer).size
+    assert smaller.grad.size == smaller.theta.size < trainer.workspace.size
 
 
 def _float64_buffers(trainer):
@@ -591,44 +596,97 @@ def _float64_buffers(trainer):
     return list(buffers.values())
 
 
-@pytest.mark.parametrize("widths", WORKSPACE_WIDTHS.values(), ids=WORKSPACE_WIDTHS.keys())
-def test_trainer_holds_parameters_moments_and_one_gradient(widths):
-    trainer = T.Trainer(*toy_data(), small_config(generator_hidden=widths[0],
-                                                  discriminator_hidden=widths[1]))
+# The collapse set's scores outsize both networks: 60 validation rows by 12
+# items (720) against G's 88 and D's 81 parameters.
+LARGER_SCORES = {"larger-scores": (([4], [4]), 60)}
+
+
+@pytest.mark.parametrize("widths, n_val",
+                         [*((widths, 0) for widths in WORKSPACE_WIDTHS.values()),
+                          *LARGER_SCORES.values()],
+                         ids=[*WORKSPACE_WIDTHS, *LARGER_SCORES])
+def test_trainer_holds_parameters_moments_and_one_gradient(widths, n_val):
+    x, y = toy_data()
+    x_val, y_val = toy_data(n=n_val, seed=1) if n_val else (None, None)
+    cfg = small_config(generator_hidden=widths[0], discriminator_hidden=widths[1])
+    trainer = T.Trainer(x, y, cfg, x_val=x_val, y_val=y_val)
     n_g, n_d = trainer.generator.theta.size, trainer.discriminator.theta.size
+    scores = (n_val or cfg.batch_size) * y.m
+    assert (scores > max(n_g, n_d)) == bool(n_val)
     buffers = _float64_buffers(trainer)
     assert all(b.dtype == np.float64 for b in buffers)
-    # theta, m and v of each network, and one gradient of the larger size
-    assert sum(b.size for b in buffers) == 3 * (n_g + n_d) + max(n_g, n_d)
+    # theta, m and v of each network, and one workspace for the gradient of
+    # the larger network or the collapse set's scores, whichever is larger
+    assert sum(b.size for b in buffers) == 3 * (n_g + n_d) + max(n_g, n_d, scores)
 
 
 @pytest.mark.parametrize("widths", WORKSPACE_WIDTHS.values(), ids=WORKSPACE_WIDTHS.keys())
 def test_nan_filled_workspace_matches_plain_round_bit_for_bit(widths):
-    # NaN in the shared workspace before pretraining and before each phase:
-    # no step may read the other network's stale gradient, so the rounds
-    # still match a plain round whose networks have gradients of their own.
+    # NaN in the shared workspace before pretraining, before each phase and
+    # before each evaluation, which scores into it between rounds: no step
+    # may read the other network's stale gradient or the scores, so the
+    # rounds and curve points still match a plain run whose networks have
+    # gradients of their own.
     x, y = toy_data()
     cfg = small_config(generator_hidden=widths[0], discriminator_hidden=widths[1], n_e=3)
     fast, plain = T.Trainer(x, y, cfg), T.Trainer(x, y, cfg)
     for net in (plain.generator, plain.discriminator):
         net.use_grad(np.zeros(net.theta.size))
     assert not np.shares_memory(plain.generator.grad, plain.discriminator.grad)
-    workspace = _workspace(fast)
+    workspace = fast.workspace
     workspace[...] = np.nan
     fast.pretrain_generator()
     plain.pretrain_generator()
-    for _ in range(3):
+    for rnd in range(1, 4):
         workspace[...] = np.nan
         d_loss = fast.discriminator_phase_step()
         workspace[...] = np.nan
         g_losses = fast.generator_phase_step()
         assert (d_loss, g_losses["total"], g_losses["sr"]) == _plain_round(plain)
+        workspace[...] = np.nan
+        point = fast._evaluate_checkpoint(rnd, d_loss, g_losses)
+        want = plain._evaluate_checkpoint(rnd, d_loss, g_losses)
+        assert _same_point(point, want)
         for a, b in ((fast.opt_d, plain.opt_d), (fast.opt_g, plain.opt_g)):
             assert a.t == b.t
             for got, want in ((a.net.theta, b.net.theta), (a.m, b.m), (a.v, b.v)):
                 assert np.array_equal(got, want)
         assert fast.rng.bit_generator.state == plain.rng.bit_generator.state
     assert fast.opt_g.t == 9
+
+
+@pytest.mark.parametrize("widths, n_val", [
+    (WORKSPACE_WIDTHS["larger-discriminator"], 10),
+    (WORKSPACE_WIDTHS["larger-discriminator"], 0),
+    *LARGER_SCORES.values(),
+], ids=["validation-rows", "no-validation-row", *LARGER_SCORES])
+def test_scoring_into_the_workspace_matches_fresh_scores_bit_for_bit(widths, n_val):
+    """An evaluation that scores into the workspace, over the gradient the
+    last step left there, gives the curve point of a fresh score matrix
+    from `generator_forward`, ranked by `evaluate_predictions`, with the
+    collapse std of `column_std`, and leaves those scores' bytes in the
+    workspace's first rows * m elements."""
+    x, y = toy_data()
+    x_val, y_val = toy_data(n=n_val, seed=1) if n_val else (None, None)
+    cfg = small_config(generator_hidden=widths[0], discriminator_hidden=widths[1], n_e=3)
+    tr = T.Trainer(x, y, cfg, x_val=x_val, y_val=y_val)
+    tr.pretrain_generator()
+    d_loss = tr.discriminator_phase_step()
+    g_losses = tr.generator_phase_step()
+    point = tr._evaluate_checkpoint(1, d_loss, g_losses)
+
+    preds = M.generator_forward(tr.generator, x_val if n_val else x[:cfg.batch_size])
+    p5 = n5 = m5 = float("nan")
+    if n_val:
+        report = T.evaluate_predictions(preds, y_val, ns=(5,))
+        p5, n5, m5 = report["P@5"], report["N@5"], report["M@5"]
+    std = float(T.column_std(preds).mean())
+    want = T.CurvePoint(1, float(g_losses["total"]), float(d_loss), float(g_losses["sr"]),
+                        p5, n5, m5, std <= T.MODE_COLLAPSE_STD_FLOOR)
+    assert _same_point(point, want)
+    assert tr.workspace[:preds.size].tobytes() == preds.tobytes()
+    assert tr.workspace.size == max(tr.generator.theta.size, tr.discriminator.theta.size,
+                                    preds.size)
 
 
 @pytest.mark.parametrize("step, grad_fn", [
@@ -687,13 +745,16 @@ def test_each_trainer_is_released_before_the_next_fit(run, monkeypatch):
     assert len(built) == 3
 
 
-def test_validation_peak_is_at_most_two_score_matrices():
-    """A validation evaluation holds G's score matrix and block-sized
-    temporaries: its traced peak stays at or under two score matrices at
-    300 users by 1682 items (a whole-matrix std and ranking took 3.2)."""
+def test_validation_peak_is_under_one_score_matrix():
+    """A validation evaluation scores into the idle gradient workspace, which
+    D's 864,769 parameters size here, and holds only block-sized temporaries
+    besides: its traced peak stays under one score matrix at 300 users by
+    1682 items (0.71 of one; a fresh score matrix made it 1.71, and a
+    whole-matrix std and ranking 3.2)."""
     x, y = toy_data(n=40, m=1682)
     x_val, y_val = toy_data(n=300, m=1682, seed=1)
-    tr = T.Trainer(x, y, small_config(generator_hidden=[16]), x_val=x_val, y_val=y_val)
+    tr = T.Trainer(x, y, small_config(generator_hidden=[16], discriminator_hidden=[512]),
+                   x_val=x_val, y_val=y_val)
     losses = {"total": 0.0, "sr": 0.0}
     tr._evaluate_checkpoint(1, 0.0, losses)       # warm-up: lazy allocations
     tracemalloc.start()
@@ -704,7 +765,8 @@ def test_validation_peak_is_at_most_two_score_matrices():
     finally:
         tracemalloc.stop()
     scores_bytes = 300 * 1682 * 8
-    assert peak <= 2 * scores_bytes, peak / scores_bytes
+    assert tr.workspace.size == tr.discriminator.theta.size > 300 * 1682
+    assert peak < scores_bytes, peak / scores_bytes
 
 
 def test_collapse_check_without_validation_scores_one_batch():
@@ -716,9 +778,9 @@ def test_collapse_check_without_validation_scores_one_batch():
     tr = T.Trainer(x, y, cfg)
     predict, eval_rows = tr.generator.predict, []
 
-    def spy(batch):
+    def spy(batch, out=None):
         eval_rows.append(len(batch))
-        return predict(batch)
+        return predict(batch, out=out)
 
     tr.generator.predict = spy
     tr.pretrain_generator()
