@@ -28,6 +28,7 @@ import json
 import math
 import os
 import re
+import resource
 import sys
 import time
 from pathlib import Path
@@ -199,7 +200,11 @@ def _write_manifest(args, inputs: dict, outputs: dict,
     kernels (null when unset) and the numpy version, on which the last bits
     of the outputs depend, and the thread count `Adam.step` uses, on which
     they do not; a training command's resolved settings go under
-    `train_config`."""
+    `train_config`.  `peak_rss_mb` is the process's RSS high-water mark
+    (`ru_maxrss`, in MiB as perfbench counts it), so a caller that runs
+    commands in one process, as perfbench's run.py does, sees the peak of
+    every earlier command too."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss   # bytes on macOS, else KiB
     manifest = {
         "command": args.subcommand,
         "args": {k: v for k, v in vars(args).items() if k != "func"},
@@ -209,6 +214,7 @@ def _write_manifest(args, inputs: dict, outputs: dict,
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_CORETYPE")},
             "numpy": np.__version__, "adam_threads": NN.adam_threads()},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+        "peak_rss_mb": peak / 2 ** (20 if sys.platform == "darwin" else 10),
     }
     if config is not None:
         manifest["train_config"] = dataclasses.asdict(config)

@@ -109,6 +109,10 @@ whole blocks, one per thread, the calling thread taking the first.  No
 element's operations change, so every bit is the one-thread result's.
 With `OPENBLAS_NUM_THREADS=1`, or any other BLAS (MKL, Accelerate, an
 OpenMP OpenBLAS), Adam runs on the calling thread alone.
+
+`release_free_heap()` hands the C heap's free pages back to the OS through
+glibc's `malloc_trim(0)`, found once like the OpenBLAS functions; where the
+C library has no such function (musl, macOS) it does nothing.
 """
 
 from __future__ import annotations
@@ -407,6 +411,29 @@ def _exported(lib, stem):
 
 
 _OPENBLAS = _find_openblas()
+
+
+def _find_malloc_trim():
+    """The C library's `malloc_trim` (glibc's), or None where it has none
+    (musl, macOS) or cannot be opened."""
+    try:
+        trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    except (OSError, TypeError):
+        return None
+    if trim is not None:
+        trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
+    return trim
+
+
+_MALLOC_TRIM = _find_malloc_trim()
+
+
+def release_free_heap() -> None:
+    """Give the C heap's free pages back to the OS (`malloc_trim(0)`), so
+    the RSS no longer counts them; a no-op without `malloc_trim`.  It moves
+    no live allocation, so no value changes."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 def adam_threads() -> int:

@@ -53,6 +53,16 @@ long as the largest of the three, which at the paper's widths is D, so the
 scores cost no memory of their own.  The sweep and the ablation release
 each finished Trainer before the next `fit` builds one.
 
+`fit` gives the C heap's free pages back to the OS once, between
+pretraining and the first round (`nn.release_free_heap`).  A run's memory
+peak forms in its first discriminator step, where D's Adam moments and the
+rest of the workspace are first touched, on top of whatever the process
+still holds; before then glibc keeps the pages that loading the cache,
+cutting the split and (in one process) `prepare` freed, resident but
+unused (34-43 MiB in perfbench's one-process ML1M flow).  Releasing them
+after pretraining rather than before leaves pretraining on the heap it
+had.  Nothing live moves, so no value changes.
+
 Everything is driven by a single seeded Generator, so a run is
 reproducible bit-for-bit from (data, config, seed).
 """
@@ -69,7 +79,7 @@ import numpy as np
 from . import evaluate as E
 from . import model as M
 from .data import PurchaseRows, as_purchase_rows, split_rows
-from .nn import Adam, TrainingError
+from .nn import Adam, TrainingError, release_free_heap
 from .evaluate import MetricReport, evaluate_predictions, evaluate_report
 
 MODE_COLLAPSE_STD_FLOOR = 1e-4
@@ -376,6 +386,7 @@ def fit(cut: ValidationCut, config: TrainConfig, on_best=None) -> Trainer:
     to `Trainer.train`."""
     trainer = Trainer(cut.x_train, cut.y_train, config, x_val=cut.x_val, y_val=cut.y_val)
     trainer.pretrain_generator()
+    release_free_heap()     # before the rounds form the peak: see the module docstring
     trainer.train(on_best=on_best)
     return trainer
 

@@ -394,6 +394,8 @@ def test_train_outputs(trained):
         assert (trained / name).exists()
     manifest = json.loads((trained / "manifest.json").read_text())
     assert manifest["train_config"] == dataclasses.asdict(FAST_CONFIG)
+    # The process's RSS high-water mark, in MiB: never below the interpreter.
+    assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 1
 
 
 @pytest.mark.parametrize("extra", [[], ["--n-e", "none"]],

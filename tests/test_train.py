@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import re
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ import pytest
 
 from srlgan import evaluate as E
 from srlgan import model as M
+from srlgan import nn as NN
 from srlgan import train as T
 from srlgan.data import PurchaseRows, split_rows
 from srlgan.evaluate import evaluate_report
@@ -743,6 +745,60 @@ def test_each_trainer_is_released_before_the_next_fit(run, monkeypatch):
     else:
         T.run_ablation(x, y, x[:6], y.take(range(6)), cfg, ns=(5,), user_keys=None)
     assert len(built) == 3
+
+
+@pytest.mark.parametrize("run, fits", [("train", 1), ("sweep-beta", 2), ("ablate", 3)])
+def test_fit_releases_the_heap_once_between_pretraining_and_rounds(run, fits, monkeypatch):
+    """Each fit gives the free heap back once: after its last pretraining
+    step (P) and before its first discriminator-phase step (D).  `train`
+    fits once, `sweep-beta --grid 0,1` once per beta and `ablate` once per
+    mode."""
+    events = []
+    step_generator = T.Trainer._step_generator
+    discriminator_step = T.Trainer.discriminator_phase_step
+
+    def record_generator_step(self, loss, grad_yhat, what):
+        if what == "pretraining reconstruction loss":
+            events.append("P")
+        step_generator(self, loss, grad_yhat, what)
+
+    def record_discriminator_step(self):
+        events.append("D")
+        return discriminator_step(self)
+
+    monkeypatch.setattr(T.Trainer, "_step_generator", record_generator_step)
+    monkeypatch.setattr(T.Trainer, "discriminator_phase_step", record_discriminator_step)
+    monkeypatch.setattr(T, "release_free_heap", lambda: events.append("R"))
+    x, y = toy_data()
+    cfg = small_config(max_rounds=2, eval_every=1, pretrain_epochs=1)
+    if run == "train":
+        fit(x, y, cfg)
+    elif run == "sweep-beta":
+        T.cross_validate_beta(T.validation_cut(x, y, cfg), [0.0, 1.0], cfg)
+    else:
+        T.run_ablation(x, y, x[:6], y.take(range(6)), cfg, ns=(5,), user_keys=None)
+    assert re.fullmatch(f"(P+RDD){{{fits}}}", "".join(events)), "".join(events)
+
+
+def test_fit_without_malloc_trim_matches_fit_bit_for_bit(monkeypatch):
+    """Where the C library has no `malloc_trim`, the release does nothing,
+    and the fit's theta, curve and RNG state are a releasing fit's, bit for
+    bit."""
+    trims = []
+    if NN._MALLOC_TRIM is not None:
+        trim = NN._MALLOC_TRIM
+        monkeypatch.setattr(NN, "_MALLOC_TRIM", lambda pad: trims.append(pad) or trim(pad))
+    x, y = toy_data()
+    cfg = small_config()
+    released = fit(x, y, cfg)
+    assert trims == ([0] if NN._MALLOC_TRIM is not None else [])
+    monkeypatch.setattr(NN, "_MALLOC_TRIM", None)
+    kept = fit(x, y, cfg)
+    for net in ("generator", "discriminator"):
+        assert np.array_equal(getattr(released, net).theta, getattr(kept, net).theta)
+    assert len(released.curve) == 3
+    assert all(_same_point(a, b) for a, b in zip(released.curve, kept.curve, strict=True))
+    assert released.rng.bit_generator.state == kept.rng.bit_generator.state
 
 
 def test_validation_peak_is_under_one_score_matrix():
