@@ -144,17 +144,22 @@ def _cutoffs(raw: str) -> list[int]:
 
 
 def _beta_grid(raw: str) -> list[float]:
-    """The `--grid` of sweep-beta: comma-separated distinct betas, each
-    finite and >= 0."""
+    """The `--grid` of sweep-beta: comma-separated betas, each finite and
+    >= 0, whose `:g` names differ.  sweep-beta names each beta's curve file,
+    sweep.csv row and plot series by it, so two betas of one name, equal
+    (`0.1,0.10`) or not (`0.1,0.10000001`), would overwrite each other's."""
+    tokens = raw.split(",")
     try:
-        grid = [_float(s) for s in raw.split(",")]
+        grid = [_float(s) for s in tokens]
     except ValueError:
         raise ValueError(f"--grid: expected comma-separated numbers, got {raw!r}") from None
     if not all(math.isfinite(beta) and beta >= 0 for beta in grid):
         raise ValueError(f"--grid: each beta must be finite and >= 0, got {raw!r}")
-    repeated = [beta for k, beta in enumerate(grid) if beta in grid[:k]]
-    if repeated:
-        raise ValueError(f"--grid: beta {repeated[0]:g} is given more than once in {raw!r}")
+    names = [f"{beta:g}" for beta in grid]
+    k = next((k for k, name in enumerate(names) if name in names[:k]), None)
+    if k is not None:
+        raise ValueError(f"--grid: betas {tokens[names.index(names[k])]} and {tokens[k]} "
+                         f"share the output name beta{names[k]} in {raw!r}")
     return grid
 
 
@@ -261,10 +266,19 @@ RUN_METADATA = {
     "leakage_free_cold": (bool, "true or false", None)}
 
 
+def _warm_cut(args, config: T.TrainConfig):
+    """The `validation_cut` of the warm users of the command's split, and
+    what the outputs record of the cache (`_load_split`), for train and
+    sweep-beta, which read no cold user: the cut's rows are the only copy
+    of the split that outlives this call."""
+    (cold_ids, x_warm, y_warm, x_cold, y_cold), facts = _load_split(args, {"warm"}, config.seed)
+    del cold_ids, x_cold, y_cold        # held through the cut, they raise the peak RSS
+    return T.validation_cut(x_warm, y_warm, config), facts
+
+
 def cmd_train(args) -> int:
     config = _load_config(args)
-    (cold_ids, x_warm, y_warm, x_cold, y_cold), facts = _load_split(args, {"warm"}, config.seed)
-    del cold_ids, x_cold, y_cold        # train scores no cold user
+    cut, facts = _warm_cut(args, config)
     # The run metadata each checkpoint records, beside the round it was saved at.
     meta = {"dataset": facts["dataset"], "schema_hash": facts["schema_hash"],
             "cold_fraction": args.cold_fraction, "split_seed": args.split_seed,
@@ -277,8 +291,6 @@ def cmd_train(args) -> int:
         best_rounds.append(point.round)
         _save_trainer_checkpoint(best_path, tr, meta, point.round)
 
-    cut = T.validation_cut(x_warm, y_warm, config)
-    del x_warm, y_warm                  # the cut's rows are the only copy
     trainer = T.fit(cut, config, on_best=on_best)
 
     final_path = out_dir / "checkpoint.npz"
@@ -349,10 +361,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep_beta(args) -> int:
     config = _load_config(args)
     grid = _beta_grid(args.grid)
-    (cold_ids, x_warm, y_warm, x_cold, y_cold), facts = _load_split(args, {"warm"}, config.seed)
-    del cold_ids, x_cold, y_cold        # sweep-beta scores warm users only
-    cut = T.validation_cut(x_warm, y_warm, config)
-    del x_warm, y_warm                  # the cut's rows are the only copy
+    cut, facts = _warm_cut(args, config)
     best, scores, curves = T.cross_validate_beta(cut, grid, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

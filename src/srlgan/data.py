@@ -137,7 +137,7 @@ def parse_ratings(path, fmt: str) -> np.ndarray:
     `rating_lines` finds."""
     sep = LAYOUTS[fmt]["sep"]
     raw = read_bytes(_raw_file(path))
-    if not raw.strip(b"\n"):
+    if raw.count(b"\n") == len(raw):      # empty or newlines only, found without a copy
         return np.zeros((0, 4), dtype=np.int64)
     # With no sign, space, underscore or dot in a field, numpy's integer
     # parser is the grammar's in every numpy version; a ':' outside a '::'

@@ -2,10 +2,11 @@
 
 Each user gets a d-dimensional nonnegative vector: one-hot demographic
 slots (age, gender, occupation) followed by one genre slot per dataset
-genre, counting the user's ratings of movies carrying that genre (one
-`np.bincount` per genre over the ratings array).  Counts are weighted by a
-smoothed inverse document frequency computed across all users, then
-multiplied elementwise (no further normalization).
+genre, counting the user's ratings of movies carrying that genre (an
+integer `np.bincount` over the (user, genre) pairs of the ratings, through
+an item -> genre CSR).  Counts are weighted by a smoothed inverse document
+frequency computed across all users, then multiplied elementwise (no
+further normalization).
 
 `layout_schema` takes the slots from the layout's entry in `data.LAYOUTS`:
 103 for ML100K (61 observed ages + 2 genders + 21 occupations + 19
@@ -19,6 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 from .data import GENDERS, LAYOUTS, AttributeSchema, UserMeta
+
+
+# Ratings per bincount of `attribute_counts`.  Each block's pair arrays take
+# a few MiB; one bincount over every rating of an ML1M-shape input held
+# about 50 MiB of them, above `prepare`'s peak until then.
+PAIR_BLOCK = 131072
 
 
 def layout_schema(dataset: str, users: dict[int, UserMeta],
@@ -47,25 +54,38 @@ def attribute_counts(users: dict[int, UserMeta], user_ids, ratings,
     index = schema.slot_index()
     n = len(user_ids)
     counts = np.zeros((n, schema.d), dtype=np.float64)
-    for k, uid in enumerate(user_ids):
-        user = users[uid]
-        for slot in (f"age={user.age}", f"gender={user.gender}",
-                     f"occupation={user.occupation}"):
-            counts[k, index[slot]] = 1.0
+    demographics = np.fromiter(
+        (index[slot] for user in map(users.__getitem__, user_ids) for slot in (
+            f"age={user.age}", f"gender={user.gender}", f"occupation={user.occupation}")),
+        np.int64, 3 * n)
+    counts[np.repeat(np.arange(n), 3), demographics] = 1.0
 
-    row = np.searchsorted(user_ids, ratings[:, 0])
-    items = ratings[:, 1]
-    ratings_of_item = np.bincount(items)
-
-    # tags[i, g]: how often the movie of item id i carries genre g.
+    # The item -> genre CSR: item id i carries the genre columns
+    # columns[start[i]:start[i] + carried[i]], a genre it lists twice twice.
+    n_genres = len(schema.genre_values)
     column = {g: k for k, g in enumerate(schema.genre_values)}
-    tags = np.zeros((len(ratings_of_item), len(column)), dtype=np.float64)
-    for item_id in np.flatnonzero(ratings_of_item).tolist():
-        for genre in item_genres[item_id]:
-            tags[item_id, column[genre]] += 1.0
-    for genre, g in column.items():
-        counts[:, index[f"genre={genre}"]] = np.bincount(
-            row, weights=tags[items, g], minlength=n)
+    genres_of = [item_genres[i] if rated else () for i, rated in
+                 enumerate(np.bincount(ratings[:, 1]).tolist())]
+    carried = np.array([len(genres) for genres in genres_of], np.int64)
+    columns = np.array([column[g] for genres in genres_of for g in genres], np.int64)
+    start = np.cumsum(carried) - carried
+
+    # One (user row, genre column) pair per genre of each rating's movie,
+    # counted by one bincount per PAIR_BLOCK ratings, which bounds the pair
+    # arrays; the counts are integers, so adding the blocks' is exact.
+    # Rating r's pairs are consecutive, and take their columns from
+    # columns[start[item of r]] on.
+    genre_counts = np.zeros(n * n_genres, np.int64)
+    for lo in range(0, len(ratings), PAIR_BLOCK):
+        block = ratings[lo:lo + PAIR_BLOCK]
+        width = carried[block[:, 1]]
+        at = np.repeat(start[block[:, 1]] - np.cumsum(width) + width, width)
+        at += np.arange(len(at))
+        pairs = np.repeat(np.searchsorted(user_ids, block[:, 0]) * n_genres, width)
+        pairs += columns[at]
+        genre_counts += np.bincount(pairs, minlength=len(genre_counts))
+    counts[:, [index[f"genre={g}"] for g in schema.genre_values]] = genre_counts.reshape(
+        n, n_genres)
     return counts
 
 

@@ -11,6 +11,16 @@ warm rows, so a run holds one copy of them, and the ablation's cut holds
 nothing out, so it copies nothing.  Behaviors stay `data.PurchaseRows`: a
 step makes only its minibatch dense, and validation scores the CSR slice.
 
+`fit_each` is the one loop over `fit`, for the commands that fit more than
+once: the beta sweep (`cross_validate_beta`) keeps each beta's curve, and
+the ablation (`run_ablation`) each mode's cold `MetricReport`.  It hands
+its `keep` a finished run's generator and curve only, once the Trainer, and
+with it D and both optimizers, is gone, and lets go of them before the next
+fit builds its Trainer; so nothing of a run but what is kept outlives it,
+and a command that scores after each fit, as the ablation does, scores
+beside G (whose `grad` still views the gradient workspace) rather than
+beside a whole Trainer.
+
 One "round" of the main loop is one discriminator-phase step, which also
 updates the generator through the adversarial loss (the schedule's joint
 update), then one generator-phase step with the full objective.  Every
@@ -50,8 +60,8 @@ from its `zero_grad` to its optimizer step; outside that span it may hold
 the other network's gradient or the collapse set's scores, which an
 evaluation writes into the workspace's first rows * m elements.  It is as
 long as the largest of the three, which at the paper's widths is D, so the
-scores cost no memory of their own.  The sweep and the ablation release
-each finished Trainer before the next `fit` builds one.
+scores cost no memory of their own.  `fit_each` releases each finished
+Trainer before the next `fit` builds one.
 
 `fit` gives the C heap's free pages back to the OS once, between
 pretraining and the first round (`nn.release_free_heap`).  A run's memory
@@ -72,6 +82,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -391,6 +402,19 @@ def fit(cut: ValidationCut, config: TrainConfig, on_best=None) -> Trainer:
     return trainer
 
 
+def fit_each(cut: ValidationCut, configs: dict, keep) -> dict:
+    """Fit each config of `configs` on `cut` in the order given, and return
+    {key: keep(generator, curve)} in that order, where `generator` and
+    `curve` are the finished run's.  Each run's Trainer is gone before
+    `keep` is called, and `keep`'s arguments before the next fit builds its
+    Trainer (see the module docstring)."""
+    # Each Trainer is a temporary of this expression, which nothing holds
+    # once its generator and curve are read, and keep's arguments are held
+    # only by its call: so both are freed at once, by reference counting.
+    return {key: keep(*attrgetter("generator", "curve")(fit(cut, config)))
+            for key, config in configs.items()}
+
+
 def cross_validate_beta(cut: ValidationCut, beta_grid, config: TrainConfig):
     """Pick beta by P@5 on the validation rows of `cut`, which is
     `validation_cut(..., config)`'s: every beta's fit trains on the same cut
@@ -410,8 +434,8 @@ def cross_validate_beta(cut: ValidationCut, beta_grid, config: TrainConfig):
         raise ValueError(f"validation_fraction {config.validation_fraction} holds out "
                          f"none of {len(cut.x_train)} warm users, so no beta can be scored: "
                          f"raise it, or lower --cold-fraction")
-    configs = {beta: replace(config, beta=beta) for beta in sorted(beta_grid)}
-    curves = {beta: fit(cut, beta_config).curve for beta, beta_config in configs.items()}
+    curves = fit_each(cut, {beta: replace(config, beta=beta) for beta in sorted(beta_grid)},
+                      lambda generator, curve: curve)
     scores = {beta: curve[-1].p5 for beta, curve in curves.items()}
     best = max(scores, key=scores.get)      # the first, so the smallest, of a tie
     return best, scores, curves
@@ -438,14 +462,9 @@ def run_ablation(x_warm, y_warm, x_cold, y_cold, base_config: TrainConfig,
     (`y_warm`, `y_cold`: `data.PurchaseRows`) at the cutoffs `ns`, each
     report's users labelled by `user_keys`.  The modes share one cut, which
     holds out no row, so every mode trains on `x_warm` and `y_warm`
-    themselves.  Each mode scores with its generator alone: its Trainer
-    (D and both optimizers) is let go before the score matrix is made."""
+    themselves.  Each mode scores with its generator alone: `fit_each` lets
+    its Trainer (D and both optimizers) go before the score matrix is made."""
     configs = {mode: ablation_config(base_config, mode) for mode in ABLATION_MODES}
     cut = validation_cut(x_warm, y_warm, configs["S3"])
-    reports = {}
-    for mode, config in configs.items():
-        generator = fit(cut, config).generator
-        preds = M.generator_forward(generator, x_cold)
-        reports[mode] = evaluate_report(preds, y_cold, ns=ns, user_keys=user_keys)
-        del generator, preds    # free this run's network before the next fit
-    return reports
+    return fit_each(cut, configs, lambda generator, curve: evaluate_report(
+        M.generator_forward(generator, x_cold), y_cold, ns=ns, user_keys=user_keys))

@@ -26,6 +26,13 @@ def require_ml100k():
     return ML100K_DIR
 
 
+def require_slow():
+    """Skip unless SRLGAN_SLOW=1: the slow lane's checks take minutes, and
+    CI runs them in a step of their own (`pytest -m slow`)."""
+    if os.environ.get("SRLGAN_SLOW") != "1":
+        pytest.skip("slow lane: set SRLGAN_SLOW=1 to run")
+
+
 def require_ml1m():
     if not (ML1M_DIR / "ratings.dat").exists():
         pytest.skip(f"real ML1M raw data not present at {ML1M_DIR} "

@@ -1169,7 +1169,8 @@ def test_minus_zero_reads_as_zero(tmp_path, prepared, capsys):
     assert [row.split(",")[0] for row in rows] == ["0", "1"]
     assert main(["sweep-beta", *cache, "--out-dir", str(tmp_path / "twice"), "--grid", "0,-0",
                  *FAST]) == 1
-    assert "error: --grid: beta 0 is given more than once in '0,-0'" in capsys.readouterr().err
+    assert ("error: --grid: betas 0 and -0 share the output name beta0 in '0,-0'"
+            in capsys.readouterr().err)
 
     run = tmp_path / "cold"
     assert main(["train", *cache, "--out-dir", str(run), *FAST, "--cold-fraction", "-0"]) == 0
@@ -1368,11 +1369,19 @@ def test_eval_needs_exactly_one_of_checkpoint_and_baseline(tmp_path, prepared, c
     (["sweep-beta", "--grid", "0.1,-1"], "--grid: each beta must be finite and >= 0, got '0.1,-1'"),
     (["sweep-beta", "--grid", "nan"], "--grid: each beta must be finite and >= 0, got 'nan'"),
     (["sweep-beta", "--grid", "0,inf"], "--grid: each beta must be finite and >= 0, got '0,inf'"),
-    (["sweep-beta", "--grid", "0.1,0.10"], "--grid: beta 0.1 is given more than once in '0.1,0.10'"),
-    (["sweep-beta", "--grid", "1,0,0e0,1"], "--grid: beta 0 is given more than once in '1,0,0e0,1'"),
+    (["sweep-beta", "--grid", "0.1,0.10"],
+     "--grid: betas 0.1 and 0.10 share the output name beta0.1 in '0.1,0.10'"),
+    (["sweep-beta", "--grid", "1,0,0e0,1"],
+     "--grid: betas 0 and 0e0 share the output name beta0 in '1,0,0e0,1'"),
+    (["sweep-beta", "--grid", "0.1,0.10000001"],
+     "--grid: betas 0.1 and 0.10000001 share the output name beta0.1 in '0.1,0.10000001'"),
+    (["sweep-beta", "--grid", "1,1e-7,1.0000001e-7,1"],
+     "--grid: betas 1e-7 and 1.0000001e-7 share the output name beta1e-07 in "
+     "'1,1e-7,1.0000001e-7,1'"),
 ], ids=["lr-nan", "lr-inf", "beta-minus-inf", "beta-spaced-minus-inf", "beta-exponent",
         "ablate-lr-minus-inf", "beta-dash-letter", "sweep-beta-nan", "grid-letter",
-        "grid-negative", "grid-nan", "grid-inf", "grid-repeated", "grid-repeated-twice"])
+        "grid-negative", "grid-nan", "grid-inf", "grid-repeated", "grid-repeated-twice",
+        "grid-same-name", "grid-same-name-before-repeat"])
 def test_bad_hyperparameters_exit_1_before_any_work(tmp_path, prepared, capsys, monkeypatch,
                                                     argv, message):
     monkeypatch.setattr(D, "load_cache", lambda *a, **k: pytest.fail("cache loaded"))

@@ -71,6 +71,12 @@ def test_parse_empty_file(tmp_path):
     assert D.parse_ratings(p, "ml100k").shape == (0, 4)
 
 
+def test_parse_file_of_newlines_only(tmp_path):
+    p = tmp_path / "u.data"
+    p.write_text("\n\n\n")
+    assert D.parse_ratings(p, "ml100k").shape == (0, 4)
+
+
 def test_parse_skips_blank_lines_keeps_file_order(tmp_path):
     p = tmp_path / "u.data"
     p.write_text("\n5\t6\t1\t8\n\n1\t2\t3\t4\n\n")

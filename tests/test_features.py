@@ -145,6 +145,24 @@ def test_attribute_counts_match_per_user_oracle(schema, seed):
     assert np.array_equal(counts, want)
 
 
+@pytest.mark.parametrize("block", [1, 7, 300])
+def test_attribute_counts_in_blocks_match_per_user_oracle(schema, monkeypatch, block):
+    """Genre counts summed over blocks of `block` ratings, ending inside or
+    at the end of the ratings, are the oracle's; an item that lists a genre
+    twice counts it twice."""
+    users, ratings, item_genres = random_tables(schema, seed=5)
+    item_genres[ratings[-1, 1]] = ["Comedy", "Action", "Comedy"]
+    monkeypatch.setattr(F, "PAIR_BLOCK", block)
+    ids = np.unique(ratings[:, 0])
+    counts = F.attribute_counts(users, ids, ratings, item_genres, schema)
+    want = np.stack([
+        term_frequency_oracle(users[uid], ratings[ratings[:, 0] == uid, 1].tolist(),
+                              item_genres, schema)
+        for uid in ids.tolist()
+    ])
+    assert np.array_equal(counts, want)
+
+
 def test_idf_universal_slot_is_one():
     counts = np.ones((10, 3))
     idf = F.inverse_document_frequency(counts)

@@ -318,7 +318,7 @@ def test_cross_validate_beta_tie_prefers_smaller(monkeypatch):
     x, y = toy_data(n=30)
     curve = [T.CurvePoint(2, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5)]
     # every beta's run ends on the same validation P@5
-    monkeypatch.setattr(T, "fit", lambda *args: SimpleNamespace(curve=curve))
+    monkeypatch.setattr(T, "fit", lambda *args: SimpleNamespace(generator=None, curve=curve))
     cfg = small_config()
     best, scores, _ = T.cross_validate_beta(T.validation_cut(x, y, cfg), [1.0, 0.1], cfg)
     assert scores == {0.1: 0.5, 1.0: 0.5}
@@ -745,6 +745,48 @@ def test_each_trainer_is_released_before_the_next_fit(run, monkeypatch):
     else:
         T.run_ablation(x, y, x[:6], y.take(range(6)), cfg, ns=(5,), user_keys=None)
     assert len(built) == 3
+
+
+@pytest.mark.parametrize("run", ["sweep-beta", "ablate"])
+def test_fit_each_frees_each_discriminator_and_optimizer_before_it_goes_on(run, monkeypatch):
+    """Of each fit, the discriminator and both optimizers are freed, by
+    reference counting alone, before the next fit builds its Trainer and
+    before `ablate` scores the mode's cold users: nothing of a Trainer but
+    what `keep` reads stays live beside the next fit or the score matrix."""
+    parts = []
+
+    def assert_freed(when):
+        alive = [f"{name} of fit {k // 3 + 1}" for k, (name, ref) in enumerate(parts)
+                 if ref() is not None]
+        assert not alive, f"{', '.join(alive)} alive {when}"
+
+    class Tracked(T.Trainer):
+        def __init__(self, *args, **kwargs):
+            assert_freed("when a Trainer is built")
+            super().__init__(*args, **kwargs)
+            parts.extend((name, weakref.ref(getattr(self, name)))
+                         for name in ("discriminator", "opt_g", "opt_d"))
+
+    generator_forward = M.generator_forward
+
+    def score(generator, x):
+        assert_freed("when the cold users are scored")
+        return generator_forward(generator, x)
+
+    monkeypatch.setattr(T, "Trainer", Tracked)
+    monkeypatch.setattr(M, "generator_forward", score)
+    x, y = toy_data()
+    cfg = small_config(max_rounds=1, eval_every=1, pretrain_epochs=1)
+    gc.disable()        # a reference cycle would keep them alive until a collection
+    try:
+        if run == "sweep-beta":
+            T.cross_validate_beta(T.validation_cut(x, y, cfg), [0.0, 0.1, 1.0], cfg)
+        else:
+            T.run_ablation(x, y, x[:6], y.take(range(6)), cfg, ns=(5,), user_keys=None)
+        assert_freed("when the command's fits are done")
+    finally:
+        gc.enable()
+    assert len(parts) == 9
 
 
 @pytest.mark.parametrize("run, fits", [("train", 1), ("sweep-beta", 2), ("ablate", 3)])
