@@ -238,7 +238,7 @@ def cmd_prepare(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_path = out_dir / f"{args.dataset}.npz"
     D.save_cache(cache, cache_path)
-    (out_dir / f"{args.dataset}.schema.json").write_text(cache.schema_json + "\n")
+    (out_dir / f"{args.dataset}.schema.json").write_text(cache.schema.to_json() + "\n")
     stats_path = out_dir / f"{args.dataset}.stats.json"
     stats_path.write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
     inputs = {name: D.file_sha256(raw_dir / fname)
@@ -251,11 +251,11 @@ def cmd_prepare(args) -> int:
     return 0
 
 
-def _save_trainer_checkpoint(path, trainer: T.Trainer, meta: dict, rnd):
+def _save_generator(path, generator: NN.MLP, meta: dict, rnd):
     """Save G into `path`, making its directory: `train` makes its out-dir
     only here, once the run has passed every refusal."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    NN.save_checkpoint(path, {"generator": trainer.generator}, {**meta, "round": rnd})
+    NN.save_checkpoint(path, {"generator": generator}, {**meta, "round": rnd})
 
 
 # The spec (`data.check_document`) of the checkpoint metadata that eval reads.
@@ -287,24 +287,25 @@ def cmd_train(args) -> int:
     best_path = out_dir / "checkpoint.best.npz"
     best_rounds = []
 
-    def on_best(tr, point):
+    def on_best(generator, point):
         best_rounds.append(point.round)
-        _save_trainer_checkpoint(best_path, tr, meta, point.round)
+        _save_generator(best_path, generator, meta, point.round)
 
-    trainer = T.fit(cut, config, on_best=on_best)
+    generator, curve = T.fit(cut, config, on_best=on_best)
+    rounds = curve[-1].round if curve else 0    # the last round always logs a point
 
     final_path = out_dir / "checkpoint.npz"
-    _save_trainer_checkpoint(final_path, trainer, meta, trainer.rounds_done)
+    _save_generator(final_path, generator, meta, rounds)
     if not best_rounds:     # no improvement this run: the final model is the best
-        _save_trainer_checkpoint(best_path, trainer, meta, trainer.rounds_done)
+        _save_generator(best_path, generator, meta, rounds)
     curve_path = out_dir / "curve.csv"
-    T.write_curve(curve_path, trainer.curve)
+    T.write_curve(curve_path, curve)
     _write_manifest(args, {"cache_content": facts["cache_content"]},
                     {"checkpoint": str(final_path), "checkpoint_best": str(best_path),
                      "curve": str(curve_path)}, config)
-    flagged = sum(p.collapse_flag for p in trainer.curve)
-    print(f"trained {trainer.rounds_done} rounds "
-          f"({len(trainer.curve)} checkpoints, "
+    flagged = sum(p.collapse_flag for p in curve)
+    print(f"trained {rounds} rounds "
+          f"({len(curve)} checkpoints, "
           f"{flagged} collapse flags); outputs in {out_dir}")
     return 0
 

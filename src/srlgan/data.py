@@ -37,6 +37,7 @@ import zipfile
 import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from tokenize import TokenError
 
@@ -450,8 +451,9 @@ def _read_archive(path, what: str, spec: dict):
 
 def _archive_array(z, name: str, dtype, shape: tuple) -> np.ndarray:
     """Member `name` of archive `z`, refused unless it is a `dtype` array of
-    `shape` (a None length matches any).  The member is read to its end,
-    where zipfile checks its CRC: numpy stops after the array's bytes."""
+    `shape` (a None length matches any), and a float array unless it holds
+    no NaN or inf.  The member is read to its end, where zipfile checks its
+    CRC: numpy stops after the array's bytes."""
     if name not in z.files:
         raise ValueError(f"{name} is not a file in the archive")
     with z.zip.open(f"{name}.npy") as member:
@@ -461,6 +463,8 @@ def _archive_array(z, name: str, dtype, shape: tuple) -> np.ndarray:
             want in (None, got) for got, want in zip(arr.shape, shape))):
         raise ValueError(f"array '{name}' is {arr.dtype} {arr.shape}, "
                          f"expected {np.dtype(dtype).name} {shape}")
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise ValueError(f"array '{name}' holds a NaN or an inf")
     return arr
 
 
@@ -489,6 +493,12 @@ class AttributeSchema:
         return {name: k for k, name in enumerate(self.slot_names())}
 
     def to_json(self) -> str:
+        """The schema's json document, as the cache stores it and its hashes
+        read it: made at the first call and kept, since the schema is frozen."""
+        return self._json
+
+    @cached_property
+    def _json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
@@ -508,7 +518,6 @@ class DatasetCache:
     purchase: PurchaseRows
     tfidf: np.ndarray
     schema: AttributeSchema
-    schema_json: str        # the stored text of `schema`, which is hashed
 
     @property
     def m(self) -> int:
@@ -519,7 +528,7 @@ class DatasetCache:
         return self.tfidf.shape[1]
 
     def schema_hash(self) -> str:
-        return hashlib.sha256(self.schema_json.encode()).hexdigest()[:16]
+        return hashlib.sha256(self.schema.to_json().encode()).hexdigest()[:16]
 
 
 def save_cache(cache: DatasetCache, path) -> None:
@@ -531,7 +540,7 @@ def save_cache(cache: DatasetCache, path) -> None:
               "d": cache.d, "max_rating": MAX_RATING}
     _write_archive(path, header, user_ids=cache.user_ids, indptr=rows.indptr,
                    items=rows.items, ratings=ratings, tfidf=cache.tfidf,
-                   schema=cache.schema_json)
+                   schema=cache.schema.to_json())
 
 
 def load_cache(path) -> DatasetCache:
@@ -540,9 +549,10 @@ def load_cache(path) -> DatasetCache:
     that is no `LAYOUTS` key or an m other than its item count, a schema
     whose slot count is not d, a missing array, an array of another dtype
     or of a shape that disagrees with the user count and the header's d,
-    user ids that do not strictly increase, or purchase rows that break a
-    CSR rule of the layout above raise ValueError naming path and problem;
-    a missing file, FileNotFoundError."""
+    user ids that do not strictly increase, purchase rows that break a
+    CSR rule of the layout above, or a tfidf that holds a NaN or an inf
+    raise ValueError naming path and problem; a missing file,
+    FileNotFoundError."""
     with _read_archive(path, "cache", CACHE_HEADER) as (header, z):
         dataset, m, d = header["dataset"], header["m"], header["d"]
         if dataset not in LAYOUTS:
@@ -574,8 +584,7 @@ def load_cache(path) -> DatasetCache:
             raise ValueError(f"ratings outside 1..{MAX_RATING}")
         # C order, also for a member np.save wrote in Fortran order.
         tfidf = np.ascontiguousarray(_archive_array(z, "tfidf", np.float64, (n, d)))
-        schema_json = str(_archive_array(z, "schema", np.str_, ()))
-        schema = AttributeSchema.from_json(schema_json)
+        schema = AttributeSchema.from_json(str(_archive_array(z, "schema", np.str_, ())))
         if schema.d != d:
             raise ValueError(f"schema age_values, gender_values, occupation_values and "
                              f"genre_values hold {schema.d} slots, not the tfidf width {d}")
@@ -585,7 +594,6 @@ def load_cache(path) -> DatasetCache:
             purchase=PurchaseRows(indptr, items, ratings / MAX_RATING, m),
             tfidf=tfidf,
             schema=schema,
-            schema_json=schema_json,
         )
 
 
@@ -596,7 +604,7 @@ def cache_content_hash(cache: DatasetCache) -> str:
     CACHE_VERSION, so a file-format change keeps every recorded hash."""
     rows = cache.purchase
     h = hashlib.sha256()
-    h.update(cache.schema_json.encode())
+    h.update(cache.schema.to_json().encode())
     for arr in (cache.user_ids, rows.indptr, rows.items, rows.values, cache.tfidf):
         h.update(arr)       # its buffer: prepare's and load_cache's are C-contiguous
     h.update(f"{cache.dataset}|{MAX_RATING}|{rows.m}|2".encode())

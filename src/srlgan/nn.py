@@ -575,10 +575,10 @@ def load_checkpoint(path):
     networks its header names.
 
     An unreadable or damaged file, a header that breaks CHECKPOINT_HEADER
-    (its format version included), or an array that is missing or not the
+    (its format version included), or an array that is missing, not the
     float64 vector its header implies (which would otherwise broadcast into
-    the network) raises ValueError naming path and problem; a missing file
-    raises FileNotFoundError."""
+    the network) or holds a NaN or an inf raises ValueError naming path and
+    problem; a missing file raises FileNotFoundError."""
     with _read_archive(path, "checkpoint", CHECKPOINT_HEADER) as (header, z):
         nets = {}
         for name, sizes in header["nets"].items():

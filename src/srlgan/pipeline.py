@@ -49,7 +49,6 @@ def prepare_dataset(raw_dir, dataset: str) -> tuple[D.DatasetCache, dict]:
         purchase=purchase,
         tfidf=counts * F.inverse_document_frequency(counts),
         schema=schema,
-        schema_json=schema.to_json(),
     )
     stats = {
         "dataset": dataset,

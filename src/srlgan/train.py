@@ -10,16 +10,12 @@ and each makes its cut once: `train` and `sweep-beta` then let go of the
 warm rows, so a run holds one copy of them, and the ablation's cut holds
 nothing out, so it copies nothing.  Behaviors stay `data.PurchaseRows`: a
 step makes only its minibatch dense, and validation scores the CSR slice.
+Of a run, only G and its curve outlive `fit`: the Trainer, D, both
+optimizers and the gradient workspace are freed when it returns.
 
 `fit_each` is the one loop over `fit`, for the commands that fit more than
 once: the beta sweep (`cross_validate_beta`) keeps each beta's curve, and
-the ablation (`run_ablation`) each mode's cold `MetricReport`.  It hands
-its `keep` a finished run's generator and curve only, once the Trainer, and
-with it D and both optimizers, is gone, and lets go of them before the next
-fit builds its Trainer; so nothing of a run but what is kept outlives it,
-and a command that scores after each fit, as the ablation does, scores
-beside G (whose `grad` still views the gradient workspace) rather than
-beside a whole Trainer.
+the ablation (`run_ablation`) each mode's cold `MetricReport`.
 
 One "round" of the main loop is one discriminator-phase step, which also
 updates the generator through the adversarial loss (the schedule's joint
@@ -60,8 +56,9 @@ from its `zero_grad` to its optimizer step; outside that span it may hold
 the other network's gradient or the collapse set's scores, which an
 evaluation writes into the workspace's first rows * m elements.  It is as
 long as the largest of the three, which at the paper's widths is D, so the
-scores cost no memory of their own.  `fit_each` releases each finished
-Trainer before the next `fit` builds one.
+scores cost no memory of their own.  `fit` gives G a zeroed gradient vector
+of its own before it returns, whose pages no backward touches, so G does
+not keep the workspace alive.
 
 `fit` gives the C heap's free pages back to the OS once, between
 pretraining and the first round (`nn.release_free_heap`).  A run's memory
@@ -82,7 +79,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -90,7 +86,7 @@ import numpy as np
 from . import evaluate as E
 from . import model as M
 from .data import PurchaseRows, as_purchase_rows, split_rows
-from .nn import Adam, TrainingError, release_free_heap
+from .nn import MLP, Adam, TrainingError, release_free_heap
 from .evaluate import MetricReport, evaluate_predictions, evaluate_report
 
 MODE_COLLAPSE_STD_FLOOR = 1e-4
@@ -293,7 +289,7 @@ class Trainer:
 
     def train(self, on_best=None) -> list[CurvePoint]:
         """The adversarial loop, logging a curve point every `eval_every`
-        rounds and at the last.  `on_best(trainer, point)` is called at each
+        rounds and at the last.  `on_best(generator, point)` is called at each
         evaluation that improves validation P@5, the same ones that reset
         early stopping."""
         cfg = self.config
@@ -313,7 +309,7 @@ class Trainer:
                     best_p5 = point.p5
                     stale = 0
                     if on_best is not None:
-                        on_best(self, point)
+                        on_best(self.generator, point)
                 else:
                     stale += 1
                     if stale >= cfg.patience:
@@ -390,29 +386,25 @@ def validation_cut(x_warm, y_warm: PurchaseRows, config: TrainConfig) -> Validat
                          x_warm[val_rows], y_warm.take(val_rows))
 
 
-def fit(cut: ValidationCut, config: TrainConfig, on_best=None) -> Trainer:
+def fit(cut: ValidationCut, config: TrainConfig, on_best=None) -> tuple[MLP, list[CurvePoint]]:
     """Train on `validation_cut(..., config)`'s training rows, validating
-    and stopping early on its held-out rows; returns the finished Trainer,
-    which holds the cut's arrays without copying them.  `on_best` is passed
-    to `Trainer.train`."""
+    and stopping early on its held-out rows; returns (generator, curve),
+    the finished run's G and curve points, and frees the rest of the run
+    (see the module docstring).  `on_best` is passed to `Trainer.train`."""
     trainer = Trainer(cut.x_train, cut.y_train, config, x_val=cut.x_val, y_val=cut.y_val)
     trainer.pretrain_generator()
     release_free_heap()     # before the rounds form the peak: see the module docstring
     trainer.train(on_best=on_best)
-    return trainer
+    # A gradient vector of G's own, so that the workspace goes with the Trainer.
+    trainer.generator.use_grad(np.zeros(trainer.generator.theta.size))
+    return trainer.generator, trainer.curve
 
 
 def fit_each(cut: ValidationCut, configs: dict, keep) -> dict:
     """Fit each config of `configs` on `cut` in the order given, and return
     {key: keep(generator, curve)} in that order, where `generator` and
-    `curve` are the finished run's.  Each run's Trainer is gone before
-    `keep` is called, and `keep`'s arguments before the next fit builds its
-    Trainer (see the module docstring)."""
-    # Each Trainer is a temporary of this expression, which nothing holds
-    # once its generator and curve are read, and keep's arguments are held
-    # only by its call: so both are freed at once, by reference counting.
-    return {key: keep(*attrgetter("generator", "curve")(fit(cut, config)))
-            for key, config in configs.items()}
+    `curve` are what its `fit` returns; they are let go before the next fit."""
+    return {key: keep(*fit(cut, config)) for key, config in configs.items()}
 
 
 def cross_validate_beta(cut: ValidationCut, beta_grid, config: TrainConfig):
@@ -462,8 +454,7 @@ def run_ablation(x_warm, y_warm, x_cold, y_cold, base_config: TrainConfig,
     (`y_warm`, `y_cold`: `data.PurchaseRows`) at the cutoffs `ns`, each
     report's users labelled by `user_keys`.  The modes share one cut, which
     holds out no row, so every mode trains on `x_warm` and `y_warm`
-    themselves.  Each mode scores with its generator alone: `fit_each` lets
-    its Trainer (D and both optimizers) go before the score matrix is made."""
+    themselves.  Each mode scores beside its generator alone (`fit`)."""
     configs = {mode: ablation_config(base_config, mode) for mode in ABLATION_MODES}
     cut = validation_cut(x_warm, y_warm, configs["S3"])
     return fit_each(cut, configs, lambda generator, curve: evaluate_report(

@@ -72,6 +72,5 @@ def raw_counts():
                        if "occupations" in names else ())
         users = D.parse_users(raw_dir / names["users"], cache.dataset, occupations)
         item_genres = D.parse_item_genres(raw_dir / names["items"], cache.dataset)
-        schema = F.AttributeSchema.from_json(cache.schema_json)
-        return F.attribute_counts(users, cache.user_ids, ratings, item_genres, schema)
+        return F.attribute_counts(users, cache.user_ids, ratings, item_genres, cache.schema)
     return counts

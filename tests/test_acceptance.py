@@ -18,7 +18,7 @@ from srlgan import model as M
 from srlgan import nn as NN
 from srlgan import pipeline as P
 from srlgan import train as T
-from srlgan.features import AttributeSchema, layout_schema
+from srlgan.features import layout_schema
 
 from conftest import require_ml100k, require_ml1m
 from test_evaluate import brute_mrr, brute_ndcg, brute_precision, held_row
@@ -77,8 +77,7 @@ def test_criterion_2_ml1m_dimension_48():
 def test_criterion_2_ml100k_dimension_103():
     raw = require_ml100k()
     cache, stats = P.prepare_dataset(raw, "ml100k")
-    schema = AttributeSchema.from_json(cache.schema_json)
-    assert schema.d == 103
+    assert cache.schema.d == 103
     assert cache.tfidf.shape[1] == 103
     _passed("2 (ML100K d=103)")
 
@@ -193,9 +192,9 @@ def test_criterion_6_itempop_p5():
 
 def _train_and_score(x_warm, y_warm, x_cold, y_cold, config):
     config = dataclasses.replace(config, validation_fraction=0.0)
-    trainer = T.fit(T.validation_cut(x_warm, y_warm, config), config)
-    preds = M.generator_forward(trainer.generator, x_cold)
-    return trainer, E.evaluate_report(preds, y_cold).aggregate()
+    generator, _ = T.fit(T.validation_cut(x_warm, y_warm, config), config)
+    preds = M.generator_forward(generator, x_cold)
+    return generator, E.evaluate_report(preds, y_cold).aggregate()
 
 
 @pytest.mark.slow

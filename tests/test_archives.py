@@ -237,6 +237,41 @@ def test_shortened_npy_header_is_refused(good, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad_value", [np.inf, np.nan], ids=["inf", "nan"])
+def test_non_finite_tfidf_is_refused(good, tmp_path, bad_value):
+    """A cache whose tfidf holds an inf or a NaN is refused by `train` and
+    by `eval --checkpoint`, naming the cache and the array, with no
+    out-dir: an inf column made `train` fail in pretraining (exit 2), and
+    `eval` score with a warning."""
+    archives, _ = good
+    contents = members(archives["cache"])
+    contents["tfidf"][:, 2] = bad_value
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **contents)
+    for argv in (["train", "--cache", bad, "--out-dir", tmp_path / "out", *DESK],
+                 ["eval", "--checkpoint", archives["checkpoint"], "--cache", bad,
+                  "--out-dir", tmp_path / "out"]):
+        rc, err = run(argv)
+        assert (rc, err) == (1, f"error: cache {bad}: array 'tfidf' holds a NaN or an inf\n")
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad_value", [np.nan, -np.inf], ids=["nan", "-inf"])
+def test_non_finite_checkpoint_params_are_refused(good, tmp_path, bad_value):
+    """A checkpoint whose generator parameters hold a NaN or an inf is
+    refused by `eval`, naming the checkpoint and the array, with no
+    out-dir: an all-NaN generator scored every item alike."""
+    archives, _ = good
+    contents = members(archives["checkpoint"])
+    contents["generator/params"][-1] = bad_value
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **contents)
+    rc, err = eval_(archives | {"checkpoint": bad}, tmp_path / "out")
+    assert (rc, err) == (
+        1, f"error: checkpoint {bad}: array 'generator/params' holds a NaN or an inf\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_archive_writer_matches_np_savez_byte_for_byte(good, tmp_path):
     """`data._write_archive` writes each member's buffer itself, yet its files
     are `np.savez`'s byte for byte: the cache and the checkpoint the CLI

@@ -24,6 +24,7 @@ from srlgan import pipeline as P
 from srlgan import svgplot
 from srlgan import train as T
 from srlgan.cli import TRAIN_FLAGS, _parse_config_file, main
+from conftest import require_slow
 from test_evaluate import brute_mrr, brute_ndcg, brute_precision
 
 FAST = [
@@ -971,19 +972,16 @@ DESK_SETTINGS = {"max_rounds": "2", "eval_every": "1", "pretrain_epochs": "1",
                  "generator_hidden": "8", "discriminator_hidden": "8"}
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_train_of_fuzzed_flags_and_config_keys_exits_0_or_1(prepared, data):
-    """`train` with up to three TrainConfig settings drawn over the desk
-    ones, each given as a flag (where it has one) or as a config key,
-    exits 0 or 1.  A refusal names a setting it was given, as a key or as
-    a flag, and makes no out-dir; an accepted run writes the same
-    curve.csv twice."""
+def fuzz_train(prepared, data, base, setting_values):
+    """`train` with up to three TrainConfig settings drawn from
+    `setting_values` over the `base` ones, each given as a flag (where it
+    has one) or as a config key, exits 0 or 1.  A refusal names a setting
+    it was given, as a key or as a flag, and makes no out-dir; an accepted
+    run writes the same curve.csv twice."""
     fields = {f.name: f.type for f in dataclasses.fields(T.TrainConfig)}
-    values = dict(DESK_SETTINGS)
+    values = dict(base)
     for name in data.draw(st.lists(st.sampled_from(sorted(fields)), max_size=3, unique=True)):
-        values[name] = data.draw(st.sampled_from(SETTING_VALUES[fields[name]]))
+        values[name] = data.draw(st.sampled_from(setting_values[fields[name]]))
     as_key = {name for name in values
               if name not in TRAIN_FLAGS or data.draw(st.booleans())}
     flags = [arg for name in sorted(set(values) - as_key)
@@ -1006,6 +1004,34 @@ def test_train_of_fuzzed_flags_and_config_keys_exits_0_or_1(prepared, data):
             return
         assert run_cli([*argv, outs[1]]) == (0, "")
         assert (outs[0] / "curve.csv").read_bytes() == (outs[1] / "curve.csv").read_bytes()
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_train_of_fuzzed_flags_and_config_keys_exits_0_or_1(prepared, data):
+    """`fuzz_train` over the desk settings, at desk widths."""
+    fuzz_train(prepared, data, DESK_SETTINGS, SETTING_VALUES)
+
+
+# The slow lane's fuzz starts from the paper widths (`none`), and a drawn
+# width may be `none` too.
+PAPER_WIDTH_SETTINGS = {**DESK_SETTINGS, "generator_hidden": "none",
+                        "discriminator_hidden": "none"}
+PAPER_WIDTH_VALUES = {**SETTING_VALUES,
+                      "list[int] | None": ["none", *SETTING_VALUES["list[int] | None"]]}
+
+
+@pytest.mark.slow
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_train_of_fuzzed_flags_and_config_keys_at_paper_widths_exits_0_or_1(prepared, data):
+    """`fuzz_train` over the desk settings at the paper widths: a drawn
+    batch size of 1 makes the pretraining of these widths too slow for
+    tier-1."""
+    require_slow()
+    fuzz_train(prepared, data, PAPER_WIDTH_SETTINGS, PAPER_WIDTH_VALUES)
 
 
 # The values a fuzzed eval or sweep-beta flag draws from: good ones, refused
@@ -1603,9 +1629,7 @@ def test_leakage_free_cold_changes_features(prepared):
                                                 leakage_free_cold=True)
     assert not np.array_equal(x_cold_leaky, x_cold_clean)
     # demographics survive, genre slots are zeroed
-    from srlgan.features import AttributeSchema
-    schema = AttributeSchema.from_json(cache.schema_json)
-    n_genres = len(schema.genre_values)
+    n_genres = len(cache.schema.genre_values)
     assert np.all(x_cold_clean[:, -n_genres:] == 0)
     assert np.array_equal(x_cold_leaky[:, :-n_genres],
                           x_cold_clean[:, :-n_genres])

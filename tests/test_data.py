@@ -541,7 +541,7 @@ def test_cache_round_trip(tmp_path, synth_cache):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert loaded.m == synth_cache.m
     assert np.array_equal(loaded.tfidf, synth_cache.tfidf)
-    assert loaded.schema_json == synth_cache.schema_json
+    assert loaded.schema == synth_cache.schema
     # sparsity identical after the disk round trip
     assert D.sparsity_percent(loaded.purchase) == D.sparsity_percent(synth_cache.purchase)
     assert D.cache_content_hash(loaded) == D.cache_content_hash(synth_cache)
@@ -586,7 +586,8 @@ def test_cache_content_hash_covers_every_part(synth_cache):
     caches = [replace(synth_cache, purchase=v) for v in variants] + [
         replace(synth_cache, tfidf=2 * synth_cache.tfidf),
         replace(synth_cache, user_ids=synth_cache.user_ids + 1),
-        replace(synth_cache, schema_json=synth_cache.schema_json + " "),
+        replace(synth_cache, schema=replace(synth_cache.schema, genre_values=(
+            synth_cache.schema.genre_values[::-1]))),
     ]
     hashes = {D.cache_content_hash(c) for c in [synth_cache, *caches]}
     assert len(hashes) == 1 + len(caches)
@@ -616,7 +617,7 @@ def test_prepared_arrays_pinned(request, raw_counts, fixture, dataset, digest):
 def test_leakage_free_cold_features_bit_for_bit(request, raw_counts, fixture, dataset, seed):
     """Leakage-free cold rows are the raw counts with the genre slots zeroed,
     times idf: zeroing the genre slots of tfidf gives the same bits."""
-    from srlgan.features import AttributeSchema, inverse_document_frequency
+    from srlgan.features import inverse_document_frequency
     from srlgan.pipeline import prepare_dataset, split_matrices
 
     raw_dir = request.getfixturevalue(fixture)
@@ -624,7 +625,7 @@ def test_leakage_free_cold_features_bit_for_bit(request, raw_counts, fixture, da
     counts = raw_counts(raw_dir, cache)
     _, cold_rows = D.split_rows(len(cache.user_ids), 0.2, seed)
     want = counts[cold_rows]
-    want[:, -len(AttributeSchema.from_json(cache.schema_json).genre_values):] = 0.0
+    want[:, -len(cache.schema.genre_values):] = 0.0
     want = want * inverse_document_frequency(counts)
     x_cold = split_matrices(cache, 0.2, seed, leakage_free_cold=True)[3]
     assert x_cold.dtype == want.dtype and x_cold.shape == want.shape

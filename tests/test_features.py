@@ -37,7 +37,7 @@ def test_prepared_schema_json_pinned(request, fixture, dataset, digest):
     from srlgan.pipeline import prepare_dataset
 
     cache, _ = prepare_dataset(request.getfixturevalue(fixture), dataset)
-    assert hashlib.sha256(cache.schema_json.encode()).hexdigest()[:16] == digest
+    assert hashlib.sha256(cache.schema.to_json().encode()).hexdigest()[:16] == digest
 
 
 def test_schema_json_round_trip(schema):
@@ -206,5 +206,4 @@ def test_user_permutation_invariance(schema):
 
 def test_feature_matrix_nonnegative(synth_cache):
     assert (synth_cache.tfidf >= 0).all()
-    schema = F.AttributeSchema.from_json(synth_cache.schema_json)
-    assert synth_cache.tfidf.shape[1] == schema.d
+    assert synth_cache.tfidf.shape[1] == synth_cache.schema.d

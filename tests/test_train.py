@@ -4,7 +4,6 @@ import gc
 import re
 import tracemalloc
 import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,7 +44,7 @@ def train_with_slice(x, y, config, x_val, y_val):
 
 
 def fit(x, y, config):
-    """`T.fit` on the cut `config` makes of all of x, y."""
+    """`T.fit` on the cut `config` makes of all of x, y: (generator, curve)."""
     return T.fit(T.validation_cut(x, y, config), config)
 
 
@@ -205,9 +204,9 @@ def test_no_activation_outlives_a_step_or_an_evaluation():
 
 def test_different_seed_different_params():
     x, y = toy_data()
-    a = fit(x, y, small_config(seed=1, validation_fraction=0.0))
-    b = fit(x, y, small_config(seed=2, validation_fraction=0.0))
-    assert not np.array_equal(a.generator.theta, b.generator.theta)
+    a, _ = fit(x, y, small_config(seed=1, validation_fraction=0.0))
+    b, _ = fit(x, y, small_config(seed=2, validation_fraction=0.0))
+    assert not np.array_equal(a.theta, b.theta)
 
 
 def test_max_rounds_zero_keeps_pretrained_generator():
@@ -236,7 +235,7 @@ def test_curve_rounds_strictly_increasing_and_finite():
 def test_discriminator_scores_stay_in_unit_interval():
     x, y = toy_data()
     cfg = small_config(max_rounds=6, validation_fraction=0.0)
-    trainer = fit(x, y, cfg)
+    trainer = train_with_slice(x, y, cfg, None, None)
     scores = trainer.discriminator.forward(
         M.discriminator_input(x, y.toarray()))
     assert np.all((scores > 0) & (scores < 1))
@@ -275,8 +274,8 @@ def test_bce_mode_trains():
     x, y = toy_data()
     cfg = small_config(gan_loss="bce", beta=0.0, max_rounds=4,
                        validation_fraction=0.0)
-    trainer = fit(x, y, cfg)
-    assert trainer.rounds_done == 4
+    _, curve = fit(x, y, cfg)
+    assert curve[-1].round == 4
 
 
 def test_holdout_split_sizes_and_determinism():
@@ -304,13 +303,14 @@ def test_cross_validate_beta_scores_each_final_generator(stop):
     settings = ({"max_rounds": 5, "eval_every": 2} if stop == "max-rounds" else
                 {"max_rounds": 40, "eval_every": 1, "patience": 2, "learning_rate": 1e-9})
     cfg = small_config(pretrain_epochs=2, **settings)
-    _, scores, curves = T.cross_validate_beta(T.validation_cut(x, y, cfg), [0.0, 1.0], cfg)
+    cut = T.validation_cut(x, y, cfg)
+    _, scores, curves = T.cross_validate_beta(cut, [0.0, 1.0], cfg)
     for beta, curve in curves.items():
-        trainer = fit(x, y, small_config(pretrain_epochs=2, beta=beta, **settings))
-        assert curve == trainer.curve
-        assert (trainer.rounds_done < cfg.max_rounds) == (stop == "patience")
-        report = T.evaluate_predictions(M.generator_forward(trainer.generator, trainer.x_val),
-                                        trainer.y_val, ns=(5,))
+        generator, fit_curve = T.fit(cut, small_config(pretrain_epochs=2, beta=beta, **settings))
+        assert curve == fit_curve
+        assert (curve[-1].round < cfg.max_rounds) == (stop == "patience")
+        report = T.evaluate_predictions(M.generator_forward(generator, cut.x_val), cut.y_val,
+                                        ns=(5,))
         assert scores[beta] == report["P@5"]
 
 
@@ -318,7 +318,7 @@ def test_cross_validate_beta_tie_prefers_smaller(monkeypatch):
     x, y = toy_data(n=30)
     curve = [T.CurvePoint(2, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5)]
     # every beta's run ends on the same validation P@5
-    monkeypatch.setattr(T, "fit", lambda *args: SimpleNamespace(generator=None, curve=curve))
+    monkeypatch.setattr(T, "fit", lambda *args: (None, curve))
     cfg = small_config()
     best, scores, _ = T.cross_validate_beta(T.validation_cut(x, y, cfg), [1.0, 0.1], cfg)
     assert scores == {0.1: 0.5, 1.0: 0.5}
@@ -362,8 +362,9 @@ def test_on_best_fires_exactly_when_early_stopping_resets():
     trainer._evaluate_checkpoint = lambda rnd, d_loss, g_losses: T.CurvePoint(
         rnd, 0.0, 0.0, 0.0, next(p5s), 0.0, 0.0)
     fired = []
-    trainer.train(on_best=lambda tr, point: fired.append((tr, point.round, point.p5)))
-    assert fired == [(trainer, 1, 0.1), (trainer, 4, 0.2)]
+    trainer.train(on_best=lambda generator, point: fired.append((generator, point.round,
+                                                                 point.p5)))
+    assert fired == [(trainer.generator, 1, 0.1), (trainer.generator, 4, 0.2)]
     # rounds 5 and 6 are the two stale evaluations that stop the loop
     assert trainer.rounds_done == 6
 
@@ -747,25 +748,29 @@ def test_each_trainer_is_released_before_the_next_fit(run, monkeypatch):
     assert len(built) == 3
 
 
+# What a Trainer holds besides G: each is freed when `fit` returns.
+RUN_PARTS = ("discriminator", "opt_g", "opt_d", "workspace")
+
+
 @pytest.mark.parametrize("run", ["sweep-beta", "ablate"])
 def test_fit_each_frees_each_discriminator_and_optimizer_before_it_goes_on(run, monkeypatch):
-    """Of each fit, the discriminator and both optimizers are freed, by
-    reference counting alone, before the next fit builds its Trainer and
-    before `ablate` scores the mode's cold users: nothing of a Trainer but
-    what `keep` reads stays live beside the next fit or the score matrix."""
+    """Of each fit, the discriminator, both optimizers and the gradient
+    workspace are freed, by reference counting alone, before the next fit
+    builds its Trainer and before `ablate` scores the mode's cold users:
+    nothing of a Trainer but what `keep` reads stays live beside the next
+    fit or the score matrix."""
     parts = []
 
     def assert_freed(when):
-        alive = [f"{name} of fit {k // 3 + 1}" for k, (name, ref) in enumerate(parts)
-                 if ref() is not None]
+        alive = [f"{name} of fit {k // len(RUN_PARTS) + 1}"
+                 for k, (name, ref) in enumerate(parts) if ref() is not None]
         assert not alive, f"{', '.join(alive)} alive {when}"
 
     class Tracked(T.Trainer):
         def __init__(self, *args, **kwargs):
             assert_freed("when a Trainer is built")
             super().__init__(*args, **kwargs)
-            parts.extend((name, weakref.ref(getattr(self, name)))
-                         for name in ("discriminator", "opt_g", "opt_d"))
+            parts.extend((name, weakref.ref(getattr(self, name))) for name in RUN_PARTS)
 
     generator_forward = M.generator_forward
 
@@ -786,7 +791,42 @@ def test_fit_each_frees_each_discriminator_and_optimizer_before_it_goes_on(run, 
         assert_freed("when the command's fits are done")
     finally:
         gc.enable()
-    assert len(parts) == 9
+    assert len(parts) == 3 * len(RUN_PARTS)
+
+
+def test_fit_leaves_nothing_of_the_run_but_the_generator_and_curve(monkeypatch):
+    """When `fit` returns, its Trainer, the discriminator, both optimizers
+    and the gradient workspace are freed by reference counting alone, and
+    the generator's gradient, and each layer's view of it, share no memory
+    with the workspace."""
+    refs, held = {}, []
+    hold = True
+
+    class Tracked(T.Trainer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            refs.update({name: weakref.ref(getattr(self, name)) for name in RUN_PARTS},
+                        trainer=weakref.ref(self))
+            if hold:
+                held.append(self.workspace)
+
+    monkeypatch.setattr(T, "Trainer", Tracked)
+    x, y = toy_data()
+    cfg = small_config(max_rounds=2, eval_every=1, pretrain_epochs=1)
+    generator, curve = fit(x, y, cfg)       # a held workspace: G's gradient lies apart
+    grads = [generator.grad, *(g for _, _, g in generator.params())]
+    assert not any(np.shares_memory(g, held[0]) for g in grads)
+    assert [p.round for p in curve] == [1, 2]
+    hold = False
+    held.clear()
+    gc.disable()        # a reference cycle would keep them alive until a collection
+    try:
+        generator, curve = fit(x, y, cfg)
+        alive = [name for name, ref in refs.items() if ref() is not None]
+    finally:
+        gc.enable()
+    assert alive == []
+    assert generator.grad.size == generator.theta.size and not generator.grad.any()
 
 
 @pytest.mark.parametrize("run, fits", [("train", 1), ("sweep-beta", 2), ("ablate", 3)])
@@ -830,16 +870,25 @@ def test_fit_without_malloc_trim_matches_fit_bit_for_bit(monkeypatch):
     if NN._MALLOC_TRIM is not None:
         trim = NN._MALLOC_TRIM
         monkeypatch.setattr(NN, "_MALLOC_TRIM", lambda pad: trims.append(pad) or trim(pad))
+    trainers = []
+
+    class Kept(T.Trainer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            trainers.append(self)
+
+    monkeypatch.setattr(T, "Trainer", Kept)
     x, y = toy_data()
     cfg = small_config()
-    released = fit(x, y, cfg)
+    _, released_curve = fit(x, y, cfg)
     assert trims == ([0] if NN._MALLOC_TRIM is not None else [])
     monkeypatch.setattr(NN, "_MALLOC_TRIM", None)
-    kept = fit(x, y, cfg)
+    _, kept_curve = fit(x, y, cfg)
+    released, kept = trainers
     for net in ("generator", "discriminator"):
         assert np.array_equal(getattr(released, net).theta, getattr(kept, net).theta)
-    assert len(released.curve) == 3
-    assert all(_same_point(a, b) for a, b in zip(released.curve, kept.curve, strict=True))
+    assert len(released_curve) == 3
+    assert all(_same_point(a, b) for a, b in zip(released_curve, kept_curve, strict=True))
     assert released.rng.bit_generator.state == kept.rng.bit_generator.state
 
 
