@@ -68,7 +68,9 @@ def loss_reconstruction(y, y_hat):
     b = y.shape[0]
     diff = y_hat - y
     loss = float(np.sum(diff * diff)) / b
-    return loss, 2.0 * diff / b
+    diff *= 2.0         # becomes the gradient 2.0 * diff / b, in its order
+    diff /= b
+    return loss, diff
 
 
 def loss_lsq(d_out, label: float):
@@ -134,15 +136,18 @@ def generator_objective_grad(discriminator: MLP, x, y, y_hat, rho, beta: float,
 
     Returns (dict of the scalar loss components, dloss/dy_hat); no
     network's `grad` is touched.  beta=0 drops the sparsity term.
+
+    The adversarial pass runs first, so the reconstruction gradient is not
+    held through D's pass, and the terms are summed into it in place:
+    d_recon + d_adv, then the beta * KL row, the bits of the plain sum.
     """
-    recon, d_recon = loss_reconstruction(y, y_hat)
     adv_g, d_yhat_adv = generator_adversarial_grad(
         discriminator, x, y_hat, adv_loss, rng)
-
-    grad_yhat = d_recon + d_yhat_adv
+    recon, grad_yhat = loss_reconstruction(y, y_hat)
+    grad_yhat += d_yhat_adv
     sr = 0.0
     if beta > 0.0:
         sr, d_rho_hat = sparsity_regularizer(rho, y_hat.mean(axis=0))
-        grad_yhat = grad_yhat + beta * d_rho_hat[None, :] / x.shape[0]
+        grad_yhat += beta * d_rho_hat[None, :] / x.shape[0]
     losses = {"recon": recon, "adv_g": adv_g, "sr": sr, "total": recon + adv_g + beta * sr}
     return losses, grad_yhat

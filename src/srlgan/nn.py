@@ -43,23 +43,34 @@ be stale: a RuntimeError names the layer.
 Every later backward accumulates (the discriminator's real and fake passes
 sum into one gradient), and so does a backward into a `grad` that was never
 zeroed through `zero_grad`.  An accumulating backward adds x.T @ grad_out
-into `grad` in row blocks of about WEIGHT_GRAD_BLOCK elements, so no
-weight-sized product is allocated (at ML1M shape the discriminator's
-layer-0 product would be 65 MB).  Each element of a row block is the
-same dot product over the batch as in the whole-matrix product.  Measured
-with OpenBLAS 0.3.31, the blocks give the whole product's bits at every
-output width that is a multiple of 16, such as the discriminator's (the
-bit-for-bit tests check this at width 2048), but not at other widths.  The
-written gradient therefore stays one whole-matrix product: it needs no
-temporary, and in blocks the generator's 1682-wide output layer would not
-keep its bits.
+into `grad` in row blocks of about WEIGHT_GRAD_BLOCK elements (1 MiB), so
+no weight-sized product is allocated (at ML1M shape the discriminator's
+layer-0 product would be 65 MB) and the block is no larger than a few
+batch-sized arrays.  A weight of at most WEIGHT_GRAD_BLOCK elements is
+one block, the whole product.  Each element of a row block is the same
+dot product over the batch as in the whole-matrix product, but a BLAS
+kernel may sum it in another order for another block shape, so which
+accumulating widths keep their bits is measured, per kernel and thread
+count.  With OpenBLAS 0.3.31 at batch 64, 1753 and 4000 rows: on the
+SkylakeX kernels, on one thread and two, every multiple of 16 up to 256
+and 512, 1024 and 2048 kept them (1682, at 1100 rows, did not); on the
+Haswell kernels on one thread, the paper discriminator's 2048 and 512
+and the desk discriminator's 128 kept them, and 96, 160 and 224 did not
+(the bit-for-bit tests check 2048 and 128 in both one-thread CI legs);
+on the Haswell kernels on two threads, which no check runs, most widths
+lost them at 1753 rows, 128 and 2048 among them.  A width outside these
+lists keeps its bits for certain only in a weight of one block.  The written
+gradient stays one whole-matrix product: it needs no temporary, and in
+blocks the generator's 1682-wide output layer would not keep its bits.
 
 `MLP.backward(grad_out)` only accumulates parameter gradients and returns
 nothing: the input layer (told so at construction) skips the input gradient
 grad_out @ W.T, which nobody reads.  `MLP.input_grad(grad_out)` returns the
 gradient w.r.t. the input alone: each Linear runs `input_grad` and `grad` is
 left as it is.  Use it for a pass whose parameter gradients nobody reads,
-such as the discriminator pass that only feeds the generator.
+such as the discriminator pass that only feeds the generator.  Either way
+each Linear drops its kept input once it has read it (`input_grad` reads
+none), before the input gradient's product.
 
 The output layer makes one score-sized array: `Linear.forward` adds the
 bias into the product it just made (`out = x @ W; out += b`), and
@@ -74,16 +85,23 @@ An MLP's `layers` are its Linears.  Each hidden Linear is followed by
 LeakyReLU and, in training mode at a positive dropout rate, by inverted
 dropout; the output Linear by Sigmoid.  The activation classes hold no
 state: their static `forward` and `backward` are given what they read.
-The MLP keeps the one activation tape a backward reads: each Linear's
-input, each hidden layer's `x >= 0` mask and dropout scale, and the
-sigmoid output.  `MLP.forward`, with an rng or without, records it;
-`MLP.backward` and `MLP.input_grad` run one loop, which pops each entry at
-its last reader, so no activation outlives a training step.  A second
-backward or input_grad on one forward, or one after `predict`, raises
-RuntimeError before any layer runs.  `MLP.predict(x, out=None)` is
-inference: the rng-less forward's bits, with no tape and no mask, so it
-keeps nothing and holds no more than one layer's input and output at a
-time.
+Every activation's `forward` consumes its input, the fresh product of the
+Linear before it, and returns that array: a hidden layer's product is
+activated and dropped out in place and becomes the next Linear's input,
+so the tape holds one layer-sized array per hidden layer besides its
+masks.  Each `backward` returns a new array, the input gradient, and
+leaves its `grad_out` alone, since a caller may pass one gradient to two
+passes.  The MLP keeps the one activation tape a backward reads: each
+Linear's input, each hidden layer's `x >= 0` mask and, where dropout
+drew, its bool keep mask (`Dropout.backward` rebuilds the scale
+`keep / (1.0 - rate)` from it), and the sigmoid output.  `MLP.forward`,
+with an rng or without, records it; `MLP.backward` and `MLP.input_grad`
+run one loop, which pops each entry at its last reader, so no activation
+outlives a training step.  A second backward or input_grad on one
+forward, or one after `predict`, raises RuntimeError before any layer
+runs.  `MLP.predict(x, out=None)` is inference: the rng-less forward's
+bits, with no tape and no mask, so it keeps nothing and holds no more
+than one layer's input and output at a time.
 
 LeakyReLU is branch-free: forward is max(x, LEAKY_SLOPE*x), and backward
 multiplies by a factor of exactly 1.0 or LEAKY_SLOPE, which gives the bits
@@ -132,10 +150,12 @@ from .data import _archive_array, _read_archive, _write_archive
 # 8K, 52 ms at 128K and 100 ms unblocked.
 ADAM_BLOCK = 32768
 
-# The accumulated weight gradient's block length in elements (4 MiB of
+# The accumulated weight gradient's block length in elements (1 MiB of
 # float64): at the paper's ML1M discriminator widths, layer 0's 4000x2048
-# gradient (65 MB) is added in 15 row blocks of 256 rows and one of 160.
-WEIGHT_GRAD_BLOCK = 524288
+# gradient (65 MB) is added in 62 row blocks of 64 rows and one of 32.  On a
+# 2-core Xeon (OpenBLAS 0.3.31) that took 25-41 ms at batch 64 in 1 MiB and
+# in 4 MiB blocks alike.
+WEIGHT_GRAD_BLOCK = 131072
 
 # The LeakyReLU slope of every MLP hidden layer.
 LEAKY_SLOPE = 0.01
@@ -169,7 +189,8 @@ class Linear:
 
     def backward(self, grad_out):
         """Writes (after zero_grad) or adds the parameter gradients; returns
-        the input gradient, or None for the input layer."""
+        the input gradient, or None for the input layer.  The kept input is
+        dropped before the input gradient's product."""
         if self._overwrite:
             np.matmul(self._x.T, grad_out, out=self.grad_weight)
             np.sum(grad_out, axis=0, out=self.grad_bias)
@@ -178,10 +199,13 @@ class Linear:
             for rows in _row_blocks(*self.grad_weight.shape):
                 self.grad_weight[rows] += self._x[:, rows].T @ grad_out
             self.grad_bias += grad_out.sum(axis=0)
+        self._x = None
         return None if self.input_layer else grad_out @ self.weight.T
 
     def input_grad(self, grad_out):
-        """The gradient w.r.t. the input alone; parameter gradients are untouched."""
+        """The gradient w.r.t. the input alone; parameter gradients are
+        untouched, and the kept input, which it does not read, is dropped."""
+        self._x = None
         return grad_out @ self.weight.T
 
     def release(self):
@@ -198,16 +222,22 @@ def _row_blocks(n_rows: int, n_cols: int):
 
 
 class LeakyReLU:
-    """max(x, LEAKY_SLOPE*x); `backward` reads the `x >= 0` mask of its input."""
+    """max(x, LEAKY_SLOPE*x), computed in place: `forward` consumes its
+    input, which in an MLP is the fresh product of a hidden Linear.
+    `backward` reads the `x >= 0` mask of that input."""
 
     @staticmethod
     def forward(x):
-        return np.maximum(x, LEAKY_SLOPE * x)
+        return np.maximum(x, LEAKY_SLOPE * x, out=x)
 
     @staticmethod
     def backward(grad_out, mask):
-        # The factor is exactly 1.0 where x >= 0 and LEAKY_SLOPE elsewhere.
-        return grad_out * np.maximum(mask, LEAKY_SLOPE)
+        # The factor is exactly 1.0 where x >= 0 and LEAKY_SLOPE elsewhere;
+        # it becomes the input gradient (factor * grad_out, the bits of
+        # grad_out * factor).
+        factor = np.maximum(mask, LEAKY_SLOPE)
+        factor *= grad_out
+        return factor
 
 
 class Sigmoid:
@@ -228,23 +258,30 @@ class Sigmoid:
 
     @staticmethod
     def backward(grad_out, y):
-        return grad_out * y * (1.0 - y)
+        grad_in = grad_out * y
+        grad_in *= 1.0 - y
+        return grad_in
 
 
 class Dropout:
     """Inverted dropout at a rate in (0, 1), in training mode: `forward`
-    draws the mask from `rng` and returns the survivors scaled by
-    1/(1-rate), with that scale, which `backward` reads."""
+    draws the bool keep mask from `rng`, scales its input in place by
+    `keep / (1.0 - rate)` (survivors by 1/(1-rate), the rest to zero) and
+    returns it with the mask, which `backward` reads to rebuild that
+    scale."""
 
     @staticmethod
     def forward(x, rate, rng):
         keep = rng.random(x.shape) >= rate
-        scale = keep / (1.0 - rate)
-        return x * scale, scale
+        x *= keep / (1.0 - rate)
+        return x, keep
 
     @staticmethod
-    def backward(grad_out, scale):
-        return grad_out * scale
+    def backward(grad_out, keep, rate):
+        # scale * grad_out: the bits of grad_out * scale.
+        scale = keep / (1.0 - rate)
+        scale *= grad_out
+        return scale
 
 
 class MLP:
@@ -274,8 +311,8 @@ class MLP:
         self.layers = [Linear(weight, bias, input_layer=k == 0)
                        for k, (weight, bias) in enumerate(views)]
         # The tape beside each Linear's input: per hidden layer its mask and,
-        # where dropout drew, its scale; and the sigmoid output.
-        self._masks, self._scales, self._y = [], [], None
+        # where dropout drew, its keep mask; and the sigmoid output.
+        self._masks, self._keeps, self._y = [], [], None
         self.use_grad(np.zeros(self.theta.size))
 
     def _layer_views(self, flat):
@@ -302,14 +339,14 @@ class MLP:
     def forward(self, x, rng=None):
         """The output for `x`, a (b, sizes[0]) float64 batch, recording the
         tape; in training mode (dropout draws) exactly when `rng` is given."""
-        self._masks, self._scales, self._y = [], [], None
+        self._masks, self._keeps, self._y = [], [], None
         for linear in self.layers[:-1]:
             x = linear.forward(x)
             self._masks.append(x >= 0)
             x = LeakyReLU.forward(x)
             if rng is not None and self.dropout > 0.0:
-                x, scale = Dropout.forward(x, self.dropout, rng)
-                self._scales.append(scale)
+                x, keep = Dropout.forward(x, self.dropout, rng)
+                self._keeps.append(keep)
         self._y = Sigmoid.forward(self.layers[-1].forward(x))
         return self._y
 
@@ -321,7 +358,7 @@ class MLP:
         C-contiguous (b, sizes[-1]) float64 array, the output layer writes
         into it and returns it.  The output layer runs `Linear.forward`'s
         operations, in its order, without calling it."""
-        self._masks, self._scales, self._y = [], [], None
+        self._masks, self._keeps, self._y = [], [], None
         *hidden, last = self.layers
         for linear in hidden:
             x = linear.forward(x)
@@ -346,8 +383,9 @@ class MLP:
     def _backprop(self, grad_out, step):
         """Run the activations' backwards and `step(linear, grad_out)` on
         each Linear, from the output down, popping each tape entry at its
-        last reader.  An empty tape raises RuntimeError before any layer
-        runs: each forward serves one pass."""
+        last reader (a Linear's `backward` and `input_grad` drop its input).
+        An empty tape raises RuntimeError before any layer runs: each
+        forward serves one pass."""
         if self._y is None:
             raise RuntimeError(f"layer{len(self.layers) - 1} holds no activations: each "
                                f"forward serves one backward or input_grad")
@@ -355,10 +393,9 @@ class MLP:
         self._y = None
         for linear in reversed(self.layers):
             grad_out = step(linear, grad_out)
-            linear.release()
-            # One mask (and one scale, where dropout drew) per Linear below.
-            if self._scales:
-                grad_out = Dropout.backward(grad_out, self._scales.pop())
+            # One mask (and one keep mask, where dropout drew) per Linear below.
+            if self._keeps:
+                grad_out = Dropout.backward(grad_out, self._keeps.pop(), self.dropout)
             if self._masks:
                 grad_out = LeakyReLU.backward(grad_out, self._masks.pop())
         return grad_out

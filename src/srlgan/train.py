@@ -245,7 +245,12 @@ class Trainer:
         y_hat = self.generator.forward(x, self.rng)
 
         disc = self.discriminator
-        d_real = disc.forward(M.discriminator_input(x, y), self.rng)
+        # The real pair copies the batch, and D's layer 0 keeps the pair until
+        # its backward: neither name holds a batch-sized array past its reader.
+        real = M.discriminator_input(x, y)
+        del y
+        d_real = disc.forward(real, self.rng)
+        del real
         loss_real, dd_real = self.adv_loss(d_real, 1.0)
         disc.zero_grad()
         disc.backward(dd_real)

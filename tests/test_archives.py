@@ -28,7 +28,7 @@ from srlgan.cli import main
 DESK = ["--max-rounds", "2", "--eval-every", "1", "--pretrain-epochs", "1",
         "--batch-size", "16", "--learning-rate", "1e-3", "--seed", "3",
         "--generator-hidden", "8", "--discriminator-hidden", "8"]
-VERSIONS = {"cache": 3, "checkpoint": 3}
+VERSIONS = {"cache": D.CACHE_VERSION, "checkpoint": NN.CHECKPOINT_VERSION}
 
 
 def run(argv):

@@ -81,12 +81,12 @@ def test_activations():
 
 def test_dropout_eval_identity():
     # Without an rng, a net with dropout gives the bits of one without, and
-    # records no dropout scale.
+    # records no dropout keep mask.
     x = np.random.default_rng(0).normal(size=(3, 5))
     net = NN.MLP([5, 4, 2], np.random.default_rng(1), dropout=0.4)
     plain = NN.MLP([5, 4, 2], np.random.default_rng(1))
     assert net.forward(x).tobytes() == plain.forward(x).tobytes()
-    assert net._scales == []
+    assert net._keeps == []
 
 
 def test_mlp_builds_dropout_only_at_a_positive_rate():
@@ -95,16 +95,20 @@ def test_mlp_builds_dropout_only_at_a_positive_rate():
         rng = np.random.default_rng(1)
         net.forward(np.ones((2, 3)), rng=rng)
         drew = rng.bit_generator.state != np.random.default_rng(1).bit_generator.state
-        return len(net._scales), drew
+        return len(net._keeps), drew
 
     assert (dropouts(0.0), dropouts(0.3)) == ((0, False), (2, True))
 
 
 def test_dropout_train_scales_survivors():
+    """Dropout.forward consumes its input: it scales it in place by
+    keep / (1 - rate) and returns it with the bool keep mask."""
     rng = np.random.default_rng(0)
     x = np.ones((200, 50))
-    y, scale = NN.Dropout.forward(x, 0.4, rng)
-    assert np.array_equal(y, x * scale)
+    given_x = x.copy()
+    y, keep = NN.Dropout.forward(given_x, 0.4, rng)
+    assert y is given_x and keep.dtype == bool
+    assert np.array_equal(y, x * (keep / (1.0 - 0.4)))
     kept = y[y != 0]
     assert np.allclose(kept, 1.0 / 0.6)
     # survival rate near 1 - rate
@@ -139,8 +143,10 @@ def test_leaky_relu_matches_two_branch_where_bit_for_bit(x, data):
         st.floats(width=64), st.sampled_from(SPECIAL))))
     slope = NN.LEAKY_SLOPE
     with np.errstate(all="ignore"):
-        y = NN.LeakyReLU.forward(x)
+        given_x = x.copy()
+        y = NN.LeakyReLU.forward(given_x)       # consumes its input
         grad_in = NN.LeakyReLU.backward(grad_out, x >= 0)     # MLP.forward's mask
+        assert y is given_x
         assert _same_bits(y, np.where(x >= 0, x, slope * x))
         assert _same_bits(grad_in, np.where(x >= 0, grad_out, slope * grad_out))
 
@@ -284,7 +290,7 @@ def test_gradients_with_dropout_match_finite_differences():
 
     net.zero_grad()
     grad_out = loss_grad()
-    assert len(net._scales) == 2 and all((s == 0).any() for s in net._scales)
+    assert len(net._keeps) == 2 and all((k == 0).any() for k in net._keeps)
     net.backward(grad_out)
     numeric = central_diff_grads(net, loss_fn)
     assert rel_err(net.grad, numeric) < 1e-4
@@ -503,14 +509,15 @@ def test_input_grad_leaves_grad_untouched():
 
     g = forward() - 0.5
     net.grad[...] = 0.25
-    y, masks, scales = net._y.copy(), list(net._masks), list(net._scales)
+    y, masks, keeps = net._y.copy(), list(net._masks), list(net._keeps)
     input_grad = net.input_grad(g)
     assert np.all(net.grad == 0.25)
     # The chain written out from the tape: the sigmoid's derivative, then
     # below each upper Linear its layer's dropout scale and LeakyReLU factor.
-    assert len(masks) == len(scales) == 2
+    assert len(masks) == len(keeps) == 2
     expected = g * y * (1.0 - y)
-    for linear, mask, scale in zip(net.layers[:0:-1], masks[::-1], scales[::-1]):
+    for linear, mask, keep in zip(net.layers[:0:-1], masks[::-1], keeps[::-1]):
+        scale = keep / (1.0 - 0.3)
         expected = expected @ linear.weight.T * scale * np.maximum(mask, NN.LEAKY_SLOPE)
     assert np.array_equal(input_grad, expected @ net.layers[0].weight.T)
     # The input layer's backward returns no input gradient; told otherwise,
@@ -521,6 +528,44 @@ def test_input_grad_leaves_grad_untouched():
     net.layers[0].input_layer = False
     assert np.array_equal(input_grad, net._backprop(g, NN.Linear.backward))
     assert np.any(net.grad != 0.25)
+
+
+@pytest.mark.parametrize("sizes", [(6, 16, 32, 11), (17, 24, 8, 1)],
+                         ids=["generator-like", "discriminator-like"])
+def test_training_pass_matches_out_of_place_chain_bit_for_bit(sizes):
+    """A training forward with dropout, its backward and a second forward's
+    input_grad, which run their activations in place and keep bool dropout
+    masks, give the bits of the out-of-place chain: x @ W + b, the
+    two-branch LeakyReLU, x * scale with scale = keep / (1 - rate), the
+    textbook sigmoid and its derivative g * y * (1 - y)."""
+    rate, slope = 0.3, NN.LEAKY_SLOPE
+    net = NN.MLP(sizes, np.random.default_rng(50), dropout=rate)
+    x = np.random.default_rng(51).normal(size=(9, sizes[0]))
+    draws = np.random.default_rng(52)
+    inputs, masks, scales, h = [], [], [], x
+    for linear in net.layers[:-1]:
+        inputs.append(h)
+        z = h @ linear.weight + linear.bias
+        masks.append(z >= 0)
+        scales.append((draws.random(z.shape) >= rate) / (1.0 - rate))
+        h = np.where(z >= 0, z, slope * z) * scales[-1]
+    inputs.append(h)
+    y = 1.0 / (1.0 + np.exp(-(h @ net.layers[-1].weight + net.layers[-1].bias)))
+    g = y - 0.5
+    d, grads = g * y * (1.0 - y), []
+    for k in range(len(net.layers) - 1, -1, -1):
+        grads[:0] = [(inputs[k].T @ d).ravel(), d.sum(axis=0)]
+        d = d @ net.layers[k].weight.T
+        if k:
+            d = d * scales[k - 1]
+            d = np.where(masks[k - 1], d, slope * d)
+
+    assert net.forward(x, rng=np.random.default_rng(52)).tobytes() == y.tobytes()
+    net.zero_grad()
+    net.backward(g)
+    assert net.grad.tobytes() == np.concatenate(grads).tobytes()
+    net.forward(x, rng=np.random.default_rng(52))
+    assert net.input_grad(g).tobytes() == d.tobytes()
 
 
 def held_activations(net):
@@ -546,7 +591,7 @@ def test_predict_matches_forward_bit_for_bit(sizes, dropout):
     want = net.forward(x)
     net.forward(x, rng=np.random.default_rng(42))
     assert held_activations(net) == ["layer0", "layer1", "layer2", "_masks",
-                                     *(["_scales"] if dropout else []), "_y"]
+                                     *(["_keeps"] if dropout else []), "_y"]
     got = net.predict(x)
     assert got.tobytes() == want.tobytes()
     assert held_activations(net) == []
@@ -581,7 +626,7 @@ def test_one_forward_serves_one_backward(first, second):
     pass on the same forward (or one after predict) is refused, naming the
     output Linear, before any layer runs: it never reaches a Linear or an
     activation with nothing to read, and never takes the empty list of
-    dropout scales for eval mode."""
+    dropout keep masks for eval mode."""
     net = NN.MLP([5, 7, 6, 3], np.random.default_rng(43), dropout=0.3)
     x = np.random.default_rng(44).normal(size=(4, 5))
     g = net.forward(x, rng=np.random.default_rng(45)) - 0.5
@@ -666,12 +711,14 @@ def test_backwards_after_zero_grad_equal_zero_plus_a_plus_b_bit_for_bit():
     # After zero_grad the first backward writes its gradient a and the second
     # adds b; the twin adds both to zeros set without zero_grad: (0 + a) + b.
     # The written a is one whole-matrix product and the added ones are formed
-    # in row blocks, so at the wide layer 0 (1100 x 2048, five blocks) this
-    # also checks the blocks against whole-matrix np.matmul products.  At
-    # 1025 x 2048 the 256-row steps would leave a lone last row, which
-    # _row_blocks folds into the block before it.
-    for sizes, blocks in (((5, 7, 6, 3), 1), ((1100, 2048, 16, 1), 5),
-                          ((1025, 2048, 16, 1), 4)):
+    # in row blocks, so at the wide layer 0 (1100 x 2048, 18 blocks of 64
+    # rows, the last of 12) this also checks the blocks against whole-matrix
+    # np.matmul products.  At 1025 x 2048 the 64-row steps would leave a
+    # lone last row, which _row_blocks folds into the block before it.  The
+    # desk discriminator's layer 0 (1753 x 128, README's ablation) is split
+    # in two: 1024 rows and 729.
+    for sizes, blocks in (((5, 7, 6, 3), 1), ((1100, 2048, 16, 1), 18),
+                          ((1025, 2048, 16, 1), 16), ((1753, 128, 32, 1), 2)):
         net, twin = _twin_nets(sizes=sizes)
         first = net.layers[0]
         assert len(NN._row_blocks(*first.weight.shape)) == blocks

@@ -160,7 +160,7 @@ def test_batches_serve_the_whole_permutation_when_n_is_a_multiple_of_b():
 
 def test_discriminator_step_allocates_less_than_one_layer0_weight():
     # m + d = 1100 by 2048: D's layer-0 weight gradient is 18 MB and the
-    # fake pass adds it in five row blocks of about 4 MiB, so the step's
+    # fake pass adds it in 18 row blocks of about 1 MiB, so the step's
     # peak stays under half a weight; a whole-matrix `+=` allocates a whole
     # weight-sized product.
     x, y = toy_data(d=6, m=1094)
@@ -175,6 +175,36 @@ def test_discriminator_step_allocates_less_than_one_layer0_weight():
     finally:
         tracemalloc.stop()
     assert peak < weight_bytes / 2, (peak, weight_bytes)
+
+
+def test_step_peaks_stay_within_their_batch_sized_arrays():
+    """Above the live set before it, a step holds no more batch-sized
+    (b, m) arrays at once than its arithmetic needs.  The D-phase step
+    peaks in G's sigmoid backward, under G's output, the adversarial
+    gradient w.r.t. D's input and that backward's two temporaries: 4 arrays.
+    The G-phase step peaks in the reconstruction loss, under the batch,
+    G's output, the adversarial gradient, the difference and its square:
+    5 arrays.  Everything else (the (b, d) and (b, hidden) arrays, masks,
+    Adam's scratch) stays under half an array.  At m = 1682, b = 64 and
+    D's widths [1690, 128, 1], layer 0's weight (1.7 MB) is added in two
+    row blocks of about 1 MiB.  Measured 4.04 and 5.03 arrays; with
+    out-of-place activations, a scale-keeping dropout tape, a held batch in
+    the D phase and 4 MiB row blocks, 5.12 and 6.13."""
+    x, y = toy_data(n=128, d=8, m=1682)
+    tr = T.Trainer(x, y, small_config(batch_size=64, generator_hidden=[32],
+                                      discriminator_hidden=[128]))
+    assert len(NN._row_blocks(*tr.discriminator.layers[0].weight.shape)) == 2
+    batch_bytes = 64 * 1682 * 8
+    for step, arrays in (("discriminator_phase_step", 4.5), ("generator_phase_step", 5.5)):
+        getattr(tr, step)()                     # warm-up: lazy allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            getattr(tr, step)()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < arrays * batch_bytes, (step, peak / batch_bytes)
 
 
 def test_no_activation_outlives_a_step_or_an_evaluation():
@@ -199,7 +229,7 @@ def test_no_activation_outlives_a_step_or_an_evaluation():
     assert cached() == []
     disc = trainer.discriminator        # a tape that is held is seen
     disc.forward(np.ones((2, disc.sizes[0])), np.random.default_rng(0))
-    assert ("D", "_scales") in cached()
+    assert ("D", "_keeps") in cached()
 
 
 def test_different_seed_different_params():
